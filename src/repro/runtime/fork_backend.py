@@ -23,7 +23,10 @@ The protocol is deliberately simple and robust:
   SIGKILL instead of hanging the block until the global timeout;
 - kill signals are *verified*: a child that survives its first SIGKILL
   (or whose signal the fault plane deliberately "loses") is re-signalled
-  until reaped, so no zombie outlives the block.
+  until reaped, so no zombie outlives the block, exception or not;
+- every wait for a death is on the exit event (a pidfd per child, closed
+  before the wait returns), not on a timer; the 5 ms poll quantum stays as
+  the re-signal period and as the wait where ``os.pidfd_open`` is absent.
 
 Deterministic fault injection (:class:`~repro.faults.plan.FaultPlan`) is
 threaded through every stage: child crash/hang/slow-start/corrupt-report
@@ -41,7 +44,7 @@ import selectors
 import signal
 import struct
 import time
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.analysis.overhead import OverheadBreakdown
 from repro.core.alternative import Alternative, GuardPlacement
@@ -55,6 +58,7 @@ _HEADER = struct.Struct("<Q")
 
 #: Bounded patience for verified reaping before we give up on a zombie.
 _REAP_TIMEOUT_S = 2.0
+#: A child that outlives its SIGKILL is re-signalled this often.
 _REAP_POLL_S = 0.005
 
 
@@ -203,13 +207,47 @@ def _child_main(
         os._exit(0)
 
 
+def _await_exit(pids: Iterable[int], timeout_s: float) -> None:
+    """Block until every one of ``pids`` has exited, or for ``timeout_s``.
+
+    A pidfd turns readable the moment its process terminates, reaped or
+    not, so the wait ends on the exit event itself. A pid that is already
+    reaped (``ESRCH``) is gone. Without ``os.pidfd_open`` (non-Linux
+    POSIX) this is one bounded sleep of a plain poll loop. Either way it
+    only waits: callers verify with ``waitpid`` afterwards.
+    """
+    if not hasattr(os, "pidfd_open"):
+        time.sleep(max(0.0, min(timeout_s, _REAP_POLL_S)))
+        return
+    deadline = time.perf_counter() + timeout_s
+    pidfds: list[int] = []
+    try:
+        for pid in pids:
+            try:
+                pidfds.append(os.pidfd_open(pid))
+            except ProcessLookupError:
+                pass
+        with selectors.DefaultSelector() as alive:
+            for fd in pidfds:
+                alive.register(fd, selectors.EVENT_READ)
+            while alive.get_map():
+                wait_s = deadline - time.perf_counter()
+                if wait_s <= 0:
+                    break
+                for key, _mask in alive.select(wait_s):
+                    alive.unregister(key.fd)
+    finally:
+        for fd in pidfds:
+            os.close(fd)
+
+
 def _reap_verified(pids: Sequence[int], timeout_s: float = _REAP_TIMEOUT_S) -> list[int]:
     """Reap ``pids``, re-signalling survivors; return unreaped stragglers.
 
     SIGKILL is not optional, but a signal can be lost (the fault plane
     simulates exactly that, and a PID in an uninterruptible kernel sleep
-    can genuinely linger), so death is verified with ``WNOHANG`` polls
-    and the kill resent until the child is actually gone.
+    can genuinely linger), so death is verified with ``WNOHANG`` and the
+    kill resent every ``_REAP_POLL_S`` until the child is actually gone.
     """
     remaining = set(pids)
     deadline = time.perf_counter() + timeout_s
@@ -229,7 +267,7 @@ def _reap_verified(pids: Sequence[int], timeout_s: float = _REAP_TIMEOUT_S) -> l
                 os.kill(pid, signal.SIGKILL)
             except ProcessLookupError:
                 pass
-        time.sleep(_REAP_POLL_S)
+        _await_exit(remaining, _REAP_POLL_S)
     return sorted(remaining)
 
 
@@ -278,7 +316,7 @@ def _terminate_children(
                     still.append((pid, index, name))
             survivors = still
             if survivors:
-                time.sleep(_REAP_POLL_S)
+                _await_exit([p[0] for p in survivors], grace_deadline - time.perf_counter())
     for pid, index, name in survivors:
         delivered = send(pid, index, signal.SIGKILL)
         events.append(
@@ -468,10 +506,8 @@ def run_alternatives_fork(
             if watchdog is not None:
                 for pid in pending:
                     if pid in killed:
-                        # SIGKILL'd children die on their own schedule; the
-                        # verified reap below is the backstop, not the poll
-                        wakeups.append(time.perf_counter() + 5 * _REAP_POLL_S)
-                    elif pid in term_at:
+                        continue  # its death arrives as pipe EOF
+                    if pid in term_at:
                         wakeups.append(term_at[pid] + watchdog.term_grace_s)
                     else:
                         wakeups.append(soft_deadlines[pid])
@@ -544,10 +580,12 @@ def run_alternatives_fork(
                     )
                 _retire(pid, reader)
     finally:
-        # eliminate whatever is still running
+        # eliminate whatever is still running, and reap it in here: an
+        # exception out of the loop must not strand children either
         leftover_pids = list(pending)
         elim_seconds = 0.0
         elim_events: list[dict] = []
+        synchronous = elimination is EliminationPolicy.SYNCHRONOUS
         if leftover_pids:
             for _, _, reader in pending.values():
                 try:
@@ -558,7 +596,6 @@ def run_alternatives_fork(
                     os.close(reader.fd)
                 except OSError:
                     pass
-            synchronous = elimination is EliminationPolicy.SYNCHRONOUS
             elim_seconds, elim_events = _terminate_children(
                 [(pid, pending[pid][0], pending[pid][1].name) for pid in leftover_pids],
                 wait=synchronous,
@@ -566,8 +603,11 @@ def run_alternatives_fork(
                 send=_send_signal,
             )
         sel.close()
+        # asynchronous elimination resumes the parent here; the reap that
+        # follows is off its books but still done before the call returns
+        t_resume = time.perf_counter()
+        zombies = [] if synchronous else _reap_verified(leftover_pids)
 
-    t_resume = time.perf_counter()
     # a leftover child killed after a winner synchronized was *eliminated*;
     # only a block that expired with no winner timeout-kills its children
     leftover_error = "eliminated" if winner is not None else (
@@ -603,10 +643,8 @@ def run_alternatives_fork(
         )
     if injected:
         outcome.extras["injected_faults"] = injected
-    if elimination is EliminationPolicy.ASYNCHRONOUS and leftover_pids:
-        zombies = _reap_verified(leftover_pids)
-        if zombies:  # pragma: no cover - requires a truly unkillable child
-            outcome.extras["zombies"] = zombies
+    if zombies:  # pragma: no cover - requires a truly unkillable child
+        outcome.extras["zombies"] = zombies
     if obs is not None:
         from repro.obs.integrate import record_block
 

@@ -3,9 +3,9 @@
 The paper's section 3.3 contract — the observable result is one some
 sequential execution of a single alternative could have produced — means
 that when a block's winner is *forced* (at most one alternative can
-succeed), the sim, thread, sequential and async backends must all commit
-the same winner with the same value, and must all fail when nothing can
-succeed. Alternative sets are generated with exactly one (or zero)
+succeed), the sim, thread, sequential, async and fork backends must all
+commit the same winner with the same value, and must all fail when nothing
+can succeed. Alternative sets are generated with exactly one (or zero)
 succeeding member so the race has only one legal outcome; the rest fail
 via a raised error or a rejecting guard.
 
@@ -16,12 +16,19 @@ Two further paths every backend must agree on:
   ``guard_failed``), without disturbing the forced winner;
 - **timeout** — a block whose only viable alternative outlasts the
   parent timeout commits nowhere. Backends that can preempt a running
-  world (thread, async) must report ``timed_out`` with no winner; the
-  sequential backend cannot interrupt an alternative mid-flight, so the
-  agreement is weaker there — it either times out with no winner or
-  (having started the slow winner before the deadline) commits the one
-  legal value.
+  world (thread, async, fork) must report ``timed_out`` with no winner;
+  fork, which alone destroys the world it stops waiting for, labels the
+  child ``timeout-killed``. The sequential backend cannot interrupt an
+  alternative mid-flight, so the agreement is weaker there — it either
+  times out with no winner or (having started the slow winner before
+  the deadline) commits the one legal value.
+
+The fork backend forks up to five real processes per example, a few
+milliseconds a block; the ``max_examples`` below keep its share of this
+file to about a second.
 """
+
+import os
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,7 +36,11 @@ from hypothesis import strategies as st
 from repro.core.alternative import Alternative, Guard, GuardPlacement
 from repro.core.worlds import run_alternatives
 
-BACKENDS = ("sim", "thread", "sequential", "async")
+BACKENDS = ("sim", "thread", "sequential", "async") + (
+    ("fork",) if hasattr(os, "fork") else ()
+)
+#: the members of BACKENDS that stop waiting for a world at the deadline
+PREEMPTIVE = tuple(b for b in BACKENDS if b != "sequential")
 
 
 def make_alt(index, succeeds, value, mode):
@@ -184,21 +195,24 @@ def make_slow_winner(sleep_s, value):
 def test_backends_agree_on_timeout_alternative(n_losers, mode):
     """A block whose only viable alternative outlasts the timeout.
 
-    Preemptive backends (sim counts virtual time; thread and async stop
-    waiting at the deadline) must time out with no winner. The
-    sequential backend cannot interrupt a started alternative, so it
-    either times out the same way or commits the one legal value — both
-    are sequentially-consistent outcomes, nothing else is.
+    Preemptive backends (sim counts virtual time; thread, async and fork
+    stop waiting at the deadline, and fork kills what it waited for) must
+    time out with no winner. The sequential backend cannot interrupt a
+    started alternative, so it either times out the same way or commits
+    the one legal value — both are sequentially-consistent outcomes,
+    nothing else is.
     """
     slow = make_slow_winner(0.25, "late")
     alts = [slow] + [
         make_alt(i + 1, succeeds=False, value=i, mode=mode)
         for i in range(n_losers)
     ]
-    for backend in ("sim", "thread", "async"):
+    for backend in PREEMPTIVE:
         outcome = run_alternatives(alts, timeout=0.05, backend=backend)
         assert outcome.winner is None, f"{backend} committed past the deadline"
         assert outcome.timed_out, backend
+        if backend == "fork":
+            assert outcome.losers[0].error == "timeout-killed"
     seq = run_alternatives(alts, timeout=0.05, backend="sequential")
     if seq.winner is None:
         assert seq.timed_out

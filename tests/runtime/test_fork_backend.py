@@ -1,13 +1,16 @@
 """Tests for the os.fork execution backend (real COW worlds)."""
 
 import os
+import signal
 import time
 
 import pytest
 
 from repro.core.alternative import Alternative, Guard, GuardPlacement
-from repro.core.policy import EliminationPolicy
+from repro.core.policy import EliminationPolicy, WatchdogPolicy
 from repro.core.worlds import run_alternatives
+from repro.faults.plan import FaultKind, FaultPlan
+from repro.runtime.fork_backend import _await_exit, run_alternatives_fork
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
@@ -168,6 +171,25 @@ def test_no_zombies_left_behind():
             os.waitpid(-1, os.WNOHANG)  # no children of ours remain
 
 
+def test_no_zombies_left_behind_by_an_exception():
+    """A raise out of the rendezvous (here: the journal dies while the win
+    is being recorded) still reaps the winner and the killed losers."""
+
+    class CrashingJournal:
+        def begin(self, *args, **kwargs):
+            raise RuntimeError("crash-before-seal")
+
+    for policy in (EliminationPolicy.SYNCHRONOUS, EliminationPolicy.ASYNCHRONOUS):
+        with pytest.raises(RuntimeError, match="crash-before-seal"):
+            run_alternatives_fork(
+                [_sleep_then(0.01, "fast"), _sleep_then(5.0, "s0"), _sleep_then(5.0, "s1")],
+                elimination=policy,
+                journal=CrashingJournal(),
+            )
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
 def test_start_delay_staggers_real_children():
     from repro.core.alternative import Alternative
 
@@ -279,6 +301,86 @@ class TestEncodeReport:
         status, reason = self._roundtrip(("fail", lambda: None))
         assert status == "fail"
         assert reason == "unserializable failure report"
+
+
+def _fork_child(lifetime_s):
+    pid = os.fork()
+    if pid == 0:
+        time.sleep(lifetime_s)
+        os._exit(0)
+    return pid
+
+
+class TestAwaitExit:
+    """The wait every reap blocks in: it ends on the child's exit, or at the
+    timeout so the caller can re-signal; it never reaps and never leaks."""
+
+    def test_returns_on_exit_not_at_the_timeout(self):
+        pid = _fork_child(0.02)
+        t0 = time.perf_counter()
+        _await_exit([pid], 2.0)
+        waited = time.perf_counter() - t0
+        assert os.waitpid(pid, 0) == (pid, 0)  # the wait left the reaping to us
+        if hasattr(os, "pidfd_open"):
+            assert waited < 1.0
+
+    def test_returns_at_the_timeout_while_the_child_lives(self):
+        pid = _fork_child(30.0)
+        try:
+            t0 = time.perf_counter()
+            _await_exit([pid], 0.05)
+            assert time.perf_counter() - t0 < 1.0
+            assert os.waitpid(pid, os.WNOHANG) == (0, 0)  # still running
+        finally:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+    def test_lost_signal_is_still_resent_after_the_wait(self):
+        # every child's first signal is lost: the wait must time out and
+        # hand back to the re-signalling loop rather than block on a
+        # child nothing has killed yet
+        out = run_alternatives_fork(
+            [_sleep_then(0.02, "fast"), _sleep_then(30.0, "s0"), _sleep_then(30.0, "s1")],
+            fault_plan=FaultPlan(seed=0, rates={FaultKind.KILL_FAIL: 1.0}),
+        )
+        assert out.value == "fast"
+        assert [e["action"] for e in out.extras["watchdog"]] == ["signal-lost"] * 2
+        assert "zombies" not in out.extras
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_already_reaped_pid_is_gone_not_an_error(self):
+        pid = _fork_child(0.0)
+        os.waitpid(pid, 0)
+        t0 = time.perf_counter()
+        _await_exit([pid], 2.0)  # ESRCH from pidfd_open
+        if hasattr(os, "pidfd_open"):
+            assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+    def test_no_descriptor_leak_over_200_blocks(self):
+        def failing(ws):
+            raise ValueError("nope")
+
+        kinds = {
+            "won": dict(alternatives=[_sleep_then(0.0, "fast"), _sleep_then(5.0, "slow")]),
+            "failed": dict(alternatives=[failing, failing]),
+            "timed-out": dict(alternatives=[_sleep_then(5.0, "never")], timeout=0.01),
+            "watchdog-killed": dict(
+                alternatives=[_sleep_then(5.0, "hung")],
+                watchdog=WatchdogPolicy(soft_deadline_s=0.01, term_grace_s=0.01),
+            ),
+        }
+        run_alternatives_fork(**kinds["won"])  # lazy imports open nothing later
+        before = len(os.listdir("/proc/self/fd"))
+        mix = ["won"] * 22 + ["failed", "timed-out", "watchdog-killed"]  # 8 rounds of 25
+        for i in range(200):
+            kind = mix[i % len(mix)]
+            out = run_alternatives_fork(**kinds[kind])
+            assert (out.winner is not None) == (kind == "won"), kind
+        assert len(os.listdir("/proc/self/fd")) == before
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 def test_genuine_parallelism_across_cpus():
