@@ -8,13 +8,21 @@ bench measures both curves, asserts the bound, and proves the corrupt-
 snapshot path *degrades* (full replay + structured quarantine report)
 rather than losing data.
 
+Two more rows pin what restart leaves behind in the serving process:
+``journal_lookup_us`` — one ``find_block_win`` miss (the supervisor's
+per-request replay lookup) on a short and a long journal, gated on the
+ratio so a lookup that scans history again fails CI — and
+``restart_open_bytes_per_record``, the reopened journal's resident cost.
+
 Run standalone with ``--quick`` for the CI smoke, or under
 ``pytest benchmarks/ --benchmark-only`` for the timed variant. Emits
 ``benchmarks/results/restart_recovery.{txt,json}``.
 """
 
+import statistics
 import sys
 import time
+import tracemalloc
 from dataclasses import dataclass
 
 from _harness import mean_std, metric, report, report_json, table
@@ -30,6 +38,11 @@ LENGTHS = (200, 1000, 4000)
 QUICK_LENGTHS = (100, 400)
 REPEATS = 5
 QUICK_REPEATS = 2
+#: requests in the short and the long journal of the lookup row (also
+#: under --quick: building both in memory takes well under a second)
+LOOKUP_REQUESTS = (200, 2000)
+#: a linear scan reads ~10 here, a keyed lookup ~1
+LOOKUP_MAX_GROWTH = 3.0
 
 HEADERS = (
     "records", "open ms (raw)", "open ms (compacted)", "speedup",
@@ -103,6 +116,44 @@ def sweep_restart(lengths=LENGTHS, repeats=REPEATS) -> list[list]:
     return rows
 
 
+def lookup_us(n_requests: int, calls: int = 2000) -> float:
+    """Median cost of one ``find_block_win`` miss after ``n_requests``."""
+    storage = MemoryJournalStorage()
+    _grow_journal(storage, n_requests)
+    journal = CommitJournal(storage=storage)  # the restarted process
+    samples = []
+    for _ in range(calls):
+        t0 = time.perf_counter()
+        win = find_block_win(journal, n_requests)  # never journalled
+        samples.append((time.perf_counter() - t0) * 1e6)
+        assert win is None
+    return statistics.median(samples)
+
+
+def sweep_lookup() -> dict[int, float]:
+    costs = {n: lookup_us(n) for n in LOOKUP_REQUESTS}
+    short, long_ = (costs[n] for n in LOOKUP_REQUESTS)
+    assert long_ <= short * LOOKUP_MAX_GROWTH, (
+        f"find_block_win miss costs {long_:.1f} us after {LOOKUP_REQUESTS[1]} "
+        f"requests vs {short:.1f} us after {LOOKUP_REQUESTS[0]}: the "
+        "per-request lookup grows with journal length"
+    )
+    return costs
+
+
+def open_bytes_per_record(n_requests: int) -> float:
+    """Traced bytes a journal reopened from storage holds, per record."""
+    storage = MemoryJournalStorage()
+    _grow_journal(storage, n_requests)
+    tracemalloc.start()
+    try:
+        journal = CommitJournal(storage=storage)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return held / len(journal.records())
+
+
 def corrupt_snapshot_recovery(n_requests: int = 200) -> dict:
     """A corrupted snapshot must degrade to full replay + quarantine."""
     storage = MemoryJournalStorage()
@@ -146,8 +197,22 @@ def _check_rows(rows) -> None:
     )
 
 
-def _emit(rows, corrupt) -> None:
-    report("restart_recovery", table(HEADERS, rows, fmt="8.2f"))
+def _residency_lines(lookups, bytes_per_record) -> str:
+    return "\n".join([
+        *(
+            f"find_block_win miss after {n} requests: {us:.2f} us"
+            for n, us in lookups.items()
+        ),
+        f"reopened journal holds {bytes_per_record:.0f} B/record",
+    ])
+
+
+def _emit(rows, corrupt, lookups, bytes_per_record) -> None:
+    report(
+        "restart_recovery",
+        table(HEADERS, rows, fmt="8.2f") + "\n\n"
+        + _residency_lines(lookups, bytes_per_record),
+    )
     n, raw_ms, compact_ms, speedup, replay = rows[-1]
     report_json("restart_recovery", [
         metric("restart_open_raw_ms", raw_ms, "ms"),
@@ -163,6 +228,11 @@ def _emit(rows, corrupt) -> None:
             "restart_quarantined_records",
             corrupt["quarantined_records"], "records",
         ),
+        *(
+            metric(f"journal_lookup_us_{n}", us, "us")
+            for n, us in lookups.items()
+        ),
+        metric("restart_open_bytes_per_record", bytes_per_record, "bytes"),
     ])
 
 
@@ -172,7 +242,10 @@ def test_restart_recovery(benchmark):
         iterations=1, rounds=1,
     )
     _check_rows(rows)
-    _emit(rows, corrupt_snapshot_recovery(100))
+    _emit(
+        rows, corrupt_snapshot_recovery(100), sweep_lookup(),
+        open_bytes_per_record(QUICK_LENGTHS[-1]),
+    )
 
 
 if __name__ == "__main__":
@@ -188,5 +261,8 @@ if __name__ == "__main__":
         f"{corrupt['quarantined_records']} quarantined, "
         f"{corrupt['values_recovered']} values recovered"
     )
-    _emit(rows, corrupt)
+    lookups = sweep_lookup()
+    bytes_per_record = open_bytes_per_record(lengths[-1])
+    print(_residency_lines(lookups, bytes_per_record))
+    _emit(rows, corrupt, lookups, bytes_per_record)
     print("ok")

@@ -219,12 +219,19 @@ class _ShardHost:
             self._outbox_cv.notify_all()
 
     def _pusher_loop(self, conn: socket.socket) -> None:
-        sent: set[int] = set()
+        # event ids are allocated in order under _outbox_cv and the
+        # outbox keeps that order, so what this connection still owes is
+        # the outbox's tail above one high-water mark; a fresh
+        # connection starts from zero and replays everything un-acked
+        last_sent = 0
         while True:
             with self._outbox_cv:
-                pending = [
-                    ev for eid, ev in self._outbox.items() if eid not in sent
-                ]
+                pending = []
+                for eid in reversed(self._outbox):
+                    if eid <= last_sent:
+                        break
+                    pending.append(self._outbox[eid])
+                pending.reverse()
                 if not pending:
                     if self._conn is not conn or self._shutdown:
                         return
@@ -236,7 +243,7 @@ class _ShardHost:
                         send_frame(conn, event)
                 except OSError:
                     return  # connection died; the next one replays
-                sent.add(event["event"])
+                last_sent = event["event"]
 
     # -- request handling --------------------------------------------------
     def _handle(self, op: str, args: dict) -> Any:

@@ -90,6 +90,24 @@ MAGIC = b"MWJRNL1\n"
 SNAP_MAGIC = b"MWSNAP1\n"
 _FRAME = struct.Struct("<II")
 
+#: Intent kinds that are looked up once per request, and the ``data``
+#: field that identifies them. ``find_sealed`` / ``find_applied`` answer
+#: a match naming that field from a keyed index instead of scanning
+#: every txn; any other kind or match shape takes the scan.
+_LOOKUP_KEY = {"block": "block", "admit": "request"}
+
+#: The strings every record repeats: top-level keys, record types, the
+#: keyed kinds. Each record is unpickled on its own, so without this
+#: table a reopened journal holds a private copy of them per record;
+#: ``_open`` swaps them for these.
+_SHARED = {
+    s: s for s in (
+        "t", "seq", "kind", "data", "reason", "device", "eid", "pos_start",
+        "pos_end", "intent", "seal", "applied", "abort", "release", "read",
+        *_LOOKUP_KEY,
+    )
+}
+
 
 @dataclass(frozen=True)
 class QuarantineEntry:
@@ -362,6 +380,12 @@ class CommitJournal:
                 obs.watch_fault_plan(fault_plan)
         self._records: list[dict] = []
         self._intents: dict[int, dict] = {}
+        # the lookup index, beside _intents and never persisted: per
+        # keyed kind, key -> seq of the first intent carrying it, plus
+        # key -> later seqs for the rare key that repeats (a block's
+        # retried attempts, a re-admitted request)
+        self._first_by_key: dict[str, dict] = {k: {} for k in _LOOKUP_KEY}
+        self._later_by_key: dict[str, dict] = {k: {} for k in _LOOKUP_KEY}
         self._sealed: set[int] = set()
         self._applied: dict[int, dict] = {}
         self._aborted: set[int] = set()
@@ -399,6 +423,7 @@ class CommitJournal:
             raise JournalError("not a commit journal (bad magic)")
         offset = len(MAGIC)
         end = len(raw)
+        share = _SHARED.get
         tail_detail: tuple[str, int | None, int | None] | None = None
         while offset < end:
             if raw.startswith(SNAP_MAGIC, offset):
@@ -428,6 +453,13 @@ class CommitJournal:
             except Exception:  # pragma: no cover - CRC passed, unreadable
                 tail_detail = ("record unpicklable", crc, crc)
                 break
+            # a plain loop: measurably cheaper here than a comprehension
+            unshared, record = record, {}
+            for key in unshared:
+                record[share(key, key)] = unshared[key]
+            t = record["t"] = share(record["t"], record["t"])
+            if t == "intent":
+                record["kind"] = share(record["kind"], record["kind"])
             self._index(record)
             self._records.append(record)
             offset += _FRAME.size + body_len
@@ -516,7 +548,12 @@ class CommitJournal:
         loss; replay length from here on is bounded by the records
         *after* the snapshot.
         """
-        self._intents = dict(state["intents"])
+        self._intents = {}
+        for by_key in (self._first_by_key, self._later_by_key):
+            for index in by_key.values():
+                index.clear()
+        for intent in state["intents"].values():
+            self._index(intent)
         self._sealed = set(state["sealed"])
         self._applied = dict(state["applied"])
         self._aborted = set(state["aborted"])
@@ -546,6 +583,21 @@ class CommitJournal:
             seq = record["seq"]
             self._intents[seq] = record
             self._next_seq = max(self._next_seq, seq + 1)
+            # the lookup index. Threads append with no journal lock
+            # (like _intents above), so each update is one dict or list
+            # operation — nothing is read, changed and written back.
+            txn_kind = record["kind"]
+            field = _LOOKUP_KEY.get(txn_kind)
+            if field is not None:
+                key = record["data"].get(field)
+                try:
+                    first = self._first_by_key[txn_kind].setdefault(key, seq)
+                    if first != seq:
+                        self._later_by_key[txn_kind].setdefault(
+                            key, []
+                        ).append(seq)
+                except TypeError:
+                    pass  # unhashable key value: only the scan matches it
         elif kind == "seal":
             self._sealed.add(record["seq"])
         elif kind == "applied":
@@ -917,19 +969,43 @@ class CommitJournal:
         data = intent["data"]
         return all(data.get(k) == v for k, v in match.items())
 
-    def find_sealed(self, kind: str, **match: Any) -> dict | None:
-        """Latest sealed intent of ``kind`` whose data matches; or None."""
-        for seq in sorted(self._sealed, reverse=True):
-            if self._matches(seq, kind, match):
-                return self._intents[seq]
+    def _find(self, pool, kind: str, match: dict) -> int | None:
+        """Highest seq in ``pool`` whose intent is of ``kind`` and whose
+        data matches ``match``.
+
+        A keyed kind (:data:`_LOOKUP_KEY`) whose key field ``match``
+        names costs one index lookup; anything else scans ``pool``.
+        Either way the candidates pass the same filter, latest first.
+        """
+        seqs = pool
+        field = _LOOKUP_KEY.get(kind)
+        if field in match:
+            key = match[field]
+            try:
+                first = self._first_by_key[kind].get(key)
+            except TypeError:
+                pass  # unhashable key value: never indexed, so scan
+            else:
+                seqs = () if first is None else (
+                    first, *self._later_by_key[kind].get(key, ())
+                )
+        for seq in sorted(seqs, reverse=True):
+            if seq in pool and self._matches(seq, kind, match):
+                return seq
         return None
+
+    def find_sealed(self, kind: str, **match: Any) -> dict | None:
+        """Latest sealed intent of ``kind`` whose data matches; or None.
+
+        "Sealed" includes applied: a settled txn keeps its seal.
+        """
+        seq = self._find(self._sealed, kind, match)
+        return None if seq is None else self._intents[seq]
 
     def find_applied(self, kind: str, **match: Any) -> tuple[dict, dict] | None:
         """Latest applied ``(intent, applied_data)`` of ``kind``; or None."""
-        for seq in sorted(self._applied, reverse=True):
-            if self._matches(seq, kind, match):
-                return self._intents[seq], self._applied[seq]
-        return None
+        seq = self._find(self._applied, kind, match)
+        return None if seq is None else (self._intents[seq], self._applied[seq])
 
     def applied_intents(self, kind: str) -> list[tuple[dict, dict]]:
         """Every applied txn of ``kind`` as ``(intent, applied_data)``,

@@ -17,11 +17,19 @@ fresh service from a previous run's snapshot.
 
 from __future__ import annotations
 
+import collections
 import threading
 from dataclasses import dataclass
 
+#: Most alternative names tracked at once. A tenant that names its
+#: alternatives per request would otherwise grow the table one record
+#: per name forever; past the cap the least recently observed name is
+#: dropped and ranks by ``prior_win`` again, exactly like a name never
+#: seen.
+_MAX_TRACKED = 4096
 
-@dataclass
+
+@dataclass(slots=True)
 class AltRecord:
     """One alternative's running statistics."""
 
@@ -51,7 +59,10 @@ class AlternativeStats:
         self.alpha = alpha
         self.prior_win = prior_win
         self._lock = threading.Lock()
-        self._records: dict[str, AltRecord] = {}
+        # least recently observed first
+        self._records: "collections.OrderedDict[str, AltRecord]" = (
+            collections.OrderedDict()
+        )
         self._attempts_c = self._wins_c = self._latency_h = None
         if obs is not None:
             self.bind_obs(obs)
@@ -80,6 +91,10 @@ class AlternativeStats:
                 rec = self._records[name] = AltRecord(
                     win_ewma=self.prior_win, latency_ewma_s=max(latency_s, 0.0)
                 )
+                while len(self._records) > _MAX_TRACKED:
+                    self._records.popitem(last=False)
+            else:
+                self._records.move_to_end(name)
             rec.attempts += 1
             rec.wins += int(won)
             rec.win_ewma += self.alpha * ((1.0 if won else 0.0) - rec.win_ewma)

@@ -8,6 +8,7 @@ in-process tests make.
 
 import functools
 import os
+import socket
 import threading
 import time
 
@@ -312,6 +313,41 @@ class TestTransportFaults:
             i["data"]["block"] for i, _ in shard.journal.applied_intents("block")
         ]
         assert sorted(applied) == sorted(seqs), "a resend double-executed"
+
+    def test_reset_replays_unacked_pushes_exactly_once(self, tmp_path):
+        # resolve pushes lost in flight stay in the host's outbox (never
+        # acked); the connection after a reset must replay every one of
+        # them, once, and an acked event must never come back
+        shard = make_remote(0, tmp_path)
+        shard.start()
+        resolved, lost = [], []
+        shard.service.on_resolve = lambda req, res: resolved.append(req.seq)
+        shard._dispatch_push = lambda sock, msg: lost.append(msg["event"])
+        try:
+            seqs = [shard.service.submit(f"t{i % 3}", alts(i)) for i in range(6)]
+            deadline = time.monotonic() + 20
+            while len(lost) < len(seqs) and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert sorted(lost) == list(range(1, len(seqs) + 1))
+            assert resolved == []
+
+            del shard._dispatch_push  # the real one again
+            shard._sock.shutdown(socket.SHUT_RDWR)  # reset, seen by both ends
+            while not shard.answers_heartbeat():  # reconnects
+                assert time.monotonic() < deadline
+            while len(resolved) < len(seqs) and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert sorted(resolved) == sorted(seqs)
+
+            # all acked now: another reset replays nothing old
+            shard._sock.shutdown(socket.SHUT_RDWR)
+            seqs.append(shard.service.submit("t0", alts(9)))
+            while len(resolved) < len(seqs) and time.monotonic() < deadline:
+                time.sleep(0.02)
+            time.sleep(0.2)  # room for a stray duplicate to show up
+            assert sorted(resolved) == sorted(seqs)
+        finally:
+            shard.stop()
 
     def test_connect_refused_beats_fail_but_recover(self, tmp_path):
         # seed 3 refuses beats 13-15, 20, 26, 28: bursts of failure that

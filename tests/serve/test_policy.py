@@ -10,6 +10,7 @@ from repro.serve import (
     AlternativeStats,
     FixedSpeculationPolicy,
 )
+from repro.serve.stats import _MAX_TRACKED
 
 
 def outcome(winner_name, winner_idx=0, losers=()):
@@ -85,6 +86,28 @@ def test_stats_warm_start_from_registry():
     assert warmed.record("a").win_ewma == 1.0
     assert warmed.record("b").wins == 0
     assert warmed.record("b").latency_ewma_s == pytest.approx(0.2)
+
+
+def test_stats_are_capped_with_least_recently_observed_eviction():
+    # tenants that name alternatives per request must not grow the table
+    # (or the process) forever; a name that keeps being observed stays
+    s = AlternativeStats(alpha=0.5)
+    reference = AlternativeStats(alpha=0.5)
+    for i in range(50_000):
+        s.observe(f"op{i}.pos", won=bool(i % 2), latency_s=0.01)
+        if i % (_MAX_TRACKED // 2) == 0:
+            s.observe("steady", won=True, latency_s=0.02)
+            reference.observe("steady", won=True, latency_s=0.02)
+    known = s.known()
+    assert len(known) == _MAX_TRACKED
+    assert "steady" in known and "op49999.pos" in known
+    assert s.record("steady") == reference.record("steady")
+    # evicted == never seen: the optimistic prior, nothing else
+    assert s.record("op0.pos") is None
+    assert s.win_ewma("op0.pos") == s.prior_win
+    assert s.score("op0.pos") == s.score("never-run")
+    assert len(s.snapshot()) == _MAX_TRACKED
+    assert not hasattr(s.record("steady"), "__dict__")  # slots
 
 
 def test_stats_bad_alpha():
