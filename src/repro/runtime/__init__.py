@@ -1,7 +1,7 @@
 """Real-OS execution backends.
 
 - :mod:`repro.runtime.fork_backend` — ``os.fork`` worlds with genuine
-  kernel copy-on-write, pipe-based synchronization, and SIGKILL sibling
+  kernel copy-on-write, pipe-signalled synchronization, and SIGKILL sibling
   elimination (sync or async). This is the backend behind the Table I
   reproduction: real wall-clock times on real CPUs.
 - :mod:`repro.runtime.thread_backend` — a thread-pool approximation for

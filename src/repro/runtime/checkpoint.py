@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.errors import CheckpointError
+from repro.runtime.report_channel import ReportChannel, ReportLost
 
 #: Legacy wire format: magic + <Qd>(name_len, created_at) + name + payload.
 _MAGIC_V1 = b"MWCKPT1\n"
@@ -154,8 +155,8 @@ class CheckpointImage:
     def restart_in_fork(self, journal=None) -> Any:
         """Resume the task in a forked child (local remote-execution).
 
-        The child runs the continuation and ships the result back through
-        a pipe — the degenerate (same-host) case of the paper's rfork.
+        The child runs the continuation and ships the result back on a
+        ``ReportChannel`` — the degenerate (same-host) case of the paper's rfork.
 
         With a ``journal`` (a :class:`~repro.journal.CommitJournal`) the
         restart is exactly-once per image: completed restarts are sealed
@@ -179,54 +180,31 @@ class CheckpointImage:
     def _restart_in_fork(self) -> Any:
         if not hasattr(os, "fork"):  # pragma: no cover - non-POSIX
             return self.restart()
-        read_fd, write_fd = os.pipe()
-        pid = os.fork()
+        pid, channel = ReportChannel.fork()
         if pid == 0:
             try:
                 result = ("ok", self.restart())
             except BaseException as exc:  # noqa: BLE001
                 result = ("err", repr(exc))
             try:
-                blob = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-                os.write(write_fd, struct.pack("<Q", len(blob)))
-                view = memoryview(blob)
-                while view:
-                    written = os.write(write_fd, view)
-                    view = view[written:]
+                channel.send(pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL))
             finally:
                 os._exit(0)
-        os.close(write_fd)
         try:
-            header = b""
-            while len(header) < 8:
-                piece = os.read(read_fd, 8 - len(header))
-                if not piece:
-                    break
-                header += piece
-            if len(header) < 8:
+            status, value = channel.recv()
+        except ReportLost as lost:
+            if lost.expected is None:
                 raise CheckpointError(
-                    f"restart pipe broke mid-header: got {len(header)} of 8 "
-                    "bytes (child died before reporting)"
-                )
-            (length,) = struct.unpack("<Q", header)
-            chunks = []
-            remaining = length
-            while remaining > 0:
-                chunk = os.read(read_fd, min(remaining, 1 << 16))
-                if not chunk:
-                    raise CheckpointError(
-                        f"restart pipe broke mid-report: {length - remaining} "
-                        f"of {length} bytes arrived"
-                    )
-                chunks.append(chunk)
-                remaining -= len(chunk)
-        finally:
-            os.close(read_fd)
-            os.waitpid(pid, 0)
-        try:
-            status, value = pickle.loads(b"".join(chunks))
+                    "restart pipe broke mid-header: got 0 of 8 bytes (child died before reporting)"
+                ) from None
+            raise CheckpointError(
+                f"restart pipe broke mid-report: {lost.held} of {lost.expected} bytes arrived"
+            ) from None
         except Exception as exc:
             raise CheckpointError(f"unreadable restart report: {exc}") from exc
+        finally:
+            channel.close()
+            os.waitpid(pid, 0)
         if status == "err":
             raise CheckpointError(f"restarted task failed: {value}")
         return value

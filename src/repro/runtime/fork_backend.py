@@ -1,23 +1,28 @@
-"""Multiple Worlds on real processes: ``os.fork`` + pipes + signals.
+"""Multiple Worlds on real processes: ``os.fork`` + report files + signals.
 
 Each alternative runs in a forked child against a workspace dict the child
 inherits through the host kernel's genuine copy-on-write. The first child
 whose guard accepts its result wins the rendezvous: the parent absorbs the
-child's workspace (shipped back through a pipe), and the slower siblings
-are eliminated — synchronously (kill + wait before returning) or
-asynchronously (kill now, reap later), reproducing the paper's section
-2.2.1 policy choice with real signals.
+child's workspace (mapped from the file the child wrote it into), and the
+slower siblings are eliminated — synchronously (kill + wait before
+returning) or asynchronously (kill now, reap later), reproducing the
+paper's section 2.2.1 policy choice with real signals.
 
 The protocol is deliberately simple and robust:
 
-- each child gets its own pipe; it writes one length-prefixed pickle
-  ``("ok", value, workspace)`` or ``("fail", reason)`` and ``_exit``\\ s;
+- each child gets its own :class:`~repro.runtime.report_channel.ReportChannel`,
+  an inherited anonymous file beside a pipe; it writes one pickle
+  ``("ok", value, workspace)`` or ``("fail", reason)`` into the file, then
+  the pickle's length as an 8-byte header on the pipe, and ``_exit``\\ s;
 - the parent multiplexes across pipes with :mod:`selectors` (epoll/kqueue
   where available, so blocks with hundreds of alternatives don't hit
   ``select``'s ``FD_SETSIZE`` wall), retrying on ``EINTR``, until a
   success, every child has failed, or the block times out;
-- a child that dies without reporting (crash, OOM-kill) counts as failed,
-  and a truncated report is diagnosed as such;
+- a header means the report is whole: the parent maps that many bytes of
+  the file and unpickles from the mapping ("unpicklable report" if it
+  can't). EOF with no header and an empty file is "child died without
+  reporting" (crash, OOM-kill); a header longer than the file, or bytes in
+  the file and no header, is "truncated report"; each counts as failed;
 - with a :class:`~repro.core.policy.WatchdogPolicy`, a child that blows
   its per-alternative soft deadline is escalated SIGTERM → grace →
   SIGKILL instead of hanging the block until the global timeout;
@@ -42,7 +47,6 @@ import os
 import pickle
 import selectors
 import signal
-import struct
 import time
 from typing import Any, Iterable, Sequence
 
@@ -53,8 +57,7 @@ from repro.core.policy import EliminationPolicy, WatchdogPolicy
 from repro.core.worlds import _normalize
 from repro.errors import SpawnError, WorldsError
 from repro.faults.plan import CHILD_SITE, KILL_SITE, SPAWN_SITE, FaultDecision, FaultKind
-
-_HEADER = struct.Struct("<Q")
+from repro.runtime.report_channel import ReportChannel, ReportLost
 
 #: Bounded patience for verified reaping before we give up on a zombie.
 _REAP_TIMEOUT_S = 2.0
@@ -75,7 +78,7 @@ def _encode_report(payload: tuple) -> bytes:
 
     Workspaces may contain unpicklable helpers (lambdas, open handles)
     that the child inherited through fork. Those entries cannot travel
-    back through the pipe; they are dropped and listed under the
+    back in a pickle; they are dropped and listed under the
     ``_unpicklable`` key rather than failing the whole alternative.
     """
     try:
@@ -98,57 +101,10 @@ def _encode_report(payload: tuple) -> bytes:
     )
 
 
-def _write_report(fd: int, payload: tuple) -> None:
-    blob = _encode_report(payload)
-    os.write(fd, _HEADER.pack(len(blob)))
-    # large payloads may need several writes
-    view = memoryview(blob)
-    while view:
-        written = os.write(fd, view)
-        view = view[written:]
-
-
-class _ChildReader:
-    """Incremental reader of one child's length-prefixed report."""
-
-    def __init__(self, fd: int) -> None:
-        self.fd = fd
-        self.buffer = bytearray()
-        self.expected: int | None = None
-        self.eof = False
-
-    @property
-    def truncated(self) -> bool:
-        """EOF arrived mid-report (header or body incomplete)."""
-        return self.eof and (self.expected is not None or bool(self.buffer))
-
-    def pump(self) -> tuple | None:
-        """Read available bytes; return the report once complete."""
-        try:
-            chunk = os.read(self.fd, 1 << 16)
-        except OSError as exc:  # pragma: no cover - platform dependent
-            if exc.errno == errno.EAGAIN:
-                return None
-            raise
-        if not chunk:
-            self.eof = True
-            return None
-        self.buffer.extend(chunk)
-        if self.expected is None and len(self.buffer) >= _HEADER.size:
-            (self.expected,) = _HEADER.unpack(bytes(self.buffer[: _HEADER.size]))
-            del self.buffer[: _HEADER.size]
-        if self.expected is not None and len(self.buffer) >= self.expected:
-            try:
-                return pickle.loads(bytes(self.buffer[: self.expected]))
-            except Exception as exc:
-                return ("fail", f"unpicklable report: {exc!r}")
-        return None
-
-
 def _child_main(
     alt: Alternative,
     workspace: dict,
-    write_fd: int,
+    channel: ReportChannel,
     fault: FaultDecision | None = None,
 ) -> None:
     """Runs in the forked child; never returns.
@@ -158,7 +114,7 @@ def _child_main(
     stage they model: CRASH/HANG/SLOW_START before any work,
     GUARD_EXCEPTION in place of the entry guard, TRUNCATE/CORRUPT at
     report time — after the real result was computed, which is exactly
-    when a real pipe write would break.
+    when a real report write would break.
     """
     try:
         if alt.start_delay > 0:
@@ -172,35 +128,29 @@ def _child_main(
             if fault.kind is FaultKind.SLOW_START:
                 time.sleep(fault.param)
             if fault.kind is FaultKind.GUARD_EXCEPTION:
-                _write_report(
-                    write_fd,
-                    ("fail", f"guard {alt.guard.name!r} raised (injected exception)"),
-                )
+                channel.send(_encode_report(
+                    ("fail", f"guard {alt.guard.name!r} raised (injected exception)")
+                ))
                 os._exit(0)
         if not alt.guard.passes_entry(workspace):
-            _write_report(write_fd, ("fail", f"guard {alt.guard.name!r} rejected entry"))
+            channel.send(_encode_report(("fail", f"guard {alt.guard.name!r} rejected entry")))
             os._exit(0)
         value = alt.fn(workspace)
         if not alt.guard.passes_result(workspace, value):
-            _write_report(write_fd, ("fail", f"guard {alt.guard.name!r} rejected result"))
+            channel.send(_encode_report(("fail", f"guard {alt.guard.name!r} rejected result")))
             os._exit(0)
         if fault is not None and fault.kind is FaultKind.TRUNCATE_REPORT:
             blob = _encode_report(("ok", value, workspace))
-            os.write(write_fd, _HEADER.pack(len(blob)))
-            os.write(write_fd, blob[: len(blob) // 2])
+            channel.send(blob[: len(blob) // 2], claimed=len(blob))
             os._exit(12)
         if fault is not None and fault.kind is FaultKind.CORRUPT_REPORT:
             blob = _encode_report(("ok", value, workspace))
-            garbage = (b"\xde\xad\xbe\xef" * (len(blob) // 4 + 1))[: len(blob)]
-            os.write(write_fd, _HEADER.pack(len(blob)))
-            view = memoryview(garbage)
-            while view:
-                view = view[os.write(write_fd, view) :]
+            channel.send((b"\xde\xad\xbe\xef" * (len(blob) // 4 + 1))[: len(blob)])
             os._exit(12)
-        _write_report(write_fd, ("ok", value, workspace))
+        channel.send(_encode_report(("ok", value, workspace)))
     except BaseException as exc:  # noqa: BLE001 - report anything
         try:
-            _write_report(write_fd, ("fail", f"alternative raised {exc!r}"))
+            channel.send(_encode_report(("fail", f"alternative raised {exc!r}")))
         except BaseException:
             pass
     finally:
@@ -274,8 +224,8 @@ def _reap_verified(pids: Sequence[int], timeout_s: float = _REAP_TIMEOUT_S) -> l
 def _terminate_children(
     procs: Sequence[tuple[int, int, str]],
     wait: bool,
-    grace_s: float = 0.0,
-    send=None,
+    grace_s: float,
+    send,
 ) -> tuple[float, list[dict]]:
     """Eliminate ``procs`` (``(pid, index, name)``); return (elapsed, events).
 
@@ -283,19 +233,11 @@ def _terminate_children(
     elimination. With a positive grace every child first receives
     SIGTERM and gets ``grace_s`` seconds to exit on its own terms before
     SIGKILL — the same escalation ladder the in-block watchdog uses.
-    ``send`` lets the caller interpose signal delivery (fault injection);
-    it returns False when the signal was "lost".
+    ``send(pid, index, sig)`` delivers the signals (the caller interposes
+    fault injection); it returns False when the signal was "lost".
     """
     t0 = time.perf_counter()
     events: list[dict] = []
-    if send is None:
-        def send(pid, index, sig):  # noqa: ANN001 - local default
-            try:
-                os.kill(pid, sig)
-            except ProcessLookupError:
-                pass
-            return True
-
     survivors = list(procs)
     if grace_s > 0 and survivors:
         for pid, index, name in survivors:
@@ -384,7 +326,7 @@ def run_alternatives_fork(
         return True
 
     t_start = time.perf_counter()
-    children: dict[int, tuple[int, Alternative, _ChildReader]] = {}  # pid -> (index, alt, reader)
+    children: dict[int, tuple[int, Alternative, ReportChannel]] = {}  # pid -> (index, alt, channel)
     skipped: list[AlternativeResult] = []
     for index, alt in enumerate(alts):
         if alt.guard.placement & GuardPlacement.BEFORE_SPAWN and alt.guard.check is not None:
@@ -420,24 +362,18 @@ def run_alternatives_fork(
                     index=index, attempt=attempt, backend="fork",
                 )
         try:
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-        except OSError as exc:  # pragma: no cover - needs real EAGAIN
+            pid, channel = ReportChannel.fork()
+        except OSError as exc:
             _abort_spawn(children)
             raise SpawnError(f"spawning alternative {alt.name!r} failed: {exc}") from exc
         if pid == 0:
-            # child: alt_spawn returned our index (1-based in the paper)
-            os.close(read_fd)
-            for other_pid, (_, _, reader) in children.items():
-                try:
-                    os.close(reader.fd)
-                except OSError:
-                    pass
-            _child_main(alt, workspace, write_fd, child_fault)
+            # child: alt_spawn returned our index (1-based in the paper);
+            # the older siblings' channels came along and are not ours
+            for _, _, sibling in children.values():
+                sibling.close()
+            _child_main(alt, workspace, channel, child_fault)
             os._exit(0)  # pragma: no cover - _child_main never returns
-        os.close(write_fd)
-        os.set_blocking(read_fd, False)
-        children[pid] = (index, alt, _ChildReader(read_fd))
+        children[pid] = (index, alt, channel)
     t_spawned = time.perf_counter()
 
     winner: AlternativeResult | None = None
@@ -457,13 +393,13 @@ def run_alternatives_fork(
 
     pending = dict(children)
     sel = selectors.DefaultSelector()
-    for pid, (_, _, reader) in pending.items():
-        sel.register(reader.fd, selectors.EVENT_READ, pid)
+    for pid, (_, _, channel) in pending.items():
+        sel.register(channel, selectors.EVENT_READ, pid)
 
-    def _retire(pid: int, reader: _ChildReader) -> None:
+    def _retire(pid: int, channel: ReportChannel) -> None:
         """Stop listening to a settled child and reap it."""
-        sel.unregister(reader.fd)
-        os.close(reader.fd)
+        sel.unregister(channel)
+        channel.close()
         del pending[pid]
         _reap_verified([pid])
 
@@ -525,24 +461,18 @@ def run_alternatives_fork(
                 pid = key.data
                 if pid not in pending:
                     continue
-                index, alt, reader = pending[pid]
-                report = reader.pump()
-                if report is None:
-                    if reader.eof:
-                        if pid in term_at or pid in killed:
-                            error = "killed by watchdog (soft deadline exceeded)"
-                        elif reader.truncated:
-                            error = "truncated report (child died mid-write)"
-                        else:
-                            error = "child died without reporting"
-                        losers.append(
-                            AlternativeResult(
-                                index=index, name=alt.name, error=error,
-                                elapsed_s=now - t_spawned,
-                            )
-                        )
-                        _retire(pid, reader)
-                    continue
+                index, alt, channel = pending[pid]
+                try:
+                    report = channel.recv()
+                except ReportLost as lost:
+                    if pid in term_at or pid in killed:
+                        report = ("fail", "killed by watchdog (soft deadline exceeded)")
+                    elif lost.expected is not None or lost.held:
+                        report = ("fail", "truncated report (child died mid-write)")
+                    else:
+                        report = ("fail", "child died without reporting")
+                except Exception as exc:  # noqa: BLE001 - whatever unpickling raises
+                    report = ("fail", f"unpicklable report: {exc!r}")
                 if report[0] == "ok":
                     value, child_ws = report[1], report[2]
                     accepted = True
@@ -561,7 +491,7 @@ def run_alternatives_fork(
                             from repro.journal import record_block_win
 
                             record_block_win(journal, block_id, attempt, winner)
-                        _retire(pid, reader)
+                        _retire(pid, channel)
                         break
                     losers.append(
                         AlternativeResult(
@@ -578,7 +508,7 @@ def run_alternatives_fork(
                             elapsed_s=now - t_spawned,
                         )
                     )
-                _retire(pid, reader)
+                _retire(pid, channel)
     finally:
         # eliminate whatever is still running, and reap it in here: an
         # exception out of the loop must not strand children either
@@ -587,15 +517,8 @@ def run_alternatives_fork(
         elim_events: list[dict] = []
         synchronous = elimination is EliminationPolicy.SYNCHRONOUS
         if leftover_pids:
-            for _, _, reader in pending.values():
-                try:
-                    sel.unregister(reader.fd)
-                except (KeyError, ValueError):
-                    pass
-                try:
-                    os.close(reader.fd)
-                except OSError:
-                    pass
+            for _, _, channel in pending.values():
+                channel.close()
             elim_seconds, elim_events = _terminate_children(
                 [(pid, pending[pid][0], pending[pid][1].name) for pid in leftover_pids],
                 wait=synchronous,
@@ -655,13 +578,10 @@ def run_alternatives_fork(
     return outcome
 
 
-def _abort_spawn(children: dict[int, tuple[int, Alternative, _ChildReader]]) -> None:
+def _abort_spawn(children: dict[int, tuple[int, Alternative, ReportChannel]]) -> None:
     """Destroy children already forked when later spawning fails."""
-    for pid, (_, _, reader) in children.items():
-        try:
-            os.close(reader.fd)
-        except OSError:
-            pass
+    for pid, (_, _, channel) in children.items():
+        channel.close()
         try:
             os.kill(pid, signal.SIGKILL)
         except ProcessLookupError:

@@ -23,14 +23,22 @@ Two further paths every backend must agree on:
   times out with no winner or (having started the slow winner before
   the deadline) commits the one legal value.
 
+- **committed state** — the backends that run a plain callable against
+  a workspace dict (fork, thread, sequential) hand back the same
+  ``extras["state"]``, whatever the workspace's size and whether or not
+  all of it can be pickled. Fork alone ships the state between
+  processes, so it alone drops the entries that cannot travel and lists
+  them under ``_unpicklable``; the others' states are held to that view.
+
 The fork backend forks up to five real processes per example, a few
 milliseconds a block; the ``max_examples`` below keep its share of this
 file to about a second.
 """
 
 import os
+import pickle
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.alternative import Alternative, Guard, GuardPlacement
@@ -41,6 +49,8 @@ BACKENDS = ("sim", "thread", "sequential", "async") + (
 )
 #: the members of BACKENDS that stop waiting for a world at the deadline
 PREEMPTIVE = tuple(b for b in BACKENDS if b != "sequential")
+#: the members of BACKENDS whose worlds are callables of a workspace dict
+STATEFUL = tuple(b for b in BACKENDS if b in ("fork", "thread", "sequential"))
 
 
 def make_alt(index, succeeds, value, mode):
@@ -218,3 +228,74 @@ def test_backends_agree_on_timeout_alternative(n_losers, mode):
         assert seq.timed_out
     else:
         assert seq.value == "late"
+
+
+def _as_shipped(state):
+    """``state`` as a process boundary lets it through (the fork backend's
+    rule): unpicklable entries dropped and listed, nothing else touched."""
+    def travels(value):
+        try:
+            pickle.dumps(value)
+            return True
+        except Exception:
+            return False
+
+    dropped = sorted(k for k, v in state.items() if not travels(v))
+    if not dropped:
+        return state
+    shipped = {k: v for k, v in state.items() if k not in dropped}
+    shipped["_unpicklable"] = dropped
+    return shipped
+
+
+def _commit(ws):
+    """The forced winner: rewrites two pages and records what it was given
+    (the thread backend lends its worlds a private ``_cancel`` entry)."""
+    given = sorted(k for k in ws if not k.startswith("_"))
+    for key in [k for k in given if k.startswith("page")][:2]:
+        ws[key] = ws[key][::-1]
+    ws["out"] = given
+    return len(given)
+
+
+def _broken(ws):
+    ws["out"] = "never committed"
+    raise ValueError("broken")
+
+
+@given(
+    st.dictionaries(
+        st.text(alphabet="abcxyz", min_size=1, max_size=4),
+        st.one_of(
+            st.integers(), st.text(max_size=8), st.binary(max_size=64),
+            st.lists(st.integers(), max_size=4),
+        ),
+        max_size=5,
+    ),
+    st.sampled_from([0, 1, 17]),
+    st.lists(st.sampled_from(["helper", "hook"]), unique=True),
+)
+# 300 pages of 4 KiB: a report 18 times the size of a pipe's buffer
+@example(entries={"n": 1}, n_pages=300, helpers=[])
+@example(entries={"n": 1}, n_pages=2, helpers=["hook", "helper"])
+@settings(max_examples=15, deadline=None)
+def test_backends_agree_on_committed_state(entries, n_pages, helpers):
+    initial = dict(entries)
+    initial.update({f"page{i:03d}": bytes([i % 251]) * 4096 for i in range(n_pages)})
+    initial.update({name: (lambda ws: None) for name in helpers})
+    alts = [Alternative(_broken, name="broken"), Alternative(_commit, name="commit")]
+    outcomes = {b: run_alternatives(alts, initial=initial, backend=b) for b in STATEFUL}
+    states = {}
+    for backend, outcome in outcomes.items():
+        assert outcome.winner is not None, f"{backend} failed a winnable block"
+        assert outcome.winner.name == "commit", backend
+        assert outcome.value == len(initial), backend
+        state = outcome.extras["state"]
+        states[backend] = state if backend == "fork" else _as_shipped(state)
+    reference = states["sequential"]
+    assert reference["out"] == sorted(initial)
+    assert reference.get("_unpicklable", []) == sorted(helpers)
+    if n_pages:
+        assert reference["page000"] == initial["page000"][::-1]
+    for backend, state in states.items():
+        assert state == reference, backend

@@ -12,6 +12,7 @@ from repro.core.policy import EliminationPolicy, WatchdogPolicy
 from repro.errors import SpawnError
 from repro.faults.plan import FaultKind, FaultPlan
 from repro.runtime.fork_backend import run_alternatives_fork
+from repro.runtime.report_channel import ReportChannel
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
@@ -60,6 +61,17 @@ class TestChildFaults:
         assert out.failed
         assert "truncated report" in out.losers[0].error
         assert out.losers[0].elapsed_s > 0
+
+    def test_killed_between_body_and_header_is_truncated_not_silent(self, monkeypatch):
+        def dies_mid_send(channel, body, claimed=None):
+            os.write(channel.file_fd, body)
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(ReportChannel, "send", dies_mid_send)
+        out = run_alternatives_fork([_sleep_then(0.0, "only")])
+        assert out.failed
+        assert out.losers[0].error == "truncated report (child died mid-write)"
+        _assert_no_children()
 
     def test_corrupt_report_is_a_clean_failure(self):
         out = run_alternatives_fork(

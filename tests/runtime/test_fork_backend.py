@@ -1,5 +1,6 @@
 """Tests for the os.fork execution backend (real COW worlds)."""
 
+import errno
 import os
 import signal
 import time
@@ -9,7 +10,8 @@ import pytest
 from repro.core.alternative import Alternative, Guard, GuardPlacement
 from repro.core.policy import EliminationPolicy, WatchdogPolicy
 from repro.core.worlds import run_alternatives
-from repro.faults.plan import FaultKind, FaultPlan
+from repro.errors import SpawnError
+from repro.faults.plan import SPAWN_SITE, FaultKind, FaultPlan
 from repro.runtime.fork_backend import _await_exit, run_alternatives_fork
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -171,14 +173,14 @@ def test_no_zombies_left_behind():
             os.waitpid(-1, os.WNOHANG)  # no children of ours remain
 
 
+class CrashingJournal:
+    def begin(self, *args, **kwargs):
+        raise RuntimeError("crash-before-seal")
+
+
 def test_no_zombies_left_behind_by_an_exception():
     """A raise out of the rendezvous (here: the journal dies while the win
     is being recorded) still reaps the winner and the killed losers."""
-
-    class CrashingJournal:
-        def begin(self, *args, **kwargs):
-            raise RuntimeError("crash-before-seal")
-
     for policy in (EliminationPolicy.SYNCHRONOUS, EliminationPolicy.ASYNCHRONOUS):
         with pytest.raises(RuntimeError, match="crash-before-seal"):
             run_alternatives_fork(
@@ -303,6 +305,17 @@ class TestEncodeReport:
         assert reason == "unserializable failure report"
 
 
+def _open_descriptors():
+    """What each of this process's descriptors is open on."""
+    links = []
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            links.append(os.readlink(f"/proc/self/fd/{fd}"))
+        except FileNotFoundError:  # the listing's own descriptor
+            pass
+    return sorted(links)
+
+
 def _fork_child(lifetime_s):
     pid = os.fork()
     if pid == 0:
@@ -359,28 +372,103 @@ class TestAwaitExit:
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
     def test_no_descriptor_leak_over_200_blocks(self):
+        """Every way a block can end gives back each child's pipe end and
+        report file: the parent's descriptors are the same ones afterwards."""
+
         def failing(ws):
             raise ValueError("nope")
 
+        racing = [_sleep_then(0.0, "fast"), _sleep_then(5.0, "slow")]
         kinds = {
-            "won": dict(alternatives=[_sleep_then(0.0, "fast"), _sleep_then(5.0, "slow")]),
+            "won": dict(alternatives=racing),
             "failed": dict(alternatives=[failing, failing]),
             "timed-out": dict(alternatives=[_sleep_then(5.0, "never")], timeout=0.01),
             "watchdog-killed": dict(
                 alternatives=[_sleep_then(5.0, "hung")],
                 watchdog=WatchdogPolicy(soft_deadline_s=0.01, term_grace_s=0.01),
             ),
+            # alternative 0 is forked, alternative 1's spawn is refused
+            "spawn-aborted": dict(
+                alternatives=racing,
+                fault_plan=FaultPlan(seed=5, rates={FaultKind.SPAWN_FAIL: 0.5}),
+            ),
+            "journal-exception": dict(alternatives=racing, journal=CrashingJournal()),
         }
+        raises = {"spawn-aborted": SpawnError, "journal-exception": RuntimeError}
+        refused = [
+            kinds["spawn-aborted"]["fault_plan"].decide(SPAWN_SITE, 0, index, 0).fires
+            for index in range(2)
+        ]
+        assert refused == [False, True]
         run_alternatives_fork(**kinds["won"])  # lazy imports open nothing later
-        before = len(os.listdir("/proc/self/fd"))
-        mix = ["won"] * 22 + ["failed", "timed-out", "watchdog-killed"]  # 8 rounds of 25
+        before = _open_descriptors()
+        mix = ["won"] * 20 + [k for k in kinds if k != "won"]  # 8 rounds of 25
         for i in range(200):
             kind = mix[i % len(mix)]
-            out = run_alternatives_fork(**kinds[kind])
-            assert (out.winner is not None) == (kind == "won"), kind
-        assert len(os.listdir("/proc/self/fd")) == before
+            if kind in raises:
+                with pytest.raises(raises[kind]):
+                    run_alternatives_fork(**kinds[kind])
+            else:
+                out = run_alternatives_fork(**kinds[kind])
+                assert (out.winner is not None) == (kind == "won"), kind
+        assert _open_descriptors() == before
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+    def test_a_child_holds_no_siblings_pipe_end_or_report_file(self):
+        def count_mine(ws):
+            raise ValueError(len(os.listdir("/proc/self/fd")))
+
+        before = len(os.listdir("/proc/self/fd"))
+        out = run_alternatives_fork([count_mine] * 4)
+        # its own pipe end and report file on top of what the parent had,
+        # however many older siblings' channels it was born holding
+        assert [l.error for l in out.losers] == [
+            f"alternative raised ValueError({before + 2})"
+        ] * 4
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+@pytest.mark.parametrize("failing_call", [2, 3])
+def test_fork_failure_mid_spawn_leaves_no_child_and_no_descriptor(monkeypatch, failing_call):
+    """A real EAGAIN from ``fork()`` arrives after the channel for that child
+    was opened: it must be closed again, along with the older children's."""
+    real_fork, calls = os.fork, []
+
+    def fork():
+        calls.append(None)
+        if len(calls) == failing_call:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return real_fork()
+
+    before = _open_descriptors()
+    monkeypatch.setattr(os, "fork", fork)
+    with pytest.raises(SpawnError, match="Resource temporarily unavailable"):
+        run_alternatives_fork([_sleep_then(5.0, f"s{i}") for i in range(3)])
+    assert _open_descriptors() == before
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "memfd_create"), reason="already the only branch here")
+@pytest.mark.parametrize(
+    "test",
+    [
+        test_fastest_alternative_wins,
+        test_all_fail_selects_failure,
+        test_crashing_child_counts_as_failed,
+        test_large_state_roundtrip,
+        test_no_zombies_left_behind_by_an_exception,
+        test_unpicklable_workspace_entries_dropped_not_fatal,
+        TestAwaitExit().test_a_child_holds_no_siblings_pipe_end_or_report_file,
+    ],
+    ids=lambda test: test.__name__,
+)
+def test_again_with_the_report_in_an_unlinked_temp_file(monkeypatch, test):
+    """The branch taken where ``os.memfd_create`` is absent."""
+    monkeypatch.delattr(os, "memfd_create")
+    test()
 
 
 def test_genuine_parallelism_across_cpus():
