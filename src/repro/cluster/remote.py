@@ -910,6 +910,12 @@ class RemoteShardClient:
         with self._conn_lock:
             sock, self._sock = self._sock, None
         if sock is not None:
+            # close() alone leaves the descriptor alive under a reader
+            # blocked in recv(), and the host never sees EOF
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 sock.close()
             except OSError:

@@ -4,10 +4,10 @@ Every execution backend — simulation kernel, ``os.fork`` worlds, thread
 worlds, degenerate sequential execution, asyncio tasks — implements one
 contract: *spawn* a world per alternative, *wait* for the first
 acceptable result, *eliminate* the losers, *label* every alternative's
-fate, and *record* the settled block (journal win + telemetry). Before
-this module existed that contract lived as three near-copies inside
-:mod:`repro.runtime`; it is now split into two reusable pieces so a new
-backend is one module, not a fourth copy:
+fate, and *record* the settled block (journal win + telemetry). That
+contract is split into reusable pieces that every OS-style runner
+(fork / thread / sequential / async) is built on, so a new backend is
+one module, not another copy:
 
 - :class:`Backend` — the structural protocol a runner satisfies, plus a
   registry (:func:`register_backend` / :func:`resolve_backend`) that
@@ -20,6 +20,9 @@ backend is one module, not a fourth copy:
   :func:`~repro.journal.wal.record_block_win` transaction), loser
   labelling, and final :class:`~repro.core.outcome.BlockOutcome`
   assembly including the :func:`repro.obs.integrate.record_block` hook.
+- :func:`world_body` — what one synchronous world does between spawn
+  and report: entry guard, body, result guard, and the loser strings
+  the backends must agree on.
 
 A backend owns only what is genuinely its own: how worlds run and how
 losers die (signals for fork, cooperative tokens for threads, task
@@ -161,10 +164,9 @@ class BlockRun:
 
     One instance tracks one block execution: the normalized alternative
     list, the base workspace, fault decisions taken, the winner and its
-    workspace, loser records, and the clock. The thread, sequential and
-    asyncio backends drive their whole lifecycle through it; the fork
-    backend (whose children live across a ``fork()``) uses the same
-    decision helpers where the process boundary allows.
+    workspace, loser records, and the clock. Every OS-style runner
+    drives its whole lifecycle through it; :meth:`finish` is called at
+    the instant the parent resumes, so ``elapsed_s`` ends there.
     """
 
     def __init__(
@@ -323,6 +325,35 @@ class BlockRun:
                 attempt=self.attempt, t_start=self.t_start, outcome=outcome,
             )
         return outcome
+
+
+def world_body(
+    alt: Alternative, workspace: dict, fault: FaultDecision | None = None
+) -> tuple[str, Any]:
+    """One synchronous world: entry guard → ``alt.fn`` → result guard.
+
+    Returns ``("ok", value)`` or ``("fail", reason)`` and never raises.
+    Of the ``child``-site faults only the two every backend reads alike
+    are acted on here (SLOW_START delays the body, GUARD_EXCEPTION fails
+    the guard); what a crash, a hang or a broken report means is the
+    calling backend's own business, decided around this call.
+    """
+    try:
+        if fault is not None and fault.fires:
+            from repro.faults.plan import FaultKind
+
+            if fault.kind is FaultKind.SLOW_START:
+                time.sleep(fault.param)
+            elif fault.kind is FaultKind.GUARD_EXCEPTION:
+                return "fail", f"guard {alt.guard.name!r} raised (injected exception)"
+        if not alt.guard.passes_entry(workspace):
+            return "fail", f"guard {alt.guard.name!r} rejected entry"
+        value = alt.fn(workspace)
+        if not alt.guard.passes_result(workspace, value):
+            return "fail", f"guard {alt.guard.name!r} rejected result"
+        return "ok", value
+    except BaseException as exc:  # noqa: BLE001 - any failure is a loser
+        return "fail", f"alternative raised {exc!r}"
 
 
 # -- built-in backends ------------------------------------------------------

@@ -27,9 +27,6 @@ from repro.core.outcome import AlternativeResult, BlockOutcome
 from repro.core.policy import EliminationPolicy
 from repro.errors import WorldsError
 
-#: Backwards-compatible alias; the runtime backends import this name.
-_normalize = normalize_alternatives
-
 __doc__ = (__doc__ or "").format(
     backend_list="\n".join(
         f'- ``backend="{name}"`` — {summary};' for name, summary in backend_summaries()

@@ -40,9 +40,10 @@ import time
 from typing import Any, Sequence
 
 from repro.core.alternative import Alternative
+from repro.core.backend import normalize_alternatives
 from repro.core.outcome import BlockOutcome
 from repro.core.policy import EliminationPolicy, WatchdogPolicy
-from repro.core.worlds import _normalize, run_alternatives
+from repro.core.worlds import run_alternatives
 from repro.errors import SpawnError, WorldsError
 
 #: The default degradation ladder, strongest isolation first.
@@ -222,7 +223,7 @@ class Supervisor:
                 )
                 return replayed
         kwargs.setdefault("obs", self.obs)
-        alts = _normalize(alternatives)
+        alts = normalize_alternatives(alternatives)
         chain = list(self._chain_from(backend))
         degraded: list[dict] = []
         history: list[dict] = []

@@ -10,11 +10,11 @@ exported trace shows one lane per world), one span per alternative
 block, and the world-lineage chain from the root down. All kernel times
 are virtual seconds.
 
-:func:`record_block` is the shared hook for the three OS-level runtime
-backends (fork / thread / sequential). They don't instrument their
-select loops; after a block settles they reconstruct the child
-lifetimes from the recorded elapsed times — wall-clock seconds on the
-tracer's relative timebase.
+:func:`record_block` is the shared hook of every OS-style runner, fired
+from ``BlockRun.finish``. The runners don't instrument their wait
+loops; after a block settles they reconstruct the child lifetimes from
+the recorded elapsed times — wall-clock seconds on the tracer's
+relative timebase.
 """
 
 from __future__ import annotations

@@ -52,11 +52,11 @@ from typing import Any, Iterable, Sequence
 
 from repro.analysis.overhead import OverheadBreakdown
 from repro.core.alternative import Alternative, GuardPlacement
-from repro.core.outcome import AlternativeResult, BlockOutcome
+from repro.core.backend import BlockRun, world_body
+from repro.core.outcome import BlockOutcome
 from repro.core.policy import EliminationPolicy, WatchdogPolicy
-from repro.core.worlds import _normalize
 from repro.errors import SpawnError, WorldsError
-from repro.faults.plan import CHILD_SITE, KILL_SITE, SPAWN_SITE, FaultDecision, FaultKind
+from repro.faults.plan import KILL_SITE, FaultDecision, FaultKind
 from repro.runtime.report_channel import ReportChannel, ReportLost
 
 #: Bounded patience for verified reaping before we give up on a zombie.
@@ -111,44 +111,33 @@ def _child_main(
 
     ``fault`` is this child's verdict from the block's fault plan,
     computed (deterministically) before the fork. Faults fire at the
-    stage they model: CRASH/HANG/SLOW_START before any work,
-    GUARD_EXCEPTION in place of the entry guard, TRUNCATE/CORRUPT at
+    stage they model: CRASH/HANG before any work, SLOW_START and
+    GUARD_EXCEPTION inside the shared world body, TRUNCATE/CORRUPT at
     report time — after the real result was computed, which is exactly
     when a real report write would break.
     """
+    kind = fault.kind if fault is not None else None
     try:
         if alt.start_delay > 0:
             time.sleep(alt.start_delay)
-        if fault is not None and fault.fires:
-            if fault.kind is FaultKind.CRASH:
-                os._exit(13)
-            if fault.kind is FaultKind.HANG:
-                time.sleep(fault.param)
-                os._exit(11)
-            if fault.kind is FaultKind.SLOW_START:
-                time.sleep(fault.param)
-            if fault.kind is FaultKind.GUARD_EXCEPTION:
-                channel.send(_encode_report(
-                    ("fail", f"guard {alt.guard.name!r} raised (injected exception)")
-                ))
-                os._exit(0)
-        if not alt.guard.passes_entry(workspace):
-            channel.send(_encode_report(("fail", f"guard {alt.guard.name!r} rejected entry")))
+        if kind is FaultKind.CRASH:
+            os._exit(13)
+        if kind is FaultKind.HANG:
+            time.sleep(fault.param)
+            os._exit(11)
+        status, payload = world_body(alt, workspace, fault)
+        if status == "fail":
+            channel.send(_encode_report(("fail", payload)))
             os._exit(0)
-        value = alt.fn(workspace)
-        if not alt.guard.passes_result(workspace, value):
-            channel.send(_encode_report(("fail", f"guard {alt.guard.name!r} rejected result")))
-            os._exit(0)
-        if fault is not None and fault.kind is FaultKind.TRUNCATE_REPORT:
-            blob = _encode_report(("ok", value, workspace))
+        blob = _encode_report(("ok", payload, workspace))
+        if kind is FaultKind.TRUNCATE_REPORT:
             channel.send(blob[: len(blob) // 2], claimed=len(blob))
             os._exit(12)
-        if fault is not None and fault.kind is FaultKind.CORRUPT_REPORT:
-            blob = _encode_report(("ok", value, workspace))
+        if kind is FaultKind.CORRUPT_REPORT:
             channel.send((b"\xde\xad\xbe\xef" * (len(blob) // 4 + 1))[: len(blob)])
             os._exit(12)
-        channel.send(_encode_report(("ok", value, workspace)))
-    except BaseException as exc:  # noqa: BLE001 - report anything
+        channel.send(blob)
+    except BaseException as exc:  # noqa: BLE001 - the report path itself broke
         try:
             channel.send(_encode_report(("fail", f"alternative raised {exc!r}")))
         except BaseException:
@@ -221,52 +210,39 @@ def _reap_verified(pids: Sequence[int], timeout_s: float = _REAP_TIMEOUT_S) -> l
     return sorted(remaining)
 
 
-def _terminate_children(
-    procs: Sequence[tuple[int, int, str]],
-    wait: bool,
-    grace_s: float,
-    send,
-) -> tuple[float, list[dict]]:
-    """Eliminate ``procs`` (``(pid, index, name)``); return (elapsed, events).
+def _kill(pid: int, index: int, sig: int) -> bool:
+    """Deliver ``sig`` to ``pid``; one that is already gone needs no signal."""
+    try:
+        os.kill(pid, sig)
+    except ProcessLookupError:
+        pass
+    return True
 
-    With ``grace_s == 0`` this is the classic straight-SIGKILL
-    elimination. With a positive grace every child first receives
-    SIGTERM and gets ``grace_s`` seconds to exit on its own terms before
-    SIGKILL — the same escalation ladder the in-block watchdog uses.
-    ``send(pid, index, sig)`` delivers the signals (the caller interposes
+
+def _terminate_children(
+    children: dict[int, tuple[int, Alternative, ReportChannel]],
+    wait: bool,
+    send=_kill,
+) -> tuple[float, list[dict]]:
+    """SIGKILL ``children`` (pid → (index, alt, channel)); return (elapsed, events).
+
+    The paper's immediate destruction: channels closed, one SIGKILL
+    each, and with ``wait`` a verified reap before returning.
+    ``send(pid, index, sig)`` delivers the signals (the block interposes
     fault injection); it returns False when the signal was "lost".
     """
+    for _, _, channel in children.values():
+        channel.close()
     t0 = time.perf_counter()
     events: list[dict] = []
-    survivors = list(procs)
-    if grace_s > 0 and survivors:
-        for pid, index, name in survivors:
-            delivered = send(pid, index, signal.SIGTERM)
-            events.append(
-                {"index": index, "name": name, "action": "sigterm" if delivered else "signal-lost",
-                 "at_s": time.perf_counter() - t0, "grace_s": grace_s}
-            )
-        grace_deadline = time.perf_counter() + grace_s
-        while survivors and time.perf_counter() < grace_deadline:
-            still = []
-            for pid, index, name in survivors:
-                try:
-                    done, _ = os.waitpid(pid, os.WNOHANG)
-                except ChildProcessError:
-                    done = pid
-                if not done:
-                    still.append((pid, index, name))
-            survivors = still
-            if survivors:
-                _await_exit([p[0] for p in survivors], grace_deadline - time.perf_counter())
-    for pid, index, name in survivors:
+    for pid, (index, alt, _) in children.items():
         delivered = send(pid, index, signal.SIGKILL)
         events.append(
-            {"index": index, "name": name, "action": "sigkill" if delivered else "signal-lost",
-             "at_s": time.perf_counter() - t0, "grace_s": grace_s}
+            {"index": index, "name": alt.name, "action": "sigkill" if delivered else "signal-lost",
+             "at_s": time.perf_counter() - t0, "grace_s": 0.0}
         )
     if wait:
-        _reap_verified([pid for pid, _, _ in survivors])
+        _reap_verified(list(children))
     return time.perf_counter() - t0, events
 
 
@@ -279,7 +255,6 @@ def run_alternatives_fork(
     block_id: int = 0,
     attempt: int = 0,
     watchdog: WatchdogPolicy | None = None,
-    elim_grace_s: float = 0.0,
     journal=None,
     obs=None,
 ) -> BlockOutcome:
@@ -292,9 +267,11 @@ def run_alternatives_fork(
 
     ``fault_plan``/``block_id``/``attempt`` drive deterministic fault
     injection (see :mod:`repro.faults.plan`); ``watchdog`` enables
-    per-alternative SIGTERM→SIGKILL hang escalation; ``elim_grace_s``
-    applies the same escalation to post-winner sibling elimination
-    (0 keeps the paper's immediate destruction).
+    per-alternative SIGTERM→SIGKILL hang escalation. Block bookkeeping —
+    guard prechecks, fault decisions, winner journaling, loser labels,
+    the telemetry record — is the shared
+    :class:`~repro.core.backend.BlockRun` surface; only the process
+    mechanics live here.
 
     Raises :class:`~repro.errors.SpawnError` when the worlds cannot be
     created at all (real fork failure or an injected ``EAGAIN``); any
@@ -302,11 +279,10 @@ def run_alternatives_fork(
     """
     if not hasattr(os, "fork"):  # pragma: no cover - non-POSIX
         raise WorldsError("fork backend requires a POSIX platform")
-    alts = _normalize(alternatives)
-    workspace: dict[str, Any] = dict(initial or {})
-
-    # -- fault bookkeeping -------------------------------------------------
-    injected: list[dict] = []
+    run = BlockRun(
+        "fork", alternatives, initial, fault_plan=fault_plan,
+        block_id=block_id, attempt=attempt, journal=journal, obs=obs,
+    )
     lost_checked: set[int] = set()
 
     def _send_signal(pid: int, index: int, sig: int) -> bool:
@@ -319,68 +295,42 @@ def run_alternatives_fork(
                     index=index, attempt=attempt, backend="fork",
                 )
                 return False
-        try:
-            os.kill(pid, sig)
-        except ProcessLookupError:
-            pass
-        return True
+        return _kill(pid, index, sig)
 
-    t_start = time.perf_counter()
-    children: dict[int, tuple[int, Alternative, ReportChannel]] = {}  # pid -> (index, alt, channel)
-    skipped: list[AlternativeResult] = []
-    for index, alt in enumerate(alts):
-        if alt.guard.placement & GuardPlacement.BEFORE_SPAWN and alt.guard.check is not None:
-            try:
-                ok = alt.guard.passes_entry(workspace)
-            except Exception:
-                ok = False
-            if not ok:
-                skipped.append(
-                    AlternativeResult(
-                        index=index, name=alt.name, guard_failed=True,
-                        error="guard rejected before spawn",
-                    )
-                )
-                continue
+    # pid -> (index, alt, channel) of every child not yet settled and reaped
+    pending: dict[int, tuple[int, Alternative, ReportChannel]] = {}
+
+    def _abort_spawn() -> None:
+        """Destroy children already forked when later spawning fails."""
+        _terminate_children(pending, wait=True)
+
+    for index, alt in enumerate(run.alts):
+        if not run.precheck_guard(index, alt):
+            continue
         child_fault = None
         if fault_plan is not None:
-            if fault_plan.decide(SPAWN_SITE, block_id, index, attempt).fires:
-                spawn_exc = BlockingIOError(errno.EAGAIN, "injected: resource temporarily unavailable")
-                _abort_spawn(children)
-                fault_plan.note_injection(
-                    SPAWN_SITE, "spawn-fail", block_id=block_id,
-                    index=index, attempt=attempt, backend="fork",
-                )
-                raise SpawnError(
-                    f"spawning alternative {alt.name!r} failed: {spawn_exc}"
-                ) from spawn_exc
-            child_fault = fault_plan.decide(CHILD_SITE, block_id, index, attempt)
-            if child_fault.fires:
-                injected.append({"index": index, "name": alt.name, "kind": child_fault.kind.value})
-                fault_plan.note_injection(
-                    CHILD_SITE, child_fault.kind, block_id=block_id,
-                    index=index, attempt=attempt, backend="fork",
-                )
+            # asked only when there is a plan: between forks every page the
+            # parent writes is a copy-on-write fault, calls included
+            run.spawn_fault(
+                index, alt, on_abort=_abort_spawn,
+                detail=f"[Errno {errno.EAGAIN}] injected: resource temporarily unavailable",
+            )
+            child_fault = run.child_fault(index, alt)
         try:
             pid, channel = ReportChannel.fork()
         except OSError as exc:
-            _abort_spawn(children)
+            _abort_spawn()
             raise SpawnError(f"spawning alternative {alt.name!r} failed: {exc}") from exc
         if pid == 0:
             # child: alt_spawn returned our index (1-based in the paper);
             # the older siblings' channels came along and are not ours
-            for _, _, sibling in children.values():
+            for _, _, sibling in pending.values():
                 sibling.close()
-            _child_main(alt, workspace, channel, child_fault)
+            _child_main(alt, run.base, channel, child_fault)
             os._exit(0)  # pragma: no cover - _child_main never returns
-        children[pid] = (index, alt, channel)
+        pending[pid] = (index, alt, channel)
     t_spawned = time.perf_counter()
-
-    winner: AlternativeResult | None = None
-    winner_ws: dict | None = None
-    losers: list[AlternativeResult] = list(skipped)
-    timed_out = False
-    deadline = None if timeout is None else t_start + timeout
+    deadline = None if timeout is None else run.t_start + timeout
 
     # -- watchdog state ----------------------------------------------------
     watchdog_events: list[dict] = []
@@ -388,10 +338,9 @@ def run_alternatives_fork(
     term_at: dict[int, float] = {}   # pid -> when SIGTERM went out
     killed: set[int] = set()         # pid -> SIGKILL sent, awaiting EOF
     if watchdog is not None:
-        for pid, (index, alt, _) in children.items():
+        for pid, (index, alt, _) in pending.items():
             soft_deadlines[pid] = t_spawned + watchdog.deadline_for(alt.start_delay)
 
-    pending = dict(children)
     sel = selectors.DefaultSelector()
     for pid, (_, _, channel) in pending.items():
         sel.register(channel, selectors.EVENT_READ, pid)
@@ -404,10 +353,10 @@ def run_alternatives_fork(
         _reap_verified([pid])
 
     try:
-        while pending and winner is None:
+        while pending and run.winner is None:
             now = time.perf_counter()
             if deadline is not None and now >= deadline:
-                timed_out = True
+                run.timed_out = True
                 break
             # watchdog escalation pass: SIGTERM at the soft deadline,
             # SIGKILL once the grace period expires without an exit
@@ -423,7 +372,7 @@ def run_alternatives_fork(
                             watchdog_events.append({
                                 "index": index, "name": alt.name,
                                 "action": "sigkill" if delivered else "signal-lost",
-                                "at_s": now - t_start,
+                                "at_s": now - run.t_start,
                                 "grace_s": now - term_at[pid],
                             })
                     elif now >= soft_deadlines[pid]:
@@ -432,7 +381,7 @@ def run_alternatives_fork(
                         watchdog_events.append({
                             "index": index, "name": alt.name,
                             "action": "sigterm" if delivered else "signal-lost",
-                            "at_s": now - t_start,
+                            "at_s": now - run.t_start,
                             "grace_s": watchdog.term_grace_s,
                         })
             # earliest future obligation bounds the poll
@@ -482,108 +431,54 @@ def run_alternatives_fork(
                         except Exception:
                             accepted = False
                     if accepted:
-                        winner = AlternativeResult(
-                            index=index, name=alt.name, value=value,
-                            succeeded=True, elapsed_s=now - t_spawned,
-                        )
-                        winner_ws = child_ws
-                        if journal is not None:
-                            from repro.journal import record_block_win
-
-                            record_block_win(journal, block_id, attempt, winner)
+                        run.accept(index, value, child_ws, elapsed_s=now - t_spawned)
                         _retire(pid, channel)
                         break
-                    losers.append(
-                        AlternativeResult(
-                            index=index, name=alt.name, guard_failed=True,
-                            error="guard rejected result at sync",
-                            elapsed_s=now - t_spawned,
-                        )
-                    )
-                else:
-                    losers.append(
-                        AlternativeResult(
-                            index=index, name=alt.name, error=str(report[1]),
-                            guard_failed="guard" in str(report[1]),
-                            elapsed_s=now - t_spawned,
-                        )
-                    )
+                    report = ("fail", "guard rejected result at sync")
+                run.reject(index, str(report[1]), elapsed_s=now - t_spawned)
                 _retire(pid, channel)
+    except BaseException:
+        # an exception out of the rendezvous must not strand children
+        _terminate_children(pending, wait=True, send=_send_signal)
+        raise
     finally:
-        # eliminate whatever is still running, and reap it in here: an
-        # exception out of the loop must not strand children either
-        leftover_pids = list(pending)
-        elim_seconds = 0.0
-        elim_events: list[dict] = []
-        synchronous = elimination is EliminationPolicy.SYNCHRONOUS
-        if leftover_pids:
-            for _, _, channel in pending.values():
-                channel.close()
-            elim_seconds, elim_events = _terminate_children(
-                [(pid, pending[pid][0], pending[pid][1].name) for pid in leftover_pids],
-                wait=synchronous,
-                grace_s=elim_grace_s,
-                send=_send_signal,
-            )
         sel.close()
-        # asynchronous elimination resumes the parent here; the reap that
-        # follows is off its books but still done before the call returns
-        t_resume = time.perf_counter()
-        zombies = [] if synchronous else _reap_verified(leftover_pids)
 
-    # a leftover child killed after a winner synchronized was *eliminated*;
-    # only a block that expired with no winner timeout-kills its children
-    leftover_error = "eliminated" if winner is not None else (
-        "timeout-killed" if timed_out else "eliminated"
-    )
-    for pid in leftover_pids:
-        losers.append(
-            AlternativeResult(
-                index=children[pid][0], name=children[pid][1].name,
-                error=leftover_error,
-                elapsed_s=t_resume - t_spawned,
+    # eliminate whatever is still running
+    synchronous = elimination is EliminationPolicy.SYNCHRONOUS
+    elim_seconds, elim_events = 0.0, []
+    if pending:
+        elim_seconds, elim_events = _terminate_children(
+            pending, wait=synchronous, send=_send_signal
+        )
+    try:
+        # a leftover child killed after a winner synchronized was *eliminated*;
+        # only a block that expired with no winner timeout-kills its children
+        leftover_error = (
+            "timeout-killed" if run.timed_out and run.winner is None else "eliminated"
+        )
+        cut_s = time.perf_counter() - t_spawned
+        for index, _, _ in pending.values():
+            run.reject(index, leftover_error, elapsed_s=cut_s)
+        extras: dict[str, Any] = {
+            "elimination_policy": elimination.value, "eliminated": len(pending),
+        }
+        if watchdog_events or elim_events:
+            extras["watchdog"] = watchdog_events + elim_events
+            extras["watchdog_grace_s"] = sum(
+                e["grace_s"] for e in watchdog_events if e["action"] == "sigkill"
             )
+        # the parent resumes at finish(), which stamps elapsed_s and records
+        # the block; the asynchronous reap that follows is off its books
+        # but still done before the call returns
+        outcome = run.finish(
+            overhead=OverheadBreakdown(
+                setup_s=t_spawned - run.t_start, completion_s=elim_seconds
+            ),
+            extras=extras,
         )
-    overhead = OverheadBreakdown(
-        setup_s=t_spawned - t_start,
-        completion_s=elim_seconds,
-    )
-    outcome = BlockOutcome(
-        winner=winner,
-        elapsed_s=t_resume - t_start,
-        overhead=overhead,
-        timed_out=timed_out and winner is None,
-        losers=sorted(losers, key=lambda r: r.index),
-    )
-    if winner_ws is not None:
-        outcome.extras["state"] = winner_ws
-    outcome.extras["elimination_policy"] = elimination.value
-    outcome.extras["eliminated"] = len(leftover_pids)
-    if watchdog_events or elim_events:
-        outcome.extras["watchdog"] = watchdog_events + elim_events
-        outcome.extras["watchdog_grace_s"] = sum(
-            e["grace_s"] for e in watchdog_events if e["action"] == "sigkill"
-        )
-    if injected:
-        outcome.extras["injected_faults"] = injected
+    finally:
+        zombies = [] if synchronous else _reap_verified(list(pending))
     if zombies:  # pragma: no cover - requires a truly unkillable child
         outcome.extras["zombies"] = zombies
-    if obs is not None:
-        from repro.obs.integrate import record_block
-
-        record_block(
-            obs, backend="fork", block_id=block_id, attempt=attempt,
-            t_start=t_start, outcome=outcome,
-        )
     return outcome
-
-
-def _abort_spawn(children: dict[int, tuple[int, Alternative, ReportChannel]]) -> None:
-    """Destroy children already forked when later spawning fails."""
-    for pid, (_, _, channel) in children.items():
-        channel.close()
-        try:
-            os.kill(pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass
-    _reap_verified(list(children))

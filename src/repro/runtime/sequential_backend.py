@@ -22,7 +22,7 @@ import copy
 import time
 from typing import Any, Sequence
 
-from repro.core.backend import BlockRun
+from repro.core.backend import BlockRun, world_body
 from repro.core.outcome import BlockOutcome
 from repro.faults.plan import FaultKind
 
@@ -70,47 +70,25 @@ def run_alternatives_sequential(
             continue
         fault = run.child_fault(index, alt)
         t0 = time.perf_counter()
-        if fault is not None and fault.fires:
-            if fault.kind is FaultKind.SLOW_START:
-                time.sleep(fault.param)
-            elif fault.kind is FaultKind.HANG:
-                run.reject(
-                    index,
-                    "injected hang (skipped: sequential execution cannot hang)",
-                )
-                continue
-            elif fault.kind is FaultKind.GUARD_EXCEPTION:
-                run.reject(
-                    index,
-                    f"guard {alt.guard.name!r} raised (injected exception)",
-                    guard_failed=True,
-                )
-                continue
-            else:  # CRASH / TRUNCATE / CORRUPT all mean "no result arrived"
-                run.reject(index, f"injected {fault.kind.value}")
-                continue
-        workspace = copy.deepcopy(run.base)
-        try:
-            if not alt.guard.passes_entry(workspace):
-                run.reject(
-                    index, f"guard {alt.guard.name!r} rejected entry",
-                    guard_failed=True, elapsed_s=time.perf_counter() - t0,
-                )
-                continue
-            value = alt.fn(workspace)
-            if not alt.guard.passes_result(workspace, value):
-                run.reject(
-                    index, f"guard {alt.guard.name!r} rejected result",
-                    guard_failed=True, elapsed_s=time.perf_counter() - t0,
-                )
-                continue
-        except BaseException as exc:  # noqa: BLE001 - any failure is a loser
+        kind = fault.kind if fault is not None else None
+        if kind is FaultKind.HANG:
             run.reject(
-                index, f"alternative raised {exc!r}",
-                guard_failed=False, elapsed_s=time.perf_counter() - t0,
+                index,
+                "injected hang (skipped: sequential execution cannot hang)",
             )
             continue
-        run.accept(index, value, workspace, elapsed_s=time.perf_counter() - t0)
-        break
+        if kind in (FaultKind.CRASH, FaultKind.TRUNCATE_REPORT, FaultKind.CORRUPT_REPORT):
+            run.reject(index, f"injected {kind.value}")  # all mean "no result arrived"
+            continue
+        workspace = copy.deepcopy(run.base)
+        status, payload = world_body(alt, workspace, fault)
+        if status == "ok":
+            run.accept(index, payload, workspace, elapsed_s=time.perf_counter() - t0)
+            break
+        # an exception whose text mentions a guard is still not a guard failure
+        run.reject(
+            index, payload, guard_failed=payload.startswith("guard "),
+            elapsed_s=time.perf_counter() - t0,
+        )
 
     return run.finish(extras={"sequential": True})

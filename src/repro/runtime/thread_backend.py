@@ -44,8 +44,8 @@ from typing import Any, Sequence
 
 from repro.analysis.overhead import OverheadBreakdown
 from repro.core.alternative import Alternative
-from repro.core.backend import BlockRun
-from repro.core.outcome import AlternativeResult, BlockOutcome
+from repro.core.backend import BlockRun, world_body
+from repro.core.outcome import BlockOutcome
 from repro.core.policy import EliminationPolicy
 from repro.errors import SpawnError
 from repro.faults.plan import FaultDecision, FaultKind
@@ -85,33 +85,17 @@ def _worker(
     if alt.start_delay > 0:
         time.sleep(alt.start_delay)
     t0 = time.perf_counter()
-    try:
-        if fault is not None and fault.fires:
-            if fault.kind is FaultKind.HANG:
-                time.sleep(fault.param)
-                out.put((index, "fail", "injected hang elapsed", None, t0))
-                return
-            if fault.kind is FaultKind.SLOW_START:
-                time.sleep(fault.param)
-            elif fault.kind is FaultKind.GUARD_EXCEPTION:
-                out.put(
-                    (index, "fail", f"guard {alt.guard.name!r} raised (injected exception)", None, t0)
-                )
-                return
-            elif fault.kind is not FaultKind.SLOW_START:
-                # CRASH / TRUNCATE / CORRUPT: in-process, all mean the
-                # worker dies before a usable report exists
-                raise RuntimeError(f"injected {fault.kind.value}")
-        if not alt.guard.passes_entry(workspace):
-            out.put((index, "fail", f"guard {alt.guard.name!r} rejected entry", None, t0))
-            return
-        value = alt.fn(workspace)
-        if not alt.guard.passes_result(workspace, value):
-            out.put((index, "fail", f"guard {alt.guard.name!r} rejected result", None, t0))
-            return
-        out.put((index, "ok", value, workspace, t0))
-    except BaseException as exc:  # noqa: BLE001
-        out.put((index, "fail", f"alternative raised {exc!r}", None, t0))
+    kind = fault.kind if fault is not None else None
+    if kind is FaultKind.HANG:
+        time.sleep(fault.param)
+        status, payload = "fail", "injected hang elapsed"
+    elif kind in (FaultKind.CRASH, FaultKind.TRUNCATE_REPORT, FaultKind.CORRUPT_REPORT):
+        # in-process, all mean the worker dies before a usable report exists
+        died = RuntimeError(f"injected {kind.value}")
+        status, payload = "fail", f"alternative raised {died!r}"
+    else:
+        status, payload = world_body(alt, workspace, fault)
+    out.put((index, status, payload, workspace, t0))
 
 
 def run_alternatives_thread(

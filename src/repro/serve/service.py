@@ -42,8 +42,8 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
+from repro.core.backend import normalize_alternatives
 from repro.core.outcome import BlockOutcome
-from repro.core.worlds import _normalize
 from repro.errors import (
     AdmissionRejected,
     JournalCrash,
@@ -544,7 +544,7 @@ class SpeculationService:
         """
         if not self._running:
             raise ServiceStopped("service is not running (call start())")
-        alts = _normalize(alternatives)  # validate before queueing
+        alts = normalize_alternatives(alternatives)  # validate before queueing
         now = time.monotonic()
         if deadline_at is None and deadline_s is not None:
             deadline_at = now + deadline_s

@@ -8,7 +8,6 @@ in-process tests make.
 
 import functools
 import os
-import socket
 import threading
 import time
 
@@ -332,7 +331,7 @@ class TestTransportFaults:
             assert resolved == []
 
             del shard._dispatch_push  # the real one again
-            shard._sock.shutdown(socket.SHUT_RDWR)  # reset, seen by both ends
+            shard._drop_conn(ConnectionResetError("reset"))  # seen by both ends
             while not shard.answers_heartbeat():  # reconnects
                 assert time.monotonic() < deadline
             while len(resolved) < len(seqs) and time.monotonic() < deadline:
@@ -340,7 +339,7 @@ class TestTransportFaults:
             assert sorted(resolved) == sorted(seqs)
 
             # all acked now: another reset replays nothing old
-            shard._sock.shutdown(socket.SHUT_RDWR)
+            shard._drop_conn(ConnectionResetError("reset"))
             seqs.append(shard.service.submit("t0", alts(9)))
             while len(resolved) < len(seqs) and time.monotonic() < deadline:
                 time.sleep(0.02)

@@ -30,6 +30,13 @@ Two further paths every backend must agree on:
   processes, so it alone drops the entries that cannot travel and lists
   them under ``_unpicklable``; the others' states are held to that view.
 
+- **block bookkeeping** — the OS-style runners share one ``BlockRun``,
+  so under one seeded ``FaultPlan`` and a journal they log the same
+  ``injected_faults``, record the same BEFORE_SPAWN loser, and seal
+  exactly one ``block`` txn naming the same winner. Fork alone reaps
+  killed worlds after the parent resumes; its ``elapsed_s`` and block
+  span must end at the resume, not after that reap.
+
 The fork backend forks up to five real processes per example, a few
 milliseconds a block; the ``max_examples`` below keep its share of this
 file to about a second.
@@ -37,18 +44,26 @@ file to about a second.
 
 import os
 import pickle
+import time
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.alternative import Alternative, Guard, GuardPlacement
+from repro.core.policy import EliminationPolicy
 from repro.core.worlds import run_alternatives
+from repro.faults.plan import CHILD_SITE, FaultKind, FaultPlan
+from repro.journal import CommitJournal, MemoryJournalStorage
+from repro.obs import Observability
 
 BACKENDS = ("sim", "thread", "sequential", "async") + (
     ("fork",) if hasattr(os, "fork") else ()
 )
 #: the members of BACKENDS that stop waiting for a world at the deadline
 PREEMPTIVE = tuple(b for b in BACKENDS if b != "sequential")
+#: the members of BACKENDS built on ``BlockRun`` (sim has its own kernel)
+OS_STYLE = tuple(b for b in BACKENDS if b != "sim")
 #: the members of BACKENDS whose worlds are callables of a workspace dict
 STATEFUL = tuple(b for b in BACKENDS if b in ("fork", "thread", "sequential"))
 
@@ -299,3 +314,87 @@ def test_backends_agree_on_committed_state(entries, n_pages, helpers):
         assert reference["page000"] == initial["page000"][::-1]
     for backend, state in states.items():
         assert state == reference, backend
+
+
+@given(st.integers(min_value=0, max_value=2**16))
+@settings(max_examples=8, deadline=None)
+def test_backends_agree_on_block_bookkeeping(seed):
+    """One fault plan, one journal: the same bookkeeping on every runner.
+
+    Alternative 0 is rejected before spawn; every later one whose
+    ``child``-site verdict fires has its guard fail by injection, and
+    the block ends at the first that is spared — the forced winner, and
+    the last alternative, so the in-order sequential runner decides as
+    many faults as the runners that spawn everything up front.
+    """
+    block_id, limit = 7, 5
+    plan_args = dict(seed=seed, rates={FaultKind.GUARD_EXCEPTION: 0.5})
+    probe = FaultPlan(**plan_args)
+    doomed = []
+    for index in range(1, limit):
+        if not probe.decide(CHILD_SITE, block_id, index, 0).fires:
+            break
+        doomed.append(index)
+    winner_idx = len(doomed) + 1 if len(doomed) + 1 < limit else None
+    n = limit if winner_idx is None else winner_idx + 1
+    alts = [make_entry_rejected(0)] + [
+        make_alt(i, succeeds=True, value=i * 10, mode="raise") for i in range(1, n)
+    ]
+    seen = {}
+    for backend in OS_STYLE:
+        journal = CommitJournal(MemoryJournalStorage())
+        outcome = run_alternatives(
+            alts, backend=backend, fault_plan=FaultPlan(**plan_args),
+            block_id=block_id, journal=journal,
+        )
+        txns = [
+            (intent["data"]["winner_index"], intent["data"]["winner_name"], applied["value"])
+            for intent, applied in journal.applied_intents("block")
+        ]
+        seen[backend] = (
+            outcome.extras.get("injected_faults", []),
+            [l for l in outcome.losers if l.index == 0],
+            txns,
+        )
+    injected, skipped, txns = seen["sequential"]
+    assert [f["index"] for f in injected] == doomed
+    assert [(l.error, l.guard_failed, l.elapsed_s) for l in skipped] == [
+        ("guard rejected before spawn", True, 0.0)
+    ]
+    assert txns == (
+        [] if winner_idx is None else [(winner_idx, f"alt{winner_idx}", winner_idx * 10)]
+    )
+    for backend, record in seen.items():
+        assert record == seen["sequential"], backend
+
+
+@pytest.mark.skipif("fork" not in BACKENDS, reason="needs os.fork")
+def test_fork_elapsed_ends_at_parent_resume_not_after_the_reap(monkeypatch):
+    """Asynchronous elimination: the reap of killed worlds is off the books.
+
+    Every reap is slowed by ``delay``. The winner's is part of the
+    rendezvous; the killed loser's comes after the parent has resumed,
+    so the call outlasts ``elapsed_s`` — and the block span — by it.
+    """
+    from repro.runtime import fork_backend
+
+    delay, reap = 0.25, fork_backend._reap_verified
+
+    def slow_reap(pids, *args):
+        time.sleep(delay)
+        return reap(pids, *args)
+
+    monkeypatch.setattr(fork_backend, "_reap_verified", slow_reap)
+    obs = Observability()
+    t0 = time.perf_counter()
+    outcome = run_alternatives(
+        [make_alt(0, succeeds=True, value=1, mode="raise"), make_slow_winner(30.0, "late")],
+        backend="fork", elimination=EliminationPolicy.ASYNCHRONOUS, obs=obs,
+    )
+    wall = time.perf_counter() - t0
+    assert outcome.value == 1 and outcome.extras["eliminated"] == 1
+    assert outcome.overhead.completion_s < delay  # signals sent, nothing awaited
+    assert wall - outcome.elapsed_s >= delay
+    (span,) = [s for s in obs.tracer.spans if s.cat == "alt-block"]
+    assert span.attrs["elapsed_s"] == outcome.elapsed_s
+    assert abs(span.duration - outcome.elapsed_s) < 1e-6

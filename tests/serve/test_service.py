@@ -141,11 +141,11 @@ def test_restarted_service_replays_journalled_wins():
     try:
         # force the same request seq through the queue: simulate the
         # service redelivering an already-committed request after crash
-        from repro.core.worlds import _normalize
+        from repro.core.backend import normalize_alternatives
         from repro.serve.admission import ServeRequest
         from repro.serve.service import ServeTicket
 
-        request = ServeRequest(tenant="t", alternatives=_normalize([fast]))
+        request = ServeRequest(tenant="t", alternatives=normalize_alternatives([fast]))
         request.seq = seq
         ticket2 = ServeTicket("t", seq)
         with svc2._tickets_lock:
