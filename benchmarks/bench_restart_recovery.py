@@ -32,7 +32,8 @@ from repro.journal import (
     find_block_win,
     record_block_win,
 )
-from repro.journal.wal import SNAP_MAGIC, _FRAME
+from repro.journal.wal import SNAP_MAGIC
+from repro.util.framing import HEADER_SIZE
 
 LENGTHS = (200, 1000, 4000)
 QUICK_LENGTHS = (100, 400)
@@ -162,7 +163,7 @@ def corrupt_snapshot_recovery(n_requests: int = 200) -> dict:
     journal.snapshot()
 
     raw = bytearray(storage.load())
-    at = raw.index(SNAP_MAGIC) + len(SNAP_MAGIC) + _FRAME.size + 8
+    at = raw.index(SNAP_MAGIC) + len(SNAP_MAGIC) + HEADER_SIZE + 8
     raw[at] ^= 0xFF
     damaged = MemoryJournalStorage(bytes(raw))
 

@@ -107,6 +107,17 @@ _WIRE_ERRORS: dict[str, Any] = {
     "ClusterError": ClusterError,
 }
 
+#: How long ``start()`` waits for a fresh host's first connection.
+CONNECT_TIMEOUT_S = 10.0
+#: How long one ping's backlog/slot figures answer the balancer.
+STATS_TTL_S = 0.02
+#: Every RPC's resend policy but the heartbeat's: bounded exponential
+#: backoff **with a total deadline** (``RetryPolicy.deadline_s``).
+RETRY_POLICY = RetryPolicy(
+    max_retries=4, base_backoff_s=0.005, multiplier=2.0,
+    max_backoff_s=0.1, deadline_s=5.0,
+)
+
 _RPC_LATENCY_BUCKETS = (
     0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005,
     0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0,
@@ -125,17 +136,6 @@ def host_kill_decision(plan, shard_id: int, epoch: int = 0) -> float | None:
         return None
     decision = plan.decide(TRANSPORT_SITE, shard_id, epoch)
     if decision.kind is FaultKind.HOST_SIGKILL:
-        return decision.param
-    return None
-
-
-def host_sigstop_decision(plan, shard_id: int, epoch: int = 0) -> float | None:
-    """Like :func:`host_kill_decision` but for ``HOST_SIGSTOP``;
-    returns the freeze duration in seconds, or None."""
-    if plan is None:
-        return None
-    decision = plan.decide(TRANSPORT_SITE, shard_id, epoch)
-    if decision.kind is FaultKind.HOST_SIGSTOP:
         return decision.param
     return None
 
@@ -547,10 +547,9 @@ class RemoteShardClient:
         shard's durable truth and survives any kill.
     slots / workers / backend / queue_depth:
         Shard sizing, forwarded to the child's ``ClusterShard``.
-    call_timeout_s / retry_policy:
-        Per-attempt response timeout and the resend policy (bounded
-        exponential backoff **with a total deadline** — see
-        :attr:`~repro.distrib.retry.RetryPolicy.deadline_s`).
+    call_timeout_s:
+        Per-attempt response timeout (resends follow
+        :data:`RETRY_POLICY`).
     breaker_threshold / breaker_cooldown_s:
         Circuit-breaker tuning (consecutive transport failures → open).
     fault_plan:
@@ -570,12 +569,9 @@ class RemoteShardClient:
         backend: str = "thread",
         queue_depth: int | None = None,
         call_timeout_s: float = 1.0,
-        connect_timeout_s: float = 10.0,
         heartbeat_timeout_s: float = 0.25,
-        retry_policy: RetryPolicy | None = None,
         breaker_threshold: int = 5,
         breaker_cooldown_s: float = 0.5,
-        stats_ttl_s: float = 0.02,
         fault_plan=None,
         host_fault_plan=None,
         obs=None,
@@ -592,12 +588,7 @@ class RemoteShardClient:
             "queue_depth": queue_depth,
         }
         self.call_timeout_s = call_timeout_s
-        self.connect_timeout_s = connect_timeout_s
         self.heartbeat_timeout_s = heartbeat_timeout_s
-        self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy(
-            max_retries=4, base_backoff_s=0.005, multiplier=2.0,
-            max_backoff_s=0.1, deadline_s=5.0,
-        )
         #: heartbeats probe, they don't persist: one attempt, short wait
         self._hb_policy = RetryPolicy(max_retries=0, deadline_s=heartbeat_timeout_s)
         self.fault_plan = fault_plan
@@ -611,7 +602,6 @@ class RemoteShardClient:
             threshold=breaker_threshold, cooldown_s=breaker_cooldown_s,
             on_transition=self._note_breaker,
         )
-        self.stats_ttl_s = stats_ttl_s
         self._stats: dict = {}
         self._stats_at = -1.0
         self._proc: multiprocessing.process.BaseProcess | None = None
@@ -694,7 +684,7 @@ class RemoteShardClient:
             daemon=True,
         )
         self._proc.start()
-        deadline = time.monotonic() + self.connect_timeout_s
+        deadline = time.monotonic() + CONNECT_TIMEOUT_S
         last: Exception | None = None
         while time.monotonic() < deadline:
             try:
@@ -801,7 +791,7 @@ class RemoteShardClient:
     # -- the shard surface -------------------------------------------------
     def _cached_stats(self) -> dict:
         now = time.monotonic()
-        if now - self._stats_at <= self.stats_ttl_s:
+        if now - self._stats_at <= STATS_TTL_S:
             return self._stats
         try:
             stats = self._call("ping", policy=self._hb_policy,
@@ -993,7 +983,7 @@ class RemoteShardClient:
                 f"shard {self.shard_id}: circuit breaker open "
                 f"({self.breaker.failures} consecutive transport failures)"
             )
-        policy = policy if policy is not None else self.retry_policy
+        policy = policy if policy is not None else RETRY_POLICY
         call_timeout = timeout if timeout is not None else self.call_timeout_s
         self._call_seq += 1
         call_no = self._call_seq

@@ -56,8 +56,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from repro.core.outcome import AlternativeResult, BlockOutcome
-from repro.distrib.lease import RemoteWorldLease, heartbeat_lost
+from repro.core.outcome import BlockOutcome
+from repro.distrib.lease import LeaseState, RemoteWorldLease, heartbeat_lost
 from repro.errors import (
     AdmissionRejected,
     ClusterError,
@@ -67,17 +67,22 @@ from repro.errors import (
     ShardUnreachable,
 )
 from repro.faults.plan import CLUSTER_SITE, FaultKind
-from repro.journal import find_block_win
+from repro.journal import replay_block_win
 from repro.journal.recovery import RecoveryReport, recover
 from repro.cluster.ring import HashRing
 from repro.cluster.shard import ClusterShard, ShardState
 from repro.serve.admission import ensure_seq_at_least, next_seq
-from repro.serve.service import ServeResult
+from repro.serve.service import ServeResult, ServeTicket, restart_seq_floor
 
 #: Beats per ROUTER_PARTITION decision window (the fault plan decides
 #: once per window whether the router loses sight of a shard, and the
 #: outage then covers the first ``partition_beats`` beats of it).
 PARTITION_WINDOW_BEATS = 8
+
+#: Work stealing: the queue depth at which a shard becomes a victim, and
+#: the most requests one detector round moves off it.
+STEAL_MIN_BACKLOG = 2
+STEAL_BATCH = 2
 
 
 @dataclass
@@ -115,31 +120,26 @@ class ClusterResult:
         return None if self.result is None else self.result.value
 
 
-class ClusterTicket:
-    """A caller's handle on a cluster request (resolves exactly once)."""
+def _replayed_result(
+    tenant: str, seq: int, shard_id: int, outcome: BlockOutcome, attempts: int = 1
+) -> ClusterResult:
+    """The result of a request settled from the win ``shard_id``'s journal
+    holds (``outcome`` is :func:`~repro.journal.replay_block_win`'s)."""
+    return ClusterResult(
+        status="committed", tenant=tenant, seq=seq, shard_id=shard_id,
+        failover="replayed", attempts=attempts,
+        result=ServeResult(
+            status="committed", tenant=tenant, seq=seq,
+            outcome=outcome, replayed=True,
+        ),
+    )
 
-    def __init__(self, tenant: str, seq: int) -> None:
-        self.tenant = tenant
-        self.seq = seq
-        self._done = threading.Event()
-        self._result: ClusterResult | None = None
 
-    def _resolve(self, result: ClusterResult) -> None:
-        self._result = result
-        self._done.set()
+class ClusterTicket(ServeTicket):
+    """A caller's handle on a cluster request (resolves exactly once,
+    with a :class:`ClusterResult`)."""
 
-    @property
-    def done(self) -> bool:
-        return self._done.is_set()
-
-    def result(self, timeout: float | None = None) -> ClusterResult:
-        if not self._done.wait(timeout):
-            raise ClusterError(
-                f"request {self.seq} (tenant {self.tenant!r}) not done "
-                f"within {timeout}s"
-            )
-        assert self._result is not None
-        return self._result
+    _timeout_error = ClusterError
 
 
 @dataclass
@@ -216,9 +216,8 @@ class ClusterRouter:
         detector is running. Tests may instead drive
         :meth:`heartbeat_round` by hand.
     spill / steal:
-        Enable the two load-balancing moves. ``steal_min_backlog`` is
-        the queue depth at which a shard becomes a victim;
-        ``steal_batch`` bounds requests moved per round.
+        Enable the two load-balancing moves (stealing is paced by
+        :data:`STEAL_MIN_BACKLOG` and :data:`STEAL_BATCH`).
     fault_plan / obs:
         Shared robustness planes. The plan's ``cluster`` site drives
         shard-crash/partition/stale-takeover injection; ``obs`` gains
@@ -236,8 +235,6 @@ class ClusterRouter:
         detect_interval_s: float = 0.01,
         spill: bool = True,
         steal: bool = True,
-        steal_min_backlog: int = 2,
-        steal_batch: int = 2,
         fault_plan=None,
         obs=None,
         spare_factory=None,
@@ -253,8 +250,6 @@ class ClusterRouter:
         self.detect_interval_s = detect_interval_s
         self.spill = spill
         self.steal = steal
-        self.steal_min_backlog = steal_min_backlog
-        self.steal_batch = steal_batch
         self.fault_plan = fault_plan
         self.obs = obs
         #: zero-arg callable returning a fresh (unstarted) in-process
@@ -517,25 +512,12 @@ class ClusterRouter:
 
         report = ClusterRestartReport()
         floor = 1
-        applied: dict[int, tuple[int, dict]] = {}
         for sid, journal in items:
             report.recoveries[sid] = recover(
                 journal, gates=gates, fault_plan=fault_plan,
                 defer_kinds=("admit", "block"),
             )
-            for intent, data in journal.applied_intents("block"):
-                rseq = intent["data"]["block"]
-                floor = max(floor, rseq + 1)
-                if "value" in data and rseq not in applied:
-                    applied[rseq] = (sid, {
-                        "winner_index": intent["data"]["winner_index"],
-                        "winner_name": intent["data"]["winner_name"],
-                        "value": data["value"],
-                    })
-            for intent, _ in journal.applied_intents("admit"):
-                floor = max(floor, intent["data"]["request"] + 1)
-            for intent in journal.sealed_unapplied_intents("admit"):
-                floor = max(floor, intent["data"]["request"] + 1)
+            floor = max(floor, restart_seq_floor(journal))
         ensure_seq_at_least(floor)
         report.seq_floor = floor
 
@@ -563,31 +545,22 @@ class ClusterRouter:
         for rseq, (sid, journal, intent) in sorted(pending.items()):
             data = intent["data"]
             tenant = data.get("tenant", "?")
-            win = applied.get(rseq)
-            if win is not None:
+            won = next(
+                ((wsid, outcome) for wsid, wjournal in items
+                 if (outcome := replay_block_win(wjournal, rseq)) is not None),
+                None,
+            )
+            if won is not None:
                 # applied somewhere (possibly a takeover survivor):
                 # replay the durable value, never re-run
-                wsid, wdata = win
+                wsid, outcome = won
                 _settle_admit_best_effort(
                     journal, intent["seq"],
                     "recovered" if wsid == sid else "recovered-remote",
                 )
-                outcome = BlockOutcome(
-                    winner=AlternativeResult(
-                        index=wdata["winner_index"], name=wdata["winner_name"],
-                        value=wdata["value"], succeeded=True,
-                    ),
-                    elapsed_s=0.0,
-                )
-                outcome.extras["journal_recovered"] = True
                 report.replayed.append(rseq)
-                report.results[rseq] = ClusterResult(
-                    status="committed", tenant=tenant, seq=rseq,
-                    shard_id=wsid, failover="replayed",
-                    result=ServeResult(
-                        status="committed", tenant=tenant, seq=rseq,
-                        outcome=outcome, replayed=True,
-                    ),
+                report.results[rseq] = _replayed_result(
+                    tenant, rseq, wsid, outcome
                 )
                 router._count(router._failover_c, mode="replayed")
                 continue
@@ -723,6 +696,15 @@ class ClusterRouter:
                     return other, home
         return home, None
 
+    @staticmethod
+    def _submit_to(target: ClusterShard, seq: int, rec: _Inflight) -> None:
+        """Hand ``rec`` to ``target``'s service under its cluster-wide seq."""
+        target.service.submit(
+            rec.tenant, rec.alternatives, initial=rec.initial,
+            priority=rec.priority, deadline_at=rec.deadline_at,
+            timeout=rec.timeout, cost=rec.cost, seq=seq, spec=rec.spec,
+        )
+
     def _place(self, seq: int, rec: _Inflight, exclude: set[int] | None = None) -> None:
         """Land ``rec`` on a live shard; walk candidates on refusal."""
         exclude = set() if exclude is None else set(exclude)
@@ -730,12 +712,7 @@ class ClusterRouter:
         while True:
             target, spilled_from = self._pick(rec.tenant, exclude)
             try:
-                target.service.submit(
-                    rec.tenant, rec.alternatives, initial=rec.initial,
-                    priority=rec.priority, deadline_at=rec.deadline_at,
-                    timeout=rec.timeout, cost=rec.cost, seq=seq,
-                    spec=rec.spec,
-                )
+                self._submit_to(target, seq, rec)
             except (AdmissionRejected, ServiceStopped, ShardUnreachable) as exc:
                 # ShardUnreachable — a remote shard's transport gave up
                 # (retries exhausted or breaker open) — walks on exactly
@@ -761,9 +738,9 @@ class ClusterRouter:
                 # the check, a re-land would run the block twice.
                 target.crash()
                 self._count(self._takeover_c, kind="journal-crash")
-                win = find_block_win(target.journal, seq)
-                if win is not None:
-                    self._settle_replayed(seq, rec, target.shard_id, win)
+                outcome = replay_block_win(target.journal, seq)
+                if outcome is not None:
+                    self._settle_replayed(seq, rec, target.shard_id, outcome)
                     return
                 exclude.add(target.shard_id)
                 if not self._candidates(rec.tenant, exclude):
@@ -804,39 +781,37 @@ class ClusterRouter:
             return True
 
     def _settle_replayed(
-        self, seq: int, rec: _Inflight, shard_id: int, win: dict
+        self, seq: int, rec: _Inflight, shard_id: int, outcome: BlockOutcome
     ) -> None:
         """Settle ``seq`` from a durable journalled win (exactly-once).
 
         Used when a shard died with the request's ``block`` transaction
         already applied in its journal: the value is replayed, never
-        re-run — the same move :meth:`takeover` and :meth:`restore`
-        make, packaged for the placement-walk crash paths.
+        re-run — by :meth:`takeover` and by the placement-walk crash
+        paths alike (:meth:`restore`, which has no ticket to settle,
+        builds the same result).
         """
         with self._lock:
             rec.shard_id = shard_id
             self._inflight.pop(seq, None)
         self._finish_orphan_lease(rec, relanded_to=None)
         rec.failover = "replayed"
-        outcome = BlockOutcome(
-            winner=AlternativeResult(
-                index=win["winner_index"], name=win["winner_name"],
-                value=win["value"], succeeded=True,
-            ),
-            elapsed_s=0.0,
-        )
-        outcome.extras["journal_recovered"] = True
         self._count(self._failover_c, mode="replayed")
         self._settle(
             seq,
+            _replayed_result(rec.tenant, seq, shard_id, outcome, rec.attempts),
+        )
+
+    def _settle_failed(self, seq: int, rec: _Inflight, reason: str) -> None:
+        """Fail an accepted request that no surviving shard would take."""
+        with self._lock:
+            self._inflight.pop(seq, None)
+        self._settle(
+            seq,
             ClusterResult(
-                status="committed", tenant=rec.tenant, seq=seq,
-                shard_id=shard_id, failover="replayed",
-                attempts=rec.attempts,
-                result=ServeResult(
-                    status="committed", tenant=rec.tenant, seq=seq,
-                    outcome=outcome, replayed=True,
-                ),
+                status="failed", tenant=rec.tenant, seq=seq,
+                shard_id=rec.shard_id, failover=rec.failover,
+                attempts=rec.attempts, reason=reason,
             ),
         )
 
@@ -879,16 +854,7 @@ class ClusterRouter:
             try:
                 self._place_or_spare(request.seq, rec, exclude={rec.shard_id})
             except (AdmissionRejected, NoSurvivingShard) as exc:
-                with self._lock:
-                    self._inflight.pop(request.seq, None)
-                self._settle(
-                    request.seq,
-                    ClusterResult(
-                        status="failed", tenant=rec.tenant, seq=request.seq,
-                        shard_id=rec.shard_id, failover=rec.failover,
-                        attempts=rec.attempts, reason=f"re-route failed: {exc}",
-                    ),
-                )
+                self._settle_failed(request.seq, rec, f"re-route failed: {exc}")
             return
         if rec.lease is not None and rec.lease.alive:
             rec.lease.complete(self._vclock)
@@ -959,41 +925,32 @@ class ClusterRouter:
             partitioned = self._router_partitioned(shard.shard_id, self._beat) or (
                 plan is not None and plan.link_down(shard.shard_id, now)
             )
-            lost = heartbeat_lost(plan, lease.lease_id, self._beat, t=now)
-            if answering and not partitioned and not lost:
-                lease.renew(now)
+            missed = lease.beats_missed
+            verdict = lease.beat(
+                now, alive=answering, reachable=not partitioned,
+                lost=heartbeat_lost(plan, lease.lease_id, self._beat, t=now),
+                reason=(
+                    "shard dead" if not answering
+                    else "router partitioned" if partitioned
+                    else "beat lost in flight"
+                ),
+            )
+            if lease.beats_missed == missed:  # the beat arrived
                 if shard.state is ShardState.SUSPECT:
                     shard.state = ShardState.UP
                     self._set_up_gauge()
                 self._maybe_stale_takeover(shard)
                 continue
             self._count(self._miss_c, shard=shard.shard_id)
-            reason = (
-                "shard dead" if not answering
-                else "router partitioned" if partitioned
-                else "beat lost in flight"
-            )
-            lease.miss(now, reason)
-            if shard.state is ShardState.UP:
-                shard.state = ShardState.SUSPECT
-            # probe: a synchronous liveness check straight at the shard —
-            # rescues a live shard behind a lost beat, but not one behind
-            # a partition (the probe takes the same dead path)
-            if answering and not partitioned:
-                lease.renew(now)
-                lease.note(now, "probe-ok")
+            # the lease probed (a synchronous liveness check straight at
+            # the shard): that rescues a live shard behind a lost beat,
+            # but not one behind a partition — the probe takes the same
+            # dead path
+            if verdict is LeaseState.ACTIVE:
                 shard.state = ShardState.UP
-                continue
-            lease.note(now, "probe-fail", reason)
-            if (
-                lease.consecutive_misses >= self.miss_threshold
-                or lease.check_expiry(now)
-            ):
-                why = (
-                    "lease expired" if lease.check_expiry(now)
-                    else f"{lease.consecutive_misses} consecutive misses"
-                )
-                lease.declare_dead(now, f"{why} ({reason})")
+            elif shard.state is ShardState.UP:
+                shard.state = ShardState.SUSPECT
+            if verdict is LeaseState.DEAD:
                 self.takeover(
                     shard.shard_id,
                     kind="crash" if not shard.alive else "stale",
@@ -1017,14 +974,14 @@ class ClusterRouter:
 
     # -- load balancing ----------------------------------------------------
     def steal_round(self) -> int:
-        """Move up to ``steal_batch`` requests from the most backlogged
-        shard to an idle one; returns how many moved."""
+        """Move up to :data:`STEAL_BATCH` requests from the most
+        backlogged shard to an idle one; returns how many moved."""
         with self._lock:
             ups = [s for s in self._shards.values() if s.state is ShardState.UP]
         if len(ups) < 2:
             return 0
         busy = max(ups, key=lambda s: s.backlog())
-        if busy.backlog() < self.steal_min_backlog:
+        if busy.backlog() < STEAL_MIN_BACKLOG:
             return 0
         idle = [
             s for s in ups
@@ -1035,7 +992,7 @@ class ClusterRouter:
         target = idle[0]
         moved = 0
         try:
-            stolen = busy.service.steal_requests(self.steal_batch)
+            stolen = busy.service.steal_requests(STEAL_BATCH)
         except ShardUnreachable:
             return 0  # busy shard went silent; the detector handles it
         for request in stolen:
@@ -1045,12 +1002,7 @@ class ClusterRouter:
                 continue  # resolved while being stolen; drop the copy
             rec.attempts += 1
             try:
-                target.service.submit(
-                    rec.tenant, rec.alternatives, initial=rec.initial,
-                    priority=rec.priority, deadline_at=rec.deadline_at,
-                    timeout=rec.timeout, cost=rec.cost, seq=request.seq,
-                    spec=rec.spec,
-                )
+                self._submit_to(target, request.seq, rec)
             except (
                 AdmissionRejected, ServiceStopped, ShardUnreachable,
                 JournalCrash,
@@ -1060,8 +1012,8 @@ class ClusterRouter:
                     # thief is a dead process, and the stolen request
                     # may already have raced through it (see _place)
                     target.crash()
-                    win = find_block_win(target.journal, request.seq)
-                    if win is not None:
+                    outcome = replay_block_win(target.journal, request.seq)
+                    if outcome is not None:
                         # the value is durable on the thief's journal:
                         # the source's sealed admit can close now
                         try:
@@ -1069,7 +1021,7 @@ class ClusterRouter:
                         except ShardUnreachable:
                             pass  # source silent; takeover settles its admit
                         self._settle_replayed(
-                            request.seq, rec, target.shard_id, win
+                            request.seq, rec, target.shard_id, outcome
                         )
                         moved += 1
                         continue
@@ -1078,16 +1030,8 @@ class ClusterRouter:
                 try:
                     self._place_or_spare(request.seq, rec)
                 except (AdmissionRejected, NoSurvivingShard) as exc:
-                    with self._lock:
-                        self._inflight.pop(request.seq, None)
-                    self._settle(
-                        request.seq,
-                        ClusterResult(
-                            status="failed", tenant=rec.tenant,
-                            seq=request.seq, shard_id=rec.shard_id,
-                            attempts=rec.attempts,
-                            reason=f"steal re-place failed: {exc}",
-                        ),
+                    self._settle_failed(
+                        request.seq, rec, f"steal re-place failed: {exc}"
                     )
                 continue
             # the thief's admit is sealed: only now is the hand-off
@@ -1204,34 +1148,10 @@ class ClusterRouter:
             ]
         replayed = relanded = failed = 0
         for seq, rec in orphans:
-            win = find_block_win(shard.journal, seq)
-            if win is not None:
+            outcome = replay_block_win(shard.journal, seq)
+            if outcome is not None:
                 replayed += 1
-                self._finish_orphan_lease(rec, relanded_to=None)
-                with self._lock:
-                    self._inflight.pop(seq, None)
-                rec.failover = "replayed"
-                outcome = BlockOutcome(
-                    winner=AlternativeResult(
-                        index=win["winner_index"], name=win["winner_name"],
-                        value=win["value"], succeeded=True,
-                    ),
-                    elapsed_s=0.0,
-                )
-                outcome.extras["journal_recovered"] = True
-                self._count(self._failover_c, mode="replayed")
-                self._settle(
-                    seq,
-                    ClusterResult(
-                        status="committed", tenant=rec.tenant, seq=seq,
-                        shard_id=shard_id, failover="replayed",
-                        attempts=rec.attempts,
-                        result=ServeResult(
-                            status="committed", tenant=rec.tenant, seq=seq,
-                            outcome=outcome, replayed=True,
-                        ),
-                    ),
-                )
+                self._settle_replayed(seq, rec, shard_id, outcome)
                 continue
             # never applied anywhere: re-land on the next preference
             rec.attempts += 1
@@ -1246,18 +1166,8 @@ class ClusterRouter:
                     mode = "spare"
             except (AdmissionRejected, NoSurvivingShard) as exc:
                 failed += 1
-                with self._lock:
-                    self._inflight.pop(seq, None)
                 self._count(self._failover_c, mode="lost")
-                self._settle(
-                    seq,
-                    ClusterResult(
-                        status="failed", tenant=rec.tenant, seq=seq,
-                        shard_id=shard_id, failover="relanded",
-                        attempts=rec.attempts,
-                        reason=f"re-land failed: {exc}",
-                    ),
-                )
+                self._settle_failed(seq, rec, f"re-land failed: {exc}")
                 continue
             relanded += 1
             self._count(self._failover_c, mode=mode)

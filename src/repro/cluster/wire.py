@@ -1,15 +1,15 @@
 """Framed RPC wire protocol for out-of-process shards.
 
-The shard transport needs exactly what the checkpoint wire
-(:mod:`repro.runtime.checkpoint`, ``MWCKPT2``) and the journal
-(``MWJRNL1``) already settled on: a length-prefixed frame whose CRC32 is
-verified **before** the payload is unpickled. A stream socket gives no
-message boundaries and no integrity — this module supplies both:
+The shard transport needs exactly what the journal (``MWJRNL1``)
+already settled on: a length-prefixed frame whose CRC32 is verified
+**before** the payload is unpickled. A stream socket gives no message
+boundaries and no integrity — this module supplies both:
 
-``MAGIC + <II>(body_len, crc32) + pickle(body)``
+``MAGIC +`` one :mod:`repro.util.framing` frame of ``pickle(body)``
 
-per frame. Unlike the journal (an append-only file scanned once at
-open), a socket frame that fails validation poisons the *stream*: a
+per message, the journal's own codec. Unlike the journal (an
+append-only file scanned once at open), a socket frame that fails
+validation poisons the *stream*: a
 torn length header makes every later byte unframeable, so the receiver
 raises :class:`~repro.errors.WireCorrupt`, the connection is reset, and
 the sender retries over a fresh connect — the same discipline TCP
@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import pickle
 import socket
-import struct
-import zlib
 from typing import Any
 
 from repro.errors import WireCorrupt
+from repro.util.framing import HEADER_SIZE, FrameDamage, frame, parse_header, verify
 
 __all__ = [
     "MAGIC",
@@ -41,7 +40,7 @@ __all__ = [
 ]
 
 MAGIC = b"MWRPC01\n"
-_HEADER = struct.Struct("<II")  # (body_len, crc32) — the MWJRNL1 pair
+_HEADER_END = len(MAGIC) + HEADER_SIZE
 
 #: Upper bound on one frame's pickled body. Checkpoints of world state
 #: ride the submit RPC, so this is generous — but a corrupt length
@@ -57,7 +56,7 @@ def pack_frame(body: Any) -> bytes:
             f"frame body of {len(payload)} bytes exceeds the "
             f"{MAX_FRAME_BYTES}-byte frame bound"
         )
-    return MAGIC + _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+    return frame(payload, MAGIC)
 
 
 def unpack_frame(blob: bytes) -> Any:
@@ -67,25 +66,30 @@ def unpack_frame(blob: bytes) -> Any:
     wrong magic, truncation, length out of bounds, CRC mismatch — and
     only unpickles bytes whose checksum matched.
     """
-    if len(blob) < len(MAGIC) + _HEADER.size:
+    if len(blob) < _HEADER_END:
         raise WireCorrupt(
             f"frame truncated: {len(blob)} bytes is shorter than the header"
         )
-    if blob[: len(MAGIC)] != MAGIC:
-        raise WireCorrupt(f"bad frame magic {blob[:len(MAGIC)]!r}")
-    body_len, crc = _HEADER.unpack_from(blob, len(MAGIC))
-    if body_len > MAX_FRAME_BYTES:
-        raise WireCorrupt(f"frame declares {body_len} bytes (bound exceeded)")
-    payload = blob[len(MAGIC) + _HEADER.size :]
-    if len(payload) != body_len:
-        raise WireCorrupt(
-            f"frame declares {body_len} body bytes but carries {len(payload)}"
-        )
-    got = zlib.crc32(payload)
-    if got != crc:
-        raise WireCorrupt(
-            f"frame CRC mismatch: expected {crc:#010x}, got {got:#010x}"
-        )
+    return _loads(blob[_HEADER_END:], *_declared(blob))
+
+
+def _declared(header: bytes) -> tuple[int, int]:
+    """``(body_len, crc)`` a frame's first ``_HEADER_END`` bytes declare,
+    once the magic matched and the length passed the bound."""
+    if header[: len(MAGIC)] != MAGIC:
+        raise WireCorrupt(f"bad frame magic {header[:len(MAGIC)]!r}")
+    try:
+        return parse_header(header, len(MAGIC), MAX_FRAME_BYTES)
+    except FrameDamage as damage:
+        raise WireCorrupt(str(damage)) from None
+
+
+def _loads(payload: bytes, body_len: int, crc: int) -> Any:
+    """Unpickle ``payload`` — only after it verified against its header."""
+    try:
+        verify(payload, body_len, crc)
+    except FrameDamage as damage:
+        raise WireCorrupt(str(damage)) from None
     return pickle.loads(payload)
 
 
@@ -119,16 +123,5 @@ def recv_frame(sock: socket.socket, timeout: float | None = None) -> Any:
     """
     if timeout is not None:
         sock.settimeout(timeout)
-    header = _recv_exact(sock, len(MAGIC) + _HEADER.size)
-    if header[: len(MAGIC)] != MAGIC:
-        raise WireCorrupt(f"bad frame magic {header[:len(MAGIC)]!r}")
-    body_len, crc = _HEADER.unpack_from(header, len(MAGIC))
-    if body_len > MAX_FRAME_BYTES:
-        raise WireCorrupt(f"frame declares {body_len} bytes (bound exceeded)")
-    payload = _recv_exact(sock, body_len)
-    got = zlib.crc32(payload)
-    if got != crc:
-        raise WireCorrupt(
-            f"frame CRC mismatch: expected {crc:#010x}, got {got:#010x}"
-        )
-    return pickle.loads(payload)
+    body_len, crc = _declared(_recv_exact(sock, _HEADER_END))
+    return _loads(_recv_exact(sock, body_len), body_len, crc)

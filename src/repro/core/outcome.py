@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Sequence
 
 from repro.analysis.overhead import OverheadBreakdown
 
@@ -111,6 +111,14 @@ class BlockOutcome:
         """"local" when an rfork exhausted its retries and ran here, else None."""
         rfork = self.extras.get("rfork")
         return rfork.get("fallback") if rfork else None
+
+    def remap_indexes(self, positions: Sequence[int]) -> None:
+        """Report in the caller's positions a block that ran a chosen
+        subset of its alternatives: ``positions[i]`` is where the run's
+        alternative ``i`` sits in the caller's list."""
+        for result in (self.winner, *self.losers):
+            if result is not None and 0 <= result.index < len(positions):
+                result.index = positions[result.index]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         who = self.winner.name if self.winner else "FAILURE"

@@ -21,7 +21,7 @@ fault-plan seed:
   healed link then rescues it.
 
 :class:`RemoteWorldLease` is the pure state machine + event log;
-:meth:`repro.faults.Supervisor.run_remote` drives it.
+:meth:`repro.faults.Supervisor.run_remote` and the cluster router drive it.
 """
 
 from __future__ import annotations
@@ -118,10 +118,6 @@ class RemoteWorldLease:
                     track=f"lease:{self.lease_id}", t=at_s, detail=detail,
                 )
 
-    def note(self, at_s: float, event: str, detail: str = "") -> None:
-        """Record an observation (probe result, …) without a transition."""
-        self._log(at_s, event, detail)
-
     @property
     def event_names(self) -> list[str]:
         return [e.event for e in self.events]
@@ -148,13 +144,36 @@ class RemoteWorldLease:
             self.state = LeaseState.SUSPECT
             self._log(at_s, "suspect", reason)
 
-    @property
-    def expired(self) -> bool:
-        """No renewal for a full term (check against a current time)."""
-        return self.state is LeaseState.DEAD
-
     def check_expiry(self, now_s: float) -> bool:
         return (now_s - self.last_renewal_s) >= self.term_s
+
+    def beat(
+        self, at_s: float, *, alive: bool, reachable: bool, lost: bool, reason: str
+    ) -> LeaseState:
+        """One failure-detector beat; returns the state it leaves.
+
+        An arriving beat renews; a miss is probed. The probe, a synchronous
+        liveness check, rescues an ``alive``, ``reachable`` holder whose
+        beat was only ``lost`` in flight; failing it for a whole term, or
+        ``miss_threshold`` times running, declares the holder dead. A
+        settled lease (one no longer :attr:`alive`) is left untouched.
+        """
+        if not self.alive:
+            return self.state
+        missed = lost or not (alive and reachable)
+        if missed:
+            self.miss(at_s, reason)
+        if alive and reachable:
+            self.renew(at_s)
+            if missed:
+                self._log(at_s, "probe-ok")
+            return self.state
+        self._log(at_s, "probe-fail", reason)
+        if self.check_expiry(at_s):
+            self.declare_dead(at_s, f"lease expired ({reason})")
+        elif self.consecutive_misses >= self.miss_threshold:
+            self.declare_dead(at_s, f"{self.consecutive_misses} consecutive misses ({reason})")
+        return self.state
 
     def declare_dead(self, at_s: float, reason: str) -> None:
         """Declare the holder dead. Idempotent on settled leases.
@@ -162,15 +181,11 @@ class RemoteWorldLease:
         A lease that already ``COMPLETED`` (the result committed), was
         ``RECLAIMED`` (the orphan torn down) or is already ``DEAD`` must
         not be revived into ``DEAD`` — a late failure detector repeating
-        the declaration is a no-op, not a state change, and nothing is
-        re-logged.
+        the declaration changes no state and re-logs nothing.
         """
-        if self.state in (
-            LeaseState.COMPLETED, LeaseState.RECLAIMED, LeaseState.DEAD
-        ):
-            return
-        self.state = LeaseState.DEAD
-        self._log(at_s, "declare-dead", reason)
+        if self.alive:
+            self.state = LeaseState.DEAD
+            self._log(at_s, "declare-dead", reason)
 
     def reclaim(self, at_s: float) -> None:
         """Tear down the orphan's record; its results can no longer commit.

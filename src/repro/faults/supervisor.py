@@ -201,22 +201,13 @@ class Supervisor:
         With a ``journal``, a win already applied for this ``block_id``
         (by a previous incarnation that crashed after sealing) is
         replayed without running anything — the outcome carries
-        ``extras["journal_recovered"] = True``.
+        ``extras["journal_recovered"]``.
         """
         if self.journal is not None:
-            from repro.core.outcome import AlternativeResult
-            from repro.journal import find_block_win
+            from repro.journal import replay_block_win
 
-            win = find_block_win(self.journal, self.block_id)
-            if win is not None:
-                replayed = BlockOutcome(
-                    winner=AlternativeResult(
-                        index=win["winner_index"], name=win["winner_name"],
-                        value=win["value"], succeeded=True,
-                    ),
-                    elapsed_s=0.0,
-                )
-                replayed.extras["journal_recovered"] = True
+            replayed = replay_block_win(self.journal, self.block_id)
+            if replayed is not None:
                 self._count(
                     "mw_supervised_blocks_total", "Supervised block outcomes",
                     result="journal-replayed",
@@ -255,11 +246,7 @@ class Supervisor:
                 **kwargs,
             )
             # map wave-local indexes back to the caller's positions
-            index_map = {i: orig for i, (orig, _) in enumerate(active)}
-            if outcome.winner is not None:
-                outcome.winner.index = index_map.get(outcome.winner.index, outcome.winner.index)
-            for loser in outcome.losers:
-                loser.index = index_map.get(loser.index, loser.index)
+            outcome.remap_indexes([orig for orig, _ in active])
             history.append({
                 "attempt": attempt,
                 "backend": chain[0],
@@ -319,12 +306,12 @@ class Supervisor:
            bounded retries (drops, partitions and corrupt deliveries each
            re-roll per attempt);
         2. grant a :class:`~repro.distrib.lease.RemoteWorldLease` and
-           watch heartbeats every ``lease.heartbeat_s`` while the remote
-           works for ``work_s`` virtual seconds. A missed beat (lost in
-           flight, link flap, or node crash — all fault-plan sites) makes
-           the lease SUSPECT and triggers a probe; a successful probe
-           rescues it, ``miss_threshold`` consecutive misses or a full
-           term without renewal declare the holder dead;
+           feed it one :meth:`~repro.distrib.lease.RemoteWorldLease.beat`
+           every ``lease.heartbeat_s`` while the remote works for
+           ``work_s`` virtual seconds. A beat goes missing when it is
+           lost in flight, the link flaps or the node crashed (all
+           fault-plan sites); the lease's miss → probe → declare ladder
+           decides when that means the holder is dead;
         3. a dead (or never-reachable) remote world is reclaimed and its
            work re-landed locally via :meth:`run`, recording the hop in
            ``extras["degraded"]`` — the remote rung of the
@@ -335,7 +322,9 @@ class Supervisor:
         and ``relanded`` when local recovery ran.
         """
         from repro.core.outcome import AlternativeResult
-        from repro.distrib.lease import RemoteNode, RemoteWorldLease, heartbeat_lost
+        from repro.distrib.lease import (
+            LeaseState, RemoteNode, RemoteWorldLease, heartbeat_lost,
+        )
         from repro.distrib.retry import call_with_retries
         from repro.distrib.rfork import _RETRYABLE, RemoteFork
         from repro.errors import RetriesExhausted
@@ -404,31 +393,13 @@ class Supervisor:
                 if node_alive and now >= done_at:
                     lease.complete(done_at)
                     break
-                lost = heartbeat_lost(plan, lease.lease_id, beat, t=now) or (
-                    plan is not None and plan.link_down(link.link_id, now)
+                verdict = lease.beat(
+                    now, alive=node_alive,
+                    reachable=plan is None or not plan.link_down(link.link_id, now),
+                    lost=heartbeat_lost(plan, lease.lease_id, beat, t=now),
+                    reason="beat lost in flight" if node_alive else "node crashed",
                 )
-                if node_alive and not lost:
-                    lease.renew(now)
-                    continue
-                reason = "node crashed" if not node_alive else "beat lost in flight"
-                lease.miss(now, reason)
-                # probe: a deliberate synchronous liveness check. A live
-                # node behind a lost beat answers; a crashed one cannot.
-                if node_alive and not (plan is not None and plan.link_down(link.link_id, now)):
-                    lease.renew(now)
-                    lease.note(now, "probe-ok")
-                    continue
-                lease.note(now, "probe-fail", reason)
-                if (
-                    lease.consecutive_misses >= lease.miss_threshold
-                    or lease.check_expiry(now)
-                ):
-                    why = (
-                        "lease expired"
-                        if lease.check_expiry(now)
-                        else f"{lease.consecutive_misses} consecutive misses"
-                    )
-                    lease.declare_dead(now, f"{why} ({reason})")
+                if verdict is LeaseState.DEAD:
                     lease.reclaim(now)
                     dead_reason = "lease-expired"
             remote_report["beats_ok"] = lease.beats_ok

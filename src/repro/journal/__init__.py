@@ -5,11 +5,11 @@ not protect: the atomic "child becomes parent" replacement at commit,
 and the rule that speculative worlds never touch non-retryable *sources*
 directly. This package makes both survivable:
 
-- :class:`CommitJournal` — a CRC-framed write-ahead intent log (the
-  MWCKPT2 framing style of :mod:`repro.runtime.checkpoint`, applied to a
-  record stream). Every commit, elimination, predicate split and source
-  release flows through it as an ``intent -> seal -> apply`` transaction;
-  the seal record is the durable decision point.
+- :class:`CommitJournal` — a CRC-framed write-ahead intent log (a
+  stream of :mod:`repro.util.framing` frames). Every commit,
+  elimination, predicate split and source release flows through it as
+  an ``intent -> seal -> apply`` transaction; the seal record is the
+  durable decision point.
 - :class:`SourceGate` — a sink-style façade over a source device.
   Speculative worlds accumulate source effects in a per-world effect
   ledger; at commit the ledger is released to the inner device
@@ -40,6 +40,7 @@ from repro.journal.wal import (
     find_block_win,
     read_quarantine,
     record_block_win,
+    replay_block_win,
 )
 
 __all__ = [
@@ -53,4 +54,5 @@ __all__ = [
     "read_quarantine",
     "record_block_win",
     "recover",
+    "replay_block_win",
 ]

@@ -1,10 +1,9 @@
 """The write-ahead commit journal.
 
-One append-only byte stream of CRC-framed records (the MWCKPT2 idiom of
-:mod:`repro.runtime.checkpoint`, per record instead of per image):
+One append-only byte stream of CRC-framed records:
 
     magic ``MWJRNL1\\n`` once, then repeated
-    ``<II>(body_len, crc32)`` + pickled body
+    :mod:`repro.util.framing` frames, each of one pickled record
 
 A record whose frame is incomplete or whose checksum does not match is a
 *torn tail*: opening the journal truncates it away (crash-during-append
@@ -72,14 +71,23 @@ from __future__ import annotations
 import json
 import os
 import pickle
-import struct
 import warnings
-import zlib
 from dataclasses import dataclass
 from typing import Any
 
+from repro.core.outcome import AlternativeResult, BlockOutcome
 from repro.errors import JournalCrash, JournalError
 from repro.faults.plan import JOURNAL_SITE, SNAPSHOT_SITE, FaultKind
+from repro.util.framing import (
+    BAD_CRC,
+    HEADER_SIZE,
+    TORN_BODY,
+    TORN_HEADER,
+    FrameDamage,
+    frame,
+    parse_header,
+    read_frame,
+)
 
 MAGIC = b"MWJRNL1\n"
 #: Marker preceding a snapshot frame. A snapshot interprets as a regular
@@ -88,7 +96,21 @@ MAGIC = b"MWJRNL1\n"
 #: snapshot (its frame declares its length) instead of truncating the
 #: good records behind it.
 SNAP_MAGIC = b"MWSNAP1\n"
-_FRAME = struct.Struct("<II")
+
+#: The verdict the codec cannot give: the CRC passed, the pickle did not load.
+_UNPICKLABLE = "unpicklable"
+#: Quarantine reasons, by what was being read and what was wrong with it.
+_REASONS = {
+    False: {
+        TORN_HEADER: "torn frame header", TORN_BODY: "torn record body",
+        BAD_CRC: "record CRC mismatch", _UNPICKLABLE: "record unpicklable",
+    },
+    True: {
+        TORN_HEADER: "torn snapshot frame header",
+        TORN_BODY: "torn snapshot body",
+        BAD_CRC: "snapshot CRC mismatch", _UNPICKLABLE: "snapshot unpicklable",
+    },
+}
 
 #: Intent kinds that are looked up once per request, and the ``data``
 #: field that identifies them. ``find_sealed`` / ``find_applied`` answer
@@ -98,8 +120,8 @@ _LOOKUP_KEY = {"block": "block", "admit": "request"}
 
 #: The strings every record repeats: top-level keys, record types, the
 #: keyed kinds. Each record is unpickled on its own, so without this
-#: table a reopened journal holds a private copy of them per record;
-#: ``_open`` swaps them for these.
+#: table every record read back holds a private copy of them;
+#: ``_scan`` swaps them for these.
 _SHARED = {
     s: s for s in (
         "t", "seq", "kind", "data", "reason", "device", "eid", "pos_start",
@@ -331,6 +353,65 @@ def read_quarantine(path: str) -> list[tuple[QuarantineEntry, bytes]]:
     return out
 
 
+def _scan(raw: bytes):
+    """One pass over a journal image, touching nothing but the bytes.
+
+    Yields ``(what, item)`` in stream order: ``"record"`` with the
+    record, ``"snapshot"`` with the state of each loadable snapshot, and
+    a ``(QuarantineEntry, blob)`` pair under ``"damage"`` for a stretch
+    that is stepped over or ``"torn"`` for one that runs to the end —
+    the valid stream stops where that entry starts (a reopen truncates
+    there; a reader of a live journal just stops).
+    """
+    offset, end = len(MAGIC), len(raw)
+    share = _SHARED.get
+    while offset < end:
+        snap = raw.startswith(SNAP_MAGIC, offset)
+        at = offset + len(SNAP_MAGIC) if snap else offset
+        try:
+            body, after = read_frame(raw, at)
+        except FrameDamage as damage:
+            # CRC checked before unpickle — unverified bytes are
+            # never deserialised.
+            verdict = damage.verdict
+            crcs = (damage.crc_expected, damage.crc_got)
+        else:
+            try:
+                item = pickle.loads(body)
+            except Exception:  # pragma: no cover - CRC passed, unreadable
+                verdict = _UNPICKLABLE
+                crcs = (parse_header(raw, at)[1],) * 2
+            else:
+                if not snap:
+                    # a plain loop: measurably cheaper here than a comprehension
+                    unshared, item = item, {}
+                    for key in unshared:
+                        item[share(key, key)] = unshared[key]
+                    t = item["t"] = share(item["t"], item["t"])
+                    if t == "intent":
+                        item["kind"] = share(item["kind"], item["kind"])
+                yield ("snapshot" if snap else "record"), item
+                offset = after
+                continue
+        # A snapshot that is *complete but corrupt* is stepped over —
+        # its frame header declares its length — so every record behind
+        # it still replays: corruption degrades to full-replay recovery,
+        # never to data loss. (If the length field itself was damaged,
+        # the step lands mid-stream and the next frame fails its CRC,
+        # truncating from there.) Anything else is a torn tail.
+        stepped = snap and verdict in (BAD_CRC, _UNPICKLABLE)
+        stop = at + HEADER_SIZE + parse_header(raw, at)[0] if stepped else end
+        yield ("damage" if stepped else "torn"), (
+            QuarantineEntry(
+                site="snapshot" if snap else "tail", offset=offset,
+                length=stop - offset, reason=_REASONS[snap][verdict],
+                crc_expected=crcs[0], crc_got=crcs[1],
+            ),
+            raw[offset:stop],
+        )
+        offset = stop
+
+
 class CommitJournal:
     """The append-only intent log, with torn-tail repair on open.
 
@@ -378,7 +459,6 @@ class CommitJournal:
             obs.tracer.set_track_name("journal", "commit journal")
             if fault_plan is not None:
                 obs.watch_fault_plan(fault_plan)
-        self._records: list[dict] = []
         self._intents: dict[int, dict] = {}
         # the lookup index, beside _intents and never persisted: per
         # keyed kind, key -> seq of the first intent carrying it, plus
@@ -392,10 +472,11 @@ class CommitJournal:
         self._frontiers: dict[str, int] = {}
         self._reads: dict[str, bytearray] = {}
         self._armed: dict[int, FaultKind] = {}
-        self._snap_released: dict[int, set[int]] = {}
         self._next_seq = 1
         self._snap_index = 0
-        self._snap_mark = 0
+        #: records in storage after the latest snapshot — what a reopen
+        #: replays, and what :meth:`records` decodes
+        self._since_snapshot = 0
         self._last_snapshot_frame: bytes | None = None
         self.repaired_bytes = 0
         self.restored_from_snapshot = False
@@ -421,124 +502,18 @@ class CommitJournal:
                 self.storage.append(MAGIC)
                 return
             raise JournalError("not a commit journal (bad magic)")
-        offset = len(MAGIC)
-        end = len(raw)
-        share = _SHARED.get
-        tail_detail: tuple[str, int | None, int | None] | None = None
-        while offset < end:
-            if raw.startswith(SNAP_MAGIC, offset):
-                advance = self._scan_snapshot(raw, offset)
-                if advance is None:
-                    # torn snapshot at the tail: already quarantined by
-                    # _scan_snapshot, just truncate it away below.
-                    tail_detail = None
-                    break
-                offset += advance
-                continue
-            if offset + _FRAME.size > end:
-                tail_detail = ("torn frame header", None, None)
-                break
-            body_len, crc = _FRAME.unpack_from(raw, offset)
-            body = raw[offset + _FRAME.size : offset + _FRAME.size + body_len]
-            if len(body) < body_len:
-                tail_detail = ("torn record body", crc, None)
-                break
-            if zlib.crc32(body) != crc:
-                # CRC checked before unpickle — unverified bytes are
-                # never deserialised.
-                tail_detail = ("record CRC mismatch", crc, zlib.crc32(body))
-                break
-            try:
-                record = pickle.loads(body)
-            except Exception:  # pragma: no cover - CRC passed, unreadable
-                tail_detail = ("record unpicklable", crc, crc)
-                break
-            # a plain loop: measurably cheaper here than a comprehension
-            unshared, record = record, {}
-            for key in unshared:
-                record[share(key, key)] = unshared[key]
-            t = record["t"] = share(record["t"], record["t"])
-            if t == "intent":
-                record["kind"] = share(record["kind"], record["kind"])
-            self._index(record)
-            self._records.append(record)
-            offset += _FRAME.size + body_len
-        if offset < end:
-            tail = raw[offset:end]
-            self.repaired_bytes = len(tail)
-            if tail_detail is not None:
-                reason, crc_expected, crc_got = tail_detail
-                self._quarantine(
-                    QuarantineEntry(
-                        site="tail", offset=offset, length=len(tail),
-                        reason=reason, crc_expected=crc_expected,
-                        crc_got=crc_got,
-                    ),
-                    tail,
-                )
-            self.storage.truncate(offset)
-
-    def _scan_snapshot(self, raw: bytes, offset: int) -> int | None:
-        """Parse one snapshot frame at ``offset``.
-
-        Returns the bytes consumed, or None when the snapshot is torn at
-        the tail (the caller truncates the stream there). A snapshot
-        that is *complete but corrupt* (CRC mismatch / unpicklable) is
-        quarantined and stepped over — its frame header declares its
-        length — so every record behind it still replays: corruption
-        degrades to full-replay recovery, never to data loss. (If the
-        length field itself was damaged, the step lands mid-stream and
-        the next frame fails its CRC, truncating from there — still no
-        unverified bytes are ever deserialised.)
-        """
-        start = offset
-        hdr = offset + len(SNAP_MAGIC)
-        end = len(raw)
-        if hdr + _FRAME.size > end:
-            self._quarantine(
-                QuarantineEntry(
-                    site="snapshot", offset=start, length=end - start,
-                    reason="torn snapshot frame header",
-                ),
-                raw[start:end],
-            )
-            return None
-        body_len, crc = _FRAME.unpack_from(raw, hdr)
-        body = raw[hdr + _FRAME.size : hdr + _FRAME.size + body_len]
-        if len(body) < body_len:
-            self._quarantine(
-                QuarantineEntry(
-                    site="snapshot", offset=start, length=end - start,
-                    reason="torn snapshot body", crc_expected=crc,
-                ),
-                raw[start:end],
-            )
-            return None
-        total = len(SNAP_MAGIC) + _FRAME.size + body_len
-        if zlib.crc32(body) != crc:
-            self._quarantine(
-                QuarantineEntry(
-                    site="snapshot", offset=start, length=total,
-                    reason="snapshot CRC mismatch", crc_expected=crc,
-                    crc_got=zlib.crc32(body),
-                ),
-                raw[start : start + total],
-            )
-            return total
-        try:
-            state = pickle.loads(body)
-        except Exception:  # pragma: no cover - CRC passed, unreadable
-            self._quarantine(
-                QuarantineEntry(
-                    site="snapshot", offset=start, length=total,
-                    reason="snapshot unpicklable", crc_expected=crc,
-                    crc_got=crc,
-                ),
-                raw[start : start + total],
-            )
-            return total
-        self._load_snapshot(state)
-        return total
+        for what, item in _scan(raw):
+            if what == "record":
+                self._index(item)
+                self._since_snapshot += 1
+            elif what == "snapshot":
+                self._load_snapshot(item)
+            else:
+                entry, blob = item
+                self._quarantine(entry, blob)
+                if what == "torn":
+                    self.repaired_bytes = entry.length
+                    self.storage.truncate(entry.offset)
 
     def _load_snapshot(self, state: dict) -> None:
         """Adopt a snapshot's ledger, discarding the records before it.
@@ -559,13 +534,9 @@ class CommitJournal:
         self._aborted = set(state["aborted"])
         self._frontiers = dict(state["frontiers"])
         self._reads = {d: bytearray(b) for d, b in state["reads"].items()}
-        self._snap_released = {
-            seq: set(eids) for seq, eids in state.get("released", {}).items()
-        }
         self._next_seq = max(self._next_seq, int(state["next_seq"]))
         self._snap_index = max(self._snap_index, int(state["snap_index"]))
-        self._records = []
-        self._snap_mark = 0
+        self._since_snapshot = 0
         self.restored_from_snapshot = True
         self.snapshots_loaded += 1
 
@@ -622,7 +593,7 @@ class CommitJournal:
             raise JournalError(
                 f"unpicklable journal record {record.get('t')!r}: {exc}"
             ) from exc
-        return _FRAME.pack(len(body), zlib.crc32(body)) + body
+        return frame(body)
 
     def _check_poisoned(self) -> None:
         if self.poisoned:
@@ -635,7 +606,7 @@ class CommitJournal:
         self._check_poisoned()
         self.storage.append(self._frame(record))
         self._index(record)
-        self._records.append(record)
+        self._since_snapshot += 1
 
     # -- the transaction protocol ------------------------------------------
     def begin(self, kind: str, **data: Any) -> int:
@@ -785,17 +756,6 @@ class CommitJournal:
 
     # -- snapshots & compaction --------------------------------------------
     def _snapshot_state(self) -> dict:
-        released: dict[int, set[int]] = {
-            seq: set(eids) for seq, eids in self._snap_released.items()
-            if seq not in self._applied
-        }
-        for rec in self._records:
-            if (
-                rec["t"] == "release"
-                and rec["seq"] is not None
-                and rec["seq"] not in self._applied
-            ):
-                released.setdefault(rec["seq"], set()).add(rec["eid"])
         return {
             "snap_index": self._snap_index,
             "next_seq": self._next_seq,
@@ -810,9 +770,6 @@ class CommitJournal:
             "sealed": sorted(self._sealed),
             "applied": dict(self._applied),
             "aborted": sorted(self._aborted),
-            # eids already released under still-open release txns, so a
-            # post-compaction recovery redo still dedups them.
-            "released": {seq: sorted(eids) for seq, eids in released.items()},
         }
 
     def snapshot(self) -> int:
@@ -830,14 +787,15 @@ class CommitJournal:
         self._check_poisoned()
         self._snap_index += 1
         state = self._snapshot_state()
-        body = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
-        frame = SNAP_MAGIC + _FRAME.pack(len(body), zlib.crc32(body)) + body
+        blob = frame(
+            pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL), SNAP_MAGIC
+        )
         fault = None
         if self.fault_plan is not None:
             fault = self.fault_plan.decide(SNAPSHOT_SITE, self._snap_index).kind
         if fault is FaultKind.TORN_SNAPSHOT:
-            cut = len(SNAP_MAGIC) + max(1, (len(frame) - len(SNAP_MAGIC)) // 2)
-            self.storage.append(frame[:cut])
+            cut = len(SNAP_MAGIC) + max(1, (len(blob) - len(SNAP_MAGIC)) // 2)
+            self.storage.append(blob[:cut])
             self.poisoned = True
             self.fault_plan.note_injection(
                 SNAPSHOT_SITE, fault,
@@ -848,15 +806,15 @@ class CommitJournal:
                 f"injected torn snapshot (snapshot {self._snap_index})",
                 kind=fault,
             )
-        self.storage.append(frame)
-        self._last_snapshot_frame = frame
-        self._snap_mark = len(self._records)
+        self.storage.append(blob)
+        self._last_snapshot_frame = blob
+        self._since_snapshot = 0
         if self._snap_c is not None:
             self._snap_c.inc()
         if self.obs is not None:
             self.obs.tracer.instant(
                 "journal.snapshot", cat="journal", track="journal",
-                snapshot=self._snap_index, bytes=len(frame),
+                snapshot=self._snap_index, bytes=len(blob),
             )
         return self._snap_index
 
@@ -867,9 +825,10 @@ class CommitJournal:
         append and the rewrite loses nothing, the next open just loads
         the snapshot from the old image), then atomically replaces the
         whole journal with ``MAGIC + snapshot``. The exactly-once ledger
-        (frontiers, applied values, reads, open-txn released eids) rides
-        the snapshot, so recovery semantics are unchanged; only replay
-        length shrinks. Returns compaction stats. May raise
+        (frontiers, applied values, reads) rides the snapshot, so
+        recovery semantics are unchanged; only replay length shrinks.
+        Returns compaction stats (``records_dropped``: the records the
+        file held after its previous snapshot). May raise
         :class:`~repro.errors.JournalCrash` (``TORN_SNAPSHOT`` from the
         embedded snapshot, or ``COMPACTION_CRASH`` after the snapshot is
         durable but before the rewrite).
@@ -880,7 +839,7 @@ class CommitJournal:
                 "journal storage does not support compaction (no replace())"
             )
         before = len(self.storage)
-        dropped = len(self._records)
+        dropped = self._since_snapshot
         snap_index = self.snapshot()
         if self.fault_plan is not None:
             fault = self.fault_plan.decide(SNAPSHOT_SITE, snap_index).kind
@@ -895,8 +854,6 @@ class CommitJournal:
                     kind=fault,
                 )
         replace(MAGIC + self._last_snapshot_frame)
-        self._records = []
-        self._snap_mark = 0
         if self._compact_c is not None:
             self._compact_c.inc()
         stats = {
@@ -913,11 +870,25 @@ class CommitJournal:
 
     def records_since_snapshot(self) -> int:
         """Records appended after the latest snapshot — the replay bound."""
-        return len(self._records) - self._snap_mark
+        return self._since_snapshot
 
     # -- introspection -----------------------------------------------------
     def records(self) -> list[dict]:
-        return list(self._records)
+        """What a reopen of the storage would replay, decoded on demand:
+        the records after the latest loadable snapshot, up to the first
+        torn frame. Reads the storage and changes nothing — a live file
+        is never truncated or quarantined from here."""
+        out: list[dict] = []
+        for what, item in _scan(self.storage.load()):
+            if what == "record":
+                # the ledger's own copy of an intent, not a second one:
+                # intents are most of a journal's resident size
+                if item["t"] == "intent":
+                    item = self._intents.get(item["seq"], item)
+                out.append(item)
+            elif what == "snapshot":
+                out.clear()
+        return out
 
     def intent(self, seq: int) -> dict:
         try:
@@ -947,20 +918,6 @@ class CommitJournal:
     def sealed_unapplied(self) -> list[int]:
         """Sealed intents not yet applied — recovery rolls these forward."""
         return sorted(seq for seq in self._sealed if seq not in self._applied)
-
-    def released_eids(self, seq: int) -> set[int]:
-        """Effect ids already released under transaction ``seq``.
-
-        Unions the post-snapshot release records with the eids the
-        latest snapshot carried for still-open txns, so compaction never
-        forgets a partial release.
-        """
-        eids = set(self._snap_released.get(seq, ()))
-        eids.update(
-            r["eid"] for r in self._records
-            if r["t"] == "release" and r["seq"] == seq
-        )
-        return eids
 
     def _matches(self, seq: int, kind: str, match: dict) -> bool:
         intent = self._intents[seq]
@@ -1070,3 +1027,27 @@ def find_block_win(journal: CommitJournal, block_id: int) -> dict | None:
         "winner_name": intent["data"]["winner_name"],
         "value": applied["value"],
     }
+
+
+def replay_block_win(journal: CommitJournal, block_id: int) -> BlockOutcome | None:
+    """The outcome of ``block_id`` replayed from its journalled win, or
+    None when the journal holds no replayable win and the block must run.
+
+    The one place the policy "a journalled win is replayed, never
+    re-run" is spelled: the winner comes back with its durable value,
+    nothing executes (``elapsed_s`` is 0), and the outcome is marked
+    ``extras["journal_recovered"]`` so no layer above mistakes it for a
+    fresh run.
+    """
+    win = find_block_win(journal, block_id)
+    if win is None:
+        return None
+    outcome = BlockOutcome(
+        winner=AlternativeResult(
+            index=win["winner_index"], name=win["winner_name"],
+            value=win["value"], succeeded=True,
+        ),
+        elapsed_s=0.0,
+    )
+    outcome.extras["journal_recovered"] = True
+    return outcome

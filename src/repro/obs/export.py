@@ -320,7 +320,7 @@ class SpeculationReport:
         report.pages_written = stats.cow_faults
         report.faults_injected = len(kernel.faults_injected)
         if kernel.journal is not None:
-            report.journal_records = len(kernel.journal.records())
+            report.journal_records = kernel.journal.records_since_snapshot()
 
         tracer = getattr(obs, "tracer", None)
         world_spans = []

@@ -26,12 +26,12 @@ from typing import Any, Callable
 from repro.errors import CheckpointError
 from repro.runtime.report_channel import ReportChannel, ReportLost
 
-#: Legacy wire format: magic + <Qd>(name_len, created_at) + name + payload.
-_MAGIC_V1 = b"MWCKPT1\n"
-#: Current wire format adds a CRC32 over name + payload so a corrupt or
-#: torn image is rejected *before* anything reaches ``pickle.loads``:
-#: magic + <QdI>(name_len, created_at, crc) + name + payload.
+#: The wire format: magic + <QdI>(name_len, created_at, crc) + name +
+#: payload. The CRC32 covers the other header fields, the name and the
+#: payload, so a corrupt or torn image is rejected *before* anything
+#: reaches ``pickle.loads`` — there is no unverified way in.
 _MAGIC = b"MWCKPT2\n"
+_HEAD = struct.Struct("<QdI")
 
 
 @dataclass
@@ -71,7 +71,7 @@ class CheckpointImage:
         )
         return (
             _MAGIC
-            + struct.pack("<QdI", len(header), self.created_at, crc)
+            + _HEAD.pack(len(header), self.created_at, crc)
             + header
             + self.payload
         )
@@ -80,47 +80,33 @@ class CheckpointImage:
     def from_bytes(cls, blob: bytes) -> "CheckpointImage":
         """Parse a wire image, verifying structure and checksum.
 
-        Accepts the current (v2, CRC-verified) and legacy (v1, unverified)
-        formats. Every malformation — bad magic, truncated header, a
+        Every malformation — bad magic, truncated header, a
         ``name_len`` pointing past the blob, a checksum mismatch from a
         flipped byte or a torn tail — raises
         :class:`~repro.errors.CheckpointError` without touching the
         (pickled, therefore dangerous) payload.
         """
-        if blob.startswith(_MAGIC):
-            head_fmt, verified = "<QdI", True
-            offset = len(_MAGIC)
-        elif blob.startswith(_MAGIC_V1):
-            head_fmt, verified = "<Qd", False
-            offset = len(_MAGIC_V1)
-        else:
+        if not blob.startswith(_MAGIC):
             raise CheckpointError("not a checkpoint image (bad magic)")
-        head_size = struct.calcsize(head_fmt)
-        if len(blob) < offset + head_size:
+        offset = len(_MAGIC) + _HEAD.size
+        if len(blob) < offset:
             raise CheckpointError(
                 f"truncated checkpoint header: {len(blob)} bytes, "
-                f"need at least {offset + head_size}"
+                f"need at least {offset}"
             )
-        try:
-            fields = struct.unpack_from(head_fmt, blob, offset)
-        except struct.error as exc:  # pragma: no cover - length checked above
-            raise CheckpointError(f"unreadable checkpoint header: {exc}") from exc
-        name_len, created_at = fields[0], fields[1]
-        offset += head_size
+        name_len, created_at, crc = _HEAD.unpack_from(blob, len(_MAGIC))
         if name_len > len(blob) - offset:
             raise CheckpointError(
                 f"corrupt checkpoint header: name_len={name_len} exceeds "
                 f"remaining {len(blob) - offset} bytes"
             )
         body = blob[offset:]
-        if verified:
-            crc = fields[2]
-            actual = zlib.crc32(struct.pack("<Qd", name_len, created_at) + body)
-            if actual != crc:
-                raise CheckpointError(
-                    f"checkpoint checksum mismatch: header says {crc:#010x}, "
-                    f"body is {actual:#010x} (corrupt or torn image)"
-                )
+        actual = zlib.crc32(struct.pack("<Qd", name_len, created_at) + body)
+        if actual != crc:
+            raise CheckpointError(
+                f"checkpoint checksum mismatch: header says {crc:#010x}, "
+                f"body is {actual:#010x} (corrupt or torn image)"
+            )
         try:
             name = body[:name_len].decode()
         except UnicodeDecodeError as exc:

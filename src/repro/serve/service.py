@@ -62,6 +62,10 @@ from repro.serve.stats import AlternativeStats
 #: Latency buckets suited to request serving (5 ms .. 10 s).
 LATENCY_BUCKETS = (0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0)
 
+#: The per-request :class:`Supervisor`'s pause before retry wave *n*
+#: (``SUPERVISOR_BACKOFF_S * n``).
+SUPERVISOR_BACKOFF_S = 0.005
+
 
 @dataclass
 class ServeResult:
@@ -123,13 +127,16 @@ class RestartReport:
 class ServeTicket:
     """A caller's handle on a submitted request (a small future)."""
 
+    #: what :meth:`result` raises when the wait times out
+    _timeout_error = ServeError
+
     def __init__(self, tenant: str, seq: int) -> None:
         self.tenant = tenant
         self.seq = seq
         self._done = threading.Event()
-        self._result: ServeResult | None = None
+        self._result: Any = None
 
-    def _resolve(self, result: ServeResult) -> None:
+    def _resolve(self, result: Any) -> None:
         self._result = result
         self._done.set()
 
@@ -137,15 +144,25 @@ class ServeTicket:
     def done(self) -> bool:
         return self._done.is_set()
 
-    def result(self, timeout: float | None = None) -> ServeResult:
-        """Block until the service resolves this request."""
+    def result(self, timeout: float | None = None) -> Any:
+        """Block until the request is resolved; returns its result (a
+        :class:`ServeResult` from a service)."""
         if not self._done.wait(timeout):
-            raise ServeError(
+            raise self._timeout_error(
                 f"request {self.seq} (tenant {self.tenant!r}) not done "
                 f"within {timeout}s"
             )
         assert self._result is not None
         return self._result
+
+
+def restart_seq_floor(journal) -> int:
+    """The first request seq an incarnation restarted over ``journal``
+    may hand out: one past every request the journal ever named."""
+    seqs = [i["data"]["request"] for i, _ in journal.applied_intents("admit")]
+    seqs += [i["data"]["block"] for i, _ in journal.applied_intents("block")]
+    seqs += [i["data"]["request"] for i in journal.sealed_unapplied_intents("admit")]
+    return max(seqs, default=0) + 1
 
 
 class SpeculationService:
@@ -177,8 +194,8 @@ class SpeculationService:
         of running with whatever is free — the honest accounting for a
         policy that always spawns everything (the naive baseline). The
         default elastic grant is what makes adaptive serving pay.
-    supervisor_retries / supervisor_backoff_s:
-        Per-request :class:`Supervisor` knobs.
+    supervisor_retries:
+        Extra retry waves the per-request :class:`Supervisor` may run.
     fault_plan / journal / obs:
         The robustness planes, threaded through every layer. ``journal``
         also accepts a plain filesystem path (a ``str``), opened as a
@@ -213,7 +230,6 @@ class SpeculationService:
         grant_timeout_s: float = 5.0,
         require_full_grant: bool = False,
         supervisor_retries: int = 1,
-        supervisor_backoff_s: float = 0.005,
         fault_plan=None,
         journal=None,
         obs=None,
@@ -243,7 +259,6 @@ class SpeculationService:
         self.grant_timeout_s = grant_timeout_s
         self.require_full_grant = require_full_grant
         self.supervisor_retries = supervisor_retries
-        self.supervisor_backoff_s = supervisor_backoff_s
         self.fault_plan = fault_plan
         if isinstance(journal, str):
             # a filesystem path: the config form a shard-host child
@@ -441,15 +456,9 @@ class SpeculationService:
         kwargs.setdefault("journal_admission", True)
         svc = cls(budget, journal=journal, **kwargs)
 
-        floor = 1
-        for intent, _ in journal.applied_intents("admit"):
-            floor = max(floor, intent["data"]["request"] + 1)
-        for intent, _ in journal.applied_intents("block"):
-            floor = max(floor, intent["data"]["block"] + 1)
-        sealed = journal.sealed_unapplied_intents("admit")
-        for intent in sealed:
-            floor = max(floor, intent["data"]["request"] + 1)
+        floor = restart_seq_floor(journal)
         ensure_seq_at_least(floor)
+        sealed = journal.sealed_unapplied_intents("admit")
 
         report = RestartReport(
             recovery=recovery,
@@ -716,7 +725,6 @@ class SpeculationService:
         names = [a.name for a in alts]
 
         # ---- budget grant (bounded by the deadline) ----------------------
-        preempt_flag = threading.Event()
         if request.deadline_s is not None:
             grant_timeout = request.deadline_s - time.monotonic()
         else:
@@ -727,7 +735,6 @@ class SpeculationService:
             reservation = self.budget.reserve_blocking(
                 tenant, want=len(alts), min_slots=min_slots,
                 priority=request.priority,
-                on_preempt=lambda n: preempt_flag.set(),
                 timeout=grant_timeout,
             )
         if reservation is None:
@@ -798,7 +805,7 @@ class SpeculationService:
             # ---- run under a per-request supervisor -----------------------
             supervisor = Supervisor(
                 max_retries=self.supervisor_retries,
-                backoff_s=self.supervisor_backoff_s,
+                backoff_s=SUPERVISOR_BACKOFF_S,
                 fault_plan=self.fault_plan,
                 block_id=request.seq,
                 journal=self.journal,
@@ -815,7 +822,8 @@ class SpeculationService:
             outcome = supervisor.run(
                 wave, initial=request.initial, timeout=remaining, backend=backend,
             )
-            self._remap_indexes(outcome, decision)
+            # wave positions back to the caller's alternative list
+            outcome.remap_indexes(decision.order)
             replayed = bool(outcome.extras.get("journal_recovered"))
             if not replayed:
                 launched = [names[i] for i in decision.order]
@@ -892,15 +900,6 @@ class SpeculationService:
                 )
             )
         return wave
-
-    @staticmethod
-    def _remap_indexes(outcome: BlockOutcome, decision: SpeculationDecision) -> None:
-        """Map wave-position indexes back to the caller's alternative list."""
-        mapping = {rank: idx for rank, idx in enumerate(decision.order)}
-        if outcome.winner is not None:
-            outcome.winner.index = mapping.get(outcome.winner.index, outcome.winner.index)
-        for loser in outcome.losers:
-            loser.index = mapping.get(loser.index, loser.index)
 
 
 def _preemption_gate(fn, rank: int, reservation):

@@ -1,13 +1,17 @@
 """The cluster router: placement, spill/steal, decommission, failover."""
 
+import dataclasses
+import threading
 import time
 
 import pytest
 
 from repro.cluster import ClusterRouter, ClusterShard, ShardState
+from repro.core.outcome import AlternativeResult
 from repro.distrib.lease import LeaseState
-from repro.errors import ClusterError, NoSurvivingShard, ServiceStopped
+from repro.errors import ClusterError, JournalCrash, NoSurvivingShard, ServiceStopped
 from repro.faults.plan import CLUSTER_SITE, FaultKind, FaultPlan
+from repro.journal import CommitJournal, record_block_win
 from repro.obs import Observability
 
 
@@ -189,6 +193,76 @@ class TestCrashTakeover:
             assert victim.state is ShardState.DEAD
 
 
+class TestReplayIsOnePolicy:
+    """A journalled win settles a request the same way on every path."""
+
+    SEQ, TENANT, VALUE = 910_001, "t0", "the durable value"
+
+    def _journal_with_win(self, sealed_admit=False):
+        journal = CommitJournal()
+        if sealed_admit:
+            journal.seal(journal.begin(
+                "admit", request=self.SEQ, tenant=self.TENANT, priority=0,
+                cost=1.0, timeout=None, spec={"n": 1}, request_class="",
+            ))
+        record_block_win(
+            journal, self.SEQ, 0,
+            AlternativeResult(index=0, name="alt", value=self.VALUE, succeeded=True),
+        )
+        return journal
+
+    def _via_takeover(self):
+        # the shard dies with the request admitted and its win applied
+        shard = ClusterShard(0, slots=1, workers=1)
+        with ClusterRouter([shard]).start(detect=False) as router:
+            started = threading.Event()
+
+            def alt(ws):
+                started.set()
+                time.sleep(0.05)
+                return self.VALUE
+
+            ticket = router.submit(self.TENANT, [alt], seq=self.SEQ)
+            assert started.wait(10)
+            router.kill_shard(0)
+            assert router.takeover(0)["replayed"] == 1
+            return ticket.result(timeout=10)
+
+    def _via_place_journal_crash(self):
+        # the admit write kills the shard's journal; the win is already there
+        shard = ClusterShard(0, slots=1, workers=1, journal=self._journal_with_win())
+
+        def torn_admit(*args, **kwargs):
+            raise JournalCrash("injected torn admit")
+
+        with ClusterRouter([shard]).start(detect=False) as router:
+            shard.service.submit = torn_admit
+            ticket = router.submit(self.TENANT, value_alts("re-run"), seq=self.SEQ)
+            return ticket.result(timeout=10)
+
+    def _via_restore(self):
+        # the whole cluster died with the admit sealed and the win applied
+        router, report = ClusterRouter.restore(
+            {0: self._journal_with_win(sealed_admit=True)},
+            shard_kwargs=dict(slots=1, workers=1), detect=False,
+        )
+        router.stop()
+        assert report.replayed == [self.SEQ]
+        return report.results[self.SEQ]
+
+    def test_takeover_place_crash_and_restore_agree(self):
+        results = [
+            self._via_takeover(), self._via_place_journal_crash(), self._via_restore(),
+        ]
+        for result in results:
+            assert result.committed and result.replayed and result.shard_id == 0
+            assert result.failover == "replayed" and result.value == self.VALUE
+            assert result.result.outcome.extras == {"journal_recovered": True}
+            assert result.result.outcome.elapsed_s == 0.0
+        first, *rest = [dataclasses.replace(r, attempts=0) for r in results]
+        assert all(other == first for other in rest)
+
+
 class TestHeartbeatDetection:
     def test_silent_crash_is_detected_and_taken_over(self):
         with make_router(2, miss_threshold=3).start(detect=False) as router:
@@ -276,6 +350,43 @@ class TestInjectedClusterFaults:
                 assert router.shard(i).lease.alive
         finally:
             router.stop()
+
+    def test_detector_lease_log_of_a_seeded_run_is_pinned(self):
+        # captured on the tree before the beat moved onto the lease: a
+        # partition window probed in vain, a lost beat rescued, then the
+        # shard dies silently (beat 11) and is declared and reclaimed
+        plan = FaultPlan(seed=8, rates={
+            FaultKind.ROUTER_PARTITION: 0.4, FaultKind.HEARTBEAT_MISS: 0.3,
+            FaultKind.LINK_FLAP: 0.2,
+        })
+        shards = [ClusterShard(i, slots=1, workers=1, fault_plan=plan) for i in range(3)]
+        router = ClusterRouter(shards, fault_plan=plan).start(detect=False)
+        lease = shards[2].lease
+        try:
+            for beat in range(24):
+                if beat == 10:
+                    shards[2].crash()
+                router.heartbeat_round()
+        finally:
+            router.stop()
+        assert [(round(e.at_s, 4), e.event, e.detail) for e in lease.events] == [
+            (0.0, "granted", "term=0.5s"),
+            (0.1, "suspect", "router partitioned"),
+            (0.1, "probe-fail", "router partitioned"),
+            (0.2, "probe-fail", "router partitioned"),
+            (0.3, "recovered", ""),
+            (0.3, "probe-ok", ""),
+            (0.8, "suspect", "beat lost in flight"),
+            (0.8, "recovered", ""),
+            (0.8, "probe-ok", ""),
+            (1.0, "suspect", "router partitioned"),
+            (1.0, "probe-fail", "router partitioned"),
+            (1.1, "probe-fail", "shard dead"),
+            (1.2, "probe-fail", "shard dead"),
+            (1.2, "declare-dead", "3 consecutive misses (shard dead)"),
+            (1.2, "reclaim-orphan", ""),
+        ]
+        assert shards[2].state is ShardState.DEAD
 
     def test_crash_decision_is_deterministic(self):
         plan = FaultPlan(seed=4, rates={FaultKind.SHARD_CRASH: 0.5})

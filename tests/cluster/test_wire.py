@@ -1,5 +1,6 @@
 """The framed RPC wire: CRC-before-unpickle, bounds, stream transport."""
 
+import pickle
 import socket
 import threading
 
@@ -14,6 +15,7 @@ from repro.cluster.wire import (
     unpack_frame,
 )
 from repro.errors import WireCorrupt
+from repro.util import framing
 
 
 class TestFrameCodec:
@@ -23,6 +25,13 @@ class TestFrameCodec:
 
     def test_magic_leads_every_frame(self):
         assert pack_frame({}).startswith(MAGIC)
+
+    def test_layout_is_the_shared_codec(self):
+        # <II>(body_len, crc32) + body, little-endian: the bytes, pinned
+        assert framing.frame(b"abc") == bytes.fromhex("03000000c2412435616263")
+        assert framing.frame(b"abc", b"M") == b"M" + framing.frame(b"abc")
+        for body in (None, {"op": "ping", "args": {"n": [1, 2]}}):
+            assert pack_frame(body) == MAGIC + framing.frame(pickle.dumps(body))
 
     def test_bad_magic_rejected(self):
         frame = bytearray(pack_frame({"op": "ping"}))

@@ -23,21 +23,19 @@ class TestWireFormatV2:
         assert restored.name == "t"
         assert restored.restart() == 2
 
-    def test_legacy_v1_still_readable(self):
-        image = CheckpointImage.capture(_task, {"x": 4}, "old")
-        header = image.name.encode()
-        v1 = (
-            b"MWCKPT1\n"
-            + struct.pack("<Qd", len(header), image.created_at)
-            + header
-            + image.payload
-        )
-        restored = CheckpointImage.from_bytes(v1)
-        assert restored.restart() == 5
-
     def test_bad_magic_rejected(self):
         with pytest.raises(CheckpointError, match="magic"):
             CheckpointImage.from_bytes(b"NOTANIMG" + b"x" * 64)
+        # the retired v1 layout carried no checksum: its magic must not
+        # be a way to reach pickle.loads unverified
+        image = CheckpointImage.capture(_task, {"x": 4}, "old")
+        name = image.name.encode()
+        v1 = (
+            b"MWCKPT1\n" + struct.pack("<Qd", len(name), image.created_at)
+            + name + image.payload
+        )
+        with pytest.raises(CheckpointError, match="bad magic"):
+            CheckpointImage.from_bytes(v1)
 
     def test_truncated_header_raises_checkpoint_error(self):
         # satellite: a truncated header must not leak a bare struct.error
@@ -51,9 +49,6 @@ class TestWireFormatV2:
         blob = b"MWCKPT2\n" + struct.pack("<QdI", 1 << 40, 0.0, 0) + b"tiny"
         with pytest.raises(CheckpointError, match="name_len"):
             CheckpointImage.from_bytes(blob)
-        v1 = b"MWCKPT1\n" + struct.pack("<Qd", 1 << 40, 0.0) + b"tiny"
-        with pytest.raises(CheckpointError, match="name_len"):
-            CheckpointImage.from_bytes(v1)
 
     def test_flipped_byte_rejected_before_unpickling(self, monkeypatch):
         image = CheckpointImage.capture(_task, {"x": 1}, "guarded")

@@ -114,6 +114,69 @@ class TestTerminalTransitionGuards:
             lease.reclaim(0.3)
 
 
+def _lease_after(prelude):
+    lease = RemoteWorldLease(lease_id=1, node_id=2)  # term 0.5s, threshold 3
+    for step, at_s in prelude:
+        getattr(lease, step)(*at_s)
+    return lease
+
+
+class TestBeat:
+    """The failure detector's one step: what it is told, what it decides."""
+
+    UNREACHABLE = dict(alive=True, reachable=False, lost=False, reason="cut off")
+    CRASHED = dict(alive=False, reachable=True, lost=False, reason="crashed")
+
+    @pytest.mark.parametrize(
+        "prelude, at_s, seen, state, logged",
+        [
+            # the beat arrived: renew, nothing to log
+            ([], 0.1, dict(alive=True, reachable=True, lost=False, reason=""),
+             LeaseState.ACTIVE, []),
+            # lost in flight, holder alive and reachable: the probe rescues it
+            ([], 0.1, dict(alive=True, reachable=True, lost=True, reason="lost"),
+             LeaseState.ACTIVE, ["suspect", "recovered", "probe-ok"]),
+            # unreachable: the probe takes the beat's own dead path
+            ([], 0.1, UNREACHABLE, LeaseState.SUSPECT, ["suspect", "probe-fail"]),
+            # a crashed holder cannot answer the probe either
+            ([], 0.1, CRASHED, LeaseState.SUSPECT, ["suspect", "probe-fail"]),
+            # an arriving beat clears an earlier suspicion without a probe
+            ([("miss", (0.1, "lost"))], 0.2,
+             dict(alive=True, reachable=True, lost=False, reason=""),
+             LeaseState.ACTIVE, ["recovered"]),
+            # the third miss in a row reaches miss_threshold
+            ([("miss", (0.1, "x")), ("miss", (0.2, "x"))], 0.3, CRASHED,
+             LeaseState.DEAD, ["probe-fail", "declare-dead"]),
+            # a full term without renewal, whatever the miss counter says
+            ([], 0.5, UNREACHABLE, LeaseState.DEAD,
+             ["suspect", "probe-fail", "declare-dead"]),
+            # settled leases are left exactly as they were
+            ([("declare_dead", (0.1, "x"))], 0.2, CRASHED, LeaseState.DEAD, []),
+            ([("declare_dead", (0.1, "x")), ("reclaim", (0.1,))], 0.2,
+             dict(alive=True, reachable=True, lost=False, reason=""),
+             LeaseState.RECLAIMED, []),
+            ([("complete", (0.1,))], 0.2, UNREACHABLE, LeaseState.COMPLETED, []),
+        ],
+    )
+    def test_verdict_state_and_events(self, prelude, at_s, seen, state, logged):
+        lease = _lease_after(prelude)
+        before = list(lease.event_names)
+        counters = (lease.beats_ok, lease.beats_missed)
+        assert lease.beat(at_s, **seen) is state
+        assert lease.state is state
+        assert lease.event_names == before + logged
+        if not logged and state is not LeaseState.ACTIVE:
+            assert (lease.beats_ok, lease.beats_missed) == counters
+
+    def test_declaration_names_the_rule_and_the_reason(self):
+        lease = _lease_after([("miss", (0.1, "x")), ("miss", (0.2, "x"))])
+        lease.beat(0.3, **self.CRASHED)
+        assert lease.events[-1].detail == "3 consecutive misses (crashed)"
+        lease = _lease_after([])
+        lease.beat(0.5, **self.UNREACHABLE)
+        assert lease.events[-1].detail == "lease expired (cut off)"
+
+
 class TestTakeover:
     def test_takeover_requires_a_dead_holder(self):
         lease = RemoteWorldLease(lease_id=7, node_id=2)
@@ -234,6 +297,44 @@ class TestRunRemote:
         )
         assert outcome.winner is not None
         assert outcome.winner.value == 42
+
+    def test_lease_log_of_a_seeded_run_is_pinned(self):
+        # captured on the tree before the beat moved onto the lease: lost
+        # beats rescued by probes, then the node dies and is declared
+        sup, rfork = make_supervisor(
+            {
+                FaultKind.REMOTE_CRASH: 0.4, FaultKind.HEARTBEAT_MISS: 0.3,
+                FaultKind.LINK_FLAP: 0.3, FaultKind.XFER_DROP: 0.1,
+            },
+            seed=10,
+        )
+        outcome = sup.run_remote(
+            _answer, {"x": 2}, rfork=rfork, work_s=1.0,
+            local_backend="sequential",
+        )
+        events = [
+            (round(e["at_s"], 4), e["event"], e["detail"])
+            for e in outcome.lease_events
+        ]
+        assert events == [
+            (0.0, "granted", "term=0.5s"),
+            (0.101, "suspect", "beat lost in flight"),
+            (0.101, "recovered", ""),
+            (0.101, "probe-ok", ""),
+            (0.201, "suspect", "beat lost in flight"),
+            (0.201, "recovered", ""),
+            (0.201, "probe-ok", ""),
+            (0.401, "suspect", "beat lost in flight"),
+            (0.401, "recovered", ""),
+            (0.401, "probe-ok", ""),
+            (0.501, "suspect", "node crashed"),
+            (0.501, "probe-fail", "node crashed"),
+            (0.601, "probe-fail", "node crashed"),
+            (0.701, "probe-fail", "node crashed"),
+            (0.701, "declare-dead", "3 consecutive misses (node crashed)"),
+            (0.701, "reclaim-orphan", ""),
+        ]
+        assert outcome.relanded and outcome.winner.value == 42
 
     def test_same_seed_identical_lease_history(self):
         def run(seed):

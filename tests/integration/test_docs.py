@@ -28,6 +28,14 @@ def test_readme_quickstart_executes():
         "repro.runtime",
         "repro.distrib",
         "repro.analysis",
+        "repro.serve",
+        "repro.cluster",
+        "repro.journal",
+        "repro.faults",
+        "repro.obs",
+        "repro.aio",
+        "repro.chaos",
+        "repro.util",
     ],
 )
 def test_module_all_exports_resolve(module_name):

@@ -23,7 +23,10 @@ from repro.journal import (
     find_block_win,
     record_block_win,
 )
-from repro.journal.wal import MAGIC, SNAP_MAGIC, _FRAME
+from repro.journal.wal import MAGIC, SNAP_MAGIC
+
+#: the frame header, spelled here independently of the codec under test
+_FRAME = struct.Struct("<II")
 
 
 @dataclass

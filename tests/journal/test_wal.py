@@ -15,7 +15,11 @@ from repro.journal import (
     find_block_win,
     record_block_win,
 )
-from repro.journal.wal import MAGIC, _FRAME
+from repro.journal.wal import MAGIC
+from repro.util.framing import frame
+
+#: the frame header, spelled here independently of the codec under test
+_FRAME = struct.Struct("<II")
 
 
 def reopen(journal: CommitJournal) -> CommitJournal:
@@ -77,6 +81,40 @@ class TestFraming:
         j = CommitJournal(MemoryJournalStorage(MAGIC + frame))
         assert j.repaired_bytes == len(frame)
         assert j.records() == []
+
+    def test_storage_is_magic_plus_one_codec_frame_per_record(self):
+        storage = MemoryJournalStorage()
+        j = CommitJournal(storage)
+        admit = j.begin("admit", request=7, tenant="t0")
+        j.seal(admit)
+        lost = j.begin("block", block=7, attempt=0)
+        j.abort(lost, "retry")
+        won = j.begin("block", block=7, attempt=1)
+        j.seal(won)
+        j.mark_applied(won, value=49)
+        j.mark_applied(admit, status="committed")
+        records = j.records()
+        assert [r["t"] for r in records] == [
+            "intent", "seal", "intent", "abort", "intent", "seal",
+            "applied", "applied",
+        ]
+        assert storage.load() == MAGIC + b"".join(
+            frame(pickle.dumps(r, pickle.HIGHEST_PROTOCOL)) for r in records
+        )
+        # ... which a reopen replays unchanged, and leaves unchanged
+        assert reopen(j).records() == records
+        assert reopen(j).storage.load() == storage.load()
+
+    def test_records_reads_a_damaged_live_storage_without_repairing_it(self):
+        storage = MemoryJournalStorage()
+        j = CommitJournal(storage)
+        j.seal(j.begin("commit", group=1))
+        good = j.records()
+        storage.append(b"\x07\x00\x00")  # another writer's half-landed frame
+        image = storage.load()
+        assert j.records() == good
+        assert storage.load() == image and storage.quarantine_log == []
+        assert j.quarantines == [] and j.repaired_bytes == 0
 
     def test_file_storage_roundtrip(self, tmp_path):
         path = str(tmp_path / "journal.wal")

@@ -1,5 +1,11 @@
-"""Tests for shared utilities (ids, replayable RNG)."""
+"""Tests for shared utilities (ids, replayable RNG, the frame codec)."""
 
+import struct
+import zlib
+
+import pytest
+
+from repro.util import framing
 from repro.util.ids import IdAllocator
 from repro.util.rng import ReplayableRNG
 
@@ -61,3 +67,40 @@ class TestReplayableRNG:
         ReplayableRNG(9).shuffle(b)
         assert a == b
         assert sorted(a) == list(range(10))
+
+
+class TestFraming:
+    def test_frames_read_back_in_sequence(self):
+        buf = b"junk" + framing.frame(b"first") + framing.frame(b"") + framing.frame(b"x" * 300)
+        offset, bodies = 4, []
+        while offset < len(buf):
+            body, offset = framing.read_frame(buf, offset)
+            bodies.append(body)
+        assert bodies == [b"first", b"", b"x" * 300]
+
+    def test_header_is_length_then_crc_little_endian(self):
+        blob = framing.frame(b"payload")
+        assert blob[: framing.HEADER_SIZE] == struct.pack("<II", 7, zlib.crc32(b"payload"))
+        assert framing.parse_header(blob) == (7, zlib.crc32(b"payload"))
+
+    @pytest.mark.parametrize(
+        "damage, verdict, crcs",
+        [
+            (lambda b: b[:5], framing.TORN_HEADER, (None, None)),
+            (lambda b: b[:-2], framing.TORN_BODY, (zlib.crc32(b"payload"), None)),
+            (lambda b: b[:-1] + b"!", framing.BAD_CRC,
+             (zlib.crc32(b"payload"), zlib.crc32(b"payloa!"))),
+        ],
+    )
+    def test_damage_is_a_verdict_never_a_body(self, damage, verdict, crcs):
+        with pytest.raises(framing.FrameDamage) as caught:
+            framing.read_frame(damage(framing.frame(b"payload")))
+        assert caught.value.verdict == verdict
+        assert (caught.value.crc_expected, caught.value.crc_got) == crcs
+
+    def test_declared_length_is_bounded_before_the_body_is_looked_at(self):
+        header = struct.pack("<II", 1 << 30, 0)
+        with pytest.raises(framing.FrameDamage) as caught:
+            framing.parse_header(header, bound=1 << 20)
+        assert caught.value.verdict == framing.OVER_BOUND
+        assert framing.parse_header(header) == (1 << 30, 0)  # unbounded: caller's call
