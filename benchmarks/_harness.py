@@ -7,7 +7,6 @@ writes it under ``benchmarks/results/`` so the artifacts survive the run.
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Sequence
 
@@ -22,32 +21,6 @@ def report(name: str, text: str) -> str:
     with open(os.path.join(RESULTS_DIR, f"{name}.txt"), "w") as fh:
         fh.write(text + "\n")
     return text
-
-
-def metric(name: str, value: float, unit: str = "", stddev: float | None = None) -> dict:
-    """One machine-readable benchmark number (the BENCH_OBS.json row shape)."""
-    row: dict = {"name": name, "value": float(value), "unit": unit}
-    if stddev is not None:
-        row["stddev"] = float(stddev)
-    return row
-
-
-def report_json(name: str, metrics: Sequence[dict]) -> str:
-    """Persist a bench's metrics to ``benchmarks/results/<name>.json``.
-
-    Each entry is a :func:`metric` dict; ``summarize.py --json`` merges
-    every such file into one ``BENCH_OBS.json``.
-    """
-    for row in metrics:
-        missing = {"name", "value", "unit"} - set(row)
-        if missing:
-            raise ValueError(f"metric {row!r} is missing {sorted(missing)}")
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, f"{name}.json")
-    with open(path, "w") as fh:
-        json.dump({"bench": name, "metrics": list(metrics)}, fh, indent=2)
-        fh.write("\n")
-    return path
 
 
 def mean_std(samples: Sequence[float]) -> tuple[float, float]:

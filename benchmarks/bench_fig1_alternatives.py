@@ -167,7 +167,7 @@ def observability_run(quick: bool = False) -> int:
     """
     import os
 
-    from _harness import RESULTS_DIR, mean_std, metric, report, report_json
+    from _harness import RESULTS_DIR, mean_std, report
     from repro.obs import Observability
     from repro.obs.export import (
         SchemaError,
@@ -202,8 +202,7 @@ def observability_run(quick: bool = False) -> int:
     # three configurations are interleaved per round (host-load drift
     # hits them equally), and the percentage compares the fastest batch
     # of each — min-of-reps, the standard noise-robust estimator for
-    # millisecond-scale runs. Mean/stddev of the raw samples go to the
-    # JSON output.
+    # millisecond-scale runs.
     import gc
 
     reps = 20 if quick else 40
@@ -221,9 +220,7 @@ def observability_run(quick: bool = False) -> int:
     finally:
         if gc_was_enabled:
             gc.enable()
-    base_mu, base_sd = mean_std(base)
-    off_mu, off_sd = mean_std(off)
-    on_mu, on_sd = mean_std(on)
+    base_mu, _ = mean_std(base)
 
     def median(values):
         values = sorted(values)
@@ -248,21 +245,6 @@ def observability_run(quick: bool = False) -> int:
         f"(bare {base_mu * 1e3:.2f}ms)",
     ])
     report("fig1_observability", text)
-    report_json("fig1_obs", [
-        metric("fig1_run_bare_s", base_mu, "s", base_sd),
-        metric("fig1_run_obs_disabled_s", off_mu, "s", off_sd),
-        metric("fig1_run_obs_enabled_s", on_mu, "s", on_sd),
-        metric("telemetry_overhead_enabled_pct", overhead_on, "%"),
-        metric("telemetry_overhead_disabled_pct", overhead_off, "%"),
-        metric("fig1_spans_recorded", len(obs.tracer.spans), "spans"),
-        metric("fig1_wasted_work_ratio", spec.wasted_work_ratio, "ratio"),
-        metric(
-            "fig1_commit_response_s",
-            spec.commit.get("response_s", 0.0)
-            / max(1, int(spec.commit.get("blocks", 1))),
-            "s",
-        ),
-    ])
     return 0
 
 

@@ -8,15 +8,15 @@ bench measures both curves, asserts the bound, and proves the corrupt-
 snapshot path *degrades* (full replay + structured quarantine report)
 rather than losing data.
 
-Two more rows pin what restart leaves behind in the serving process:
-``journal_lookup_us`` — one ``find_block_win`` miss (the supervisor's
-per-request replay lookup) on a short and a long journal, gated on the
-ratio so a lookup that scans history again fails CI — and
-``restart_open_bytes_per_record``, the reopened journal's resident cost.
+Two more lines pin what restart leaves behind in the serving process:
+one ``find_block_win`` miss (the supervisor's per-request replay
+lookup) on a short and a long journal, gated on the ratio so a lookup
+that scans history again fails CI, and the reopened journal's resident
+bytes per record.
 
 Run standalone with ``--quick`` for the CI smoke, or under
 ``pytest benchmarks/ --benchmark-only`` for the timed variant. Emits
-``benchmarks/results/restart_recovery.{txt,json}``.
+``benchmarks/results/restart_recovery.txt``.
 """
 
 import statistics
@@ -25,7 +25,7 @@ import time
 import tracemalloc
 from dataclasses import dataclass
 
-from _harness import mean_std, metric, report, report_json, table
+from _harness import mean_std, report, table
 from repro.journal import (
     CommitJournal,
     MemoryJournalStorage,
@@ -208,33 +208,12 @@ def _residency_lines(lookups, bytes_per_record) -> str:
     ])
 
 
-def _emit(rows, corrupt, lookups, bytes_per_record) -> None:
+def _emit(rows, lookups, bytes_per_record) -> None:
     report(
         "restart_recovery",
         table(HEADERS, rows, fmt="8.2f") + "\n\n"
         + _residency_lines(lookups, bytes_per_record),
     )
-    n, raw_ms, compact_ms, speedup, replay = rows[-1]
-    report_json("restart_recovery", [
-        metric("restart_open_raw_ms", raw_ms, "ms"),
-        metric("restart_open_compacted_ms", compact_ms, "ms"),
-        metric("restart_compaction_speedup", speedup, "x"),
-        metric("restart_replay_after_compact", replay, "records"),
-        metric("restart_journal_records", n, "records"),
-        metric(
-            "restart_corrupt_snapshot_open_ms",
-            corrupt["degraded_open_ms"], "ms",
-        ),
-        metric(
-            "restart_quarantined_records",
-            corrupt["quarantined_records"], "records",
-        ),
-        *(
-            metric(f"journal_lookup_us_{n}", us, "us")
-            for n, us in lookups.items()
-        ),
-        metric("restart_open_bytes_per_record", bytes_per_record, "bytes"),
-    ])
 
 
 def test_restart_recovery(benchmark):
@@ -243,10 +222,8 @@ def test_restart_recovery(benchmark):
         iterations=1, rounds=1,
     )
     _check_rows(rows)
-    _emit(
-        rows, corrupt_snapshot_recovery(100), sweep_lookup(),
-        open_bytes_per_record(QUICK_LENGTHS[-1]),
-    )
+    corrupt_snapshot_recovery(100)
+    _emit(rows, sweep_lookup(), open_bytes_per_record(QUICK_LENGTHS[-1]))
 
 
 if __name__ == "__main__":
@@ -265,5 +242,5 @@ if __name__ == "__main__":
     lookups = sweep_lookup()
     bytes_per_record = open_bytes_per_record(lengths[-1])
     print(_residency_lines(lookups, bytes_per_record))
-    _emit(rows, corrupt, lookups, bytes_per_record)
+    _emit(rows, lookups, bytes_per_record)
     print("ok")

@@ -1,38 +1,22 @@
 #!/usr/bin/env python3
-"""Collect benchmarks/results/ into one REPORT.md (and/or BENCH_OBS.json).
+"""Collect benchmarks/results/*.txt into one REPORT.md.
 
 Run after ``pytest benchmarks/ --benchmark-only``:
 
-    python benchmarks/summarize.py          # text results -> REPORT.md
-    python benchmarks/summarize.py --json   # *.json metrics -> BENCH_OBS.json
+    python benchmarks/summarize.py
 
-The text report groups the paper's numbered artifacts first, then the
-motivation/ablation/application benches, in a stable order. ``--json``
-merges every per-bench metrics file (written via
-``_harness.report_json``) into one flat machine-readable list, each row
-carrying ``bench``/``name``/``value``/``unit`` (and ``stddev`` when the
-bench measured one).
+The report groups the paper's numbered artifacts first, then the
+motivation/ablation/application benches, in a stable order.
+Serving-stack numbers are not here: ``benchmarks/e2e`` (``mw-e2e``) is
+their one source.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
-import sys
-
-
-def _warn(message: str) -> None:
-    print(f"summarize: warning: {message}", file=sys.stderr)
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 REPORT = os.path.join(os.path.dirname(__file__), "REPORT.md")
-BENCH_OBS = os.path.join(RESULTS_DIR, "BENCH_OBS.json")
-BENCH_ASYNC = os.path.join(RESULTS_DIR, "BENCH_ASYNC.json")
-
-#: benches whose metrics are additionally split into BENCH_ASYNC.json —
-#: the async-backend acceptance numbers CI consumes on their own
-ASYNC_BENCHES = ("async_concurrency",)
 
 SECTIONS = [
     (
@@ -81,10 +65,6 @@ SECTIONS = [
             ("robustness_commit_recovery", "Commit journal — crash recovery"),
             ("restart_recovery", "Cold restart — recovery vs journal length"),
             ("chaos_soak", "Chaos soak — cross-layer fault schedule"),
-            ("serve_throughput", "Speculation service — load sweep"),
-            ("async_concurrency", "Asyncio backend — 10k-world concurrency"),
-            ("cluster_scale", "Cluster — scale-out and shard-kill recovery"),
-            ("cluster_remote", "Cluster — out-of-process shards and host kills"),
         ],
     ),
     (
@@ -98,82 +78,6 @@ SECTIONS = [
         ],
     ),
 ]
-
-
-def _file_rows(doc, fname: str) -> list[dict] | None:
-    """Extract metric rows from one results document, or None if malformed."""
-    if not isinstance(doc, dict):
-        _warn(f"skipping {fname}: expected a JSON object, got {type(doc).__name__}")
-        return None
-    metrics = doc.get("metrics")
-    if not isinstance(metrics, list):
-        _warn(f"skipping {fname}: 'metrics' missing or not a list")
-        return None
-    bench = doc.get("bench", fname[:-5])
-    rows = []
-    for m in metrics:
-        if not isinstance(m, dict) or "name" not in m or "value" not in m:
-            _warn(f"skipping {fname}: malformed metric row {m!r}")
-            return None
-        if isinstance(m["value"], bool) or not isinstance(m["value"], (int, float)):
-            _warn(f"skipping {fname}: non-numeric value in {m['name']!r}")
-            return None
-        row = {
-            "bench": bench, "name": m["name"],
-            "value": m["value"], "unit": m.get("unit", ""),
-        }
-        if "stddev" in m:
-            row["stddev"] = m["stddev"]
-        rows.append(row)
-    return rows
-
-
-def merge_json(results_dir: str = RESULTS_DIR, out_path: str | None = None) -> int:
-    """Merge results/*.json (except the output itself) into BENCH_OBS.json.
-
-    Malformed or truncated files are skipped with a warning; returns the
-    number of results files that merged cleanly, so the caller can fail
-    only when *nothing* was salvageable.
-    """
-    if out_path is None:
-        out_path = os.path.join(results_dir, os.path.basename(BENCH_OBS))
-    rows = []
-    valid_files = 0
-    names = sorted(os.listdir(results_dir)) if os.path.isdir(results_dir) else []
-    for fname in names:
-        if not fname.endswith(".json") or fname == os.path.basename(out_path):
-            continue
-        if fname == os.path.basename(BENCH_ASYNC):
-            continue  # our own split artifact, not a per-bench input
-        if fname.endswith(".trace.json"):
-            continue  # Chrome-trace exports live here too; not metrics
-        path = os.path.join(results_dir, fname)
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            _warn(f"skipping {fname}: {exc}")
-            continue
-        file_rows = _file_rows(doc, fname)
-        if file_rows is None:
-            continue
-        valid_files += 1
-        rows.extend(file_rows)
-    os.makedirs(results_dir, exist_ok=True)
-    with open(out_path, "w") as fh:
-        json.dump({"metrics": rows}, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {out_path} ({len(rows)} metrics from {valid_files} benches)")
-    # the async-backend slice gets its own artifact: malformed inputs
-    # were already skipped above, so this subset is always well-formed
-    async_rows = [r for r in rows if r["bench"] in ASYNC_BENCHES]
-    if async_rows:
-        async_path = os.path.join(results_dir, os.path.basename(BENCH_ASYNC))
-        with open(async_path, "w") as fh:
-            json.dump({"metrics": async_rows}, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {async_path} ({len(async_rows)} async metrics)")
-    return valid_files
 
 
 def main() -> None:
@@ -208,19 +112,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--json", action="store_true",
-        help="merge results/*.json metrics into BENCH_OBS.json",
-    )
-    parser.add_argument(
-        "--results-dir", default=RESULTS_DIR,
-        help="directory of per-bench results (default: benchmarks/results)",
-    )
-    args = parser.parse_args()
-    if args.json:
-        if merge_json(args.results_dir) == 0:
-            _warn("no valid results files found")
-            sys.exit(1)
-    else:
-        main()
+    main()

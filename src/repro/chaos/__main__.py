@@ -17,42 +17,6 @@ import time
 from repro.chaos.soak import SoakConfig, run_soak
 
 
-def _write_bench_results(out_dir, seed_lines, summary, reports, *,
-                         seeds, failed):
-    """Emit chaos_soak.{txt,json} in the shape summarize.py merges."""
-    import os
-
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "chaos_soak.txt"), "w",
-              encoding="utf-8") as fh:
-        fh.write("\n".join(seed_lines) + "\n\n" + summary + "\n")
-
-    def _metric(name, value, unit):
-        return {"name": name, "value": value, "unit": unit}
-
-    metrics = [
-        _metric("soak_seeds", seeds, "seeds"),
-        _metric("soak_failed", failed, "seeds"),
-        _metric("soak_acked", sum(r.acked for r in reports), "requests"),
-        _metric("soak_committed", sum(r.committed for r in reports),
-                "requests"),
-        _metric("soak_cold_restarts", sum(r.restarts for r in reports),
-                "restarts"),
-        _metric("soak_remote_host_kills",
-                sum(r.remote_kills for r in reports), "kills"),
-        _metric("soak_quarantines", sum(r.quarantines for r in reports),
-                "records"),
-        _metric("soak_compactions", sum(r.compactions for r in reports),
-                "compactions"),
-        _metric("soak_violations",
-                sum(len(r.violations) for r in reports), "violations"),
-    ]
-    with open(os.path.join(out_dir, "chaos_soak.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump({"bench": "chaos_soak", "metrics": metrics}, fh, indent=2)
-        fh.write("\n")
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.chaos",
@@ -78,9 +42,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="dump journals + reports of failing seeds here")
     parser.add_argument("--json", dest="json_path", default=None,
                         help="write the full run summary as JSON")
-    parser.add_argument("--bench-results", default=None, metavar="DIR",
-                        help="write chaos_soak.{txt,json} bench results "
-                             "here (benchmarks/results) for summarize.py")
     args = parser.parse_args(argv)
 
     seeds = args.seeds
@@ -92,7 +53,6 @@ def main(argv: list[str] | None = None) -> int:
         requests = requests if requests is not None else 6
 
     reports = []
-    seed_lines = []
     failed = 0
     t0 = time.monotonic()
     for seed in range(args.base_seed, args.base_seed + seeds):
@@ -111,7 +71,7 @@ def main(argv: list[str] | None = None) -> int:
         report = run_soak(SoakConfig(**kwargs))
         reports.append(report)
         mark = "ok " if report.ok else "FAIL"
-        line = (
+        print(
             f"[{mark}] seed {seed:3d}  acked {report.acked:3d}  "
             f"committed {report.committed:3d}  restarts {report.restarts:2d}  "
             f"shard-crashes {report.shard_crashes:2d}  "
@@ -120,8 +80,6 @@ def main(argv: list[str] | None = None) -> int:
             f"quarantines {report.quarantines}  "
             f"violations {len(report.violations)}"
         )
-        seed_lines.append(line)
-        print(line)
         if not report.ok:
             failed += 1
             for violation in report.violations:
@@ -137,11 +95,6 @@ def main(argv: list[str] | None = None) -> int:
         f"{sum(r.quarantines for r in reports)} quarantines"
     )
     print(f"\n{summary}")
-    if args.bench_results:
-        _write_bench_results(
-            args.bench_results, seed_lines, summary, reports,
-            seeds=seeds, failed=failed,
-        )
     if args.json_path:
         with open(args.json_path, "w", encoding="utf-8") as fh:
             json.dump(

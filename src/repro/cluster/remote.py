@@ -39,8 +39,8 @@ Reliability stack, bottom-up:
    running) and its journal reopened **from the file** for the usual
    replay-or-re-land takeover; with a ``spare_factory`` configured the
    router degrades remote → local, re-landing the orphans on an
-   in-process spare (the cluster-level analogue of the
-   fork → thread → sequential backend ladder).
+   in-process spare (the ``remote`` row of
+   :data:`repro.faults.supervisor.DEGRADES_TO`, one level up).
 
 Fault injection rides :data:`~repro.faults.plan.TRANSPORT_SITE`:
 ``TORN_FRAME`` / ``SOCKET_STALL`` / ``CONNECT_REFUSED`` fire per RPC
@@ -235,7 +235,10 @@ class _ShardHost:
                 if not pending:
                     if self._conn is not conn or self._shutdown:
                         return
-                    self._outbox_cv.wait(0.05)
+                    # no poll: _on_resolve notifies on a new event, and
+                    # _serve_conn's exit (which every _shutdown leads
+                    # to) clears _conn and notifies under this lock
+                    self._outbox_cv.wait()
                     continue
             for event in pending:
                 try:

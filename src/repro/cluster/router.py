@@ -253,11 +253,10 @@ class ClusterRouter:
         self.fault_plan = fault_plan
         self.obs = obs
         #: zero-arg callable returning a fresh (unstarted) in-process
-        #: shard — the cluster-level degradation ladder: when a takeover
-        #: re-land finds *no* surviving candidate (e.g. every remote
-        #: shard unreachable), the router adopts one local spare and
-        #: retries, mirroring the fork → thread → sequential backend
-        #: fallback one level up
+        #: shard: when a takeover re-land finds *no* surviving candidate
+        #: (e.g. every remote shard unreachable), the router adopts one
+        #: local spare and retries — the ``remote`` row of
+        #: :data:`repro.faults.supervisor.DEGRADES_TO`, one level up
         self.spare_factory = spare_factory
         self._spare: ClusterShard | None = None
         self.ring = HashRing(vnodes=vnodes)

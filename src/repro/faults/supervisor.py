@@ -14,17 +14,15 @@ survival layer on top of :func:`repro.core.worlds.run_alternatives`:
   escalations instead of block-wide timeouts;
 - **graceful degradation** — when spawning worlds *itself* fails
   (:class:`~repro.errors.SpawnError`, real or injected), the supervisor
-  walks a backend fallback chain (``fork -> thread -> sequential``; the
-  asyncio backend rides its own ``async -> thread -> sequential``
-  ladder, since coroutine alternatives cannot cross a ``fork``) and
-  records every hop in ``BlockOutcome.extras["degraded"]``;
+  walks the block down the ladder in :data:`DEGRADES_TO` and records
+  every hop in ``BlockOutcome.extras["degraded"]``;
 - **leased remote worlds** — :meth:`Supervisor.run_remote` ships a task
   to a (simulated) remote node under a
   :class:`~repro.distrib.lease.RemoteWorldLease` and watches its
   heartbeats in virtual link time. Missed beats escalate
   probe → declare-dead → reclaim-orphan; a dead or unreachable remote
-  re-lands the work locally through :meth:`run`, extending the
-  degradation ladder to ``remote -> fork -> thread -> sequential``.
+  re-lands the work locally through :meth:`run` — the ladder's
+  ``remote`` row.
 
 The supervisor is fault-plan aware only in that it threads the plan and
 an attempt counter through to the backends; the attempt number is part
@@ -46,13 +44,30 @@ from repro.core.policy import EliminationPolicy, WatchdogPolicy
 from repro.core.worlds import run_alternatives
 from repro.errors import SpawnError, WorldsError
 
-#: The default degradation ladder, strongest isolation first.
-DEFAULT_FALLBACK = ("fork", "thread", "sequential")
-
-#: The asyncio backend's ladder: coroutine alternatives cannot cross a
+#: The degradation ladder, one row per rung: where work lands when the
+#: rung it was on cannot spawn (or, for ``remote``, loses its lease).
+#: Strongest isolation first. Coroutine alternatives cannot cross a
 #: ``fork`` boundary (the child cannot report awaitables back through a
-#: pipe), so a failed async spawn degrades straight to threads.
-ASYNC_FALLBACK = ("async", "thread", "sequential")
+#: pipe), so a failed async spawn degrades straight to threads; a rung
+#: with no row (``sequential``, ``sim``) never degrades.
+DEGRADES_TO = {
+    "remote": "fork",
+    "fork": "thread",
+    "async": "thread",
+    "thread": "sequential",
+}
+
+
+def _chain_from(backend: str) -> tuple[str, ...]:
+    """The ladder from ``backend`` down, following :data:`DEGRADES_TO`."""
+    chain = [backend]
+    while chain[-1] in DEGRADES_TO:
+        chain.append(DEGRADES_TO[chain[-1]])
+    return tuple(chain)
+
+
+DEFAULT_FALLBACK = _chain_from("fork")
+ASYNC_FALLBACK = _chain_from("async")
 
 
 class Supervisor:
@@ -73,10 +88,6 @@ class Supervisor:
         late (the §4.1 stagger frontier applied to respawns).
     watchdog:
         Hang escalation policy for the fork backend; None disables it.
-    fallback:
-        The backend degradation chain. A block started on chain member
-        *b* degrades only rightward from *b*; a backend outside the
-        chain (e.g. ``sim``) never degrades.
     fault_plan:
         Deterministic fault schedule threaded through to the backends.
     block_id:
@@ -101,7 +112,6 @@ class Supervisor:
         backoff_s: float = 0.02,
         spare_stagger_s: float = 0.0,
         watchdog: WatchdogPolicy | None = None,
-        fallback: Sequence[str] = DEFAULT_FALLBACK,
         fault_plan=None,
         block_id: int = 0,
         journal=None,
@@ -115,7 +125,6 @@ class Supervisor:
         self.backoff_s = backoff_s
         self.spare_stagger_s = spare_stagger_s
         self.watchdog = watchdog
-        self.fallback = tuple(fallback)
         self.fault_plan = fault_plan
         self.block_id = block_id
         self.journal = journal
@@ -130,12 +139,7 @@ class Supervisor:
             ).inc(**labels)
 
     # ------------------------------------------------------------------
-    def _chain_from(self, backend: str) -> tuple[str, ...]:
-        if backend in self.fallback:
-            return self.fallback[self.fallback.index(backend):]
-        if backend in ASYNC_FALLBACK:
-            return ASYNC_FALLBACK[ASYNC_FALLBACK.index(backend):]
-        return (backend,)
+    _chain_from = staticmethod(_chain_from)
 
     def _run_degradable(
         self,
@@ -296,7 +300,7 @@ class Supervisor:
         work_s: float = 1.0,
         lease=None,
         name: str = "remote-world",
-        local_backend: str = "fork",
+        local_backend: str = DEGRADES_TO["remote"],
     ) -> BlockOutcome:
         """Run ``fn(state)`` on a leased remote world; re-land locally on death.
 
@@ -314,8 +318,8 @@ class Supervisor:
            decides when that means the holder is dead;
         3. a dead (or never-reachable) remote world is reclaimed and its
            work re-landed locally via :meth:`run`, recording the hop in
-           ``extras["degraded"]`` — the remote rung of the
-           fork→thread→sequential ladder.
+           ``extras["degraded"]`` — the ``remote`` row of
+           :data:`DEGRADES_TO`.
 
         Returns a :class:`BlockOutcome` whose ``extras`` carry the lease
         event log (``lease``), the remote protocol report (``remote``),

@@ -79,10 +79,9 @@ class Observability:
         self,
         enabled: bool = True,
         clock: Callable[[], float] = time.perf_counter,
-        span_limit: int | None = 200_000,
     ) -> None:
         self.registry = MetricsRegistry()
-        self.tracer = Tracer(enabled=enabled, clock=clock, limit=span_limit)
+        self.tracer = Tracer(enabled=enabled, clock=clock)
         self._faults_c = self.registry.counter(
             "mw_faults_injected_total",
             "Faults injected by the active FaultPlan",

@@ -38,6 +38,9 @@ from typing import Any, Callable, Iterator
 #: Recognised span dispositions (exporters validate against this set).
 DISPOSITIONS = ("speculative", "committed", "eliminated", "aborted")
 
+#: Spans a tracer buffers before it counts drops instead.
+SPAN_LIMIT = 200_000
+
 
 @dataclass(slots=True)
 class Span:
@@ -93,7 +96,7 @@ class Tracer:
         self,
         enabled: bool = True,
         clock: Callable[[], float] = time.perf_counter,
-        limit: int | None = 200_000,
+        limit: int | None = SPAN_LIMIT,
     ) -> None:
         self.enabled = enabled
         self.clock = clock

@@ -194,10 +194,6 @@ class AdmissionQueue:
     def __len__(self) -> int:
         return self._size
 
-    def tenant_backlog(self, tenant: str) -> int:
-        lane = self._lanes.get(tenant)
-        return len(lane) if lane is not None else 0
-
     # -- submit side -------------------------------------------------------
     def offer(self, request: ServeRequest) -> None:
         """Admit ``request`` or raise :class:`AdmissionRejected`."""

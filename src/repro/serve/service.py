@@ -189,11 +189,6 @@ class SpeculationService:
         How long a deadline-less request may wait for budget slots
         before it is shed for capacity (deadlined requests wait until
         their deadline instead).
-    require_full_grant:
-        When True, a request waits for one slot per alternative instead
-        of running with whatever is free — the honest accounting for a
-        policy that always spawns everything (the naive baseline). The
-        default elastic grant is what makes adaptive serving pay.
     supervisor_retries:
         Extra retry waves the per-request :class:`Supervisor` may run.
     fault_plan / journal / obs:
@@ -228,7 +223,6 @@ class SpeculationService:
         workers: int = 4,
         backend: str = "thread",
         grant_timeout_s: float = 5.0,
-        require_full_grant: bool = False,
         supervisor_retries: int = 1,
         fault_plan=None,
         journal=None,
@@ -257,7 +251,6 @@ class SpeculationService:
         self.workers = workers
         self.backend = backend
         self.grant_timeout_s = grant_timeout_s
-        self.require_full_grant = require_full_grant
         self.supervisor_retries = supervisor_retries
         self.fault_plan = fault_plan
         if isinstance(journal, str):
@@ -689,7 +682,10 @@ class SpeculationService:
 
     def _worker_loop(self) -> None:
         while True:
-            request, shed = self.queue.take(timeout=0.05)
+            # blocks without a poll: offer() notifies a taker, and
+            # stop() / crash() clear _running before queue.close()
+            # wakes them all
+            request, shed = self.queue.take()
             for expired in shed:
                 self._resolve(
                     expired,
@@ -730,10 +726,9 @@ class SpeculationService:
         else:
             grant_timeout = self.grant_timeout_s
         reservation = None
-        min_slots = len(alts) if self.require_full_grant else 1
         if grant_timeout > 0:
             reservation = self.budget.reserve_blocking(
-                tenant, want=len(alts), min_slots=min_slots,
+                tenant, want=len(alts),
                 priority=request.priority,
                 timeout=grant_timeout,
             )

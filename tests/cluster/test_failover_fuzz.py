@@ -4,9 +4,9 @@ Each seed runs a burst against a 3-shard cluster, consults the fault
 plan's ``cluster`` site for which shard dies and when (mid-burst), kills
 it there, runs takeover, then audits every journal the cluster ever
 owned: a committed request's ``block`` transaction applied in exactly
-one journal — 0 would be a lost commit, ≥2 a double commit. The
-benchmark (``bench_cluster_scale``) runs the same audit over ≥25 seeds;
-this is the always-on subset. ``CLUSTER_FUZZ_SEEDS`` raises the count.
+one journal — 0 would be a lost commit, ≥2 a double commit.
+``CLUSTER_FUZZ_SEEDS`` raises the seed count (CI's fuzz smoke runs 8);
+``test_scale_smoke`` holds what a kill costs in throughput.
 """
 
 import os

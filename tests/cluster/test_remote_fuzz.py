@@ -5,8 +5,9 @@ burst against three shard-host *processes*, consults the fault plan's
 ``transport`` site for which hosts get SIGKILLed and when, kills them
 there — a real ``kill -9``, so only the journal files survive — runs
 takeover, and audits every journal for the exactly-once invariant.
-``bench_cluster_remote`` runs the same audit over ≥25 seeds; this is the
-always-on subset. ``REMOTE_FUZZ_SEEDS`` raises the count.
+``REMOTE_FUZZ_SEEDS`` raises the seed count (CI's fuzz smoke runs 5);
+``mw-e2e``'s ``cluster_remote`` workload measures the same path when
+nothing dies, and ``test_scale_smoke`` what a kill costs in throughput.
 """
 
 import functools

@@ -158,11 +158,15 @@ class TestDegradation:
         assert [d["backend"] for d in out.extras["degraded"]] == ["thread"]
         assert out.extras["backend"] == "sequential"
 
-    def test_exhausted_chain_raises(self):
-        plan = FaultPlan(seed=0, rates={FaultKind.SPAWN_FAIL: 1.0})
-        sup = Supervisor(fault_plan=plan, fallback=("fork",))
+    def test_exhausted_chain_raises(self, monkeypatch):
+        # the last rung rolls no spawn faults of its own, so fail it by
+        # hand: with nothing below it the error reaches the caller
+        def cannot_spawn(*args, **kwargs):
+            raise SpawnError("EAGAIN")
+
+        monkeypatch.setattr("repro.faults.supervisor.run_alternatives", cannot_spawn)
         with pytest.raises(SpawnError):
-            sup.run(_block(), backend="fork")
+            Supervisor().run(_block(), backend="sequential")
 
     def test_no_degradation_without_spawn_faults(self):
         out = Supervisor(fault_plan=FaultPlan.quiet()).run(_block())

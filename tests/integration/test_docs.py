@@ -2,6 +2,7 @@
 
 import pathlib
 import re
+import runpy
 
 import pytest
 
@@ -50,8 +51,20 @@ def test_module_all_exports_resolve(module_name):
 
 def test_design_and_experiments_reference_real_benches():
     root = pathlib.Path(__file__).resolve().parents[2]
-    bench_names = {p.stem for p in (root / "benchmarks").glob("bench_*.py")}
-    for doc in ("DESIGN.md", "EXPERIMENTS.md", "README.md"):
+    bench_paths = sorted((root / "benchmarks").glob("bench_*.py"))
+    bench_names = {p.stem for p in bench_paths}
+    ci = ".github/workflows/ci.yml"
+    for doc in ("DESIGN.md", "EXPERIMENTS.md", "README.md", "docs/API.md", ci):
         text = (root / doc).read_text()
         for referenced in re.findall(r"bench_[a-z0-9_]+", text):
             assert referenced in bench_names, f"{doc} references {referenced}"
+
+    # REPORT.md's generator table: each section's results file is written
+    # by a bench that still exists, or by the CI step that tees it
+    sections = runpy.run_path(str(root / "benchmarks" / "summarize.py"))["SECTIONS"]
+    writers = "".join(p.read_text() for p in bench_paths)
+    ci_text = (root / ci).read_text()
+    for name in (name for _, entries in sections for name, _ in entries):
+        assert f'"{name}"' in writers or f"results/{name}.txt" in ci_text, (
+            f"summarize.SECTIONS lists {name}, which nothing writes"
+        )
