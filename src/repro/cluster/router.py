@@ -7,10 +7,7 @@ adds two or-parallel-style work-distribution moves on top:
 
 - **spill** — when a tenant's home shard has no free world slots and a
   later preference has idle capacity, the request lands there instead
-  (counted ``mw_cluster_spills_total{src,dst}``). A spilled request is
-  tracked under its own :class:`~repro.distrib.lease.RemoteWorldLease`
-  — it is a world living away from home, and the lease is what gets
-  taken over if its host dies;
+  (counted ``mw_cluster_spills_total{src,dst}``);
 - **steal** — each detector round, an idle shard relieves the most
   backlogged one by pulling queued requests through
   :meth:`~repro.serve.service.SpeculationService.steal_requests`
@@ -28,9 +25,7 @@ a **takeover**:
    false-positive case — it must stop committing; the lease-term
    argument makes that safe to assume, and the simulation enforces it)
    and its worker threads are joined, so its journal is final;
-2. the dead shard's lease is declared dead and reclaimed; per-request
-   leases for worlds it hosted are taken over via
-   :meth:`RemoteWorldLease.takeover`;
+2. the dead shard's lease is declared dead and reclaimed;
 3. every admitted-but-unresolved request assigned to it is settled from
    the journal: a request whose ``block`` transaction already
    **applied** is *replayed* (its result is durable — re-running would
@@ -156,7 +151,6 @@ class _Inflight:
     shard_id: int
     attempts: int = 1
     failover: str = ""
-    lease: RemoteWorldLease | None = field(default=None, repr=False)
     spec: Any = None
 
 
@@ -755,7 +749,6 @@ class ClusterRouter:
                     self._spill_c,
                     src=spilled_from.shard_id, dst=target.shard_id,
                 )
-                self._grant_request_lease(seq, rec, target)
             return
 
     def _place_or_spare(
@@ -793,7 +786,6 @@ class ClusterRouter:
         with self._lock:
             rec.shard_id = shard_id
             self._inflight.pop(seq, None)
-        self._finish_orphan_lease(rec, relanded_to=None)
         rec.failover = "replayed"
         self._count(self._failover_c, mode="replayed")
         self._settle(
@@ -812,15 +804,6 @@ class ClusterRouter:
                 shard_id=rec.shard_id, failover=rec.failover,
                 attempts=rec.attempts, reason=reason,
             ),
-        )
-
-    def _grant_request_lease(self, seq: int, rec: _Inflight, target: ClusterShard) -> None:
-        """Track a request living away from home under its own lease."""
-        rec.lease = RemoteWorldLease(
-            lease_id=seq, node_id=target.shard_id,
-            term_s=self.lease_term_s, heartbeat_s=self.heartbeat_s,
-            miss_threshold=self.miss_threshold,
-            granted_at_s=self._vclock,
         )
 
     # -- resolution --------------------------------------------------------
@@ -855,8 +838,6 @@ class ClusterRouter:
             except (AdmissionRejected, NoSurvivingShard) as exc:
                 self._settle_failed(request.seq, rec, f"re-route failed: {exc}")
             return
-        if rec.lease is not None and rec.lease.alive:
-            rec.lease.complete(self._vclock)
         self._settle(
             request.seq,
             ClusterResult(
@@ -1047,7 +1028,6 @@ class ClusterRouter:
                 pass
             with self._lock:
                 rec.shard_id = target.shard_id
-            self._grant_request_lease(request.seq, rec, target)
             self._count(
                 self._steal_c, src=busy.shard_id, dst=target.shard_id
             )
@@ -1170,9 +1150,6 @@ class ClusterRouter:
                 continue
             relanded += 1
             self._count(self._failover_c, mode=mode)
-            self._finish_orphan_lease(
-                rec, relanded_to=self._shards.get(rec.shard_id)
-            )
         if span_id >= 0:
             self.obs.tracer.end(
                 span_id, disposition="committed",
@@ -1182,18 +1159,6 @@ class ClusterRouter:
             "shard": shard_id, "kind": kind, "stale": False,
             "replayed": replayed, "relanded": relanded, "failed": failed,
         }
-
-    def _finish_orphan_lease(self, rec: _Inflight, relanded_to) -> None:
-        """Settle (and, on re-land, hand over) a request's own lease."""
-        lease = rec.lease
-        if lease is None:
-            return
-        lease.declare_dead(self._vclock, "host shard taken over")
-        lease.reclaim(self._vclock)
-        if relanded_to is not None:
-            rec.lease = lease.takeover(self._vclock, relanded_to.shard_id)
-        else:
-            rec.lease = None
 
     # -- auditing ----------------------------------------------------------
     def journals(self) -> list:

@@ -92,9 +92,6 @@ class PredicateSet:
         """
         return bool(self.must or self.cant)
 
-    def depends_on(self, pid: int) -> bool:
-        return pid in self.must or pid in self.cant
-
     def all_pids(self) -> frozenset[int]:
         return self.must | self.cant
 
@@ -172,10 +169,14 @@ class PredicateSet:
             return f"w{ident - WORLD_FACT_BASE}"
         return str(ident)
 
+    def literals(self) -> list[tuple[int, str]]:
+        """Each assumption as ``(id, rendered literal)``: musts, then cants."""
+        musts = [(p, f"complete({self._render_id(p)})") for p in sorted(self.must)]
+        cants = [(p, f"¬complete({self._render_id(p)})") for p in sorted(self.cant)]
+        return musts + cants
+
     def __str__(self) -> str:
-        musts = [f"complete({self._render_id(p)})" for p in sorted(self.must)]
-        cants = [f"¬complete({self._render_id(p)})" for p in sorted(self.cant)]
-        return "{" + ", ".join(musts + cants) + "}"
+        return "{" + ", ".join(text for _, text in self.literals()) + "}"
 
 
 def classify_message(

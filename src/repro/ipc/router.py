@@ -35,10 +35,6 @@ class ReceiveAction:
     accepting: PredicateSet | None = None
     rejecting: PredicateSet | None = None
 
-    @property
-    def creates_worlds(self) -> bool:
-        return self.decision is MessageDecision.SPLIT
-
 
 def fault_filter(message: Message, plan) -> tuple[str, float]:
     """Pure fault hook: what the network does to ``message`` under ``plan``.

@@ -71,6 +71,7 @@ from __future__ import annotations
 import json
 import os
 import pickle
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import Any
@@ -472,6 +473,9 @@ class CommitJournal:
         self._frontiers: dict[str, int] = {}
         self._reads: dict[str, bytearray] = {}
         self._armed: dict[int, FaultKind] = {}
+        # guards the two counters threads read, change and write back;
+        # never held across ``storage.append`` (fsyncs must overlap)
+        self._count_lock = threading.Lock()
         self._next_seq = 1
         self._snap_index = 0
         #: records in storage after the latest snapshot — what a reopen
@@ -553,10 +557,10 @@ class CommitJournal:
         if kind == "intent":
             seq = record["seq"]
             self._intents[seq] = record
-            self._next_seq = max(self._next_seq, seq + 1)
-            # the lookup index. Threads append with no journal lock
-            # (like _intents above), so each update is one dict or list
-            # operation — nothing is read, changed and written back.
+            with self._count_lock:
+                self._next_seq = max(self._next_seq, seq + 1)
+            # the lookup index, lock-free like _intents above: each
+            # update is one dict or list operation
             txn_kind = record["kind"]
             field = _LOOKUP_KEY.get(txn_kind)
             if field is not None:
@@ -606,7 +610,8 @@ class CommitJournal:
         self._check_poisoned()
         self.storage.append(self._frame(record))
         self._index(record)
-        self._since_snapshot += 1
+        with self._count_lock:
+            self._since_snapshot += 1
 
     # -- the transaction protocol ------------------------------------------
     def begin(self, kind: str, **data: Any) -> int:
@@ -618,8 +623,9 @@ class CommitJournal:
         a later-stage fault for this seq.
         """
         self._check_poisoned()
-        seq = self._next_seq
-        self._next_seq += 1
+        with self._count_lock:
+            seq = self._next_seq
+            self._next_seq += 1
         record = {"t": "intent", "seq": seq, "kind": kind, "data": data}
         fault = None
         if self.fault_plan is not None:

@@ -27,6 +27,12 @@ extra assumptions resolve; it parks in ``BLOCKED_SYNC``. This closes the
 soundness gap of committing a world whose defining assumptions could
 still prove false, and guarantees that at commit time no conflicting
 sibling interpretation of the same logical process is still alive.
+
+**Settling.** A completion fact is only *recorded* where it arises; one
+non-reentrant loop (:meth:`Kernel._settle`) applies recorded facts to
+every live world before any world is woken, any blocked receiver retries
+the receive rule, or any parent resumes — so nothing acts on a
+half-applied resolution.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from __future__ import annotations
 import heapq
 import inspect
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 from repro.analysis.calibration import MODERN_SIM, MachineProfile
@@ -286,6 +292,11 @@ class Kernel:
         #: resolved completion facts per logical pid
         self.facts: dict[int, bool] = {}
         self._committed: set[int] = set()
+        # the settle loop's worklists (see _settle)
+        self._settling = False
+        self._unapplied: deque[tuple[int, bool]] = deque()
+        self._shrunk: dict[int, SimProcess] = {}  # by wid, oldest first
+        self._outcomes: deque[AltGroup] = deque()
 
     # ------------------------------------------------------------------
     # public API
@@ -338,11 +349,14 @@ class Kernel:
     def live_worlds(self) -> list[SimProcess]:
         return [w for w in self.worlds.values() if w.alive]
 
-    def world_by_wid(self, wid: int) -> SimProcess:
-        try:
-            return self.worlds[wid]
-        except KeyError:
-            raise ProcessDied(f"no world {wid}") from None
+    def _live_worlds_of(self, pids) -> list[SimProcess]:
+        """The live worlds of the given logical pids, in wid order per pid."""
+        return [
+            self.worlds[w]
+            for pid in pids
+            for w in self.pid_worlds.get(pid, [])
+            if self.worlds[w].alive
+        ]
 
     def result_of(self, pid: int) -> Any:
         """The result of ``pid``'s successful completion.
@@ -416,11 +430,37 @@ class Kernel:
             self._dispatch()
         stuck = [w for w in self.worlds.values() if w.alive]
         if stuck and until is None:
-            detail = ", ".join(
-                f"pid {w.pid} (wid {w.wid}, {w.name}) {w.state.value}" for w in stuck
-            )
-            raise DeadlockError(f"no runnable work but live worlds remain: {detail}")
+            self._raise_stuck(stuck)
         return self.now
+
+    def _raise_stuck(self, stuck: list[SimProcess]) -> None:
+        """Nothing is pending yet worlds live: say what each still assumes.
+
+        A literal whose fact is settled is not a deadlock of the simulated
+        program but a resolution this kernel lost, and is raised as that.
+        """
+        def assumed(predicates: PredicateSet) -> str:
+            return ", ".join(
+                f"{text} [settled {self.facts[key]}]" if key in self.facts
+                else f"{text} [open]"
+                for key, text in predicates.literals()
+            ) or "nothing"
+
+        detail = "; ".join(
+            f"pid {w.pid} (wid {w.wid}, {w.name}) {w.state.value} assuming "
+            + assumed(w.predicates)
+            + "".join(
+                f", queued msg {m.msg_id} assuming {assumed(m.predicate)}"
+                for m in w.mailbox
+            )
+            for w in stuck
+        )
+        held = [p for w in stuck for p in (w.predicates, *(m.predicate for m in w.mailbox))]
+        if any(key in self.facts for p in held for key in p.all_pids()):
+            raise KernelError(
+                f"a live world or queued message references a settled fact: {detail}"
+            )
+        raise DeadlockError(f"no runnable work but live worlds remain: {detail}")
 
     # ------------------------------------------------------------------
     # registration / startup
@@ -552,7 +592,6 @@ class Kernel:
                 sender=world.pid,
                 dest=op.dest,
                 data=op.data,
-                predicate=world.predicates,
                 msg_id=self._msg_ids.next(),
                 sent_at=self.now,
                 sender_world=world.wid,
@@ -623,9 +662,7 @@ class Kernel:
             group = world.own_group
             if group is None:
                 return _THROW, KernelError("alt_wait without alt_spawn")
-            group.waiting = True
             group.policy = op.elimination
-            group.timeout = op.timeout
             if group.settled:
                 self._deliver_alt_outcome(world, group)
                 return _PARKED, None
@@ -819,7 +856,10 @@ class Kernel:
                 self._log(world, op, None)
             self._advance(world, result)
         elif isinstance(op, sc.Send):
-            msg = world.op_result
+            # the sender's assumptions are stamped as the message leaves:
+            # a fact that settled during the costed send has reached the
+            # world's predicate set, and nothing else holds the message yet
+            msg = replace(world.op_result, predicate=world.predicates)
             self._route_message(msg)
             self._log(world, op, msg.msg_id)
             self._advance(world, msg.msg_id)
@@ -899,11 +939,7 @@ class Kernel:
                 )
                 self._push_event(self.now + delay_s, "route", (msg,))
                 return
-        targets = [
-            self.worlds[w]
-            for w in self.pid_worlds.get(msg.dest, [])
-            if self.worlds[w].alive
-        ]
+        targets = self._live_worlds_of([msg.dest])
         if not targets:
             self.trace.record(self.now, "dead-letter", msg.dest, msg_id=msg.msg_id)
             return
@@ -913,9 +949,8 @@ class Kernel:
                 self.now, "deliver", world.pid, wid=world.wid,
                 msg_id=msg.msg_id, sender=msg.sender,
             )
-        for world in targets:
-            if world.state is ProcState.BLOCKED_RECV:
-                self._pump_blocked_receiver(world)
+        if not self._settling:
+            self._settle()  # step 3 reaches the targets blocked in recv
 
     def _pump_blocked_receiver(self, world: SimProcess) -> None:
         """Retry the receive rule for a world blocked in recv."""
@@ -974,12 +1009,8 @@ class Kernel:
 
     def _split_clone(self, orig: SimProcess, predicates: PredicateSet) -> SimProcess:
         """Clone ``orig`` (parked at a recv) as the rejecting world."""
-        for pid in orig.child_pids:
-            for w in self.pid_worlds.get(pid, []):
-                if self.worlds[w].alive:
-                    raise KernelError(
-                        "cannot split a world with live alternative children"
-                    )
+        if self._live_worlds_of(orig.child_pids):
+            raise KernelError("cannot split a world with live alternative children")
         if orig.own_group is not None:
             raise KernelError("cannot split a world between alt_spawn and alt_wait")
         split_seq = None
@@ -1249,26 +1280,12 @@ class Kernel:
             )
         # count the victims first, then let the completion fact eliminate
         # them (they all assume ¬complete(winner))
-        losers = [
-            w
-            for pid in group.child_pids
-            if pid != world.pid
-            for w in self.pid_worlds.get(pid, [])
-            if self.worlds[w].alive
-        ]
-        group.n_eliminated = len(losers)
+        group.n_eliminated = len(
+            self._live_worlds_of(p for p in group.child_pids if p != world.pid)
+        )
         self._resolve_fact(world_key(world.wid), True)
         self._resolve_fact(world.pid, True)
-        for wid in losers:  # safety net; normally dead via the fact cascade
-            target = self.worlds.get(wid)
-            if target is not None and target.alive:
-                self._kill_world(target, "sibling eliminated", status="eliminated")
-        parent = self.worlds.get(group.parent_wid)
-        if parent is not None and parent.alive and group.waiting:
-            if parent.state is not ProcState.BLOCKED_ALT:  # pragma: no cover
-                raise KernelError("waiting parent in unexpected state")
-            parent.bump_timer()  # cancel the alt_wait timeout
-            self._deliver_alt_outcome(parent, group)
+        self._resume_parent(group)
         if sync_seq is not None:
             self.journal.mark_applied(sync_seq)
 
@@ -1281,26 +1298,24 @@ class Kernel:
         self.trace.record(
             self.now, "block-failed", group.parent_pid, group=group.group_id
         )
-        parent = self.worlds.get(group.parent_wid)
-        if parent is not None and parent.alive and group.waiting:
-            parent.bump_timer()
-            self._deliver_alt_outcome(parent, group)
+        self._resume_parent(group)
+
+    def _resume_parent(self, group: AltGroup) -> None:
+        """Queue a settled block's outcome for its parent (step 4 of
+        :meth:`_settle`): the parent's program runs on from the hand-over,
+        so it waits until the resolution in flight has reached every world."""
+        self._outcomes.append(group)
+        if not self._settling:
+            self._settle()
 
     def _timeout_group(self, parent: SimProcess, group: AltGroup) -> None:
         group.settled = True
         group.timed_out = True
         group.committed_at = self.now
-        victims = [
-            w
-            for pid in group.child_pids
-            for w in self.pid_worlds.get(pid, [])
-            if self.worlds[w].alive
-        ]
+        victims = self._live_worlds_of(group.child_pids)
         group.n_eliminated = len(victims)
-        for wid in victims:
-            target = self.worlds.get(wid)
-            if target is not None and target.alive:
-                self._kill_world(target, "block timeout", status="timeout-killed")
+        for target in victims:
+            self._kill_world(target, "block timeout", status="timeout-killed")
         self.trace.record(
             self.now, "block-timeout", group.parent_pid, group=group.group_id
         )
@@ -1456,17 +1471,12 @@ class Kernel:
                 device.discard_world(world.wid)
         world.staged_devices.clear()
         # subtree: alternative children of a dead world cannot survive
-        for pid in world.child_pids:
-            for wid in list(self.pid_worlds.get(pid, [])):
-                target = self.worlds.get(wid)
-                if target is not None and target.alive:
-                    self._kill_world(
-                        target, f"parent world died: {reason}", status="eliminated"
-                    )
+        for target in self._live_worlds_of(world.child_pids):
+            self._kill_world(
+                target, f"parent world died: {reason}", status="eliminated"
+            )
         # group bookkeeping + pid-level completion fact
-        live_others = [
-            w for w in self.pid_worlds.get(world.pid, []) if self.worlds[w].alive
-        ]
+        live_others = self._live_worlds_of([world.pid])
         # drop the dead world's replay positions so loser buffers don't
         # accumulate across blocks: sink-style gates key by wid, buffered
         # sources key by pid (only safe to forget once the pid is gone)
@@ -1494,51 +1504,81 @@ class Kernel:
             self._resolve_fact(world.pid, False)
 
     def _resolve_fact(self, pid: int, completed: bool) -> None:
-        """Record complete(pid) and cascade through every live world."""
+        """Record complete(pid); the outermost caller settles it."""
         if pid in self.facts:
             if self.facts[pid] != completed:  # pragma: no cover - invariant
                 raise KernelError(f"contradictory completion facts for pid {pid}")
             return
         self.facts[pid] = completed
         self.trace.record(self.now, "fact", pid, completed=completed)
-        # pass 1: eliminate every world whose assumptions are now false,
-        # so the survivors' retries below see a consistent population.
-        touched: list[SimProcess] = []
-        for world in list(self.worlds.values()):
+        self._unapplied.append((pid, completed))
+        if not self._settling:
+            self._settle()
+
+    def _settle(self) -> None:
+        """Carry every recorded fact through every live world.
+
+        One loop, never re-entered. Each step runs only when the ones
+        before it have nothing left, and whatever a step produces (a
+        kill's own facts, a woken world's completion) sends the loop
+        back to step 1:
+
+        1. apply the oldest unapplied fact to *every* live world;
+        2. wake a world whose predicate set shrank (flush staging,
+           unblock a gated source, retry a deferred sync);
+        3. retry the receive rule for a world blocked in recv with mail;
+        4. hand a block that settled along the way to its waiting parent.
+
+        Programs and the receive rule (steps 3 and 4) therefore only run
+        against a fully applied resolution: no world is born, extended or
+        resumed holding a literal whose fact is already settled.
+        """
+        self._settling = True
+        try:
+            while True:
+                if self._unapplied:
+                    self._apply_fact(*self._unapplied.popleft())
+                elif self._shrunk:
+                    world = self._shrunk.pop(next(iter(self._shrunk)))
+                    if not world.alive:
+                        continue
+                    if not world.predicates.unresolved:
+                        self._on_unpredicated(world)
+                    self._retry_sync(world)
+                elif receiver := next(
+                    (
+                        w for w in self.worlds.values()
+                        if w.state is ProcState.BLOCKED_RECV and w.mailbox
+                    ),
+                    None,
+                ):
+                    self._pump_blocked_receiver(receiver)
+                elif self._outcomes:
+                    group = self._outcomes.popleft()
+                    parent = self.worlds[group.parent_wid]
+                    if parent.state is ProcState.BLOCKED_ALT and parent.own_group is group:
+                        parent.bump_timer()  # cancel the alt_wait timeout
+                        self._deliver_alt_outcome(parent, group)
+                else:
+                    return
+        finally:
+            self._settling = False
+
+    def _apply_fact(self, pid: int, completed: bool) -> None:
+        """Step 1 of :meth:`_settle`: one fact meets every live world."""
+        for world in self.worlds.values():
             if not world.alive:
                 continue
             updated = world.predicates.resolve(pid, completed)
             if updated is None:
-                # assumption violated: eliminate this world; its own
-                # pid-level fact (if it was the last world) cascades via
-                # the kill path.
+                # the kill's own facts (this world's, and its pid's if it
+                # was the last one) join the queue behind this one
                 self._kill_world(world, f"assumption about pid {pid} failed")
                 continue
             world.mailbox.resolve(pid, completed)
             if updated is not world.predicates:
-                touched.append(world)
-        # pass 2: shrink survivors' predicate sets; this may unblock
-        # staged sinks, gated sources and deferred synchronizations.
-        # Recompute from the *current* set — nested facts resolved during
-        # pass 1 kills may already have shrunk it further.
-        for world in touched:
-            if not world.alive:
-                continue
-            updated = world.predicates.resolve(pid, completed)
-            if updated is None:  # pragma: no cover - defensive
-                self._kill_world(world, f"assumption about pid {pid} failed")
-                continue
-            if updated is not world.predicates:
                 world.predicates = updated
-            if not world.predicates.unresolved:
-                self._on_unpredicated(world)
-            elif world.state is ProcState.BLOCKED_SYNC:
-                self._retry_sync(world)
-        # worlds blocked at recv may now be able to act on queued messages
-        # whose predicates just changed
-        for world in list(self.worlds.values()):
-            if world.alive and world.state is ProcState.BLOCKED_RECV and world.mailbox:
-                self._pump_blocked_receiver(world)
+                self._shrunk.setdefault(world.wid, world)
 
     def _retry_sync(self, world: SimProcess) -> None:
         """A BLOCKED_SYNC world re-attempts completion after resolution."""
@@ -1564,5 +1604,3 @@ class Kernel:
             world.blocked_source_op = None
             self.trace.record(self.now, "source-unblock", world.pid, wid=world.wid)
             self._park_costed(world, op, self.profile.device_latency_s, None)
-        elif world.state is ProcState.BLOCKED_SYNC:
-            self._retry_sync(world)

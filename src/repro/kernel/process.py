@@ -55,16 +55,6 @@ class ProcState(enum.Enum):
     def alive(self) -> bool:
         return self not in (ProcState.DONE, ProcState.ABORTED, ProcState.KILLED)
 
-    @property
-    def blocked(self) -> bool:
-        return self in (
-            ProcState.BLOCKED_RECV,
-            ProcState.BLOCKED_ALT,
-            ProcState.BLOCKED_SOURCE,
-            ProcState.BLOCKED_SYNC,
-            ProcState.SLEEPING,
-        )
-
 
 @dataclass
 class AltGroup:
@@ -84,7 +74,6 @@ class AltGroup:
     plain: dict[int, bool] = field(default_factory=dict)  # pid -> wrapped plain fn?
     n_eliminated: int = 0
     policy: EliminationPolicy = EliminationPolicy.ASYNCHRONOUS
-    timeout: float | None = None
     issued_at: float = 0.0  # AltSpawn yielded
     spawned_at: float = 0.0  # children created
     winner_pid: int | None = None
@@ -94,7 +83,6 @@ class AltGroup:
     timed_out: bool = False
     overhead: OverheadBreakdown = field(default_factory=OverheadBreakdown)
     records: dict[int, ChildRecord] = field(default_factory=dict)
-    waiting: bool = False  # parent is blocked in AltWait
     settled: bool = False  # outcome decided (winner, all-failed, or timeout)
 
     def live_child_pids(self) -> list[int]:

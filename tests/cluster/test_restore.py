@@ -8,11 +8,12 @@ anywhere means replay, never re-run — deduplicate sealed admits, and
 re-admit the rest under their original seqs.
 """
 
-import threading
 import time
 
 from repro.cluster import ClusterRouter, ClusterShard
 from repro.journal import CommitJournal, MemoryJournalStorage, find_block_win
+
+from tests.jam import CrashJam
 
 
 def build_alternatives(spec):
@@ -37,6 +38,10 @@ def _cluster(storages, **shard_kwargs):
     return ClusterRouter(shards).start(detect=False)
 
 
+def _jam(router):
+    return CrashJam(shard.service for shard in router._shards.values())
+
+
 def _reopen(storages):
     return {sid: CommitJournal(storage=s) for sid, s in sorted(storages.items())}
 
@@ -44,7 +49,7 @@ def _reopen(storages):
 def test_restore_replays_committed_and_readmits_sealed():
     storages = {sid: MemoryJournalStorage() for sid in range(3)}
     router = _cluster(storages)
-    gate = threading.Event()
+    jam = _jam(router)
 
     # half commit before the crash, half jam behind a blocked worker
     done = [
@@ -55,13 +60,8 @@ def test_restore_replays_committed_and_readmits_sealed():
     assert all(r.committed for r in committed.values())
     jammed = []
     for i in range(3, 9):
-        jammed.append(
-            router.submit(
-                "jam", [lambda ws, _g=gate: _g.wait(30)], spec={"n": i}
-            )
-        )
+        jammed.append(jam.submit(router.submit, "jam", spec={"n": i}))
     router.crash()
-    gate.set()
 
     restored, report = ClusterRouter.restore(
         _reopen(storages), build_alternatives=build_alternatives,
@@ -119,22 +119,17 @@ def test_takeover_survivor_win_is_never_rerun_by_restarted_home():
 
     # land a request, kill its home shard before the worker finishes,
     # and let takeover re-land it on a survivor — which commits it
-    slow_gate = threading.Event()
-
-    def slow(ws):
-        slow_gate.wait(5)
-        return 4 * 13
-
-    ticket = router.submit("victim", [slow], spec={"n": 4})
+    jam = _jam(router)
+    ticket = jam.submit(router.submit, "victim", value=4 * 13, spec={"n": 4})
     time.sleep(0.05)
-    home = None
     with router._lock:
         home = router._inflight[ticket.seq].shard_id
     router.kill_shard(home)
-    slow_gate.set()
+    jam.open.set()
     router.takeover(home)
     result = ticket.result(timeout=30)
     assert result.committed
+    assert result.shard_id != home, "the home's world failed; a survivor won"
     winner_sid = next(
         sid for sid, j in _reopen(storages).items()
         if find_block_win(j, ticket.seq) is not None
@@ -194,18 +189,14 @@ def test_fenced_shards_sealed_work_recovers_at_restart():
     survivor wins replayed — fencing must not strand durable work."""
     storages = {sid: MemoryJournalStorage() for sid in range(3)}
     router = _cluster(storages)
-    gate = threading.Event()
-    jam = [
-        router.submit("jam", [lambda ws, _g=gate: _g.wait(30)], spec={"n": i})
-        for i in range(4)
-    ]
+    jammer = _jam(router)
+    jam = [jammer.submit(router.submit, "jam", spec={"n": i}) for i in range(4)]
     # excommunicate every shard that holds work (partition false positive)
     with router._lock:
         holding = {router._inflight[t.seq].shard_id for t in jam}
     for sid in holding:
         router._shards[sid].fence()
     router.crash()
-    gate.set()
 
     restored, report = ClusterRouter.restore(
         _reopen(storages), build_alternatives=build_alternatives,

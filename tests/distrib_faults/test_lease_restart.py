@@ -8,7 +8,6 @@ heartbeat must not resurrect its lease, and a late result must not
 commit or re-land.
 """
 
-import threading
 import time
 
 import pytest
@@ -17,6 +16,8 @@ from repro.cluster import ClusterRouter, ClusterShard
 from repro.distrib.lease import LeaseState, RemoteWorldLease
 from repro.errors import NetworkError
 from repro.journal import CommitJournal, MemoryJournalStorage
+
+from tests.jam import CrashJam
 
 
 class TestSuccessorCrashMidReplay:
@@ -62,14 +63,9 @@ class TestSuccessorCrashMidReplay:
             for sid in range(3)
         ]
         router = ClusterRouter(shards).start(detect=False)
-        gate = threading.Event()
-
-        def slow(ws):
-            gate.wait(10)
-            return 42
-
+        jam = CrashJam(shard.service for shard in shards)
         try:
-            ticket = router.submit("t", [slow], spec={"n": 1})
+            ticket = jam.submit(router.submit, "t", value=42, spec={"n": 1})
             time.sleep(0.05)
             with router._lock:
                 home = router._inflight[ticket.seq].shard_id
@@ -77,20 +73,19 @@ class TestSuccessorCrashMidReplay:
             router.takeover(home)  # re-lands on a successor shard
             time.sleep(0.05)
             with router._lock:
-                rec = router._inflight.get(ticket.seq)
-            if rec is not None:
-                successor = rec.shard_id
-                assert successor != home
-                router.kill_shard(successor)
-                router.takeover(successor)  # second hop
-            gate.set()
+                successor = router._inflight[ticket.seq].shard_id
+            assert successor != home
+            router.kill_shard(successor)
+            router.takeover(successor)  # second hop
+            jam.open.set()
             result = ticket.result(timeout=30)
             assert result.committed
             assert result.value == 42
+            assert result.shard_id not in (home, successor)
             audit = router.audit_applied()
             assert audit.get(ticket.seq) == 1, "exactly one applied win"
         finally:
-            gate.set()
+            jam.open.set()
             router.stop()
 
 
@@ -128,12 +123,10 @@ class TestFencedOriginalRestart:
             0, slots=1, workers=1, journal=journal, journal_admission=True
         )
         shard.service.start()
-        gate = threading.Event()
-        ticket = shard.service.submit(
-            "t", [lambda ws: gate.wait(10)], spec={"n": 1}
+        ticket = CrashJam([shard.service]).submit(
+            shard.service.submit, "t", spec={"n": 1}
         )
         shard.fence()
-        gate.set()
         # the fenced process must not resolve the ticket...
         assert not ticket.done
         # ...but the durable ack survives for the next restore

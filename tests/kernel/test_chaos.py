@@ -12,11 +12,15 @@ global invariants from DESIGN.md §5, whatever happened:
   timeout.
 """
 
+import os
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import DeadlockError
 from repro.kernel import Kernel, ProcState, TIMEOUT
+
+#: tier-1 draws 60 topologies; CI's fuzz-smoke step asks for more
+MAX_EXAMPLES = int(os.environ.get("KERNEL_CHAOS_EXAMPLES", "60"))
 
 block_specs = st.lists(
     st.tuples(
@@ -84,15 +88,13 @@ def _build(kernel: Kernel, specs, n_receivers: int):
     cpus=st.integers(min_value=1, max_value=6),
     seed=st.integers(min_value=0, max_value=99),
 )
+# once a deadlock (recv0 ended blocked-sync): a receiver split inside a
+# half-applied resolution and the clone kept a literal already settled
 @example(
     specs=[(0.25, 0.5, 1.0, True), (0.25, 1.0, 1.0, True), (0.25, 1.0, 1.0, True)],
     n_receivers=1, cpus=1, seed=0,
-).xfail(
-    raises=DeadlockError,
-    reason="known defect (ROADMAP item 5): recv0 ends blocked-sync; "
-    "undecided whether the sim kernel or this invariant is wrong",
 )
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=MAX_EXAMPLES, deadline=None)
 def test_global_invariants_hold_after_any_run(specs, n_receivers, cpus, seed):
     kernel = Kernel(cpus=cpus, seed=seed)
     receiver_pids, parent_pids = _build(kernel, specs, n_receivers)

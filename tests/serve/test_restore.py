@@ -8,10 +8,10 @@ settle unrebuildable admits as ``unrecoverable`` instead of retrying
 them forever.
 """
 
-import threading
-
 from repro.journal import CommitJournal, MemoryJournalStorage, find_block_win
 from repro.serve import SpeculationService, WorldBudget
+
+from tests.jam import CrashJam
 
 
 def build_alternatives(spec):
@@ -24,11 +24,11 @@ def build_alternatives(spec):
     return [compute]
 
 
-def _crashed_service_journal(n_requests=4, block=None):
+def _crashed_service_journal(n_requests=4, jam=False):
     """Run a service over a journal, crash it, return the storage.
 
-    ``block`` (an Event) keeps the worker from ever serving: every
-    admit stays sealed-but-unapplied, the shape restore must re-admit.
+    ``jam`` keeps the one worker from ever serving: every admit stays
+    sealed-but-unapplied, the shape restore must re-admit.
     """
     storage = MemoryJournalStorage()
     journal = CommitJournal(storage=storage)
@@ -38,13 +38,13 @@ def _crashed_service_journal(n_requests=4, block=None):
     svc.start()
     tickets = []
     try:
-        if block is not None:
-            svc.submit("jam", [lambda ws: block.wait(30)], spec=None)
+        if jam:
+            CrashJam([svc]).submit(svc.submit, "jam", spec=None)
         for i in range(n_requests):
             tickets.append(
                 svc.submit("t", build_alternatives({"n": i}), spec={"n": i})
             )
-        if block is None:
+        if not jam:
             for t in tickets:
                 t.result(timeout=30)
     finally:
@@ -73,9 +73,7 @@ def test_restore_replays_applied_commits_idempotently():
 
 
 def test_restore_re_admits_sealed_unapplied_under_original_seq():
-    block = threading.Event()
-    storage, seqs = _crashed_service_journal(block=block)
-    block.set()
+    storage, seqs = _crashed_service_journal(jam=True)
     journal = CommitJournal(storage=storage)
     svc, report = SpeculationService.restore(
         journal, WorldBudget(2), build_alternatives=build_alternatives,
@@ -132,9 +130,7 @@ def test_restore_drops_specless_admits_as_unrecoverable():
 
 
 def test_restore_without_builder_drops_everything_sealed():
-    block = threading.Event()
-    storage, seqs = _crashed_service_journal(n_requests=2, block=block)
-    block.set()
+    storage, seqs = _crashed_service_journal(n_requests=2, jam=True)
     journal = CommitJournal(storage=storage)
     svc, report = SpeculationService.restore(journal, WorldBudget(2), workers=1)
     try:
