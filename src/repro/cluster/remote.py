@@ -17,9 +17,13 @@ real OS process boundary:
   same surface :class:`~repro.cluster.router.ClusterRouter` already
   calls on a local ``ClusterShard`` (``state``/``up``/``alive``,
   ``backlog``/``idle_slots``/``load``, ``start``/``stop``/``crash``/
-  ``fence``, a ``.service`` facade with ``submit``/``steal_requests``/
+  ``fence``, a ``.service`` facade with ``admit``/``steal_requests``/
   ``confirm_stolen``/``on_resolve``), which is what makes the router
   transport-polymorphic: local and remote shards mix in one hash ring.
+  The request crosses as what it is: ``admit`` pickles the router's
+  :class:`~repro.serve.admission.ServeRequest` into the submit frame,
+  and what comes back (a stolen request, a resolve push) is an
+  identity-only ``ServeRequest(tenant, (), seq=..., shadow=...)``.
 
 Reliability stack, bottom-up:
 
@@ -54,7 +58,6 @@ from __future__ import annotations
 import collections
 import multiprocessing
 import os
-import pickle
 import signal
 import socket
 import tempfile
@@ -78,6 +81,7 @@ from repro.errors import (
 )
 from repro.faults.plan import TRANSPORT_SITE, FaultKind
 from repro.journal import CommitJournal, FileJournalStorage, MemoryJournalStorage
+from repro.serve.admission import ServeRequest
 
 __all__ = [
     "CircuitBreaker",
@@ -140,26 +144,6 @@ def host_kill_decision(plan, shard_id: int, epoch: int = 0) -> float | None:
     return None
 
 
-class _SlimRequest:
-    """The request identity that crosses the wire (no alternatives).
-
-    Quacks enough like a :class:`~repro.serve.admission.ServeRequest`
-    for the two places the router hands one back to a shard surface:
-    ``confirm_stolen`` and the ``on_resolve`` hook (both only read
-    ``seq`` / ``tenant`` / ``shadow``).
-    """
-
-    __slots__ = ("seq", "tenant", "shadow")
-
-    def __init__(self, seq: int, tenant: str, shadow: bool = False) -> None:
-        self.seq = seq
-        self.tenant = tenant
-        self.shadow = shadow
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging nicety
-        return f"_SlimRequest(seq={self.seq}, tenant={self.tenant!r})"
-
-
 # ---------------------------------------------------------------------------
 # The child process: ShardHost
 # ---------------------------------------------------------------------------
@@ -209,11 +193,9 @@ class _ShardHost:
             self._outbox[self._event_seq] = {
                 "push": "resolve",
                 "event": self._event_seq,
-                "request": {
-                    "seq": request.seq,
-                    "tenant": request.tenant,
-                    "shadow": bool(getattr(request, "shadow", False)),
-                },
+                "request": ServeRequest(
+                    request.tenant, (), seq=request.seq, shadow=request.shadow
+                ),
                 "result": result,
             }
             self._outbox_cv.notify_all()
@@ -261,24 +243,13 @@ class _ShardHost:
                 "pid": os.getpid(),
             }
         if op == "submit":
-            ticket = service.submit(
-                args["tenant"], args["alternatives"],
-                initial=args.get("initial"),
-                priority=args.get("priority", 0),
-                deadline_at=args.get("deadline_at"),
-                timeout=args.get("timeout"),
-                cost=args.get("cost", 1.0),
-                seq=args.get("seq"),
-                spec=args.get("spec"),
-            )
-            return {"seq": ticket.seq}
+            service.admit(args["request"])
+            return True
         if op == "steal":
             stolen = service.steal_requests(args["max_n"])
-            return [{"seq": r.seq, "tenant": r.tenant} for r in stolen]
+            return [ServeRequest(r.tenant, (), seq=r.seq) for r in stolen]
         if op == "confirm_stolen":
-            service.confirm_stolen(
-                _SlimRequest(args["seq"], args.get("tenant", ""))
-            )
+            service.confirm_stolen(args["request"])
             return True
         if op == "fence":
             self.shard.fence()
@@ -481,40 +452,14 @@ class _RemoteService:
         self._client = client
         self.on_resolve = None
 
-    def submit(
-        self,
-        tenant: str,
-        alternatives,
-        initial: dict | None = None,
-        priority: int = 0,
-        deadline_s: float | None = None,
-        timeout: float | None = None,
-        cost: float = 1.0,
-        seq: int | None = None,
-        deadline_at: float | None = None,
-        spec: Any = None,
-    ):
-        # CLOCK_MONOTONIC is system-wide on Linux, so an absolute
-        # monotonic deadline computed here means the same instant in
-        # the shard-host process
-        if deadline_at is None and deadline_s is not None:
-            deadline_at = time.monotonic() + deadline_s
-        value = self._client._call(
-            "submit",
-            tenant=tenant, alternatives=list(alternatives), initial=initial,
-            priority=priority, deadline_at=deadline_at, timeout=timeout,
-            cost=cost, seq=seq, spec=spec,
-        )
-        return value["seq"]
+    def admit(self, request) -> None:
+        self._client._call("submit", request=request)
 
     def steal_requests(self, max_n: int) -> list:
-        stolen = self._client._call("steal", max_n=max_n)
-        return [_SlimRequest(d["seq"], d["tenant"]) for d in stolen]
+        return self._client._call("steal", max_n=max_n)
 
     def confirm_stolen(self, request) -> None:
-        self._client._call(
-            "confirm_stolen", seq=request.seq, tenant=request.tenant
-        )
+        self._client._call("confirm_stolen", request=request)
 
     def stop(self, timeout: float | None = None, drain: bool = True) -> None:
         self._client.stop(drain=drain)
@@ -953,15 +898,8 @@ class RemoteShardClient:
                 self._seen_events.popitem(last=False)
         cb = self.service.on_resolve
         if cb is not None and not duplicate:
-            req = msg.get("request", {})
             try:
-                cb(
-                    _SlimRequest(
-                        req.get("seq", -1), req.get("tenant", ""),
-                        req.get("shadow", False),
-                    ),
-                    msg.get("result"),
-                )
+                cb(msg["request"], msg.get("result"))
             except Exception:  # noqa: BLE001 - resolve hooks never kill the reader
                 pass
         try:

@@ -66,7 +66,7 @@ from repro.journal import replay_block_win
 from repro.journal.recovery import RecoveryReport, recover
 from repro.cluster.ring import HashRing
 from repro.cluster.shard import ClusterShard, ShardState
-from repro.serve.admission import ensure_seq_at_least, next_seq
+from repro.serve.admission import ServeRequest, ensure_seq_at_least
 from repro.serve.service import ServeResult, ServeTicket, restart_seq_floor
 
 #: Beats per ROUTER_PARTITION decision window (the fault plan decides
@@ -141,17 +141,11 @@ class ClusterTicket(ServeTicket):
 class _Inflight:
     """The router's record of one admitted, unresolved request."""
 
-    tenant: str
-    alternatives: Sequence[Any]
-    initial: dict | None
-    priority: int
-    deadline_at: float | None
-    timeout: float | None
-    cost: float
-    shard_id: int
+    request: ServeRequest
+    ticket: ClusterTicket
+    shard_id: int = -1
     attempts: int = 1
     failover: str = ""
-    spec: Any = None
 
 
 @dataclass
@@ -256,8 +250,8 @@ class ClusterRouter:
         self.ring = HashRing(vnodes=vnodes)
         self._shards: dict[int, ClusterShard] = {}
         self._retired: list[ClusterShard] = []
+        #: the one per-request table: whoever pops a record resolves it
         self._inflight: dict[int, _Inflight] = {}
-        self._tickets: dict[int, ClusterTicket] = {}
         self._lock = threading.RLock()
         self._running = False
         self._beat = 0
@@ -422,17 +416,9 @@ class ClusterRouter:
                 shard.service.stop()
         # anything still unresolved (e.g. re-route raced shutdown) fails
         with self._lock:
-            leftovers = list(self._inflight.items())
-            self._inflight.clear()
-        for seq, rec in leftovers:
-            self._settle(
-                seq,
-                ClusterResult(
-                    status="cancelled", tenant=rec.tenant, seq=seq,
-                    shard_id=rec.shard_id, attempts=rec.attempts,
-                    reason="cluster stopped",
-                ),
-            )
+            leftovers = list(self._inflight.values())
+        for rec in leftovers:
+            self._settle(rec, "cancelled", "cluster stopped")
 
     def close(self) -> None:
         """Alias for :meth:`stop` — the resource-style spelling.
@@ -458,7 +444,6 @@ class ClusterRouter:
                 shard.crash()
         with self._lock:
             self._inflight.clear()
-            self._tickets.clear()
 
     @classmethod
     def restore(
@@ -564,12 +549,8 @@ class ClusterRouter:
                 report.dropped.append(rseq)
                 continue
             try:
-                ticket = router.submit(
-                    tenant, build_alternatives(spec),
-                    priority=data.get("priority", 0),
-                    cost=data.get("cost", 1.0),
-                    timeout=data.get("timeout"),
-                    seq=rseq, spec=spec,
+                rec = router._accept(
+                    ServeRequest.from_admit(data, build_alternatives(spec))
                 )
             except (AdmissionRejected, NoSurvivingShard, JournalCrash):
                 # leave the admit sealed: a later restore retries it (a
@@ -577,14 +558,11 @@ class ClusterRouter:
                 # admit write — the durable old admit still covers it)
                 continue
             report.re_admitted.append(rseq)
-            report.tickets[rseq] = ticket
+            report.tickets[rseq] = rec.ticket
             # if placement landed away from home, the new shard sealed
             # its own admit; settle the old one so only one copy of the
             # request survives the *next* restart too
-            with router._lock:
-                landed = router._inflight.get(rseq)
-                landed_sid = landed.shard_id if landed is not None else None
-            if landed_sid != sid and journal.status(intent["seq"]) == "sealed":
+            if rec.shard_id != sid and journal.status(intent["seq"]) == "sealed":
                 _settle_admit_best_effort(
                     journal, intent["seq"], "superseded")
         if obs is not None:
@@ -619,49 +597,45 @@ class ClusterRouter:
         cost: float = 1.0,
         seq: int | None = None,
         spec: Any = None,
+        request_class: str = "",
     ) -> ClusterTicket:
         """Place one request on the tenant's (preferred live) shard.
 
-        Raises :class:`~repro.errors.AdmissionRejected` when every
-        candidate shard refuses it (cluster-level backpressure, with the
-        largest ``retry_after_s`` hint seen) and
-        :class:`~repro.errors.NoSurvivingShard` when no shard is up.
+        Builds the :class:`~repro.serve.admission.ServeRequest` (see its
+        fields) that every layer below passes on as is. Raises
+        :class:`~repro.errors.WorldsError` on a bad alternative list,
+        :class:`~repro.errors.AdmissionRejected` when every candidate
+        shard refuses it (cluster-level backpressure, with the largest
+        ``retry_after_s`` hint seen) and
+        :class:`~repro.errors.NoSurvivingShard` when no shard is up —
+        with nothing left registered in every case.
 
-        ``seq`` is the restore hook — a re-admitted request keeps its
-        original cluster-unique seq (and hence journal block id).
-        ``spec`` is the picklable request description journalled by
-        shards running with ``journal_admission`` (what makes the
-        request rebuildable after a whole-cluster crash).
+        ``seq`` re-admits a request under its original cluster-unique
+        seq (and hence journal block id). ``spec`` is the picklable
+        request description journalled by shards running with
+        ``journal_admission`` (what makes the request rebuildable after
+        a whole-cluster crash).
         """
         if not self._running:
             raise ServiceStopped("cluster is not running (call start())")
-        if seq is None:
-            seq = next_seq()
-        rec = _Inflight(
-            tenant=tenant,
-            alternatives=list(alternatives),
-            initial=initial,
-            priority=priority,
-            deadline_at=(
-                None if deadline_s is None else time.monotonic() + deadline_s
-            ),
-            timeout=timeout,
-            cost=cost,
-            shard_id=-1,
-            spec=spec,
-        )
-        ticket = ClusterTicket(tenant, seq)
+        return self._accept(ServeRequest.build(
+            tenant, alternatives, initial=initial, priority=priority,
+            deadline_s=deadline_s, timeout=timeout, cost=cost, seq=seq,
+            spec=spec, request_class=request_class,
+        )).ticket
+
+    def _accept(self, request: ServeRequest) -> _Inflight:
+        """Register ``request`` and place it; unregister if placement raises."""
+        rec = _Inflight(request, ClusterTicket(request.tenant, request.seq))
         with self._lock:
-            self._inflight[seq] = rec
-            self._tickets[seq] = ticket
+            self._inflight[request.seq] = rec
         try:
-            self._place(seq, rec)
-        except (AdmissionRejected, NoSurvivingShard):
+            self._place(rec)
+        except BaseException:
             with self._lock:
-                self._inflight.pop(seq, None)
-                self._tickets.pop(seq, None)
+                self._inflight.pop(request.seq, None)
             raise
-        return ticket
+        return rec
 
     def _candidates(self, tenant: str, exclude: set[int]) -> list[ClusterShard]:
         with self._lock:
@@ -689,23 +663,15 @@ class ClusterRouter:
                     return other, home
         return home, None
 
-    @staticmethod
-    def _submit_to(target: ClusterShard, seq: int, rec: _Inflight) -> None:
-        """Hand ``rec`` to ``target``'s service under its cluster-wide seq."""
-        target.service.submit(
-            rec.tenant, rec.alternatives, initial=rec.initial,
-            priority=rec.priority, deadline_at=rec.deadline_at,
-            timeout=rec.timeout, cost=rec.cost, seq=seq, spec=rec.spec,
-        )
-
-    def _place(self, seq: int, rec: _Inflight, exclude: set[int] | None = None) -> None:
+    def _place(self, rec: _Inflight, exclude: set[int] | None = None) -> None:
         """Land ``rec`` on a live shard; walk candidates on refusal."""
         exclude = set() if exclude is None else set(exclude)
         last_rejection: AdmissionRejected | None = None
+        seq, tenant = rec.request.seq, rec.request.tenant
         while True:
-            target, spilled_from = self._pick(rec.tenant, exclude)
+            target, spilled_from = self._pick(tenant, exclude)
             try:
-                self._submit_to(target, seq, rec)
+                target.service.admit(rec.request)
             except (AdmissionRejected, ServiceStopped, ShardUnreachable) as exc:
                 # ShardUnreachable — a remote shard's transport gave up
                 # (retries exhausted or breaker open) — walks on exactly
@@ -714,7 +680,7 @@ class ClusterRouter:
                 if isinstance(exc, AdmissionRejected):
                     last_rejection = exc
                 exclude.add(target.shard_id)
-                if not self._candidates(rec.tenant, exclude):
+                if not self._candidates(tenant, exclude):
                     if last_rejection is not None:
                         raise last_rejection
                     raise NoSurvivingShard(
@@ -733,10 +699,10 @@ class ClusterRouter:
                 self._count(self._takeover_c, kind="journal-crash")
                 outcome = replay_block_win(target.journal, seq)
                 if outcome is not None:
-                    self._settle_replayed(seq, rec, target.shard_id, outcome)
+                    self._settle_replayed(rec, target.shard_id, outcome)
                     return
                 exclude.add(target.shard_id)
-                if not self._candidates(rec.tenant, exclude):
+                if not self._candidates(tenant, exclude):
                     raise NoSurvivingShard(
                         f"request {seq}: every candidate shard is down"
                     )
@@ -752,7 +718,7 @@ class ClusterRouter:
             return
 
     def _place_or_spare(
-        self, seq: int, rec: _Inflight, exclude: set[int] | None = None
+        self, rec: _Inflight, exclude: set[int] | None = None
     ) -> bool:
         """:meth:`_place`, degrading remote → local when nothing is left.
 
@@ -764,18 +730,18 @@ class ClusterRouter:
         cluster already accepted. Returns True iff the spare rung fired.
         """
         try:
-            self._place(seq, rec, exclude=exclude)
+            self._place(rec, exclude=exclude)
             return False
         except NoSurvivingShard:
             if self._ensure_spare() is None:
                 raise
-            self._place(seq, rec, exclude=exclude)
+            self._place(rec, exclude=exclude)
             return True
 
     def _settle_replayed(
-        self, seq: int, rec: _Inflight, shard_id: int, outcome: BlockOutcome
+        self, rec: _Inflight, shard_id: int, outcome: BlockOutcome
     ) -> None:
-        """Settle ``seq`` from a durable journalled win (exactly-once).
+        """Settle ``rec`` from a durable journalled win (exactly-once).
 
         Used when a shard died with the request's ``block`` transaction
         already applied in its journal: the value is replayed, never
@@ -783,35 +749,31 @@ class ClusterRouter:
         paths alike (:meth:`restore`, which has no ticket to settle,
         builds the same result).
         """
-        with self._lock:
-            rec.shard_id = shard_id
-            self._inflight.pop(seq, None)
+        rec.shard_id = shard_id
         rec.failover = "replayed"
         self._count(self._failover_c, mode="replayed")
-        self._settle(
-            seq,
-            _replayed_result(rec.tenant, seq, shard_id, outcome, rec.attempts),
-        )
-
-    def _settle_failed(self, seq: int, rec: _Inflight, reason: str) -> None:
-        """Fail an accepted request that no surviving shard would take."""
-        with self._lock:
-            self._inflight.pop(seq, None)
-        self._settle(
-            seq,
-            ClusterResult(
-                status="failed", tenant=rec.tenant, seq=seq,
-                shard_id=rec.shard_id, failover=rec.failover,
-                attempts=rec.attempts, reason=reason,
-            ),
-        )
+        self._resolve(rec, _replayed_result(
+            rec.request.tenant, rec.request.seq, shard_id, outcome, rec.attempts
+        ))
 
     # -- resolution --------------------------------------------------------
-    def _settle(self, seq: int, result: ClusterResult) -> None:
+    def _settle(
+        self, rec: _Inflight, status: str, reason: str,
+        result: ServeResult | None = None,
+    ) -> None:
+        """Resolve ``rec`` as ``status`` where it stands."""
+        self._resolve(rec, ClusterResult(
+            status=status, tenant=rec.request.tenant, seq=rec.request.seq,
+            shard_id=rec.shard_id, failover=rec.failover,
+            attempts=rec.attempts, reason=reason, result=result,
+        ))
+
+    def _resolve(self, rec: _Inflight, result: ClusterResult) -> None:
+        """Take ``rec`` out of the table and resolve its ticket — once:
+        only the caller that finds it still registered resolves."""
         with self._lock:
-            ticket = self._tickets.pop(seq, None)
-        if ticket is not None:
-            ticket._resolve(result)
+            if self._inflight.pop(result.seq, None) is rec:
+                rec.ticket._resolve(result)
 
     def _on_shard_resolve(self, request, result: ServeResult) -> None:
         """Shard-level resolution hook (runs on shard worker threads)."""
@@ -826,26 +788,18 @@ class ClusterRouter:
                 and rec.attempts <= len(self._shards) + 1
             )
             if not reroutable:
-                self._inflight.pop(request.seq, None)
-        if reroutable:
-            # a draining shard shed it with a retry hint: re-route rather
-            # than failing the caller (the shutdown-shed satellite payoff)
-            rec.attempts += 1
-            rec.failover = rec.failover or "rerouted"
-            self._count(self._failover_c, mode="rerouted")
-            try:
-                self._place_or_spare(request.seq, rec, exclude={rec.shard_id})
-            except (AdmissionRejected, NoSurvivingShard) as exc:
-                self._settle_failed(request.seq, rec, f"re-route failed: {exc}")
-            return
-        self._settle(
-            request.seq,
-            ClusterResult(
-                status=result.status, tenant=rec.tenant, seq=request.seq,
-                shard_id=rec.shard_id, failover=rec.failover,
-                attempts=rec.attempts, reason=result.reason, result=result,
-            ),
-        )
+                # inside the lock, so no takeover sees it as an orphan
+                self._settle(rec, result.status, result.reason, result)
+                return
+        # a draining shard shed it with a retry hint: re-route rather
+        # than failing the caller (the shutdown-shed satellite payoff)
+        rec.attempts += 1
+        rec.failover = rec.failover or "rerouted"
+        self._count(self._failover_c, mode="rerouted")
+        try:
+            self._place_or_spare(rec, exclude={rec.shard_id})
+        except (AdmissionRejected, NoSurvivingShard) as exc:
+            self._settle(rec, "failed", f"re-route failed: {exc}")
 
     # -- failure detection -------------------------------------------------
     def _detector_loop(self) -> None:
@@ -982,7 +936,7 @@ class ClusterRouter:
                 continue  # resolved while being stolen; drop the copy
             rec.attempts += 1
             try:
-                self._submit_to(target, request.seq, rec)
+                target.service.admit(rec.request)
             except (
                 AdmissionRejected, ServiceStopped, ShardUnreachable,
                 JournalCrash,
@@ -1000,19 +954,15 @@ class ClusterRouter:
                             busy.service.confirm_stolen(request)
                         except ShardUnreachable:
                             pass  # source silent; takeover settles its admit
-                        self._settle_replayed(
-                            request.seq, rec, target.shard_id, outcome
-                        )
+                        self._settle_replayed(rec, target.shard_id, outcome)
                         moved += 1
                         continue
                 # target refused after all: put it back through the
                 # generic placement walk (home first)
                 try:
-                    self._place_or_spare(request.seq, rec)
+                    self._place_or_spare(rec)
                 except (AdmissionRejected, NoSurvivingShard) as exc:
-                    self._settle_failed(
-                        request.seq, rec, f"steal re-place failed: {exc}"
-                    )
+                    self._settle(rec, "failed", f"steal re-place failed: {exc}")
                 continue
             # the thief's admit is sealed: only now is the hand-off
             # durable, so only now may the source close its ledger line
@@ -1130,7 +1080,7 @@ class ClusterRouter:
             outcome = replay_block_win(shard.journal, seq)
             if outcome is not None:
                 replayed += 1
-                self._settle_replayed(seq, rec, shard_id, outcome)
+                self._settle_replayed(rec, shard_id, outcome)
                 continue
             # never applied anywhere: re-land on the next preference
             rec.attempts += 1
@@ -1141,12 +1091,12 @@ class ClusterRouter:
                 # gone (e.g. the whole remote fleet is unreachable), the
                 # helper adopts an in-process spare and retries once —
                 # the cluster-level rung of fork → thread → sequential
-                if self._place_or_spare(seq, rec, exclude={shard_id}):
+                if self._place_or_spare(rec, exclude={shard_id}):
                     mode = "spare"
             except (AdmissionRejected, NoSurvivingShard) as exc:
                 failed += 1
                 self._count(self._failover_c, mode="lost")
-                self._settle_failed(seq, rec, f"re-land failed: {exc}")
+                self._settle(rec, "failed", f"re-land failed: {exc}")
                 continue
             relanded += 1
             self._count(self._failover_c, mode=mode)

@@ -23,6 +23,12 @@ helpers (`counter`/`gauge`/`histogram`) raise on any kind, label or
 bucket mismatch — so a name always means one thing across the whole
 process (the CI smoke validates exactly this).
 
+Label values are not trusted to be few: a metric keeps at most
+:data:`MAX_SERIES` label combinations, and a write that would create
+one more lands in a shared ``other`` series instead (counters stay
+monotonic, totals are conserved) and is counted in
+``mw_obs_series_dropped{metric}``.
+
 Everything is guarded by locks so the thread backend can increment from
 its workers; the cost is one lock acquire + dict update per increment,
 cheap enough to stay on by default.
@@ -40,6 +46,13 @@ class MetricError(ValueError):
 
 class DuplicateMetricError(MetricError):
     """Two metrics were registered under one name."""
+
+
+#: Most label combinations one metric keeps before new ones fold into
+#: the :data:`OVERFLOW_LABEL` series (alternative names unique per
+#: request would otherwise grow ``mw_serve_alt_*{alt}`` without bound).
+MAX_SERIES = 1024
+OVERFLOW_LABEL = "other"
 
 
 def _label_key(labelnames: tuple[str, ...], labels: dict[str, Any]) -> tuple:
@@ -67,6 +80,19 @@ class Metric:
         self.labelnames = tuple(labelnames)
         self._lock = threading.Lock()
         self._values: dict[tuple, Any] = {}
+        #: called with the metric's name per write folded into ``other``
+        #: (the owning registry's ``mw_obs_series_dropped`` counter)
+        self._on_overflow: Callable[[str], None] | None = None
+
+    def _series(self, labels: dict[str, Any]) -> tuple:
+        """The series a write with ``labels`` lands in (lock held): its
+        own, or ``other`` once the metric is full."""
+        key = _label_key(self.labelnames, labels)
+        if key in self._values or len(self._values) < MAX_SERIES:
+            return key
+        if self._on_overflow is not None:
+            self._on_overflow(self.name)
+        return (OVERFLOW_LABEL,) * len(self.labelnames)
 
     def _signature(self) -> tuple:
         return (self.kind, self.labelnames)
@@ -97,8 +123,8 @@ class Counter(Metric):
     def inc(self, amount: float = 1.0, **labels: Any) -> None:
         if amount < 0:
             raise MetricError(f"counter {self.name} cannot decrease")
-        key = _label_key(self.labelnames, labels)
         with self._lock:
+            key = self._series(labels)
             self._values[key] = self._values.get(key, 0.0) + amount
 
     def value(self, **labels: Any) -> float:
@@ -118,13 +144,12 @@ class Gauge(Metric):
     kind = "gauge"
 
     def set(self, value: float, **labels: Any) -> None:
-        key = _label_key(self.labelnames, labels)
         with self._lock:
-            self._values[key] = value
+            self._values[self._series(labels)] = value
 
     def inc(self, amount: float = 1.0, **labels: Any) -> None:
-        key = _label_key(self.labelnames, labels)
         with self._lock:
+            key = self._series(labels)
             self._values[key] = self._values.get(key, 0.0) + amount
 
     def dec(self, amount: float = 1.0, **labels: Any) -> None:
@@ -196,8 +221,8 @@ class Histogram(Metric):
         return (self.kind, self.labelnames, self.buckets)
 
     def observe(self, value: float, **labels: Any) -> None:
-        key = _label_key(self.labelnames, labels)
         with self._lock:
+            key = self._series(labels)
             cell = self._values.get(key)
             if cell is None:
                 cell = {"counts": [0] * (len(self.buckets) + 1), "sum": 0.0, "count": 0}
@@ -258,6 +283,19 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._metrics: dict[str, Metric] = {}
+        self._dropped: Counter | None = None
+
+    def _series_dropped(self, metric: str) -> None:
+        """Count one write that ``metric``'s series cap folded into
+        ``other`` (the counter exists from the first such write on)."""
+        if self._dropped is None:
+            self._dropped = self.counter(
+                "mw_obs_series_dropped",
+                "Writes folded into the `other` series by the per-metric cap",
+                labelnames=("metric",),
+            )
+            self._dropped._on_overflow = None  # it must not count into itself
+        self._dropped.inc(metric=metric)
 
     # -- registration ------------------------------------------------------
     def register(self, metric: Metric) -> Metric:
@@ -267,6 +305,7 @@ class MetricsRegistry:
                     f"metric {metric.name!r} is already registered"
                 )
             self._metrics[metric.name] = metric
+            metric._on_overflow = self._series_dropped
         return metric
 
     def _get_or_create(self, cls, name: str, kwargs: dict) -> Metric:
@@ -281,6 +320,7 @@ class MetricsRegistry:
                     )
                 return existing
             metric = cls(name, **kwargs)
+            metric._on_overflow = self._series_dropped
             self._metrics[name] = metric
             return metric
 

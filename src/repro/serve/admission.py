@@ -33,6 +33,7 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
+from repro.core.backend import normalize_alternatives
 from repro.errors import AdmissionRejected, ServeError
 
 
@@ -84,16 +85,46 @@ def ensure_seq_at_least(floor: int) -> None:
     _seq.ensure_at_least(floor)
 
 
+#: Every :class:`ServeRequest` field's life, declared once.
+#: ``durable`` fields ride the journalled ``admit`` record
+#: (:meth:`ServeRequest.admit_data`, in this order — the record's key
+#: order); ``wire`` fields cross the MWRPC01 submit frame with the
+#: pickled record but are not journalled; ``local`` fields mean
+#: something only in the process holding the record. A field missing
+#: here fails ``tests/serve/test_request_record.py``, and DESIGN's
+#: "life of a request" table is rendered from it.
+FIELD_LIFE = {
+    "seq": "durable", "tenant": "durable", "priority": "durable",
+    "cost": "durable", "timeout": "durable", "spec": "durable",
+    "request_class": "durable",
+    "alternatives": "wire", "initial": "wire", "deadline_s": "wire",
+    "shadow": "wire",
+    "submitted_at": "local", "ticket": "local",
+}
+_DURABLE = tuple(name for name, life in FIELD_LIFE.items() if life == "durable")
+
+
 @dataclass
 class ServeRequest:
-    """One tenant's speculation request, as queued.
+    """One tenant's speculation request: the one record from
+    ``submit`` to the journal.
+
+    Built once — by :meth:`build`, behind
+    :meth:`SpeculationService.submit <repro.serve.service.SpeculationService.submit>`
+    or :meth:`ClusterRouter.submit <repro.cluster.router.ClusterRouter.submit>`
+    — and passed as is from there on: through
+    :meth:`SpeculationService.admit <repro.serve.service.SpeculationService.admit>`,
+    pickled into the shard RPC's submit frame, and (its durable part)
+    into the ``admit`` record. An identity-only request (a steal
+    hand-back, a result push) is ``ServeRequest(tenant, (), seq=...)``.
 
     ``alternatives`` are whatever :func:`repro.core.worlds.run_alternatives`
-    accepts. ``deadline_s`` is *absolute* (``time.monotonic`` scale);
-    ``cost`` is the request's DRR weight (a request expected to hold
-    many slots for a long time should pay more than a quick K=1 probe).
-    ``seq`` is the service-unique id — also the journal ``block_id``, so
-    exactly-once commit is per-request.
+    accepts. ``deadline_s`` is *absolute* (``time.monotonic`` scale,
+    which is system-wide on Linux, so it means the same instant in a
+    shard-host process); ``cost`` is the request's DRR weight (a request
+    expected to hold many slots for a long time should pay more than a
+    quick K=1 probe). ``seq`` is the service-unique id — also the
+    journal ``block_id``, so exactly-once commit is per-request.
     """
 
     tenant: str
@@ -104,6 +135,8 @@ class ServeRequest:
     timeout: float | None = None
     cost: float = 1.0
     seq: int = field(default_factory=next_seq)
+    #: when the request reached the service now holding it (stamped by
+    #: ``admit``, so queue wait and latency are that service's own).
     submitted_at: float = field(default_factory=time.monotonic)
     shadow: bool = False
     #: opaque caller payload; must be picklable when journalled admission
@@ -115,6 +148,48 @@ class ServeRequest:
     #: (:attr:`~repro.serve.policy.AdaptiveSpeculationPolicy.class_max_k`)
     #: to widen or tighten K per class. Empty string = unclassified.
     request_class: str = ""
+    #: the caller's handle, when the caller is in this process: set by
+    #: ``SpeculationService.submit``, None on router-built requests (so
+    #: nothing unpicklable reaches the wire) and on stolen ones.
+    ticket: Any = None
+
+    @classmethod
+    def build(
+        cls,
+        tenant: str,
+        alternatives: Sequence[Any],
+        deadline_s: float | None = None,
+        seq: int | None = None,
+        **fields: Any,
+    ) -> "ServeRequest":
+        """A validated request: alternatives normalised (raises
+        :class:`~repro.errors.WorldsError` on a bad list), the *relative*
+        ``deadline_s`` made absolute, a fresh seq unless one is given."""
+        return cls(
+            tenant, normalize_alternatives(alternatives),
+            deadline_s=None if deadline_s is None else time.monotonic() + deadline_s,
+            seq=next_seq() if seq is None else seq,
+            **fields,
+        )
+
+    def admit_data(self) -> dict:
+        """What the ``admit`` record keeps of this request.
+
+        ``initial`` and the deadline are deliberately not journalled:
+        ``build_alternatives(spec)`` is the rebuild contract, and a
+        deadline on a dead process's clock means nothing after restart.
+        """
+        data = {name: getattr(self, name) for name in _DURABLE}
+        return {"request": data.pop("seq"), **data}
+
+    @classmethod
+    def from_admit(cls, data: dict, alternatives: Sequence[Any]) -> "ServeRequest":
+        """The request an ``admit`` record describes, over rebuilt
+        ``alternatives`` (older records may lack later-added keys)."""
+        kept = {name: data[name] for name in _DURABLE if name in data}
+        return cls.build(
+            kept.pop("tenant", "?"), alternatives, seq=data["request"], **kept
+        )
 
     def expired(self, now: float | None = None) -> bool:
         if self.deadline_s is None:

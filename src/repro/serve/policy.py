@@ -80,7 +80,9 @@ class FixedSpeculationPolicy:
 
     backend: str | None = None
 
-    def decide(self, names, granted: int, load: float = 0.0) -> SpeculationDecision:
+    def decide(
+        self, names, granted: int, load: float = 0.0, request_class=None,  # noqa: ARG002
+    ) -> SpeculationDecision:
         order = list(range(len(names)))
         return SpeculationDecision(
             order=order, staggers=[0.0] * len(order),
@@ -132,7 +134,6 @@ class AdaptiveSpeculationPolicy:
     stagger_scale: float = 1.0
     min_stagger_s: float = 0.001
     max_stagger_s: float = 0.25
-    sequential_when_saturated: bool = True
     max_k: int | None = None
     class_max_k: dict[str, int] = field(default_factory=dict)
     wide_backend: str = "async"
@@ -199,7 +200,7 @@ class AdaptiveSpeculationPolicy:
         order = ranked[:k]
         staggers = [i * self._stagger_unit(favourite, load) for i in range(k)]
         backend = None
-        if k == 1 and reason == "saturated" and self.sequential_when_saturated:
+        if reason == "saturated":
             backend = "sequential"
         elif wide:
             backend = self.wide_backend

@@ -35,14 +35,12 @@ hogging its share.
 from __future__ import annotations
 
 import dataclasses
-import inspect
 import threading
 import time
 import zlib
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from repro.core.backend import normalize_alternatives
 from repro.core.outcome import BlockOutcome
 from repro.errors import (
     AdmissionRejected,
@@ -54,7 +52,12 @@ from repro.errors import (
 from repro.faults.plan import SERVE_SITE, FaultKind
 from repro.faults.supervisor import Supervisor
 from repro.journal.recovery import RecoveryReport, recover
-from repro.serve.admission import AdmissionQueue, ServeRequest, ensure_seq_at_least
+from repro.serve.admission import (
+    AdmissionQueue,
+    ServeRequest,
+    ensure_seq_at_least,
+    next_seq,
+)
 from repro.serve.budget import WorldBudget
 from repro.serve.policy import AdaptiveSpeculationPolicy, SpeculationDecision
 from repro.serve.stats import AlternativeStats
@@ -176,8 +179,9 @@ class SpeculationService:
         An :class:`AdmissionQueue`; defaults to one with bounds scaled
         to the budget (depth ``16×slots``).
     policy:
-        Any object with ``decide(names, granted, load)`` and
-        ``observe(outcome, names, launched=None)``; defaults to an
+        Any object with ``decide(names, granted, load=0.0,
+        request_class=None)`` and ``observe(outcome, names,
+        launched=None)``; defaults to an
         :class:`AdaptiveSpeculationPolicy` over fresh stats.
     workers:
         Dispatch threads. Each drives one request at a time; the worlds
@@ -239,15 +243,6 @@ class SpeculationService:
         if policy is None:
             policy = AdaptiveSpeculationPolicy(stats=AlternativeStats(obs=obs))
         self.policy = policy
-        # class-aware policies take a request_class kwarg; older/custom
-        # ones may not — detect once so dispatch stays compatible
-        try:
-            params = inspect.signature(policy.decide).parameters
-            self._policy_takes_class = "request_class" in params or any(
-                p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
-            )
-        except (TypeError, ValueError):  # pragma: no cover - exotic callables
-            self._policy_takes_class = False
         self.workers = workers
         self.backend = backend
         self.grant_timeout_s = grant_timeout_s
@@ -264,10 +259,7 @@ class SpeculationService:
         self.on_resolve = on_resolve
         self.journal_admission = journal_admission and journal is not None
         self._threads: list[threading.Thread] = []
-        self._tickets: dict[int, ServeTicket] = {}
-        self._tickets_lock = threading.Lock()
-        #: request seq -> journal admit txn seq (journalled admission)
-        self._admit_txns: dict[int, int] = {}
+        #: an admit write and its settle exclude each other
         self._admit_lock = threading.Lock()
         self._running = False
         self._crashed = False
@@ -392,9 +384,8 @@ class SpeculationService:
         deduplicates as superseded.
         """
         stolen = self.queue.steal(max_n)
-        with self._tickets_lock:
-            for request in stolen:
-                self._tickets.pop(request.seq, None)
+        for request in stolen:
+            request.ticket = None
         return stolen
 
     def confirm_stolen(self, request: ServeRequest) -> None:
@@ -465,23 +456,14 @@ class SpeculationService:
         for intent in sealed:
             data = intent["data"]
             rseq = data["request"]
-            svc._admit_txns[rseq] = intent["seq"]
             spec = data.get("spec")
             if build_alternatives is None or spec is None:
                 journal.mark_applied(intent["seq"], status="unrecoverable")
-                svc._admit_txns.pop(rseq, None)
                 report.dropped.append(rseq)
                 continue
-            report.tickets[rseq] = svc.submit(
-                data.get("tenant", "?"),
-                build_alternatives(spec),
-                priority=data.get("priority", 0),
-                cost=data.get("cost", 1.0),
-                timeout=data.get("timeout"),
-                seq=rseq,
-                spec=spec,
-                request_class=data.get("request_class", ""),
-            )
+            # admit() finds the sealed admit and reuses it
+            request = ServeRequest.from_admit(data, build_alternatives(spec))
+            report.tickets[rseq] = svc._admit_ticketed(request)
             report.re_admitted.append(rseq)
         obs = kwargs.get("obs")
         if obs is not None:
@@ -514,112 +496,81 @@ class SpeculationService:
         timeout: float | None = None,
         cost: float = 1.0,
         seq: int | None = None,
-        deadline_at: float | None = None,
         spec: Any = None,
         request_class: str = "",
     ) -> ServeTicket:
         """Queue one alternative block for ``tenant``; returns a ticket.
 
-        ``deadline_s`` is *relative* (seconds from now): a request still
-        queued — or still waiting for budget — past it is shed, and its
-        ticket resolves with ``status="shed"``. ``timeout`` bounds the
-        block's execution once started. Raises
+        Builds the :class:`ServeRequest` (see its fields) and hands it
+        to :meth:`admit`. ``deadline_s`` is *relative* (seconds from
+        now): a request still queued — or still waiting for budget —
+        past it is shed, and its ticket resolves with ``status="shed"``.
+        ``timeout`` bounds the block's execution once started. ``seq``
+        re-admits a request under its original sequence number (also the
+        journal block id, so a duplicate placement dedupes against an
+        already-applied commit). Raises
         :class:`~repro.errors.AdmissionRejected` under backpressure and
         :class:`~repro.errors.ServiceStopped` when not running.
+        """
+        return self._admit_ticketed(ServeRequest.build(
+            tenant, alternatives, initial=initial, priority=priority,
+            deadline_s=deadline_s, timeout=timeout, cost=cost, seq=seq,
+            spec=spec, request_class=request_class,
+        ))
 
-        ``seq`` and ``deadline_at`` are the cluster router's re-routing
-        hooks: a re-landed request keeps its original service-unique
-        sequence number (which is also the journal block id, so a
-        duplicate placement dedupes against an already-applied commit)
-        and its original *absolute* deadline rather than getting a fresh
-        one. ``deadline_at`` overrides ``deadline_s`` when both are
-        given.
+    def _admit_ticketed(self, request: ServeRequest) -> ServeTicket:
+        request.ticket = ServeTicket(request.tenant, request.seq)
+        self.admit(request)
+        return request.ticket
 
-        ``spec`` is an opaque picklable description of the request that
-        rides the journalled ``admit`` intent (see ``journal_admission``)
-        so a cold restart can rebuild the alternatives and re-admit.
+    def admit(self, request: ServeRequest) -> None:
+        """Take ``request`` as built: the shard surface.
 
-        ``request_class`` is the tenant-declared workload class (e.g.
-        ``"io"``, ``"cpu"``); a class-aware policy consults it to widen
-        or tighten K (see
-        :attr:`~repro.serve.policy.AdaptiveSpeculationPolicy.class_max_k`).
+        What a cluster router (directly, or through the shard host's
+        ``submit`` RPC) calls on the shard it picked, and what
+        :meth:`submit` ends in. The request resolves through its
+        ``ticket`` (if it carries one) and the ``on_resolve`` hook.
         """
         if not self._running:
             raise ServiceStopped("service is not running (call start())")
-        alts = normalize_alternatives(alternatives)  # validate before queueing
-        now = time.monotonic()
-        if deadline_at is None and deadline_s is not None:
-            deadline_at = now + deadline_s
-        extra = {} if seq is None else {"seq": seq}
-        request = ServeRequest(
-            tenant=tenant,
-            alternatives=alts,
-            initial=initial,
-            priority=priority,
-            deadline_s=deadline_at,
-            timeout=timeout,
-            cost=cost,
-            spec=spec,
-            request_class=request_class,
-            **extra,
-        )
-        ticket = ServeTicket(tenant, request.seq)
-        with self._tickets_lock:
-            self._tickets[request.seq] = ticket
+        request.submitted_at = time.monotonic()
         try:
             self.queue.offer(request)
         except AdmissionRejected:
-            with self._tickets_lock:
-                self._tickets.pop(request.seq, None)
-            self._count_status(tenant, "rejected")
+            self._count_status(request.tenant, "rejected")
             raise
-        # a re-landed request (explicit seq) may already own a sealed
-        # admit txn from a dead incarnation — reuse it, never duplicate
-        self._journal_admit(request, maybe_existing=seq is not None)
+        self._journal_admit(request)
         self._maybe_burst(request)
-        return ticket
 
-    def _journal_admit(self, request: ServeRequest, maybe_existing: bool) -> None:
+    def _journal_admit(self, request: ServeRequest) -> None:
         """Seal an ``admit`` txn for ``request`` (journalled admission).
 
         The sealed intent is the durable ack: from this point a crash
-        cannot lose the request — :meth:`restore` re-admits it. May
-        raise :class:`~repro.errors.JournalCrash` (injected journal
-        faults), exactly like any other journal write.
+        cannot lose the request — :meth:`restore` re-admits it. A
+        re-landed request may already own a sealed admit here (from a
+        dead incarnation): reuse it, never duplicate. May raise
+        :class:`~repro.errors.JournalCrash` (injected journal faults),
+        exactly like any other journal write.
         """
         if not self.journal_admission or request.shadow:
             return
         with self._admit_lock:
-            if request.seq in self._admit_txns:
-                return
-            if maybe_existing:
-                existing = self.journal.find_sealed("admit", request=request.seq)
-                if existing is not None:
-                    self._admit_txns[request.seq] = existing["seq"]
-                    return
-            txn = self.journal.begin(
-                "admit", request=request.seq, tenant=request.tenant,
-                priority=request.priority, cost=request.cost,
-                timeout=request.timeout, spec=request.spec,
-                request_class=request.request_class,
-            )
-            self.journal.seal(txn)
-            self._admit_txns[request.seq] = txn
+            if self.journal.find_sealed("admit", request=request.seq) is None:
+                self.journal.seal(
+                    self.journal.begin("admit", **request.admit_data())
+                )
 
     def _settle_admit(self, request: ServeRequest, status: str) -> None:
         """Mark the request's admit txn applied with its final status."""
         if not self.journal_admission or request.shadow:
             return
         with self._admit_lock:
-            txn = self._admit_txns.pop(request.seq, None)
-            if txn is None:
-                rec = self.journal.find_sealed("admit", request=request.seq)
-                if rec is None:
-                    return
-                txn = rec["seq"]
+            rec = self.journal.find_sealed("admit", request=request.seq)
+            if rec is None:
+                return
             try:
-                if self.journal.status(txn) == "sealed":
-                    self.journal.mark_applied(txn, status=status)
+                if self.journal.status(rec["seq"]) == "sealed":
+                    self.journal.mark_applied(rec["seq"], status=status)
             except JournalCrash:
                 # a dead (poisoned) journal cannot settle; the sealed
                 # admit is exactly what restore() replays after the
@@ -642,15 +593,8 @@ class SpeculationService:
             tenant=request.tenant, seq=request.seq,
         )
         for _ in range(copies):
-            shadow = ServeRequest(
-                tenant=request.tenant,
-                alternatives=request.alternatives,
-                initial=request.initial,
-                priority=request.priority,
-                deadline_s=request.deadline_s,
-                timeout=request.timeout,
-                cost=request.cost,
-                shadow=True,
+            shadow = dataclasses.replace(
+                request, seq=next_seq(), shadow=True, ticket=None
             )
             try:
                 self.queue.offer(shadow)
@@ -666,8 +610,7 @@ class SpeculationService:
         # settle the admit ledger before acking: an acked result is
         # always at least as durable as what the journal says
         self._settle_admit(request, result.status)
-        with self._tickets_lock:
-            ticket = self._tickets.pop(request.seq, None)
+        ticket, request.ticket = request.ticket, None
         if ticket is not None:
             ticket._resolve(result)
         if self.on_resolve is not None:
@@ -767,14 +710,9 @@ class SpeculationService:
             # the paper's free-speculation regime even though its own
             # grant may fill the pool
             others_load = max(0, self.budget.in_use - reservation.granted) / self.budget.slots
-            class_kwargs = (
-                {"request_class": request.request_class}
-                if self._policy_takes_class
-                else {}
-            )
             decision = self.policy.decide(
                 names, granted=reservation.granted, load=others_load,
-                **class_kwargs,
+                request_class=request.request_class,
             )
             if decision.k > reservation.granted and not decision.wide:
                 # a policy may not outvote the budget: clamp to the grant

@@ -20,8 +20,9 @@ from repro.cluster import (
     RemoteShardClient,
     ShardState,
 )
-from repro.errors import ShardUnreachable
+from repro.errors import ShardUnreachable, WorldsError
 from repro.faults.plan import TRANSPORT_SITE, FaultKind, FaultPlan
+from repro.serve import AdaptiveSpeculationPolicy, ServeRequest
 
 
 def val(ws, i=0):
@@ -33,6 +34,13 @@ def alts(i):
     # remote alternatives cross a process boundary: partials of a
     # module-level function, never closures (closures don't pickle)
     return [functools.partial(val, i=i)]
+
+
+def admit(shard, tenant, alternatives):
+    """Hand the shard one request, as the router does; returns its seq."""
+    request = ServeRequest.build(tenant, alternatives)
+    shard.service.admit(request)
+    return request.seq
 
 
 def slow_val(ws, i=0):
@@ -84,7 +92,7 @@ class TestLifecycle:
         resolved = []
         shard.service.on_resolve = lambda req, res: resolved.append((req.seq, res))
         try:
-            seq = shard.service.submit("t0", alts(3))
+            seq = admit(shard, "t0", alts(3))
             deadline = time.monotonic() + 10
             while not resolved and time.monotonic() < deadline:
                 time.sleep(0.01)
@@ -110,7 +118,7 @@ class TestLifecycle:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
         with pytest.raises(ShardUnreachable):
-            shard.service.submit("t0", alts(1))
+            admit(shard, "t0", alts(1))
 
     def test_restart_bumps_incarnation(self, tmp_path):
         shard = make_remote(0, tmp_path)
@@ -182,6 +190,49 @@ class TestRemoteCluster:
             assert all(audit.get(r.seq, 0) == 1 for r in results)
         finally:
             router.stop()
+
+    def test_invalid_alternatives_register_nothing(self, tmp_path):
+        router = ClusterRouter([make_remote(0, tmp_path)]).start(detect=False)
+        try:
+            for bad in ([42], []):
+                with pytest.raises(WorldsError):
+                    router.submit("t0", bad)
+            assert router.snapshot()["inflight"] == 0
+        finally:
+            router.stop()
+
+    def test_request_class_survives_sigkill_and_restore(self, tmp_path):
+        """router -> host process -> sealed admit on disk -> SIGKILL ->
+        ``ClusterRouter.restore`` -> ``policy.decide(request_class="io")``
+        (a ``class_max_k`` cap of 1 is the observer)."""
+        remote = make_remote(0, tmp_path, slots=3)
+        router = ClusterRouter([remote]).start(detect=False)
+        try:
+            parked = [functools.partial(slow_val, i=i) for i in range(3)]
+            ticket = router.submit("t0", parked, spec={"i": 6}, request_class="io")
+            remote.sigkill()  # mid-run: the admit is sealed, nothing applied
+        finally:
+            router.crash()
+        (intent,) = remote.journal.sealed_unapplied_intents("admit")
+        assert intent["data"]["request"] == ticket.seq
+        assert intent["data"]["request_class"] == "io"
+        restored, report = ClusterRouter.restore(
+            {0: remote.journal},
+            build_alternatives=lambda spec: [
+                functools.partial(val, i=spec["i"]) for _ in range(3)
+            ],
+            shard_kwargs=dict(
+                slots=3, workers=1,
+                policy=AdaptiveSpeculationPolicy(class_max_k={"io": 1}),
+            ),
+            detect=False,
+        )
+        try:
+            result = report.tickets[ticket.seq].result(timeout=10)
+        finally:
+            restored.stop()
+        assert result.committed and result.value == 42
+        assert result.result.k == 1, "request_class was lost on the way"
 
     def test_spare_degrades_remote_to_local(self, tmp_path):
         remotes = [
@@ -274,7 +325,7 @@ class TestTransportFaults:
         resolved = []
         shard.service.on_resolve = lambda req, res: resolved.append(req.seq)
         try:
-            seqs = [shard.service.submit(f"t{i % 3}", alts(i)) for i in range(10)]
+            seqs = [admit(shard, f"t{i % 3}", alts(i)) for i in range(10)]
             deadline = time.monotonic() + 20
             while len(resolved) < len(seqs) and time.monotonic() < deadline:
                 time.sleep(0.02)
@@ -299,7 +350,7 @@ class TestTransportFaults:
         resolved = []
         shard.service.on_resolve = lambda req, res: resolved.append(req.seq)
         try:
-            seqs = [shard.service.submit(f"t{i % 3}", alts(i)) for i in range(8)]
+            seqs = [admit(shard, f"t{i % 3}", alts(i)) for i in range(8)]
             deadline = time.monotonic() + 30
             while len(set(resolved)) < len(seqs) and time.monotonic() < deadline:
                 time.sleep(0.02)
@@ -323,7 +374,7 @@ class TestTransportFaults:
         shard.service.on_resolve = lambda req, res: resolved.append(req.seq)
         shard._dispatch_push = lambda sock, msg: lost.append(msg["event"])
         try:
-            seqs = [shard.service.submit(f"t{i % 3}", alts(i)) for i in range(6)]
+            seqs = [admit(shard, f"t{i % 3}", alts(i)) for i in range(6)]
             deadline = time.monotonic() + 20
             while len(lost) < len(seqs) and time.monotonic() < deadline:
                 time.sleep(0.02)
@@ -340,7 +391,7 @@ class TestTransportFaults:
 
             # all acked now: another reset replays nothing old
             shard._drop_conn(ConnectionResetError("reset"))
-            seqs.append(shard.service.submit("t0", alts(9)))
+            seqs.append(admit(shard, "t0", alts(9)))
             while len(resolved) < len(seqs) and time.monotonic() < deadline:
                 time.sleep(0.02)
             time.sleep(0.2)  # room for a stray duplicate to show up

@@ -7,12 +7,22 @@ import time
 import pytest
 
 from repro.cluster import ClusterRouter, ClusterShard, ShardState
+from repro.core.backend import normalize_alternatives
 from repro.core.outcome import AlternativeResult
 from repro.distrib.lease import LeaseState
-from repro.errors import ClusterError, JournalCrash, NoSurvivingShard, ServiceStopped
+from repro.errors import (
+    ClusterError,
+    JournalCrash,
+    NoSurvivingShard,
+    ServiceStopped,
+    WorldsError,
+)
 from repro.faults.plan import CLUSTER_SITE, FaultKind, FaultPlan
-from repro.journal import CommitJournal, record_block_win
+from repro.journal import CommitJournal, MemoryJournalStorage, record_block_win
 from repro.obs import Observability
+from repro.serve import AdaptiveSpeculationPolicy
+
+from tests.jam import CrashJam
 
 
 def value_alts(i):
@@ -236,7 +246,7 @@ class TestReplayIsOnePolicy:
             raise JournalCrash("injected torn admit")
 
         with ClusterRouter([shard]).start(detect=False) as router:
-            shard.service.submit = torn_admit
+            shard.service.admit = torn_admit
             ticket = router.submit(self.TENANT, value_alts("re-run"), seq=self.SEQ)
             return ticket.result(timeout=10)
 
@@ -261,6 +271,78 @@ class TestReplayIsOnePolicy:
             assert result.result.outcome.elapsed_s == 0.0
         first, *rest = [dataclasses.replace(r, attempts=0) for r in results]
         assert all(other == first for other in rest)
+
+
+class TestRefusedSubmitLeavesNothingBehind:
+    @pytest.mark.parametrize("bad", [[42], []])
+    def test_invalid_alternatives_register_nothing(self, bad):
+        with make_router(2).start(detect=False) as router:
+            with pytest.raises(WorldsError):
+                router.submit("t", bad)
+            assert router.snapshot()["inflight"] == 0
+            assert router._inflight == {}
+
+    def test_any_error_out_of_placement_unregisters(self):
+        # e.g. a ClusterError rebuilt from a host-side failure
+        def broken_admit(request):
+            raise ClusterError("RuntimeError: host-side failure")
+
+        with make_router(1).start(detect=False) as router:
+            router.shard(0).service.admit = broken_admit
+            with pytest.raises(ClusterError, match="host-side"):
+                router.submit("t", value_alts(1))
+            assert router.snapshot()["inflight"] == 0
+
+
+def classed_alternatives(spec):
+    def alt(ws):
+        return spec["n"]
+
+    return [
+        dataclasses.replace(a, name=f"n{spec['n']}.{i}")
+        for i, a in enumerate(normalize_alternatives([alt, alt, alt]))
+    ]
+
+
+def test_request_class_survives_admit_crash_and_restore_on_local_shards():
+    """``request_class`` rides router -> shard -> sealed admit -> restore ->
+    ``policy.decide``: a ``class_max_k`` cap of 1 is the observer."""
+    def policy():
+        return AdaptiveSpeculationPolicy(class_max_k={"io": 1})
+
+    storage = MemoryJournalStorage()
+    journal = CommitJournal(storage=storage)
+    shard = ClusterShard(
+        0, slots=3, workers=1, policy=policy(), journal=journal,
+        journal_admission=True,
+    )
+    router = ClusterRouter([shard]).start(detect=False)
+    try:
+        # the one worker parks on the first; the second waits in the queue
+        # (a jam world fails once its host has crashed: nothing applies)
+        jam = CrashJam([shard.service])
+        classed = jam.submit(
+            router.submit, "t", worlds=3, spec={"n": 2}, request_class="io"
+        )
+        plain = jam.submit(router.submit, "t", worlds=3, spec={"n": 3})
+        sealed = {
+            i["data"]["request"]: i["data"]["request_class"]
+            for i in journal.sealed_unapplied_intents("admit")
+        }
+        assert sealed[classed.seq] == "io" and sealed[plain.seq] == ""
+    finally:
+        router.crash()
+    restored, report = ClusterRouter.restore(
+        {0: CommitJournal(storage=storage)}, build_alternatives=classed_alternatives,
+        shard_kwargs=dict(slots=3, workers=1, policy=policy()), detect=False,
+    )
+    try:
+        io = report.tickets[classed.seq].result(timeout=10)
+        other = report.tickets[plain.seq].result(timeout=10)
+    finally:
+        restored.stop()
+    assert io.committed and io.value == 2 and io.result.k == 1
+    assert other.committed and other.value == 3 and other.result.k == 3
 
 
 class TestHeartbeatDetection:

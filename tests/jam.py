@@ -23,35 +23,39 @@ class JamReleased(Exception):
 
 class CrashJam:
     def __init__(self, services):
-        self.services = list(services)
+        #: request seq -> the service it was last offered to
+        self.hosts = {}
+        for service in services:
+            service.queue.offer = self._noting(service, service.queue.offer)
         #: set to let jam worlds on a *live* service return their value
         self.open = threading.Event()
 
-    def submit(self, submit, tenant, value=None, **kwargs):
-        """``submit(tenant, [jam world], **kwargs)``; returns its ticket."""
+    def _noting(self, service, offer):
+        def noting_offer(request):
+            self.hosts[request.seq] = service
+            offer(request)
+
+        return noting_offer
+
+    def submit(self, submit, tenant, value=None, worlds=1, **kwargs):
+        """``submit(tenant, [jam world] * worlds, **kwargs)``; returns its ticket."""
         seq = []
         seq_known = threading.Event()
 
         def world(ws):
             seq_known.wait(GIVE_UP_S)
             # the incarnation this world instance was started by: the
-            # live service holding the request (a dead predecessor keeps
-            # its ticket too, resolution being suppressed)
-            host = next(
-                (
-                    s for s in self.services
-                    if not s._crashed and seq[0] in s._tickets
-                ),
-                None,
-            )
+            # service the request was last offered to (a re-land is
+            # offered to its new host before any worker there can run it)
+            host = self.hosts[seq[0]]
             for _ in range(int(GIVE_UP_S / POLL_S)):
-                if host is None or host._crashed:
+                if host._crashed:
                     raise JamReleased(f"request {seq[0]}: host crashed")
                 if self.open.wait(POLL_S):
                     return value
             raise AssertionError("jam world was never released")
 
-        ticket = submit(tenant, [world], **kwargs)
+        ticket = submit(tenant, [world] * worlds, **kwargs)
         seq.append(ticket.seq)
         seq_known.set()
         return ticket

@@ -6,6 +6,8 @@ import pytest
 
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
+    MAX_SERIES,
+    OVERFLOW_LABEL,
     Counter,
     DuplicateMetricError,
     FuncGauge,
@@ -156,6 +158,60 @@ def test_bind_attr_gauges_fails_fast_on_typo():
     reg = MetricsRegistry()
     with pytest.raises(AttributeError):
         bind_attr_gauges(reg, object(), ("nope",), prefix="x")
+
+
+# -- series cap ---------------------------------------------------------------
+def test_per_request_unique_alt_names_stay_bounded():
+    """``mw_serve_alt_*{alt}`` under names unique per request (what
+    ``mw-e2e``'s generator produces): the series count stops at the cap,
+    overflow lands in ``other``, and no observation is lost."""
+    from repro.obs import Observability
+    from repro.serve import AlternativeStats
+
+    obs = Observability()
+    stats = AlternativeStats(obs=obs)
+    n = 10 * MAX_SERIES
+    for i in range(n):
+        stats.observe(f"op{i}.0", won=bool(i % 2), latency_s=0.01)
+        stats.observe("steady", won=True, latency_s=0.01)  # seen before the cap
+    reg = obs.registry
+    attempts, wins, latency = (
+        reg.get(f"mw_serve_alt_{name}")
+        for name in ("attempts_total", "wins_total", "latency_seconds")
+    )
+    for metric in (attempts, wins, latency):
+        assert len(metric.samples()) <= MAX_SERIES + 1
+    # totals conserved: overflow increments land in ``other``
+    assert attempts.total() == 2 * n
+    assert wins.total() == n // 2 + n
+    assert sum(s["count"] for s in latency.samples()) == 2 * n
+    # a series that existed before the cap keeps counting under its own name
+    assert attempts.value(alt="steady") == n
+    assert attempts.value(alt=OVERFLOW_LABEL) == n - (MAX_SERIES - 1)
+    assert attempts.value(alt=f"op{n - 1}.0") == 0.0
+    dropped = reg.get("mw_obs_series_dropped")
+    assert dropped.value(metric="mw_serve_alt_attempts_total") == n - (MAX_SERIES - 1)
+    assert dropped.value(metric="mw_serve_alt_latency_seconds") == n - (MAX_SERIES - 1)
+
+
+def test_series_cap_keeps_counters_monotonic_and_gauges_bounded():
+    reg = MetricsRegistry()
+    c = reg.counter("c", labelnames=("a", "b"))
+    g = reg.gauge("g", labelnames=("a",))
+    seen = 0.0
+    for i in range(MAX_SERIES + 50):
+        c.inc(a=i, b="x")
+        g.set(float(i), a=i)
+        assert c.total() > seen  # never goes down when a series is refused
+        seen = c.total()
+    assert c.value(a=OVERFLOW_LABEL, b=OVERFLOW_LABEL) == 50
+    assert len(g.samples()) == MAX_SERIES + 1
+    assert "mw_obs_series_dropped" in reg
+    # an unregistered metric caps too; there is just nobody to tell
+    lone = Counter("lone", labelnames=("k",))
+    for i in range(MAX_SERIES + 3):
+        lone.inc(k=i)
+    assert lone.value(k=OVERFLOW_LABEL) == 3 and lone.total() == MAX_SERIES + 3
 
 
 # -- thread safety -----------------------------------------------------------

@@ -56,12 +56,15 @@ def test_request_burst_floods_the_queue():
 def test_shadow_requests_do_not_resolve_tickets():
     plan = FaultPlan(seed=1, rates={FaultKind.REQUEST_BURST: 1.0}, burst_n=3)
     with SpeculationService(WorldBudget(2), workers=2, fault_plan=plan) as svc:
+        offered, offer = [], svc.queue.offer
+        svc.queue.offer = lambda request: (
+            offered.append((request.shadow, request.ticket)), offer(request)
+        )
         ticket = svc.submit("storm", [quick])
         result = ticket.result(timeout=10)
         assert result.committed
         # only the real request has a ticket; shadows run and vanish
-        with svc._tickets_lock:
-            assert svc._tickets == {}
+        assert offered == [(False, ticket), (True, None), (True, None)]
 
 
 def test_slow_tenant_charges_extra_latency():

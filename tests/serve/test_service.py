@@ -145,11 +145,11 @@ def test_restarted_service_replays_journalled_wins():
         from repro.serve.admission import ServeRequest
         from repro.serve.service import ServeTicket
 
-        request = ServeRequest(tenant="t", alternatives=normalize_alternatives([fast]))
-        request.seq = seq
         ticket2 = ServeTicket("t", seq)
-        with svc2._tickets_lock:
-            svc2._tickets[seq] = ticket2
+        request = ServeRequest(
+            tenant="t", alternatives=normalize_alternatives([fast]),
+            seq=seq, ticket=ticket2,
+        )
         svc2.queue.offer(request)
         replayed = ticket2.result(timeout=10)
     finally:
@@ -166,7 +166,7 @@ class TwoPhasePolicy:
     def __init__(self, stagger_s):
         self.stagger_s = stagger_s
 
-    def decide(self, names, granted, load=0.0):
+    def decide(self, names, granted, load=0.0, request_class=None):
         k = min(2, len(names), max(granted, 1))
         return SpeculationDecision(
             order=list(range(k)), staggers=[i * self.stagger_s for i in range(k)],
