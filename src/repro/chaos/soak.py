@@ -54,7 +54,7 @@ from repro.cluster import (
     ClusterRouter,
     ClusterShard,
     RemoteShardClient,
-    host_kill_decision,
+    host_fault_decision,
 )
 from repro.errors import (
     AdmissionRejected,
@@ -67,7 +67,7 @@ from repro.journal import (
     CommitJournal,
     FileJournalStorage,
     MemoryJournalStorage,
-    find_block_win,
+    request_fate,
 )
 
 __all__ = [
@@ -382,65 +382,28 @@ class _Soak:
                 )
                 self._record_terminal(seq, "unrecoverable", None)
 
-        # anything still uncovered must be terminal *in the journals*
+        # anything still uncovered must be terminal *in the journals*:
+        # a request can settle its admit (or apply its win) and lose the
+        # ticket resolution to the crash — the journal, not the ticket,
+        # is the truth
         for seq in sorted(uncovered):
-            status = self._journal_terminal(seq)
-            if status is None:
-                if self._journal_sealed(seq):
-                    # restore left the admit sealed (placement refused or
-                    # crashed again); the durable ack still stands — the
-                    # next restart retries the re-admission
-                    self.outstanding[seq] = None
-                    continue
+            fate = request_fate(self.journals, seq)
+            if fate.won is not None:
+                self._record_terminal(seq, "committed", fate.won[1].value)
+            elif fate.settled is not None:
+                self._record_terminal(seq, fate.settled, None)
+            elif fate.sealed:
+                # restore left the admit sealed (placement refused or
+                # crashed again); the durable ack still stands — the
+                # next restart retries the re-admission
+                self.outstanding[seq] = None
+            else:
                 self.violate(
                     "lost-acked-request",
                     f"request {seq} acked before restart ({reason}) but "
                     "neither replayed, re-admitted, nor journalled terminal",
                 )
                 self._record_terminal(seq, "lost", None)
-            elif status == "committed":
-                win = self._journal_win(seq)
-                self._record_terminal(
-                    seq, "committed", None if win is None else win["value"]
-                )
-            else:
-                self._record_terminal(seq, status, None)
-
-    def _journal_win(self, seq: int) -> dict | None:
-        for journal in self.journals.values():
-            win = find_block_win(journal, seq)
-            if win is not None:
-                return win
-        return None
-
-    def _journal_sealed(self, seq: int) -> bool:
-        """Whether a sealed (re-admittable) admit for ``seq`` survives."""
-        for journal in self.journals.values():
-            for intent in journal.sealed_unapplied_intents("admit"):
-                if intent["data"].get("request") == seq:
-                    return True
-        return False
-
-    def _journal_terminal(self, seq: int) -> str | None:
-        """The journalled final status for request ``seq``, if any.
-
-        Covers the restart race where a request settled its admit txn
-        (applied with a terminal status) but its ticket resolution died
-        with the process: the journal, not the ticket, is the truth.
-        """
-        if self._journal_win(seq) is not None:
-            return "committed"
-        best = None
-        for journal in self.journals.values():
-            for intent, data in journal.applied_intents("admit"):
-                if intent["data"].get("request") != seq:
-                    continue
-                status = data.get("status", "")
-                if status in ("stolen", "superseded", "recovered",
-                              "recovered-remote"):
-                    continue  # another incarnation carries the answer
-                best = status or best
-        return best
 
     def _compact_boundary(self) -> None:
         """Compact every journal at a restart boundary (quiesced WALs)."""
@@ -654,15 +617,19 @@ def run_remote_incarnation(
     requests: int = 12,
     workdir: str | None = None,
 ) -> tuple[list[Violation], int]:
-    """One real-process kill incarnation: SIGKILL shard hosts mid-burst.
+    """One real-process fault incarnation: shard hosts SIGKILLed or
+    SIGSTOPped mid-burst.
 
     The in-process soak kills shards by dropping their objects; here the
     shard is an OS process and the kill is a literal ``SIGKILL`` — no
-    drain, no goodbye, only its journal file survives. The fault plan's
-    ``transport`` site decides which hosts die and where in the burst
-    (one survivor always kept); after takeover every request must still
-    commit its deterministic value, and the cross-journal audit must
-    show exactly one applied ``block`` txn per commit.
+    drain, no goodbye, only its journal file survives — and a freeze is
+    a literal ``SIGSTOP``: the host stays alive and silent while the
+    burst goes on (a submit homed there times out, which makes the
+    router fence it before walking on), then gets its ``SIGCONT``. The
+    fault plan's ``transport`` site decides which hosts suffer what (one
+    survivor always kept); every request must still commit its
+    deterministic value, and the cross-journal audit must show exactly
+    one applied ``block`` txn per commit.
 
     Returns ``(violations, hosts_killed)`` so :func:`run_soak` can merge
     the outcome into its report.
@@ -670,7 +637,7 @@ def run_remote_incarnation(
     violations: list[Violation] = []
     plan = FaultPlan(
         seed=seed,
-        rates={FaultKind.HOST_SIGKILL: 0.6},
+        rates={FaultKind.HOST_SIGKILL: 0.6, FaultKind.HOST_SIGSTOP: 0.3},
         host_kill_fraction=0.5,
     )
     scratch = workdir or tempfile.mkdtemp(prefix=f"mw-soak-remote-{seed}-")
@@ -686,29 +653,31 @@ def run_remote_incarnation(
     router = ClusterRouter(remotes).start(detect=False)
     kills = 0
     try:
-        doomed = [
-            (sid, host_kill_decision(plan, sid, epoch=0))
-            for sid in range(shards)
-            if host_kill_decision(plan, sid, epoch=0) is not None
+        verdicts = [
+            (sid, verdict) for sid in range(shards)
+            if (verdict := host_fault_decision(plan, sid)) is not None
         ][: shards - 1]  # keep one survivor
-        schedule = {sid: int(frac * requests) for sid, frac in doomed}
+        strike_at = int(plan.host_kill_fraction * requests)
+        thaw_at: dict[int, float] = {}
         tickets = []
         for i in range(requests):
-            for sid, at in list(schedule.items()):
-                if i == at:
-                    remotes[sid].sigkill()
-                    router.takeover(sid)
-                    kills += 1
-                    del schedule[sid]
+            if i == strike_at:
+                for sid, (kind, param) in verdicts:
+                    if kind is FaultKind.HOST_SIGKILL:
+                        remotes[sid].sigkill()
+                        router.takeover(sid)
+                        kills += 1
+                    else:
+                        remotes[sid].sigstop()
+                        thaw_at[sid] = time.monotonic() + param
             tickets.append(
                 router.submit(
                     f"tenant-{i % 3}", build_remote_alternatives({"n": i})
                 )
             )
-        for sid in schedule:
-            remotes[sid].sigkill()
-            router.takeover(sid)
-            kills += 1
+        for sid, at in thaw_at.items():
+            time.sleep(max(0.0, at - time.monotonic()))
+            remotes[sid].sigcont()
         results = [t.result(timeout=30.0) for t in tickets]
         for i, res in enumerate(results):
             if not res.committed:
@@ -716,7 +685,7 @@ def run_remote_incarnation(
                     kind="remote-lost-ack",
                     episode=-1,
                     detail=f"seed {seed}: request {i} ended "
-                           f"{res.status}/{res.reason} after host SIGKILL",
+                           f"{res.status}/{res.reason} after a host fault",
                 ))
             elif res.value != expected_value(i):
                 violations.append(Violation(

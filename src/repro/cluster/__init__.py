@@ -35,7 +35,7 @@ SIGSTOP'd and SIGKILL'd hosts, refused connects).
 from repro.cluster.remote import (
     CircuitBreaker,
     RemoteShardClient,
-    host_kill_decision,
+    host_fault_decision,
     shard_host_main,
 )
 from repro.cluster.ring import HashRing
@@ -60,7 +60,7 @@ __all__ = [
     "PARTITION_WINDOW_BEATS",
     "RemoteShardClient",
     "ShardState",
-    "host_kill_decision",
+    "host_fault_decision",
     "pack_frame",
     "recv_frame",
     "send_frame",

@@ -9,16 +9,16 @@ real OS process boundary:
   ordinary ``ClusterShard`` around a **file-backed**
   :class:`~repro.journal.CommitJournal` (the one thing that survives
   ``kill -9``), listens on a Unix socket, and serves the shard surface
-  as framed RPCs (:mod:`repro.cluster.wire`): submit / steal /
-  heartbeat(ping) / fence / journal-read / stop. Request handling is
-  idempotent per token, so a client resend after a timeout never
-  double-executes a submit.
+  as framed RPCs (:mod:`repro.cluster.wire`) whose op names are the
+  surface's method names (:data:`SHARD_OPS`), plus ``ping``. Request
+  handling is idempotent per token, so a client resend after a timeout
+  never double-executes an admit.
 - :class:`RemoteShardClient` — the parent-side proxy. It implements the
-  same surface :class:`~repro.cluster.router.ClusterRouter` already
-  calls on a local ``ClusterShard`` (``state``/``up``/``alive``,
+  same flat surface :class:`~repro.cluster.router.ClusterRouter` calls
+  on a local ``ClusterShard`` (``state``/``up``/``alive``,
   ``backlog``/``idle_slots``/``load``, ``start``/``stop``/``crash``/
-  ``fence``, a ``.service`` facade with ``admit``/``steal_requests``/
-  ``confirm_stolen``/``on_resolve``), which is what makes the router
+  ``fence``, ``admit``/``steal_requests``/``confirm_stolen``/
+  ``on_resolve``), which is what makes the router
   transport-polymorphic: local and remote shards mix in one hash ring.
   The request crosses as what it is: ``admit`` pickles the router's
   :class:`~repro.serve.admission.ServeRequest` into the submit frame,
@@ -34,11 +34,17 @@ Reliability stack, bottom-up:
    timeout, bounded exponential backoff, a total
    :attr:`~repro.distrib.retry.RetryPolicy.deadline_s`, and a stable
    idempotency token, so resends are safe (the host dedupes by token).
+   Exhausted retries raise :class:`~repro.errors.ShardUnreachable` with
+   ``sent=False`` when no attempt got as far as writing the frame (the
+   shard was never reached) and ``sent=True`` when one may have left:
+   for an ``admit`` an *unknown outcome* — the host may run the request
+   whenever it next reads its socket — so the router fences the shard
+   (SIGKILL) and reads its journal before the request goes elsewhere.
 3. **Circuit breaker** — consecutive transport failures open a
    per-shard breaker (closed → open → half-open); while open, calls
-   fail fast with :class:`~repro.errors.ShardUnreachable` and
-   heartbeats report the shard silent, which drives the router's
-   existing suspect → probe → declare-dead path.
+   fail fast with ``ShardUnreachable(sent=False)`` and heartbeats
+   report the shard silent, which drives the router's existing
+   suspect → probe → declare-dead path.
 4. **Failover** — once declared dead the host is SIGKILLed (if still
    running) and its journal reopened **from the file** for the usual
    replay-or-re-land takeover; with a ``spare_factory`` configured the
@@ -49,13 +55,14 @@ Reliability stack, bottom-up:
 Fault injection rides :data:`~repro.faults.plan.TRANSPORT_SITE`:
 ``TORN_FRAME`` / ``SOCKET_STALL`` / ``CONNECT_REFUSED`` fire per RPC
 attempt inside the client, while ``HOST_SIGSTOP`` / ``HOST_SIGKILL``
-are harness-level verdicts (:func:`host_kill_decision`) that freeze or
+are harness-level verdicts (:func:`host_fault_decision`) that freeze or
 kill the real child PID.
 """
 
 from __future__ import annotations
 
 import collections
+import itertools
 import multiprocessing
 import os
 import signal
@@ -86,7 +93,7 @@ from repro.serve.admission import ServeRequest
 __all__ = [
     "CircuitBreaker",
     "RemoteShardClient",
-    "host_kill_decision",
+    "host_fault_decision",
     "shard_host_main",
 ]
 
@@ -128,19 +135,27 @@ _RPC_LATENCY_BUCKETS = (
 )
 
 
-def host_kill_decision(plan, shard_id: int, epoch: int = 0) -> float | None:
-    """The plan's verdict: SIGKILL this shard's host during ``epoch``?
+#: The shard surface that crosses the wire: ``ClusterShard``'s method
+#: names are ``RemoteShardClient``'s RPC op names are what ``_ShardHost``
+#: dispatches on.
+SHARD_OPS = ("admit", "steal_requests", "confirm_stolen", "fence", "stop")
 
-    Returns the fraction of the epoch's burst at which the kill lands,
-    or None. The remote analogue of
-    :meth:`~repro.cluster.router.ClusterRouter.crash_decision`, keyed
-    identically so benches can schedule real-process kills per seed.
+
+def host_fault_decision(
+    plan, shard_id: int, epoch: int = 0
+) -> tuple[FaultKind, float] | None:
+    """The plan's verdict on this shard's host process for ``epoch``.
+
+    ``(HOST_SIGKILL, fraction of the burst at which the kill lands)``,
+    ``(HOST_SIGSTOP, seconds frozen before SIGCONT)``, or None. Keyed
+    like :meth:`~repro.cluster.router.ClusterRouter.crash_decision`, so
+    harnesses schedule real-process faults per seed.
     """
     if plan is None:
         return None
     decision = plan.decide(TRANSPORT_SITE, shard_id, epoch)
-    if decision.kind is FaultKind.HOST_SIGKILL:
-        return decision.param
+    if decision.kind in (FaultKind.HOST_SIGKILL, FaultKind.HOST_SIGSTOP):
+        return decision.kind, decision.param
     return None
 
 
@@ -170,7 +185,7 @@ class _ShardHost:
             fault_plan=fault_plan,
             **kwargs,
         )
-        self.shard.service.on_resolve = self._on_resolve
+        self.shard.on_resolve = self._on_resolve
         self._parent_pid = os.getppid()
         # at-least-once resolve pushes: events stay in the outbox until
         # the client acks them, and every fresh connection replays the
@@ -232,42 +247,22 @@ class _ShardHost:
 
     # -- request handling --------------------------------------------------
     def _handle(self, op: str, args: dict) -> Any:
-        service = self.shard.service
         if op == "ping":
             return {
                 "state": self.shard.state.value,
                 "backlog": self.shard.backlog(),
                 "slots_free": self.shard.idle_slots(),
-                "load": self.shard.load(),
                 "incarnation": self.shard.incarnation,
                 "pid": os.getpid(),
             }
-        if op == "submit":
-            service.admit(args["request"])
-            return True
-        if op == "steal":
-            stolen = service.steal_requests(args["max_n"])
-            return [ServeRequest(r.tenant, (), seq=r.seq) for r in stolen]
-        if op == "confirm_stolen":
-            service.confirm_stolen(args["request"])
-            return True
-        if op == "fence":
-            self.shard.fence()
-            return True
-        if op == "crash":
-            self.shard.crash()
+        if op not in SHARD_OPS:
+            raise ClusterError(f"shard host: unknown RPC op {op!r}")
+        value = getattr(self.shard, op)(**args)
+        if op == "steal_requests":  # only their identity goes back
+            value = [ServeRequest(r.tenant, (), seq=r.seq) for r in value]
+        elif op == "stop":
             self._shutdown = True
-            return True
-        if op == "stop":
-            self.shard.stop(drain=args.get("drain", True))
-            self._shutdown = True
-            return True
-        if op == "journal_read":
-            storage = self.shard.journal.storage
-            return {"wal": storage.load()}
-        if op == "snapshot":
-            return self.shard.snapshot()
-        raise ClusterError(f"shard host: unknown RPC op {op!r}")
+        return value
 
     def _respond(self, conn: socket.socket, call_id, body: dict) -> None:
         with self._send_lock:
@@ -440,34 +435,6 @@ class CircuitBreaker:
                 self._transition("open")
 
 
-class _RemoteService:
-    """The ``shard.service`` facade the router talks to.
-
-    Mirrors the :class:`~repro.serve.service.SpeculationService` subset
-    the router uses; ``on_resolve`` is a plain attribute the client's
-    reader thread invokes when the host pushes a resolution event.
-    """
-
-    def __init__(self, client: "RemoteShardClient") -> None:
-        self._client = client
-        self.on_resolve = None
-
-    def admit(self, request) -> None:
-        self._client._call("submit", request=request)
-
-    def steal_requests(self, max_n: int) -> list:
-        return self._client._call("steal", max_n=max_n)
-
-    def confirm_stolen(self, request) -> None:
-        self._client._call("confirm_stolen", request=request)
-
-    def stop(self, timeout: float | None = None, drain: bool = True) -> None:
-        self._client.stop(drain=drain)
-
-    def crash(self) -> None:
-        self._client.crash()
-
-
 class _Pending:
     __slots__ = ("event", "response", "error")
 
@@ -545,7 +512,9 @@ class RemoteShardClient:
         self.state = ShardState.UP
         self.incarnation = 0
         self.lease = None  # set by the router, like a local shard
-        self.service = _RemoteService(self)
+        #: ``on_resolve(request, result)``: run by the reader thread on
+        #: each resolution the host pushes (set by the router)
+        self.on_resolve = None
         self.breaker = CircuitBreaker(
             threshold=breaker_threshold, cooldown_s=breaker_cooldown_s,
             on_transition=self._note_breaker,
@@ -564,7 +533,9 @@ class RemoteShardClient:
             collections.OrderedDict()
         )
         self._pending_lock = threading.Lock()
-        self._call_seq = 0
+        # one atomic draw per call: the number is the idempotency token
+        # and the envelope id, so two callers must never share one
+        self._call_seq = itertools.count(1)
         self._journal: CommitJournal | None = None
         self._started = False
         self._stopped_in = False  # SIGSTOP bookkeeping for sigcont()
@@ -617,6 +588,8 @@ class RemoteShardClient:
             return self
         if self._started:  # restart after a death = a new incarnation
             self.incarnation += 1
+            # the reader may not have seen the dead host's EOF yet
+            self._drop_conn(ConnectionResetError("shard host restarting"))
         try:
             os.unlink(self.sock_path)
         except OSError:
@@ -677,8 +650,9 @@ class RemoteShardClient:
             self._call("stop", drain=drain, timeout=max(self.call_timeout_s, 30.0))
         except (TransportError, ClusterError):
             pass  # unreachable: the reap below is the stop
-        if self._proc is not None:
-            self._proc.join(5.0)
+        else:
+            if self._proc is not None:
+                self._proc.join(5.0)
         self._terminate()
         self.state = ShardState.DEAD
 
@@ -697,13 +671,15 @@ class RemoteShardClient:
         is final either way — the takeover that called this is about to
         replay it.
         """
-        if self.state in (ShardState.DEAD, ShardState.FENCED):
-            return
-        self.state = ShardState.FENCED
-        try:
-            self._call("fence", timeout=self.call_timeout_s, policy=self._hb_policy)
-        except (TransportError, ClusterError):
-            pass
+        if self.state not in (ShardState.DEAD, ShardState.FENCED):
+            self.state = ShardState.FENCED
+            try:
+                self._call(
+                    "fence", timeout=self.call_timeout_s, policy=self._hb_policy
+                )
+            except (TransportError, ClusterError):
+                pass
+        # every caller, first or not, returns only once the host is reaped
         self._terminate()
 
     def sigstop(self) -> None:
@@ -737,28 +713,39 @@ class RemoteShardClient:
         self._drop_conn(ConnectionResetError("shard host terminated"))
 
     # -- the shard surface -------------------------------------------------
-    def _cached_stats(self) -> dict:
-        now = time.monotonic()
-        if now - self._stats_at <= STATS_TTL_S:
-            return self._stats
+    def admit(self, request: ServeRequest) -> None:
+        self._call("admit", request=request)
+
+    def steal_requests(self, max_n: int) -> list[ServeRequest]:
+        return self._call("steal_requests", max_n=max_n)
+
+    def confirm_stolen(self, request: ServeRequest) -> None:
+        self._call("confirm_stolen", request=request)
+
+    def _ping(self) -> dict | None:
+        """One short-timeout ping (None: no answer). Its failure feeds
+        the breaker; its answer also serves the balancer's figures."""
         try:
-            stats = self._call("ping", policy=self._hb_policy,
-                               timeout=self.heartbeat_timeout_s)
+            stats = self._call(
+                "ping", policy=self._hb_policy, timeout=self.heartbeat_timeout_s
+            )
         except (TransportError, ClusterError):
-            # unreachable: report it saturated so no balancer picks it
-            stats = {"backlog": 0, "slots_free": 0, "load": 1.0}
-        self._stats = stats
-        self._stats_at = now
+            return None
+        self._stats, self._stats_at = stats, time.monotonic()
         return stats
+
+    def _cached_stats(self) -> dict:
+        if time.monotonic() - self._stats_at > STATS_TTL_S and self._ping() is None:
+            # unreachable: report it saturated so no balancer picks it
+            self._stats = {"backlog": 0, "slots_free": 0}
+            self._stats_at = time.monotonic()
+        return self._stats
 
     def backlog(self) -> int:
         return int(self._cached_stats().get("backlog", 0))
 
     def idle_slots(self) -> int:
         return int(self._cached_stats().get("slots_free", 0))
-
-    def load(self) -> float:
-        return float(self._cached_stats().get("load", 1.0))
 
     def snapshot(self) -> dict:
         return {
@@ -783,29 +770,18 @@ class RemoteShardClient:
         """
         if self.state in (ShardState.DEAD, ShardState.FENCED):
             return False
-        if not self.process_alive():
-            return False
-        try:
-            stats = self._call(
-                "ping", policy=self._hb_policy, timeout=self.heartbeat_timeout_s
-            )
-        except (TransportError, ClusterError):
-            return False
-        self._stats = stats
-        self._stats_at = time.monotonic()
-        return True
+        return self.process_alive() and self._ping() is not None
 
     @property
     def journal(self) -> CommitJournal:
-        """The shard's journal, from wherever it currently is.
+        """The shard's journal, read from its file.
 
         - Host dead: reopen the **file** (torn tail repaired, sidecar
           quarantines recorded) — cached, since the file is final.
-        - Host alive: a read-only snapshot — preferably via the
-          ``journal_read`` RPC (real remote-host semantics), falling
-          back to the fsync-durable file bytes if the RPC fails. Never
-          opened *directly* over the live file: open() repairs torn
-          tails by truncating, which must not race the host's appends.
+        - Host alive: a read-only snapshot of the fsync-durable file
+          bytes. Never opened *directly* over the live file: open()
+          repairs torn tails by truncating, which must not race the
+          host's appends.
         """
         if self._journal is not None:
             return self._journal
@@ -814,13 +790,10 @@ class RemoteShardClient:
             self._journal = journal
             return journal
         try:
-            blob = self._call("journal_read")["wal"]
-        except (TransportError, ClusterError):
-            try:
-                with open(self.journal_path, "rb") as fh:
-                    blob = fh.read()
-            except FileNotFoundError:
-                blob = b""
+            with open(self.journal_path, "rb") as fh:
+                blob = fh.read()
+        except FileNotFoundError:
+            blob = b""
         return CommitJournal(storage=MemoryJournalStorage(blob))
 
     # -- connection management ---------------------------------------------
@@ -896,7 +869,7 @@ class RemoteShardClient:
             self._seen_events[eid] = None
             while len(self._seen_events) > 8192:
                 self._seen_events.popitem(last=False)
-        cb = self.service.on_resolve
+        cb = self.on_resolve
         if cb is not None and not duplicate:
             try:
                 cb(msg["request"], msg.get("result"))
@@ -926,8 +899,7 @@ class RemoteShardClient:
             )
         policy = policy if policy is not None else RETRY_POLICY
         call_timeout = timeout if timeout is not None else self.call_timeout_s
-        self._call_seq += 1
-        call_no = self._call_seq
+        call_no = next(self._call_seq)
         token = f"shard{self.shard_id}:{op}:{call_no}"
         plan = self.fault_plan
         span_id = -1
@@ -937,8 +909,10 @@ class RemoteShardClient:
                 shard=self.shard_id, op=op,
             )
         started = time.monotonic()
+        sent = False  # did any attempt get as far as writing the frame?
 
         def attempt(i: int) -> dict:
+            nonlocal sent
             decision = (
                 plan.decide(TRANSPORT_SITE, self.shard_id, call_no, i)
                 if plan is not None else None
@@ -978,6 +952,7 @@ class RemoteShardClient:
                 with self._pending_lock:
                     self._pending[envelope["id"]] = p
                 try:
+                    sent = True
                     with self._send_lock:
                         sock.sendall(frame)
                     if not p.event.wait(call_timeout):
@@ -1007,7 +982,7 @@ class RemoteShardClient:
                 self.obs.tracer.end(span_id, disposition="aborted",
                                     attempts=exc.attempts)
             raise ShardUnreachable(
-                f"shard {self.shard_id} {op}: {exc}"
+                f"shard {self.shard_id} {op}: {exc}", sent=sent
             ) from exc
         self.breaker.record_ok()
         if stats.retries and self._retry_c is not None:

@@ -1,51 +1,66 @@
 """The cluster router: consistent-hash placement, spill/steal, failover.
 
-:class:`ClusterRouter` is the traffic director over N
-:class:`~repro.cluster.shard.ClusterShard` instances. Placement walks
-the :class:`~repro.cluster.ring.HashRing` preference order; load policy
-adds two or-parallel-style work-distribution moves on top:
+:class:`ClusterRouter` is the traffic director over N shards, reached
+only through the flat shard surface — ``admit`` / ``steal_requests`` /
+``confirm_stolen`` / ``on_resolve`` plus lifecycle and load, the same
+names on :class:`~repro.cluster.shard.ClusterShard` and
+:class:`~repro.cluster.remote.RemoteShardClient`. Placement walks the
+:class:`~repro.cluster.ring.HashRing` preference order; load policy adds
+two or-parallel-style work-distribution moves on top:
 
 - **spill** — when a tenant's home shard has no free world slots and a
   later preference has idle capacity, the request lands there instead
   (counted ``mw_cluster_spills_total{src,dst}``);
 - **steal** — each detector round, an idle shard relieves the most
-  backlogged one by pulling queued requests through
-  :meth:`~repro.serve.service.SpeculationService.steal_requests`
-  (counted ``mw_cluster_steals_total``).
+  backlogged one of queued requests (``mw_cluster_steals_total``).
 
-The robustness headline is the failure path. The router heartbeats every
-shard through the same :class:`RemoteWorldLease` state machine remote
-worlds use, fed by the existing ``heartbeat``/``partition`` fault sites
-plus the new ``cluster`` site (shard-crash-mid-burst, partitioned
-router, stale takeover). ``miss_threshold`` consecutive missed beats —
-or a full lease term without renewal — declare the shard dead and start
-a **takeover**:
+**One landing path, one rule.** A request commits iff its ``block``
+transaction applies in exactly one shard journal, and what keeps it so
+is that *a request leaves a shard it may have reached only through that
+shard's ledger*. Every way a request comes to rest — fresh submit,
+spill, steal, shutdown-shed re-route, takeover re-land, restore
+re-admit — is :meth:`ClusterRouter._land`: one walk of the tenant's
+preference order (from the thief or spill target, if any), with the
+in-process spare as its last rung, once. What a target says is either
+
+- *no* (``AdmissionRejected``, ``ServiceStopped``) or *never reached*
+  (``ShardUnreachable`` with ``sent=False``: dead state, open breaker,
+  connects refused) — it cannot run the request: walk on; or
+- *outcome unknown* (``JournalCrash``, or ``ShardUnreachable`` once a
+  frame may have left) — it may yet run it, so it is taken over first:
+  fenced, its workers joined or its process killed (nothing it had only
+  queued ever runs), its journal final. A win found there is replayed,
+  never re-run; only a final ledger without one lets the walk go on.
+
+The walk ends ``landed``, ``replayed``, or in its last
+``AdmissionRejected`` / ``NoSurvivingShard``.
+
+The failure detector heartbeats every shard through the same
+:class:`RemoteWorldLease` state machine remote worlds use, fed by the
+``heartbeat``/``partition`` fault sites plus the ``cluster`` site
+(shard-crash-mid-burst, partitioned router, stale takeover).
+``miss_threshold`` consecutive missed beats — or a full lease term
+without renewal — declare the shard dead and start a **takeover**:
 
 1. the shard is fenced (if the process is actually alive — the
    false-positive case — it must stop committing; the lease-term
    argument makes that safe to assume, and the simulation enforces it)
    and its worker threads are joined, so its journal is final;
 2. the dead shard's lease is declared dead and reclaimed;
-3. every admitted-but-unresolved request assigned to it is settled from
-   the journal: a request whose ``block`` transaction already
-   **applied** is *replayed* (its result is durable — re-running would
-   double-commit; the resolved result is marked ``replayed``), and
-   everything else is *re-landed* on the next surviving shard in the
-   tenant's preference order, under the **same request seq**, so the
-   journal block id dedupes any duplicate placement.
+3. every admitted-but-unresolved request assigned to it follows the same
+   rule: *replayed* from the journal if its ``block`` already applied,
+   otherwise *re-landed* — same path, **same request seq**, so the
+   journal block id dedupes any duplicate — on a surviving shard.
 
-Exactly-once argument: a request commits iff its ``block`` transaction
-applies in exactly one shard journal. Before takeover reads a journal
-the shard's threads are joined (no concurrent appends); replay never
-re-runs; re-land only happens when no journal applied; and duplicate
-takeovers are suppressed because membership removal under the router
-lock is the single point of entry. :meth:`audit_applied` recomputes the
-per-seq applied count across every journal the cluster ever owned so
-benches and fuzz tests can assert it.
+Duplicate takeovers are suppressed because membership removal under the
+router lock is the single point of entry. :meth:`audit_applied`
+recomputes the per-seq applied count across every journal the cluster
+ever owned so benches and fuzz tests can assert it.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from dataclasses import dataclass, field
@@ -62,12 +77,18 @@ from repro.errors import (
     ShardUnreachable,
 )
 from repro.faults.plan import CLUSTER_SITE, FaultKind
-from repro.journal import replay_block_win
-from repro.journal.recovery import RecoveryReport, recover
+from repro.journal import replay_block_win, request_fate
+from repro.journal.recovery import RecoveryReport, recover, settle_best_effort
 from repro.cluster.ring import HashRing
 from repro.cluster.shard import ClusterShard, ShardState
 from repro.serve.admission import ServeRequest, ensure_seq_at_least
-from repro.serve.service import ServeResult, ServeTicket, restart_seq_floor
+from repro.serve.service import (
+    ServeResult,
+    ServeTicket,
+    note_restore,
+    rebuilt_requests,
+    restart_seq_floor,
+)
 
 #: Beats per ROUTER_PARTITION decision window (the fault plan decides
 #: once per window whether the router loses sight of a shard, and the
@@ -143,6 +164,7 @@ class _Inflight:
 
     request: ServeRequest
     ticket: ClusterTicket
+    #: the shard it is at rest on; -1 while a thread is landing it
     shard_id: int = -1
     attempts: int = 1
     failover: str = ""
@@ -170,21 +192,6 @@ class ClusterRestartReport:
     results: dict[int, "ClusterResult"] = field(default_factory=dict)
     #: tickets for the re-admitted requests, by seq.
     tickets: dict[int, "ClusterTicket"] = field(default_factory=dict)
-
-
-def _settle_admit_best_effort(journal: Any, seq: int, status: str) -> None:
-    """Mark an admit applied, tolerating a journal that died mid-restore.
-
-    Restore itself re-admits requests, and a re-admission's admit write
-    can tear the *home* journal (poisoning it). Settling the old admit
-    on that journal is pure bookkeeping: if the write is refused, the
-    admit simply stays sealed and the next restore deduplicates it the
-    same way — so losing the settle loses nothing.
-    """
-    try:
-        journal.mark_applied(seq, status=status)
-    except JournalCrash:
-        pass
 
 
 class ClusterRouter:
@@ -241,9 +248,9 @@ class ClusterRouter:
         self.fault_plan = fault_plan
         self.obs = obs
         #: zero-arg callable returning a fresh (unstarted) in-process
-        #: shard: when a takeover re-land finds *no* surviving candidate
-        #: (e.g. every remote shard unreachable), the router adopts one
-        #: local spare and retries — the ``remote`` row of
+        #: shard: when a landing finds *no* surviving candidate (e.g.
+        #: every remote shard unreachable), the router adopts one local
+        #: spare as the walk's last rung — the ``remote`` row of
         #: :data:`repro.faults.supervisor.DEGRADES_TO`, one level up
         self.spare_factory = spare_factory
         self._spare: ClusterShard | None = None
@@ -312,7 +319,7 @@ class ClusterRouter:
 
     # -- membership --------------------------------------------------------
     def _adopt(self, shard: ClusterShard) -> None:
-        shard.service.on_resolve = self._on_shard_resolve
+        shard.on_resolve = self._on_shard_resolve
         shard.lease = RemoteWorldLease(
             lease_id=shard.shard_id, node_id=shard.shard_id,
             term_s=self.lease_term_s, heartbeat_s=self.heartbeat_s,
@@ -413,7 +420,7 @@ class ClusterRouter:
         self._join_detector()
         for shard in list(self._shards.values()):
             if shard.alive:
-                shard.service.stop()
+                shard.stop()
         # anything still unresolved (e.g. re-route raced shutdown) fails
         with self._lock:
             leftovers = list(self._inflight.values())
@@ -509,74 +516,58 @@ class ClusterRouter:
 
         # dedupe sealed admits across journals: exactly one incarnation
         # of each request survives restore
-        pending: dict[int, tuple[int, Any, dict]] = {}
+        pending: dict[int, tuple[Any, dict]] = {}
         for sid, journal in items:
             for intent in journal.sealed_unapplied_intents("admit"):
                 rseq = intent["data"]["request"]
                 if rseq in pending:
-                    _settle_admit_best_effort(
-                        journal, intent["seq"], "superseded")
+                    settle_best_effort(journal, intent["seq"], "superseded")
                     report.superseded.append(rseq)
-                    continue
-                pending[rseq] = (sid, journal, intent)
+                else:
+                    pending[rseq] = (journal, intent)
 
-        for rseq, (sid, journal, intent) in sorted(pending.items()):
-            data = intent["data"]
-            tenant = data.get("tenant", "?")
-            won = next(
-                ((wsid, outcome) for wsid, wjournal in items
-                 if (outcome := replay_block_win(wjournal, rseq)) is not None),
-                None,
+        unwon = []
+        for rseq, (journal, intent) in sorted(pending.items()):
+            won = request_fate(journals, rseq).won
+            if won is None:
+                unwon.append((journal, intent))
+                continue
+            # applied somewhere (possibly a takeover survivor): replay
+            # the durable value, never re-run
+            wsid, outcome = won
+            settle_best_effort(
+                journal, intent["seq"],
+                "recovered" if journals[wsid] is journal else "recovered-remote",
             )
-            if won is not None:
-                # applied somewhere (possibly a takeover survivor):
-                # replay the durable value, never re-run
-                wsid, outcome = won
-                _settle_admit_best_effort(
-                    journal, intent["seq"],
-                    "recovered" if wsid == sid else "recovered-remote",
-                )
-                report.replayed.append(rseq)
-                report.results[rseq] = _replayed_result(
-                    tenant, rseq, wsid, outcome
-                )
-                router._count(router._failover_c, mode="replayed")
-                continue
-            spec = data.get("spec")
-            if build_alternatives is None or spec is None:
-                _settle_admit_best_effort(
-                    journal, intent["seq"], "unrecoverable")
-                report.dropped.append(rseq)
-                continue
+            report.replayed.append(rseq)
+            report.results[rseq] = _replayed_result(
+                intent["data"].get("tenant", "?"), rseq, wsid, outcome
+            )
+            router._count(router._failover_c, mode="replayed")
+        for journal, intent, request in rebuilt_requests(
+            unwon, build_alternatives, report.dropped
+        ):
             try:
-                rec = router._accept(
-                    ServeRequest.from_admit(data, build_alternatives(spec))
-                )
-            except (AdmissionRejected, NoSurvivingShard, JournalCrash):
-                # leave the admit sealed: a later restore retries it (a
-                # JournalCrash here is an injected crash on the *new*
-                # admit write — the durable old admit still covers it)
-                continue
-            report.re_admitted.append(rseq)
-            report.tickets[rseq] = rec.ticket
-            # if placement landed away from home, the new shard sealed
-            # its own admit; settle the old one so only one copy of the
-            # request survives the *next* restart too
-            if rec.shard_id != sid and journal.status(intent["seq"]) == "sealed":
-                _settle_admit_best_effort(
-                    journal, intent["seq"], "superseded")
-        if obs is not None:
-            obs.registry.counter(
-                "mw_restores_total", "Cold restarts completed from a journal",
-                labelnames=("layer",),
-            ).inc(layer="cluster")
-            obs.tracer.instant(
-                "cluster.restore", cat="cluster", track="cluster",
-                shards=len(items), replayed=len(report.replayed),
-                re_admitted=len(report.re_admitted),
-                superseded=len(report.superseded),
-                dropped=len(report.dropped), seq_floor=floor,
-            )
+                rec = router._accept(request)
+            except (AdmissionRejected, NoSurvivingShard):
+                continue  # the admit stays sealed: a later restore retries it
+            report.re_admitted.append(request.seq)
+            report.tickets[request.seq] = rec.ticket
+            # if it landed away from home, the new shard sealed its own
+            # admit; settle the old one so only one copy of the request
+            # survives the *next* restart too
+            if (
+                journals.get(rec.shard_id) is not journal
+                and journal.status(intent["seq"]) == "sealed"
+            ):
+                settle_best_effort(journal, intent["seq"], "superseded")
+        note_restore(
+            obs, "cluster", cat="cluster", track="cluster",
+            shards=len(items), replayed=len(report.replayed),
+            re_admitted=len(report.re_admitted),
+            superseded=len(report.superseded),
+            dropped=len(report.dropped), seq_floor=floor,
+        )
         return router, report
 
     def __enter__(self) -> "ClusterRouter":
@@ -625,136 +616,137 @@ class ClusterRouter:
         )).ticket
 
     def _accept(self, request: ServeRequest) -> _Inflight:
-        """Register ``request`` and place it; unregister if placement raises."""
+        """Register ``request`` and land it; unregister if landing raises."""
         rec = _Inflight(request, ClusterTicket(request.tenant, request.seq))
         with self._lock:
             self._inflight[request.seq] = rec
         try:
-            self._place(rec)
+            self._land(rec)
         except BaseException:
             with self._lock:
                 self._inflight.pop(request.seq, None)
             raise
         return rec
 
-    def _candidates(self, tenant: str, exclude: set[int]) -> list[ClusterShard]:
+    def _land(
+        self, rec: _Inflight, prefer: ClusterShard | None = None, exclude=()
+    ) -> str:
+        """Bring ``rec`` to rest: the one landing path (module docstring).
+
+        One walk of the live members in the tenant's ring order, minus
+        ``exclude``, with ``prefer`` — or the spill target, when the home
+        shard is saturated and a later preference sits idle — tried
+        first. Returns ``"landed"`` or ``"replayed"``; raises the last
+        :class:`AdmissionRejected` seen, or :class:`NoSurvivingShard`,
+        when nobody, the spare included, took it.
+        """
+        request = rec.request
         with self._lock:
-            order = self.ring.preference(tenant) if len(self.ring) else []
-            return [
+            order = [
                 self._shards[sid]
-                for sid in order
+                for sid in (
+                    self.ring.preference(request.tenant) if len(self.ring) else ()
+                )
                 if sid not in exclude
                 and sid in self._shards
                 and self._shards[sid].up
             ]
+        spilled_from = None
+        if prefer is None and self.spill and order:
+            home = order[0]
+            if home.idle_slots() == 0 and home.backlog() > 0:
+                prefer = next(
+                    (o for o in order[1:]
+                     if o.idle_slots() > 0 and o.backlog() == 0),
+                    None,
+                )
+                if prefer is not None:
+                    spilled_from = home
+        if prefer is not None:
+            order.sort(key=lambda shard: shard is not prefer)  # stable
 
-    def _pick(self, tenant: str, exclude: set[int]) -> tuple[ClusterShard, ClusterShard | None]:
-        """(target, spill_source): preference walk plus the spill move."""
-        candidates = self._candidates(tenant, exclude)
-        if not candidates:
-            raise NoSurvivingShard(
-                f"no live shard for tenant {tenant!r} "
-                f"({len(self._shards)} members)"
-            )
-        home = candidates[0]
-        if self.spill and home.idle_slots() == 0 and home.backlog() > 0:
-            for other in candidates[1:]:
-                if other.idle_slots() > 0 and other.backlog() == 0:
-                    return other, home
-        return home, None
+        def last_rung():
+            # remote → local degradation, the cluster-level rung of fork →
+            # thread → sequential: adopt the in-process spare, once,
+            # rather than fail the request
+            spare = self._ensure_spare()
+            if (
+                spare is not None and spare not in order
+                and spare.shard_id not in exclude
+            ):
+                yield spare
 
-    def _place(self, rec: _Inflight, exclude: set[int] | None = None) -> None:
-        """Land ``rec`` on a live shard; walk candidates on refusal."""
-        exclude = set() if exclude is None else set(exclude)
-        last_rejection: AdmissionRejected | None = None
-        seq, tenant = rec.request.seq, rec.request.tenant
-        while True:
-            target, spilled_from = self._pick(tenant, exclude)
+        rejection: AdmissionRejected | None = None
+        for target in itertools.chain(order, last_rung()):
+            if not target.up:
+                continue  # taken over since the walk
             try:
-                target.service.admit(rec.request)
-            except (AdmissionRejected, ServiceStopped, ShardUnreachable) as exc:
-                # ShardUnreachable — a remote shard's transport gave up
-                # (retries exhausted or breaker open) — walks on exactly
-                # like a stopped service; the detector independently
-                # escalates the silent shard toward takeover
+                target.admit(request)
+            except (
+                AdmissionRejected, ServiceStopped, ShardUnreachable, JournalCrash,
+            ) as exc:
                 if isinstance(exc, AdmissionRejected):
-                    last_rejection = exc
-                exclude.add(target.shard_id)
-                if not self._candidates(tenant, exclude):
-                    if last_rejection is not None:
-                        raise last_rejection
-                    raise NoSurvivingShard(
-                        f"request {seq}: every candidate shard is down"
-                    )
-                continue
-            except JournalCrash:
-                # the admit write crashed the target shard's journal:
-                # that shard's process is dead (a torn write poisons its
-                # WAL). But the request was already queued there and may
-                # have raced through a worker — crash() joins the
-                # workers, making the journal final, and the durable win
-                # (if any) decides between replay and re-land. Without
-                # the check, a re-land would run the block twice.
-                target.crash()
-                self._count(self._takeover_c, kind="journal-crash")
-                outcome = replay_block_win(target.journal, seq)
-                if outcome is not None:
-                    self._settle_replayed(rec, target.shard_id, outcome)
-                    return
-                exclude.add(target.shard_id)
-                if not self._candidates(tenant, exclude):
-                    raise NoSurvivingShard(
-                        f"request {seq}: every candidate shard is down"
-                    )
+                    rejection = exc
+                if isinstance(exc, JournalCrash) or getattr(exc, "sent", False):
+                    # outcome unknown (the journal tore with the request
+                    # already queued, or the frame left unanswered): it
+                    # leaves only through the target's ledger. fence()
+                    # also waits out a takeover another thread began
+                    self.takeover(target.shard_id, kind="admit-unknown")
+                    target.fence()
+                    if self._replay_from(rec, target):
+                        return "replayed"
                 continue
             with self._lock:
                 rec.shard_id = target.shard_id
             self._count(self._req_c, shard=target.shard_id)
-            if spilled_from is not None:
+            if spilled_from is not None and target is prefer:
                 self._count(
-                    self._spill_c,
-                    src=spilled_from.shard_id, dst=target.shard_id,
+                    self._spill_c, src=spilled_from.shard_id, dst=target.shard_id
                 )
-            return
+            return "landed"
+        raise rejection or NoSurvivingShard(
+            f"request {request.seq} (tenant {request.tenant!r}): every "
+            f"candidate shard is down ({len(self._shards)} members)"
+        )
 
-    def _place_or_spare(
-        self, rec: _Inflight, exclude: set[int] | None = None
-    ) -> bool:
-        """:meth:`_place`, degrading remote → local when nothing is left.
-
-        Every failover-side re-placement (takeover re-land, steal
-        re-place, shutdown-shed re-route) shares the same last rung: if
-        every candidate shard is down — e.g. the whole remote fleet died
-        between picking a target and landing on it — adopt the
-        in-process spare and retry once instead of failing a request the
-        cluster already accepted. Returns True iff the spare rung fired.
-        """
+    def _reland(
+        self, rec: _Inflight, what: str, failover: str,
+        prefer: ClusterShard | None = None, exclude=(),
+    ) -> str:
+        """:meth:`_land` for a request the cluster already accepted (a
+        steal, a shed re-route, a takeover re-land): ``landed`` /
+        ``replayed``, or ``failed`` — settled as such — when the walk
+        ends with nobody taking it."""
+        rec.attempts += 1
+        rec.failover = failover
+        # in transit: it is this thread's to land, not an orphan for a
+        # takeover (one this very walk starts, or a concurrent one)
+        rec.shard_id = -1
         try:
-            self._place(rec, exclude=exclude)
-            return False
-        except NoSurvivingShard:
-            if self._ensure_spare() is None:
-                raise
-            self._place(rec, exclude=exclude)
-            return True
+            return self._land(rec, prefer, exclude)
+        except (AdmissionRejected, NoSurvivingShard) as exc:
+            self._settle(rec, "failed", f"{what} failed: {exc}")
+            return "failed"
 
-    def _settle_replayed(
-        self, rec: _Inflight, shard_id: int, outcome: BlockOutcome
-    ) -> None:
-        """Settle ``rec`` from a durable journalled win (exactly-once).
-
-        Used when a shard died with the request's ``block`` transaction
-        already applied in its journal: the value is replayed, never
-        re-run — by :meth:`takeover` and by the placement-walk crash
-        paths alike (:meth:`restore`, which has no ticket to settle,
-        builds the same result).
+    def _replay_from(self, rec: _Inflight, shard: ClusterShard) -> bool:
+        """The ledger question, asked of a shard whose journal is final:
+        did ``rec``'s block apply there? If so ``rec`` is settled from
+        the durable win — replayed, never re-run — and this is True
+        (:meth:`restore`, with no ticket to settle, asks
+        :func:`~repro.journal.request_fate` and builds the same result).
         """
-        rec.shard_id = shard_id
+        outcome = replay_block_win(shard.journal, rec.request.seq)
+        if outcome is None:
+            return False
+        rec.shard_id = shard.shard_id
         rec.failover = "replayed"
         self._count(self._failover_c, mode="replayed")
         self._resolve(rec, _replayed_result(
-            rec.request.tenant, rec.request.seq, shard_id, outcome, rec.attempts
+            rec.request.tenant, rec.request.seq, shard.shard_id, outcome,
+            rec.attempts,
         ))
+        return True
 
     # -- resolution --------------------------------------------------------
     def _settle(
@@ -793,13 +785,10 @@ class ClusterRouter:
                 return
         # a draining shard shed it with a retry hint: re-route rather
         # than failing the caller (the shutdown-shed satellite payoff)
-        rec.attempts += 1
-        rec.failover = rec.failover or "rerouted"
         self._count(self._failover_c, mode="rerouted")
-        try:
-            self._place_or_spare(rec, exclude={rec.shard_id})
-        except (AdmissionRejected, NoSurvivingShard) as exc:
-            self._settle(rec, "failed", f"re-route failed: {exc}")
+        self._reland(
+            rec, "re-route", rec.failover or "rerouted", exclude={rec.shard_id}
+        )
 
     # -- failure detection -------------------------------------------------
     def _detector_loop(self) -> None:
@@ -926,7 +915,7 @@ class ClusterRouter:
         target = idle[0]
         moved = 0
         try:
-            stolen = busy.service.steal_requests(STEAL_BATCH)
+            stolen = busy.steal_requests(STEAL_BATCH)
         except ShardUnreachable:
             return 0  # busy shard went silent; the detector handles it
         for request in stolen:
@@ -934,53 +923,25 @@ class ClusterRouter:
                 rec = self._inflight.get(request.seq)
             if rec is None:
                 continue  # resolved while being stolen; drop the copy
-            rec.attempts += 1
+            verdict = self._reland(
+                rec, "steal re-place", rec.failover, prefer=target
+            )
+            if verdict == "failed" or rec.shard_id == busy.shard_id:
+                continue  # nobody else took it: the source's admit stands
+            # at rest on another shard — its admit sealed there, or its
+            # win durable in that shard's journal: only now is the
+            # hand-off durable, so only now may the source close its
+            # ledger line (the reverse order would lose the request if
+            # the thief's admit write tore — no durable admit anywhere)
             try:
-                target.service.admit(rec.request)
-            except (
-                AdmissionRejected, ServiceStopped, ShardUnreachable,
-                JournalCrash,
-            ) as refusal:
-                if isinstance(refusal, JournalCrash):
-                    # the thief's journal died taking the admit: the
-                    # thief is a dead process, and the stolen request
-                    # may already have raced through it (see _place)
-                    target.crash()
-                    outcome = replay_block_win(target.journal, request.seq)
-                    if outcome is not None:
-                        # the value is durable on the thief's journal:
-                        # the source's sealed admit can close now
-                        try:
-                            busy.service.confirm_stolen(request)
-                        except ShardUnreachable:
-                            pass  # source silent; takeover settles its admit
-                        self._settle_replayed(rec, target.shard_id, outcome)
-                        moved += 1
-                        continue
-                # target refused after all: put it back through the
-                # generic placement walk (home first)
-                try:
-                    self._place_or_spare(rec)
-                except (AdmissionRejected, NoSurvivingShard) as exc:
-                    self._settle(rec, "failed", f"steal re-place failed: {exc}")
-                continue
-            # the thief's admit is sealed: only now is the hand-off
-            # durable, so only now may the source close its ledger line
-            # (the reverse order would lose the request if the thief's
-            # admit write tore — no durable admit anywhere)
-            try:
-                busy.service.confirm_stolen(request)
+                busy.confirm_stolen(request)
             except ShardUnreachable:
                 # the source went silent *after* the hand-off became
-                # durable on the thief: exactly-once still holds (only
-                # the thief runs the block) and the source's unresolved
-                # admit is settled by its eventual takeover
+                # durable: exactly-once still holds (only the new shard
+                # runs the block) and the source's unresolved admit is
+                # settled by its eventual takeover
                 pass
-            with self._lock:
-                rec.shard_id = target.shard_id
-            self._count(
-                self._steal_c, src=busy.shard_id, dst=target.shard_id
-            )
+            self._count(self._steal_c, src=busy.shard_id, dst=rec.shard_id)
             moved += 1
         return moved
 
@@ -1039,18 +1000,19 @@ class ClusterRouter:
         the shard already out of the membership table and returns a
         ``stale`` no-op report without touching anything.
         """
+        report = {
+            "shard": shard_id, "kind": kind, "stale": True,
+            "replayed": 0, "relanded": 0, "failed": 0,
+        }
         with self._lock:
-            shard = self._shards.get(shard_id)
-            if shard is None:
-                return {
-                    "shard": shard_id, "kind": kind, "stale": True,
-                    "replayed": 0, "relanded": 0, "failed": 0,
-                }
             # membership removal under the lock is the idempotence gate:
             # exactly one caller gets to run the takeover body
+            shard = self._shards.pop(shard_id, None)
+            if shard is None:
+                return report
             self.ring.remove(shard_id)
-            self._shards.pop(shard_id)
             self._retired.append(shard)
+        report["stale"] = False
         self._set_up_gauge()
         self._count(self._takeover_c, kind=kind)
         span_id = -1
@@ -1069,58 +1031,46 @@ class ClusterRouter:
         if shard.lease is not None:
             shard.lease.declare_dead(self._vclock, f"takeover ({kind})")
             shard.lease.reclaim(self._vclock)
-        # 3. settle every admitted-but-unresolved request it held
+        # 3. settle every admitted-but-unresolved request it held: the
+        #    ledger first, and only what never applied lands again
         with self._lock:
             orphans = [
-                (seq, rec) for seq, rec in self._inflight.items()
+                rec for rec in self._inflight.values()
                 if rec.shard_id == shard_id
             ]
-        replayed = relanded = failed = 0
-        for seq, rec in orphans:
-            outcome = replay_block_win(shard.journal, seq)
-            if outcome is not None:
-                replayed += 1
-                self._settle_replayed(rec, shard_id, outcome)
+        for rec in orphans:
+            if self._replay_from(rec, shard):
+                report["replayed"] += 1
                 continue
-            # never applied anywhere: re-land on the next preference
-            rec.attempts += 1
-            rec.failover = "relanded"
-            mode = "relanded"
-            try:
-                # remote → local degradation: when every candidate is
-                # gone (e.g. the whole remote fleet is unreachable), the
-                # helper adopts an in-process spare and retries once —
-                # the cluster-level rung of fork → thread → sequential
-                if self._place_or_spare(rec, exclude={shard_id}):
-                    mode = "spare"
-            except (AdmissionRejected, NoSurvivingShard) as exc:
-                failed += 1
-                self._count(self._failover_c, mode="lost")
-                self._settle(rec, "failed", f"re-land failed: {exc}")
-                continue
-            relanded += 1
-            self._count(self._failover_c, mode=mode)
+            verdict = self._reland(rec, "re-land", "relanded", exclude={shard_id})
+            report["relanded" if verdict == "landed" else verdict] += 1
+            if verdict != "replayed":
+                spare = self._spare
+                on_spare = spare is not None and rec.shard_id == spare.shard_id
+                self._count(
+                    self._failover_c,
+                    mode="lost" if verdict == "failed"
+                    else "spare" if on_spare else "relanded",
+                )
         if span_id >= 0:
             self.obs.tracer.end(
-                span_id, disposition="committed",
-                replayed=replayed, relanded=relanded, failed=failed,
+                span_id, disposition="committed", replayed=report["replayed"],
+                relanded=report["relanded"], failed=report["failed"],
             )
-        return {
-            "shard": shard_id, "kind": kind, "stale": False,
-            "replayed": replayed, "relanded": relanded, "failed": failed,
-        }
+        return report
 
     # -- auditing ----------------------------------------------------------
     def journals(self) -> list:
         """Every journal the cluster ever owned (members + retired)."""
         with self._lock:
             shards = list(self._shards.values()) + list(self._retired)
-        seen: set[int] = set()
-        out = []
+        out: list = []
         for shard in shards:
-            if id(shard.journal) not in seen:
-                seen.add(id(shard.journal))
-                out.append(shard.journal)
+            # a live remote shard hands back a fresh snapshot per read:
+            # compare objects kept alive here, never the id() of freed ones
+            journal = shard.journal
+            if not any(journal is kept for kept in out):
+                out.append(journal)
         return out
 
     def audit_applied(self) -> dict[int, int]:

@@ -146,9 +146,6 @@ class ClusterShard:
     def idle_slots(self) -> int:
         return self.budget.free
 
-    def load(self) -> float:
-        return self.budget.load
-
     def snapshot(self) -> dict:
         return {
             "shard": self.shard_id,
@@ -157,6 +154,25 @@ class ClusterShard:
             "backlog": self.backlog(),
             "slots_free": self.idle_slots(),
         }
+
+    # -- the request surface (the router's; same names on a remote shard),
+    # forwarded at call time so patching ``shard.service`` patches it ----
+    def admit(self, request) -> None:
+        self.service.admit(request)
+
+    def steal_requests(self, max_n: int) -> list:
+        return self.service.steal_requests(max_n)
+
+    def confirm_stolen(self, request) -> None:
+        self.service.confirm_stolen(request)
+
+    @property
+    def on_resolve(self):
+        return self.service.on_resolve
+
+    @on_resolve.setter
+    def on_resolve(self, hook) -> None:
+        self.service.on_resolve = hook
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> "ClusterShard":
@@ -186,10 +202,9 @@ class ClusterShard:
         and re-landing whatever never applied.
         """
         with self._lock:
-            if self.state is ShardState.DEAD:
-                return
-            self.state = ShardState.DEAD
-        self.service.crash()
+            if self.state is not ShardState.DEAD:
+                self.state = ShardState.DEAD
+                self.service.crash()
 
     def fence(self) -> None:
         """Excommunicate a live shard (false-positive death declaration).
@@ -199,9 +214,11 @@ class ClusterShard:
         the router partitioned from it, its lease expired, and correct
         self-fencing means it must not commit past that point even
         though it never died.
+
+        Like :meth:`crash` it joins the workers under the shard's lock,
+        so every caller, first or not, returns to a final journal.
         """
         with self._lock:
-            if self.state in (ShardState.DEAD, ShardState.FENCED):
-                return
-            self.state = ShardState.FENCED
-        self.service.crash()
+            if self.state not in (ShardState.DEAD, ShardState.FENCED):
+                self.state = ShardState.FENCED
+                self.service.crash()

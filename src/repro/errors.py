@@ -227,14 +227,21 @@ class TransportTimeout(TransportError):
 
 
 class ShardUnreachable(TransportError):
-    """A remote shard's transport gave up: retries exhausted or the
-    per-shard circuit breaker is open.
+    """A remote shard's transport gave up: the shard is dead, its
+    circuit breaker is open, or the retries ran out.
 
-    The router treats this exactly like a refusal from a stopped
-    service — walk the placement candidates on — while the heartbeat
-    detector independently escalates the silent shard through
-    suspect → probe → declare-dead.
+    ``sent`` is what the client knows about the frame. False: no attempt
+    got as far as writing it (dead state, open breaker, connect
+    refused), so the shard was never reached and the router walks on as
+    from a stopped service. True: a frame may have left, so the shard
+    may yet act on it — the outcome is unknown, and the router fences
+    the shard and reads its ledger before the request goes anywhere
+    else.
     """
+
+    def __init__(self, message: str = "", sent: bool = False) -> None:
+        super().__init__(message)
+        self.sent = sent
 
 
 class PrologError(ReproError):

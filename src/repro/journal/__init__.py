@@ -37,10 +37,12 @@ from repro.journal.wal import (
     FileJournalStorage,
     MemoryJournalStorage,
     QuarantineEntry,
+    RequestFate,
     find_block_win,
     read_quarantine,
     record_block_win,
     replay_block_win,
+    request_fate,
 )
 
 __all__ = [
@@ -49,10 +51,12 @@ __all__ = [
     "MemoryJournalStorage",
     "QuarantineEntry",
     "RecoveryReport",
+    "RequestFate",
     "SourceGate",
     "find_block_win",
     "read_quarantine",
     "record_block_win",
     "recover",
     "replay_block_win",
+    "request_fate",
 ]

@@ -74,7 +74,7 @@ import pickle
 import threading
 import warnings
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Mapping, NamedTuple
 
 from repro.core.outcome import AlternativeResult, BlockOutcome
 from repro.errors import JournalCrash, JournalError
@@ -1057,3 +1057,45 @@ def replay_block_win(journal: CommitJournal, block_id: int) -> BlockOutcome | No
     )
     outcome.extras["journal_recovered"] = True
     return outcome
+
+
+#: ``admit`` settle statuses that close a ledger line because another
+#: journal (or incarnation) carries the request's answer.
+_HANDED_OFF = frozenset({"stolen", "superseded", "recovered", "recovered-remote"})
+
+
+class RequestFate(NamedTuple):
+    """What a set of shard journals say became of one request seq
+    (nothing set: the journals never heard of it)."""
+
+    #: ``(shard id, outcome)`` from the journal holding its applied
+    #: ``block`` win — the answer to "replay, or run it again?"
+    won: tuple[int, BlockOutcome] | None = None
+    #: shard ids whose ``admit`` for it is sealed and unsettled: where a
+    #: cold restart re-admits it from.
+    sealed: tuple[int, ...] = ()
+    #: the final status an ``admit`` settled with (hand-offs aside).
+    settled: str | None = None
+
+
+def request_fate(journals: Mapping[int, CommitJournal], seq: int) -> RequestFate:
+    """Ask every journal in ``journals`` (by shard id) about request
+    ``seq``: :func:`replay_block_win`'s question, across journals, plus
+    where its admit stands. The journals must be final (their writers
+    joined, fenced or dead) for the answer to be."""
+    won, sealed, settled = None, [], None
+    for sid, journal in journals.items():
+        if won is None:
+            outcome = replay_block_win(journal, seq)
+            if outcome is not None:
+                won = (sid, outcome)
+        admit = journal.find_sealed("admit", request=seq)  # its latest here
+        if admit is None:
+            continue
+        if journal.status(admit["seq"]) == "sealed":
+            sealed.append(sid)
+        else:
+            status = journal.find_applied("admit", request=seq)[1].get("status")
+            if status not in _HANDED_OFF:
+                settled = status or settled
+    return RequestFate(won, tuple(sealed), settled)

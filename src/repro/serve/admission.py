@@ -434,11 +434,17 @@ class AdmissionQueue:
             if self._shed_c is not None:
                 self._shed_c.inc(reason=reason)
 
-    def close(self) -> None:
-        """Stop accepting work and wake every blocked ``take``."""
+    def close(self, drain: bool = False) -> list[ServeRequest]:
+        """Stop accepting work and wake every blocked ``take``.
+
+        With ``drain``, what is still queued is removed and returned in
+        the same critical section: a closed queue keeps handing out what
+        it holds, so emptying it any later lets a taker run some of it.
+        """
         with self._cond:
             self._closed = True
             self._cond.notify_all()
+            return self.drain() if drain else []
 
     def drain(self) -> list[ServeRequest]:
         """Remove and return everything still queued (post-close cleanup)."""

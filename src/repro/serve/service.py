@@ -44,14 +44,13 @@ from typing import Any, Sequence
 from repro.core.outcome import BlockOutcome
 from repro.errors import (
     AdmissionRejected,
-    JournalCrash,
     ServeError,
     ServiceStopped,
     WorldsError,
 )
 from repro.faults.plan import SERVE_SITE, FaultKind
 from repro.faults.supervisor import Supervisor
-from repro.journal.recovery import RecoveryReport, recover
+from repro.journal.recovery import RecoveryReport, recover, settle_best_effort
 from repro.serve.admission import (
     AdmissionQueue,
     ServeRequest,
@@ -166,6 +165,34 @@ def restart_seq_floor(journal) -> int:
     seqs += [i["data"]["block"] for i, _ in journal.applied_intents("block")]
     seqs += [i["data"]["request"] for i in journal.sealed_unapplied_intents("admit")]
     return max(seqs, default=0) + 1
+
+
+def note_restore(obs, layer: str, cat: str, track: str, **counts: int) -> None:
+    """Count one completed cold restart and mark it on the timeline."""
+    if obs is not None:
+        obs.registry.counter(
+            "mw_restores_total", "Cold restarts completed from a journal",
+            labelnames=("layer",),
+        ).inc(layer=layer)
+        obs.tracer.instant(f"{layer}.restore", cat=cat, track=track, **counts)
+
+
+def rebuilt_requests(sealed, build_alternatives, dropped: list[int]):
+    """Both restores' loop: each ``(journal, intent)`` sealed admit in
+    ``sealed`` comes back as ``(journal, intent, request)`` — the request
+    rebuilt under its original seq over ``build_alternatives(spec)`` —
+    unless it has no ``spec`` (or there is no builder): that one is settled
+    ``unrecoverable`` and listed in ``dropped``, not retried forever."""
+    for journal, intent in sealed:
+        data = intent["data"]
+        spec = data.get("spec")
+        if build_alternatives is None or spec is None:
+            settle_best_effort(journal, intent["seq"], "unrecoverable")
+            dropped.append(data["request"])
+            continue
+        yield journal, intent, ServeRequest.from_admit(
+            data, build_alternatives(spec)
+        )
 
 
 class SpeculationService:
@@ -322,8 +349,7 @@ class SpeculationService:
         if not self._running:
             return
         self._running = False
-        drained: list = [] if drain else self.queue.drain()
-        self.queue.close()
+        drained = self.queue.close(drain=not drain)
         for t in self._threads:
             t.join(timeout)
         self._threads.clear()
@@ -348,24 +374,25 @@ class SpeculationService:
         The cluster failover simulation primitive. Ticket resolution and
         the ``on_resolve`` hook are suppressed from this point on — a
         crashed process reports nothing — the queue closes without the
-        shutdown shed/cancel courtesy, and workers are joined so that
-        in-flight requests settle their journal transactions (the
-        journal is the only thing a crash leaves behind; whatever it
-        recorded as applied is durable, everything else is lost). A
-        router then replays/re-lands from the journal. Also models
-        *fencing*: a shard whose lease expired must stop committing,
-        which is exactly what suppressing resolution after the flag
-        achieves.
+        shutdown shed/cancel courtesy and empties as it closes (nothing
+        only queued ever runs, as after ``kill -9``; restore re-admits it
+        from its sealed admit), and workers are joined so that in-flight
+        requests settle their journal transactions (the journal is the
+        only thing a crash leaves behind; whatever it recorded as applied
+        is durable, everything else is lost). A router then
+        replays/re-lands from the journal.
+        Also models *fencing*: a shard whose lease expired must stop
+        committing, which is exactly what suppressing resolution after
+        the flag achieves.
         """
         if self._crashed:
             return
         self._crashed = True
         self._running = False
-        self.queue.close()
+        self.queue.close(drain=True)
         for t in self._threads:
             t.join(10.0)
         self._threads.clear()
-        self.queue.drain()
 
     def steal_requests(self, max_n: int) -> list[ServeRequest]:
         """Give up to ``max_n`` queued requests to another dispatcher.
@@ -453,30 +480,19 @@ class SpeculationService:
             seq_floor=floor,
         )
         svc.start()
-        for intent in sealed:
-            data = intent["data"]
-            rseq = data["request"]
-            spec = data.get("spec")
-            if build_alternatives is None or spec is None:
-                journal.mark_applied(intent["seq"], status="unrecoverable")
-                report.dropped.append(rseq)
-                continue
+        for _, _, request in rebuilt_requests(
+            ((journal, intent) for intent in sealed),
+            build_alternatives, report.dropped,
+        ):
             # admit() finds the sealed admit and reuses it
-            request = ServeRequest.from_admit(data, build_alternatives(spec))
-            report.tickets[rseq] = svc._admit_ticketed(request)
-            report.re_admitted.append(rseq)
-        obs = kwargs.get("obs")
-        if obs is not None:
-            obs.registry.counter(
-                "mw_restores_total", "Cold restarts completed from a journal",
-                labelnames=("layer",),
-            ).inc(layer="service")
-            obs.tracer.instant(
-                "service.restore", cat="serve", track="journal",
-                re_admitted=len(report.re_admitted),
-                already_applied=len(report.already_applied),
-                dropped=len(report.dropped), seq_floor=floor,
-            )
+            report.tickets[request.seq] = svc._admit_ticketed(request)
+            report.re_admitted.append(request.seq)
+        note_restore(
+            kwargs.get("obs"), "service", cat="serve", track="journal",
+            re_admitted=len(report.re_admitted),
+            already_applied=len(report.already_applied),
+            dropped=len(report.dropped), seq_floor=floor,
+        )
         return svc, report
 
     def __enter__(self) -> "SpeculationService":
@@ -555,7 +571,10 @@ class SpeculationService:
         if not self.journal_admission or request.shadow:
             return
         with self._admit_lock:
-            if self.journal.find_sealed("admit", request=request.seq) is None:
+            rec = self.journal.find_sealed("admit", request=request.seq)
+            # a *settled* admit (stolen, superseded, ...) is a closed
+            # ledger line, not an ack: a request coming back needs its own
+            if rec is None or self.journal.status(rec["seq"]) != "sealed":
                 self.journal.seal(
                     self.journal.begin("admit", **request.admit_data())
                 )
@@ -566,16 +585,8 @@ class SpeculationService:
             return
         with self._admit_lock:
             rec = self.journal.find_sealed("admit", request=request.seq)
-            if rec is None:
-                return
-            try:
-                if self.journal.status(rec["seq"]) == "sealed":
-                    self.journal.mark_applied(rec["seq"], status=status)
-            except JournalCrash:
-                # a dead (poisoned) journal cannot settle; the sealed
-                # admit is exactly what restore() replays after the
-                # crash, so losing the settle loses nothing
-                pass
+            if rec is not None and self.journal.status(rec["seq"]) == "sealed":
+                settle_best_effort(self.journal, rec["seq"], status)
 
     def _maybe_burst(self, request: ServeRequest) -> None:
         """REQUEST_BURST: re-submit the request as a storm of shadows."""

@@ -20,6 +20,7 @@ from repro.cluster import (
     RemoteShardClient,
     ShardState,
 )
+from repro.distrib.retry import RetryStats
 from repro.errors import ShardUnreachable, WorldsError
 from repro.faults.plan import TRANSPORT_SITE, FaultKind, FaultPlan
 from repro.serve import AdaptiveSpeculationPolicy, ServeRequest
@@ -39,7 +40,7 @@ def alts(i):
 def admit(shard, tenant, alternatives):
     """Hand the shard one request, as the router does; returns its seq."""
     request = ServeRequest.build(tenant, alternatives)
-    shard.service.admit(request)
+    shard.admit(request)
     return request.seq
 
 
@@ -90,7 +91,7 @@ class TestLifecycle:
         shard = make_remote(0, tmp_path)
         shard.start()
         resolved = []
-        shard.service.on_resolve = lambda req, res: resolved.append((req.seq, res))
+        shard.on_resolve = lambda req, res: resolved.append((req.seq, res))
         try:
             seq = admit(shard, "t0", alts(3))
             deadline = time.monotonic() + 10
@@ -191,6 +192,31 @@ class TestRemoteCluster:
         finally:
             router.stop()
 
+    def test_admit_of_unknown_outcome_is_fenced_before_walking_on(self, tmp_path):
+        """A frozen home host takes the submit frame into its socket
+        buffer and says nothing. The request may leave it only through
+        its ledger: the host is fenced (taken over, SIGKILLed) *before*
+        the walk goes on — on the parent it was left alive, ran the
+        buffered request when thawed, and the block applied twice."""
+        remotes = [make_remote(i, tmp_path, call_timeout_s=0.2) for i in range(2)]
+        router = ClusterRouter(remotes, spill=False, steal=False).start(detect=False)
+        try:
+            home = router.ring.route("t0")
+            remotes[home].sigstop()
+            result = router.submit("t0", alts(3)).result(timeout=30)
+            assert result.committed and result.value == 21
+            assert result.shard_id == 1 - home
+            remotes[home].sigcont()
+            time.sleep(0.5)  # room for a thawed host to run what it buffered
+            assert router.audit_applied()[result.seq] == 1
+            snap = router.snapshot()
+            assert home not in {m["shard"] for m in snap["members"]}
+            assert home in snap["retired"]
+            assert not remotes[home].process_alive()
+            assert snap["inflight"] == 0
+        finally:
+            router.stop()
+
     def test_invalid_alternatives_register_nothing(self, tmp_path):
         router = ClusterRouter([make_remote(0, tmp_path)]).start(detect=False)
         try:
@@ -265,6 +291,53 @@ class TestRemoteCluster:
             router.stop()
 
 
+class _YieldingClient(RemoteShardClient):
+    """A client whose ``_call_seq`` read can be made to lose the CPU (the
+    forced interleave of ``tests/journal/test_seq_race.py``): the first
+    read runs ``intruder`` — a whole ``_call`` on another thread — before
+    it returns what it read."""
+
+    intruder = None
+
+    @property
+    def _call_seq(self):
+        value = self.__dict__["_call_seq_value"]
+        intruder, self.intruder = self.intruder, None
+        if intruder is not None:
+            intruder()
+        return value
+
+    @_call_seq.setter
+    def _call_seq(self, value):
+        self.__dict__["_call_seq_value"] = value
+
+
+def test_a_switch_mid_draw_hands_no_call_number_out_twice(tmp_path, monkeypatch):
+    """The call number is the idempotency token and the envelope id: two
+    callers sharing one would be answered with each other's responses."""
+    tokens = []
+
+    def answered_at_once(attempt, policy, token, retry_on):
+        tokens.append(token)
+        return {"ok": True, "value": None}, RetryStats(attempts=1)
+
+    monkeypatch.setattr("repro.cluster.remote.call_with_retries", answered_at_once)
+    client = _YieldingClient(0, workdir=str(tmp_path))
+    intruders = []
+
+    def intrude():
+        thread = threading.Thread(target=client._call, args=("ping",))
+        thread.start()
+        thread.join(timeout=10)
+        intruders.append(thread)
+
+    client.intruder = intrude
+    client._call("ping")  # interrupted between reading and advancing
+    client._call("ping")
+    assert len(intruders) == 1 and not intruders[0].is_alive()
+    assert len(tokens) == 3 and len(set(tokens)) == 3, tokens
+
+
 class TestBreaker:
     def test_unit_state_machine(self):
         now = [0.0]
@@ -323,7 +396,7 @@ class TestTransportFaults:
         shard = make_remote(0, tmp_path, fault_plan=plan)
         shard.start()
         resolved = []
-        shard.service.on_resolve = lambda req, res: resolved.append(req.seq)
+        shard.on_resolve = lambda req, res: resolved.append(req.seq)
         try:
             seqs = [admit(shard, f"t{i % 3}", alts(i)) for i in range(10)]
             deadline = time.monotonic() + 20
@@ -348,7 +421,7 @@ class TestTransportFaults:
         shard = make_remote(0, tmp_path, fault_plan=plan, call_timeout_s=0.15)
         shard.start()
         resolved = []
-        shard.service.on_resolve = lambda req, res: resolved.append(req.seq)
+        shard.on_resolve = lambda req, res: resolved.append(req.seq)
         try:
             seqs = [admit(shard, f"t{i % 3}", alts(i)) for i in range(8)]
             deadline = time.monotonic() + 30
@@ -371,7 +444,7 @@ class TestTransportFaults:
         shard = make_remote(0, tmp_path)
         shard.start()
         resolved, lost = [], []
-        shard.service.on_resolve = lambda req, res: resolved.append(req.seq)
+        shard.on_resolve = lambda req, res: resolved.append(req.seq)
         shard._dispatch_push = lambda sock, msg: lost.append(msg["event"])
         try:
             seqs = [admit(shard, f"t{i % 3}", alts(i)) for i in range(6)]

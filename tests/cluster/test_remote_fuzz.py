@@ -1,10 +1,14 @@
-"""Seeded real-process kill fuzz: ``kill -9`` mid-burst, exactly-once.
+"""Seeded real-process fault fuzz: ``kill -9`` and ``kill -STOP``
+mid-burst, exactly-once.
 
 The out-of-process twin of ``test_failover_fuzz``: each seed runs a
-burst against three shard-host *processes*, consults the fault plan's
-``transport`` site for which hosts get SIGKILLed and when, kills them
-there — a real ``kill -9``, so only the journal files survive — runs
-takeover, and audits every journal for the exactly-once invariant.
+burst against three shard-host *processes* and consults the fault plan's
+``transport`` site for what happens to which host. A SIGKILLed host is a
+real ``kill -9`` — only its journal file survives — followed by
+takeover. A SIGSTOPped host stays alive and silent while the burst goes
+on (a submit homed there times out, which makes the router fence it
+before walking on) and is SIGCONTed when its time is up. Either way every
+journal is audited for the exactly-once invariant.
 ``REMOTE_FUZZ_SEEDS`` raises the seed count (CI's fuzz smoke runs 5);
 ``mw-e2e``'s ``cluster_remote`` workload measures the same path when
 nothing dies, and ``test_scale_smoke`` what a kill costs in throughput.
@@ -16,7 +20,7 @@ import time
 
 import pytest
 
-from repro.cluster import ClusterRouter, RemoteShardClient, host_kill_decision
+from repro.cluster import ClusterRouter, RemoteShardClient, host_fault_decision
 from repro.faults.plan import FaultKind, FaultPlan
 
 SEEDS = range(1, 1 + int(os.environ.get("REMOTE_FUZZ_SEEDS", "3")))
@@ -50,32 +54,33 @@ def make_cluster(tmp_path, seed):
 def test_sigkill_mid_burst_commits_exactly_once(seed, tmp_path):
     plan = FaultPlan(
         seed=seed,
-        rates={FaultKind.HOST_SIGKILL: 0.6},
+        rates={FaultKind.HOST_SIGKILL: 0.6, FaultKind.HOST_SIGSTOP: 0.3},
         host_kill_fraction=0.5,
     )
     remotes = make_cluster(tmp_path, seed)
     router = ClusterRouter(remotes).start(detect=False)
     try:
-        doomed = [
-            (sid, host_kill_decision(plan, sid, epoch=0))
-            for sid in range(N_SHARDS)
-            if host_kill_decision(plan, sid, epoch=0) is not None
-        ]
-        kill_at = {
-            sid: int(frac * N_REQUESTS) for sid, frac in doomed[:2]
-        }  # keep one survivor
+        verdicts = [
+            (sid, verdict) for sid in range(N_SHARDS)
+            if (verdict := host_fault_decision(plan, sid, epoch=0)) is not None
+        ][:2]  # keep one survivor
+        strike_at = int(plan.host_kill_fraction * N_REQUESTS)
+        thaw_at = {}
 
         tickets = []
         for i in range(N_REQUESTS):
-            for sid, at in list(kill_at.items()):
-                if i == at:
-                    remotes[sid].sigkill()  # the real thing
-                    router.takeover(sid)
-                    del kill_at[sid]
+            if i == strike_at:
+                for sid, (kind, param) in verdicts:
+                    if kind is FaultKind.HOST_SIGKILL:
+                        remotes[sid].sigkill()  # the real thing
+                        router.takeover(sid)
+                    else:
+                        remotes[sid].sigstop()  # alive, silent
+                        thaw_at[sid] = time.monotonic() + param
             tickets.append(router.submit(f"tenant-{i % 5}", alts(i)))
-        for sid in kill_at:
-            remotes[sid].sigkill()
-            router.takeover(sid)
+        for sid, at in thaw_at.items():
+            time.sleep(max(0.0, at - time.monotonic()))
+            remotes[sid].sigcont()
 
         results = [t.result(timeout=30) for t in tickets]
         committed = [r for r in results if r.committed]

@@ -11,10 +11,12 @@ from repro.core.backend import normalize_alternatives
 from repro.core.outcome import AlternativeResult
 from repro.distrib.lease import LeaseState
 from repro.errors import (
+    AdmissionRejected,
     ClusterError,
     JournalCrash,
     NoSurvivingShard,
     ServiceStopped,
+    ShardUnreachable,
     WorldsError,
 )
 from repro.faults.plan import CLUSTER_SITE, FaultKind, FaultPlan
@@ -273,6 +275,169 @@ class TestReplayIsOnePolicy:
         assert all(other == first for other in rest)
 
 
+class _FirstTarget:
+    """Makes the first shard a watched landing tries (or, with
+    ``everyone``, every member it tries) do what the matrix column says."""
+
+    def __init__(self, seq, value, raises, win, everyone):
+        self.seq, self.value = seq, value
+        self.raises, self.win, self.everyone = raises, win, everyone
+        self.armed = False
+        self.first = None
+
+    def install(self, shard):
+        admit = shard.service.admit
+
+        def probed(request):
+            if (
+                self.armed and request.seq == self.seq
+                and shard.shard_id != TestLandingMatrix.SPARE
+                and (self.first is None or self.everyone)
+            ):
+                self.first = self.first or shard
+                if self.win:  # it raced through a worker before the fault
+                    record_block_win(shard.journal, request.seq, 0, AlternativeResult(
+                        index=0, name="alt", value=self.value, succeeded=True,
+                    ))
+                if self.raises is not None:
+                    raise self.raises()
+            admit(request)
+
+        shard.service.admit = probed
+
+
+class TestLandingMatrix:
+    """Every way a request comes to rest x everything its first target
+    can do with the admit: one landing path, one verdict vocabulary."""
+
+    SEQ, TENANT, VALUE, SPARE = 930_001, "t0", "the watched value", 100
+
+    #: (id, what the admit raises, a durable win first?, every member?, verdict)
+    COLUMNS = [
+        ("accepts", None, False, False, "landed"),
+        ("answers-no", lambda: ServiceStopped("stopping"), False, False, "landed"),
+        ("never-reached", lambda: ShardUnreachable("breaker open"), False, False,
+         "landed"),
+        ("journal-crash", lambda: JournalCrash("torn admit"), False, False, "landed"),
+        ("journal-crash-after-win", lambda: JournalCrash("torn admit"), True, False,
+         "replayed"),
+        ("unknown", lambda: ShardUnreachable("no answer", sent=True), False, False,
+         "landed"),
+        ("unknown-after-win", lambda: ShardUnreachable("no answer", sent=True), True,
+         False, "replayed"),
+        ("nobody-left-spare", lambda: AdmissionRejected("full", tenant="t0"), False,
+         True, "landed"),
+        ("nobody-left", lambda: AdmissionRejected("full", tenant="t0"), False, True,
+         "failed"),
+    ]
+
+    def _enter(self, entry, Router, probe, **kw):
+        """Set ``entry`` up; returns ``(router, drive, other tickets)`` —
+        ``drive()`` runs the watched landing and returns the watched
+        request's ticket (None when restore left it sealed)."""
+        watched = value_alts(self.VALUE)
+        if entry == "restore":
+            journals = {i: CommitJournal() for i in range(3)}
+            journals[0].seal(journals[0].begin(
+                "admit", request=self.SEQ, tenant=self.TENANT, priority=0,
+                cost=1.0, timeout=None, spec={"n": 1}, request_class="",
+            ))
+            probe.armed = True
+            router, report = Router.restore(
+                journals, build_alternatives=lambda spec: watched,
+                shard_kwargs=dict(slots=1, workers=1), detect=False, steal=False,
+                **kw,
+            )
+            return router, lambda: report.tickets.get(self.SEQ), []
+        shards = [ClusterShard(i, slots=1, workers=1) for i in range(3)]
+        router = Router(shards, spill=entry == "spill", steal=False, **kw)
+        router.start(detect=False)
+        home = router.ring.route(self.TENANT)
+
+        def submit_watched():
+            return router.submit(self.TENANT, watched, seq=self.SEQ)
+
+        if entry == "fresh":
+            probe.armed = True
+            return router, submit_watched, []
+        # the home shard's one slot is held, and something waits behind it
+        others = [router.submit(self.TENANT, slow_alt(0.05))]
+        deadline = time.monotonic() + 5
+        while router.shard(home).idle_slots() and time.monotonic() < deadline:
+            time.sleep(0.001)
+        others.append(router.submit(self.TENANT, value_alts("bystander")))
+        if entry == "spill":
+            probe.armed = True
+            return router, submit_watched, others
+        ticket = submit_watched()  # queued on the home shard, unwatched
+        probe.armed = True
+
+        def drive():
+            if entry == "steal":
+                router.steal_round()
+            elif entry == "shed":
+                router.decommission(home)
+            else:
+                router.kill_shard(home)
+                router.takeover(home)
+            return ticket
+
+        return router, drive, others
+
+    @pytest.mark.parametrize("column", COLUMNS, ids=lambda c: c[0])
+    @pytest.mark.parametrize(
+        "entry", ["fresh", "spill", "steal", "shed", "takeover", "restore"]
+    )
+    def test_every_entry_comes_to_rest_through_the_one_path(self, entry, column):
+        name, raises, win, everyone, expected = column
+        probe = _FirstTarget(self.SEQ, self.VALUE, raises, win, everyone)
+
+        class Probed(ClusterRouter):
+            def _adopt(self, shard):
+                probe.install(shard)
+                super()._adopt(shard)
+
+        kw = {}
+        if name == "nobody-left-spare":
+            kw["spare_factory"] = lambda: ClusterShard(self.SPARE, slots=1, workers=1)
+        router, drive, others = self._enter(entry, Probed, probe, **kw)
+        try:
+            result = None
+            try:
+                ticket = drive()
+                result = None if ticket is None else ticket.result(timeout=10)
+            except (AdmissionRejected, NoSurvivingShard):
+                assert entry in ("fresh", "spill")  # the caller is told at once
+            committed = result is not None and result.committed
+            verdict = (
+                "failed" if not committed
+                else "replayed" if result.failover == "replayed" else "landed"
+            )
+            assert verdict == expected, (result, probe.first)
+            for other in others:
+                other.result(timeout=10)
+            audit = router.audit_applied()
+            assert audit.get(self.SEQ, 0) == (1 if committed else 0)
+            snap = router.snapshot()
+            assert snap["inflight"] == 0
+            first = probe.first.shard_id
+            home = router.ring.route(self.TENANT) if entry == "spill" else None
+            assert first != home, "the spill target is tried first"
+            fenced = raises is not None and (
+                isinstance(raises(), JournalCrash) or getattr(raises(), "sent", False)
+            )
+            assert (first in snap["retired"]) == fenced
+            if committed:
+                assert result.value == self.VALUE
+                assert (result.shard_id == first) == (
+                    name in ("accepts", "journal-crash-after-win", "unknown-after-win")
+                )
+            if name == "nobody-left-spare":
+                assert result.shard_id == self.SPARE
+        finally:
+            router.stop()
+
+
 class TestRefusedSubmitLeavesNothingBehind:
     @pytest.mark.parametrize("bad", [[42], []])
     def test_invalid_alternatives_register_nothing(self, bad):
@@ -397,6 +562,9 @@ class TestInjectedClusterFaults:
             tickets = [router.submit(f"t{i}", value_alts(i)) for i in range(9)]
             takeovers = 0
             for _ in range(12):
+                if router.shards_up == 1:
+                    break  # a fenced shard runs none of its backlog on the
+                    # way down, so "all commit" needs somebody left to run it
                 before = router.shards_up
                 router.heartbeat_round()
                 takeovers += before - router.shards_up
@@ -481,6 +649,63 @@ class TestInjectedClusterFaults:
         for d in decisions:
             if d is not None:
                 assert 0.0 <= d <= 1.0
+
+
+class _Snapshot:
+    def __init__(self, owner):
+        self.owner = owner
+
+
+class _LiveRemote(ClusterShard):
+    """``journal`` as a live remote shard serves it: a fresh snapshot
+    object per read (the previous one lingers until the next read)."""
+
+    _last = None
+
+    @property
+    def journal(self):
+        self._last = snapshot = _Snapshot(self.shard_id)
+        return snapshot
+
+    @journal.setter
+    def journal(self, value):
+        pass
+
+
+class _DeadRemote(ClusterShard):
+    """``journal`` as a dead remote shard serves it: opened on the first
+    read, cached from then on."""
+
+    _opened = None
+
+    @property
+    def journal(self):
+        if self._opened is None:
+            self._opened = _Snapshot(self.shard_id)
+        return self._opened
+
+    @journal.setter
+    def journal(self, value):
+        pass
+
+
+class TestAuditSeesEveryJournal:
+    def test_a_journal_opened_during_the_audit_is_not_mistaken_for_a_snapshot(self):
+        """``journals()`` used to dedupe by ``id()`` of objects it had
+        already let go of: a dead shard's journal, first opened right
+        there, can be allocated at a freed snapshot's address and was
+        then skipped — a committed request "applied 0 times"."""
+        dead = _DeadRemote(1)
+        router = ClusterRouter([_LiveRemote(0), dead])
+        dead._opened = None  # nobody has read it yet: no orphans at takeover
+        assert sorted(j.owner for j in router.journals()) == [0, 1]
+
+    def test_shards_sharing_one_journal_count_once(self):
+        journal = CommitJournal()
+        router = ClusterRouter(
+            [ClusterShard(0, journal=journal), ClusterShard(1, journal=journal)]
+        )
+        assert router.journals() == [journal]
 
 
 class TestScaleOut:

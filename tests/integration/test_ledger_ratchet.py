@@ -1,12 +1,16 @@
 """Ratchets for what ROADMAP's ledger table counts by hand."""
 
+import io
 import pathlib
 import re
+import tokenize
 
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
 
 #: ROADMAP's "locks / conditions in `serve/` + `cluster/`" row
 LOCKS_CEILING = 13
+#: ROADMAP's "`serve/` + `cluster/` lines" row (`wc -l`)
+LINES_CEILING = 4843
 
 
 def test_serve_and_cluster_lock_count_does_not_rise():
@@ -21,4 +25,39 @@ def test_serve_and_cluster_lock_count_does_not_rise():
         f"{len(built)} locks / conditions in serve/ + cluster/ (ceiling "
         f"{LOCKS_CEILING}): fold one away, or update ROADMAP's ledger row "
         f"and this ceiling together — {built}"
+    )
+
+
+def test_serve_and_cluster_line_count_does_not_rise():
+    lines = sum(
+        len(path.read_text().splitlines())
+        for package in ("serve", "cluster")
+        for path in (SRC / package).glob("*.py")
+    )
+    assert lines <= LINES_CEILING, (
+        f"{lines} lines in serve/ + cluster/ (ceiling {LINES_CEILING}): "
+        "remove what the change made unnecessary, or update ROADMAP's "
+        "ledger row and this ceiling together"
+    )
+
+
+def _code_only(path):
+    """``path``'s source with comments and string literals dropped."""
+    tokens = tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+    return "".join(
+        tok.string for tok in tokens
+        if tok.type not in (tokenize.COMMENT, tokenize.STRING)
+    )
+
+
+def test_router_lands_through_one_ledger_question_and_one_shard_surface():
+    code = _code_only(SRC / "cluster" / "router.py")
+    asks = code.count("replay_block_win(")
+    assert asks <= 1, (
+        f"{asks} replay_block_win( calls in cluster/router.py: the landing "
+        "side decides replay-or-run in one place (_replay_from)"
+    )
+    assert ".service." not in code, (
+        "cluster/router.py reaches through shard.service: use the flat "
+        "shard surface (admit / steal_requests / confirm_stolen / on_resolve)"
     )

@@ -8,8 +8,10 @@ settle unrebuildable admits as ``unrecoverable`` instead of retrying
 them forever.
 """
 
+import time
+
 from repro.journal import CommitJournal, MemoryJournalStorage, find_block_win
-from repro.serve import SpeculationService, WorldBudget
+from repro.serve import ServeRequest, SpeculationService, WorldBudget
 
 from tests.jam import CrashJam
 
@@ -90,6 +92,69 @@ def test_restore_re_admits_sealed_unapplied_under_original_seq():
             assert find_block_win(journal, seq)["value"] == i * 11
     finally:
         svc.stop()
+
+
+def test_crash_runs_nothing_it_had_only_queued():
+    """A crashed service is a dead process: once ``crash()`` returns, the
+    journal holds no ``block`` intent for any request that was still
+    queued behind the jammed worker — as after ``kill -9`` — and restore
+    re-admits each of them once, from its sealed admit."""
+    storage, seqs = _crashed_service_journal(n_requests=5, jam=True)
+    journal = CommitJournal(storage=storage)
+    ran = {
+        r["data"]["block"] for r in journal.records()
+        if r["t"] == "intent" and r["kind"] == "block"
+    }
+    assert not ran & set(seqs), f"the dead service ran queued requests {ran}"
+    assert {
+        i["data"]["request"] for i in journal.sealed_unapplied_intents("admit")
+    } >= set(seqs)
+    svc, report = SpeculationService.restore(
+        journal, WorldBudget(2), build_alternatives=build_alternatives,
+        workers=2,
+    )
+    try:
+        assert sorted(report.re_admitted) == sorted(seqs)
+        for i, seq in enumerate(seqs):
+            assert report.tickets[seq].result(timeout=30).value == i * 11
+    finally:
+        svc.stop()
+    applied = [i["data"]["block"] for i, _ in journal.applied_intents("block")]
+    assert sorted(applied) == sorted(seqs), "each ran exactly once"
+
+
+def test_a_request_coming_back_to_its_settled_admit_is_acked_again():
+    """``confirm_stolen`` closes the source's ledger line. If the request
+    then comes back (the thief died, the walk wrapped round), that
+    settled admit is not an ack: without a fresh sealed one the request
+    is durable nowhere, and the next crash loses it."""
+    journal = CommitJournal()
+    svc = SpeculationService(
+        WorldBudget(1), workers=1, journal=journal, journal_admission=True
+    )
+    svc.start()
+    try:
+        CrashJam([svc]).submit(svc.submit, "jam", spec=None)  # parks the worker
+        deadline = time.monotonic() + 10
+        while len(svc.queue) and time.monotonic() < deadline:
+            time.sleep(0.001)
+
+        def sealed():
+            return {
+                i["data"]["request"]
+                for i in journal.sealed_unapplied_intents("admit")
+            }
+
+        request = ServeRequest.build("t", build_alternatives({"n": 1}), spec={"n": 1})
+        svc.admit(request)
+        assert request.seq in sealed()
+        (stolen,) = svc.steal_requests(1)
+        svc.confirm_stolen(stolen)
+        assert request.seq not in sealed()
+        svc.admit(request)
+        assert request.seq in sealed()
+    finally:
+        svc.crash()
 
 
 def test_restore_bumps_seq_floor_past_journal():
