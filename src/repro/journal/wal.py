@@ -31,6 +31,14 @@ read   fresh bytes consumed from a real source (``note_read``); the
        scripted input is consumed exactly once across crash/re-run.
 ====== ================================================================
 
+Consecutive phases of one transaction with nothing between them (a
+real backend's block win, a service's admit) are written inside ``with
+journal.group():`` — the same records through the same ``begin`` /
+``seal`` / ``mark_applied``, reaching storage as one append (one write,
+one fsync) when the scope closes, an injected crash included: every
+fault site leaves the bytes it leaves ungrouped. A record enters the
+ledger only after the append covering it returns.
+
 Snapshots & compaction: ``snapshot()`` appends one ``SNAP_MAGIC``-marked
 CRC frame checkpointing the whole ledger (applied frontier, release
 positions, reads, live intents); reopening loads the latest snapshot and
@@ -73,7 +81,9 @@ import os
 import pickle
 import threading
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
+from sys import intern
 from typing import Any, Mapping, NamedTuple
 
 from repro.core.outcome import AlternativeResult, BlockOutcome
@@ -174,6 +184,18 @@ class QuarantineEntry:
             crc_expected=data.get("crc_expected"),
             crc_got=data.get("crc_got"),
         )
+
+#: Where the ledger keeps each txn record type (``CommitJournal._has``).
+_LEDGER = {
+    "intent": "_intents", "seal": "_sealed", "applied": "_applied", "abort": "_aborted",
+}
+
+
+class _OpenGroup(threading.local):
+    """Per thread: the frames of its open :meth:`CommitJournal.group`."""
+
+    frames: list | None = None
+
 
 #: Fault kinds armed at ``begin`` and fired later in the transaction.
 _ARMED_KINDS = (
@@ -391,6 +413,13 @@ def _scan(raw: bytes):
                     t = item["t"] = share(item["t"], item["t"])
                     if t == "intent":
                         item["kind"] = share(item["kind"], item["kind"])
+                    # the caller's field names repeat in every record too
+                    # (~0.7 KB per request of a reopened journal)
+                    data = item.get("data")
+                    if type(data) is dict:
+                        item["data"] = {
+                            intern(k) if type(k) is str else k: data[k] for k in data
+                        }
                 yield ("snapshot" if snap else "record"), item
                 offset = after
                 continue
@@ -476,6 +505,7 @@ class CommitJournal:
         # guards the two counters threads read, change and write back;
         # never held across ``storage.append`` (fsyncs must overlap)
         self._count_lock = threading.Lock()
+        self._local = _OpenGroup()
         self._next_seq = 1
         self._snap_index = 0
         #: records in storage after the latest snapshot — what a reopen
@@ -608,10 +638,64 @@ class CommitJournal:
 
     def _append(self, record: dict) -> None:
         self._check_poisoned()
-        self.storage.append(self._frame(record))
-        self._index(record)
+        self._write(self._frame(record), record)
+
+    def _write(self, blob: bytes, record: dict | None = None) -> None:
+        """Queue ``blob`` in this thread's open group — or, outside one,
+        write it now as the group of one. ``record`` is what the bytes
+        index as once durable (None for an injected torn half)."""
+        frames = self._local.frames
+        if frames is None:
+            self._flush(((blob, record),))
+        else:
+            frames.append((blob, record))
+
+    def _flush(self, frames) -> None:
+        """The one append path: ``frames`` reach storage as a single
+        append, and only when it has returned does the ledger (and so
+        any reader, or any ack built on it) learn of their records."""
+        if not frames:
+            return
+        self.storage.append(b"".join([blob for blob, _ in frames]))
+        records = [record for _, record in frames if record is not None]
+        for record in records:
+            self._index(record)
         with self._count_lock:
-            self._since_snapshot += 1
+            self._since_snapshot += len(records)
+
+    @contextmanager
+    def group(self):
+        """Make what this thread appends inside the scope one durable
+        append: the frames are queued in order and flushed together when
+        the scope closes — also when it closes on an exception (an
+        injected :class:`~repro.errors.JournalCrash` leaves exactly the
+        bytes the separate appends would have). For consecutive phases
+        of *one* txn; other threads' appends never land between them.
+        Nests: the outermost scope flushes.
+        """
+        local = self._local
+        if local.frames is not None:
+            yield
+            return
+        local.frames = []
+        try:
+            yield
+        finally:
+            frames, local.frames = local.frames, None
+            self._flush(frames)
+
+    def _queued(self, seq: int, t: str) -> dict | None:
+        """Txn ``seq``'s ``t`` record waiting in this thread's open group."""
+        for _, record in self._local.frames or ():
+            if record is not None and record["t"] == t and record.get("seq") == seq:
+                return record
+        return None
+
+    def _has(self, seq: int, t: str) -> bool:
+        """Whether txn ``seq`` has its ``t`` record: in the ledger, or
+        queued by this thread — the protocol's own next step builds on a
+        phase its group has not flushed yet; no reader sees it."""
+        return seq in getattr(self, _LEDGER[t]) or self._queued(seq, t) is not None
 
     # -- the transaction protocol ------------------------------------------
     def begin(self, kind: str, **data: Any) -> int:
@@ -632,7 +716,7 @@ class CommitJournal:
             fault = self.fault_plan.decide(JOURNAL_SITE, seq).kind
         if fault is FaultKind.TORN_RECORD:
             blob = self._frame(record)
-            self.storage.append(blob[: max(1, len(blob) // 2)])
+            self._write(blob[: max(1, len(blob) // 2)])
             self.poisoned = True
             self.fault_plan.note_injection(
                 JOURNAL_SITE, fault, detail=f"torn intent (txn {seq})",
@@ -678,9 +762,9 @@ class CommitJournal:
 
     def mark_applied(self, seq: int, **data: Any) -> None:
         """Record that ``seq``'s apply phase completed. Idempotent."""
-        if seq in self._applied:
+        if self._has(seq, "applied"):
             return
-        if seq not in self._sealed:
+        if not self._has(seq, "seal"):
             raise JournalError(f"cannot apply unsealed txn {seq}")
         try:
             self._append({"t": "applied", "seq": seq, "data": data})
@@ -695,11 +779,11 @@ class CommitJournal:
 
     def abort(self, seq: int, reason: str = "") -> None:
         """Roll ``seq`` back. Idempotent; a sealed txn cannot be aborted."""
-        if seq in self._aborted:
+        if self._has(seq, "abort"):
             return
-        if seq in self._sealed:
+        if self._has(seq, "seal"):
             raise JournalError(f"cannot abort sealed txn {seq}")
-        if seq not in self._intents:
+        if not self._has(seq, "intent"):
             raise JournalError(f"cannot abort unknown txn {seq}")
         self._append({"t": "abort", "seq": seq, "reason": reason})
         if self.obs is not None:
@@ -710,7 +794,7 @@ class CommitJournal:
             )
 
     def _txn_kind(self, seq: int) -> str:
-        intent = self._intents.get(seq)
+        intent = self._intents.get(seq) or self._queued(seq, "intent")
         return intent["kind"] if intent else "?"
 
     def _note_crash(self, seq: int, fault: FaultKind) -> None:
@@ -721,11 +805,11 @@ class CommitJournal:
             )
 
     def _check_open(self, seq: int, verb: str) -> None:
-        if seq not in self._intents:
+        if not self._has(seq, "intent"):
             raise JournalError(f"cannot {verb} unknown txn {seq}")
-        if seq in self._sealed:
+        if self._has(seq, "seal"):
             raise JournalError(f"cannot {verb} already-sealed txn {seq}")
-        if seq in self._aborted:
+        if self._has(seq, "abort"):
             raise JournalError(f"cannot {verb} aborted txn {seq}")
 
     # -- source effects ----------------------------------------------------
@@ -999,19 +1083,21 @@ class CommitJournal:
 
 # -- backend helpers -------------------------------------------------------
 def record_block_win(journal: CommitJournal, block_id: int, attempt: int, winner) -> int:
-    """Journal a real-backend block win as one intent/seal/applied txn.
+    """Journal a real-backend block win as one intent/seal/applied txn
+    — nothing happens between its phases, so one durable append.
 
     Called by the fork/thread/sequential backends at the moment a winner
     is accepted; the applied record carries the winner's value (when
     picklable) so a supervisor restarted over the same journal can
     replay the outcome instead of re-running the block.
     """
-    seq = journal.begin(
-        "block", block=block_id, attempt=attempt,
-        winner_index=winner.index, winner_name=winner.name,
-    )
-    journal.seal(seq)
-    journal.mark_applied(seq, value=winner.value)
+    with journal.group():
+        seq = journal.begin(
+            "block", block=block_id, attempt=attempt,
+            winner_index=winner.index, winner_name=winner.name,
+        )
+        journal.seal(seq)
+        journal.mark_applied(seq, value=winner.value)
     return seq
 
 

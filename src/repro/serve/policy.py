@@ -8,19 +8,22 @@ true. A static service would have to pick one point on that curve;
 
 - **K (how many)** — start from the slots the budget actually granted,
   then shrink with measured pool load: at ``saturation`` the policy
-  stops speculating entirely (K=1). Win-rate statistics shrink K
-  further — once one alternative wins ``confident_win`` of the time,
-  running its siblings is pure waste (ρ has left the profitable
-  region, so stop paying R_o).
+  stops speculating entirely (K=1). The service passes *others'* load,
+  ``(in_use − granted) / slots`` — at most 0.75 on 4 slots — so on a pool
+  under 10 slots the default 0.9 never fires. Win-rate statistics shrink
+  K further — once one alternative wins ``confident_win`` of the time,
+  running its siblings is pure waste (ρ has left the profitable region,
+  so stop paying R_o).
 - **which** — alternatives ranked by expected usefulness per second
   (win EWMA / latency EWMA, optimistic prior for the unseen), so the
   K worlds that do run are the ones most likely to commit quickly.
 - **when (stagger)** — ranked world *i* starts ``i × stagger`` late,
-  where the unit stagger is the favourite's expected latency scaled by
+  where the unit stagger is the favourite's *measured* latency scaled by
   load: an idle service launches everything at once (minimum response
   time), a loaded one launches spares only after the favourite has had
   its chance (minimum wasted work) — §4.1's stagger frontier driven by
-  live statistics.
+  live statistics. A favourite never seen has no latency to wait out, so
+  its spares launch at once: no granted slot idles on no evidence.
 - **backend** — saturated K=1 requests degrade to the ``sequential``
   backend: no worlds, no spawn cost, exactly the paper's degenerate
   standby-spares execution.
@@ -109,9 +112,8 @@ class AdaptiveSpeculationPolicy:
         pool (its siblings would almost surely be wasted work).
     stagger_scale:
         Multiplies the load-scaled stagger unit; 0 disables staggering.
-    min_stagger_s / max_stagger_s:
-        Clamp on the unit stagger, so cold stats cannot produce zero or
-        absurd schedules.
+    max_stagger_s:
+        Ceiling on the unit stagger (one slow observation must not stall spares).
     max_k:
         Global clamp on K regardless of grant size; None leaves the
         grant as the only global bound.
@@ -132,7 +134,6 @@ class AdaptiveSpeculationPolicy:
     saturation: float = 0.9
     confident_win: float = 0.9
     stagger_scale: float = 1.0
-    min_stagger_s: float = 0.001
     max_stagger_s: float = 0.25
     max_k: int | None = None
     class_max_k: dict[str, int] = field(default_factory=dict)
@@ -163,7 +164,7 @@ class AdaptiveSpeculationPolicy:
     ) -> SpeculationDecision:
         """Shape one request: ``names`` are the alternatives' names (in
         caller order), ``granted`` the slots the budget allotted,
-        ``load`` the pool's post-grant utilisation in ``[0, 1]``, and
+        ``load`` the share of the pool *others* hold, in ``[0, 1]``, and
         ``request_class`` the tenant-declared workload class consulted
         against ``class_max_k``.
         """
@@ -171,11 +172,7 @@ class AdaptiveSpeculationPolicy:
         if n == 0:
             raise ServeError("cannot decide over zero alternatives")
         ranked = sorted(range(n), key=lambda i: -self.stats.score(names[i]))
-        class_cap = (
-            self.class_max_k.get(request_class)
-            if request_class is not None
-            else None
-        )
+        class_cap = self.class_max_k.get(request_class)
         cap = granted
         if class_cap is not None:
             cap = class_cap  # the class knows its worlds' cost better
@@ -198,7 +195,10 @@ class AdaptiveSpeculationPolicy:
         ):
             k, reason, wide = 1, "confident", False
         order = ranked[:k]
-        staggers = [i * self._stagger_unit(favourite, load) for i in range(k)]
+        # an unseen favourite's latency EWMA is 0: nothing to wait out
+        unit = self.stagger_scale * load * self.stats.latency_ewma(favourite)
+        unit = min(max(unit, 0.0), self.max_stagger_s)
+        staggers = [i * unit for i in range(k)]
         backend = None
         if reason == "saturated":
             backend = "sequential"
@@ -208,15 +208,6 @@ class AdaptiveSpeculationPolicy:
             order=order, staggers=staggers, backend=backend, reason=reason,
             wide=wide,
         )
-
-    def _stagger_unit(self, favourite: str, load: float) -> float:
-        if self.stagger_scale <= 0.0:
-            return 0.0
-        expected = self.stats.latency_ewma(favourite)
-        unit = self.stagger_scale * load * expected
-        if unit <= 0.0:
-            return 0.0 if load <= 0.0 else self.min_stagger_s
-        return min(max(unit, self.min_stagger_s), self.max_stagger_s)
 
     # -- the feedback loop -------------------------------------------------
     def observe(self, outcome, names=None, launched=None) -> None:

@@ -89,6 +89,7 @@ class ServeResult:
     policy_reason: str = ""
     backend: str = ""
     queue_wait_s: float = 0.0
+    grant_wait_s: float = 0.0  #: dispatch-to-grant: the wait on the budget
     latency_s: float = 0.0
     preempted_slots: int = 0
     replayed: bool = False
@@ -290,7 +291,8 @@ class SpeculationService:
         self._admit_lock = threading.Lock()
         self._running = False
         self._crashed = False
-        self._requests_c = self._latency_h = self._wait_h = self._k_h = None
+        self._requests_c = self._k_h = None
+        self._latency_h = self._wait_h = self._grant_h = self._hold_h = None
         if obs is not None:
             self.budget.bind_obs(obs)
             self.queue.bind_obs(obs)
@@ -303,14 +305,15 @@ class SpeculationService:
                 "mw_serve_requests_total", "Requests by final status",
                 labelnames=("tenant", "status"),
             )
-            self._latency_h = obs.registry.histogram(
-                "mw_serve_request_latency_seconds",
-                "Submit-to-resolution latency of committed requests",
-                buckets=LATENCY_BUCKETS,
-            )
-            self._wait_h = obs.registry.histogram(
-                "mw_serve_queue_wait_seconds",
-                "Admission-to-dispatch wait", buckets=LATENCY_BUCKETS,
+            self._latency_h, self._wait_h, self._grant_h, self._hold_h = (
+                obs.registry.histogram(name, text, buckets=LATENCY_BUCKETS)
+                for name, text in (
+                    ("mw_serve_request_latency_seconds",
+                     "Submit-to-resolution latency of committed requests"),
+                    ("mw_serve_queue_wait_seconds", "Admission-to-dispatch wait"),
+                    ("mw_serve_grant_wait_seconds", "Dispatch-to-grant wait"),
+                    ("mw_serve_slot_hold_seconds", "Grant-to-release slot hold"),
+                )
             )
             self._k_h = obs.registry.histogram(
                 "mw_serve_k_chosen", "Worlds actually speculated per request",
@@ -575,9 +578,10 @@ class SpeculationService:
             # a *settled* admit (stolen, superseded, ...) is a closed
             # ledger line, not an ack: a request coming back needs its own
             if rec is None or self.journal.status(rec["seq"]) != "sealed":
-                self.journal.seal(
-                    self.journal.begin("admit", **request.admit_data())
-                )
+                with self.journal.group():  # intent + seal: one append
+                    self.journal.seal(
+                        self.journal.begin("admit", **request.admit_data())
+                    )
 
     def _settle_admit(self, request: ServeRequest, status: str) -> None:
         """Mark the request's admit txn applied with its final status."""
@@ -687,12 +691,11 @@ class SpeculationService:
                 timeout=grant_timeout,
             )
         if reservation is None:
-            reason = (
-                "deadline expired waiting for budget"
+            shed_label, reason = (
+                ("deadline", "deadline expired waiting for budget")
                 if request.deadline_s is not None
-                else "no budget capacity"
+                else ("capacity", "no budget capacity")
             )
-            shed_label = "deadline" if request.deadline_s is not None else "capacity"
             self.queue.shed_request(request, reason=shed_label)
             self._resolve(
                 request,
@@ -703,6 +706,9 @@ class SpeculationService:
             )
             self._count_status(tenant, "shed")
             return
+        granted_at = time.monotonic()
+        if self._grant_h is not None:
+            self._grant_h.observe(granted_at - dispatched)
 
         span_id = -1
         if self.obs is not None:
@@ -729,11 +735,9 @@ class SpeculationService:
                 # a policy may not outvote the budget: clamp to the grant
                 # (a wide decision is the sanctioned exception — its
                 # extra worlds are unbudgeted cheap tasks by contract)
-                decision = SpeculationDecision(
-                    order=decision.order[: reservation.granted],
+                decision = dataclasses.replace(
+                    decision, order=decision.order[: reservation.granted],
                     staggers=decision.staggers[: reservation.granted],
-                    backend=decision.backend,
-                    reason=decision.reason,
                 )
             if self._k_h is not None:
                 self._k_h.observe(float(decision.k))
@@ -766,6 +770,11 @@ class SpeculationService:
             outcome = supervisor.run(
                 wave, initial=request.initial, timeout=remaining, backend=backend,
             )
+            # slots are held from grant to decision: the rest runs on nobody's
+            preempted = reservation.preempted
+            reservation.release()
+            if self._hold_h is not None:
+                self._hold_h.observe(time.monotonic() - granted_at)
             # wave positions back to the caller's alternative list
             outcome.remap_indexes(decision.order)
             replayed = bool(outcome.extras.get("journal_recovered"))
@@ -780,8 +789,8 @@ class SpeculationService:
                 reason="" if status == "committed" else "no alternative won",
                 k=decision.k, policy_reason=decision.reason,
                 backend=outcome.extras.get("backend", backend),
-                queue_wait_s=queue_wait, latency_s=latency,
-                preempted_slots=reservation.preempted, replayed=replayed,
+                queue_wait_s=queue_wait, grant_wait_s=granted_at - dispatched,
+                latency_s=latency, preempted_slots=preempted, replayed=replayed,
             )
             if span_id >= 0:
                 self.obs.tracer.end(
@@ -798,7 +807,7 @@ class SpeculationService:
         finally:
             if span_id >= 0:  # an exception escaped: settle as aborted
                 self.obs.tracer.end(span_id, disposition="aborted", error="internal")
-            reservation.release()
+            reservation.release()  # idempotent: the net under an exception
 
     def _maybe_slow_tenant(self, request: ServeRequest) -> None:
         plan = self.fault_plan

@@ -5,12 +5,18 @@ import pathlib
 import re
 import tokenize
 
+from repro.cluster import ClusterRouter, ClusterShard
+from repro.journal import CommitJournal
+from tests.journal.test_group import CountingStorage
+
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
 
 #: ROADMAP's "locks / conditions in `serve/` + `cluster/`" row
 LOCKS_CEILING = 13
 #: ROADMAP's "`serve/` + `cluster/` lines" row (`wc -l`)
 LINES_CEILING = 4843
+#: ROADMAP's "`fsync`s per `cluster_remote` op" row
+APPENDS_PER_REQUEST_CEILING = 3
 
 
 def test_serve_and_cluster_lock_count_does_not_rise():
@@ -38,6 +44,25 @@ def test_serve_and_cluster_line_count_does_not_rise():
         f"{lines} lines in serve/ + cluster/ (ceiling {LINES_CEILING}): "
         "remove what the change made unnecessary, or update ROADMAP's "
         "ledger row and this ceiling together"
+    )
+
+
+def test_a_journalled_request_costs_at_most_three_durable_appends():
+    """ROADMAP's "`fsync`s per `cluster_remote` op: 6 -> 3" row: the
+    admit's intent + seal, the block win's three phases and the admit's
+    settle are each one ``storage.append`` (one write, one fsync)."""
+    storage = CountingStorage()
+    shard = ClusterShard(
+        0, journal=CommitJournal(storage=storage), journal_admission=True
+    )
+    storage.appends = 0  # the magic is per journal, not per request
+    with ClusterRouter([shard]).start(detect=False) as router:
+        assert router.submit("t", [lambda ws: 1], spec={}).result(10).committed
+    assert len(shard.journal.records()) == 6
+    assert storage.appends <= APPENDS_PER_REQUEST_CEILING, (
+        f"{storage.appends} durable appends for one journalled request "
+        f"(ceiling {APPENDS_PER_REQUEST_CEILING}): phases of one txn with "
+        "nothing between them belong in one CommitJournal.group()"
     )
 
 

@@ -315,8 +315,11 @@ def test_reopened_journal_memory_per_request():
         _serve(writer, i)
 
     reopened, held = _traced(lambda: CommitJournal(storage))
-    # 4.7 KB/request before reopened records shared their key strings
-    assert held / n <= 4400, f"{held / n:.0f} B/request"
+    # 4.7 KB/request before reopened records shared their top-level key
+    # strings, 3.0 KB before they shared their data field names too
+    assert held / n <= 2600, f"{held / n:.0f} B/request"
+    shared = {id(key) for intent in reopened._intents.values() for key in intent["data"]}
+    assert len(shared) <= 16, "every record holds private copies of its field names"
 
     # records() is untouched by the sharing: every record, equal content
     assert reopened.records() == writer.records()

@@ -12,6 +12,7 @@ from repro.core.policy import EliminationPolicy, WatchdogPolicy
 from repro.core.worlds import run_alternatives
 from repro.errors import SpawnError
 from repro.faults.plan import SPAWN_SITE, FaultKind, FaultPlan
+from repro.journal import CommitJournal
 from repro.runtime.fork_backend import _await_exit, run_alternatives_fork
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -173,7 +174,7 @@ def test_no_zombies_left_behind():
             os.waitpid(-1, os.WNOHANG)  # no children of ours remain
 
 
-class CrashingJournal:
+class CrashingJournal(CommitJournal):
     def begin(self, *args, **kwargs):
         raise RuntimeError("crash-before-seal")
 

@@ -169,10 +169,11 @@ def test_staggers_scale_with_load_and_latency():
 
 
 def test_stagger_clamped_to_bounds():
-    p = AdaptiveSpeculationPolicy(min_stagger_s=0.002, max_stagger_s=0.01)
-    # cold stats + nonzero load -> the floor
-    d = p.decide(["a", "b"], granted=2, load=0.5)
-    assert d.staggers[1] == pytest.approx(0.002)
+    p = AdaptiveSpeculationPolicy(max_stagger_s=0.01)
+    # cold stats under load launch at once: no measured latency for the
+    # favourite, so no granted slot is held idle on no evidence
+    d = p.decide(["a", "b", "c"], granted=3, load=0.5)
+    assert d.staggers == [0, 0, 0]
     # enormous observed latency -> the ceiling (both seen, "a" favourite)
     for _ in range(3):
         p.stats.observe("a", won=True, latency_s=100.0)

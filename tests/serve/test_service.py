@@ -199,13 +199,57 @@ def test_priority_preempts_speculative_world():
     assert budget.high_watermark <= 2
 
 
+def test_a_resolving_request_holds_none_of_its_slots():
+    # slots go back at the decision; the admit settle, the ticket and
+    # the hook run on nobody's slots, so a resolved ticket means the
+    # request's slots are already free (one worker: nobody else holds any)
+    budget = WorldBudget(3)
+    held_at_resolve = []
+    with SpeculationService(
+        budget, workers=1, journal=CommitJournal(storage=MemoryJournalStorage()),
+        journal_admission=True,
+        on_resolve=lambda request, result: held_at_resolve.append(budget.in_use),
+    ) as svc:
+        tickets = [svc.submit("t", [fast, slow, slow]) for _ in range(3)]
+        for ticket in tickets:
+            assert ticket.result(timeout=10).k == 3
+    assert held_at_resolve == [0, 0, 0]
+
+
+def test_preemption_during_the_run_is_reported_after_the_early_release():
+    def plodding(ws):
+        time.sleep(0.4)
+        return "plodding"
+
+    budget = WorldBudget(2)
+    seen = {}
+    with SpeculationService(
+        budget, policy=TwoPhasePolicy(stagger_s=0.25), workers=2,
+        on_resolve=lambda request, result: seen.setdefault(
+            request.tenant, (budget.in_use, result.preempted_slots)
+        ),
+    ) as svc:
+        low = svc.submit("low", [plodding, plodding], priority=0)
+        time.sleep(0.05)  # low holds both slots; its spare is still staggered
+        svc.submit("high", [fast], priority=5).result(timeout=10)
+        assert low.result(timeout=10).preempted_slots == 1
+    # the count was read before the reservation was let go, not after
+    assert seen["low"] == (0, 1)
+
+
 def test_service_metrics_and_spans():
     obs = Observability()
     budget = WorldBudget(4, obs=obs)
     with SpeculationService(budget, workers=2, obs=obs) as svc:
         for _ in range(4):
-            assert svc.submit("t", [fast, slow]).result(timeout=10).committed
+            result = svc.submit("t", [fast, slow]).result(timeout=10)
+            assert result.committed and 0 <= result.grant_wait_s < result.latency_s
     reg = obs.registry
+    # where a saturated service's waiting shows, and what a commit costs
+    # in slot time: grant -> release
+    assert reg.get("mw_serve_grant_wait_seconds").count() == 4
+    assert reg.get("mw_serve_slot_hold_seconds").count() == 4
+    assert 0.002 * 4 <= reg.get("mw_serve_slot_hold_seconds").sum() < 4.0
     assert reg.get("mw_serve_requests_total").value(tenant="t", status="committed") == 4.0
     assert reg.get("mw_serve_request_latency_seconds").count() == 4
     assert reg.get("mw_serve_k_chosen").count() == 4
