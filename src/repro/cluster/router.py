@@ -81,13 +81,12 @@ from repro.journal import replay_block_win, request_fate
 from repro.journal.recovery import RecoveryReport, recover, settle_best_effort
 from repro.cluster.ring import HashRing
 from repro.cluster.shard import ClusterShard, ShardState
-from repro.serve.admission import ServeRequest, ensure_seq_at_least
+from repro.serve.admission import ServeRequest, raise_seq_floor
 from repro.serve.service import (
     ServeResult,
     ServeTicket,
     note_restore,
     rebuilt_requests,
-    restart_seq_floor,
 )
 
 #: Beats per ROUTER_PARTITION decision window (the fault plan decides
@@ -385,6 +384,7 @@ class ClusterRouter:
         self._running = True
         for shard in list(self._shards.values()):
             shard.start()
+        raise_seq_floor(self.journals())  # seqs are drawn here, not in a host
         if detect:
             self._detector = threading.Thread(
                 target=self._detector_loop, name="cluster-detector", daemon=True
@@ -496,15 +496,12 @@ class ClusterRouter:
         items = sorted(journals.items())
 
         report = ClusterRestartReport()
-        floor = 1
         for sid, journal in items:
             report.recoveries[sid] = recover(
                 journal, gates=gates, fault_plan=fault_plan,
                 defer_kinds=("admit", "block"),
             )
-            floor = max(floor, restart_seq_floor(journal))
-        ensure_seq_at_least(floor)
-        report.seq_floor = floor
+        report.seq_floor = raise_seq_floor(journals.values())
 
         shards = [
             ClusterShard(sid, journal=journal, journal_admission=True,
@@ -566,7 +563,7 @@ class ClusterRouter:
             shards=len(items), replayed=len(report.replayed),
             re_admitted=len(report.re_admitted),
             superseded=len(report.superseded),
-            dropped=len(report.dropped), seq_floor=floor,
+            dropped=len(report.dropped), seq_floor=report.seq_floor,
         )
         return router, report
 

@@ -601,6 +601,9 @@ class Kernel:
             return _PARKED, None
 
         if isinstance(op, sc.Recv):
+            # the deadline belongs to this recv, set (or cleared) as it
+            # issues: a clone split off it, blocked or not, inherits it
+            world.recv_deadline = None if op.timeout is None else self.now + op.timeout
             got = self._try_receive(world)
             if got is not None:
                 msg, split_cost = got
@@ -610,11 +613,8 @@ class Kernel:
                 self._log(world, op, msg)
                 return _INLINE, msg
             world.state = ProcState.BLOCKED_RECV
-            world.blocked_recv_deadline = None
-            if op.timeout is not None:
-                deadline = self.now + op.timeout
-                world.blocked_recv_deadline = deadline
-                self._set_timer(world, deadline, "recv")
+            if world.recv_deadline is not None:
+                self._set_timer(world, world.recv_deadline, "recv")
             self.trace.record(self.now, "recv-block", world.pid, wid=world.wid)
             return _PARKED, None
 
@@ -1040,9 +1040,9 @@ class Kernel:
         if self.obs is not None:
             self.obs.split(self.now, orig, clone)
         self._fork_readers(orig.wid, clone.wid)
-        deadline = orig.blocked_recv_deadline
+        deadline = orig.recv_deadline
         if deadline is not None and deadline > self.now:
-            clone.blocked_recv_deadline = deadline
+            clone.recv_deadline = deadline
             self._set_timer(clone, deadline, "recv")
         if split_seq is not None:
             self.journal.mark_applied(split_seq, clone_wid=clone.wid)

@@ -129,7 +129,8 @@ class SimProcess:
     pending_finish: tuple[str, Any] | None = None  # ("done"|..., value)
 
     # blocking details
-    blocked_recv_deadline: float | None = None
+    #: the deadline of the recv this world last issued (None: no timeout)
+    recv_deadline: float | None = None
 
     # accounting / results
     cpu_time_s: float = 0.0

@@ -1,19 +1,28 @@
 """Thread-based Multiple Worlds (an approximation, and a useful baseline).
 
+Every world runs on one per-process pool of parked, reused daemon
+threads: a world is a task handed to an idle thread, and a thread starts
+only when none is parked, so the pool grows to the most worlds that ever
+ran at once and no block pays for a ``Thread.start``. A forked child
+starts with an empty pool (``os.register_at_fork``, registered on the
+pool's first use): the threads its parent parked do not exist there.
+
 Threads cannot be killed, so elimination is *cooperative*: when a winner
 commits, the block sets a shared :class:`CancelToken` (visible to every
 alternative as ``workspace["_cancel"]``) and stops listening; a
 well-behaved long-running alternative polls ``token.cancelled`` and
-returns early, while an oblivious one runs to completion in a daemon
-thread with its result discarded. The ``elimination`` policy maps onto
-this the only way it can:
+returns early, while an oblivious one runs to completion on its pool
+thread with its result discarded — the thread is parked again only then,
+so a sleeping loser never delays a new world. The ``elimination`` policy
+maps onto this the only way it can:
 
 - ``ASYNCHRONOUS`` (default) — the paper's semantics, faithfully: the
   parent resumes immediately; losers die "at some unspecified later
   time" (here: whenever they next check the token, or at interpreter
   exit).
-- ``SYNCHRONOUS`` — the parent joins the remaining threads before
-  returning, so no loser is still executing when the block completes.
+- ``SYNCHRONOUS`` — the parent waits for every remaining world's report
+  before returning, so no loser is still executing when the block
+  completes.
   Because cancellation is cooperative, this blocks for as long as the
   slowest non-cooperating loser keeps running — the honest price of
   synchronous elimination without kill.
@@ -28,7 +37,7 @@ degradation chain.
 
 Deterministic fault injection mirrors the fork backend where the faults
 make sense in-process: CRASH and the report-corruption kinds surface as
-raised exceptions, HANG parks the worker (daemon thread, so it cannot
+raised exceptions, HANG holds its pool thread (a daemon, so it cannot
 wedge interpreter exit), SLOW_START sleeps, GUARD_EXCEPTION fails the
 guard, and SPAWN_FAIL raises :class:`~repro.errors.SpawnError` so a
 supervisor can degrade to sequential execution.
@@ -37,6 +46,7 @@ supervisor can degrade to sequential execution.
 from __future__ import annotations
 
 import copy
+import os
 import queue
 import threading
 import time
@@ -75,13 +85,63 @@ class CancelToken:
         return f"CancelToken(cancelled={self.cancelled})"
 
 
-def _worker(
+class _WorldPool:
+    """The process's parked world threads (see the module docstring)."""
+
+    def __init__(self) -> None:
+        self._resets_at_fork = False
+        self.reset()
+
+    def reset(self) -> None:
+        """Forget every thread — what a forked child must do, since none of
+        its parent's threads exist there."""
+        self._lock = threading.Lock()
+        self._tasks: "queue.SimpleQueue" = queue.SimpleQueue()
+        self._idle = 0
+
+    def run(self, fn, args: tuple, out: "queue.SimpleQueue") -> None:
+        """Run ``fn(*args)`` on a parked thread — a new one only when none
+        is parked — and put its return value on ``out``."""
+        if not self._resets_at_fork:
+            # registered before the lock is first taken, so a fork can never
+            # hand a child a held lock unreset; a process that never runs a
+            # thread world (a fork-backend parent) forks without the hook
+            if hasattr(os, "register_at_fork"):
+                os.register_at_fork(after_in_child=self.reset)
+            self._resets_at_fork = True
+        with self._lock:
+            parked = self._idle > 0
+            if parked:
+                self._idle -= 1
+        if parked:
+            self._tasks.put((fn, args, out))
+        else:
+            threading.Thread(
+                target=self._serve, args=((fn, args, out),),
+                name="mw-world", daemon=True,
+            ).start()
+
+    def _serve(self, task) -> None:
+        while True:
+            fn, args, out = task
+            result = fn(*args)
+            # parked before the result is out: whoever it wakes finds
+            # this thread reusable
+            with self._lock:
+                self._idle += 1
+            out.put(result)
+            task = self._tasks.get()
+
+
+_POOL = _WorldPool()
+
+
+def _world(
     index: int,
     alt: Alternative,
     workspace: dict,
-    out: "queue.Queue",
-    fault: FaultDecision | None = None,
-) -> None:
+    fault: FaultDecision | None,
+) -> tuple:
     if alt.start_delay > 0:
         time.sleep(alt.start_delay)
     t0 = time.perf_counter()
@@ -95,7 +155,7 @@ def _worker(
         status, payload = "fail", f"alternative raised {died!r}"
     else:
         status, payload = world_body(alt, workspace, fault)
-    out.put((index, status, payload, workspace, t0))
+    return index, status, payload, workspace, t0
 
 
 def run_alternatives_thread(
@@ -124,10 +184,10 @@ def run_alternatives_thread(
         "thread", alternatives, initial, fault_plan=fault_plan,
         block_id=block_id, attempt=attempt, journal=journal, obs=obs,
     )
-    reports: "queue.Queue" = queue.Queue()
+    reports: "queue.SimpleQueue" = queue.SimpleQueue()
     token = CancelToken()
 
-    threads: list[threading.Thread] = []
+    started = 0
     for index, alt in enumerate(run.alts):
         if not run.precheck_guard(index, alt):
             continue
@@ -139,15 +199,11 @@ def run_alternatives_thread(
         workspace = copy.deepcopy(run.base)
         workspace["_cancel"] = token
         try:
-            thread = threading.Thread(
-                target=_worker, args=(index, alt, workspace, reports, fault), daemon=True
-            )
-            thread.start()
+            _POOL.run(_world, (index, alt, workspace, fault), reports)
         except RuntimeError as exc:  # pragma: no cover - needs thread exhaustion
             token.cancel()
             raise SpawnError(f"spawning alternative {alt.name!r} failed: {exc}") from exc
-        threads.append(thread)
-    started = len(threads)
+        started += 1
     t_spawned = time.perf_counter()
 
     deadline = None if timeout is None else run.t_start + timeout
@@ -175,13 +231,17 @@ def run_alternatives_thread(
     token.cancel()  # cooperative elimination: losers see this on next poll
     if elimination is EliminationPolicy.SYNCHRONOUS:
         # no loser may still be executing when the parent resumes; with
-        # cooperative cancellation this means joining them out
-        for thread in threads:
-            join_s = None
+        # cooperative cancellation this means waiting out each world's
+        # report, the last thing it does
+        while remaining > 0:
+            wait_s = None
             if deadline is not None:
-                join_s = max(0.0, deadline + 5.0 - time.perf_counter())
-            thread.join(timeout=join_s)
-        remaining = sum(1 for t in threads if t.is_alive())
+                wait_s = max(0.0, deadline + 5.0 - time.perf_counter())
+            try:
+                reports.get(timeout=wait_s)
+            except queue.Empty:
+                break
+            remaining -= 1
 
     return run.finish(
         overhead=OverheadBreakdown(setup_s=t_spawned - run.t_start),

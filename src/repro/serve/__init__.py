@@ -33,8 +33,8 @@ from repro.errors import AdmissionRejected, QuotaExceeded, ServeError, ServiceSt
 from repro.serve.admission import (
     AdmissionQueue,
     ServeRequest,
-    ensure_seq_at_least,
     next_seq,
+    raise_seq_floor,
 )
 from repro.serve.budget import Reservation, WorldBudget
 from repro.serve.policy import (
@@ -68,6 +68,6 @@ __all__ = [
     "SpeculationDecision",
     "SpeculationService",
     "WorldBudget",
-    "ensure_seq_at_least",
     "next_seq",
+    "raise_seq_floor",
 ]

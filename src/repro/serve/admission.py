@@ -38,13 +38,12 @@ from repro.errors import AdmissionRejected, ServeError
 
 
 class _SeqCounter:
-    """The process-wide request seq source, bumpable for cold restart.
+    """The process-wide request seq source, bumpable past a journal.
 
-    A restarted incarnation must never reuse a seq the dead one already
-    journalled (seq is the journal block id — reuse would alias two
-    requests onto one exactly-once ledger line), so restore paths call
-    :meth:`ensure_at_least` with ``max journalled seq + 1`` before
-    admitting anything new.
+    A process must never reuse a seq an earlier one journalled (seq is
+    the journal block id — reuse would alias two requests onto one
+    exactly-once ledger line), so every start over a journal bumps it
+    through :func:`raise_seq_floor` before admitting anything.
     """
 
     def __init__(self) -> None:
@@ -76,13 +75,19 @@ def next_seq() -> int:
     return _seq.next()
 
 
-def ensure_seq_at_least(floor: int) -> None:
-    """Guarantee future :func:`next_seq` draws are ``>= floor``.
-
-    Called by the restore paths after scanning journals, so a restarted
-    process never hands out a seq its dead predecessor already used.
-    """
+def raise_seq_floor(journals) -> int:
+    """Raise the counter past every request any of ``journals`` ever
+    named and return that floor, the first seq :func:`next_seq` may now
+    draw. Every start over a journal calls it, fresh or restored: a
+    reused seq would replay another request's journalled win."""
+    seqs = [0]
+    for journal in journals:
+        seqs += [i["data"]["request"] for i, _ in journal.applied_intents("admit")]
+        seqs += [i["data"]["block"] for i, _ in journal.applied_intents("block")]
+        seqs += [i["data"]["request"] for i in journal.sealed_unapplied_intents("admit")]
+    floor = max(seqs) + 1
     _seq.ensure_at_least(floor)
+    return floor
 
 
 #: Every :class:`ServeRequest` field's life, declared once.

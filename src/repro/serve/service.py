@@ -38,6 +38,7 @@ import dataclasses
 import threading
 import time
 import zlib
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -54,8 +55,8 @@ from repro.journal.recovery import RecoveryReport, recover, settle_best_effort
 from repro.serve.admission import (
     AdmissionQueue,
     ServeRequest,
-    ensure_seq_at_least,
     next_seq,
+    raise_seq_floor,
 )
 from repro.serve.budget import WorldBudget
 from repro.serve.policy import AdaptiveSpeculationPolicy, SpeculationDecision
@@ -157,15 +158,6 @@ class ServeTicket:
             )
         assert self._result is not None
         return self._result
-
-
-def restart_seq_floor(journal) -> int:
-    """The first request seq an incarnation restarted over ``journal``
-    may hand out: one past every request the journal ever named."""
-    seqs = [i["data"]["request"] for i, _ in journal.applied_intents("admit")]
-    seqs += [i["data"]["block"] for i, _ in journal.applied_intents("block")]
-    seqs += [i["data"]["request"] for i in journal.sealed_unapplied_intents("admit")]
-    return max(seqs, default=0) + 1
 
 
 def note_restore(obs, layer: str, cat: str, track: str, **counts: int) -> None:
@@ -325,6 +317,8 @@ class SpeculationService:
         if self._running:
             return self
         self._running = True
+        if self.journal is not None:
+            raise_seq_floor([self.journal])
         for i in range(self.workers):
             t = threading.Thread(
                 target=self._worker_loop, name=f"serve-worker-{i}", daemon=True
@@ -470,8 +464,7 @@ class SpeculationService:
         kwargs.setdefault("journal_admission", True)
         svc = cls(budget, journal=journal, **kwargs)
 
-        floor = restart_seq_floor(journal)
-        ensure_seq_at_least(floor)
+        floor = raise_seq_floor([journal])
         sealed = journal.sealed_unapplied_intents("admit")
 
         report = RestartReport(
@@ -767,14 +760,19 @@ class SpeculationService:
                     request.timeout if remaining is None
                     else min(remaining, request.timeout)
                 )
-            outcome = supervisor.run(
-                wave, initial=request.initial, timeout=remaining, backend=backend,
-            )
-            # slots are held from grant to decision: the rest runs on nobody's
-            preempted = reservation.preempted
-            reservation.release()
-            if self._hold_h is not None:
-                self._hold_h.observe(time.monotonic() - granted_at)
+            # slots are held from grant to decision, and the win's durable
+            # append waits for the release: the block's frames are queued
+            # in this group and flush as it closes, before any ack. Nothing
+            # can act on a queued record meanwhile — the service hands the
+            # backend no SourceGates, so no device effect depends on one
+            with self.journal.group() if self.journal is not None else nullcontext():
+                outcome = supervisor.run(
+                    wave, initial=request.initial, timeout=remaining, backend=backend,
+                )
+                preempted = reservation.preempted
+                reservation.release()
+                if self._hold_h is not None:
+                    self._hold_h.observe(time.monotonic() - granted_at)
             # wave positions back to the caller's alternative list
             outcome.remap_indexes(decision.order)
             replayed = bool(outcome.extras.get("journal_recovered"))

@@ -23,7 +23,7 @@ from repro.cluster import (
 from repro.distrib.retry import RetryStats
 from repro.errors import ShardUnreachable, WorldsError
 from repro.faults.plan import TRANSPORT_SITE, FaultKind, FaultPlan
-from repro.serve import AdaptiveSpeculationPolicy, ServeRequest
+from repro.serve import AdaptiveSpeculationPolicy, ServeRequest, admission
 
 
 def val(ws, i=0):
@@ -69,7 +69,29 @@ def no_dangling_threads(*names):
     return not living.intersection(names)
 
 
+def answer(ws, word):
+    return word
+
+
 class TestLifecycle:
+    def test_a_fresh_router_over_a_used_workdir_runs_its_own_request(
+        self, tmp_path, monkeypatch
+    ):
+        """A new router process (a fresh seq counter) over the journal a
+        previous one left must not hand seq 1 out again and replay its win."""
+        results = []
+        for word in ("first", "second"):
+            monkeypatch.setattr(admission, "_seq", admission._SeqCounter())
+            router = ClusterRouter([make_remote(0, tmp_path)]).start(detect=False)
+            try:
+                ticket = router.submit("t", [functools.partial(answer, word=word)])
+                results.append(ticket.result(30))
+            finally:
+                router.stop()
+        assert [(r.value, r.replayed) for r in results] == [
+            ("first", False), ("second", False),
+        ]
+
     def test_start_ping_stop(self, tmp_path):
         shard = make_remote(0, tmp_path)
         shard.start()

@@ -68,3 +68,20 @@ def test_design_and_experiments_reference_real_benches():
         assert f'"{name}"' in writers or f"results/{name}.txt" in ci_text, (
             f"summarize.SECTIONS lists {name}, which nothing writes"
         )
+
+
+def test_every_registered_metric_is_in_the_api_catalogue():
+    """A ``mw_*`` name in ``src/`` is documented in docs/API.md. An
+    f-string name (``f"mw_gate_{slug}"``) or a gauge ``prefix=`` is a
+    family, documented as ``mw_gate_{device}_*`` / ``mw_mem_*``."""
+    root = pathlib.Path(__file__).resolve().parents[2]
+    documented = set(re.findall(r"mw_[a-z0-9_]*", (root / "docs" / "API.md").read_text()))
+    missing = set()
+    for path in (root / "src" / "repro").rglob("*.py"):
+        for prefix, f, name, brace in re.findall(
+            r'(prefix=)?(f?)"(mw_[a-z0-9_]*)(\{?)', path.read_text()
+        ):
+            family = prefix or (f and brace)
+            if (name.rstrip("_") + "_" if family else name) not in documented:
+                missing.add(name)
+    assert not missing, f"metrics missing from docs/API.md: {sorted(missing)}"

@@ -3,9 +3,12 @@
 import io
 import pathlib
 import re
+import threading
 import tokenize
 
 from repro.cluster import ClusterRouter, ClusterShard
+from repro.core.policy import EliminationPolicy
+from repro.core.worlds import run_alternatives
 from repro.journal import CommitJournal
 from tests.journal.test_group import CountingStorage
 
@@ -17,6 +20,10 @@ LOCKS_CEILING = 13
 LINES_CEILING = 4843
 #: ROADMAP's "`fsync`s per `cluster_remote` op" row
 APPENDS_PER_REQUEST_CEILING = 3
+#: ROADMAP's "durable appends made while the request holds its slots" row
+APPENDS_ON_HELD_SLOTS_CEILING = 0
+#: ROADMAP's "threads started per thread-backend block, warm pool" row
+THREAD_STARTS_PER_BLOCK_CEILING = 0
 
 
 def test_serve_and_cluster_lock_count_does_not_rise():
@@ -63,6 +70,56 @@ def test_a_journalled_request_costs_at_most_three_durable_appends():
         f"{storage.appends} durable appends for one journalled request "
         f"(ceiling {APPENDS_PER_REQUEST_CEILING}): phases of one txn with "
         "nothing between them belong in one CommitJournal.group()"
+    )
+
+
+def test_no_durable_append_is_made_while_the_request_holds_its_slots():
+    """The block win's frames are queued while the world runs and reach
+    storage only after ``reservation.release()``: no fsync on a slot."""
+    storage = CountingStorage()
+    shard = ClusterShard(
+        0, journal=CommitJournal(storage=storage), journal_admission=True
+    )
+    in_use = []
+    storage.during_append = lambda: in_use.append(shard.budget.in_use)
+    with ClusterRouter([shard]).start(detect=False) as router:
+        assert router.submit("t", [lambda ws: 1], spec={}).result(10).committed
+    assert len(in_use) == 3  # admit, block win, admit settle
+    held = sum(1 for slots in in_use if slots)
+    assert held <= APPENDS_ON_HELD_SLOTS_CEILING, (
+        f"{held} of {len(in_use)} durable appends ran on held slots "
+        f"(ceiling {APPENDS_ON_HELD_SLOTS_CEILING}; slots in use at each: "
+        f"{in_use}): write after reservation.release()"
+    )
+
+
+def test_a_warm_thread_pool_starts_no_thread_per_block(monkeypatch):
+    alts = [lambda ws: 1, lambda ws: 2, lambda ws: 3]
+
+    def block():
+        # synchronous: every world is parked again before the block returns
+        run_alternatives(
+            alts, backend="thread", elimination=EliminationPolicy.SYNCHRONOUS
+        )
+
+    for _ in range(20):
+        block()
+    starts = 0
+    start = threading.Thread.start
+
+    def counted_start(thread):
+        nonlocal starts
+        starts += 1
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    blocks = 200
+    for _ in range(blocks):
+        block()
+    assert starts <= THREAD_STARTS_PER_BLOCK_CEILING * blocks, (
+        f"{starts} threads started over {blocks} warm K=3 thread blocks "
+        f"(ceiling {THREAD_STARTS_PER_BLOCK_CEILING} per block): a world "
+        "runs on a parked pool thread"
     )
 
 

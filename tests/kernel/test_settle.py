@@ -107,6 +107,67 @@ def test_fact_settling_during_a_costed_send_reaches_the_message():
     assert k.result_of(rpid) == 200_000
 
 
+def _split_at_a_queued_recv(timeout, first_recv_timeout=None):
+    """A receiver whose recv splits *inline* on a queued speculative message.
+
+    The talker sends at t=0.1 and loses to its rival at t=5; the receiver
+    computes until t=1, so its recv finds the message queued and splits at
+    once (no block) while the talker still races, and only the rejecting
+    clone survives. With ``first_recv_timeout`` the receiver first takes a
+    message from a root sender through a blocked recv of that timeout.
+    A second root sender posts ``late`` at t=150.
+    """
+    k = Kernel(cpus=8)
+
+    def receiver(ctx):
+        if first_recv_timeout is not None:
+            yield ctx.recv(timeout=first_recv_timeout)
+        yield ctx.compute(1.0)
+        msg = yield ctx.recv(timeout=timeout)
+        return "timeout" if msg is TIMEOUT else msg.data
+
+    rpid = k.spawn(receiver, name="recv")
+
+    def early(ctx):
+        yield ctx.send(rpid, "early")
+
+    def late(ctx):
+        yield ctx.sleep(150.0)
+        yield ctx.send(rpid, "late")
+
+    if first_recv_timeout is not None:
+        k.spawn(early, name="early")
+    k.spawn(late, name="late")
+
+    def parent(ctx):
+        def talker(c):
+            yield c.compute(0.1)
+            yield c.send(rpid, "speculative")
+            yield c.compute(10.0)
+            return "talker"
+
+        def rival(c):
+            yield c.compute(5.0)
+            return "rival"
+
+        out = yield from ctx.run_alternatives([talker, rival])
+        return out.value
+
+    ppid = k.spawn(parent, name="parent")
+    k.run()
+    assert k.result_of(ppid) == "rival"
+    return k.result_of(rpid)
+
+
+def test_a_clone_split_off_an_unblocked_recv_keeps_its_timeout():
+    assert _split_at_a_queued_recv(timeout=5.0) == "timeout"
+
+
+def test_a_clone_split_off_an_unblocked_recv_gets_no_stale_deadline():
+    # the first recv's deadline (t=100) belonged to that recv, not this one
+    assert _split_at_a_queued_recv(timeout=None, first_recv_timeout=100.0) == "late"
+
+
 def _one_stuck_receiver(assumption: PredicateSet) -> Kernel:
     k = Kernel()
 

@@ -8,10 +8,11 @@ settle unrebuildable admits as ``unrecoverable`` instead of retrying
 them forever.
 """
 
+import threading
 import time
 
 from repro.journal import CommitJournal, MemoryJournalStorage, find_block_win
-from repro.serve import ServeRequest, SpeculationService, WorldBudget
+from repro.serve import ServeRequest, SpeculationService, WorldBudget, admission
 
 from tests.jam import CrashJam
 
@@ -171,6 +172,71 @@ def test_restore_bumps_seq_floor_past_journal():
         assert ticket.result(timeout=30).committed
     finally:
         svc.stop()
+
+
+class _WinStallingStorage(MemoryJournalStorage):
+    """Holds the append after the admit's — the block win's flush — until
+    told to go; :meth:`load` while it waits is what a kill -9 leaves."""
+
+    def __init__(self):
+        super().__init__()
+        self.appends = 0
+        self.stalled = threading.Event()
+        self.go = threading.Event()
+
+    def append(self, blob):
+        self.appends += 1
+        if self.appends == 3:  # the magic, the admit, then the win
+            self.stalled.set()
+            self.go.wait(10)
+        super().append(blob)
+
+
+def test_a_crash_between_release_and_flush_leaves_what_a_crash_before_the_win_does():
+    storage = _WinStallingStorage()
+    svc = SpeculationService(
+        WorldBudget(2), workers=1, journal_admission=True,
+        journal=CommitJournal(storage=storage),
+    ).start()
+    try:
+        ticket = svc.submit("t", build_alternatives({"n": 1}), spec={"n": 1})
+        assert storage.stalled.wait(10)
+        assert svc.budget.in_use == 0, "the slots are back before the win is durable"
+        disk = storage.load()  # the process dies here
+        assert not ticket.done, "nothing is acked before the win is durable"
+    finally:
+        storage.go.set()
+        svc.crash()
+    journal = CommitJournal(storage=MemoryJournalStorage(disk))
+    # exactly a crash before record_block_win: the sealed admit, no block txn
+    assert [(r["t"], r.get("kind")) for r in journal.records()] == [
+        ("intent", "admit"), ("seal", None),
+    ]
+    restored, report = SpeculationService.restore(
+        journal, WorldBudget(2), build_alternatives=build_alternatives, workers=1,
+    )
+    try:
+        assert report.re_admitted == [ticket.seq]
+        result = report.tickets[ticket.seq].result(timeout=30)
+        assert result.committed and not result.replayed  # it re-ran
+        assert result.value == 11
+    finally:
+        restored.stop()
+
+
+def test_a_fresh_start_over_a_used_journal_runs_its_own_request(tmp_path, monkeypatch):
+    """Not a restore: a plain new service over the journal file a
+    previous process left, with that new process's seq counter."""
+    path = str(tmp_path / "svc.wal")
+    results = []
+    for word in ("first", "second"):
+        monkeypatch.setattr(admission, "_seq", admission._SeqCounter())
+        with SpeculationService(2, workers=1, journal=path) as svc:
+            results.append(svc.submit("t", [lambda ws, w=word: w]).result(30))
+    assert [(r.value, r.replayed) for r in results] == [
+        ("first", False), ("second", False),
+    ]
+    assert results[1].seq > results[0].seq
 
 
 def test_restore_drops_specless_admits_as_unrecoverable():
