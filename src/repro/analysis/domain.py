@@ -18,11 +18,12 @@ reports, over the whole domain:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from repro.analysis.model import performance_improvement
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -51,6 +52,8 @@ class DomainAnalysis:
     """
 
     def __init__(self, times: Sequence[Sequence[float]], overhead: float | Sequence[float] = 0.0) -> None:
+        import numpy as np
+
         self.times = np.asarray(times, dtype=float)
         if self.times.ndim != 2 or self.times.size == 0:
             raise ValueError("times must be a non-empty (inputs × algorithms) matrix")
@@ -98,6 +101,8 @@ class DomainAnalysis:
 
     def win_fraction(self) -> float:
         """Fraction of inputs where PI > 1 (parallel beats random pick)."""
+        import numpy as np
+
         return float(np.mean([p.wins for p in self.points()]))
 
     def complementarity(self) -> float:
@@ -107,6 +112,8 @@ class DomainAnalysis:
         High mean means wherever one algorithm is slow, another is fast —
         the paper's "best case".
         """
+        import numpy as np
+
         mins = self.times.min(axis=1)
         maxs = self.times.max(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -119,6 +126,8 @@ class DomainAnalysis:
         A spread-out histogram is the unpredictability the paper wants; a
         point mass means a fixed choice (Scheme A) already suffices.
         """
+        import numpy as np
+
         winners = self.times.argmin(axis=1)
         return np.bincount(winners, minlength=self.n_algorithms)
 

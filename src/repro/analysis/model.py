@@ -15,18 +15,25 @@ Definitions, for one input x and alternatives C_1..C_N with runtimes
 Parallel execution wins iff ``PI > 1``, i.e. iff ``R_mu > 1 + R_o``.
 With sufficient dispersion and small overhead N processors can show
 *superlinear* speedup relative to the sequential expectation: ``PI > N``.
+
+numpy is imported inside the functions that compute with it: ``import
+repro`` reaches this module, and the serving and fork stack loads no
+numpy (DESIGN §5).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _as_times(times: Iterable[float]) -> np.ndarray:
+    import numpy as np
+
     arr = np.asarray(list(times), dtype=float)
     if arr.size == 0:
         raise ValueError("need at least one alternative runtime")
@@ -37,16 +44,22 @@ def _as_times(times: Iterable[float]) -> np.ndarray:
 
 def c_mean(times: Iterable[float]) -> float:
     """τ(C_mean, x): the arithmetic mean of the alternatives' runtimes."""
+    import numpy as np
+
     return float(np.mean(_as_times(times)))
 
 
 def c_best(times: Iterable[float]) -> float:
     """τ(C_best, x): the fastest alternative's runtime."""
+    import numpy as np
+
     return float(np.min(_as_times(times)))
 
 
 def c_worst(times: Iterable[float]) -> float:
     """τ(C_worst, x): the slowest alternative's runtime."""
+    import numpy as np
+
     return float(np.max(_as_times(times)))
 
 
@@ -77,6 +90,8 @@ def pi_from_ratios(r_mu_value: float, r_o_value: float) -> float:
 
 def performance_improvement(times: Iterable[float], overhead: float = 0.0) -> float:
     """PI = τ(C_mean) / (τ(C_best) + τ(overhead)) for one input."""
+    import numpy as np
+
     arr = _as_times(times)
     denom = float(np.min(arr)) + overhead
     if denom == 0:

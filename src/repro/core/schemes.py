@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-import numpy as np
-
 from repro.analysis.model import c_best, c_mean
 
 
@@ -32,6 +30,8 @@ def scheme_a(history: Sequence[Sequence[float]]) -> int:
     "information which may not be available" — with an empty or
     uninformative history the choice is arbitrary (index 0).
     """
+    import numpy as np
+
     arr = np.asarray(history, dtype=float)
     if arr.size == 0:
         return 0

@@ -3,7 +3,8 @@
 A :class:`FaultPlan` answers one question — "does a fault fire at this
 *site* for this *key*, and which one?" — as a pure function of the plan's
 seed. Each (site, key) pair gets its own derived RNG stream
-(``numpy`` ``default_rng`` seeded with ``[seed, crc32(site), *key]``), so
+(``numpy`` ``default_rng`` seeded with ``[seed, crc32(site), *key]``;
+numpy is imported at a plan's first decision), so
 
 - the schedule is identical across runs and across processes (a forked
   child computes the same decision its parent would);
@@ -73,8 +74,10 @@ from __future__ import annotations
 import enum
 import zlib
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class FaultKind(str, enum.Enum):
@@ -339,6 +342,10 @@ class FaultPlan:
 
     # -- derived streams --------------------------------------------------
     def _stream(self, site: str, key: tuple[int, ...]) -> np.random.Generator:
+        # here, not at module level: the serving and fork stack loads no
+        # numpy, since each fork copies what its parent imported (DESIGN §5)
+        import numpy as np
+
         entropy = [self.seed & 0xFFFFFFFF, zlib.crc32(site.encode("ascii"))]
         entropy.extend(int(k) & 0xFFFFFFFF for k in key)
         return np.random.default_rng(entropy)

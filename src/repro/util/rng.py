@@ -10,9 +10,11 @@ the one in-process source, so simulated programs must draw randomness from a
 
 from __future__ import annotations
 
-from typing import Any
+import math
+from typing import TYPE_CHECKING, Any
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ReplayableRNG:
@@ -20,10 +22,14 @@ class ReplayableRNG:
 
     The wrapper exposes the handful of draws the example workloads need;
     anything else is reachable through :attr:`generator`, but only the
-    wrapped methods are guaranteed replay-safe.
+    wrapped methods are guaranteed replay-safe. numpy is imported when the
+    first generator is built, so importing :mod:`repro.util` does not
+    load it.
     """
 
     def __init__(self, seed: int | None = 0) -> None:
+        import numpy as np
+
         self._seed = seed
         self._gen = np.random.default_rng(seed)
 
@@ -47,7 +53,7 @@ class ReplayableRNG:
 
     def angle(self) -> float:
         """A uniformly random angle in ``[0, 2*pi)`` (rootfinder starts)."""
-        return float(self._gen.uniform(0.0, 2.0 * np.pi))
+        return float(self._gen.uniform(0.0, 2.0 * math.pi))
 
     def shuffle(self, items: list[Any]) -> None:
         self._gen.shuffle(items)

@@ -1,8 +1,13 @@
 """Ratchets for what ROADMAP's ledger table counts by hand."""
 
 import io
+import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
+import textwrap
 import threading
 import tokenize
 
@@ -121,6 +126,67 @@ def test_a_warm_thread_pool_starts_no_thread_per_block(monkeypatch):
         f"(ceiling {THREAD_STARTS_PER_BLOCK_CEILING} per block): a world "
         "runs on a parked pool thread"
     )
+
+
+#: Fault decisions of the two plans below, as numpy drew them when the
+#: serving stack still imported it at module level: moving the import must
+#: not move a decision.
+PINNED_CHILD_DECISIONS = [
+    "crash-before-report", "crash-before-report", None, "crash-before-report",
+    None, None, "crash-before-report", None,
+    None, "slow-start", "crash-before-report", None,
+]
+PINNED_JOURNAL_DECISIONS = [
+    "crash-after-seal", "crash-after-seal", "crash-after-seal",
+    "crash-after-seal", None, "torn-record", None, None,
+    "crash-after-seal", "torn-record",
+]
+
+_NO_NUMPY_PROBE = textwrap.dedent("""
+    import json, sys
+    import repro, repro.serve, repro.cluster, repro.journal, repro.obs
+    import repro.runtime.fork_backend
+    from repro import run_alternatives, Supervisor
+    from repro.faults.plan import FaultKind, FaultPlan
+    serving = "numpy" in sys.modules
+    child = FaultPlan(seed=7, rates={
+        FaultKind.CRASH: 0.3, FaultKind.HANG: 0.2, FaultKind.SLOW_START: 0.25,
+    })
+    built = "numpy" in sys.modules
+    kinds = [child.decide("child", 11, i, a).kind
+             for a in range(3) for i in range(4)]
+    journal = FaultPlan(seed=3, rates={
+        FaultKind.TORN_RECORD: 0.4, FaultKind.CRASH_AFTER_SEAL: 0.4,
+    })
+    kinds += [journal.decide("journal", s).kind for s in range(1, 11)]
+    print(json.dumps({
+        "serving": serving, "built": built, "decided": "numpy" in sys.modules,
+        "kinds": [k and k.value for k in kinds],
+    }))
+""")
+
+
+def test_the_serving_and_fork_stack_loads_no_numpy():
+    """ROADMAP's "numpy loaded by the serving + fork stack: yes -> no" row.
+
+    Every fork copies a page-table entry per anonymous page of its parent,
+    so what the router, shard hosts and fork worlds import is paid on each
+    spawn and exit. The check runs in a fresh interpreter, because this
+    test process already holds numpy.
+    """
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_PROBE],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    ).stdout
+    probe = json.loads(out.splitlines()[-1])
+    assert not probe["serving"], (
+        "importing repro / serve / cluster / journal / obs / the fork backend "
+        "loaded numpy: import it inside the function that computes with it"
+    )
+    assert not probe["built"], "building a FaultPlan loaded numpy"
+    assert probe["decided"], "a FaultPlan decides with numpy's default_rng"
+    assert probe["kinds"] == PINNED_CHILD_DECISIONS + PINNED_JOURNAL_DECISIONS
 
 
 def _code_only(path):

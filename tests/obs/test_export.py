@@ -35,7 +35,8 @@ def test_jsonl_roundtrip(tmp_path):
     n = write_jsonl(sample_tracer(), path)
     assert n == 3
     assert validate_jsonl(path) == 3
-    lines = [json.loads(l) for l in open(path)]
+    with open(path) as fh:
+        lines = [json.loads(l) for l in fh]
     assert lines[0]["type"] == "meta"
     assert lines[0]["schema"] == SCHEMA_VERSION
     assert lines[0]["tracks"]["1"] == "wid 1 · main"

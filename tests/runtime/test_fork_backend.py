@@ -287,9 +287,10 @@ class TestEncodeReport:
         assert self._roundtrip(payload) == payload
 
     def test_unpicklable_workspace_entries_dropped_and_listed(self):
-        status, value, ws = self._roundtrip(
-            ("ok", 7, {"f": lambda x: x, "g": open(os.devnull), "n": 5})
-        )
+        with open(os.devnull) as devnull:
+            status, value, ws = self._roundtrip(
+                ("ok", 7, {"f": lambda x: x, "g": devnull, "n": 5})
+            )
         assert (status, value) == ("ok", 7)
         assert ws["n"] == 5
         assert ws["_unpicklable"] == ["f", "g"]
