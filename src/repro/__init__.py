@@ -41,7 +41,14 @@ Packages:
 - :mod:`repro.journal` — the crash-consistent commit journal
   (``CommitJournal``), exactly-once source gate (``SourceGate``) and
   idempotent recovery (``recover``).
+
+The simulation names (``Kernel`` and the performance model) are imported
+on first access: every process that forks worlds or serves requests
+copies what it imported at each fork, and none of them runs the
+simulation.
 """
+
+import importlib
 
 from repro.core import (
     AltBlock,
@@ -56,19 +63,32 @@ from repro.core import (
     run_alternatives,
     run_alternatives_sim,
 )
-from repro.kernel import Kernel
 from repro.faults import FaultKind, FaultPlan, Supervisor, run_supervised
 from repro.journal import CommitJournal, SourceGate, recover
-from repro.analysis import (
-    ATT_3B2_310,
-    HP_9000_350,
-    MODERN_SIM,
-    MachineProfile,
-    PerformanceModel,
-    performance_improvement,
-)
 
 __version__ = "0.1.0"
+
+#: name -> the module it is imported from on first access (PEP 562)
+_LAZY = {
+    "Kernel": "repro.kernel",
+    "MachineProfile": "repro.analysis.calibration",
+    "ATT_3B2_310": "repro.analysis.calibration",
+    "HP_9000_350": "repro.analysis.calibration",
+    "MODERN_SIM": "repro.analysis.calibration",
+    "PerformanceModel": "repro.analysis.model",
+    "performance_improvement": "repro.analysis.model",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(_LAZY[name]), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})
 
 __all__ = [
     "Alternative",

@@ -15,7 +15,15 @@ from dataclasses import dataclass
 
 
 class EliminationPolicy(enum.Enum):
-    """How losing siblings are killed after a winner synchronizes."""
+    """How losing siblings are killed after a winner synchronizes.
+
+    SYNCHRONOUS waits for the losers to die before the parent resumes,
+    so the wait counts in the block's ``elapsed_s``; ASYNCHRONOUS
+    resumes the parent first. Each backend kills with what it has. On
+    the fork backend both signal the losers as soon as the winner is
+    accepted, and both reap every child before the call returns:
+    ASYNCHRONOUS reaps after the parent resumes, off the block's books.
+    """
 
     SYNCHRONOUS = "sync"
     ASYNCHRONOUS = "async"

@@ -22,31 +22,39 @@ average to ~1.3 s.
   acks.
 - :mod:`repro.distrib.lease` — leases + heartbeats for remote worlds,
   the failure detector behind the remote→local degradation chain.
+
+The names below are imported from their submodules on first access, so
+the cluster router (:mod:`~repro.distrib.lease`) and the remote shard
+client (:mod:`~repro.distrib.retry`) load none of the network
+simulation.
 """
 
-from repro.distrib.netsim import (
-    Delivery,
-    LinkFaultEvent,
-    SimulatedLink,
-    TransferRecord,
-    corrupt_payload,
-)
-from repro.distrib.retry import RetryPolicy, RetryStats, call_with_retries
-from repro.distrib.rfork import RemoteFork, RforkCost
-from repro.distrib.migration import MigrationRecord, migrate_process
-from repro.distrib.lease import (
-    LeaseEvent,
-    LeaseState,
-    RemoteNode,
-    RemoteWorldLease,
-    heartbeat_lost,
-)
-from repro.distrib.netstore import (
-    DemandPagedImage,
-    DemandPagedReader,
-    NetworkStore,
-    breakeven_fraction,
-)
+import importlib
+
+#: name -> the submodule it is imported from on first access (PEP 562)
+_LAZY = {
+    "Delivery": "repro.distrib.netsim",
+    "LinkFaultEvent": "repro.distrib.netsim",
+    "SimulatedLink": "repro.distrib.netsim",
+    "TransferRecord": "repro.distrib.netsim",
+    "corrupt_payload": "repro.distrib.netsim",
+    "RetryPolicy": "repro.distrib.retry",
+    "RetryStats": "repro.distrib.retry",
+    "call_with_retries": "repro.distrib.retry",
+    "RemoteFork": "repro.distrib.rfork",
+    "RforkCost": "repro.distrib.rfork",
+    "MigrationRecord": "repro.distrib.migration",
+    "migrate_process": "repro.distrib.migration",
+    "LeaseEvent": "repro.distrib.lease",
+    "LeaseState": "repro.distrib.lease",
+    "RemoteNode": "repro.distrib.lease",
+    "RemoteWorldLease": "repro.distrib.lease",
+    "heartbeat_lost": "repro.distrib.lease",
+    "NetworkStore": "repro.distrib.netstore",
+    "DemandPagedImage": "repro.distrib.netstore",
+    "DemandPagedReader": "repro.distrib.netstore",
+    "breakeven_fraction": "repro.distrib.netstore",
+}
 
 __all__ = [
     "Delivery",
@@ -71,3 +79,14 @@ __all__ = [
     "DemandPagedReader",
     "breakeven_fraction",
 ]
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(_LAZY[name]), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})

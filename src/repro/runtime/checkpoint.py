@@ -173,7 +173,7 @@ class CheckpointImage:
             except BaseException as exc:  # noqa: BLE001
                 result = ("err", repr(exc))
             try:
-                channel.send(pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL))
+                channel.send(result)
             finally:
                 os._exit(0)
         try:

@@ -2,18 +2,25 @@
 
 Each alternative runs in a forked child against a workspace dict the child
 inherits through the host kernel's genuine copy-on-write. The first child
-whose guard accepts its result wins the rendezvous: the parent absorbs the
-child's workspace (mapped from the file the child wrote it into), and the
-slower siblings are eliminated — synchronously (kill + wait before
-returning) or asynchronously (kill now, reap later), reproducing the
-paper's section 2.2.1 policy choice with real signals.
+whose report is accepted — unpickled, and passed by its AT_SYNC guard —
+wins the rendezvous: the parent absorbs the child's workspace (mapped from
+the file the child wrote it into), and at that moment SIGKILLs the slower
+siblings, before it journals the win. The losers die while the parent does
+its own bookkeeping. The winner is then reaped together with them:
+synchronous elimination reaps before the parent resumes (the reap counts
+in ``elapsed_s``), asynchronous elimination after it resumes but still
+before the call returns (off the block's books). That is the paper's
+section 2.2.1 policy choice with real signals; no child outlives the call
+under either.
 
 The protocol is deliberately simple and robust:
 
 - each child gets its own :class:`~repro.runtime.report_channel.ReportChannel`,
-  an inherited anonymous file beside a pipe; it writes one pickle
-  ``("ok", value, workspace)`` or ``("fail", reason)`` into the file, then
-  the pickle's length as an 8-byte header on the pipe, and ``_exit``\\ s;
+  an inherited anonymous file beside a pipe; it pickles
+  ``("ok", value, workspace)`` or ``("fail", reason)`` straight into the
+  file, then writes the pickle's length as an 8-byte header on the pipe,
+  and ``_exit``\\ s (a workspace that will not pickle is written again
+  without the entries that won't, listed under ``_unpicklable``);
 - the parent multiplexes across pipes with :mod:`selectors` (epoll/kqueue
   where available, so blocks with hundreds of alternatives don't hit
   ``select``'s ``FD_SETSIZE`` wall), retrying on ``EINTR``, until a
@@ -101,6 +108,14 @@ def _encode_report(payload: tuple) -> bytes:
     )
 
 
+def _send_report(channel: ReportChannel, report: tuple) -> None:
+    """Stream ``report`` into ``channel``; sanitize it if it won't pickle."""
+    try:
+        channel.send(report)
+    except Exception:
+        channel.send(_encode_report(report))
+
+
 def _child_main(
     alt: Alternative,
     workspace: dict,
@@ -127,16 +142,18 @@ def _child_main(
             os._exit(11)
         status, payload = world_body(alt, workspace, fault)
         if status == "fail":
-            channel.send(_encode_report(("fail", payload)))
+            _send_report(channel, ("fail", payload))
             os._exit(0)
-        blob = _encode_report(("ok", payload, workspace))
+        report = ("ok", payload, workspace)
         if kind is FaultKind.TRUNCATE_REPORT:
+            blob = _encode_report(report)
             channel.send(blob[: len(blob) // 2], claimed=len(blob))
             os._exit(12)
         if kind is FaultKind.CORRUPT_REPORT:
+            blob = _encode_report(report)
             channel.send((b"\xde\xad\xbe\xef" * (len(blob) // 4 + 1))[: len(blob)])
             os._exit(12)
-        channel.send(blob)
+        _send_report(channel, report)
     except BaseException as exc:  # noqa: BLE001 - the report path itself broke
         try:
             channel.send(_encode_report(("fail", f"alternative raised {exc!r}")))
@@ -219,20 +236,18 @@ def _kill(pid: int, index: int, sig: int) -> bool:
     return True
 
 
-def _terminate_children(
+def _signal_children(
     children: dict[int, tuple[int, Alternative, ReportChannel]],
-    wait: bool,
     send=_kill,
 ) -> tuple[float, list[dict]]:
     """SIGKILL ``children`` (pid → (index, alt, channel)); return (elapsed, events).
 
-    The paper's immediate destruction: channels closed, one SIGKILL
-    each, and with ``wait`` a verified reap before returning.
-    ``send(pid, index, sig)`` delivers the signals (the block interposes
-    fault injection); it returns False when the signal was "lost".
+    The paper's immediate destruction: one SIGKILL each, then their
+    channels closed. Nothing is awaited; the caller reaps with
+    :func:`_reap_verified`. ``send(pid, index, sig)`` delivers the
+    signals (the block interposes fault injection); it returns False
+    when the signal was "lost".
     """
-    for _, _, channel in children.values():
-        channel.close()
     t0 = time.perf_counter()
     events: list[dict] = []
     for pid, (index, alt, _) in children.items():
@@ -241,8 +256,8 @@ def _terminate_children(
             {"index": index, "name": alt.name, "action": "sigkill" if delivered else "signal-lost",
              "at_s": time.perf_counter() - t0, "grace_s": 0.0}
         )
-    if wait:
-        _reap_verified(list(children))
+    for _, _, channel in children.values():
+        channel.close()
     return time.perf_counter() - t0, events
 
 
@@ -297,12 +312,13 @@ def run_alternatives_fork(
                 return False
         return _kill(pid, index, sig)
 
-    # pid -> (index, alt, channel) of every child not yet settled and reaped
+    # pid -> (index, alt, channel) of every child not yet settled
     pending: dict[int, tuple[int, Alternative, ReportChannel]] = {}
 
     def _abort_spawn() -> None:
         """Destroy children already forked when later spawning fails."""
-        _terminate_children(pending, wait=True)
+        _signal_children(pending)
+        _reap_verified(list(pending))
 
     for index, alt in enumerate(run.alts):
         if not run.precheck_guard(index, alt):
@@ -345,15 +361,19 @@ def run_alternatives_fork(
     for pid, (_, _, channel) in pending.items():
         sel.register(channel, selectors.EVENT_READ, pid)
 
+    # children that reported or died, then the ones killed: reaped together
+    to_reap: list[int] = []
+
     def _retire(pid: int, channel: ReportChannel) -> None:
-        """Stop listening to a settled child and reap it."""
+        """Stop listening to a settled child; it is reaped with the rest."""
         sel.unregister(channel)
         channel.close()
         del pending[pid]
-        _reap_verified([pid])
+        to_reap.append(pid)
 
+    won: tuple[int, Any, dict, float] | None = None
     try:
-        while pending and run.winner is None:
+        while pending and won is None:
             now = time.perf_counter()
             if deadline is not None and now >= deadline:
                 run.timed_out = True
@@ -431,33 +451,40 @@ def run_alternatives_fork(
                         except Exception:
                             accepted = False
                     if accepted:
-                        run.accept(index, value, child_ws, elapsed_s=now - t_spawned)
+                        won = (index, value, child_ws, now - t_spawned)
                         _retire(pid, channel)
                         break
                     report = ("fail", "guard rejected result at sync")
                 run.reject(index, str(report[1]), elapsed_s=now - t_spawned)
                 _retire(pid, channel)
+        # eliminate whatever still runs before the win is journalled: the
+        # losers die while the parent does its own bookkeeping
+        cut_s = time.perf_counter() - t_spawned
+        elim_seconds, elim_events = _signal_children(pending, _send_signal)
+        if won is not None:
+            index, value, child_ws, elapsed_s = won
+            run.accept(index, value, child_ws, elapsed_s=elapsed_s)
     except BaseException:
         # an exception out of the rendezvous must not strand children
-        _terminate_children(pending, wait=True, send=_send_signal)
+        _signal_children(pending, _send_signal)
+        _reap_verified([*to_reap, *pending])
         raise
     finally:
         sel.close()
 
-    # eliminate whatever is still running
+    to_reap.extend(pending)
     synchronous = elimination is EliminationPolicy.SYNCHRONOUS
-    elim_seconds, elim_events = 0.0, []
-    if pending:
-        elim_seconds, elim_events = _terminate_children(
-            pending, wait=synchronous, send=_send_signal
-        )
+    zombies: list[int] = []
+    if synchronous:
+        t_reap = time.perf_counter()
+        zombies = _reap_verified(to_reap)
+        elim_seconds += time.perf_counter() - t_reap
     try:
         # a leftover child killed after a winner synchronized was *eliminated*;
         # only a block that expired with no winner timeout-kills its children
         leftover_error = (
             "timeout-killed" if run.timed_out and run.winner is None else "eliminated"
         )
-        cut_s = time.perf_counter() - t_spawned
         for index, _, _ in pending.values():
             run.reject(index, leftover_error, elapsed_s=cut_s)
         extras: dict[str, Any] = {
@@ -478,7 +505,8 @@ def run_alternatives_fork(
             extras=extras,
         )
     finally:
-        zombies = [] if synchronous else _reap_verified(list(pending))
+        if not synchronous:
+            zombies = _reap_verified(to_reap)
     if zombies:  # pragma: no cover - requires a truly unkillable child
         outcome.extras["zombies"] = zombies
     return outcome

@@ -1,10 +1,10 @@
 """How a forked child's report reaches its parent.
 
 The body travels in an anonymous file the child inherits and the parent
-maps — any size in one write, where a pipe holds 64 KiB. The pipe beside
-it carries the event: an 8-byte length header written *after* the body
-says "the report is complete", and EOF — which the kernel delivers however
-the child dies — says it never will be.
+maps — any size, pickled straight into the file, where a pipe holds
+64 KiB. The pipe beside it carries the event: an 8-byte length header
+written *after* the body says "the report is complete", and EOF — which
+the kernel delivers however the child dies — says it never will be.
 """
 
 from __future__ import annotations
@@ -65,13 +65,28 @@ class ReportChannel:
         os.close(theirs)
         return pid, cls(mine, file_fd)
 
-    def send(self, body: bytes, claimed: int | None = None) -> None:
-        """Child side. ``claimed`` is for fault injection: a header that
-        promises another length than the file holds."""
-        view = memoryview(body)
-        while view:
-            view = view[os.write(self.file_fd, view):]
-        os.write(self.pipe_fd, _HEADER.pack(len(body) if claimed is None else claimed))
+    def send(self, report: Any, claimed: int | None = None) -> None:
+        """Child side: ``report`` into the file, then its length as the header.
+
+        ``report`` is pickled straight into the file, with no ``bytes``
+        copy of the whole pickle in between; ``bytes`` are taken to be a
+        pickle already and written as they are. A report that will not
+        pickle leaves the file empty and writes no header; the error
+        propagates. ``claimed`` is for fault injection: a header that
+        promises another length than the file holds.
+        """
+        try:
+            with open(self.file_fd, "wb", closefd=False) as file:
+                if isinstance(report, bytes):
+                    file.write(report)
+                else:
+                    pickle.dump(report, file, protocol=pickle.HIGHEST_PROTOCOL)
+                length = file.tell()
+        except BaseException:
+            os.ftruncate(self.file_fd, 0)
+            os.lseek(self.file_fd, 0, os.SEEK_SET)
+            raise
+        os.write(self.pipe_fd, _HEADER.pack(length if claimed is None else claimed))
 
     def fileno(self) -> int:
         """Parent side: readable once the header or EOF awaits ``recv``."""

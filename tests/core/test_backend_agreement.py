@@ -372,9 +372,9 @@ def test_backends_agree_on_block_bookkeeping(seed):
 def test_fork_elapsed_ends_at_parent_resume_not_after_the_reap(monkeypatch):
     """Asynchronous elimination: the reap of killed worlds is off the books.
 
-    Every reap is slowed by ``delay``. The winner's is part of the
-    rendezvous; the killed loser's comes after the parent has resumed,
-    so the call outlasts ``elapsed_s`` — and the block span — by it.
+    Every reap is slowed by ``delay``. The winner is reaped together
+    with the killed loser, after the parent has resumed, so the call
+    outlasts ``elapsed_s`` — and the block span — by it.
     """
     from repro.runtime import fork_backend
 

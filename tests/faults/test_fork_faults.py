@@ -63,8 +63,12 @@ class TestChildFaults:
         assert out.losers[0].elapsed_s > 0
 
     def test_killed_between_body_and_header_is_truncated_not_silent(self, monkeypatch):
-        def dies_mid_send(channel, body, claimed=None):
-            os.write(channel.file_fd, body)
+        send = ReportChannel.send
+
+        def dies_mid_send(channel, report, claimed=None):
+            # the real send streams the whole body; its header goes nowhere
+            channel.pipe_fd = os.open(os.devnull, os.O_WRONLY)
+            send(channel, report, claimed)
             os.kill(os.getpid(), signal.SIGKILL)
 
         monkeypatch.setattr(ReportChannel, "send", dies_mid_send)

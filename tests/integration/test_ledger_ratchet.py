@@ -166,6 +166,16 @@ _NO_NUMPY_PROBE = textwrap.dedent("""
 """)
 
 
+def _run_probe(source):
+    """The last stdout line of ``source`` run in a fresh interpreter, as JSON."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", source],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    ).stdout
+    return json.loads(out.splitlines()[-1])
+
+
 def test_the_serving_and_fork_stack_loads_no_numpy():
     """ROADMAP's "numpy loaded by the serving + fork stack: yes -> no" row.
 
@@ -174,12 +184,7 @@ def test_the_serving_and_fork_stack_loads_no_numpy():
     spawn and exit. The check runs in a fresh interpreter, because this
     test process already holds numpy.
     """
-    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    out = subprocess.run(
-        [sys.executable, "-c", _NO_NUMPY_PROBE],
-        env=env, capture_output=True, text=True, timeout=60, check=True,
-    ).stdout
-    probe = json.loads(out.splitlines()[-1])
+    probe = _run_probe(_NO_NUMPY_PROBE)
     assert not probe["serving"], (
         "importing repro / serve / cluster / journal / obs / the fork backend "
         "loaded numpy: import it inside the function that computes with it"
@@ -187,6 +192,48 @@ def test_the_serving_and_fork_stack_loads_no_numpy():
     assert not probe["built"], "building a FaultPlan loaded numpy"
     assert probe["decided"], "a FaultPlan decides with numpy's default_rng"
     assert probe["kinds"] == PINNED_CHILD_DECISIONS + PINNED_JOURNAL_DECISIONS
+
+
+#: ROADMAP's "simulation modules loaded by the serving + fork stack" row
+SIMULATION_MODULES_CEILING = 0
+_SIMULATION_MODULE = re.compile(
+    r"repro\.(kernel|memory|ipc)(\..*)?"
+    r"|repro\.distrib\.(netsim|rfork|migration|netstore)"
+    r"|repro\.analysis\.(domain|experiment|granularity)"
+)
+
+_NO_SIMULATION_PROBE = textwrap.dedent("""
+    import json, sys
+    import repro, repro.serve, repro.cluster, repro.journal, repro.obs
+    import repro.runtime.fork_backend
+    from repro import run_alternatives, Supervisor
+    serving = sorted(sys.modules)
+    import repro.analysis, repro.distrib
+    names = (repro.Kernel, repro.PerformanceModel, repro.analysis.pi_from_ratios,
+             repro.distrib.SimulatedLink)
+    print(json.dumps({
+        "serving": serving,
+        "resolved": [f"{x.__module__}.{x.__qualname__}" for x in names],
+    }))
+""")
+
+
+def test_the_serving_and_fork_stack_loads_no_simulation_module():
+    """The public surfaces of ``repro``, ``repro.analysis`` and
+    ``repro.distrib`` import their simulation names on first access, so
+    the router, shard hosts and fork worlds carry only the serving stack."""
+    probe = _run_probe(_NO_SIMULATION_PROBE)
+    loaded = [m for m in probe["serving"] if _SIMULATION_MODULE.fullmatch(m)]
+    assert len(loaded) <= SIMULATION_MODULES_CEILING, (
+        f"importing the serving and fork stack loaded {len(loaded)} simulation "
+        f"modules (ceiling {SIMULATION_MODULES_CEILING}): {loaded}"
+    )
+    assert probe["resolved"] == [
+        "repro.kernel.kernel.Kernel",
+        "repro.analysis.model.PerformanceModel",
+        "repro.analysis.model.pi_from_ratios",
+        "repro.distrib.netsim.SimulatedLink",
+    ]
 
 
 def _code_only(path):

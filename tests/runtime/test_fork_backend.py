@@ -1,6 +1,7 @@
 """Tests for the os.fork execution backend (real COW worlds)."""
 
 import errno
+import operator
 import os
 import signal
 import time
@@ -12,8 +13,11 @@ from repro.core.policy import EliminationPolicy, WatchdogPolicy
 from repro.core.worlds import run_alternatives
 from repro.errors import SpawnError
 from repro.faults.plan import SPAWN_SITE, FaultKind, FaultPlan
+import repro.journal
 from repro.journal import CommitJournal
-from repro.runtime.fork_backend import _await_exit, run_alternatives_fork
+from repro.runtime import fork_backend
+from repro.runtime.fork_backend import _await_exit, _send_report, run_alternatives_fork
+from repro.runtime.report_channel import ReportChannel, _anonymous_file
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
@@ -193,6 +197,96 @@ def test_no_zombies_left_behind_by_an_exception():
             os.waitpid(-1, os.WNOHANG)
 
 
+def _record_kills(monkeypatch, log):
+    """Log ``(index, signal)`` for every signal the block sends a child."""
+    kill = fork_backend._kill
+
+    def recorded(pid, index, sig):
+        log.append((index, sig))
+        return kill(pid, index, sig)
+
+    monkeypatch.setattr(fork_backend, "_kill", recorded)
+
+
+def test_losers_are_signalled_before_the_win_is_journalled(monkeypatch):
+    """Elimination starts at acceptance: the losers die while the parent
+    journals the win, reaps the winner and assembles the outcome."""
+    log = []
+    _record_kills(monkeypatch, log)
+    record_block_win = repro.journal.record_block_win
+
+    def recorded(*args, **kwargs):
+        log.append("record_block_win")
+        return record_block_win(*args, **kwargs)
+
+    monkeypatch.setattr(repro.journal, "record_block_win", recorded)
+    for policy in (EliminationPolicy.SYNCHRONOUS, EliminationPolicy.ASYNCHRONOUS):
+        log.clear()
+        out = run_alternatives_fork(
+            [_sleep_then(0.01, "fast"), _sleep_then(30.0, "s0"), _sleep_then(30.0, "s1")],
+            elimination=policy,
+            journal=CommitJournal(),
+        )
+        assert out.value == "fast"
+        assert log == [(1, signal.SIGKILL), (2, signal.SIGKILL), "record_block_win"]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+class _FailsToUnpickle:
+    """Pickles in the child; unpickling it raises in the parent."""
+
+    def __reduce__(self):
+        return operator.truediv, (1, 0)
+
+
+def _corrupts_only_the_first_of_three():
+    plans = (FaultPlan(seed=s, rates={FaultKind.CORRUPT_REPORT: 0.5}) for s in range(64))
+    return next(
+        plan for plan in plans
+        if [d.fires for _, _, d in plan.schedule(0, 3)] == [True, False, False]
+    )
+
+
+@pytest.mark.parametrize(
+    "first, error",
+    [
+        ("corrupt", "unpicklable report"),
+        ("fails-to-unpickle", "unpicklable report: ZeroDivisionError"),
+        ("rejected-at-sync", "guard rejected result at sync"),
+    ],
+)
+def test_a_rejected_first_report_signals_no_one(monkeypatch, first, error):
+    """Only an accepted report starts elimination: a sibling still wins."""
+    log = []
+    _record_kills(monkeypatch, log)
+    fault_plan = None
+    if first == "corrupt":
+        fault_plan = _corrupts_only_the_first_of_three()
+        bad = _sleep_then(0.0, "bad")
+    elif first == "fails-to-unpickle":
+        def bad(ws):
+            return _FailsToUnpickle()
+    else:
+        parent = os.getpid()  # the child's own result guard passes; the parent's recheck fails
+        bad = Alternative(
+            _sleep_then(0.0, "bad"),
+            guard=Guard(
+                accept=lambda ws, v: os.getpid() != parent, placement=GuardPlacement.AT_SYNC
+            ),
+        )
+    out = run_alternatives_fork(
+        [bad, _sleep_then(0.3, "sibling"), _sleep_then(30.0, "slow")],
+        fault_plan=fault_plan,
+    )
+    assert out.value == "sibling"
+    assert log == [(2, signal.SIGKILL)]
+    (first_loser,) = [l for l in out.losers if l.index == 0]
+    assert first_loser.error.startswith(error)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_start_delay_staggers_real_children():
     from repro.core.alternative import Alternative
 
@@ -273,26 +367,35 @@ def test_all_alternatives_skipped_by_pre_spawn_guards():
 
 
 class TestEncodeReport:
-    """Unit tests for the child-side report sanitizer."""
+    """The child-side report path: streamed into the channel's file, and
+    sanitized when it will not pickle. Both ends run in this process."""
 
     def _roundtrip(self, payload):
-        import pickle
-
-        from repro.runtime.fork_backend import _encode_report
-
-        return pickle.loads(_encode_report(payload))
+        read_fd, write_fd = os.pipe()
+        file_fd = _anonymous_file()
+        child = ReportChannel(write_fd, file_fd)
+        parent = ReportChannel(read_fd, os.dup(file_fd))
+        try:
+            _send_report(child, payload)
+            return parent.recv()
+        finally:
+            child.close()
+            parent.close()
 
     def test_picklable_payload_passes_through(self):
         payload = ("ok", 42, {"x": [1, 2], "y": "z"})
         assert self._roundtrip(payload) == payload
 
     def test_unpicklable_workspace_entries_dropped_and_listed(self):
+        # "big" reaches the file before pickling fails at "f": the sanitized
+        # report must replace that partial stream, not follow it
+        big = bytes(range(256)) * 1024
         with open(os.devnull) as devnull:
             status, value, ws = self._roundtrip(
-                ("ok", 7, {"f": lambda x: x, "g": devnull, "n": 5})
+                ("ok", 7, {"big": big, "f": lambda x: x, "g": devnull, "n": 5})
             )
         assert (status, value) == ("ok", 7)
-        assert ws["n"] == 5
+        assert ws["n"] == 5 and ws["big"] == big
         assert ws["_unpicklable"] == ["f", "g"]
         assert "f" not in ws and "g" not in ws
 
