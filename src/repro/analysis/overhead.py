@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass
+@dataclass(slots=True)
 class OverheadBreakdown:
     """Seconds of overhead attributed to each of the paper's three buckets."""
 

@@ -100,7 +100,7 @@ STEAL_MIN_BACKLOG = 2
 STEAL_BATCH = 2
 
 
-@dataclass
+@dataclass(slots=True)
 class ClusterResult:
     """What became of one cluster request.
 

@@ -29,7 +29,7 @@ class _Failure:
 FAILURE = _Failure()
 
 
-@dataclass
+@dataclass(slots=True)
 class AlternativeResult:
     """What one alternative produced (winner or postmortem record)."""
 
@@ -42,7 +42,7 @@ class AlternativeResult:
     elapsed_s: float = 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class BlockOutcome:
     """The overall result of one alternative block execution.
 

@@ -83,6 +83,7 @@ import threading
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
+from operator import itemgetter
 from sys import intern
 from typing import Any, Mapping, NamedTuple
 
@@ -132,7 +133,7 @@ _LOOKUP_KEY = {"block": "block", "admit": "request"}
 #: The strings every record repeats: top-level keys, record types, the
 #: keyed kinds. Each record is unpickled on its own, so without this
 #: table every record read back holds a private copy of them;
-#: ``_scan`` swaps them for these.
+#: ``_lean`` swaps them for these.
 _SHARED = {
     s: s for s in (
         "t", "seq", "kind", "data", "reason", "device", "eid", "pos_start",
@@ -185,10 +186,49 @@ class QuarantineEntry:
             crc_got=data.get("crc_got"),
         )
 
-#: Where the ledger keeps each txn record type (``CommitJournal._has``).
-_LEDGER = {
-    "intent": "_intents", "seal": "_sealed", "applied": "_applied", "abort": "_aborted",
-}
+#: A txn's states, as :meth:`CommitJournal.status` names them, in the
+#: order records move a txn along: one only ever raises it. The order is
+#: also ``status``'s precedence (applied over aborted over sealed).
+_RANK = {"open": 0, "sealed": 1, "aborted": 2, "applied": 3}
+#: The states a txn is in once it has its ``t`` record (``_has``).
+_HAS = {"seal": ("sealed", "applied"), "applied": ("applied",), "abort": ("aborted",)}
+#: A ledger entry's seq.
+_SEQ = itemgetter(1)
+
+
+class _Shape:
+    """What every ledger entry of one kind, state and data layout shares.
+
+    A ledger entry is one tuple per txn, ``(shape, seq, *data values,
+    *applied values)``; its shape names the values (``fields``, then
+    ``applied``), and ``split`` is where the applied values start.
+    ``kind`` is None for a txn known only by a later record: an aborted
+    txn whose intent a snapshot dropped. ``moves`` caches the shape each
+    later record moves an entry to (see ``CommitJournal._move``).
+    """
+
+    __slots__ = ("kind", "state", "fields", "applied", "split", "moves")
+
+    def __init__(self, kind: str | None, state: str, fields: tuple, applied: tuple):
+        self.kind, self.state = kind, state
+        self.fields, self.applied = fields, applied
+        self.split = 2 + len(fields)
+        self.moves: dict = {}
+
+
+def _intent_of(entry: tuple) -> dict:
+    """The intent record ``entry`` stands for, built afresh."""
+    shape = entry[0]
+    return {
+        "t": "intent", "seq": entry[1], "kind": shape.kind,
+        "data": dict(zip(shape.fields, entry[2 : shape.split])),
+    }
+
+
+def _applied_of(entry: tuple) -> dict:
+    """The data ``entry``'s applied record carried, built afresh."""
+    shape = entry[0]
+    return dict(zip(shape.applied, entry[shape.split :]))
 
 
 class _OpenGroup(threading.local):
@@ -376,6 +416,25 @@ def read_quarantine(path: str) -> list[tuple[QuarantineEntry, bytes]]:
     return out
 
 
+def _lean(record: dict) -> dict:
+    """``record`` holding the strings every record repeats as one shared
+    copy: its keys, its ``t`` / ``kind`` values and its data's field
+    names. Each record is unpickled on its own, so a list of them would
+    otherwise hold a private copy of each (≈ 1.7 KB of a request's six
+    records)."""
+    share = _SHARED.get
+    lean = {}
+    for key in record:  # a plain loop: measurably cheaper here than a comprehension
+        lean[share(key, key)] = record[key]
+    t = lean["t"] = share(lean["t"], lean["t"])
+    if t == "intent":
+        lean["kind"] = share(lean["kind"], lean["kind"])
+    data = lean.get("data")
+    if type(data) is dict:
+        lean["data"] = {intern(k) if type(k) is str else k: data[k] for k in data}
+    return lean
+
+
 def _scan(raw: bytes):
     """One pass over a journal image, touching nothing but the bytes.
 
@@ -387,7 +446,6 @@ def _scan(raw: bytes):
     there; a reader of a live journal just stops).
     """
     offset, end = len(MAGIC), len(raw)
-    share = _SHARED.get
     while offset < end:
         snap = raw.startswith(SNAP_MAGIC, offset)
         at = offset + len(SNAP_MAGIC) if snap else offset
@@ -405,21 +463,6 @@ def _scan(raw: bytes):
                 verdict = _UNPICKLABLE
                 crcs = (parse_header(raw, at)[1],) * 2
             else:
-                if not snap:
-                    # a plain loop: measurably cheaper here than a comprehension
-                    unshared, item = item, {}
-                    for key in unshared:
-                        item[share(key, key)] = unshared[key]
-                    t = item["t"] = share(item["t"], item["t"])
-                    if t == "intent":
-                        item["kind"] = share(item["kind"], item["kind"])
-                    # the caller's field names repeat in every record too
-                    # (~0.7 KB per request of a reopened journal)
-                    data = item.get("data")
-                    if type(data) is dict:
-                        item["data"] = {
-                            intern(k) if type(k) is str else k: data[k] for k in data
-                        }
                 yield ("snapshot" if snap else "record"), item
                 offset = after
                 continue
@@ -489,16 +532,19 @@ class CommitJournal:
             obs.tracer.set_track_name("journal", "commit journal")
             if fault_plan is not None:
                 obs.watch_fault_plan(fault_plan)
-        self._intents: dict[int, dict] = {}
-        # the lookup index, beside _intents and never persisted: per
+        # the ledger: seq -> one entry per txn (see _Shape), in the order
+        # intents arrived; the shapes its entries share; and the applied
+        # seqs in the order they were applied (a snapshot writes both
+        # orders as the records gave them)
+        self._txns: dict[int, tuple] = {}
+        self._shapes: dict[tuple, _Shape] = {}
+        self._applied_order: list[int] = []
+        # the lookup index, beside the ledger and never persisted: per
         # keyed kind, key -> seq of the first intent carrying it, plus
         # key -> later seqs for the rare key that repeats (a block's
         # retried attempts, a re-admitted request)
         self._first_by_key: dict[str, dict] = {k: {} for k in _LOOKUP_KEY}
         self._later_by_key: dict[str, dict] = {k: {} for k in _LOOKUP_KEY}
-        self._sealed: set[int] = set()
-        self._applied: dict[int, dict] = {}
-        self._aborted: set[int] = set()
         self._frontiers: dict[str, int] = {}
         self._reads: dict[str, bytearray] = {}
         self._armed: dict[int, FaultKind] = {}
@@ -557,15 +603,19 @@ class CommitJournal:
         loss; replay length from here on is bounded by the records
         *after* the snapshot.
         """
-        self._intents = {}
+        self._txns = {}
+        self._applied_order = []
         for by_key in (self._first_by_key, self._later_by_key):
             for index in by_key.values():
                 index.clear()
         for intent in state["intents"].values():
             self._index(intent)
-        self._sealed = set(state["sealed"])
-        self._applied = dict(state["applied"])
-        self._aborted = set(state["aborted"])
+        for seq in state["sealed"]:
+            self._move(seq, "sealed")
+        for seq, data in state["applied"].items():
+            self._move(seq, "applied", data)
+        for seq in state["aborted"]:
+            self._move(seq, "aborted")
         self._frontiers = dict(state["frontiers"])
         self._reads = {d: bytearray(b) for d, b in state["reads"].items()}
         self._next_seq = max(self._next_seq, int(state["next_seq"]))
@@ -582,19 +632,69 @@ class CommitJournal:
         if self._quar_c is not None:
             self._quar_c.inc(site=entry.site)
 
+    def _shape(self, kind, state: str, fields: tuple, applied: tuple) -> _Shape:
+        """The one shape of this layout (the ledger's entries share it)."""
+        key = (kind, state, fields, applied)
+        shape = self._shapes.get(key)
+        if shape is None:
+            shape = self._shapes.setdefault(key, _Shape(*key))
+        return shape
+
+    def _move(self, seq: int, state: str, data: dict | None = None) -> None:
+        """Txn ``seq`` has a ``state`` record (``data``: the applied
+        record's). A record never lowers a txn's state; a later applied
+        record's data replaces an earlier one's."""
+        entry = self._txns.get(seq)
+        if entry is None:  # no intent, as after a snapshot dropped it
+            entry = (self._shape(None, "open", (), ()), seq)
+        shape = entry[0]
+        # the move: a bare state, or an applied record's field names
+        how = state if data is None else tuple(data)
+        to = shape.moves.get(how)
+        if to is None:
+            if _RANK[state] < _RANK[shape.state] or (state == shape.state and data is None):
+                to = shape  # nothing to change
+            else:
+                applied = shape.applied if data is None else how
+                to = self._shape(shape.kind, state, shape.fields, applied)
+            shape.moves[how] = to
+        if to is shape and data is None:
+            return
+        # one dict store: lock-free like the lookup index
+        if data is None:
+            self._txns[seq] = (to,) + entry[1:]
+        else:
+            self._txns[seq] = (to,) + entry[1 : shape.split] + tuple(data.values())
+            if shape.state != "applied":
+                self._applied_order.append(entry[1])
+
     def _index(self, record: dict) -> None:
         kind = record["t"]
         if kind == "intent":
             seq = record["seq"]
-            self._intents[seq] = record
-            with self._count_lock:
-                self._next_seq = max(self._next_seq, seq + 1)
-            # the lookup index, lock-free like _intents above: each
+            txn_kind, data = record["kind"], record["data"]
+            entry = self._txns.get(seq)
+            if entry is None:
+                state, applied, tail = "open", (), ()
+            else:  # a later record came first: keep what it said
+                old = entry[0]
+                state, applied = old.state, old.applied
+                seq, tail = entry[1], entry[old.split :]
+            fields = tuple(data)
+            shape = self._shapes.get((txn_kind, state, fields, applied))
+            if shape is None:
+                shape = self._shape(txn_kind, state, fields, applied)
+            self._txns[seq] = (shape, seq, *data.values(), *tail)
+            # the counter only rises, so a seq below it (every seq begin
+            # handed out) needs no lock; a replayed one may
+            if seq >= self._next_seq:
+                with self._count_lock:
+                    self._next_seq = max(self._next_seq, seq + 1)
+            # the lookup index, lock-free like the ledger above: each
             # update is one dict or list operation
-            txn_kind = record["kind"]
             field = _LOOKUP_KEY.get(txn_kind)
             if field is not None:
-                key = record["data"].get(field)
+                key = data.get(field)
                 try:
                     first = self._first_by_key[txn_kind].setdefault(key, seq)
                     if first != seq:
@@ -604,11 +704,11 @@ class CommitJournal:
                 except TypeError:
                     pass  # unhashable key value: only the scan matches it
         elif kind == "seal":
-            self._sealed.add(record["seq"])
+            self._move(record["seq"], "sealed")
         elif kind == "applied":
-            self._applied[record["seq"]] = record.get("data", {})
+            self._move(record["seq"], "applied", record.get("data", {}))
         elif kind == "abort":
-            self._aborted.add(record["seq"])
+            self._move(record["seq"], "aborted")
         elif kind == "release":
             device = record["device"]
             if record["pos_end"] > self._frontiers.get(device, 0):
@@ -656,12 +756,16 @@ class CommitJournal:
         any reader, or any ack built on it) learn of their records."""
         if not frames:
             return
-        self.storage.append(b"".join([blob for blob, _ in frames]))
-        records = [record for _, record in frames if record is not None]
-        for record in records:
-            self._index(record)
+        self.storage.append(
+            frames[0][0] if len(frames) == 1 else b"".join([blob for blob, _ in frames])
+        )
+        indexed = 0
+        for _, record in frames:
+            if record is not None:
+                self._index(record)
+                indexed += 1
         with self._count_lock:
-            self._since_snapshot += len(records)
+            self._since_snapshot += indexed
 
     @contextmanager
     def group(self):
@@ -695,7 +799,12 @@ class CommitJournal:
         """Whether txn ``seq`` has its ``t`` record: in the ledger, or
         queued by this thread — the protocol's own next step builds on a
         phase its group has not flushed yet; no reader sees it."""
-        return seq in getattr(self, _LEDGER[t]) or self._queued(seq, t) is not None
+        entry = self._txns.get(seq)
+        if entry is not None and (
+            entry[0].kind is not None if t == "intent" else entry[0].state in _HAS[t]
+        ):
+            return True
+        return bool(self._local.frames) and self._queued(seq, t) is not None
 
     # -- the transaction protocol ------------------------------------------
     def begin(self, kind: str, **data: Any) -> int:
@@ -794,7 +903,10 @@ class CommitJournal:
             )
 
     def _txn_kind(self, seq: int) -> str:
-        intent = self._intents.get(seq) or self._queued(seq, "intent")
+        entry = self._txns.get(seq)
+        if entry is not None and entry[0].kind is not None:
+            return entry[0].kind
+        intent = self._queued(seq, "intent")
         return intent["kind"] if intent else "?"
 
     def _note_crash(self, seq: int, fault: FaultKind) -> None:
@@ -846,6 +958,8 @@ class CommitJournal:
 
     # -- snapshots & compaction --------------------------------------------
     def _snapshot_state(self) -> dict:
+        txns = self._txns
+        entries = list(txns.values())
         return {
             "snap_index": self._snap_index,
             "next_seq": self._next_seq,
@@ -854,12 +968,12 @@ class CommitJournal:
             # aborted txns keep their seq (status stays answerable) but
             # drop their intent payload — recovery never redoes them.
             "intents": {
-                seq: rec for seq, rec in self._intents.items()
-                if seq not in self._aborted
+                e[1]: _intent_of(e) for e in entries
+                if e[0].kind is not None and e[0].state != "aborted"
             },
-            "sealed": sorted(self._sealed),
-            "applied": dict(self._applied),
-            "aborted": sorted(self._aborted),
+            "sealed": sorted(e[1] for e in entries if e[0].state in _HAS["seal"]),
+            "applied": {seq: _applied_of(txns[seq]) for seq in self._applied_order[:]},
+            "aborted": sorted(e[1] for e in entries if e[0].state == "aborted"),
         }
 
     def snapshot(self) -> int:
@@ -966,65 +1080,68 @@ class CommitJournal:
     def records(self) -> list[dict]:
         """What a reopen of the storage would replay, decoded on demand:
         the records after the latest loadable snapshot, up to the first
-        torn frame. Reads the storage and changes nothing — a live file
-        is never truncated or quarantined from here."""
+        torn frame — new dicts, none of them held by the ledger. Reads
+        the storage and changes nothing: a live file is never truncated
+        or quarantined from here."""
         out: list[dict] = []
         for what, item in _scan(self.storage.load()):
             if what == "record":
-                # the ledger's own copy of an intent, not a second one:
-                # intents are most of a journal's resident size
-                if item["t"] == "intent":
-                    item = self._intents.get(item["seq"], item)
-                out.append(item)
+                out.append(_lean(item))
             elif what == "snapshot":
                 out.clear()
         return out
 
     def intent(self, seq: int) -> dict:
-        try:
-            return self._intents[seq]
-        except KeyError:
-            raise JournalError(f"no txn {seq}") from None
+        entry = self._txns.get(seq)
+        if entry is None or entry[0].kind is None:
+            raise JournalError(f"no txn {seq}")
+        return _intent_of(entry)
 
     def status(self, seq: int) -> str:
         """``open`` / ``sealed`` / ``applied`` / ``aborted``."""
-        if seq in self._applied:
-            return "applied"
-        if seq in self._aborted:
-            return "aborted"
-        if seq in self._sealed:
-            return "sealed"
-        if seq in self._intents:
-            return "open"
-        raise JournalError(f"no txn {seq}")
+        entry = self._txns.get(seq)
+        if entry is None:
+            raise JournalError(f"no txn {seq}")
+        return entry[0].state
+
+    def _entries(self, states, kind: str | None = None) -> list[tuple]:
+        """The ledger entries in one of ``states`` (and of ``kind``, when
+        given), ascending seq."""
+        found = [
+            entry for entry in list(self._txns.values())
+            if entry[0].state in states and (kind is None or entry[0].kind == kind)
+        ]
+        found.sort(key=_SEQ)
+        return found
 
     def unsealed_txns(self) -> list[int]:
         """Intents with neither seal nor abort — recovery rolls these back."""
-        return sorted(
-            seq for seq in self._intents
-            if seq not in self._sealed and seq not in self._aborted
-        )
+        return [entry[1] for entry in self._entries(("open",))]
 
     def sealed_unapplied(self) -> list[int]:
         """Sealed intents not yet applied — recovery rolls these forward."""
-        return sorted(seq for seq in self._sealed if seq not in self._applied)
+        return [entry[1] for entry in self._entries(("sealed",))]
 
-    def _matches(self, seq: int, kind: str, match: dict) -> bool:
-        intent = self._intents[seq]
-        if intent["kind"] != kind:
+    def _matches(self, entry: tuple, kind: str, match: dict) -> bool:
+        shape = entry[0]
+        if shape.kind != kind:
             return False
-        data = intent["data"]
-        return all(data.get(k) == v for k, v in match.items())
+        fields = shape.fields
+        for name, want in match.items():
+            # a field the intent lacks reads as None, as data.get(name) did
+            got = entry[2 + fields.index(name)] if name in fields else None
+            if not got == want:
+                return False
+        return True
 
-    def _find(self, pool, kind: str, match: dict) -> int | None:
-        """Highest seq in ``pool`` whose intent is of ``kind`` and whose
-        data matches ``match``.
+    def _find(self, states, kind: str, match: dict) -> tuple | None:
+        """The entry of the highest seq in one of ``states`` whose intent
+        is of ``kind`` and whose data matches ``match``.
 
         A keyed kind (:data:`_LOOKUP_KEY`) whose key field ``match``
-        names costs one index lookup; anything else scans ``pool``.
+        names costs one index lookup; anything else scans the ledger.
         Either way the candidates pass the same filter, latest first.
         """
-        seqs = pool
         field = _LOOKUP_KEY.get(kind)
         if field in match:
             key = match[field]
@@ -1033,12 +1150,17 @@ class CommitJournal:
             except TypeError:
                 pass  # unhashable key value: never indexed, so scan
             else:
-                seqs = () if first is None else (
-                    first, *self._later_by_key[kind].get(key, ())
-                )
-        for seq in sorted(seqs, reverse=True):
-            if seq in pool and self._matches(seq, kind, match):
-                return seq
+                if first is None:
+                    return None
+                txns = self._txns
+                for seq in sorted((first, *self._later_by_key[kind].get(key, ())), reverse=True):
+                    entry = txns[seq]
+                    if entry[0].state in states and self._matches(entry, kind, match):
+                        return entry
+                return None
+        for entry in reversed(self._entries(states, kind)):
+            if self._matches(entry, kind, match):
+                return entry
         return None
 
     def find_sealed(self, kind: str, **match: Any) -> dict | None:
@@ -1046,13 +1168,13 @@ class CommitJournal:
 
         "Sealed" includes applied: a settled txn keeps its seal.
         """
-        seq = self._find(self._sealed, kind, match)
-        return None if seq is None else self._intents[seq]
+        entry = self._find(_HAS["seal"], kind, match)
+        return None if entry is None else _intent_of(entry)
 
     def find_applied(self, kind: str, **match: Any) -> tuple[dict, dict] | None:
         """Latest applied ``(intent, applied_data)`` of ``kind``; or None."""
-        seq = self._find(self._applied, kind, match)
-        return None if seq is None else (self._intents[seq], self._applied[seq])
+        entry = self._find(_HAS["applied"], kind, match)
+        return None if entry is None else (_intent_of(entry), _applied_of(entry))
 
     def applied_intents(self, kind: str) -> list[tuple[dict, dict]]:
         """Every applied txn of ``kind`` as ``(intent, applied_data)``,
@@ -1063,9 +1185,8 @@ class CommitJournal:
         restart replay must use it.
         """
         return [
-            (self._intents[seq], self._applied[seq])
-            for seq in sorted(self._applied)
-            if seq in self._intents and self._intents[seq]["kind"] == kind
+            (_intent_of(entry), _applied_of(entry))
+            for entry in self._entries(_HAS["applied"], kind)
         ]
 
     def sealed_unapplied_intents(self, kind: str) -> list[dict]:
@@ -1074,11 +1195,7 @@ class CommitJournal:
         These are the txns a cold restart must finish: for ``admit``
         txns, re-admit the request under its original seq.
         """
-        return [
-            self._intents[seq]
-            for seq in self.sealed_unapplied()
-            if seq in self._intents and self._intents[seq]["kind"] == kind
-        ]
+        return [_intent_of(entry) for entry in self._entries(("sealed",), kind)]
 
 
 # -- backend helpers -------------------------------------------------------

@@ -70,7 +70,7 @@ LATENCY_BUCKETS = (0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0
 SUPERVISOR_BACKOFF_S = 0.005
 
 
-@dataclass
+@dataclass(slots=True)
 class ServeResult:
     """What became of one submitted request.
 

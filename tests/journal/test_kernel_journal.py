@@ -100,7 +100,8 @@ class TestKernelTransactions:
         assert splits
         seq = splits[0]["seq"]
         assert j.status(seq) == "applied"
-        assert "clone_wid" in j._applied[seq]
+        applied = {i["seq"]: data for i, data in j.applied_intents("split")}
+        assert "clone_wid" in applied[seq]
 
 
 class TestDoubleCommitGuard:

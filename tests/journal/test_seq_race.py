@@ -74,7 +74,8 @@ def test_a_switch_between_counter_read_and_write_hands_out_no_seq_twice(yield_at
     assert len(intruders) == 1, "the interleave was never forced"
     assert len(seqs) == 3 and len(set(seqs)) == 3, seqs
     # and no intent was overwritten by a later one under the same seq
-    assert {rec["data"]["block"] for rec in journal._intents.values()} == {
+    assert journal.unsealed_txns() == sorted(seqs)
+    assert {journal.intent(seq)["data"]["block"] for seq in seqs} == {
         "interrupted", "intruder", "afterwards",
     }
 
