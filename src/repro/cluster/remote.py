@@ -5,7 +5,7 @@ the router's process, and "shard death" was a polite simulation
 (``crash()`` flips a state enum). This module pushes a shard across a
 real OS process boundary:
 
-- :func:`shard_host_main` — the child-process entry point. It builds an
+- :func:`shard_host_main` — the child-process body. It builds an
   ordinary ``ClusterShard`` around a **file-backed**
   :class:`~repro.journal.CommitJournal` (the one thing that survives
   ``kill -9``), listens on a Unix socket, and serves the shard surface
@@ -63,7 +63,6 @@ from __future__ import annotations
 
 import collections
 import itertools
-import multiprocessing
 import os
 import signal
 import socket
@@ -82,12 +81,14 @@ from repro.errors import (
     RetriesExhausted,
     ServiceStopped,
     ShardUnreachable,
+    SpawnError,
     TransportError,
     TransportTimeout,
     WireCorrupt,
 )
 from repro.faults.plan import TRANSPORT_SITE, FaultKind
 from repro.journal import CommitJournal, FileJournalStorage, MemoryJournalStorage
+from repro.runtime.child import ChildProcess
 from repro.serve.admission import ServeRequest
 
 __all__ = [
@@ -118,7 +119,7 @@ _WIRE_ERRORS: dict[str, Any] = {
     "ClusterError": ClusterError,
 }
 
-#: How long ``start()`` waits for a fresh host's first connection.
+#: How long ``start()`` waits for a fresh host to report it is ready.
 CONNECT_TIMEOUT_S = 10.0
 #: How long one ping's backlog/slot figures answer the balancer.
 STATS_TTL_S = 0.02
@@ -325,13 +326,15 @@ class _ShardHost:
             except OSError:
                 pass
 
-    def run(self) -> None:
+    def run(self, ready=None) -> None:
         listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         try:
             listener.bind(self.sock_path)
             listener.listen(2)
             listener.settimeout(0.5)
             self.shard.start()
+            if ready is not None:
+                ready()
             while not self._shutdown:
                 if os.getppid() != self._parent_pid:
                     break  # orphaned: the parent died without stopping us
@@ -357,12 +360,15 @@ def shard_host_main(
     journal_path: str,
     shard_kwargs: dict | None = None,
     fault_plan=None,
+    ready=None,
 ) -> None:
-    """Child-process entry point: serve one shard until stopped/killed."""
-    # the child must never run the parent's atexit/teardown machinery on
-    # a crash path; any unhandled error just ends this process
+    """Serve one shard until stopped, killed or orphaned.
+
+    ``ready()``, if given, runs once the socket listens and the shard has
+    started: the host process's readiness report.
+    """
     host = _ShardHost(shard_id, sock_path, journal_path, shard_kwargs, fault_plan)
-    host.run()
+    host.run(ready)
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +527,7 @@ class RemoteShardClient:
         )
         self._stats: dict = {}
         self._stats_at = -1.0
-        self._proc: multiprocessing.process.BaseProcess | None = None
+        self._proc: ChildProcess | None = None
         self._sock: socket.socket | None = None
         self._conn_lock = threading.Lock()
         self._send_lock = threading.Lock()
@@ -594,38 +600,26 @@ class RemoteShardClient:
             os.unlink(self.sock_path)
         except OSError:
             pass
-        ctx = multiprocessing.get_context("fork")
-        self._proc = ctx.Process(
-            target=shard_host_main,
-            args=(
-                self.shard_id, self.sock_path, self.journal_path,
-                self._shard_kwargs, self.host_fault_plan,
-            ),
-            name=f"shard-host-{self.shard_id}",
-            daemon=True,
-        )
-        self._proc.start()
-        deadline = time.monotonic() + CONNECT_TIMEOUT_S
-        last: Exception | None = None
-        while time.monotonic() < deadline:
-            try:
-                self._ensure_conn()
-                self._started = True
-                self.state = ShardState.UP
-                self._journal = None
-                return self
-            except (ConnectionError, FileNotFoundError, OSError) as exc:
-                last = exc
-                if not self.process_alive():
-                    break
-                time.sleep(0.01)
-        self.crash()
-        raise ClusterError(
-            f"shard host {self.shard_id} failed to come up: {last}"
-        )
+        try:
+            # returns once the host listens and its shard has started
+            self._proc = ChildProcess.fork(
+                shard_host_main, self.shard_id, self.sock_path,
+                self.journal_path, self._shard_kwargs, self.host_fault_plan,
+                timeout_s=CONNECT_TIMEOUT_S,
+            )
+            self._ensure_conn()
+        except (SpawnError, OSError) as exc:
+            self.crash()
+            raise ClusterError(
+                f"shard host {self.shard_id} failed to come up: {exc}"
+            ) from exc
+        self._started = True
+        self.state = ShardState.UP
+        self._journal = None
+        return self
 
     def process_alive(self) -> bool:
-        return self._proc is not None and self._proc.is_alive()
+        return self._proc is not None and self._proc.alive()
 
     @property
     def pid(self) -> int | None:
@@ -652,7 +646,7 @@ class RemoteShardClient:
             pass  # unreachable: the reap below is the stop
         else:
             if self._proc is not None:
-                self._proc.join(5.0)
+                self._proc.wait(5.0)
         self._terminate()
         self.state = ShardState.DEAD
 
@@ -685,16 +679,13 @@ class RemoteShardClient:
     def sigstop(self) -> None:
         """Freeze the host process (transport-level brownout injection)."""
         if self.process_alive():
-            os.kill(self._proc.pid, signal.SIGSTOP)
+            self._proc.signal(signal.SIGSTOP)
             self._stopped_in = True
 
     def sigcont(self) -> None:
         """Thaw a :meth:`sigstop`-frozen host."""
         if self._stopped_in and self._proc is not None:
-            try:
-                os.kill(self._proc.pid, signal.SIGCONT)
-            except (OSError, ProcessLookupError):
-                pass
+            self._proc.signal(signal.SIGCONT)
             self._stopped_in = False
 
     def sigkill(self) -> None:
@@ -702,14 +693,12 @@ class RemoteShardClient:
         the injection entry point: the *detector* must discover this."""
         if self.process_alive():
             self.sigcont()
-            os.kill(self._proc.pid, signal.SIGKILL)
-            self._proc.join(5.0)
+            self._proc.kill()
 
     def _terminate(self) -> None:
         self.sigcont()
-        if self._proc is not None and self._proc.is_alive():
+        if self._proc is not None:
             self._proc.kill()
-            self._proc.join(5.0)
         self._drop_conn(ConnectionResetError("shard host terminated"))
 
     # -- the shard surface -------------------------------------------------

@@ -6,8 +6,10 @@ for work-distribution policy:
 
 - **determinism across processes** — every router incarnation (and
   every test re-run) must map the same tenant to the same shard, so
-  hashing uses :func:`hashlib.blake2b` over the tenant string, never
-  Python's per-process-salted ``hash()``;
+  hashing uses BLAKE2b over the tenant string, never Python's
+  per-process-salted ``hash()``. It is the builtin ``_blake2`` module's,
+  the very function the standard hash front end re-exports, whose
+  import would also load OpenSSL into every router and shard host;
 - **insertion-order independence** — a ring built ``A,B,C`` and a ring
   built ``C,A,B`` are the same ring (membership is a *set*; the ring
   positions are pure functions of shard id);
@@ -27,7 +29,8 @@ next *surviving* entry, so re-placement is deterministic too.
 from __future__ import annotations
 
 import bisect
-import hashlib
+
+from _blake2 import blake2b
 
 from repro.errors import ClusterError
 
@@ -35,7 +38,7 @@ from repro.errors import ClusterError
 def _hash64(data: str) -> int:
     """A stable 64-bit point for ``data`` (process-independent)."""
     return int.from_bytes(
-        hashlib.blake2b(data.encode("utf-8"), digest_size=8).digest(), "big"
+        blake2b(data.encode("utf-8"), digest_size=8).digest(), "big"
     )
 
 

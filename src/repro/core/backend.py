@@ -199,7 +199,9 @@ class BlockRun:
     # -- spawn-side decisions ---------------------------------------------
     def precheck_guard(self, index: int, alt: Alternative) -> bool:
         """BEFORE_SPAWN guard evaluation; False records the skip as a loser."""
-        if not (alt.guard.placement & GuardPlacement.BEFORE_SPAWN) or alt.guard.check is None:
+        # None first: a Flag ``&`` builds its result in Python code, and
+        # between forks every page the parent writes is a copy-on-write fault
+        if alt.guard.check is None or not (alt.guard.placement & GuardPlacement.BEFORE_SPAWN):
             return True
         try:
             ok = alt.guard.passes_entry(self.base)

@@ -445,7 +445,7 @@ def run_alternatives_fork(
                 if report[0] == "ok":
                     value, child_ws = report[1], report[2]
                     accepted = True
-                    if alt.guard.placement & GuardPlacement.AT_SYNC and alt.guard.accept is not None:
+                    if alt.guard.accept is not None and alt.guard.placement & GuardPlacement.AT_SYNC:
                         try:
                             accepted = bool(alt.guard.passes_result(child_ws, value))
                         except Exception:

@@ -126,6 +126,38 @@ class TestRemapFraction:
         assert max(counts.values()) / max(1, min(counts.values())) < 3.0
 
 
+#: Fixed tenant names: short ones, ``mw-e2e``-style hex draws, and edge cases
+PINNED_TENANTS = [
+    "t0", "t1", "t2", "t3", "t4", "t5", "t6", "t7",
+    "t2a917468", "t67972442", "t6774a62c", "t82867630",
+    "t0acd4080", "t9425f87b", "t72df4949", "td7b6f865",
+    "", "tenant-0", "ü-tenant", "alpha",
+]
+#: ``route`` and ``preference`` of each pinned tenant, as the ring placed
+#: them when it hashed through ``hashlib``: a hash swap must move nothing
+#: (``mw-e2e`` draws the ``cluster_remote`` tenants by ring placement)
+PINNED_PLACEMENT = {
+    2: ("00010000100110011011", [
+        "01", "01", "01", "10", "01", "01", "01", "01", "10", "01",
+        "01", "10", "10", "01", "01", "10", "10", "01", "10", "10",
+    ]),
+    3: ("20012020202110012012", [
+        "201", "012", "012", "120", "201", "012", "201", "012", "210", "012",
+        "201", "102", "102", "012", "021", "102", "210", "012", "102", "210",
+    ]),
+}
+
+
+@pytest.mark.parametrize("n_shards", sorted(PINNED_PLACEMENT))
+def test_placement_is_pinned(n_shards):
+    ring = HashRing(range(n_shards))
+    routes, preferences = PINNED_PLACEMENT[n_shards]
+    assert "".join(str(ring.route(t)) for t in PINNED_TENANTS) == routes
+    assert [
+        "".join(map(str, ring.preference(t))) for t in PINNED_TENANTS
+    ] == preferences
+
+
 def test_routing_is_stable_across_processes():
     # blake2b (not the per-process-salted hash()) means another python
     # process maps the same tenants to the same shards

@@ -398,3 +398,24 @@ def test_fork_elapsed_ends_at_parent_resume_not_after_the_reap(monkeypatch):
     (span,) = [s for s in obs.tracer.spans if s.cat == "alt-block"]
     assert span.attrs["elapsed_s"] == outcome.elapsed_s
     assert abs(span.duration - outcome.elapsed_s) < 1e-6
+
+
+class _PlacementSpy(Guard):
+    """A guard that counts the reads of its ``placement``."""
+
+    def __getattribute__(self, name):
+        if name == "placement":
+            object.__setattr__(self, "reads", object.__getattribute__(self, "reads") + 1)
+        return object.__getattribute__(self, name)
+
+
+@pytest.mark.parametrize("backend", OS_STYLE)
+def test_a_guard_with_no_predicates_never_reads_its_placement(backend):
+    """A Flag ``&`` builds its result in Python code, and between forks
+    every page the parent writes is a copy-on-write fault: with no
+    predicate to run, the parent asks nothing of the placement."""
+    guard = _PlacementSpy(placement=GuardPlacement.BEFORE_SPAWN | GuardPlacement.AT_SYNC)
+    guard.reads = 0
+    alts = [Alternative(lambda ws: 1, guard=guard), Alternative(lambda ws: 2, guard=guard)]
+    assert run_alternatives(alts, backend=backend).value in (1, 2)
+    assert guard.reads == 0

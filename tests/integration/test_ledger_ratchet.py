@@ -236,6 +236,36 @@ def test_the_serving_and_fork_stack_loads_no_simulation_module():
     ]
 
 
+_NO_OPENSSL_PROBE = textwrap.dedent("""
+    import json, sys, tempfile
+    import repro, repro.serve, repro.cluster, repro.journal, repro.obs
+    import repro.runtime.fork_backend
+    from repro import run_alternatives, Supervisor
+    from repro.cluster import HashRing, RemoteShardClient
+    HashRing([0, 1, 2]).route("tenant")
+    with tempfile.TemporaryDirectory() as workdir:
+        host = RemoteShardClient(0, workdir=workdir).start()
+        alive = host.process_alive()
+        host.stop()
+    print(json.dumps({"alive": alive, "loaded": sorted(sys.modules)}))
+""")
+_OPENSSL_OR_MULTIPROCESSING = re.compile(r"_hashlib|_ssl|multiprocessing(\..*)?")
+
+
+def test_the_serving_and_fork_stack_loads_no_openssl_or_multiprocessing():
+    """ROADMAP's "OpenSSL / multiprocessing loaded by the serving + fork
+    stack: yes -> no" row. The ring hashes with the builtin ``_blake2``,
+    and a shard host forks through the fork backend's fork-and-report
+    path, so starting and stopping a host loads neither."""
+    probe = _run_probe(_NO_OPENSSL_PROBE)
+    assert probe["alive"]
+    loaded = [m for m in probe["loaded"] if _OPENSSL_OR_MULTIPROCESSING.fullmatch(m)]
+    assert not loaded, (
+        f"the serving and fork stack loaded {loaded}: hash with _blake2, "
+        "fork with repro.runtime.child.ChildProcess"
+    )
+
+
 def _code_only(path):
     """``path``'s source with comments and string literals dropped."""
     tokens = tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
