@@ -17,13 +17,13 @@ real OS process boundary:
   same flat surface :class:`~repro.cluster.router.ClusterRouter` calls
   on a local ``ClusterShard`` (``state``/``up``/``alive``,
   ``backlog``/``idle_slots``/``load``, ``start``/``stop``/``crash``/
-  ``fence``, ``admit``/``steal_requests``/``confirm_stolen``/
-  ``on_resolve``), which is what makes the router
-  transport-polymorphic: local and remote shards mix in one hash ring.
-  The request crosses as what it is: ``admit`` pickles the router's
-  :class:`~repro.serve.admission.ServeRequest` into the submit frame,
-  and what comes back (a stolen request, a resolve push) is an
-  identity-only ``ServeRequest(tenant, (), seq=..., shadow=...)``.
+  ``fence``, ``admit``/``steal_requests``/``confirm_stolen``), which
+  is what makes the router transport-polymorphic: local and remote
+  shards mix in one hash ring. ``admit`` pickles the router's
+  :class:`~repro.serve.admission.ServeRequest` into the submit frame
+  and returns a ticket the reader thread resolves from the host's
+  result push; a stolen request comes back as an identity-only
+  ``ServeRequest(tenant, (), seq=...)``.
 
 Reliability stack, bottom-up:
 
@@ -90,6 +90,7 @@ from repro.faults.plan import TRANSPORT_SITE, FaultKind
 from repro.journal import CommitJournal, FileJournalStorage, MemoryJournalStorage
 from repro.runtime.child import ChildProcess
 from repro.serve.admission import ServeRequest
+from repro.serve.service import ServeTicket
 
 __all__ = [
     "CircuitBreaker",
@@ -186,13 +187,11 @@ class _ShardHost:
             fault_plan=fault_plan,
             **kwargs,
         )
-        self.shard.on_resolve = self._on_resolve
         self._parent_pid = os.getppid()
-        # at-least-once resolve pushes: events stay in the outbox until
-        # the client acks them, and every fresh connection replays the
-        # whole outbox (the client dedupes by settled request seq)
-        self._outbox: "collections.OrderedDict[int, dict]" = collections.OrderedDict()
-        self._outbox_cv = threading.Condition()
+        # at-least-once resolve pushes: each stays in the outbox until
+        # acked and is replayed on every fresh connection (a duplicate
+        # finds no ticket); the outbox and _conn are _send_lock's
+        self._outbox: dict[int, dict] = {}
         self._event_seq = 0
         # idempotency: token -> recorded response (minus the call id),
         # so a resend after a timed-out-but-executed call replays the
@@ -202,49 +201,18 @@ class _ShardHost:
         self._conn: socket.socket | None = None
         self._shutdown = False
 
-    # -- resolve pushes ----------------------------------------------------
-    def _on_resolve(self, request, result) -> None:
-        with self._outbox_cv:
+    def _push(self, result) -> None:
+        """An admitted request's ticket callback, on the resolving thread."""
+        with self._send_lock:
             self._event_seq += 1
-            self._outbox[self._event_seq] = {
-                "push": "resolve",
-                "event": self._event_seq,
-                "request": ServeRequest(
-                    request.tenant, (), seq=request.seq, shadow=request.shadow
-                ),
-                "result": result,
+            event = self._outbox[self._event_seq] = {
+                "push": "resolve", "event": self._event_seq, "result": result,
             }
-            self._outbox_cv.notify_all()
-
-    def _pusher_loop(self, conn: socket.socket) -> None:
-        # event ids are allocated in order under _outbox_cv and the
-        # outbox keeps that order, so what this connection still owes is
-        # the outbox's tail above one high-water mark; a fresh
-        # connection starts from zero and replays everything un-acked
-        last_sent = 0
-        while True:
-            with self._outbox_cv:
-                pending = []
-                for eid in reversed(self._outbox):
-                    if eid <= last_sent:
-                        break
-                    pending.append(self._outbox[eid])
-                pending.reverse()
-                if not pending:
-                    if self._conn is not conn or self._shutdown:
-                        return
-                    # no poll: _on_resolve notifies on a new event, and
-                    # _serve_conn's exit (which every _shutdown leads
-                    # to) clears _conn and notifies under this lock
-                    self._outbox_cv.wait()
-                    continue
-            for event in pending:
+            if self._conn is not None:
                 try:
-                    with self._send_lock:
-                        send_frame(conn, event)
+                    send_frame(self._conn, event)
                 except OSError:
-                    return  # connection died; the next one replays
-                last_sent = event["event"]
+                    pass  # the connection died; the next one replays it
 
     # -- request handling --------------------------------------------------
     def _handle(self, op: str, args: dict) -> Any:
@@ -259,7 +227,10 @@ class _ShardHost:
         if op not in SHARD_OPS:
             raise ClusterError(f"shard host: unknown RPC op {op!r}")
         value = getattr(self.shard, op)(**args)
-        if op == "steal_requests":  # only their identity goes back
+        if op == "admit":  # the result follows as a push
+            value.add_done_callback(self._push)
+            value = None
+        elif op == "steal_requests":  # only their identity goes back
             value = [ServeRequest(r.tenant, (), seq=r.seq) for r in value]
         elif op == "stop":
             self._shutdown = True
@@ -270,19 +241,17 @@ class _ShardHost:
             send_frame(conn, {"id": call_id, **body})
 
     def _serve_conn(self, conn: socket.socket) -> None:
-        self._conn = conn
-        pusher = threading.Thread(
-            target=self._pusher_loop, args=(conn,),
-            name=f"shard-host-{self.shard_id}-pusher", daemon=True,
-        )
-        pusher.start()
         try:
+            with self._send_lock:  # no push falls between replay and _conn
+                self._conn = conn
+                for event in self._outbox.values():
+                    send_frame(conn, event)
             while not self._shutdown:
                 msg = recv_frame(conn)
                 if not isinstance(msg, dict):
                     raise WireCorrupt(f"non-dict envelope {type(msg).__name__}")
                 if "ack" in msg:  # one-way push acknowledgement
-                    with self._outbox_cv:
+                    with self._send_lock:
                         self._outbox.pop(msg["ack"], None)
                     continue
                 call_id = msg.get("id")
@@ -318,9 +287,8 @@ class _ShardHost:
                         self._done.popitem(last=False)
                 self._respond(conn, call_id, body)
         finally:
-            self._conn = None
-            with self._outbox_cv:
-                self._outbox_cv.notify_all()
+            with self._send_lock:
+                self._conn = None
             try:
                 conn.close()
             except OSError:
@@ -518,9 +486,6 @@ class RemoteShardClient:
         self.state = ShardState.UP
         self.incarnation = 0
         self.lease = None  # set by the router, like a local shard
-        #: ``on_resolve(request, result)``: run by the reader thread on
-        #: each resolution the host pushes (set by the router)
-        self.on_resolve = None
         self.breaker = CircuitBreaker(
             threshold=breaker_threshold, cooldown_s=breaker_cooldown_s,
             on_transition=self._note_breaker,
@@ -532,12 +497,9 @@ class RemoteShardClient:
         self._conn_lock = threading.Lock()
         self._send_lock = threading.Lock()
         self._pending: dict[int, _Pending] = {}
-        # push events are at-least-once (the host replays unacked ones
-        # on every reconnect); dedup by event id so on_resolve fires
-        # once per resolution, matching local-shard semantics
-        self._seen_events: "collections.OrderedDict[int, None]" = (
-            collections.OrderedDict()
-        )
+        # request seq -> the ticket admit() returned; a push pops it, so
+        # a replayed duplicate (pushes are at-least-once) finds nothing
+        self._tickets: dict[int, ServeTicket] = {}
         self._pending_lock = threading.Lock()
         # one atomic draw per call: the number is the idempotency token
         # and the envelope id, so two callers must never share one
@@ -595,7 +557,7 @@ class RemoteShardClient:
         if self._started:  # restart after a death = a new incarnation
             self.incarnation += 1
             # the reader may not have seen the dead host's EOF yet
-            self._drop_conn(ConnectionResetError("shard host restarting"))
+            self._terminate()
         try:
             os.unlink(self.sock_path)
         except OSError:
@@ -700,13 +662,24 @@ class RemoteShardClient:
         if self._proc is not None:
             self._proc.kill()
         self._drop_conn(ConnectionResetError("shard host terminated"))
+        self._tickets.clear()  # a dead host pushes nothing more
 
     # -- the shard surface -------------------------------------------------
-    def admit(self, request: ServeRequest) -> None:
-        self._call("admit", request=request)
+    def admit(self, request: ServeRequest) -> ServeTicket:
+        # registered before the frame leaves: the push may beat the reply
+        ticket = self._tickets[request.seq] = ServeTicket(request.tenant, request.seq)
+        try:
+            self._call("admit", request=request)
+        except BaseException:
+            self._tickets.pop(request.seq, None)
+            raise
+        return ticket
 
     def steal_requests(self, max_n: int) -> list[ServeRequest]:
-        return self._call("steal_requests", max_n=max_n)
+        stolen = self._call("steal_requests", max_n=max_n)
+        for request in stolen:  # the host will never resolve these
+            self._tickets.pop(request.seq, None)
+        return stolen
 
     def confirm_stolen(self, request: ServeRequest) -> None:
         self._call("confirm_stolen", request=request)
@@ -852,23 +825,15 @@ class RemoteShardClient:
                 p.event.set()
 
     def _dispatch_push(self, sock: socket.socket, msg: dict) -> None:
-        eid = msg.get("event")
-        duplicate = eid in self._seen_events
-        if not duplicate and eid is not None:
-            self._seen_events[eid] = None
-            while len(self._seen_events) > 8192:
-                self._seen_events.popitem(last=False)
-        cb = self.on_resolve
-        if cb is not None and not duplicate:
-            try:
-                cb(msg["request"], msg.get("result"))
-            except Exception:  # noqa: BLE001 - resolve hooks never kill the reader
-                pass
+        result = msg["result"]
+        ticket = self._tickets.pop(result.seq, None)
+        if ticket is not None:  # None: a replayed duplicate, or not ours now
+            ticket._resolve(result)
         try:
             with self._send_lock:
-                send_frame(sock, {"ack": msg.get("event")})
+                send_frame(sock, {"ack": msg["event"]})
         except OSError:
-            pass  # host will replay; the router dedupes by settled seq
+            pass  # the host replays it; the ticket is gone by then
 
     # -- the RPC core ------------------------------------------------------
     def _call(

@@ -1,10 +1,10 @@
 """The cluster router: consistent-hash placement, spill/steal, failover.
 
 :class:`ClusterRouter` is the traffic director over N shards, reached
-only through the flat shard surface — ``admit`` / ``steal_requests`` /
-``confirm_stolen`` / ``on_resolve`` plus lifecycle and load, the same
-names on :class:`~repro.cluster.shard.ClusterShard` and
-:class:`~repro.cluster.remote.RemoteShardClient`. Placement walks the
+only through the flat shard surface — ``admit`` (it returns the
+request's ticket) / ``steal_requests`` / ``confirm_stolen`` plus
+lifecycle and load, the same names on :class:`~repro.cluster.shard.ClusterShard`
+and :class:`~repro.cluster.remote.RemoteShardClient`. Placement walks the
 :class:`~repro.cluster.ring.HashRing` preference order; load policy adds
 two or-parallel-style work-distribution moves on top:
 
@@ -318,7 +318,6 @@ class ClusterRouter:
 
     # -- membership --------------------------------------------------------
     def _adopt(self, shard: ClusterShard) -> None:
-        shard.on_resolve = self._on_shard_resolve
         shard.lease = RemoteWorldLease(
             lease_id=shard.shard_id, node_id=shard.shard_id,
             term_s=self.lease_term_s, heartbeat_s=self.heartbeat_s,
@@ -678,7 +677,7 @@ class ClusterRouter:
             if not target.up:
                 continue  # taken over since the walk
             try:
-                target.admit(request)
+                ticket = target.admit(request)
             except (
                 AdmissionRejected, ServiceStopped, ShardUnreachable, JournalCrash,
             ) as exc:
@@ -701,6 +700,8 @@ class ClusterRouter:
                 self._count(
                     self._spill_c, src=spilled_from.shard_id, dst=target.shard_id
                 )
+            # at rest first: a ticket already resolved settles right here
+            ticket.add_done_callback(self._on_shard_resolve)
             return "landed"
         raise rejection or NoSurvivingShard(
             f"request {request.seq} (tenant {request.tenant!r}): every "
@@ -764,10 +765,10 @@ class ClusterRouter:
             if self._inflight.pop(result.seq, None) is rec:
                 rec.ticket._resolve(result)
 
-    def _on_shard_resolve(self, request, result: ServeResult) -> None:
-        """Shard-level resolution hook (runs on shard worker threads)."""
+    def _on_shard_resolve(self, result: ServeResult) -> None:
+        """A shard ticket's callback (on the shard's resolving thread)."""
         with self._lock:
-            rec = self._inflight.get(request.seq)
+            rec = self._inflight.get(result.seq)
             if rec is None:
                 return  # already settled (takeover won the race) or foreign
             reroutable = (

@@ -29,7 +29,7 @@ from repro.journal import CommitJournal, FileJournalStorage, MemoryJournalStorag
 from repro.serve.admission import AdmissionQueue
 from repro.serve.budget import WorldBudget
 from repro.serve.policy import AdaptiveSpeculationPolicy
-from repro.serve.service import SpeculationService
+from repro.serve.service import ServeTicket, SpeculationService
 from repro.serve.stats import AlternativeStats
 
 
@@ -83,7 +83,6 @@ class ClusterShard:
         queue_depth: int | None = None,
         fault_plan=None,
         obs=None,
-        on_resolve=None,
         journal_admission: bool = False,
     ) -> None:
         if shard_id < 0:
@@ -109,7 +108,6 @@ class ClusterShard:
             fault_plan=fault_plan,
             journal=self.journal,
             obs=obs,
-            on_resolve=on_resolve,
             journal_admission=journal_admission,
         )
         self.state = ShardState.UP
@@ -157,22 +155,14 @@ class ClusterShard:
 
     # -- the request surface (the router's; same names on a remote shard),
     # forwarded at call time so patching ``shard.service`` patches it ----
-    def admit(self, request) -> None:
-        self.service.admit(request)
+    def admit(self, request) -> ServeTicket:
+        return self.service.admit(request)
 
     def steal_requests(self, max_n: int) -> list:
         return self.service.steal_requests(max_n)
 
     def confirm_stolen(self, request) -> None:
         self.service.confirm_stolen(request)
-
-    @property
-    def on_resolve(self):
-        return self.service.on_resolve
-
-    @on_resolve.setter
-    def on_resolve(self, hook) -> None:
-        self.service.on_resolve = hook
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> "ClusterShard":

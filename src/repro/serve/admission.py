@@ -90,12 +90,12 @@ def raise_seq_floor(journals) -> int:
     return floor
 
 
-#: Every :class:`ServeRequest` field's life, declared once.
-#: ``durable`` fields ride the journalled ``admit`` record
-#: (:meth:`ServeRequest.admit_data`, in this order — the record's key
-#: order); ``wire`` fields cross the MWRPC01 submit frame with the
-#: pickled record but are not journalled; ``local`` fields mean
-#: something only in the process holding the record. A field missing
+#: Every :class:`ServeRequest` field's life, declared once. ``durable``
+#: fields ride the journalled ``admit`` record (in this order, the
+#: record's key order: :meth:`ServeRequest.admit_data`); ``wire`` fields
+#: cross the MWRPC01 submit frame with them but are not journalled;
+#: ``local`` fields are never pickled — they mean something only in the
+#: process holding the record, which stamps its own. A field missing
 #: here fails ``tests/serve/test_request_record.py``, and DESIGN's
 #: "life of a request" table is rendered from it.
 FIELD_LIFE = {
@@ -107,6 +107,7 @@ FIELD_LIFE = {
     "submitted_at": "local", "ticket": "local",
 }
 _DURABLE = tuple(name for name, life in FIELD_LIFE.items() if life == "durable")
+_PICKLED = tuple(name for name, life in FIELD_LIFE.items() if life != "local")
 
 
 @dataclass
@@ -121,7 +122,7 @@ class ServeRequest:
     :meth:`SpeculationService.admit <repro.serve.service.SpeculationService.admit>`,
     pickled into the shard RPC's submit frame, and (its durable part)
     into the ``admit`` record. An identity-only request (a steal
-    hand-back, a result push) is ``ServeRequest(tenant, (), seq=...)``.
+    hand-back) is ``ServeRequest(tenant, (), seq=...)``.
 
     ``alternatives`` are whatever :func:`repro.core.worlds.run_alternatives`
     accepts. ``deadline_s`` is *absolute* (``time.monotonic`` scale,
@@ -153,10 +154,15 @@ class ServeRequest:
     #: (:attr:`~repro.serve.policy.AdaptiveSpeculationPolicy.class_max_k`)
     #: to widen or tighten K per class. Empty string = unclassified.
     request_class: str = ""
-    #: the caller's handle, when the caller is in this process: set by
-    #: ``SpeculationService.submit``, None on router-built requests (so
-    #: nothing unpicklable reaches the wire) and on stolen ones.
+    #: the ticket of the service now holding the request: set by
+    #: ``SpeculationService.admit``, cleared as it resolves.
     ticket: Any = None
+
+    def __getstate__(self) -> dict:
+        return {name: getattr(self, name) for name in _PICKLED}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, ticket=None, submitted_at=time.monotonic())
 
     @classmethod
     def build(

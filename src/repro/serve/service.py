@@ -35,9 +35,11 @@ hogging its share.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import threading
 import time
 import zlib
+from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Sequence
@@ -139,10 +141,34 @@ class ServeTicket:
         self.seq = seq
         self._done = threading.Event()
         self._result: Any = None
+        self._callbacks: deque = deque()
 
     def _resolve(self, result: Any) -> None:
         self._result = result
         self._done.set()
+        self._run_callbacks()
+
+    def add_done_callback(self, fn) -> None:
+        """Call ``fn(result)`` once, when the ticket resolves: on the
+        resolving thread (a worker, or a shard client's reader — so it
+        must not block), or here at once if it already has. A raising
+        ``fn`` stops neither the other callbacks nor that thread."""
+        self._callbacks.append(fn)
+        if self._done.is_set():
+            self._run_callbacks()
+
+    def _run_callbacks(self) -> None:
+        # no lock: whoever drains — the resolver or a late adder — pops
+        # each callback atomically, so every one runs exactly once
+        while True:
+            try:
+                fn = self._callbacks.popleft()
+            except IndexError:
+                return
+            try:
+                fn(self._result)
+            except Exception:  # noqa: BLE001 - a callback never kills its thread
+                pass
 
     @property
     def done(self) -> bool:
@@ -231,12 +257,9 @@ class SpeculationService:
         instead of re-running). Off by default — a purely in-memory
         service has no restart story to pay for.
     on_resolve:
-        Shard-aware hook: called as ``on_resolve(request, result)``
-        after a (non-shadow) request's ticket resolves. A cluster
-        router uses it to settle its own per-request record — and to
-        re-route ``cancelled`` results carrying a ``retry_after_s``
-        hint instead of failing the caller. Exceptions are swallowed;
-        the hook must not block.
+        ``on_resolve(request, result)``, subscribed to each ticket
+        :meth:`admit` returns: it runs on the resolving thread, so it
+        must not block.
     """
 
     def __init__(
@@ -368,9 +391,9 @@ class SpeculationService:
     def crash(self) -> None:
         """Kill the service the way a dead shard dies: nothing graceful.
 
-        The cluster failover simulation primitive. Ticket resolution and
-        the ``on_resolve`` hook are suppressed from this point on — a
-        crashed process reports nothing — the queue closes without the
+        The cluster failover simulation primitive. Ticket resolution is
+        suppressed from this point on — a crashed process reports
+        nothing — the queue closes without the
         shutdown shed/cancel courtesy and empties as it closes (nothing
         only queued ever runs, as after ``kill -9``; restore re-admits it
         from its sealed admit), and workers are joined so that in-flight
@@ -394,10 +417,10 @@ class SpeculationService:
     def steal_requests(self, max_n: int) -> list[ServeRequest]:
         """Give up to ``max_n`` queued requests to another dispatcher.
 
-        The cluster work-stealing hook: the stolen requests' tickets are
-        detached (this service will never resolve them — the stealing
-        router re-places them under the same ``seq``, which keeps the
-        journal block id and hence exactly-once intact).
+        The cluster work-stealing hook: this service will never resolve
+        the stolen requests' tickets — the stealing router re-places
+        them under the same ``seq``, which keeps the journal block id
+        and hence exactly-once intact.
 
         The admit ledger line stays **sealed** here: the hand-off is
         not durable until the thief journals its own admit, and marking
@@ -407,10 +430,7 @@ class SpeculationService:
         then a crash leaves (at worst) two sealed admits, which restore
         deduplicates as superseded.
         """
-        stolen = self.queue.steal(max_n)
-        for request in stolen:
-            request.ticket = None
-        return stolen
+        return self.queue.steal(max_n)
 
     def confirm_stolen(self, request: ServeRequest) -> None:
         """Close the admit ledger line of a durably stolen request.
@@ -481,7 +501,7 @@ class SpeculationService:
             build_alternatives, report.dropped,
         ):
             # admit() finds the sealed admit and reuses it
-            report.tickets[request.seq] = svc._admit_ticketed(request)
+            report.tickets[request.seq] = svc.admit(request)
             report.re_admitted.append(request.seq)
         note_restore(
             kwargs.get("obs"), "service", cat="serve", track="journal",
@@ -524,27 +544,25 @@ class SpeculationService:
         :class:`~repro.errors.AdmissionRejected` under backpressure and
         :class:`~repro.errors.ServiceStopped` when not running.
         """
-        return self._admit_ticketed(ServeRequest.build(
+        return self.admit(ServeRequest.build(
             tenant, alternatives, initial=initial, priority=priority,
             deadline_s=deadline_s, timeout=timeout, cost=cost, seq=seq,
             spec=spec, request_class=request_class,
         ))
 
-    def _admit_ticketed(self, request: ServeRequest) -> ServeTicket:
-        request.ticket = ServeTicket(request.tenant, request.seq)
-        self.admit(request)
-        return request.ticket
-
-    def admit(self, request: ServeRequest) -> None:
-        """Take ``request`` as built: the shard surface.
+    def admit(self, request: ServeRequest) -> ServeTicket:
+        """Take ``request`` as built and return its fresh ticket, the one
+        way its result travels: the shard surface.
 
         What a cluster router (directly, or through the shard host's
-        ``submit`` RPC) calls on the shard it picked, and what
-        :meth:`submit` ends in. The request resolves through its
-        ``ticket`` (if it carries one) and the ``on_resolve`` hook.
+        ``admit`` RPC) calls on the shard it picked, and what
+        :meth:`submit` ends in.
         """
         if not self._running:
             raise ServiceStopped("service is not running (call start())")
+        request.ticket = ticket = ServeTicket(request.tenant, request.seq)
+        if self.on_resolve is not None:
+            ticket.add_done_callback(functools.partial(self.on_resolve, request))
         request.submitted_at = time.monotonic()
         try:
             self.queue.offer(request)
@@ -553,6 +571,7 @@ class SpeculationService:
             raise
         self._journal_admit(request)
         self._maybe_burst(request)
+        return ticket
 
     def _journal_admit(self, request: ServeRequest) -> None:
         """Seal an ``admit`` txn for ``request`` (journalled admission).
@@ -619,13 +638,7 @@ class SpeculationService:
         # always at least as durable as what the journal says
         self._settle_admit(request, result.status)
         ticket, request.ticket = request.ticket, None
-        if ticket is not None:
-            ticket._resolve(result)
-        if self.on_resolve is not None:
-            try:
-                self.on_resolve(request, result)
-            except Exception:  # noqa: BLE001 - the hook must not kill a worker
-                pass
+        ticket._resolve(result)
 
     def _count_status(self, tenant: str, status: str) -> None:
         if self._requests_c is not None:

@@ -38,10 +38,8 @@ def alts(i):
 
 
 def admit(shard, tenant, alternatives):
-    """Hand the shard one request, as the router does; returns its seq."""
-    request = ServeRequest.build(tenant, alternatives)
-    shard.admit(request)
-    return request.seq
+    """Hand the shard one request, as the router does; returns its ticket."""
+    return shard.admit(ServeRequest.build(tenant, alternatives))
 
 
 def slow_val(ws, i=0):
@@ -112,15 +110,10 @@ class TestLifecycle:
     def test_submit_resolves_and_journals(self, tmp_path):
         shard = make_remote(0, tmp_path)
         shard.start()
-        resolved = []
-        shard.on_resolve = lambda req, res: resolved.append((req.seq, res))
         try:
-            seq = admit(shard, "t0", alts(3))
-            deadline = time.monotonic() + 10
-            while not resolved and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert resolved and resolved[0][0] == seq
-            result = resolved[0][1]
+            ticket = admit(shard, "t0", alts(3))
+            result = ticket.result(timeout=10)
+            assert result.seq == ticket.seq
             assert result.status == "committed"
             assert result.outcome.winner.value == 21
         finally:
@@ -129,7 +122,22 @@ class TestLifecycle:
         applied = [
             i["data"]["block"] for i, _ in shard.journal.applied_intents("block")
         ]
-        assert applied == [seq]
+        assert applied == [ticket.seq]
+
+    def test_stolen_and_stopped_tickets_leave_the_table(self, tmp_path):
+        # the host never resolves a stolen request, nor anything once dead
+        shard = make_remote(0, tmp_path, slots=1, workers=1)
+        shard.start()
+        try:
+            tickets = [admit(shard, "t0", slow_alts(i)) for i in range(4)]
+            stolen = shard.steal_requests(2)
+            assert len(stolen) == 2
+            assert {r.seq for r in stolen}.isdisjoint(shard._tickets)
+        finally:
+            shard.stop(drain=False)
+        assert shard._tickets == {}
+        kept = [t for t in tickets if t.seq not in {r.seq for r in stolen}]
+        assert all(t.done for t in kept)
 
     def test_crash_is_sigkill_grade(self, tmp_path):
         shard = make_remote(0, tmp_path)
@@ -183,6 +191,32 @@ class TestRemoteCluster:
             assert all(r.committed for r in results)
             audit = router.audit_applied()
             assert all(audit.get(r.seq, 0) == 1 for r in results)
+        finally:
+            router.stop()
+
+    def test_a_request_queued_on_a_killed_local_shard_relands_remote(self, tmp_path):
+        """The request still holds the dead local service's ticket when it
+        re-lands: only its durable and wire fields cross to the host."""
+        local = ClusterShard(0, slots=1, workers=1)
+        router = ClusterRouter(
+            [local, make_remote(1, tmp_path)], spill=False, steal=False
+        ).start(detect=False)
+        try:
+            tenant = next(
+                t for t in (f"t{i}" for i in range(100)) if router.ring.route(t) == 0
+            )
+            first = router.submit(tenant, slow_alts(1))
+            deadline = time.monotonic() + 10
+            while local.idle_slots() and time.monotonic() < deadline:
+                time.sleep(0.001)
+            second = router.submit(tenant, alts(2))
+            assert local.backlog() == 1
+            router.kill_shard(0)
+            router.takeover(0)
+            result = second.result(timeout=30)
+            assert result.committed and result.value == 14
+            assert result.shard_id == 1 and result.failover == "relanded"
+            assert first.result(timeout=30).committed
         finally:
             router.stop()
 
@@ -417,14 +451,10 @@ class TestTransportFaults:
         plan = FaultPlan(seed=11, rates={FaultKind.TORN_FRAME: 0.3})
         shard = make_remote(0, tmp_path, fault_plan=plan)
         shard.start()
-        resolved = []
-        shard.on_resolve = lambda req, res: resolved.append(req.seq)
         try:
-            seqs = [admit(shard, f"t{i % 3}", alts(i)) for i in range(10)]
-            deadline = time.monotonic() + 20
-            while len(resolved) < len(seqs) and time.monotonic() < deadline:
-                time.sleep(0.02)
-            assert sorted(resolved) == sorted(seqs)
+            tickets = [admit(shard, f"t{i % 3}", alts(i)) for i in range(10)]
+            seqs = [t.seq for t in tickets]
+            assert [t.result(timeout=20).seq for t in tickets] == seqs
         finally:
             shard.stop()
         torn = [r for r in plan.injections if r["kind"] == "torn-frame"]
@@ -442,14 +472,10 @@ class TestTransportFaults:
         )
         shard = make_remote(0, tmp_path, fault_plan=plan, call_timeout_s=0.15)
         shard.start()
-        resolved = []
-        shard.on_resolve = lambda req, res: resolved.append(req.seq)
         try:
-            seqs = [admit(shard, f"t{i % 3}", alts(i)) for i in range(8)]
-            deadline = time.monotonic() + 30
-            while len(set(resolved)) < len(seqs) and time.monotonic() < deadline:
-                time.sleep(0.02)
-            assert sorted(set(resolved)) == sorted(seqs)
+            tickets = [admit(shard, f"t{i % 3}", alts(i)) for i in range(8)]
+            seqs = [t.seq for t in tickets]
+            assert [t.result(timeout=30).seq for t in tickets] == seqs
         finally:
             shard.stop()
         stalls = [r for r in plan.injections if r["kind"] == "socket-stall"]
@@ -462,37 +488,51 @@ class TestTransportFaults:
     def test_reset_replays_unacked_pushes_exactly_once(self, tmp_path):
         # resolve pushes lost in flight stay in the host's outbox (never
         # acked); the connection after a reset must replay every one of
-        # them, once, and an acked event must never come back
+        # them, once, and an acked event must never come back. Frames are
+        # counted where they arrive: the ticket table alone would hide a
+        # duplicate
         shard = make_remote(0, tmp_path)
         shard.start()
-        resolved, lost = [], []
-        shard.on_resolve = lambda req, res: resolved.append(req.seq)
+        lost, frames, acked = [], [], []
+        dispatch = shard._dispatch_push
+
+        def counted(sock, msg):
+            frames.append(msg["event"])
+            dispatch(sock, msg)  # resolves the ticket, then acks
+            acked.append(msg["event"])
+
+        def wait_for(events, n):
+            deadline = time.monotonic() + 20
+            while len(events) < n and time.monotonic() < deadline:
+                time.sleep(0.02)
+
         shard._dispatch_push = lambda sock, msg: lost.append(msg["event"])
         try:
-            seqs = [admit(shard, f"t{i % 3}", alts(i)) for i in range(6)]
-            deadline = time.monotonic() + 20
-            while len(lost) < len(seqs) and time.monotonic() < deadline:
-                time.sleep(0.02)
-            assert sorted(lost) == list(range(1, len(seqs) + 1))
-            assert resolved == []
+            tickets = [admit(shard, f"t{i % 3}", alts(i)) for i in range(6)]
+            wait_for(lost, 6)
+            assert sorted(lost) == list(range(1, 7))
+            assert not any(t.done for t in tickets)
 
-            del shard._dispatch_push  # the real one again
+            shard._dispatch_push = counted
             shard._drop_conn(ConnectionResetError("reset"))  # seen by both ends
+            deadline = time.monotonic() + 20
             while not shard.answers_heartbeat():  # reconnects
                 assert time.monotonic() < deadline
-            while len(resolved) < len(seqs) and time.monotonic() < deadline:
-                time.sleep(0.02)
-            assert sorted(resolved) == sorted(seqs)
+            wait_for(acked, 6)
+            assert [t.result(timeout=0).seq for t in tickets] == [
+                t.seq for t in tickets
+            ]
 
             # all acked now: another reset replays nothing old
             shard._drop_conn(ConnectionResetError("reset"))
-            seqs.append(admit(shard, "t0", alts(9)))
-            while len(resolved) < len(seqs) and time.monotonic() < deadline:
-                time.sleep(0.02)
+            tickets.append(admit(shard, "t0", alts(9)))
+            assert tickets[-1].result(timeout=20).committed
+            wait_for(acked, 7)
             time.sleep(0.2)  # room for a stray duplicate to show up
-            assert sorted(resolved) == sorted(seqs)
+            assert sorted(frames) == list(range(1, 8))
         finally:
             shard.stop()
+        assert shard._tickets == {}
 
     def test_connect_refused_beats_fail_but_recover(self, tmp_path):
         # seed 3 refuses beats 13-15, 20, 26, 28: bursts of failure that

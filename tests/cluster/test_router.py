@@ -88,6 +88,38 @@ class TestPlacement:
         assert all(audit[r.seq] == 1 for r in results)
 
 
+class _ResolvesBeforeAdmitReturns(ClusterShard):
+    """A shard whose ``admit`` returns only once its service has resolved
+    the request — as a remote shard's result push may beat its reply."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.resolved = threading.Event()
+        resolve = self.service._resolve
+
+        def resolved(request, result):
+            resolve(request, result)
+            self.resolved.set()
+
+        self.service._resolve = resolved
+
+    def admit(self, request):
+        ticket = super().admit(request)
+        assert self.resolved.wait(10)
+        return ticket
+
+
+def test_a_request_resolved_before_admit_returns_settles_on_its_shard():
+    """The router records where a request rests before it listens for
+    the result, so an early resolution still names the shard (it read
+    -1 when the shard's resolve hook could run first)."""
+    shard = _ResolvesBeforeAdmitReturns(0, slots=1, workers=1)
+    with ClusterRouter([shard]).start(detect=False) as router:
+        result = router.submit("t", value_alts(5)).result(timeout=10)
+    assert result.committed and result.value == 5
+    assert result.shard_id == 0
+
+
 class TestSpillAndSteal:
     def test_saturated_home_spills_to_idle_shard(self):
         shards = [ClusterShard(i, slots=1, workers=1) for i in range(2)]
@@ -301,7 +333,7 @@ class _FirstTarget:
                     ))
                 if self.raises is not None:
                     raise self.raises()
-            admit(request)
+            return admit(request)
 
         shard.service.admit = probed
 

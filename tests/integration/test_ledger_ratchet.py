@@ -20,9 +20,9 @@ from tests.journal.test_group import CountingStorage
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
 
 #: ROADMAP's "locks / conditions in `serve/` + `cluster/`" row
-LOCKS_CEILING = 13
+LOCKS_CEILING = 12
 #: ROADMAP's "`serve/` + `cluster/` lines" row (`wc -l`)
-LINES_CEILING = 4843
+LINES_CEILING = 4810
 #: ROADMAP's "`fsync`s per `cluster_remote` op" row
 APPENDS_PER_REQUEST_CEILING = 3
 #: ROADMAP's "durable appends made while the request holds its slots" row
@@ -284,5 +284,17 @@ def test_router_lands_through_one_ledger_question_and_one_shard_surface():
     )
     assert ".service." not in code, (
         "cluster/router.py reaches through shard.service: use the flat "
-        "shard surface (admit / steal_requests / confirm_stolen / on_resolve)"
+        "shard surface (admit, which returns the ticket / steal_requests / "
+        "confirm_stolen)"
+    )
+
+
+def test_a_result_reaches_the_cluster_only_through_its_ticket():
+    hooked = [
+        path.name for path in sorted((SRC / "cluster").glob("*.py"))
+        if "on_resolve" in _code_only(path)
+    ]
+    assert not hooked, (
+        f"on_resolve in {hooked}: subscribe to the ticket admit returns "
+        "(ServeTicket.add_done_callback) instead of setting a hook"
     )

@@ -36,10 +36,10 @@ WHO = {
     "cost": ("`submit` caller", "DRR dequeue price"),
     "seq": ("`build` (`next_seq`), or the restore path", "journal block id, router table key, result"),
     "submitted_at": ("`admit`, on arrival at each service", "`queue_wait_s`, `latency_s`"),
-    "shadow": ("`_maybe_burst`", "skips journal, ticket, hook and stealing"),
+    "shadow": ("`_maybe_burst`", "skips journal, ticket resolution and stealing"),
     "spec": ("`submit` caller", "`build_alternatives(spec)` at restore"),
     "request_class": ("`submit` caller", "`policy.decide(..., request_class=)`"),
-    "ticket": ("`SpeculationService.submit`; cleared by steal / resolve", "`_resolve`"),
+    "ticket": ("`SpeculationService.admit`, on arrival at each service; cleared by resolve", "`_resolve`"),
 }
 
 
@@ -70,15 +70,14 @@ def populated() -> ServeRequest:
     )
 
 
-def over_wire(request: ServeRequest) -> ServeRequest:
-    """As the shard host receives it: framed, unframed, admitted."""
-    # what a router builds carries no ticket; a live one cannot be framed
-    with pytest.raises(TypeError):
-        pack_frame(request)
-    arrived = unpack_frame(pack_frame(dataclasses.replace(request, ticket=None)))
+def over_wire(request: ServeRequest) -> tuple[ServeRequest, ServeTicket]:
+    """As the shard host receives it: framed, unframed, admitted — and
+    the ticket that admission returned. A live ticket frames: local
+    fields stay behind."""
+    arrived = unpack_frame(pack_frame(request))
     with SpeculationService(WorldBudget(1), workers=1) as svc:
-        svc.admit(arrived)
-    return arrived
+        ticket = svc.admit(arrived)
+    return arrived, ticket
 
 
 def over_journal(request: ServeRequest) -> tuple[dict, ServeRequest]:
@@ -109,7 +108,7 @@ def test_field_lands_where_it_is_declared(name):
     sent, blank = populated(), ServeRequest("", ())
     value = getattr(sent, name)
     assert value != getattr(blank, name), f"populated() leaves {name} at its default"
-    arrived = over_wire(sent)
+    arrived, ticket = over_wire(sent)
     data, restored = over_journal(sent)
     journalled = ("request" if name == "seq" else name) in data
     assert journalled == (life == "durable")
@@ -117,7 +116,8 @@ def test_field_lands_where_it_is_declared(name):
         assert getattr(restored, name) == value
     if life == "local":
         assert getattr(arrived, name) != value  # the receiver's own
-        assert arrived.ticket is None and arrived.submitted_at > 0
+        # a shadow is never resolved, so it keeps the service's ticket
+        assert arrived.ticket is ticket and arrived.submitted_at > 0
     else:
         assert getattr(arrived, name) == value
 
