@@ -53,7 +53,7 @@ from typing import Any, Sequence
 from repro.analysis.overhead import OverheadBreakdown
 from repro.core.alternative import Alternative
 from repro.core.backend import BlockRun
-from repro.core.outcome import BlockOutcome
+from repro.core.outcome import ELIMINATED, TIMEOUT_KILLED, BlockOutcome
 from repro.core.policy import EliminationPolicy
 from repro.errors import WorldsError
 from repro.faults.plan import ASYNCIO_SITE, FaultDecision, FaultKind
@@ -111,7 +111,7 @@ async def _world(
                 await asyncio.sleep(fault.param)
             elif fault.kind is FaultKind.GUARD_EXCEPTION:
                 await reports.put(
-                    (index, "fail",
+                    (index, "guard",
                      f"guard {alt.guard.name!r} raised (injected exception)",
                      None, t0)
                 )
@@ -122,13 +122,13 @@ async def _world(
                 raise RuntimeError(f"injected {fault.kind.value}")
         if not alt.guard.passes_entry(workspace):
             await reports.put(
-                (index, "fail", f"guard {alt.guard.name!r} rejected entry", None, t0)
+                (index, "guard", f"guard {alt.guard.name!r} rejected entry", None, t0)
             )
             return
         value = await _call_alternative(alt, workspace)
         if not alt.guard.passes_result(workspace, value):
             await reports.put(
-                (index, "fail", f"guard {alt.guard.name!r} rejected result", None, t0)
+                (index, "guard", f"guard {alt.guard.name!r} rejected result", None, t0)
             )
             return
         await reports.put((index, "ok", value, workspace, t0))
@@ -225,10 +225,13 @@ async def alt_block_async(
         if status == "ok":
             run.accept(index, payload, workspace, elapsed_s=elapsed)
         else:
-            run.reject(index, str(payload), elapsed_s=elapsed)
+            run.reject(
+                index, str(payload), guard_failed=status == "guard",
+                elapsed_s=elapsed,
+            )
 
     # elimination: cancellation is the kill signal of this substrate
-    label = "eliminated (task cancelled)" if run.winner is not None else "timeout-killed"
+    label = ELIMINATED if run.winner is not None else TIMEOUT_KILLED
     pending = {i: t for i, t in tasks.items() if not t.done()}
     for task in pending.values():
         task.cancel()

@@ -628,8 +628,9 @@ def run_remote_incarnation(
     router fence it before walking on), then gets its ``SIGCONT``. The
     fault plan's ``transport`` site decides which hosts suffer what (one
     survivor always kept); every request must still commit its
-    deterministic value, and the cross-journal audit must show exactly
-    one applied ``block`` txn per commit.
+    deterministic value, the cross-journal audit must show exactly
+    one applied ``block`` txn per commit, and no host may outlive
+    ``router.stop()``.
 
     Returns ``(violations, hosts_killed)`` so :func:`run_soak` can merge
     the outcome into its report.
@@ -706,6 +707,14 @@ def run_remote_incarnation(
                 ))
     finally:
         router.stop()
+        for shard in remotes:
+            if shard.process_alive():
+                violations.append(Violation(
+                    kind="remote-host-unreaped",
+                    episode=-1,
+                    detail=f"seed {seed}: host {shard.shard_id} (pid "
+                           f"{shard.pid}) still alive after router.stop()",
+                ))
         if not violations:
             # keep the host journals for post-mortem only on failure
             shutil.rmtree(scratch, ignore_errors=True)

@@ -88,6 +88,7 @@ from repro.errors import (
 )
 from repro.faults.plan import TRANSPORT_SITE, FaultKind
 from repro.journal import CommitJournal, FileJournalStorage, MemoryJournalStorage
+from repro.obs import or_null
 from repro.runtime.child import ChildProcess
 from repro.serve.admission import ServeRequest
 from repro.serve.service import ServeTicket
@@ -482,7 +483,7 @@ class RemoteShardClient:
         self._hb_policy = RetryPolicy(max_retries=0, deadline_s=heartbeat_timeout_s)
         self.fault_plan = fault_plan
         self.host_fault_plan = host_fault_plan
-        self.obs = obs
+        self.obs = obs = or_null(obs)
         self.state = ShardState.UP
         self.incarnation = 0
         self.lease = None  # set by the router, like a local shard
@@ -507,48 +508,40 @@ class RemoteShardClient:
         self._journal: CommitJournal | None = None
         self._started = False
         self._stopped_in = False  # SIGSTOP bookkeeping for sigcont()
-        self._rpc_c = self._retry_c = self._breaker_c = self._lat_h = None
-        self._breaker_g = None
-        if obs is not None:
-            reg = obs.registry
-            self._rpc_c = reg.counter(
-                "mw_transport_rpcs_total", "Shard RPCs by op and outcome",
-                labelnames=("shard", "op", "status"),
-            )
-            self._retry_c = reg.counter(
-                "mw_transport_retries_total", "Shard RPC resends",
-                labelnames=("shard", "op"),
-            )
-            self._breaker_c = reg.counter(
-                "mw_transport_breaker_transitions_total",
-                "Circuit-breaker state transitions",
-                labelnames=("shard", "to"),
-            )
-            self._breaker_g = reg.gauge(
-                "mw_transport_breaker_open",
-                "1 while a shard's circuit breaker is open",
-                labelnames=("shard",),
-            )
-            self._lat_h = reg.histogram(
-                "mw_transport_rpc_latency_seconds",
-                "Successful RPC round-trip latency",
-                buckets=_RPC_LATENCY_BUCKETS,
-            )
-            if fault_plan is not None:
-                obs.watch_fault_plan(fault_plan)
+        reg = obs.registry
+        self._rpc_c = reg.counter(
+            "mw_transport_rpcs_total", "Shard RPCs by op and outcome",
+            labelnames=("shard", "op", "status"),
+        )
+        self._retry_c = reg.counter(
+            "mw_transport_retries_total", "Shard RPC resends",
+            labelnames=("shard", "op"),
+        )
+        self._breaker_c = reg.counter(
+            "mw_transport_breaker_transitions_total",
+            "Circuit-breaker state transitions",
+            labelnames=("shard", "to"),
+        )
+        self._breaker_g = reg.gauge(
+            "mw_transport_breaker_open",
+            "1 while a shard's circuit breaker is open",
+            labelnames=("shard",),
+        )
+        self._lat_h = reg.histogram(
+            "mw_transport_rpc_latency_seconds",
+            "Successful RPC round-trip latency",
+            buckets=_RPC_LATENCY_BUCKETS,
+        )
+        if fault_plan is not None:
+            obs.watch_fault_plan(fault_plan)
 
     # -- obs helpers -------------------------------------------------------
     def _note_breaker(self, to: str) -> None:
-        if self._breaker_c is not None:
-            self._breaker_c.inc(shard=str(self.shard_id), to=to)
-        if self._breaker_g is not None:
-            self._breaker_g.set(
-                1.0 if to == "open" else 0.0, shard=str(self.shard_id)
-            )
+        self._breaker_c.inc(shard=self.shard_id, to=to)
+        self._breaker_g.set(1.0 if to == "open" else 0.0, shard=self.shard_id)
 
     def _count_rpc(self, op: str, status: str) -> None:
-        if self._rpc_c is not None:
-            self._rpc_c.inc(shard=str(self.shard_id), op=op, status=status)
+        self._rpc_c.inc(shard=self.shard_id, op=op, status=status)
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> "RemoteShardClient":
@@ -856,12 +849,11 @@ class RemoteShardClient:
         call_no = next(self._call_seq)
         token = f"shard{self.shard_id}:{op}:{call_no}"
         plan = self.fault_plan
-        span_id = -1
-        if self.obs is not None and op not in ("ping",):
-            span_id = self.obs.tracer.begin(
-                f"rpc:{op}", cat="transport", track="transport",
-                shard=self.shard_id, op=op,
-            )
+        tracer = self.obs.tracer
+        span_id = -1 if op == "ping" else tracer.begin(
+            f"rpc:{op}", cat="transport", track="transport",
+            shard=self.shard_id, op=op,
+        )
         started = time.monotonic()
         sent = False  # did any attempt get as far as writing the frame?
 
@@ -932,29 +924,21 @@ class RemoteShardClient:
             )
         except RetriesExhausted as exc:
             self._count_rpc(op, "unreachable")
-            if span_id >= 0:
-                self.obs.tracer.end(span_id, disposition="aborted",
-                                    attempts=exc.attempts)
+            tracer.end(span_id, disposition="aborted", attempts=exc.attempts)
             raise ShardUnreachable(
                 f"shard {self.shard_id} {op}: {exc}", sent=sent
             ) from exc
         self.breaker.record_ok()
-        if stats.retries and self._retry_c is not None:
-            self._retry_c.inc(
-                stats.retries, shard=str(self.shard_id), op=op
-            )
-        if self._lat_h is not None:
-            self._lat_h.observe(time.monotonic() - started)
+        if stats.retries:
+            self._retry_c.inc(stats.retries, shard=self.shard_id, op=op)
+        self._lat_h.observe(time.monotonic() - started)
         if not response.get("ok", False):
             self._count_rpc(op, "error")
-            if span_id >= 0:
-                self.obs.tracer.end(span_id, disposition="aborted",
-                                    error=response.get("error_type", ""))
+            tracer.end(span_id, disposition="aborted",
+                       error=response.get("error_type", ""))
             raise self._rebuild_error(response)
         self._count_rpc(op, "ok")
-        if span_id >= 0:
-            self.obs.tracer.end(span_id, disposition="committed",
-                                attempts=stats.attempts)
+        tracer.end(span_id, disposition="committed", attempts=stats.attempts)
         return response.get("value")
 
     @staticmethod

@@ -79,6 +79,7 @@ from repro.errors import (
 from repro.faults.plan import CLUSTER_SITE, FaultKind
 from repro.journal import replay_block_win, request_fate
 from repro.journal.recovery import RecoveryReport, recover, settle_best_effort
+from repro.obs import or_null
 from repro.cluster.ring import HashRing
 from repro.cluster.shard import ClusterShard, ShardState
 from repro.serve.admission import ServeRequest, raise_seq_floor
@@ -245,7 +246,7 @@ class ClusterRouter:
         self.spill = spill
         self.steal = steal
         self.fault_plan = fault_plan
-        self.obs = obs
+        self.obs = obs = or_null(obs)
         #: zero-arg callable returning a fresh (unstarted) in-process
         #: shard: when a landing finds *no* surviving candidate (e.g.
         #: every remote shard unreachable), the router adopts one local
@@ -263,16 +264,6 @@ class ClusterRouter:
         self._beat = 0
         self._vclock = 0.0
         self._detector: threading.Thread | None = None
-        self._metrics_init(obs)
-        for shard in shards:
-            self._adopt(shard)
-
-    # -- telemetry ---------------------------------------------------------
-    def _metrics_init(self, obs) -> None:
-        self._req_c = self._spill_c = self._steal_c = None
-        self._takeover_c = self._failover_c = self._miss_c = self._up_g = None
-        if obs is None:
-            return
         reg = obs.registry
         self._req_c = reg.counter(
             "mw_cluster_requests_total", "Requests placed, by shard",
@@ -305,16 +296,13 @@ class ClusterRouter:
         self._up_g = reg.gauge(
             "mw_cluster_shards_up", "Ring members currently believed up"
         )
-        if self.fault_plan is not None:
-            obs.watch_fault_plan(self.fault_plan)
-
-    def _count(self, counter, **labels) -> None:
-        if counter is not None:
-            counter.inc(**{k: str(v) for k, v in labels.items()})
+        if fault_plan is not None:
+            obs.watch_fault_plan(fault_plan)
+        for shard in shards:
+            self._adopt(shard)
 
     def _set_up_gauge(self) -> None:
-        if self._up_g is not None:
-            self._up_g.set(float(sum(1 for s in self._shards.values() if s.up)))
+        self._up_g.set(float(sum(1 for s in self._shards.values() if s.up)))
 
     # -- membership --------------------------------------------------------
     def _adopt(self, shard: ClusterShard) -> None:
@@ -354,7 +342,7 @@ class ClusterRouter:
             self._spare = spare
         spare.start()
         self._adopt(spare)
-        self._count(self._takeover_c, kind="spare-adopted")
+        self._takeover_c.inc(kind="spare-adopted")
         return spare
 
     @property
@@ -539,7 +527,7 @@ class ClusterRouter:
             report.results[rseq] = _replayed_result(
                 intent["data"].get("tenant", "?"), rseq, wsid, outcome
             )
-            router._count(router._failover_c, mode="replayed")
+            router._failover_c.inc(mode="replayed")
         for journal, intent, request in rebuilt_requests(
             unwon, build_alternatives, report.dropped
         ):
@@ -558,7 +546,7 @@ class ClusterRouter:
             ):
                 settle_best_effort(journal, intent["seq"], "superseded")
         note_restore(
-            obs, "cluster", cat="cluster", track="cluster",
+            router.obs, "cluster", cat="cluster", track="cluster",
             shards=len(items), replayed=len(report.replayed),
             re_admitted=len(report.re_admitted),
             superseded=len(report.superseded),
@@ -695,11 +683,9 @@ class ClusterRouter:
                 continue
             with self._lock:
                 rec.shard_id = target.shard_id
-            self._count(self._req_c, shard=target.shard_id)
+            self._req_c.inc(shard=target.shard_id)
             if spilled_from is not None and target is prefer:
-                self._count(
-                    self._spill_c, src=spilled_from.shard_id, dst=target.shard_id
-                )
+                self._spill_c.inc(src=spilled_from.shard_id, dst=target.shard_id)
             # at rest first: a ticket already resolved settles right here
             ticket.add_done_callback(self._on_shard_resolve)
             return "landed"
@@ -739,7 +725,7 @@ class ClusterRouter:
             return False
         rec.shard_id = shard.shard_id
         rec.failover = "replayed"
-        self._count(self._failover_c, mode="replayed")
+        self._failover_c.inc(mode="replayed")
         self._resolve(rec, _replayed_result(
             rec.request.tenant, rec.request.seq, shard.shard_id, outcome,
             rec.attempts,
@@ -783,7 +769,7 @@ class ClusterRouter:
                 return
         # a draining shard shed it with a retry hint: re-route rather
         # than failing the caller (the shutdown-shed satellite payoff)
-        self._count(self._failover_c, mode="rerouted")
+        self._failover_c.inc(mode="rerouted")
         self._reland(
             rec, "re-route", rec.failover or "rerouted", exclude={rec.shard_id}
         )
@@ -862,7 +848,7 @@ class ClusterRouter:
                     self._set_up_gauge()
                 self._maybe_stale_takeover(shard)
                 continue
-            self._count(self._miss_c, shard=shard.shard_id)
+            self._miss_c.inc(shard=shard.shard_id)
             # the lease probed (a synchronous liveness check straight at
             # the shard): that rescues a live shard behind a lost beat,
             # but not one behind a partition — the probe takes the same
@@ -939,7 +925,7 @@ class ClusterRouter:
                 # runs the block) and the source's unresolved admit is
                 # settled by its eventual takeover
                 pass
-            self._count(self._steal_c, src=busy.shard_id, dst=rec.shard_id)
+            self._steal_c.inc(src=busy.shard_id, dst=rec.shard_id)
             moved += 1
         return moved
 
@@ -1012,13 +998,11 @@ class ClusterRouter:
             self._retired.append(shard)
         report["stale"] = False
         self._set_up_gauge()
-        self._count(self._takeover_c, kind=kind)
-        span_id = -1
-        if self.obs is not None:
-            span_id = self.obs.tracer.begin(
-                f"takeover:shard:{shard_id}", cat="cluster", track="cluster",
-                shard=shard_id, kind=kind,
-            )
+        self._takeover_c.inc(kind=kind)
+        span_id = self.obs.tracer.begin(
+            f"takeover:shard:{shard_id}", cat="cluster", track="cluster",
+            shard=shard_id, kind=kind,
+        )
         # 1. fence/crash and join the shard's workers: the journal is
         #    final after this, which is what makes step 3 race-free
         if shard.alive:
@@ -1045,16 +1029,14 @@ class ClusterRouter:
             if verdict != "replayed":
                 spare = self._spare
                 on_spare = spare is not None and rec.shard_id == spare.shard_id
-                self._count(
-                    self._failover_c,
+                self._failover_c.inc(
                     mode="lost" if verdict == "failed"
                     else "spare" if on_spare else "relanded",
                 )
-        if span_id >= 0:
-            self.obs.tracer.end(
-                span_id, disposition="committed", replayed=report["replayed"],
-                relanded=report["relanded"], failed=report["failed"],
-            )
+        self.obs.tracer.end(
+            span_id, disposition="committed", replayed=report["replayed"],
+            relanded=report["relanded"], failed=report["failed"],
+        )
         return report
 
     # -- auditing ----------------------------------------------------------

@@ -19,7 +19,7 @@ one module, not another copy:
   fault decisions, winner acceptance (with the durable
   :func:`~repro.journal.wal.record_block_win` transaction), loser
   labelling, and final :class:`~repro.core.outcome.BlockOutcome`
-  assembly including the :func:`repro.obs.integrate.record_block` hook.
+  assembly including the plane's ``record_block`` hook.
 - :func:`world_body` — what one synchronous world does between spawn
   and report: entry guard, body, result guard, and the loser strings
   the backends must agree on.
@@ -40,6 +40,7 @@ from repro.analysis.overhead import OverheadBreakdown
 from repro.core.alternative import Alternative, GuardPlacement
 from repro.core.outcome import AlternativeResult, BlockOutcome
 from repro.errors import SpawnError, WorldsError
+from repro.obs import or_null
 
 if TYPE_CHECKING:  # import cycle: repro.faults pulls in the supervisor → worlds
     from repro.faults.plan import FaultDecision
@@ -188,7 +189,7 @@ class BlockRun:
         self.block_id = block_id
         self.attempt = attempt
         self.journal = journal
-        self.obs = obs
+        self.obs = or_null(obs)
         self.t_start = time.perf_counter()
         self.winner: AlternativeResult | None = None
         self.winner_ws: dict | None = None
@@ -287,14 +288,15 @@ class BlockRun:
         index: int,
         error: str,
         *,
-        guard_failed: bool | None = None,
+        guard_failed: bool = False,
         elapsed_s: float = 0.0,
     ) -> AlternativeResult:
-        """Label ``index`` a loser (failure, elimination, or timeout)."""
+        """Label ``index`` a loser (failure, elimination, or timeout);
+        ``guard_failed`` is the guard's own verdict, never read from
+        ``error``."""
         loser = AlternativeResult(
             index=index, name=self.alts[index].name, error=error,
-            guard_failed="guard" in error if guard_failed is None else guard_failed,
-            elapsed_s=elapsed_s,
+            guard_failed=guard_failed, elapsed_s=elapsed_s,
         )
         self.losers.append(loser)
         return loser
@@ -319,13 +321,10 @@ class BlockRun:
             outcome.extras["injected_faults"] = self.injected
         if extras:
             outcome.extras.update(extras)
-        if self.obs is not None:
-            from repro.obs.integrate import record_block
-
-            record_block(
-                self.obs, backend=self.backend, block_id=self.block_id,
-                attempt=self.attempt, t_start=self.t_start, outcome=outcome,
-            )
+        self.obs.record_block(
+            backend=self.backend, block_id=self.block_id,
+            attempt=self.attempt, t_start=self.t_start, outcome=outcome,
+        )
         return outcome
 
 
@@ -334,11 +333,14 @@ def world_body(
 ) -> tuple[str, Any]:
     """One synchronous world: entry guard → ``alt.fn`` → result guard.
 
-    Returns ``("ok", value)`` or ``("fail", reason)`` and never raises.
-    Of the ``child``-site faults only the two every backend reads alike
-    are acted on here (SLOW_START delays the body, GUARD_EXCEPTION fails
-    the guard); what a crash, a hang or a broken report means is the
-    calling backend's own business, decided around this call.
+    Returns ``("ok", value)``, ``("guard", reason)`` when the guard
+    rejected the world, or ``("fail", reason)`` when anything else failed,
+    and never raises: the status is the guard verdict the runner passes
+    on as ``guard_failed``. Of the ``child``-site faults only the two
+    every backend reads alike are acted on here (SLOW_START delays the
+    body, GUARD_EXCEPTION fails the guard); what a crash, a hang or a
+    broken report means is the calling backend's own business, decided
+    around this call.
     """
     try:
         if fault is not None and fault.fires:
@@ -347,12 +349,12 @@ def world_body(
             if fault.kind is FaultKind.SLOW_START:
                 time.sleep(fault.param)
             elif fault.kind is FaultKind.GUARD_EXCEPTION:
-                return "fail", f"guard {alt.guard.name!r} raised (injected exception)"
+                return "guard", f"guard {alt.guard.name!r} raised (injected exception)"
         if not alt.guard.passes_entry(workspace):
-            return "fail", f"guard {alt.guard.name!r} rejected entry"
+            return "guard", f"guard {alt.guard.name!r} rejected entry"
         value = alt.fn(workspace)
         if not alt.guard.passes_result(workspace, value):
-            return "fail", f"guard {alt.guard.name!r} rejected result"
+            return "guard", f"guard {alt.guard.name!r} rejected result"
         return "ok", value
     except BaseException as exc:  # noqa: BLE001 - any failure is a loser
         return "fail", f"alternative raised {exc!r}"

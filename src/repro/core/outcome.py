@@ -28,6 +28,13 @@ class _Failure:
 #: Returned as ``BlockOutcome.value`` when every alternative failed.
 FAILURE = _Failure()
 
+#: The error a runner writes on a loser the block itself stopped: a
+#: sibling won, or the block ran out of time. A loser carrying any other
+#: error failed on its own.
+ELIMINATED = "eliminated"
+TIMEOUT_KILLED = "timeout-killed"
+STOPPED_BY_BLOCK = (ELIMINATED, TIMEOUT_KILLED)
+
 
 @dataclass(slots=True)
 class AlternativeResult:

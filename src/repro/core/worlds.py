@@ -26,6 +26,7 @@ from repro.core.backend import (
 from repro.core.outcome import AlternativeResult, BlockOutcome
 from repro.core.policy import EliminationPolicy
 from repro.errors import WorldsError
+from repro.obs import or_null
 
 __doc__ = (__doc__ or "").format(
     backend_list="\n".join(
@@ -56,7 +57,7 @@ def outcome_from_alt(alt_outcome, state: dict | None = None, extras: dict | None
             name=rec.name,
             value=rec.value,
             succeeded=rec.status == "committed",
-            guard_failed="guard" in (rec.reason or "") or rec.status == "guard-rejected",
+            guard_failed=rec.status == "guard-rejected",
             error=rec.reason or None,
             elapsed_s=(rec.finished_at - alt_outcome.spawned_at)
             if rec.finished_at is not None
@@ -176,7 +177,8 @@ def run_alternatives(
     metrics for the block on whichever backend runs it.
     """
     runner = resolve_backend(backend)  # raises before any side effect
-    if obs is not None and fault_plan is not None:
+    obs = or_null(obs)
+    if fault_plan is not None:
         # fault-plane correlation: every injection the backend acts on
         # also lands as an annotation instant + counter increment (the
         # sim kernel wires this itself via KernelObserver)

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import NetworkError
 from repro.faults.plan import HEARTBEAT_SITE, REMOTE_SITE, FaultKind
+from repro.obs import or_null
 
 
 class LeaseState(str, enum.Enum):
@@ -82,16 +83,15 @@ class RemoteWorldLease:
         if self.miss_threshold < 1:
             raise NetworkError("miss_threshold must be at least 1")
         self.last_renewal_s = self.granted_at_s
-        self._span_id = -1
-        if self.obs is not None:
-            track = f"lease:{self.lease_id}"
-            self.obs.tracer.set_track_name(
-                track, f"lease {self.lease_id} · node {self.node_id}"
-            )
-            self._span_id = self.obs.tracer.begin(
-                f"lease:{self.lease_id}", cat="distrib", track=track,
-                t=self.granted_at_s, node=self.node_id, term_s=self.term_s,
-            )
+        self.obs = or_null(self.obs)
+        track = f"lease:{self.lease_id}"
+        self.obs.tracer.set_track_name(
+            track, f"lease {self.lease_id} · node {self.node_id}"
+        )
+        self._span_id = self.obs.tracer.begin(
+            f"lease:{self.lease_id}", cat="distrib", track=track,
+            t=self.granted_at_s, node=self.node_id, term_s=self.term_s,
+        )
         self._log(self.granted_at_s, "granted", f"term={self.term_s:g}s")
 
     # -- bookkeeping -------------------------------------------------------
@@ -103,20 +103,18 @@ class RemoteWorldLease:
 
     def _log(self, at_s: float, event: str, detail: str = "") -> None:
         self.events.append(LeaseEvent(at_s=at_s, event=event, detail=detail))
-        if self.obs is not None:
-            disposition = self._TERMINAL.get(event)
-            if disposition is not None:
-                self.obs.tracer.end(
-                    self._span_id, t=at_s, disposition=disposition,
-                    reason=detail, beats_ok=self.beats_ok,
-                    beats_missed=self.beats_missed,
-                )
-                self._span_id = -1
-            elif event != "granted":
-                self.obs.tracer.instant(
-                    f"lease:{event}", cat="distrib",
-                    track=f"lease:{self.lease_id}", t=at_s, detail=detail,
-                )
+        disposition = self._TERMINAL.get(event)
+        if disposition is not None:
+            self.obs.tracer.end(
+                self._span_id, t=at_s, disposition=disposition,
+                reason=detail, beats_ok=self.beats_ok,
+                beats_missed=self.beats_missed,
+            )
+        elif event != "granted":
+            self.obs.tracer.instant(
+                f"lease:{event}", cat="distrib",
+                track=f"lease:{self.lease_id}", t=at_s, detail=detail,
+            )
 
     @property
     def event_names(self) -> list[str]:

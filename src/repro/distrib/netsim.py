@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from repro.analysis.calibration import NetworkProfile
 from repro.errors import LinkPartitioned, NetworkError, TransferDropped
 from repro.faults.plan import LINK_SITE, FaultKind
+from repro.obs import or_null
 from repro.util.rng import ReplayableRNG
 
 
@@ -120,17 +121,14 @@ class SimulatedLink:
         self.fault_events: list[LinkFaultEvent] = []
         self.arrival_order: list[int] = []
         self._reorder_hold: int | None = None
-        self._xfer_c = None
-        if self.obs is not None:
-            self._xfer_c = self.obs.registry.counter(
-                "mw_net_transfers_total", "Link transfer attempts",
-                labelnames=("link", "result"),
-            )
-            if self.fault_plan is not None:
-                self.obs.watch_fault_plan(self.fault_plan)
-            self.obs.tracer.set_track_name(
-                f"link:{self.link_id}", f"link {self.link_id}"
-            )
+        self.obs = obs = or_null(self.obs)
+        self._xfer_c = obs.registry.counter(
+            "mw_net_transfers_total", "Link transfer attempts",
+            labelnames=("link", "result"),
+        )
+        if self.fault_plan is not None:
+            obs.watch_fault_plan(self.fault_plan)
+        obs.tracer.set_track_name(f"link:{self.link_id}", f"link {self.link_id}")
 
     def transfer_time(self, nbytes: int) -> float:
         """Nominal (jitter- and fault-free) time to ship ``nbytes``."""
@@ -160,8 +158,6 @@ class SimulatedLink:
         self, seq: int, attempt: int, nbytes: int, start: float,
         seconds: float, *, disposition: str, fault: str | None = None,
     ) -> None:
-        if self.obs is None:
-            return
         attrs = {"seq": seq, "attempt": attempt, "nbytes": nbytes}
         if fault is not None:
             attrs["fault"] = fault
@@ -180,8 +176,7 @@ class SimulatedLink:
                     seq=seq, ok=False, fault=FaultKind.LINK_FLAP.value,
                 )
             )
-            if self._xfer_c is not None:
-                self._xfer_c.inc(link=str(self.link_id), result="partitioned")
+            self._xfer_c.inc(link=self.link_id, result="partitioned")
             raise LinkPartitioned(
                 f"link {self.link_id} is partitioned at t={self.clock:.6f}s"
             )
@@ -223,8 +218,7 @@ class SimulatedLink:
                 seq, attempt, nbytes, started, seconds,
                 disposition="aborted", fault=kind.value,
             )
-            if self._xfer_c is not None:
-                self._xfer_c.inc(link=str(self.link_id), result="dropped")
+            self._xfer_c.inc(link=self.link_id, result="dropped")
             raise TransferDropped(
                 f"transfer seq={seq} ({nbytes} bytes) lost on link {self.link_id}"
             )
@@ -241,8 +235,7 @@ class SimulatedLink:
             seq, attempt, nbytes, started, seconds, disposition="committed",
             fault=kind.value if kind is not None else None,
         )
-        if self._xfer_c is not None:
-            self._xfer_c.inc(link=str(self.link_id), result="ok")
+        self._xfer_c.inc(link=self.link_id, result="ok")
         payload_fault = kind if kind in (
             FaultKind.XFER_DUP, FaultKind.XFER_CORRUPT, FaultKind.XFER_REORDER
         ) else None

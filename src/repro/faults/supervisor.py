@@ -43,6 +43,7 @@ from repro.core.outcome import BlockOutcome
 from repro.core.policy import EliminationPolicy, WatchdogPolicy
 from repro.core.worlds import run_alternatives
 from repro.errors import SpawnError, WorldsError
+from repro.obs import or_null
 
 #: The degradation ladder, one row per rung: where work lands when the
 #: rung it was on cannot spawn (or, for ``remote``, loses its lease).
@@ -128,15 +129,14 @@ class Supervisor:
         self.fault_plan = fault_plan
         self.block_id = block_id
         self.journal = journal
-        self.obs = obs
-        if obs is not None and fault_plan is not None:
-            obs.watch_fault_plan(fault_plan)
+        self.obs = or_null(obs)
+        if fault_plan is not None:
+            self.obs.watch_fault_plan(fault_plan)
 
     def _count(self, name: str, help: str = "", **labels: str) -> None:
-        if self.obs is not None:
-            self.obs.registry.counter(
-                name, help, labelnames=tuple(sorted(labels))
-            ).inc(**labels)
+        self.obs.registry.counter(
+            name, help, labelnames=tuple(sorted(labels))
+        ).inc(**labels)
 
     # ------------------------------------------------------------------
     _chain_from = staticmethod(_chain_from)
@@ -178,11 +178,10 @@ class Supervisor:
                     "mw_degradations_total", "Backend fallback hops",
                     src=backend, dst=chain[1],
                 )
-                if self.obs is not None:
-                    self.obs.tracer.instant(
-                        f"degrade:{backend}->{chain[1]}", cat="supervisor",
-                        track="supervisor", attempt=attempt, error=str(exc),
-                    )
+                self.obs.tracer.instant(
+                    f"degrade:{backend}->{chain[1]}", cat="supervisor",
+                    track="supervisor", attempt=attempt, error=str(exc),
+                )
                 chain.pop(0)
 
     # ------------------------------------------------------------------
@@ -284,7 +283,7 @@ class Supervisor:
             "mw_supervised_blocks_total", "Supervised block outcomes",
             result=result,
         )
-        if len(history) > 1 and self.obs is not None:
+        if len(history) > 1:
             self.obs.registry.counter(
                 "mw_retry_waves_total", "Retry waves beyond the first attempt",
             ).inc(float(len(history) - 1))

@@ -79,19 +79,16 @@ class SourceGate(SinkDevice):
         self.real_reads = 0
         self.replayed_reads = 0
         self._committed_worlds: set[int] = set()
-        if journal.obs is not None:
-            # Absorb the gate's ad-hoc counters as callback gauges. A
-            # fresh gate over a recovered journal has the same device
-            # name and simply rebinds the shims to itself.
-            from repro.obs.metrics import bind_attr_gauges
-
-            slug = "".join(c if c.isalnum() else "_" for c in self.name)
-            bind_attr_gauges(
-                journal.obs.registry, self,
-                ("released_bytes", "skipped_bytes", "double_commits",
-                 "real_reads", "replayed_reads"),
-                prefix=f"mw_gate_{slug}",
-            )
+        # Absorb the gate's ad-hoc counters as callback gauges. A fresh
+        # gate over a recovered journal has the same device name and
+        # simply rebinds the shims to itself.
+        slug = "".join(c if c.isalnum() else "_" for c in self.name)
+        journal.obs.registry.attr_gauges(
+            self,
+            ("released_bytes", "skipped_bytes", "double_commits",
+             "real_reads", "replayed_reads"),
+            prefix=f"mw_gate_{slug}",
+        )
 
     @property
     def frontier(self) -> int:

@@ -111,29 +111,24 @@ def recover(
     )
     gate_map = {gate.name: gate for gate in gates}
     obs = journal.obs
-    if obs is not None:
-        with obs.tracer.span("recovery", cat="journal", track="journal") as h:
-            for _ in range(report.passes):
-                _one_pass(journal, gate_map, report, defer_kinds)
-            h.settle(
-                "committed",
-                rolled_forward=len(report.rolled_forward),
-                rolled_back=len(report.rolled_back),
-                skipped=len(report.skipped),
-                deferred=len(report.deferred),
-                quarantined=len(report.quarantined),
-                redone_entries=report.redone_entries,
-                repaired_bytes=report.repaired_bytes,
-                passes=report.passes,
-                clean=report.clean,
-            )
-        c = obs.registry.counter(
-            "mw_recoveries_total", "Recovery passes run", labelnames=("clean",)
-        )
-        c.inc(clean=str(report.clean).lower())
-    else:
+    with obs.tracer.span("recovery", cat="journal", track="journal") as h:
         for _ in range(report.passes):
             _one_pass(journal, gate_map, report, defer_kinds)
+        h.settle(
+            "committed",
+            rolled_forward=len(report.rolled_forward),
+            rolled_back=len(report.rolled_back),
+            skipped=len(report.skipped),
+            deferred=len(report.deferred),
+            quarantined=len(report.quarantined),
+            redone_entries=report.redone_entries,
+            repaired_bytes=report.repaired_bytes,
+            passes=report.passes,
+            clean=report.clean,
+        )
+    obs.registry.counter(
+        "mw_recoveries_total", "Recovery passes run", labelnames=("clean",)
+    ).inc(clean=str(report.clean).lower())
     return report
 
 

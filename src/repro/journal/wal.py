@@ -90,6 +90,7 @@ from typing import Any, Mapping, NamedTuple
 from repro.core.outcome import AlternativeResult, BlockOutcome
 from repro.errors import JournalCrash, JournalError
 from repro.faults.plan import JOURNAL_SITE, SNAPSHOT_SITE, FaultKind
+from repro.obs import or_null
 from repro.util.framing import (
     BAD_CRC,
     HEADER_SIZE,
@@ -498,7 +499,8 @@ class CommitJournal:
         Optional :class:`~repro.faults.plan.FaultPlan`; enables the
         ``journal`` fault site (see the module docstring).
     obs:
-        Optional :class:`~repro.obs.Observability`. Each transaction
+        Optional :class:`~repro.obs.Observability` (the null plane when
+        None). Each transaction
         becomes one span on the ``journal`` track (opened at intent,
         settled ``committed`` at applied / ``aborted`` at abort), and
         every protocol step increments
@@ -509,29 +511,26 @@ class CommitJournal:
     def __init__(self, storage=None, fault_plan=None, obs=None) -> None:
         self.storage = storage if storage is not None else MemoryJournalStorage()
         self.fault_plan = fault_plan
-        self.obs = obs
+        self.obs = obs = or_null(obs)
         self._txn_spans: dict[int, int] = {}
-        self._txn_c = None
-        self._snap_c = self._compact_c = self._quar_c = None
-        if obs is not None:
-            self._txn_c = obs.registry.counter(
-                "mw_journal_txns_total", "Journal protocol steps",
-                labelnames=("kind", "phase"),
-            )
-            self._snap_c = obs.registry.counter(
-                "mw_journal_snapshots_total", "Snapshot records written",
-            )
-            self._compact_c = obs.registry.counter(
-                "mw_journal_compactions_total", "WAL compactions completed",
-            )
-            self._quar_c = obs.registry.counter(
-                "mw_journal_quarantines_total",
-                "Journal byte stretches quarantined on open",
-                labelnames=("site",),
-            )
-            obs.tracer.set_track_name("journal", "commit journal")
-            if fault_plan is not None:
-                obs.watch_fault_plan(fault_plan)
+        self._txn_c = obs.registry.counter(
+            "mw_journal_txns_total", "Journal protocol steps",
+            labelnames=("kind", "phase"),
+        )
+        self._snap_c = obs.registry.counter(
+            "mw_journal_snapshots_total", "Snapshot records written",
+        )
+        self._compact_c = obs.registry.counter(
+            "mw_journal_compactions_total", "WAL compactions completed",
+        )
+        self._quar_c = obs.registry.counter(
+            "mw_journal_quarantines_total",
+            "Journal byte stretches quarantined on open",
+            labelnames=("site",),
+        )
+        obs.tracer.set_track_name("journal", "commit journal")
+        if fault_plan is not None:
+            obs.watch_fault_plan(fault_plan)
         # the ledger: seq -> one entry per txn (see _Shape), in the order
         # intents arrived; the shapes its entries share; and the applied
         # seqs in the order they were applied (a snapshot writes both
@@ -629,8 +628,7 @@ class CommitJournal:
         sidecar = getattr(self.storage, "quarantine", None)
         if sidecar is not None:
             sidecar(blob, entry.as_dict())
-        if self._quar_c is not None:
-            self._quar_c.inc(site=entry.site)
+        self._quar_c.inc(site=entry.site)
 
     def _shape(self, kind, state: str, fields: tuple, applied: tuple) -> _Shape:
         """The one shape of this layout (the ledger's entries share it)."""
@@ -838,14 +836,13 @@ class CommitJournal:
         self._append(record)
         if fault in _ARMED_KINDS:
             self._armed[seq] = fault
-        if self.obs is not None:
-            self._txn_c.inc(kind=kind, phase="intent")
-            sid = self.obs.tracer.begin(
-                f"txn:{kind}", cat="journal", track="journal",
-                seq=seq, txn_kind=kind,
-            )
-            if sid >= 0:
-                self._txn_spans[seq] = sid
+        self._txn_c.inc(kind=kind, phase="intent")
+        sid = self.obs.tracer.begin(
+            f"txn:{kind}", cat="journal", track="journal",
+            seq=seq, txn_kind=kind,
+        )
+        if sid >= 0:
+            self._txn_spans[seq] = sid
         return seq
 
     def seal(self, seq: int) -> None:
@@ -859,8 +856,7 @@ class CommitJournal:
                 kind=FaultKind.CRASH_BEFORE_SEAL, seq=seq,
             )
         self._append({"t": "seal", "seq": seq})
-        if self.obs is not None:
-            self._txn_c.inc(kind=self._txn_kind(seq), phase="seal")
+        self._txn_c.inc(kind=self._txn_kind(seq), phase="seal")
         if self._armed.get(seq) is FaultKind.CRASH_AFTER_SEAL:
             self._armed.pop(seq)
             self._note_crash(seq, FaultKind.CRASH_AFTER_SEAL)
@@ -880,11 +876,8 @@ class CommitJournal:
         except JournalError:
             # unpicklable apply data: record completion without it
             self._append({"t": "applied", "seq": seq, "data": {}})
-        if self.obs is not None:
-            self._txn_c.inc(kind=self._txn_kind(seq), phase="applied")
-            self.obs.tracer.end(
-                self._txn_spans.pop(seq, -1), disposition="committed"
-            )
+        self._txn_c.inc(kind=self._txn_kind(seq), phase="applied")
+        self.obs.tracer.end(self._txn_spans.pop(seq, -1), disposition="committed")
 
     def abort(self, seq: int, reason: str = "") -> None:
         """Roll ``seq`` back. Idempotent; a sealed txn cannot be aborted."""
@@ -895,12 +888,10 @@ class CommitJournal:
         if not self._has(seq, "intent"):
             raise JournalError(f"cannot abort unknown txn {seq}")
         self._append({"t": "abort", "seq": seq, "reason": reason})
-        if self.obs is not None:
-            self._txn_c.inc(kind=self._txn_kind(seq), phase="abort")
-            self.obs.tracer.end(
-                self._txn_spans.pop(seq, -1),
-                disposition="aborted", reason=reason,
-            )
+        self._txn_c.inc(kind=self._txn_kind(seq), phase="abort")
+        self.obs.tracer.end(
+            self._txn_spans.pop(seq, -1), disposition="aborted", reason=reason,
+        )
 
     def _txn_kind(self, seq: int) -> str:
         entry = self._txns.get(seq)
@@ -1013,13 +1004,11 @@ class CommitJournal:
         self.storage.append(blob)
         self._last_snapshot_frame = blob
         self._since_snapshot = 0
-        if self._snap_c is not None:
-            self._snap_c.inc()
-        if self.obs is not None:
-            self.obs.tracer.instant(
-                "journal.snapshot", cat="journal", track="journal",
-                snapshot=self._snap_index, bytes=len(blob),
-            )
+        self._snap_c.inc()
+        self.obs.tracer.instant(
+            "journal.snapshot", cat="journal", track="journal",
+            snapshot=self._snap_index, bytes=len(blob),
+        )
         return self._snap_index
 
     def compact(self) -> dict:
@@ -1058,18 +1047,16 @@ class CommitJournal:
                     kind=fault,
                 )
         replace(MAGIC + self._last_snapshot_frame)
-        if self._compact_c is not None:
-            self._compact_c.inc()
+        self._compact_c.inc()
         stats = {
             "snap_index": snap_index,
             "before_bytes": before,
             "after_bytes": len(self.storage),
             "records_dropped": dropped,
         }
-        if self.obs is not None:
-            self.obs.tracer.instant(
-                "journal.compact", cat="journal", track="journal", **stats
-            )
+        self.obs.tracer.instant(
+            "journal.compact", cat="journal", track="journal", **stats
+        )
         return stats
 
     def records_since_snapshot(self) -> int:

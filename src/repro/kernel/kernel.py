@@ -147,7 +147,7 @@ def _plain_program(alt: Alternative) -> Callable:
     def prog(ctx: Context):
         workspace = yield sc.HeapSnapshot()
         if in_child and not alt.guard.passes_entry(workspace):
-            yield sc.Abort(f"guard {alt.guard.name!r} rejected entry")
+            yield sc.Abort(f"guard {alt.guard.name!r} rejected entry", guard=True)
         cost = alt.cost_for(workspace)
         if cost > 0:
             yield sc.Compute(cost)
@@ -164,7 +164,7 @@ def _plain_program(alt: Alternative) -> Callable:
             if key not in workspace:
                 yield sc.HeapDelete(key)
         if in_child and not alt.guard.passes_result(workspace, value):
-            yield sc.Abort(f"guard {alt.guard.name!r} rejected result")
+            yield sc.Abort(f"guard {alt.guard.name!r} rejected result", guard=True)
         return value
 
     prog.__name__ = f"plain:{alt.name}"
@@ -268,11 +268,8 @@ class Kernel:
         self.fault_plan = fault_plan
         self.journal = journal
         self.faults_injected: list[dict] = []
-        self.obs = None
-        if obs is not None:
-            from repro.obs.integrate import KernelObserver
-
-            self.obs = KernelObserver(obs, self)
+        # only a real plane builds an observer: the null one returns None
+        self.obs = None if obs is None else obs.kernel_observer(self)
 
         self.now = 0.0
         self.worlds: dict[int, SimProcess] = {}
@@ -567,7 +564,10 @@ class Kernel:
 
         # ---- terminal ----------------------------------------------------
         if isinstance(op, sc.Abort):
-            self._finish_abort(world, op.reason or "aborted")
+            self._finish_abort(
+                world, op.reason or "aborted",
+                status="guard-rejected" if op.guard else "aborted",
+            )
             return _PARKED, None
 
         # ---- heap writes (costed by true COW copies) ---------------------
@@ -1179,7 +1179,9 @@ class Kernel:
                 except Exception:
                     passed = False
                 if not passed:
-                    self._finish_abort(child, "guard rejected entry")
+                    self._finish_abort(
+                        child, "guard rejected entry", status="guard-rejected"
+                    )
                     continue
             if alt.start_delay > 0:
                 child.state = ProcState.SLEEPING
@@ -1248,7 +1250,9 @@ class Kernel:
             self._kill_world(world, "lost the race", status="eliminated")
             return
         if not self._sync_guard_ok(group, world, value):
-            self._finish_abort(world, "guard rejected result at sync")
+            self._finish_abort(
+                world, "guard rejected result at sync", status="guard-rejected"
+            )
             return
         # the winner decision becomes durable *before* any state mutates:
         # a crash from here on rolls forward to the same winner
@@ -1422,8 +1426,11 @@ class Kernel:
     # ------------------------------------------------------------------
     # death and resolution
     # ------------------------------------------------------------------
-    def _finish_abort(self, world: SimProcess, reason: str) -> None:
-        """A world failed (guard, Abort syscall or uncaught exception)."""
+    def _finish_abort(
+        self, world: SimProcess, reason: str, status: str = "aborted"
+    ) -> None:
+        """A world failed (guard, Abort syscall or uncaught exception);
+        ``status`` is ``guard-rejected`` when its guard said no."""
         if not world.alive:
             return
         world.state = ProcState.ABORTED
@@ -1432,7 +1439,7 @@ class Kernel:
         self.trace.record(self.now, "abort", world.pid, wid=world.wid, reason=reason)
         if self.obs is not None:
             self.obs.world_finished(self.now, world, "aborted", reason=reason)
-        self._after_world_death(world, reason, status="aborted")
+        self._after_world_death(world, reason, status=status)
 
     def _kill_world(self, world: SimProcess, reason: str, status: str = "eliminated") -> None:
         if not world.alive:

@@ -149,9 +149,14 @@ class AltWait(Syscall):
 
 @dataclass(frozen=True)
 class Abort(Syscall):
-    """Terminate this world unsuccessfully (guard failure path)."""
+    """Terminate this world unsuccessfully (guard failure path).
+
+    ``guard`` marks the abort as the alternative's guard rejecting it:
+    the child record then reads ``guard-rejected``, not ``aborted``.
+    """
 
     reason: str = ""
+    guard: bool = False
 
 
 @dataclass(frozen=True)
@@ -212,7 +217,7 @@ class ChildRecord:
     pid: int
     index: int
     name: str
-    status: str = "spawned"  # spawned|committed|aborted|eliminated|timeout-killed
+    status: str = "spawned"  # spawned|committed|aborted|guard-rejected|eliminated|timeout-killed
     value: Any = None
     reason: str = ""
     finished_at: float | None = None

@@ -16,105 +16,62 @@ accepts as its ``obs=`` parameter::
     write_chrome_trace(obs.tracer, "run.trace.json")   # open in Perfetto
     print(SpeculationReport.from_kernel(kernel, obs).render())
 
-The plane is cheap enough to stay on by default; ``enabled=False``
-reduces every tracer call to one attribute check (layers that receive
-``obs=None`` skip the calls entirely), and metrics absorbed from
-existing counter bundles (``MemoryStats``, the gate) are read lazily at
-collect time via callback gauges.
+A layer that receives ``obs=None`` records into the null plane,
+:data:`NULL_OBS` (taken through :func:`or_null`): its registry hands out
+one shared no-op metric and its tracer records nothing, so every layer
+registers and writes unconditionally and only this package knows whether
+telemetry is on. The null plane imports nothing, and the other public
+names here resolve on first access (PEP 562), so a process that never
+builds a real plane never loads the registry, the tracer or
+:mod:`repro.obs.integrate`.
+
+The real plane is cheap enough to stay on by default; ``enabled=False``
+reduces every tracer call to one attribute check, and metrics absorbed
+from existing counter bundles (``MemoryStats``, the gate) are read
+lazily at collect time via callback gauges.
 
 Fault correlation: :meth:`Observability.watch_fault_plan` hooks a
 :class:`~repro.faults.plan.FaultPlan` so every injected fault lands as
 an annotation instant (``cat="fault"``) and a
 ``mw_faults_injected_total{site,kind}`` increment — the trace links
-injected cause to observed retry/degradation effect.
+injected cause to observed retry/degradation effect. The null plane's
+``watch_fault_plan`` leaves a plan reporting wherever it reports.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Any, Callable
+import importlib
 
-from repro.obs.metrics import (
-    Counter,
-    DEFAULT_BUCKETS,
-    DuplicateMetricError,
-    FuncGauge,
-    Gauge,
-    Histogram,
-    MetricError,
-    MetricsRegistry,
-    bind_attr_gauges,
-)
-from repro.obs.spans import DISPOSITIONS, NULL_TRACER, Span, Tracer
+from repro.obs.null import NULL_OBS, or_null
 
-__all__ = [
-    "Counter",
-    "DEFAULT_BUCKETS",
-    "DISPOSITIONS",
-    "DuplicateMetricError",
-    "FuncGauge",
-    "Gauge",
-    "Histogram",
-    "MetricError",
-    "MetricsRegistry",
-    "NULL_TRACER",
-    "Observability",
-    "Span",
-    "Tracer",
-    "bind_attr_gauges",
-]
+#: name -> the submodule it is imported from on first access (PEP 562)
+_LAZY = {
+    "Counter": "repro.obs.metrics",
+    "DEFAULT_BUCKETS": "repro.obs.metrics",
+    "DuplicateMetricError": "repro.obs.metrics",
+    "FuncGauge": "repro.obs.metrics",
+    "Gauge": "repro.obs.metrics",
+    "Histogram": "repro.obs.metrics",
+    "MetricError": "repro.obs.metrics",
+    "MetricsRegistry": "repro.obs.metrics",
+    "bind_attr_gauges": "repro.obs.metrics",
+    "DISPOSITIONS": "repro.obs.spans",
+    "NULL_TRACER": "repro.obs.spans",
+    "Span": "repro.obs.spans",
+    "Tracer": "repro.obs.spans",
+    "Observability": "repro.obs.plane",
+}
 
 
-class Observability:
-    """One run's telemetry: a metrics registry plus a span tracer.
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(_LAZY[name]), name)
+    return value
 
-    ``clock`` is the tracer's wall clock (times are recorded relative
-    to construction); components with their own timebase — the kernel's
-    virtual clock, the simulated link clock — pass explicit ``t=``
-    values, which land on a comparable near-zero scale. ``enabled=False``
-    turns span recording off while metrics keep working.
-    """
 
-    def __init__(
-        self,
-        enabled: bool = True,
-        clock: Callable[[], float] = time.perf_counter,
-    ) -> None:
-        self.registry = MetricsRegistry()
-        self.tracer = Tracer(enabled=enabled, clock=clock)
-        self._faults_c = self.registry.counter(
-            "mw_faults_injected_total",
-            "Faults injected by the active FaultPlan",
-            labelnames=("site", "kind"),
-        )
+def __dir__():
+    return sorted({*globals(), *_LAZY})
 
-    @property
-    def enabled(self) -> bool:
-        return self.tracer.enabled
 
-    def on_fault(
-        self,
-        site: str,
-        kind: str,
-        t: float | None = None,
-        detail: str = "",
-        track: Any = None,
-        **data: Any,
-    ) -> None:
-        """Record one injected fault (annotation instant + counter)."""
-        self._faults_c.inc(site=site, kind=kind)
-        attrs = dict(data)
-        if detail:
-            attrs["detail"] = detail
-        self.tracer.instant(
-            f"fault:{kind}", cat="fault", track="faults" if track is None else track,
-            t=t, site=site, **attrs,
-        )
-
-    def watch_fault_plan(self, plan) -> None:
-        """Make ``plan`` report every injection into this plane."""
-        plan.observer = self.on_fault
-
-    def finalize(self, t: float | None = None) -> int:
-        """Close any still-open spans (worlds alive at run end)."""
-        return self.tracer.finish_open(t=t)
+__all__ = sorted({"NULL_OBS", "or_null", *_LAZY})

@@ -1,8 +1,13 @@
 """Glue between the telemetry plane and the layers it observes.
 
-Kept out of the instrumented modules so each of them carries only
-``if obs is not None: obs.<hook>(...)`` call sites; the span/metric
-vocabulary — names, tracks, label sets — lives here in one place.
+Kept out of the instrumented modules so each of them carries only an
+``obs.<hook>(...)`` call site; the span/metric vocabulary — names,
+tracks, label sets — lives here in one place. The hooks are reached
+through the plane (:meth:`Observability.record_block
+<repro.obs.Observability.record_block>`,
+:meth:`Observability.kernel_observer
+<repro.obs.Observability.kernel_observer>`), whose null twins do
+nothing, so a process without a real plane never imports this module.
 
 :class:`KernelObserver` is attached to a :class:`~repro.kernel.kernel.Kernel`
 built with ``obs=``; it records one span per world (track = wid, so the
@@ -21,6 +26,8 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.core.outcome import STOPPED_BY_BLOCK
+
 #: MemoryStats attributes published as ``mw_mem_*`` callback gauges.
 MEMORY_ATTRS = (
     "frames_allocated", "frames_freed", "cow_faults", "pages_copied",
@@ -32,8 +39,6 @@ class KernelObserver:
     """Per-kernel span/metric recorder (created by ``Kernel(obs=...)``)."""
 
     def __init__(self, obs, kernel) -> None:
-        from repro.obs.metrics import bind_attr_gauges
-
         self.obs = obs
         self.tracer = obs.tracer
         reg = obs.registry
@@ -66,8 +71,8 @@ class KernelObserver:
         stats = kernel.pool.stats
         gauges = getattr(obs, "_kernel_mem_gauges", None)
         if gauges is None:
-            obs._kernel_mem_gauges = bind_attr_gauges(
-                reg, stats, MEMORY_ATTRS, prefix="mw_mem"
+            obs._kernel_mem_gauges = reg.attr_gauges(
+                stats, MEMORY_ATTRS, prefix="mw_mem"
             )
         else:
             for gauge, attr in zip(gauges, MEMORY_ATTRS):
@@ -167,13 +172,10 @@ class KernelObserver:
 
 
 def _loser_disposition(result) -> str:
-    """Map an OS-backend loser record onto the span disposition taxonomy."""
-    error = (result.error or "").lower()
-    if result.guard_failed:
-        return "aborted"
-    if "eliminat" in error or "cancel" in error or "timeout" in error or "lost" in error:
-        return "eliminated"
-    return "aborted"
+    """Map an OS-backend loser record onto the span disposition taxonomy:
+    a world the block stopped carries one of the runners' stop labels and
+    was eliminated; any other loser failed on its own."""
+    return "eliminated" if result.error in STOPPED_BY_BLOCK else "aborted"
 
 
 def record_block(

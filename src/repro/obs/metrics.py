@@ -365,6 +365,30 @@ class MetricsRegistry:
             {"help": help, "unit": unit, "labelnames": labelnames, "buckets": buckets},
         )
 
+    def attr_gauges(
+        self, obj: Any, attrs: Iterable[str], prefix: str,
+        help_fmt: str = "{attr} (mirrored from {src})",
+    ) -> list[FuncGauge]:
+        """Publish plain numeric attributes of ``obj`` as callback gauges.
+
+        The absorption mechanism for pre-obs counter bundles: the source
+        object keeps its attribute API (nothing that increments
+        ``stats.cow_faults`` changes), and the registry reads the live
+        value whenever it collects.
+        """
+        gauges = []
+        src = type(obj).__name__
+        for attr in attrs:
+            getattr(obj, attr)  # fail fast on a typo'd attribute
+            gauges.append(
+                self.gauge_fn(
+                    f"{prefix}_{attr}",
+                    (lambda o=obj, a=attr: float(getattr(o, a))),
+                    help=help_fmt.format(attr=attr, src=src),
+                )
+            )
+        return gauges
+
     # -- introspection -----------------------------------------------------
     def get(self, name: str) -> Metric:
         with self._lock:
@@ -413,22 +437,5 @@ def bind_attr_gauges(
     prefix: str,
     help_fmt: str = "{attr} (mirrored from {src})",
 ) -> list[FuncGauge]:
-    """Publish plain numeric attributes of ``obj`` as callback gauges.
-
-    The absorption mechanism for pre-obs counter bundles: the source
-    object keeps its attribute API (nothing that increments
-    ``stats.cow_faults`` changes), and the registry reads the live value
-    whenever it collects.
-    """
-    gauges = []
-    src = type(obj).__name__
-    for attr in attrs:
-        getattr(obj, attr)  # fail fast on a typo'd attribute
-        gauges.append(
-            registry.gauge_fn(
-                f"{prefix}_{attr}",
-                (lambda o=obj, a=attr: float(getattr(o, a))),
-                help=help_fmt.format(attr=attr, src=src),
-            )
-        )
-    return gauges
+    """:meth:`MetricsRegistry.attr_gauges` as a function."""
+    return registry.attr_gauges(obj, attrs, prefix, help_fmt)

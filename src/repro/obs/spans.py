@@ -35,6 +35,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
+from repro.obs.null import NULL_OBS
+
 #: Recognised span dispositions (exporters validate against this set).
 DISPOSITIONS = ("speculative", "committed", "eliminated", "aborted")
 
@@ -288,5 +290,5 @@ class _SpanHandle:
         self.attrs.update(attrs)
 
 
-#: Shared disabled tracer for call sites that want unconditional syntax.
-NULL_TRACER = Tracer(enabled=False, limit=0)
+#: The null plane's tracer, for call sites that want unconditional syntax.
+NULL_TRACER = NULL_OBS.tracer

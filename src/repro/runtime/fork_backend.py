@@ -17,10 +17,11 @@ The protocol is deliberately simple and robust:
 
 - each child gets its own :class:`~repro.runtime.report_channel.ReportChannel`,
   an inherited anonymous file beside a pipe; it pickles
-  ``("ok", value, workspace)`` or ``("fail", reason)`` straight into the
-  file, then writes the pickle's length as an 8-byte header on the pipe,
-  and ``_exit``\\ s (a workspace that will not pickle is written again
-  without the entries that won't, listed under ``_unpicklable``);
+  ``("ok", value, workspace)``, ``("guard", reason)`` or
+  ``("fail", reason)`` straight into the file, then writes the pickle's
+  length as an 8-byte header on the pipe, and ``_exit``\\ s (a workspace
+  that will not pickle is written again without the entries that won't,
+  listed under ``_unpicklable``);
 - the parent multiplexes across pipes with :mod:`selectors` (epoll/kqueue
   where available, so blocks with hundreds of alternatives don't hit
   ``select``'s ``FD_SETSIZE`` wall), retrying on ``EINTR``, until a
@@ -60,7 +61,7 @@ from typing import Any, Iterable, Sequence
 from repro.analysis.overhead import OverheadBreakdown
 from repro.core.alternative import Alternative, GuardPlacement
 from repro.core.backend import BlockRun, world_body
-from repro.core.outcome import BlockOutcome
+from repro.core.outcome import ELIMINATED, TIMEOUT_KILLED, BlockOutcome
 from repro.core.policy import EliminationPolicy, WatchdogPolicy
 from repro.errors import SpawnError, WorldsError
 from repro.faults.plan import KILL_SITE, FaultDecision, FaultKind
@@ -141,8 +142,8 @@ def _child_main(
             time.sleep(fault.param)
             os._exit(11)
         status, payload = world_body(alt, workspace, fault)
-        if status == "fail":
-            _send_report(channel, ("fail", payload))
+        if status != "ok":
+            _send_report(channel, (status, payload))
             os._exit(0)
         report = ("ok", payload, workspace)
         if kind is FaultKind.TRUNCATE_REPORT:
@@ -454,8 +455,11 @@ def run_alternatives_fork(
                         won = (index, value, child_ws, now - t_spawned)
                         _retire(pid, channel)
                         break
-                    report = ("fail", "guard rejected result at sync")
-                run.reject(index, str(report[1]), elapsed_s=now - t_spawned)
+                    report = ("guard", "guard rejected result at sync")
+                run.reject(
+                    index, str(report[1]), guard_failed=report[0] == "guard",
+                    elapsed_s=now - t_spawned,
+                )
                 _retire(pid, channel)
         # eliminate whatever still runs before the win is journalled: the
         # losers die while the parent does its own bookkeeping
@@ -483,7 +487,7 @@ def run_alternatives_fork(
         # a leftover child killed after a winner synchronized was *eliminated*;
         # only a block that expired with no winner timeout-kills its children
         leftover_error = (
-            "timeout-killed" if run.timed_out and run.winner is None else "eliminated"
+            TIMEOUT_KILLED if run.timed_out and run.winner is None else ELIMINATED
         )
         for index, _, _ in pending.values():
             run.reject(index, leftover_error, elapsed_s=cut_s)

@@ -23,7 +23,7 @@ import time
 from typing import Any, Sequence
 
 from repro.core.backend import BlockRun, world_body
-from repro.core.outcome import BlockOutcome
+from repro.core.outcome import TIMEOUT_KILLED, BlockOutcome
 from repro.faults.plan import FaultKind
 
 
@@ -64,7 +64,7 @@ def run_alternatives_sequential(
         if deadline is not None and time.perf_counter() >= deadline:
             run.timed_out = True
             run.reject(
-                index, "timeout-killed",
+                index, TIMEOUT_KILLED,
                 elapsed_s=time.perf_counter() - run.t_start,
             )
             continue
@@ -85,9 +85,8 @@ def run_alternatives_sequential(
         if status == "ok":
             run.accept(index, payload, workspace, elapsed_s=time.perf_counter() - t0)
             break
-        # an exception whose text mentions a guard is still not a guard failure
         run.reject(
-            index, payload, guard_failed=payload.startswith("guard "),
+            index, payload, guard_failed=status == "guard",
             elapsed_s=time.perf_counter() - t0,
         )
 

@@ -226,7 +226,10 @@ def run_alternatives_thread(
             workspace.pop("_cancel", None)
             run.accept(index, payload, workspace, elapsed_s=elapsed)
         else:
-            run.reject(index, str(payload), elapsed_s=elapsed)
+            run.reject(
+                index, str(payload), guard_failed=status == "guard",
+                elapsed_s=elapsed,
+            )
 
     token.cancel()  # cooperative elimination: losers see this on next poll
     if elimination is EliminationPolicy.SYNCHRONOUS:

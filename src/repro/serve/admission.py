@@ -35,6 +35,7 @@ from typing import Any, Sequence
 
 from repro.core.backend import normalize_alternatives
 from repro.errors import AdmissionRejected, ServeError
+from repro.obs import NULL_OBS, or_null
 
 
 class _SeqCounter:
@@ -222,10 +223,10 @@ class AdmissionQueue:
         costs, ``quantum=1.0`` dispatches one request per tenant per
         cycle.
     obs:
-        Optional :class:`~repro.obs.Observability`; keeps
-        ``mw_serve_queue_depth`` (gauge), ``mw_serve_admitted_total`` /
-        ``mw_serve_rejected_total{tenant}`` and
-        ``mw_serve_shed_total{reason}`` live.
+        Optional :class:`~repro.obs.Observability` (the null plane when
+        None); keeps ``mw_serve_queue_depth`` (gauge),
+        ``mw_serve_admitted_total`` / ``mw_serve_rejected_total{tenant}``
+        and ``mw_serve_shed_total{reason}`` live.
     """
 
     def __init__(
@@ -253,13 +254,14 @@ class AdmissionQueue:
         self.admitted = 0
         self.rejected = 0
         self.shed = 0
-        self._depth_g = self._admit_c = self._reject_c = self._shed_c = None
-        if obs is not None:
-            self.bind_obs(obs)
+        self.obs = NULL_OBS
+        self.bind_obs(obs)
 
     def bind_obs(self, obs) -> None:
-        if self._depth_g is not None:
+        """Record into ``obs`` from now on, unless already on a real plane."""
+        if self.obs is not NULL_OBS:
             return
+        self.obs = obs = or_null(obs)
         self._depth_g = obs.registry.gauge(
             "mw_serve_queue_depth", "Requests waiting for admission dispatch"
         )
@@ -290,8 +292,7 @@ class AdmissionQueue:
                 )
             if self._size >= self.depth:
                 self.rejected += 1
-                if self._reject_c is not None:
-                    self._reject_c.inc(tenant=request.tenant)
+                self._reject_c.inc(tenant=request.tenant)
                 raise AdmissionRejected(
                     f"queue full ({self._size}/{self.depth} requests)",
                     tenant=request.tenant,
@@ -304,8 +305,7 @@ class AdmissionQueue:
                 and len(lane) >= self.tenant_depth
             ):
                 self.rejected += 1
-                if self._reject_c is not None:
-                    self._reject_c.inc(tenant=request.tenant)
+                self._reject_c.inc(tenant=request.tenant)
                 raise AdmissionRejected(
                     f"tenant {request.tenant!r} backlog full "
                     f"({len(lane)}/{self.tenant_depth} requests)",
@@ -319,10 +319,8 @@ class AdmissionQueue:
             lane.append(request)
             self._size += 1
             self.admitted += 1
-            if self._admit_c is not None:
-                self._admit_c.inc(tenant=request.tenant)
-            if self._depth_g is not None:
-                self._depth_g.set(float(self._size))
+            self._admit_c.inc(tenant=request.tenant)
+            self._depth_g.set(float(self._size))
             self._cond.notify()
 
     def _retry_hint(self) -> float:
@@ -346,8 +344,7 @@ class AdmissionQueue:
             while True:
                 request = self._pop_drr(shed)
                 if request is not None or self._closed:
-                    if self._depth_g is not None:
-                        self._depth_g.set(float(self._size))
+                    self._depth_g.set(float(self._size))
                     return request, shed
                 if self._size > 0 and not shed:
                     # every head costs more than one quantum: keep
@@ -357,8 +354,7 @@ class AdmissionQueue:
                 if shed:
                     # deadline sheds are progress: report them before
                     # blocking so tickets fail promptly
-                    if self._depth_g is not None:
-                        self._depth_g.set(float(self._size))
+                    self._depth_g.set(float(self._size))
                     return None, shed
                 if deadline is None:
                     self._cond.wait()
@@ -382,8 +378,7 @@ class AdmissionQueue:
                 request = lane.popleft()
                 self._size -= 1
                 self.shed += 1
-                if self._shed_c is not None:
-                    self._shed_c.inc(reason="deadline")
+                self._shed_c.inc(reason="deadline")
                 shed.append(request)
             if not lane:
                 del self._lanes[tenant]
@@ -434,16 +429,14 @@ class AdmissionQueue:
                 if request is None:
                     break  # nothing stealable (only shadows queued)
                 out.append(request)
-            if self._depth_g is not None:
-                self._depth_g.set(float(self._size))
+            self._depth_g.set(float(self._size))
         return out
 
     def shed_request(self, request: ServeRequest, reason: str) -> None:
         """Count a shed decided outside the queue (e.g. at dispatch)."""
         with self._cond:
             self.shed += 1
-            if self._shed_c is not None:
-                self._shed_c.inc(reason=reason)
+            self._shed_c.inc(reason=reason)
 
     def close(self, drain: bool = False) -> list[ServeRequest]:
         """Stop accepting work and wake every blocked ``take``.
@@ -466,6 +459,5 @@ class AdmissionQueue:
             self._lanes.clear()
             self._deficit.clear()
             self._size = 0
-            if self._depth_g is not None:
-                self._depth_g.set(0.0)
+            self._depth_g.set(0.0)
             return out

@@ -33,6 +33,7 @@ import time
 from typing import Any, Callable
 
 from repro.errors import QuotaExceeded, ServeError
+from repro.obs import NULL_OBS, or_null
 
 
 class Reservation:
@@ -100,7 +101,8 @@ class WorldBudget:
         Per-tenant concurrent-slot cap; ``None`` means a tenant may use
         the whole pool (fairness then rests on the admission queue).
     obs:
-        Optional :class:`~repro.obs.Observability`. The governor keeps
+        Optional :class:`~repro.obs.Observability` (the null plane when
+        None). The governor keeps
         ``mw_serve_slots_in_use`` (gauge), ``mw_serve_slots_hwm``
         (high-watermark gauge — the acceptance check that the budget was
         never exceeded) and ``mw_serve_preemptions_total{tenant}``
@@ -121,16 +123,15 @@ class WorldBudget:
         self._holders: list[Reservation] = []
         self.high_watermark = 0
         self.preempted_slots = 0
-        self._obs = None
-        self._in_use_g = self._hwm_g = self._preempt_c = None
-        if obs is not None:
-            self.bind_obs(obs)
+        self.obs = NULL_OBS
+        self.bind_obs(obs)
 
     def bind_obs(self, obs) -> None:
-        """Attach telemetry (idempotent; also called by the service)."""
-        if self._obs is obs:
+        """Record into ``obs`` from now on, unless already on a real plane
+        (also called by the service)."""
+        if self.obs is not NULL_OBS:
             return
-        self._obs = obs
+        self.obs = obs = or_null(obs)
         self._in_use_g = obs.registry.gauge(
             "mw_serve_slots_in_use", "World slots currently granted"
         )
@@ -193,10 +194,8 @@ class WorldBudget:
         self._tenant_use[tenant] = self._tenant_use.get(tenant, 0) + n
         if self._in_use > self.high_watermark:
             self.high_watermark = self._in_use
-            if self._hwm_g is not None:
-                self._hwm_g.set(float(self.high_watermark))
-        if self._in_use_g is not None:
-            self._in_use_g.set(float(self._in_use))
+            self._hwm_g.set(float(self.high_watermark))
+        self._in_use_g.set(float(self._in_use))
 
     def _give_back(self, tenant: str, n: int) -> None:
         self._in_use -= n
@@ -205,8 +204,7 @@ class WorldBudget:
             self._tenant_use[tenant] = remaining
         else:
             self._tenant_use.pop(tenant, None)
-        if self._in_use_g is not None:
-            self._in_use_g.set(float(self._in_use))
+        self._in_use_g.set(float(self._in_use))
 
     def _preempt_for(
         self, needed: int, priority: int
@@ -232,8 +230,7 @@ class WorldBudget:
             holder.preempted += take
             self._give_back(holder.tenant, take)
             self.preempted_slots += take
-            if self._preempt_c is not None:
-                self._preempt_c.inc(float(take), tenant=holder.tenant)
+            self._preempt_c.inc(float(take), tenant=holder.tenant)
             victims.append((holder, take))
             needed -= take
         return victims

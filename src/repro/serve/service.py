@@ -23,7 +23,8 @@ the stack doing its job:
   requests instead of re-running them (exactly-once per request);
 - with an :class:`~repro.obs.Observability`, every request is a span
   (``cat="serve"``, one track per tenant) and the ``mw_serve_*``
-  family tracks slots, queue depth, sheds, latency and K choices.
+  family tracks slots, queue depth, sheds, latency and K choices
+  (without one, every layer records into the null plane).
 
 Fault injection (``serve`` site, keyed ``(crc32(tenant), seq)``):
 ``REQUEST_BURST`` turns one submit into ``burst_n`` copies — a client
@@ -54,6 +55,7 @@ from repro.errors import (
 from repro.faults.plan import SERVE_SITE, FaultKind
 from repro.faults.supervisor import Supervisor
 from repro.journal.recovery import RecoveryReport, recover, settle_best_effort
+from repro.obs import or_null
 from repro.serve.admission import (
     AdmissionQueue,
     ServeRequest,
@@ -188,12 +190,11 @@ class ServeTicket:
 
 def note_restore(obs, layer: str, cat: str, track: str, **counts: int) -> None:
     """Count one completed cold restart and mark it on the timeline."""
-    if obs is not None:
-        obs.registry.counter(
-            "mw_restores_total", "Cold restarts completed from a journal",
-            labelnames=("layer",),
-        ).inc(layer=layer)
-        obs.tracer.instant(f"{layer}.restore", cat=cat, track=track, **counts)
+    obs.registry.counter(
+        "mw_restores_total", "Cold restarts completed from a journal",
+        labelnames=("layer",),
+    ).inc(layer=layer)
+    obs.tracer.instant(f"{layer}.restore", cat=cat, track=track, **counts)
 
 
 def rebuilt_requests(sealed, build_alternatives, dropped: list[int]):
@@ -279,12 +280,13 @@ class SpeculationService:
     ) -> None:
         if workers < 1:
             raise ServeError(f"need at least one worker, got {workers}")
+        self.obs = obs = or_null(obs)
         self.budget = WorldBudget(budget) if isinstance(budget, int) else budget
         self.queue = queue if queue is not None else AdmissionQueue(
             depth=16 * self.budget.slots
         )
         if policy is None:
-            policy = AdaptiveSpeculationPolicy(stats=AlternativeStats(obs=obs))
+            policy = AdaptiveSpeculationPolicy(stats=AlternativeStats())
         self.policy = policy
         self.workers = workers
         self.backend = backend
@@ -298,7 +300,6 @@ class SpeculationService:
 
             journal = CommitJournal(storage=FileJournalStorage(journal))
         self.journal = journal
-        self.obs = obs
         self.on_resolve = on_resolve
         self.journal_admission = journal_admission and journal is not None
         self._threads: list[threading.Thread] = []
@@ -306,34 +307,33 @@ class SpeculationService:
         self._admit_lock = threading.Lock()
         self._running = False
         self._crashed = False
-        self._requests_c = self._k_h = None
-        self._latency_h = self._wait_h = self._grant_h = self._hold_h = None
-        if obs is not None:
-            self.budget.bind_obs(obs)
-            self.queue.bind_obs(obs)
-            if fault_plan is not None:
-                obs.watch_fault_plan(fault_plan)
-            stats = getattr(policy, "stats", None)
-            if stats is not None:
-                stats.bind_obs(obs)
-            self._requests_c = obs.registry.counter(
-                "mw_serve_requests_total", "Requests by final status",
-                labelnames=("tenant", "status"),
+        # the components this service built and the ones its caller built
+        # alike: a component on the null plane moves to a real one
+        self.budget.bind_obs(obs)
+        self.queue.bind_obs(obs)
+        stats = getattr(policy, "stats", None)
+        if stats is not None:
+            stats.bind_obs(obs)
+        if fault_plan is not None:
+            obs.watch_fault_plan(fault_plan)
+        self._requests_c = obs.registry.counter(
+            "mw_serve_requests_total", "Requests by final status",
+            labelnames=("tenant", "status"),
+        )
+        self._latency_h, self._wait_h, self._grant_h, self._hold_h = (
+            obs.registry.histogram(name, text, buckets=LATENCY_BUCKETS)
+            for name, text in (
+                ("mw_serve_request_latency_seconds",
+                 "Submit-to-resolution latency of committed requests"),
+                ("mw_serve_queue_wait_seconds", "Admission-to-dispatch wait"),
+                ("mw_serve_grant_wait_seconds", "Dispatch-to-grant wait"),
+                ("mw_serve_slot_hold_seconds", "Grant-to-release slot hold"),
             )
-            self._latency_h, self._wait_h, self._grant_h, self._hold_h = (
-                obs.registry.histogram(name, text, buckets=LATENCY_BUCKETS)
-                for name, text in (
-                    ("mw_serve_request_latency_seconds",
-                     "Submit-to-resolution latency of committed requests"),
-                    ("mw_serve_queue_wait_seconds", "Admission-to-dispatch wait"),
-                    ("mw_serve_grant_wait_seconds", "Dispatch-to-grant wait"),
-                    ("mw_serve_slot_hold_seconds", "Grant-to-release slot hold"),
-                )
-            )
-            self._k_h = obs.registry.histogram(
-                "mw_serve_k_chosen", "Worlds actually speculated per request",
-                buckets=(1, 2, 3, 4, 6, 8, 12, 16),
-            )
+        )
+        self._k_h = obs.registry.histogram(
+            "mw_serve_k_chosen", "Worlds actually speculated per request",
+            buckets=(1, 2, 3, 4, 6, 8, 12, 16),
+        )
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> "SpeculationService":
@@ -504,7 +504,7 @@ class SpeculationService:
             report.tickets[request.seq] = svc.admit(request)
             report.re_admitted.append(request.seq)
         note_restore(
-            kwargs.get("obs"), "service", cat="serve", track="journal",
+            svc.obs, "service", cat="serve", track="journal",
             re_admitted=len(report.re_admitted),
             already_applied=len(report.already_applied),
             dropped=len(report.dropped), seq_floor=floor,
@@ -641,8 +641,7 @@ class SpeculationService:
         ticket._resolve(result)
 
     def _count_status(self, tenant: str, status: str) -> None:
-        if self._requests_c is not None:
-            self._requests_c.inc(tenant=tenant, status=status)
+        self._requests_c.inc(tenant=tenant, status=status)
 
     def _worker_loop(self) -> None:
         while True:
@@ -678,8 +677,7 @@ class SpeculationService:
     def _serve_one(self, request: ServeRequest) -> None:
         dispatched = time.monotonic()
         queue_wait = dispatched - request.submitted_at
-        if self._wait_h is not None:
-            self._wait_h.observe(queue_wait)
+        self._wait_h.observe(queue_wait)
         tenant = request.tenant
         alts = list(request.alternatives)
         names = [a.name for a in alts]
@@ -713,16 +711,17 @@ class SpeculationService:
             self._count_status(tenant, "shed")
             return
         granted_at = time.monotonic()
-        if self._grant_h is not None:
-            self._grant_h.observe(granted_at - dispatched)
+        self._grant_h.observe(granted_at - dispatched)
 
-        span_id = -1
-        if self.obs is not None:
-            span_id = self.obs.tracer.begin(
-                f"request:{request.seq}", cat="serve", track=f"tenant:{tenant}",
-                tenant=tenant, seq=request.seq, priority=request.priority,
-                shadow=request.shadow,
-            )
+        tracer = self.obs.tracer
+        span_id = tracer.begin(
+            f"request:{request.seq}", cat="serve", track=f"tenant:{tenant}",
+            tenant=tenant, seq=request.seq, priority=request.priority,
+            shadow=request.shadow,
+        )
+        # a burst shadow is load, not a request: it takes queue and budget
+        # capacity but writes nothing durable (its seq is not the router's)
+        journal = None if request.shadow else self.journal
         try:
             # ---- SLOW_TENANT fault: charge extra worker time --------------
             self._maybe_slow_tenant(request)
@@ -745,8 +744,7 @@ class SpeculationService:
                     decision, order=decision.order[: reservation.granted],
                     staggers=decision.staggers[: reservation.granted],
                 )
-            if self._k_h is not None:
-                self._k_h.observe(float(decision.k))
+            self._k_h.observe(float(decision.k))
             wave = self._build_wave(alts, decision, reservation)
             backend = decision.backend or self.backend
 
@@ -762,7 +760,7 @@ class SpeculationService:
                 backoff_s=SUPERVISOR_BACKOFF_S,
                 fault_plan=self.fault_plan,
                 block_id=request.seq,
-                journal=self.journal,
+                journal=journal,
                 obs=self.obs,
             )
             remaining = None
@@ -778,14 +776,13 @@ class SpeculationService:
             # in this group and flush as it closes, before any ack. Nothing
             # can act on a queued record meanwhile — the service hands the
             # backend no SourceGates, so no device effect depends on one
-            with self.journal.group() if self.journal is not None else nullcontext():
+            with journal.group() if journal is not None else nullcontext():
                 outcome = supervisor.run(
                     wave, initial=request.initial, timeout=remaining, backend=backend,
                 )
                 preempted = reservation.preempted
                 reservation.release()
-                if self._hold_h is not None:
-                    self._hold_h.observe(time.monotonic() - granted_at)
+                self._hold_h.observe(time.monotonic() - granted_at)
             # wave positions back to the caller's alternative list
             outcome.remap_indexes(decision.order)
             replayed = bool(outcome.extras.get("journal_recovered"))
@@ -803,22 +800,21 @@ class SpeculationService:
                 queue_wait_s=queue_wait, grant_wait_s=granted_at - dispatched,
                 latency_s=latency, preempted_slots=preempted, replayed=replayed,
             )
-            if span_id >= 0:
-                self.obs.tracer.end(
-                    span_id,
-                    disposition="committed" if status == "committed" else "aborted",
-                    k=decision.k, policy=decision.reason, backend=result.backend,
-                    status=status,
-                )
-                span_id = -1
-            if self._latency_h is not None and status == "committed":
+            tracer.end(
+                span_id,
+                disposition="committed" if status == "committed" else "aborted",
+                k=decision.k, policy=decision.reason, backend=result.backend,
+                status=status,
+            )
+            if status == "committed":
                 self._latency_h.observe(latency)
             self._count_status(tenant, status)
             self._resolve(request, result)
         finally:
-            if span_id >= 0:  # an exception escaped: settle as aborted
-                self.obs.tracer.end(span_id, disposition="aborted", error="internal")
-            reservation.release()  # idempotent: the net under an exception
+            # an escaped exception settles the span aborted (a closed one
+            # ignores this); the release is idempotent, the net under it
+            tracer.end(span_id, disposition="aborted", error="internal")
+            reservation.release()
 
     def _maybe_slow_tenant(self, request: ServeRequest) -> None:
         plan = self.fault_plan

@@ -6,8 +6,8 @@ Both are tracked as exponentially-weighted moving averages so the
 policy adapts when a workload shifts (an alternative that used to win
 can fall out of favour within ``~1/alpha`` observations).
 
-With an :class:`~repro.obs.Observability` attached, every observation
-also lands in the metrics registry —
+With an :class:`~repro.obs.Observability` bound (the null plane
+otherwise), every observation also lands in the metrics registry —
 ``mw_serve_alt_attempts_total{alt}``, ``mw_serve_alt_wins_total{alt}``
 and ``mw_serve_alt_latency_seconds{alt}`` (histogram) — so the numbers
 the policy is acting on are the same numbers an operator sees in a
@@ -20,6 +20,8 @@ from __future__ import annotations
 import collections
 import threading
 from dataclasses import dataclass
+
+from repro.obs import NULL_OBS, or_null
 
 #: Most alternative names tracked at once. A tenant that names its
 #: alternatives per request would otherwise grow the table one record
@@ -63,13 +65,14 @@ class AlternativeStats:
         self._records: "collections.OrderedDict[str, AltRecord]" = (
             collections.OrderedDict()
         )
-        self._attempts_c = self._wins_c = self._latency_h = None
-        if obs is not None:
-            self.bind_obs(obs)
+        self.obs = NULL_OBS
+        self.bind_obs(obs)
 
     def bind_obs(self, obs) -> None:
-        if self._attempts_c is not None:
+        """Record into ``obs`` from now on, unless already on a real plane."""
+        if self.obs is not NULL_OBS:
             return
+        self.obs = obs = or_null(obs)
         self._attempts_c = obs.registry.counter(
             "mw_serve_alt_attempts_total", "Alternative executions",
             labelnames=("alt",),
@@ -100,12 +103,11 @@ class AlternativeStats:
             rec.win_ewma += self.alpha * ((1.0 if won else 0.0) - rec.win_ewma)
             if latency_s >= 0.0:
                 rec.latency_ewma_s += self.alpha * (latency_s - rec.latency_ewma_s)
-        if self._attempts_c is not None:
-            self._attempts_c.inc(alt=name)
-            if won:
-                self._wins_c.inc(alt=name)
-            if latency_s >= 0.0:
-                self._latency_h.observe(latency_s, alt=name)
+        self._attempts_c.inc(alt=name)
+        if won:
+            self._wins_c.inc(alt=name)
+        if latency_s >= 0.0:
+            self._latency_h.observe(latency_s, alt=name)
 
     def observe_outcome(
         self,

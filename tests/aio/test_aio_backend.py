@@ -86,7 +86,7 @@ class TestElimination:
     def test_losers_labelled_eliminated(self):
         out = run_alternatives([_fast, _slow_coro], backend="async")
         (loser,) = out.losers
-        assert loser.error == "eliminated (task cancelled)"
+        assert loser.error == "eliminated"
         assert not loser.guard_failed
         assert out.extras["eliminated"] == 1
         assert out.extras["elimination_policy"] == "async"

@@ -182,6 +182,22 @@ class TestRemoteCluster:
             router.stop()
         assert all(not r.process_alive() for r in remotes)
 
+    def test_a_burst_shadow_in_a_host_writes_nothing_durable(self, tmp_path):
+        """A host is forked from the router and inherits its seq counter, so
+        a REQUEST_BURST shadow's seqs are the router's next ones: a shadow
+        that journalled its win made a later request replay that value."""
+        plan = FaultPlan(seed=1, rates={FaultKind.REQUEST_BURST: 1.0})
+        remote = make_remote(0, tmp_path, host_fault_plan=plan)
+        router = ClusterRouter([remote]).start(detect=False)
+        try:
+            tickets = [router.submit(f"t{i % 4}", alts(i)) for i in range(8)]
+            results = [t.result(timeout=30) for t in tickets]
+            assert [r.value for r in results] == [i * 7 for i in range(8)]
+            assert not any(r.replayed for r in results)
+            assert router.audit_applied() == {r.seq: 1 for r in results}
+        finally:
+            router.stop()
+
     def test_local_and_remote_mix_in_one_ring(self, tmp_path):
         shards = [ClusterShard(0, slots=2, workers=2), make_remote(1, tmp_path)]
         router = ClusterRouter(shards).start(detect=False)

@@ -1,14 +1,15 @@
 """Seeded real-process fault fuzz: ``kill -9`` and ``kill -STOP``
 mid-burst, exactly-once.
 
-The out-of-process twin of ``test_failover_fuzz``: each seed runs a
-burst against three shard-host *processes* and consults the fault plan's
-``transport`` site for what happens to which host. A SIGKILLed host is a
-real ``kill -9`` — only its journal file survives — followed by
-takeover. A SIGSTOPped host stays alive and silent while the burst goes
-on (a submit homed there times out, which makes the router fence it
-before walking on) and is SIGCONTed when its time is up. Either way every
-journal is audited for the exactly-once invariant.
+The out-of-process twin of ``test_failover_fuzz``: each seed runs
+:func:`repro.chaos.soak.run_remote_incarnation`, a burst against three
+shard-host *processes* whose ``transport`` fault-plan site decides what
+happens to which host. A SIGKILLed host is a real ``kill -9`` — only its
+journal file survives — followed by takeover. A SIGSTOPped host stays
+alive and silent while the burst goes on (a submit homed there times out,
+which makes the router fence it before walking on) and is SIGCONTed when
+its time is up. Every request must commit its value exactly once, and
+every host must be reaped once the router stops.
 ``REMOTE_FUZZ_SEEDS`` raises the seed count (CI's fuzz smoke runs 5);
 ``mw-e2e``'s ``cluster_remote`` workload measures the same path when
 nothing dies, and ``test_scale_smoke`` what a kill costs in throughput.
@@ -20,8 +21,8 @@ import time
 
 import pytest
 
-from repro.cluster import ClusterRouter, RemoteShardClient, host_fault_decision
-from repro.faults.plan import FaultKind, FaultPlan
+from repro.chaos.soak import run_remote_incarnation
+from repro.cluster import ClusterRouter, RemoteShardClient
 
 SEEDS = range(1, 1 + int(os.environ.get("REMOTE_FUZZ_SEEDS", "3")))
 N_SHARDS = 3
@@ -52,54 +53,10 @@ def make_cluster(tmp_path, seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_sigkill_mid_burst_commits_exactly_once(seed, tmp_path):
-    plan = FaultPlan(
-        seed=seed,
-        rates={FaultKind.HOST_SIGKILL: 0.6, FaultKind.HOST_SIGSTOP: 0.3},
-        host_kill_fraction=0.5,
+    violations, _kills = run_remote_incarnation(
+        seed, shards=N_SHARDS, requests=N_REQUESTS, workdir=str(tmp_path / "hosts"),
     )
-    remotes = make_cluster(tmp_path, seed)
-    router = ClusterRouter(remotes).start(detect=False)
-    try:
-        verdicts = [
-            (sid, verdict) for sid in range(N_SHARDS)
-            if (verdict := host_fault_decision(plan, sid, epoch=0)) is not None
-        ][:2]  # keep one survivor
-        strike_at = int(plan.host_kill_fraction * N_REQUESTS)
-        thaw_at = {}
-
-        tickets = []
-        for i in range(N_REQUESTS):
-            if i == strike_at:
-                for sid, (kind, param) in verdicts:
-                    if kind is FaultKind.HOST_SIGKILL:
-                        remotes[sid].sigkill()  # the real thing
-                        router.takeover(sid)
-                    else:
-                        remotes[sid].sigstop()  # alive, silent
-                        thaw_at[sid] = time.monotonic() + param
-            tickets.append(router.submit(f"tenant-{i % 5}", alts(i)))
-        for sid, at in thaw_at.items():
-            time.sleep(max(0.0, at - time.monotonic()))
-            remotes[sid].sigcont()
-
-        results = [t.result(timeout=30) for t in tickets]
-        committed = [r for r in results if r.committed]
-        assert len(committed) == N_REQUESTS, [
-            (r.status, r.reason) for r in results if not r.committed
-        ]
-        for i, r in enumerate(results):
-            assert r.value == i * 7, (i, r)
-
-        audit = router.audit_applied()
-        for r in committed:
-            applied = audit.get(r.seq, 0)
-            assert applied == 1, (
-                f"seed {seed}: request {r.seq} applied {applied} times "
-                f"(failover={r.failover!r})"
-            )
-    finally:
-        router.stop()
-    assert all(not r.process_alive() for r in remotes)
+    assert not violations, [v.as_dict() for v in violations]
 
 
 def test_detector_discovers_sigkilled_host(tmp_path):

@@ -194,6 +194,44 @@ def test_backends_agree_on_guard_rejection(n, winner_pos, value):
             assert loser.guard_failed, (backend, loser)
 
 
+def _raises_guard_text(ws):
+    raise ValueError("bad guard value")
+
+
+def test_backends_agree_that_guard_text_in_an_error_is_no_guard_verdict():
+    """``guard_failed`` is the guard's own verdict, passed on by the
+    runner: an exception that mentions a guard is a plain failure, and a
+    result guard that says no is a guard failure, on every backend."""
+    alts = [
+        Alternative(_raises_guard_text, name="raises", sim_cost=0.001),
+        make_alt(1, succeeds=False, value=1, mode="guard"),
+    ]
+    for backend in BACKENDS:
+        outcome = run_alternatives(alts, backend=backend)
+        verdicts = {loser.name: loser.guard_failed for loser in outcome.losers}
+        assert verdicts == {"raises": False, "alt1": True}, backend
+
+
+def _times_out_on_its_own(ws):
+    raise TimeoutError("timeout talking to the db")
+
+
+@pytest.mark.parametrize("backend", OS_STYLE)
+def test_a_world_that_fails_with_timeout_text_was_not_eliminated(backend):
+    """A loser is ``eliminated`` only when the block stopped it (the
+    runner's own stop label), never because its error reads like one."""
+    obs = Observability()
+    outcome = run_alternatives(
+        [Alternative(_times_out_on_its_own, name="db")], backend=backend, obs=obs,
+    )
+    assert outcome.failed and not outcome.timed_out
+    children = obs.registry.get("mw_backend_children_total")
+    assert children.value(backend=backend, disposition="aborted") == 1
+    assert children.value(backend=backend, disposition="eliminated") == 0
+    (span,) = [s for s in obs.tracer.spans if s.cat == "child"]
+    assert span.disposition == "aborted"
+
+
 def make_slow_winner(sleep_s, value):
     """A viable alternative that outlasts any short parent timeout.
 

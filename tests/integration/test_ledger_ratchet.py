@@ -22,7 +22,7 @@ SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
 #: ROADMAP's "locks / conditions in `serve/` + `cluster/`" row
 LOCKS_CEILING = 12
 #: ROADMAP's "`serve/` + `cluster/` lines" row (`wc -l`)
-LINES_CEILING = 4810
+LINES_CEILING = 4763
 #: ROADMAP's "`fsync`s per `cluster_remote` op" row
 APPENDS_PER_REQUEST_CEILING = 3
 #: ROADMAP's "durable appends made while the request holds its slots" row
@@ -266,12 +266,69 @@ def test_the_serving_and_fork_stack_loads_no_openssl_or_multiprocessing():
     )
 
 
-def _code_only(path):
-    """``path``'s source with comments and string literals dropped."""
+def _code_only(path, sep=""):
+    """``path``'s source with comments and string literals dropped, its
+    tokens joined by ``sep``."""
     tokens = tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
-    return "".join(
+    return sep.join(
         tok.string for tok in tokens
         if tok.type not in (tokenize.COMMENT, tokenize.STRING)
+    )
+
+
+#: ROADMAP's "optional-telemetry branches in `src/` outside the kernel" row
+#: (64 before the null plane)
+TELEMETRY_BRANCHES_CEILING = 0
+#: a None test on a plane, a tracer or a metric slot (``self._txn_c``)
+_TELEMETRY_BRANCH = re.compile(
+    r"\b(?:obs|tracer|plane|_\w+_[cgh])\s+is\s+(?:not\s+)?None\b"
+)
+
+
+def test_only_repro_obs_decides_whether_telemetry_is_on():
+    """A layer built without a plane records into ``repro.obs.NULL_OBS``,
+    so none asks whether it has one. The sim kernel keeps its optional
+    ``KernelObserver``, built only over a real plane."""
+    branches = [
+        str(path.relative_to(SRC))
+        for path in sorted(SRC.rglob("*.py"))
+        if path.relative_to(SRC).parts[0] not in ("obs", "kernel")
+        for _ in _TELEMETRY_BRANCH.finditer(_code_only(path, sep=" "))
+    ]
+    assert len(branches) <= TELEMETRY_BRANCHES_CEILING, (
+        f"{len(branches)} None tests on a plane or a metric slot outside "
+        f"repro/obs and repro/kernel (ceiling {TELEMETRY_BRANCHES_CEILING}): "
+        f"take the plane through repro.obs.or_null and write unconditionally "
+        f"— {branches}"
+    )
+
+
+_NO_TELEMETRY_PROBE = textwrap.dedent("""
+    import json, sys
+    import repro, repro.serve, repro.cluster, repro.journal, repro.obs
+    import repro.runtime.fork_backend
+    from repro import run_alternatives, Supervisor
+    from repro.cluster import ClusterRouter, ClusterShard
+    shard = ClusterShard(0, journal_admission=True)
+    with ClusterRouter([shard]).start(detect=False) as router:
+        served = router.submit("t", [lambda ws: 1], spec={}).result(10).value
+    forked = run_alternatives([lambda ws: 2], backend="fork").value
+    print(json.dumps({"values": [served, forked], "loaded": sorted(sys.modules)}))
+""")
+_TELEMETRY_MODULE = re.compile(r"repro\.obs\.(metrics|spans|integrate)")
+
+
+def test_the_serving_and_fork_stack_loads_no_telemetry_module_without_a_plane():
+    """ROADMAP's "``repro.obs.metrics`` / ``.spans`` / ``.integrate``
+    loaded by the serving + fork stack with no plane" row: the null plane
+    imports nothing, and ``repro.obs`` resolves its other names on first
+    access."""
+    probe = _run_probe(_NO_TELEMETRY_PROBE)
+    assert probe["values"] == [1, 2]
+    loaded = [m for m in probe["loaded"] if _TELEMETRY_MODULE.fullmatch(m)]
+    assert not loaded, (
+        f"serving one request and one fork block with no plane loaded {loaded}: "
+        "import them only where a real plane is built"
     )
 
 

@@ -167,7 +167,7 @@ class TestGuards:
         out, _, _ = run_block(k, [alt_guarded, alt_ok])
         assert out.value == "ok"
         statuses = {c.name: c.status for c in out.children}
-        assert statuses["guarded"] == "aborted"
+        assert statuses["guarded"] == "guard-rejected"
 
     def test_guard_before_spawn_skips_spawn(self):
         k = K()

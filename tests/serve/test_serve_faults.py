@@ -5,6 +5,7 @@ import time
 import pytest
 
 from repro.faults.plan import SERVE_SITE, FaultKind, FaultPlan
+from repro.journal import CommitJournal
 from repro.serve import SpeculationService, WorldBudget
 
 
@@ -65,6 +66,29 @@ def test_shadow_requests_do_not_resolve_tickets():
         assert result.committed
         # only the real request has a ticket; shadows run and vanish
         assert offered == [(False, ticket), (True, None), (True, None)]
+
+
+def test_a_burst_shadow_journals_no_block_win():
+    """A shadow takes queue and budget capacity and nothing else: its seq
+    is not one a router drew, so a durable win under it would be replayed
+    as some later request's answer."""
+    plan = FaultPlan(seed=1, rates={FaultKind.REQUEST_BURST: 1.0})
+    journal = CommitJournal()
+    with SpeculationService(
+        WorldBudget(2), workers=2, fault_plan=plan, journal=journal,
+        journal_admission=True,
+    ) as svc:
+        results = [
+            svc.submit("storm", [quick], spec={}).result(timeout=10)
+            for _ in range(3)
+        ]
+    # each submit and its two shadows; stop() drained the shadows too
+    assert svc.queue.admitted == 9
+    assert all(r.committed and not r.replayed for r in results)
+    wins = [i["data"]["block"] for i, _ in journal.applied_intents("block")]
+    assert sorted(wins) == sorted(r.seq for r in results)
+    admits = [i["data"]["request"] for i, _ in journal.applied_intents("admit")]
+    assert sorted(admits) == sorted(r.seq for r in results)
 
 
 def test_slow_tenant_charges_extra_latency():
