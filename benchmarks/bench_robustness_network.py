@@ -11,10 +11,10 @@ restart in a forked child) across a batch of seeds. Reported per rate:
   unreliability cost (failed attempts, duplicate copies, backoff pauses)
   on top of the rate-0 baseline transfer.
 
-A second table gives the same treatment to leased remote worlds: node
-crash probability vs how often the lease machinery re-lands the work
-locally, and what the detection (heartbeat misses -> probe ->
-declare-dead) costs in beats.
+A second table gives the same treatment to leased remote worlds
+(:func:`run_leased`): node crash probability vs how often the lease
+machinery re-lands the work locally, and what the detection (heartbeat
+misses -> probe -> declare-dead) costs in beats.
 
 Run standalone with ``--quick`` for the CI smoke (a trimmed sweep that
 still exercises every code path), or under pytest-benchmark for the
@@ -24,10 +24,14 @@ full tables.
 import sys
 
 from _harness import report, table
+from netmodel.checkpoint import CheckpointImage
+from netmodel.netsim import SimulatedLink
+from netmodel.rfork import _RETRYABLE, RemoteFork, RemoteNode
 from repro.analysis.calibration import NetworkProfile
-from repro.distrib.netsim import SimulatedLink
-from repro.distrib.rfork import RemoteFork
-from repro.faults.plan import FaultKind, FaultPlan
+from repro.distrib.lease import LeaseState, RemoteWorldLease, heartbeat_lost
+from repro.distrib.retry import call_with_retries
+from repro.errors import RetriesExhausted
+from repro.faults.plan import REMOTE_SITE, FaultKind, FaultPlan
 from repro.faults.supervisor import Supervisor
 
 #: A fast link so wall-clock stays bench-friendly; the virtual-time
@@ -78,6 +82,96 @@ def sweep_link_loss(rates=RATES, seeds=SEEDS):
     return [r[:6] + (r[6] - base,) for r in rows]
 
 
+def run_leased(fn, state, rfork, work_s=1.0):
+    """Run ``fn(state)`` on a leased remote world; re-land it locally on death.
+
+    The protocol, all in deterministic virtual link time:
+
+    1. checkpoint the task and ship it over ``rfork.link`` with bounded
+       retries (drops, partitions and corrupt deliveries each re-roll per
+       attempt);
+    2. grant a :class:`~repro.distrib.lease.RemoteWorldLease` and feed it
+       one beat every ``lease.heartbeat_s`` while the remote works for
+       ``work_s`` virtual seconds. A beat goes missing when it is lost in
+       flight, the link flaps or the node crashed (all fault-plan sites);
+       the lease's miss -> probe -> declare ladder decides when that
+       means the holder is dead;
+    3. a dead (or never-reachable) remote world is reclaimed and its work
+       re-landed locally through :meth:`Supervisor.run`.
+
+    Returns a report: the task's ``value``, whether it was ``relanded``
+    and why (``reason``), the lease event log (``lease``), the ship's
+    retry stats (``ship``) and the beats the lease saw.
+    """
+    link = rfork.link
+    plan = link.fault_plan
+    lease = RemoteWorldLease(lease_id=0, node_id=rfork.node_id, granted_at_s=link.clock)
+    node = RemoteNode(node_id=lease.node_id, plan=plan)
+    blob = CheckpointImage.capture(fn, state, "remote-world").to_bytes()
+
+    def ship_once(attempt):
+        return CheckpointImage.from_bytes(link.ship(blob, attempt=attempt).payload)
+
+    report_ = {"reason": None}
+    restored = None
+    try:
+        restored, ship_stats = call_with_retries(
+            ship_once, policy=rfork.retry, token=f"lease:{lease.lease_id}:ship",
+            link=link, retry_on=_RETRYABLE,
+        )
+    except RetriesExhausted as exc:
+        ship_stats = exc.stats
+        lease.declare_dead(link.clock, f"unreachable: {exc}")
+        lease.reclaim(link.clock)
+        report_["reason"] = "remote-unreachable"
+    report_["ship"] = ship_stats.as_dict()
+
+    if restored is not None:
+        t0 = link.clock
+        done_at = t0 + work_s
+        crash_rel = node.crash_time(work_s)
+        crash_at = None if crash_rel is None else t0 + crash_rel
+        if crash_at is not None:
+            plan.note_injection(
+                REMOTE_SITE, FaultKind.REMOTE_CRASH,
+                detail=f"node {lease.node_id} dies at t={crash_at:.6f}s",
+                t=crash_at, track=f"lease:{lease.lease_id}",
+                node=lease.node_id, lease=lease.lease_id,
+            )
+        beat = 0
+        while lease.alive:
+            beat += 1
+            now = t0 + beat * lease.heartbeat_s
+            node_alive = crash_at is None or now < crash_at
+            if node_alive and now >= done_at:
+                lease.complete(done_at)
+                break
+            verdict = lease.beat(
+                now, alive=node_alive,
+                reachable=plan is None or not plan.link_down(link.link_id, now),
+                lost=heartbeat_lost(plan, lease.lease_id, beat, t=now),
+                reason="beat lost in flight" if node_alive else "node crashed",
+            )
+            if verdict is LeaseState.DEAD:
+                lease.reclaim(now)
+                report_["reason"] = "lease-expired"
+        report_["beats_ok"] = lease.beats_ok
+        report_["beats_missed"] = lease.beats_missed
+
+    report_["relanded"] = report_["reason"] is not None
+    if report_["relanded"]:
+        outcome = Supervisor(fault_plan=plan).run([fn], initial=state, backend="sequential")
+        report_["value"] = outcome.value
+    else:
+        # the remote survived its lease: commit its result. The local
+        # restart stands in for the CPU we do not have on the far end.
+        report_["value"] = restored.restart()
+    report_["lease"] = [
+        {"at_s": e.at_s, "event": e.event, "detail": e.detail} for e in lease.events
+    ]
+    return report_
+
+
 def sweep_remote_crash(rates=RATES, seeds=SEEDS):
     """Leased remote worlds: crash probability vs re-landing behaviour."""
     rows = []
@@ -87,15 +181,10 @@ def sweep_remote_crash(rates=RATES, seeds=SEEDS):
         for seed in seeds:
             plan = FaultPlan(seed=seed, rates={FaultKind.REMOTE_CRASH: rate})
             link = SimulatedLink(LINK_PROFILE, fault_plan=plan, seed=seed)
-            rfork = RemoteFork(link=link)
-            sup = Supervisor(fault_plan=plan)
-            outcome = sup.run_remote(
-                _task, {"x": 21}, rfork=rfork, work_s=1.0,
-                local_backend="sequential",
-            )
-            done += outcome.winner is not None and outcome.winner.value == 42
-            relanded += outcome.relanded
-            beats_missed += outcome.extras["remote"].get("beats_missed", 0)
+            leased = run_leased(_task, {"x": 21}, RemoteFork(link=link))
+            done += leased["value"] == 42
+            relanded += leased["relanded"]
+            beats_missed += leased.get("beats_missed", 0)
         n = len(seeds)
         rows.append((rate, done / n, relanded / n, beats_missed / n))
     return rows
@@ -106,6 +195,14 @@ LINK_HEADERS = (
     "mean attempts", "added latency (s)",
 )
 CRASH_HEADERS = ("crash rate", "completed", "relanded", "mean beats missed")
+
+
+def link_text(rows):
+    return table(LINK_HEADERS, rows, fmt="8.3f")
+
+
+def crash_text(rows):
+    return table(CRASH_HEADERS, rows, fmt="8.3f")
 
 
 def _check_link_rows(rows):
@@ -130,13 +227,13 @@ def _check_crash_rows(rows):
 
 def test_completion_vs_link_loss(benchmark):
     rows = benchmark.pedantic(sweep_link_loss, iterations=1, rounds=1)
-    report("robustness_network_link", table(LINK_HEADERS, rows, fmt="8.3f"))
+    report("robustness_network_link", link_text(rows))
     _check_link_rows(rows)
 
 
 def test_lease_recovery_vs_crash_rate(benchmark):
     rows = benchmark.pedantic(sweep_remote_crash, iterations=1, rounds=1)
-    report("robustness_network_lease", table(CRASH_HEADERS, rows, fmt="8.3f"))
+    report("robustness_network_lease", crash_text(rows))
     _check_crash_rows(rows)
 
 
@@ -145,9 +242,9 @@ if __name__ == "__main__":
     rates = QUICK_RATES if quick else RATES
     seeds = QUICK_SEEDS if quick else SEEDS
     link_rows = sweep_link_loss(rates, seeds)
-    print(table(LINK_HEADERS, link_rows, fmt="8.3f"))
+    print(link_text(link_rows))
     _check_link_rows(link_rows)
     crash_rows = sweep_remote_crash(rates, seeds)
-    print(table(CRASH_HEADERS, crash_rows, fmt="8.3f"))
+    print(crash_text(crash_rows))
     _check_crash_rows(crash_rows)
     print("ok")

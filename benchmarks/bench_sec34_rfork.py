@@ -15,9 +15,15 @@ import os
 import pytest
 
 from _harness import report, table
-from repro.analysis.calibration import RFORK_LINK, NetworkProfile
-from repro.distrib.netsim import SimulatedLink
-from repro.distrib.rfork import RemoteFork
+from netmodel.netsim import SimulatedLink
+from netmodel.netstore import DemandPagedImage, NetworkStore, breakeven_fraction
+from netmodel.rfork import RemoteFork
+from repro.analysis.calibration import RFORK_LINK
+from repro.memory.store import SingleLevelStore
+
+#: The on-demand image: 70K in 2K pages on the calibrated 1989 link
+PAGE = 2048
+IMAGE = 70 * 1024
 
 
 def _task_70k(state):
@@ -39,6 +45,54 @@ def size_sweep():
     return rows
 
 
+def on_demand():
+    """Lazy vs eager transfer of the 70K image by touched fraction, and
+    the closed-form breakeven fraction."""
+    rows = []
+    for fraction in (0.05, 0.2, 0.5, 0.8, 1.0):
+        netstore = NetworkStore(
+            SingleLevelStore(page_size=PAGE), SimulatedLink(RFORK_LINK)
+        )
+        image, _ = DemandPagedImage.publish(netstore, "ckpt", bytes(IMAGE))
+        reader = image.reader()
+        touched = int(fraction * image.pages)
+        for page in range(touched):
+            reader.read(page * PAGE, 1)
+        acct = reader.accounting()
+        rows.append(
+            (fraction, acct.pages_fetched, acct.transfer_s,
+             image.eager_fetch_time())
+        )
+    link = SimulatedLink(RFORK_LINK)
+    return rows, breakeven_fraction(IMAGE, link, PAGE)
+
+
+def model_text(cost):
+    return (
+        f"rfork of a 70K process (calibrated 1989 model):\n"
+        f"  checkpoint : {cost.checkpoint_s:.3f} s\n"
+        f"  transfer   : {cost.transfer_s:.3f} s\n"
+        f"  restart    : {cost.restart_s:.3f} s\n"
+        f"  total      : {cost.total_s:.3f} s\n"
+        "(paper: checkpoint slightly under 1 s; observed total ~1.3 s)"
+    )
+
+
+def sweep_text(rows):
+    return table(
+        ["KiB", "checkpoint (s)", "transfer (s)", "restart (s)", "total (s)"],
+        rows, fmt="8.3f",
+    )
+
+
+def on_demand_text(rows, breakeven):
+    text = table(
+        ["touch fraction", "pages fetched", "lazy transfer (s)", "eager (s)"],
+        rows, fmt="8.3f",
+    )
+    return text + f"\n\nbreakeven touch fraction on this link: {breakeven:.3f}"
+
+
 def real_rfork_70k():
     payload = bytes(os.urandom(70 * 1024 - 2048))  # ~70K image after headers
     rf = RemoteFork(SimulatedLink(RFORK_LINK))
@@ -48,15 +102,7 @@ def real_rfork_70k():
 
 def test_rfork_model_1989(benchmark):
     cost = benchmark.pedantic(model_1989, iterations=1, rounds=1)
-    text = (
-        f"rfork of a 70K process (calibrated 1989 model):\n"
-        f"  checkpoint : {cost.checkpoint_s:.3f} s\n"
-        f"  transfer   : {cost.transfer_s:.3f} s\n"
-        f"  restart    : {cost.restart_s:.3f} s\n"
-        f"  total      : {cost.total_s:.3f} s\n"
-        "(paper: checkpoint slightly under 1 s; observed total ~1.3 s)"
-    )
-    report("sec34_rfork_model", text)
+    report("sec34_rfork_model", model_text(cost))
     assert 0.7 < cost.checkpoint_s < 1.0  # "slightly less than a second"
     assert 1.1 < cost.total_s < 1.6  # "about 1.3 seconds"
     # the checkpoint dominates ("the major cost")
@@ -66,11 +112,7 @@ def test_rfork_model_1989(benchmark):
 
 def test_rfork_size_sweep(benchmark):
     rows = benchmark.pedantic(size_sweep, iterations=1, rounds=1)
-    text = table(
-        ["KiB", "checkpoint (s)", "transfer (s)", "restart (s)", "total (s)"],
-        rows, fmt="8.3f",
-    )
-    report("sec34_rfork_sweep", text)
+    report("sec34_rfork_sweep", sweep_text(rows))
     totals = [r[4] for r in rows]
     assert totals == sorted(totals)
     # restart cost is size-independent; checkpoint and transfer are linear
@@ -85,38 +127,8 @@ def test_on_demand_vs_eager_migration(benchmark):
     on the calibrated 1989 link: ship everything up front vs fault pages
     lazily, as a function of how much of the image the restarted process
     actually touches."""
-    from repro.distrib.netstore import DemandPagedImage, NetworkStore, breakeven_fraction
-    from repro.memory.store import SingleLevelStore
-
-    PAGE = 2048
-    IMAGE = 70 * 1024
-
-    def run():
-        rows = []
-        for fraction in (0.05, 0.2, 0.5, 0.8, 1.0):
-            netstore = NetworkStore(
-                SingleLevelStore(page_size=PAGE), SimulatedLink(RFORK_LINK)
-            )
-            image, _ = DemandPagedImage.publish(netstore, "ckpt", bytes(IMAGE))
-            reader = image.reader()
-            touched = int(fraction * image.pages)
-            for page in range(touched):
-                reader.read(page * PAGE, 1)
-            acct = reader.accounting()
-            rows.append(
-                (fraction, acct.pages_fetched, acct.transfer_s,
-                 image.eager_fetch_time())
-            )
-        link = SimulatedLink(RFORK_LINK)
-        return rows, breakeven_fraction(IMAGE, link, PAGE)
-
-    rows, breakeven = benchmark.pedantic(run, iterations=1, rounds=1)
-    text = table(
-        ["touch fraction", "pages fetched", "lazy transfer (s)", "eager (s)"],
-        rows, fmt="8.3f",
-    )
-    text += f"\n\nbreakeven touch fraction on this link: {breakeven:.3f}"
-    report("sec34_rfork_on_demand", text)
+    rows, breakeven = benchmark.pedantic(on_demand, iterations=1, rounds=1)
+    report("sec34_rfork_on_demand", on_demand_text(rows, breakeven))
 
     # sparse restarts: lazy wins; dense restarts: eager wins; the
     # crossover matches the closed form

@@ -27,12 +27,13 @@ from __future__ import annotations
 import pickle
 from dataclasses import dataclass
 
-from repro.distrib.netsim import SimulatedLink
 from repro.distrib.retry import RetryPolicy, call_with_retries
 from repro.errors import CheckpointError, NetworkError, RetriesExhausted
 from repro.kernel.kernel import Kernel
 from repro.kernel.process import ProcState, SimProcess
 from repro.memory.heap import PagedHeap
+
+from .netsim import SimulatedLink
 
 #: The ack is a tiny fixed-size frame (dst pid + status), not the image.
 _ACK_BYTES = 64

@@ -8,7 +8,7 @@ reduce copying, while "more sophisticated migration schemes, using
 (Theimer et al. [23]).
 
 - :class:`NetworkStore` — a :class:`~repro.memory.store.SingleLevelStore`
-  reached over a :class:`~repro.distrib.netsim.SimulatedLink`: every file
+  reached over a :class:`~netmodel.netsim.SimulatedLink`: every file
   and page operation charges the link.
 - :class:`DemandPagedImage` — a checkpoint published as pages on a
   network store; a restart pulls only the pages it actually touches,
@@ -21,10 +21,11 @@ import math
 import zlib
 from dataclasses import dataclass
 
-from repro.distrib.netsim import SimulatedLink
 from repro.distrib.retry import RetryPolicy, call_with_retries
 from repro.errors import NetworkError, TransferCorrupted
 from repro.memory.store import SingleLevelStore
+
+from .netsim import SimulatedLink
 
 
 class NetworkStore:

@@ -17,12 +17,12 @@ When the link carries a :class:`~repro.faults.plan.FaultPlan`,
 - dropped/partitioned transfers retry with exponential backoff and
   deterministic jitter (bounded by the :class:`RetryPolicy`);
 - every shipped image is CRC-verified at
-  :meth:`~repro.runtime.checkpoint.CheckpointImage.from_bytes`; a
+  :meth:`~netmodel.checkpoint.CheckpointImage.from_bytes`; a
   corrupted delivery is rejected and retried instead of reaching
   ``pickle.loads``;
-- an idempotency token (CRC of the blob) guards application: a duplicated
-  delivery, or a retry whose earlier copy actually landed, executes the
-  task exactly once;
+- an idempotency token (the task's name and payload CRC) guards
+  application: a duplicated delivery, or a retry whose earlier copy
+  actually landed, executes the task exactly once;
 - an injected remote-node crash (the ``remote`` fault site) is retried
   like a transfer fault, and when the whole budget is exhausted the task
   re-lands *locally* (``fallback="local"``) so the caller still commits —
@@ -36,7 +36,6 @@ import zlib
 from dataclasses import dataclass
 
 from repro.analysis.calibration import RFORK_LINK
-from repro.distrib.netsim import SimulatedLink
 from repro.distrib.retry import RetryPolicy, RetryStats, call_with_retries
 from repro.errors import (
     CheckpointError,
@@ -45,7 +44,9 @@ from repro.errors import (
     TransferError,
 )
 from repro.faults.plan import REMOTE_SITE, FaultKind
-from repro.runtime.checkpoint import CheckpointImage
+
+from .checkpoint import CheckpointImage
+from .netsim import SimulatedLink
 
 #: Failures :meth:`RemoteFork.execute` treats as retryable: anything the
 #: wire did (drop/partition/corrupt-detected-by-CRC) plus the remote node
@@ -154,7 +155,10 @@ class RemoteFork:
         image = CheckpointImage.capture(fn, state, name)
         blob = image.to_bytes()
         checkpoint_s = time.perf_counter() - t0
-        token = f"rfork:{name}:{zlib.crc32(blob):08x}"
+        # keyed on what the task is, not on when it was captured: the
+        # retry jitter draws from this token, so a timestamp in it would
+        # make a seeded run's backoff differ from run to run
+        token = f"rfork:{name}:{zlib.crc32(image.payload):08x}"
 
         transfer_before = self.link.busy_seconds
         stats = RetryStats()
@@ -238,3 +242,24 @@ class RemoteFork:
             "image_bytes": cost.image_bytes,
         }
         return outcome
+
+
+@dataclass
+class RemoteNode:
+    """The fault plan's view of one remote machine.
+
+    Answers, deterministically per seed, whether the node survives a
+    shipped piece of work or crashes partway through it.
+    """
+
+    node_id: int
+    plan: "object | None" = None
+
+    def crash_time(self, work_s: float, attempt: int = 0) -> float | None:
+        """Seconds into the work at which the node dies, or None."""
+        if self.plan is None:
+            return None
+        decision = self.plan.decide(REMOTE_SITE, self.node_id, attempt)
+        if decision.kind is FaultKind.REMOTE_CRASH:
+            return work_s * decision.param
+        return None

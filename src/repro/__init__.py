@@ -28,9 +28,9 @@ Packages:
   store.
 - :mod:`repro.ipc` / :mod:`repro.devices` — predicated messaging and the
   sink/source device model.
-- :mod:`repro.runtime` — the real ``os.fork`` backend and
-  checkpoint/restart.
-- :mod:`repro.distrib` — simulated links, remote fork, migration.
+- :mod:`repro.runtime` — the real ``os.fork`` and thread backends.
+- :mod:`repro.distrib` — leases and retries, the failure detector and
+  retry policy under :mod:`repro.cluster`.
 - :mod:`repro.analysis` — the paper's PI/R_mu/R_o performance algebra and
   machine calibrations.
 - :mod:`repro.apps` — recovery blocks, OR-parallel Prolog, polyalgorithms

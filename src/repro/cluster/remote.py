@@ -49,8 +49,8 @@ Reliability stack, bottom-up:
    running) and its journal reopened **from the file** for the usual
    replay-or-re-land takeover; with a ``spare_factory`` configured the
    router degrades remote → local, re-landing the orphans on an
-   in-process spare (the ``remote`` row of
-   :data:`repro.faults.supervisor.DEGRADES_TO`, one level up).
+   in-process spare (the rung above the local-only
+   :data:`repro.faults.supervisor.DEGRADES_TO`).
 
 Fault injection rides :data:`~repro.faults.plan.TRANSPORT_SITE`:
 ``TORN_FRAME`` / ``SOCKET_STALL`` / ``CONNECT_REFUSED`` fire per RPC

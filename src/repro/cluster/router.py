@@ -250,8 +250,8 @@ class ClusterRouter:
         #: zero-arg callable returning a fresh (unstarted) in-process
         #: shard: when a landing finds *no* surviving candidate (e.g.
         #: every remote shard unreachable), the router adopts one local
-        #: spare as the walk's last rung — the ``remote`` row of
-        #: :data:`repro.faults.supervisor.DEGRADES_TO`, one level up
+        #: spare as the walk's last rung: remote degrades to local here,
+        #: above the local-only :data:`repro.faults.supervisor.DEGRADES_TO`
         self.spare_factory = spare_factory
         self._spare: ClusterShard | None = None
         self.ring = HashRing(vnodes=vnodes)

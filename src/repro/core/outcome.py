@@ -91,34 +91,6 @@ class BlockOutcome:
         """Escalation events (SIGTERM/SIGKILL) the fork watchdog recorded."""
         return list(self.extras.get("watchdog", ()))
 
-    @property
-    def network_retries(self) -> int:
-        """Link-level retries the rfork/lease protocol spent on this block."""
-        total = 0
-        rfork = self.extras.get("rfork")
-        if rfork:
-            total += int(rfork.get("retries", 0))
-        remote = self.extras.get("remote")
-        if remote and remote.get("ship"):
-            total += int(remote["ship"].get("retries", 0))
-        return total
-
-    @property
-    def lease_events(self) -> list:
-        """The remote-world lease's event log (granted/suspect/declare-dead/…)."""
-        return list(self.extras.get("lease", ()))
-
-    @property
-    def relanded(self) -> bool:
-        """True when a dead/unreachable remote world was re-run locally."""
-        return bool(self.extras.get("relanded"))
-
-    @property
-    def remote_fallback(self) -> str | None:
-        """"local" when an rfork exhausted its retries and ran here, else None."""
-        rfork = self.extras.get("rfork")
-        return rfork.get("fallback") if rfork else None
-
     def remap_indexes(self, positions: Sequence[int]) -> None:
         """Report in the caller's positions a block that ran a chosen
         subset of its alternatives: ``positions[i]`` is where the run's

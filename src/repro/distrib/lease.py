@@ -1,27 +1,23 @@
-"""Leased remote worlds: heartbeats, failure detection, crash recovery.
+"""Leases and heartbeats: the failure detector behind the cluster router.
 
-A world shipped to a remote node (via rfork) is invisible once it leaves:
-the 1989 LAN gave no notification when the peer machine rebooted. The
-classic answer is a *lease*: the remote world must renew its claim by
-heartbeat; a holder that goes quiet is first suspected (probe), then
-declared dead, its orphaned state reclaimed, and its work re-landed
-locally — the distributed rung of PR 1's fork → thread → sequential
-degradation ladder.
+A holder that lives somewhere else — a shard host, or a world shipped to
+another machine — is invisible once it leaves: nothing announces that it
+died. The classic answer is a *lease*: the holder must renew its claim
+by heartbeat; a holder that goes quiet is first suspected (probe), then
+declared dead, its orphaned state reclaimed, and its work handed to a
+successor (:meth:`RemoteWorldLease.takeover`).
 
-Everything here runs in *virtual* link time and is deterministic per
+Everything here runs in *virtual* time and is deterministic per
 fault-plan seed:
 
-- whether the remote node crashes, and when, is the plan's ``remote``
-  site (``REMOTE_CRASH`` at ``(node_id, attempt)``; the crash lands at
-  ``remote_crash_fraction`` of the shipped work);
-- whether an individual heartbeat is lost in flight even though the node
-  is alive is the ``heartbeat`` site (``(lease_id, beat_index)``);
+- whether an individual heartbeat is lost in flight even though the
+  holder is alive is the ``heartbeat`` site (``(lease_id, beat_index)``);
 - link flap windows silence heartbeats too (``partition`` site), which is
-  exactly how a live node gets wrongly suspected — the probe on the
+  exactly how a live holder gets wrongly suspected — the probe on the
   healed link then rescues it.
 
 :class:`RemoteWorldLease` is the pure state machine + event log;
-:meth:`repro.faults.Supervisor.run_remote` and the cluster router drive it.
+:class:`~repro.cluster.ClusterRouter`'s heartbeat round drives it.
 """
 
 from __future__ import annotations
@@ -30,7 +26,7 @@ import enum
 from dataclasses import dataclass, field
 
 from repro.errors import NetworkError
-from repro.faults.plan import HEARTBEAT_SITE, REMOTE_SITE, FaultKind
+from repro.faults.plan import HEARTBEAT_SITE, FaultKind
 from repro.obs import or_null
 
 
@@ -232,27 +228,6 @@ class RemoteWorldLease:
             )
         self.state = LeaseState.COMPLETED
         self._log(at_s, "completed")
-
-
-@dataclass
-class RemoteNode:
-    """The fault plan's view of one remote machine.
-
-    Answers, deterministically per seed, whether the node survives a
-    shipped piece of work or crashes partway through it.
-    """
-
-    node_id: int
-    plan: "object | None" = None
-
-    def crash_time(self, work_s: float, attempt: int = 0) -> float | None:
-        """Seconds into the work at which the node dies, or None."""
-        if self.plan is None:
-            return None
-        decision = self.plan.decide(REMOTE_SITE, self.node_id, attempt)
-        if decision.kind is FaultKind.REMOTE_CRASH:
-            return work_s * decision.param
-        return None
 
 
 def heartbeat_lost(plan, lease_id: int, beat_index: int, t: float | None = None) -> bool:

@@ -1,7 +1,8 @@
 """Bounded retries with exponential backoff and deterministic jitter.
 
-Every distributed consumer (rfork, network store, migration) faces the
-same loop: try a link operation, classify the failure, back off, try
+Every distributed consumer (the remote shard client here; rfork, the
+network store and migration in the benchmarks' 1989 network model) faces
+the same loop: try a link operation, classify the failure, back off, try
 again, give up after a bounded number of attempts. :func:`call_with_retries`
 is that loop, once.
 
@@ -10,8 +11,8 @@ idempotency token and the attempt number, not from a shared RNG, so two
 runs of the same seeded scenario back off identically (the property the
 determinism tests assert) while distinct operations still decorrelate.
 
-Backoff consumes *link* time via :meth:`SimulatedLink.wait` — that is
-what eventually walks a retry out of a partition window — and is
+Given a simulated link, backoff consumes *link* time via its ``wait`` —
+that is what eventually walks a retry out of a partition window — and is
 reported in the stats so callers can account "added latency due to
 unreliability" separately from nominal transfer time.
 """

@@ -26,14 +26,6 @@ class PageFault(MemoryError_):
         self.vpn = vpn
 
 
-class ProtectionFault(MemoryError_):
-    """A write touched a page mapped read-only (outside COW handling)."""
-
-    def __init__(self, vpn: int) -> None:
-        super().__init__(f"protection fault: page {vpn} is read-only")
-        self.vpn = vpn
-
-
 class AddressError(MemoryError_):
     """An address or length was invalid (negative, out of segment, ...)."""
 
@@ -73,10 +65,6 @@ class SourceAccessError(ReproError):
 
 class WorldsError(ReproError):
     """Errors from the high-level Multiple Worlds block API."""
-
-
-class AllAlternativesFailed(WorldsError):
-    """Every alternative in a block aborted (guard failure or error)."""
 
 
 class SpawnError(WorldsError):
@@ -128,10 +116,6 @@ class RetriesExhausted(NetworkError):
     def __init__(self, message: str, attempts: int = 0) -> None:
         super().__init__(message)
         self.attempts = attempts
-
-
-class LeaseExpired(NetworkError):
-    """A remote world's lease ran out (missed heartbeats / no renewal)."""
 
 
 class RemoteNodeDown(NetworkError):

@@ -29,12 +29,13 @@ message    MSG_DROP, MSG_DELAY — keyed ``(msg_id,)`` (simulation kernel)
 compute    STALL (extra virtual seconds) — keyed ``(wid, op_number)``
            (simulation kernel)
 link       XFER_DROP, XFER_DUP, XFER_REORDER, XFER_CORRUPT, LINK_SLOW —
-           keyed ``(link_id, transfer_seq, attempt)`` (simulated network)
+           keyed ``(link_id, transfer_seq, attempt)`` (the simulated
+           network of ``benchmarks/netmodel``)
 partition  LINK_FLAP (the link is down for the first ``flap_s`` seconds
            of the window) — keyed ``(link_id, window_index)`` where the
            window index is ``floor(link_clock / partition_window_s)``
 remote     REMOTE_CRASH (the remote node dies partway through the shipped
-           work) — keyed ``(node_id, attempt)``
+           work) — keyed ``(node_id, attempt)`` (``benchmarks/netmodel``)
 heartbeat  HEARTBEAT_MISS (one lease heartbeat is lost in flight even
            though the node is alive) — keyed ``(lease_id, beat_index)``
 journal    TORN_RECORD, CRASH_BEFORE_SEAL, CRASH_AFTER_SEAL,

@@ -15,14 +15,12 @@ survival layer on top of :func:`repro.core.worlds.run_alternatives`:
 - **graceful degradation** — when spawning worlds *itself* fails
   (:class:`~repro.errors.SpawnError`, real or injected), the supervisor
   walks the block down the ladder in :data:`DEGRADES_TO` and records
-  every hop in ``BlockOutcome.extras["degraded"]``;
-- **leased remote worlds** — :meth:`Supervisor.run_remote` ships a task
-  to a (simulated) remote node under a
-  :class:`~repro.distrib.lease.RemoteWorldLease` and watches its
-  heartbeats in virtual link time. Missed beats escalate
-  probe → declare-dead → reclaim-orphan; a dead or unreachable remote
-  re-lands the work locally through :meth:`run` — the ladder's
-  ``remote`` row.
+  every hop in ``BlockOutcome.extras["degraded"]``.
+
+The ladder is local only. Remote execution is a shard host behind
+:class:`~repro.cluster.ClusterRouter`, whose lease and takeover re-land
+a dead host's work; a supervisor rung that reached one would be a
+second router.
 
 The supervisor is fault-plan aware only in that it threads the plan and
 an attempt counter through to the backends; the attempt number is part
@@ -46,13 +44,12 @@ from repro.errors import SpawnError, WorldsError
 from repro.obs import or_null
 
 #: The degradation ladder, one row per rung: where work lands when the
-#: rung it was on cannot spawn (or, for ``remote``, loses its lease).
-#: Strongest isolation first. Coroutine alternatives cannot cross a
-#: ``fork`` boundary (the child cannot report awaitables back through a
-#: pipe), so a failed async spawn degrades straight to threads; a rung
-#: with no row (``sequential``, ``sim``) never degrades.
+#: rung it was on cannot spawn. Strongest isolation first. Coroutine
+#: alternatives cannot cross a ``fork`` boundary (the child cannot report
+#: awaitables back through a pipe), so a failed async spawn degrades
+#: straight to threads; a rung with no row (``sequential``, ``sim``)
+#: never degrades.
 DEGRADES_TO = {
-    "remote": "fork",
     "fork": "thread",
     "async": "thread",
     "thread": "sequential",
@@ -103,8 +100,8 @@ class Supervisor:
     obs:
         An :class:`~repro.obs.Observability`; threaded through to every
         backend attempt, and the supervisor's own decisions (retry
-        waves, degradation hops, remote re-landings) are recorded as
-        metrics and annotation events.
+        waves, degradation hops) are recorded as metrics and annotation
+        events.
     """
 
     def __init__(
@@ -287,154 +284,6 @@ class Supervisor:
             self.obs.registry.counter(
                 "mw_retry_waves_total", "Retry waves beyond the first attempt",
             ).inc(float(len(history) - 1))
-        return outcome
-
-    # ------------------------------------------------------------------
-    def run_remote(
-        self,
-        fn,
-        initial: dict[str, Any] | None = None,
-        *,
-        rfork=None,
-        work_s: float = 1.0,
-        lease=None,
-        name: str = "remote-world",
-        local_backend: str = DEGRADES_TO["remote"],
-    ) -> BlockOutcome:
-        """Run ``fn(state)`` on a leased remote world; re-land locally on death.
-
-        The protocol, all in deterministic virtual link time:
-
-        1. checkpoint the task and ship it over ``rfork.link`` with
-           bounded retries (drops, partitions and corrupt deliveries each
-           re-roll per attempt);
-        2. grant a :class:`~repro.distrib.lease.RemoteWorldLease` and
-           feed it one :meth:`~repro.distrib.lease.RemoteWorldLease.beat`
-           every ``lease.heartbeat_s`` while the remote works for
-           ``work_s`` virtual seconds. A beat goes missing when it is
-           lost in flight, the link flaps or the node crashed (all
-           fault-plan sites); the lease's miss → probe → declare ladder
-           decides when that means the holder is dead;
-        3. a dead (or never-reachable) remote world is reclaimed and its
-           work re-landed locally via :meth:`run`, recording the hop in
-           ``extras["degraded"]`` — the ``remote`` row of
-           :data:`DEGRADES_TO`.
-
-        Returns a :class:`BlockOutcome` whose ``extras`` carry the lease
-        event log (``lease``), the remote protocol report (``remote``),
-        and ``relanded`` when local recovery ran.
-        """
-        from repro.core.outcome import AlternativeResult
-        from repro.distrib.lease import (
-            LeaseState, RemoteNode, RemoteWorldLease, heartbeat_lost,
-        )
-        from repro.distrib.retry import call_with_retries
-        from repro.distrib.rfork import _RETRYABLE, RemoteFork
-        from repro.errors import RetriesExhausted
-        from repro.runtime.checkpoint import CheckpointImage
-
-        if rfork is None:
-            rfork = RemoteFork()
-        link = rfork.link
-        plan = link.fault_plan if link.fault_plan is not None else self.fault_plan
-        if lease is None:
-            lease = RemoteWorldLease(
-                lease_id=self.block_id, node_id=rfork.node_id,
-                granted_at_s=link.clock, obs=self.obs,
-            )
-        node = RemoteNode(node_id=lease.node_id, plan=plan)
-
-        t_wall = time.perf_counter()
-        state = dict(initial or {})
-        image = CheckpointImage.capture(fn, state, name)
-        blob = image.to_bytes()
-
-        def ship_once(attempt: int):
-            delivery = link.ship(blob, attempt=attempt)
-            return CheckpointImage.from_bytes(delivery.payload)
-
-        remote_report: dict[str, Any] = {
-            "node_id": lease.node_id, "lease_id": lease.lease_id,
-            "work_s": work_s, "image_bytes": len(blob),
-        }
-        dead_reason = None
-        restored = None
-        try:
-            restored, ship_stats = call_with_retries(
-                ship_once, policy=rfork.retry,
-                token=f"lease:{lease.lease_id}:ship", link=link,
-                retry_on=_RETRYABLE,
-            )
-            remote_report["ship"] = ship_stats.as_dict()
-        except RetriesExhausted as exc:
-            ship_stats = getattr(exc, "stats", None)
-            remote_report["ship"] = ship_stats.as_dict() if ship_stats else {}
-            lease.declare_dead(link.clock, f"unreachable: {exc}")
-            lease.reclaim(link.clock)
-            dead_reason = "remote-unreachable"
-
-        if restored is not None:
-            t0 = link.clock
-            done_at = t0 + work_s
-            crash_rel = node.crash_time(work_s, attempt=0)
-            crash_at = None if crash_rel is None else t0 + crash_rel
-            if crash_at is not None and plan is not None:
-                from repro.faults.plan import REMOTE_SITE, FaultKind
-
-                plan.note_injection(
-                    REMOTE_SITE, FaultKind.REMOTE_CRASH,
-                    detail=f"node {lease.node_id} dies at t={crash_at:.6f}s",
-                    t=crash_at, track=f"lease:{lease.lease_id}",
-                    node=lease.node_id, lease=lease.lease_id,
-                )
-            remote_report["crash_at_s"] = crash_at
-            beat = 0
-            while lease.alive:
-                beat += 1
-                now = t0 + beat * lease.heartbeat_s
-                node_alive = crash_at is None or now < crash_at
-                if node_alive and now >= done_at:
-                    lease.complete(done_at)
-                    break
-                verdict = lease.beat(
-                    now, alive=node_alive,
-                    reachable=plan is None or not plan.link_down(link.link_id, now),
-                    lost=heartbeat_lost(plan, lease.lease_id, beat, t=now),
-                    reason="beat lost in flight" if node_alive else "node crashed",
-                )
-                if verdict is LeaseState.DEAD:
-                    lease.reclaim(now)
-                    dead_reason = "lease-expired"
-            remote_report["beats_ok"] = lease.beats_ok
-            remote_report["beats_missed"] = lease.beats_missed
-
-        if dead_reason is None and restored is not None:
-            # the remote survived its lease: commit its result. The local
-            # restart stands in for the CPU we do not have on the far end.
-            result = restored.restart()
-            winner = AlternativeResult(
-                index=0, name=name, value=result, succeeded=True,
-                elapsed_s=work_s,
-            )
-            outcome = BlockOutcome(winner=winner, elapsed_s=time.perf_counter() - t_wall)
-        else:
-            # remote world is gone: re-land the work on the local ladder
-            self._count(
-                "mw_relandings_total", "Remote worlds re-landed locally",
-                reason=dead_reason,
-            )
-            outcome = self.run([fn], initial=state, backend=local_backend)
-            outcome.extras["relanded"] = True
-            outcome.extras.setdefault("degraded", []).insert(
-                0,
-                {"backend": "remote", "attempt": 0, "error": dead_reason},
-            )
-            outcome.elapsed_s = time.perf_counter() - t_wall
-        outcome.extras["lease"] = [
-            {"at_s": e.at_s, "event": e.event, "detail": e.detail}
-            for e in lease.events
-        ]
-        outcome.extras["remote"] = remote_report
         return outcome
 
 

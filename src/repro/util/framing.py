@@ -18,8 +18,6 @@ else:
 
 The codec moves bytes only: what the body is (pickle protocol, the magic
 before the frame) and what damage costs stay with the caller.
-:mod:`repro.runtime.checkpoint`'s ``<QdI`` image is a different format —
-its CRC also covers header fields — and does not ride this one.
 """
 
 from __future__ import annotations

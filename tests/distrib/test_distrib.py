@@ -5,11 +5,12 @@ import os
 import pytest
 
 from repro.analysis.calibration import RFORK_LINK, NetworkProfile
-from repro.distrib.migration import migrate_process
-from repro.distrib.netsim import SimulatedLink
-from repro.distrib.rfork import RemoteFork
 from repro.errors import CheckpointError, NetworkError
 from repro.kernel import Kernel
+
+from netmodel.migration import migrate_process
+from netmodel.netsim import SimulatedLink
+from netmodel.rfork import RemoteFork
 
 
 class TestSimulatedLink:

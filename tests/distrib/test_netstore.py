@@ -3,14 +3,15 @@
 import pytest
 
 from repro.analysis.calibration import NetworkProfile
-from repro.distrib.netsim import SimulatedLink
-from repro.distrib.netstore import (
+from repro.errors import NetworkError
+from repro.memory.store import SingleLevelStore
+
+from netmodel.netsim import SimulatedLink
+from netmodel.netstore import (
     DemandPagedImage,
     NetworkStore,
     breakeven_fraction,
 )
-from repro.errors import NetworkError
-from repro.memory.store import SingleLevelStore
 
 
 def make_netstore(latency=0.01, bandwidth=1e6, page_size=1024):

@@ -5,9 +5,10 @@ import struct
 
 import pytest
 
-import repro.runtime.checkpoint as ckpt_mod
 from repro.errors import CheckpointError
-from repro.runtime.checkpoint import CheckpointImage
+
+import netmodel.checkpoint as ckpt_mod
+from netmodel.checkpoint import CheckpointImage
 
 
 def _task(state):

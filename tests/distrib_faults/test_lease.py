@@ -1,19 +1,16 @@
-"""Leased remote worlds: the state machine and supervised crash recovery."""
+"""Leased remote worlds: the state machine, and the network bench's
+leased-world loop (ship, beat, re-land locally on death)."""
 
 import pytest
 
 from repro.analysis.calibration import NetworkProfile
-from repro.distrib.lease import (
-    LeaseState,
-    RemoteNode,
-    RemoteWorldLease,
-    heartbeat_lost,
-)
-from repro.distrib.netsim import SimulatedLink
-from repro.distrib.rfork import RemoteFork
+from repro.distrib.lease import LeaseState, RemoteWorldLease, heartbeat_lost
 from repro.errors import NetworkError
 from repro.faults.plan import FaultKind, FaultPlan
-from repro.faults.supervisor import Supervisor
+
+from benchmarks.bench_robustness_network import run_leased
+from netmodel.netsim import SimulatedLink
+from netmodel.rfork import RemoteFork, RemoteNode
 
 FAST = NetworkProfile("fast", latency_s=0.001, bandwidth_bytes_s=1e8)
 
@@ -226,64 +223,60 @@ class TestFaultPlanHooks:
         assert any(a) and not all(a)
 
 
-def make_supervisor(rates, seed=0, **plan_knobs):
+def make_rfork(rates, seed=0, **plan_knobs):
     plan = FaultPlan(seed=seed, rates=rates, **plan_knobs)
     link = SimulatedLink(FAST, fault_plan=plan, seed=seed)
-    rfork = RemoteFork(link=link, node_id=1)
-    sup = Supervisor(fault_plan=plan)
-    return sup, rfork
+    return RemoteFork(link=link, node_id=1)
 
 
 class TestRunRemote:
+    """The leased remote-world loop the network bench runs
+    (:func:`bench_robustness_network.run_leased`)."""
+
     def test_quiet_plan_completes_remotely(self):
-        sup, rfork = make_supervisor({})
-        outcome = sup.run_remote(_answer, {"x": 2}, rfork=rfork, work_s=0.5)
-        assert outcome.winner.value == 42
-        assert not outcome.relanded
-        assert outcome.lease_events[-1]["event"] == "completed"
-        assert outcome.extras["remote"]["beats_missed"] == 0
+        leased = run_leased(_answer, {"x": 2}, make_rfork({}), work_s=0.5)
+        assert leased["value"] == 42
+        assert not leased["relanded"]
+        assert leased["lease"][-1]["event"] == "completed"
+        assert leased["beats_missed"] == 0
 
     def test_killed_remote_world_relands_locally(self):
         # acceptance: a killed remote world is detected by lease expiry
         # and the work re-lands locally with the correct value
-        sup, rfork = make_supervisor({FaultKind.REMOTE_CRASH: 1.0})
-        outcome = sup.run_remote(
-            _answer, {"x": 2}, rfork=rfork, work_s=1.0, local_backend="sequential"
+        leased = run_leased(
+            _answer, {"x": 2}, make_rfork({FaultKind.REMOTE_CRASH: 1.0}), work_s=1.0,
         )
-        assert outcome.winner.value == 42
-        assert outcome.relanded
-        events = [e["event"] for e in outcome.lease_events]
+        assert leased["value"] == 42
+        assert leased["relanded"]
+        events = [e["event"] for e in leased["lease"]]
         assert events[0] == "granted"
         assert "declare-dead" in events
         assert events[-1] == "reclaim-orphan"
-        # the degradation ladder starts at the remote rung
-        assert outcome.extras["degraded"][0]["backend"] == "remote"
+        assert leased["reason"] == "lease-expired"
 
     def test_unreachable_node_relands(self):
-        sup, rfork = make_supervisor({FaultKind.XFER_DROP: 1.0})
-        outcome = sup.run_remote(
-            _answer, {"x": 2}, rfork=rfork, local_backend="sequential"
-        )
-        assert outcome.winner.value == 42
-        assert outcome.relanded
-        assert outcome.extras["degraded"][0]["error"] == "remote-unreachable"
-        assert outcome.extras["remote"]["ship"]["retries"] == rfork.retry.max_retries
+        rfork = make_rfork({FaultKind.XFER_DROP: 1.0})
+        leased = run_leased(_answer, {"x": 2}, rfork)
+        assert leased["value"] == 42
+        assert leased["relanded"]
+        assert leased["reason"] == "remote-unreachable"
+        assert leased["ship"]["retries"] == rfork.retry.max_retries
 
     def test_lost_heartbeats_rescued_by_probe(self):
         # beats vanish in flight but the node is alive and the link is up:
         # every suspicion must be rescued by a probe, never a declaration
-        sup, rfork = make_supervisor({FaultKind.HEARTBEAT_MISS: 0.5}, seed=2)
-        outcome = sup.run_remote(_answer, {"x": 2}, rfork=rfork, work_s=1.0)
-        assert outcome.winner.value == 42
-        assert not outcome.relanded
-        events = [e["event"] for e in outcome.lease_events]
+        rfork = make_rfork({FaultKind.HEARTBEAT_MISS: 0.5}, seed=2)
+        leased = run_leased(_answer, {"x": 2}, rfork, work_s=1.0)
+        assert leased["value"] == 42
+        assert not leased["relanded"]
+        events = [e["event"] for e in leased["lease"]]
         assert "declare-dead" not in events
         if "suspect" in events:
             assert "probe-ok" in events
 
     @pytest.mark.parametrize("seed", range(6))
     def test_always_commits_under_mixed_faults(self, seed):
-        sup, rfork = make_supervisor(
+        rfork = make_rfork(
             {
                 FaultKind.XFER_DROP: 0.3,
                 FaultKind.REMOTE_CRASH: 0.3,
@@ -291,30 +284,23 @@ class TestRunRemote:
             },
             seed=seed,
         )
-        outcome = sup.run_remote(
-            _answer, {"x": 2}, rfork=rfork, work_s=1.0,
-            local_backend="sequential",
-        )
-        assert outcome.winner is not None
-        assert outcome.winner.value == 42
+        leased = run_leased(_answer, {"x": 2}, rfork, work_s=1.0)
+        assert leased["value"] == 42
 
     def test_lease_log_of_a_seeded_run_is_pinned(self):
         # captured on the tree before the beat moved onto the lease: lost
         # beats rescued by probes, then the node dies and is declared
-        sup, rfork = make_supervisor(
+        rfork = make_rfork(
             {
                 FaultKind.REMOTE_CRASH: 0.4, FaultKind.HEARTBEAT_MISS: 0.3,
                 FaultKind.LINK_FLAP: 0.3, FaultKind.XFER_DROP: 0.1,
             },
             seed=10,
         )
-        outcome = sup.run_remote(
-            _answer, {"x": 2}, rfork=rfork, work_s=1.0,
-            local_backend="sequential",
-        )
+        leased = run_leased(_answer, {"x": 2}, rfork, work_s=1.0)
         events = [
             (round(e["at_s"], 4), e["event"], e["detail"])
-            for e in outcome.lease_events
+            for e in leased["lease"]
         ]
         assert events == [
             (0.0, "granted", "term=0.5s"),
@@ -334,11 +320,11 @@ class TestRunRemote:
             (0.701, "declare-dead", "3 consecutive misses (node crashed)"),
             (0.701, "reclaim-orphan", ""),
         ]
-        assert outcome.relanded and outcome.winner.value == 42
+        assert leased["relanded"] and leased["value"] == 42
 
     def test_same_seed_identical_lease_history(self):
         def run(seed):
-            sup, rfork = make_supervisor(
+            rfork = make_rfork(
                 {
                     FaultKind.XFER_DROP: 0.2,
                     FaultKind.REMOTE_CRASH: 0.4,
@@ -346,14 +332,11 @@ class TestRunRemote:
                 },
                 seed=seed,
             )
-            outcome = sup.run_remote(
-                _answer, {"x": 2}, rfork=rfork, work_s=1.0,
-                local_backend="sequential",
-            )
+            leased = run_leased(_answer, {"x": 2}, rfork, work_s=1.0)
             return (
-                [(e["at_s"], e["event"], e["detail"]) for e in outcome.lease_events],
-                outcome.relanded,
-                outcome.winner.value,
+                [(e["at_s"], e["event"], e["detail"]) for e in leased["lease"]],
+                leased["relanded"],
+                leased["value"],
             )
 
         assert run(13) == run(13)

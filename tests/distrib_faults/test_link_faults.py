@@ -5,9 +5,10 @@ import threading
 import pytest
 
 from repro.analysis.calibration import NetworkProfile
-from repro.distrib.netsim import SimulatedLink, corrupt_payload
 from repro.errors import LinkPartitioned, TransferDropped
 from repro.faults.plan import FaultKind, FaultPlan
+
+from netmodel.netsim import SimulatedLink, corrupt_payload
 
 FAST = NetworkProfile("fast", latency_s=0.001, bandwidth_bytes_s=1e8)
 

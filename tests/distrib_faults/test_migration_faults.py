@@ -3,13 +3,14 @@
 import pytest
 
 from repro.analysis.calibration import NetworkProfile
-from repro.distrib.migration import migrate_process
-from repro.distrib.netsim import SimulatedLink
 from repro.distrib.retry import RetryPolicy
 from repro.errors import NetworkError
 from repro.faults.plan import FaultKind, FaultPlan
 from repro.kernel import Kernel
 from repro.kernel.process import ProcState
+
+from netmodel.migration import migrate_process
+from netmodel.netsim import SimulatedLink
 
 FAST = NetworkProfile("fast", latency_s=0.001, bandwidth_bytes_s=1e8)
 

@@ -3,11 +3,12 @@
 import pytest
 
 from repro.analysis.calibration import NetworkProfile
-from repro.distrib.netsim import SimulatedLink
-from repro.distrib.netstore import DemandPagedImage, NetworkStore
 from repro.errors import RetriesExhausted
 from repro.faults.plan import FaultKind, FaultPlan
 from repro.memory.store import SingleLevelStore
+
+from netmodel.netsim import SimulatedLink
+from netmodel.netstore import DemandPagedImage, NetworkStore
 
 FAST = NetworkProfile("fast", latency_s=0.001, bandwidth_bytes_s=1e8)
 

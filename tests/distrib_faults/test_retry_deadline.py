@@ -4,9 +4,10 @@ import time
 
 import pytest
 
-from repro.distrib.netsim import NetworkProfile, SimulatedLink
 from repro.distrib.retry import RetryPolicy, call_with_retries
 from repro.errors import RetriesExhausted, TransferDropped
+
+from netmodel.netsim import NetworkProfile, SimulatedLink
 
 
 def always_fail(attempt):

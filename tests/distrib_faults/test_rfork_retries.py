@@ -3,11 +3,12 @@
 import pytest
 
 from repro.analysis.calibration import NetworkProfile
-from repro.distrib.netsim import SimulatedLink
 from repro.distrib.retry import RetryPolicy
-from repro.distrib.rfork import RemoteFork
 from repro.errors import RetriesExhausted
 from repro.faults.plan import FaultKind, FaultPlan
+
+from netmodel.netsim import SimulatedLink
+from netmodel.rfork import RemoteFork
 
 FAST = NetworkProfile("fast", latency_s=0.001, bandwidth_bytes_s=1e8)
 
@@ -77,7 +78,7 @@ class TestIdempotency:
     def test_resend_of_applied_image_reuses_result(self):
         # at-least-once delivery: a retry whose earlier copy actually
         # landed must not re-run the task
-        from repro.runtime.checkpoint import CheckpointImage
+        from netmodel.checkpoint import CheckpointImage
 
         rfork = make_rfork({}, seed=0)
         blob = CheckpointImage.capture(_double, {"x": 1}, "same").to_bytes()
@@ -93,8 +94,7 @@ class TestFallbackAndExhaustion:
         outcome = rfork.execute_block(_double, {"x": 50})
         assert outcome.winner.value == 100
         assert outcome.extras["rfork"]["fallback"] == "local"
-        assert outcome.remote_fallback == "local"
-        assert outcome.network_retries == rfork.retry.max_retries
+        assert outcome.extras["rfork"]["retries"] == rfork.retry.max_retries
 
     def test_no_fallback_raises_retries_exhausted(self):
         rfork = make_rfork(

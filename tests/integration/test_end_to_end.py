@@ -134,8 +134,8 @@ class TestDistributedPipeline:
 
     def test_checkpoint_ship_restart_migrate(self):
         from repro.analysis.calibration import NetworkProfile
-        from repro.distrib.migration import migrate_process
-        from repro.distrib.netsim import SimulatedLink
+        from netmodel.migration import migrate_process
+        from netmodel.netsim import SimulatedLink
 
         node_a, node_b = Kernel(cpus=2), Kernel(cpus=2)
         link = SimulatedLink(NetworkProfile("lan", 0.005, 10e6))
@@ -161,7 +161,7 @@ class TestDistributedPipeline:
         record = migrate_process(node_a, pid, node_b, link)
         assert record.transfer_s > 0
         # the wire carried the image plus the target's fixed-size ack
-        from repro.distrib.migration import _ACK_BYTES
+        from netmodel.migration import _ACK_BYTES
 
         assert link.bytes_moved == record.image_bytes + _ACK_BYTES
 

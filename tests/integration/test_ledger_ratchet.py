@@ -23,6 +23,8 @@ SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
 LOCKS_CEILING = 12
 #: ROADMAP's "`serve/` + `cluster/` lines" row (`wc -l`)
 LINES_CEILING = 4763
+#: ROADMAP's "`src/` lines" row (`git ls-files 'src/*.py' | xargs wc -l`)
+SRC_LINES_CEILING = 21865
 #: ROADMAP's "`fsync`s per `cluster_remote` op" row
 APPENDS_PER_REQUEST_CEILING = 3
 #: ROADMAP's "durable appends made while the request holds its slots" row
@@ -56,6 +58,15 @@ def test_serve_and_cluster_line_count_does_not_rise():
         f"{lines} lines in serve/ + cluster/ (ceiling {LINES_CEILING}): "
         "remove what the change made unnecessary, or update ROADMAP's "
         "ledger row and this ceiling together"
+    )
+
+
+def test_src_line_count_does_not_rise():
+    lines = sum(len(path.read_text().splitlines()) for path in SRC.rglob("*.py"))
+    assert lines <= SRC_LINES_CEILING, (
+        f"{lines} lines in src/ (ceiling {SRC_LINES_CEILING}): remove what "
+        "the change made unnecessary, or update ROADMAP's ledger row and "
+        "this ceiling together"
     )
 
 
@@ -209,8 +220,7 @@ _NO_SIMULATION_PROBE = textwrap.dedent("""
     from repro import run_alternatives, Supervisor
     serving = sorted(sys.modules)
     import repro.analysis, repro.distrib
-    names = (repro.Kernel, repro.PerformanceModel, repro.analysis.pi_from_ratios,
-             repro.distrib.SimulatedLink)
+    names = (repro.Kernel, repro.PerformanceModel, repro.analysis.pi_from_ratios)
     print(json.dumps({
         "serving": serving,
         "resolved": [f"{x.__module__}.{x.__qualname__}" for x in names],
@@ -219,9 +229,10 @@ _NO_SIMULATION_PROBE = textwrap.dedent("""
 
 
 def test_the_serving_and_fork_stack_loads_no_simulation_module():
-    """The public surfaces of ``repro``, ``repro.analysis`` and
-    ``repro.distrib`` import their simulation names on first access, so
-    the router, shard hosts and fork worlds carry only the serving stack."""
+    """The public surfaces of ``repro`` and ``repro.analysis`` import
+    their simulation names on first access (the network model has left
+    ``src/`` for ``benchmarks/netmodel``), so the router, shard hosts and
+    fork worlds carry only the serving stack."""
     probe = _run_probe(_NO_SIMULATION_PROBE)
     loaded = [m for m in probe["serving"] if _SIMULATION_MODULE.fullmatch(m)]
     assert len(loaded) <= SIMULATION_MODULES_CEILING, (
@@ -232,7 +243,6 @@ def test_the_serving_and_fork_stack_loads_no_simulation_module():
         "repro.kernel.kernel.Kernel",
         "repro.analysis.model.PerformanceModel",
         "repro.analysis.model.pi_from_ratios",
-        "repro.distrib.netsim.SimulatedLink",
     ]
 
 

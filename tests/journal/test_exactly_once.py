@@ -5,7 +5,8 @@ import pytest
 from repro.core.worlds import run_alternatives
 from repro.faults import Supervisor
 from repro.journal import CommitJournal, find_block_win
-from repro.runtime.checkpoint import CheckpointImage
+
+from netmodel.checkpoint import CheckpointImage
 
 
 def fast(ws):

@@ -215,7 +215,7 @@ def test_journal_transaction_spans_and_counters():
 
 
 def test_link_transfer_spans_and_drop_correlation():
-    from repro.distrib.netsim import NetworkProfile, SimulatedLink, TransferDropped
+    from netmodel.netsim import NetworkProfile, SimulatedLink, TransferDropped
 
     obs = Observability()
     plan = FaultPlan.lossy(seed=0, rate=1.0)

@@ -5,7 +5,8 @@ import os
 import pytest
 
 from repro.errors import CheckpointError
-from repro.runtime.checkpoint import CheckpointImage, capture_checkpoint, checkpoint_here
+
+from netmodel.checkpoint import CheckpointImage, capture_checkpoint, checkpoint_here
 
 
 def _task(state):
