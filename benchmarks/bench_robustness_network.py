@@ -25,13 +25,13 @@ import sys
 
 from _harness import report, table
 from netmodel.checkpoint import CheckpointImage
+from netmodel.lease import LeaseState, RemoteWorldLease
 from netmodel.netsim import SimulatedLink
 from netmodel.rfork import _RETRYABLE, RemoteFork, RemoteNode
 from repro.analysis.calibration import NetworkProfile
-from repro.distrib.lease import LeaseState, RemoteWorldLease, heartbeat_lost
 from repro.distrib.retry import call_with_retries
 from repro.errors import RetriesExhausted
-from repro.faults.plan import REMOTE_SITE, FaultKind, FaultPlan
+from repro.faults.plan import REMOTE_SITE, FaultKind, FaultPlan, heartbeat_lost
 from repro.faults.supervisor import Supervisor
 
 #: A fast link so wall-clock stays bench-friendly; the virtual-time
@@ -90,7 +90,7 @@ def run_leased(fn, state, rfork, work_s=1.0):
     1. checkpoint the task and ship it over ``rfork.link`` with bounded
        retries (drops, partitions and corrupt deliveries each re-roll per
        attempt);
-    2. grant a :class:`~repro.distrib.lease.RemoteWorldLease` and feed it
+    2. grant a :class:`~netmodel.lease.RemoteWorldLease` and feed it
        one beat every ``lease.heartbeat_s`` while the remote works for
        ``work_s`` virtual seconds. A beat goes missing when it is lost in
        flight, the link flaps or the node crashed (all fault-plan sites);
@@ -149,7 +149,10 @@ def run_leased(fn, state, rfork, work_s=1.0):
             verdict = lease.beat(
                 now, alive=node_alive,
                 reachable=plan is None or not plan.link_down(link.link_id, now),
-                lost=heartbeat_lost(plan, lease.lease_id, beat, t=now),
+                lost=heartbeat_lost(
+                    plan, lease.lease_id, beat, t=now,
+                    track=f"lease:{lease.lease_id}", lease=lease.lease_id,
+                ),
                 reason="beat lost in flight" if node_alive else "node crashed",
             )
             if verdict is LeaseState.DEAD:

@@ -21,7 +21,10 @@ the network-robustness bench drives:
   demand paging, with CRC-verified, idempotent transfers;
 - :mod:`netmodel.migration` — migrating a simulated process between two
   simulation kernels; the source keeps the process until the target
-  acks.
+  acks;
+- :mod:`netmodel.lease` — the lease a shipped world holds: heartbeats,
+  suspect → probe → declare-dead → reclaim, and takeover by a
+  successor, in virtual link time.
 
 ``bench_sec34_rfork`` and ``bench_robustness_network`` import it with
 ``benchmarks/`` on the path; the test suite puts it there too.

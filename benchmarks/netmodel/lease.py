@@ -1,23 +1,26 @@
-"""Leases and heartbeats: the failure detector behind the cluster router.
+"""Leases and heartbeats for a world shipped to another machine.
 
-A holder that lives somewhere else — a shard host, or a world shipped to
-another machine — is invisible once it leaves: nothing announces that it
-died. The classic answer is a *lease*: the holder must renew its claim
-by heartbeat; a holder that goes quiet is first suspected (probe), then
-declared dead, its orphaned state reclaimed, and its work handed to a
-successor (:meth:`RemoteWorldLease.takeover`).
+A holder that lives somewhere else is invisible once it leaves: nothing
+announces that it died. The classic answer is a *lease*: the holder
+must renew its claim by heartbeat; a holder that goes quiet is first
+suspected (probe), then declared dead, its orphaned state reclaimed,
+and its work handed to a successor (:meth:`RemoteWorldLease.takeover`).
 
-Everything here runs in *virtual* time and is deterministic per
+Everything here runs in *virtual* link time and is deterministic per
 fault-plan seed:
 
 - whether an individual heartbeat is lost in flight even though the
-  holder is alive is the ``heartbeat`` site (``(lease_id, beat_index)``);
+  holder is alive is the ``heartbeat`` site
+  (:func:`repro.faults.plan.heartbeat_lost`, keyed
+  ``(lease_id, beat_index)``);
 - link flap windows silence heartbeats too (``partition`` site), which is
   exactly how a live holder gets wrongly suspected — the probe on the
   healed link then rescues it.
 
 :class:`RemoteWorldLease` is the pure state machine + event log;
-:class:`~repro.cluster.ClusterRouter`'s heartbeat round drives it.
+``bench_robustness_network.run_leased`` drives it. The cluster router
+does not: a shard's liveness is its ``ShardState``, moved by a count of
+missed beats.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ import enum
 from dataclasses import dataclass, field
 
 from repro.errors import NetworkError
-from repro.faults.plan import HEARTBEAT_SITE, FaultKind
 from repro.obs import or_null
 
 
@@ -197,7 +199,7 @@ class RemoteWorldLease:
     def takeover(self, at_s: float, new_node_id: int) -> "RemoteWorldLease":
         """Hand a dead holder's work to ``new_node_id``; returns the new lease.
 
-        The takeover path of the cluster failover protocol: only a lease
+        The failover handoff: only a lease
         already declared ``DEAD`` (reclaiming it first is fine) may be
         taken over — taking over a live or completed lease would fork
         the work. The successor starts ``ACTIVE`` at ``at_s`` with the
@@ -229,20 +231,3 @@ class RemoteWorldLease:
         self.state = LeaseState.COMPLETED
         self._log(at_s, "completed")
 
-
-def heartbeat_lost(plan, lease_id: int, beat_index: int, t: float | None = None) -> bool:
-    """Whether heartbeat ``beat_index`` of ``lease_id`` is lost in flight.
-
-    A lost beat is recorded on the plan's injection log (``t`` is the
-    virtual time the caller will charge the miss to).
-    """
-    if plan is None:
-        return False
-    lost = plan.decide(HEARTBEAT_SITE, lease_id, beat_index).kind is FaultKind.HEARTBEAT_MISS
-    if lost:
-        plan.note_injection(
-            HEARTBEAT_SITE, FaultKind.HEARTBEAT_MISS,
-            detail=f"beat {beat_index}", t=t, track=f"lease:{lease_id}",
-            lease=lease_id, beat=beat_index,
-        )
-    return lost

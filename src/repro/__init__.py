@@ -29,8 +29,8 @@ Packages:
 - :mod:`repro.ipc` / :mod:`repro.devices` — predicated messaging and the
   sink/source device model.
 - :mod:`repro.runtime` — the real ``os.fork`` and thread backends.
-- :mod:`repro.distrib` — leases and retries, the failure detector and
-  retry policy under :mod:`repro.cluster`.
+- :mod:`repro.distrib` — bounded retries, the RPC retry policy under
+  :mod:`repro.cluster`.
 - :mod:`repro.analysis` — the paper's PI/R_mu/R_o performance algebra and
   machine calibrations.
 - :mod:`repro.apps` — recovery blocks, OR-parallel Prolog, polyalgorithms

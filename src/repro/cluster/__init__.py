@@ -11,11 +11,11 @@
   :class:`~repro.journal.CommitJournal`, wrapped so that crashing it
   kills everything *except* the journal;
 - :class:`ClusterRouter` — placement (with spill to idle shards and
-  work stealing off backlogged ones), lease-based failure detection,
-  and journal-replay failover: a dead shard's admitted requests are
-  replayed from its journal when their commit already applied and
-  re-landed on survivors — under the same request seq, hence the same
-  journal block id — when it did not. Every admitted request commits
+  work stealing off backlogged ones), failure detection by missed
+  beats per shard, and journal-replay failover: a dead shard's admitted
+  requests are replayed from its journal when their commit already
+  applied and re-landed on survivors — under the same request seq,
+  hence the same journal block id — when it did not. Every admitted request commits
   exactly once; :meth:`ClusterRouter.audit_applied` proves it.
 
 Shards need not share the router's process:
@@ -24,12 +24,11 @@ framed RPC socket (:mod:`repro.cluster.wire`) in its own OS process —
 the router is transport-polymorphic, so local and remote shards mix in
 one ring, and "shard death" can be a literal ``kill -9``.
 
-Fault injection rides the existing planes: the plan's ``heartbeat`` /
-``partition`` sites plus the ``cluster`` site
-(:data:`~repro.faults.plan.CLUSTER_SITE`: shard-crash-mid-burst,
-partitioned router, stale takeover) and the ``transport`` site
-(:data:`~repro.faults.plan.TRANSPORT_SITE`: torn frames, socket stalls,
-SIGSTOP'd and SIGKILL'd hosts, refused connects).
+Fault injection rides the existing planes: the plan's ``heartbeat``
+site plus the ``cluster`` site (:data:`~repro.faults.plan.CLUSTER_SITE`:
+shard-crash-mid-burst, partitioned router, stale takeover) and the
+``transport`` site (:data:`~repro.faults.plan.TRANSPORT_SITE`: torn
+frames, socket stalls, SIGSTOP'd and SIGKILL'd hosts, refused connects).
 """
 
 from repro.cluster.remote import (

@@ -43,8 +43,8 @@ Reliability stack, bottom-up:
 3. **Circuit breaker** — consecutive transport failures open a
    per-shard breaker (closed → open → half-open); while open, calls
    fail fast with ``ShardUnreachable(sent=False)`` and heartbeats
-   report the shard silent, which drives the router's existing
-   suspect → probe → declare-dead path.
+   report the shard silent: missed beats, which the router's detector
+   counts toward a takeover.
 4. **Failover** — once declared dead the host is SIGKILLed (if still
    running) and its journal reopened **from the file** for the usual
    replay-or-re-land takeover; with a ``spare_factory`` configured the
@@ -486,7 +486,6 @@ class RemoteShardClient:
         self.obs = obs = or_null(obs)
         self.state = ShardState.UP
         self.incarnation = 0
-        self.lease = None  # set by the router, like a local shard
         self.breaker = CircuitBreaker(
             threshold=breaker_threshold, cooldown_s=breaker_cooldown_s,
             on_transition=self._note_breaker,

@@ -35,19 +35,18 @@ in-process spare as its last rung, once. What a target says is either
 The walk ends ``landed``, ``replayed``, or in its last
 ``AdmissionRejected`` / ``NoSurvivingShard``.
 
-The failure detector heartbeats every shard through the same
-:class:`RemoteWorldLease` state machine remote worlds use, fed by the
-``heartbeat``/``partition`` fault sites plus the ``cluster`` site
-(shard-crash-mid-burst, partitioned router, stale takeover).
-``miss_threshold`` consecutive missed beats — or a full lease term
-without renewal — declare the shard dead and start a **takeover**:
+The failure detector beats every shard once per round and keeps one
+number per shard: its consecutive misses, counted in beats. Faults come
+from the ``heartbeat`` site (a beat lost in flight, which the probe
+that follows rescues) and the ``cluster`` site (shard-crash-mid-burst,
+partitioned router, stale takeover). ``miss_threshold`` misses in a row
+start a **takeover**:
 
 1. the shard is fenced (if the process is actually alive — the
-   false-positive case — it must stop committing; the lease-term
-   argument makes that safe to assume, and the simulation enforces it)
+   false-positive case — it must stop committing, and fencing enforces
+   it: SIGKILL for a host, a crash of the service for a local shard)
    and its worker threads are joined, so its journal is final;
-2. the dead shard's lease is declared dead and reclaimed;
-3. every admitted-but-unresolved request assigned to it follows the same
+2. every admitted-but-unresolved request assigned to it follows the same
    rule: *replayed* from the journal if its ``block`` already applied,
    otherwise *re-landed* — same path, **same request seq**, so the
    journal block id dedupes any duplicate — on a surviving shard.
@@ -67,7 +66,6 @@ from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from repro.core.outcome import BlockOutcome
-from repro.distrib.lease import LeaseState, RemoteWorldLease, heartbeat_lost
 from repro.errors import (
     AdmissionRejected,
     ClusterError,
@@ -76,7 +74,7 @@ from repro.errors import (
     ServiceStopped,
     ShardUnreachable,
 )
-from repro.faults.plan import CLUSTER_SITE, FaultKind
+from repro.faults.plan import CLUSTER_SITE, FaultKind, heartbeat_lost
 from repro.journal import replay_block_win, request_fate
 from repro.journal.recovery import RecoveryReport, recover, settle_best_effort
 from repro.obs import or_null
@@ -201,11 +199,8 @@ class ClusterRouter:
     ----------
     shards:
         The :class:`ClusterShard` members (ids must be unique).
-    vnodes:
-        Ring smoothing (see :class:`HashRing`).
-    heartbeat_s / miss_threshold / lease_term_s:
-        Failure-detector cadence, in the router's *virtual* clock: each
-        detector round advances the clock one ``heartbeat_s``.
+    miss_threshold:
+        Consecutive missed beats that declare a shard dead.
     detect_interval_s:
         Real seconds between detector rounds when the background
         detector is running. Tests may instead drive
@@ -223,10 +218,7 @@ class ClusterRouter:
     def __init__(
         self,
         shards: Sequence[ClusterShard],
-        vnodes: int = 64,
-        heartbeat_s: float = 0.1,
         miss_threshold: int = 3,
-        lease_term_s: float = 0.5,
         detect_interval_s: float = 0.01,
         spill: bool = True,
         steal: bool = True,
@@ -239,9 +231,7 @@ class ClusterRouter:
         ids = [s.shard_id for s in shards]
         if len(set(ids)) != len(ids):
             raise ClusterError(f"duplicate shard ids: {sorted(ids)}")
-        self.heartbeat_s = heartbeat_s
         self.miss_threshold = miss_threshold
-        self.lease_term_s = lease_term_s
         self.detect_interval_s = detect_interval_s
         self.spill = spill
         self.steal = steal
@@ -254,7 +244,7 @@ class ClusterRouter:
         #: above the local-only :data:`repro.faults.supervisor.DEGRADES_TO`
         self.spare_factory = spare_factory
         self._spare: ClusterShard | None = None
-        self.ring = HashRing(vnodes=vnodes)
+        self.ring = HashRing()
         self._shards: dict[int, ClusterShard] = {}
         self._retired: list[ClusterShard] = []
         #: the one per-request table: whoever pops a record resolves it
@@ -262,7 +252,8 @@ class ClusterRouter:
         self._lock = threading.RLock()
         self._running = False
         self._beat = 0
-        self._vclock = 0.0
+        #: the failure detector: each member's consecutive missed beats
+        self._misses: dict[int, int] = {}
         self._detector: threading.Thread | None = None
         reg = obs.registry
         self._req_c = reg.counter(
@@ -306,14 +297,9 @@ class ClusterRouter:
 
     # -- membership --------------------------------------------------------
     def _adopt(self, shard: ClusterShard) -> None:
-        shard.lease = RemoteWorldLease(
-            lease_id=shard.shard_id, node_id=shard.shard_id,
-            term_s=self.lease_term_s, heartbeat_s=self.heartbeat_s,
-            miss_threshold=self.miss_threshold,
-            granted_at_s=self._vclock, obs=self.obs,
-        )
         with self._lock:
             self._shards[shard.shard_id] = shard
+            self._misses[shard.shard_id] = 0
             self.ring.add(shard.shard_id)
         if self._running:
             shard.start()
@@ -796,71 +782,75 @@ class ClusterRouter:
             return False
         if offset >= int(decision.param):
             return False
-        if offset == 0:
+        if offset == 0 or beat == 1:  # the first beat it hides (beats count from 1)
             plan.note_injection(
                 CLUSTER_SITE, decision.kind,
                 detail=f"router blind to shard {shard_id} for "
                 f"{int(decision.param)} beats",
-                t=self._vclock, track="cluster", shard=shard_id,
+                track="cluster", shard=shard_id, beat=beat,
             )
         return True
 
     def heartbeat_round(self) -> None:
         """One failure-detector beat over every member shard.
 
-        Advances the virtual clock by ``heartbeat_s``. A beat is missed
-        when the shard process is dead, the router is partitioned from
-        it (``ROUTER_PARTITION`` window or a ``partition``-site link
-        flap), or the beat itself is lost in flight (``heartbeat``
-        site). Misses escalate through the lease state machine exactly
-        as remote worlds do; a declaration triggers takeover.
+        A beat arrives when the shard answers and no ``ROUTER_PARTITION``
+        window hides it. One lost in flight (``heartbeat`` site) still
+        counts in ``mw_cluster_heartbeat_misses_total``, but the probe
+        that follows finds the shard, so it arrives. An arriving beat
+        resets the shard's miss count and clears suspicion; a missing
+        one adds a miss and suspects an UP shard, and ``miss_threshold``
+        misses in a row start a takeover.
         """
         self._beat += 1
-        now = self._vclock = self._beat * self.heartbeat_s
-        plan = self.fault_plan
+        beat = self._beat
         for shard in list(self._shards.values()):
+            sid = shard.shard_id
             # a DEAD member is exactly what this loop exists to notice (the
             # process died without telling anyone); only a shard mid-drain
-            # is exempt — decommission owns its lifecycle
-            if shard.state is ShardState.DRAINING:
+            # is exempt — decommission owns its lifecycle — and one another
+            # thread took over since the list was read
+            if (
+                shard.state is ShardState.DRAINING
+                or self._shards.get(sid) is not shard
+            ):
                 continue
-            lease = shard.lease
             # one real beat: local shards answer by state, remote shards
             # by an actual ping RPC (whose failure also feeds their
             # circuit breaker, so a silent host fails fast next beat)
             answering = shard.answers_heartbeat()
-            partitioned = self._router_partitioned(shard.shard_id, self._beat) or (
-                plan is not None and plan.link_down(shard.shard_id, now)
-            )
-            missed = lease.beats_missed
-            verdict = lease.beat(
-                now, alive=answering, reachable=not partitioned,
-                lost=heartbeat_lost(plan, lease.lease_id, self._beat, t=now),
-                reason=(
-                    "shard dead" if not answering
-                    else "router partitioned" if partitioned
-                    else "beat lost in flight"
-                ),
-            )
-            if lease.beats_missed == missed:  # the beat arrived
+            partitioned = self._router_partitioned(sid, beat)
+            if answering and not partitioned:
+                lost = heartbeat_lost(
+                    self.fault_plan, sid, beat, track="cluster", shard=sid
+                )
+                if lost:
+                    self._miss_c.inc(shard=sid)
+                if self._misses[sid]:
+                    self._misses[sid] = 0
+                    self.obs.tracer.instant(
+                        "shard:recovered", cat="cluster", track="cluster",
+                        beat=beat, shard=sid,
+                    )
                 if shard.state is ShardState.SUSPECT:
                     shard.state = ShardState.UP
-                    self._set_up_gauge()
-                self._maybe_stale_takeover(shard)
+                if not lost:
+                    self._maybe_stale_takeover(shard)
                 continue
-            self._miss_c.inc(shard=shard.shard_id)
-            # the lease probed (a synchronous liveness check straight at
-            # the shard): that rescues a live shard behind a lost beat,
-            # but not one behind a partition — the probe takes the same
-            # dead path
-            if verdict is LeaseState.ACTIVE:
-                shard.state = ShardState.UP
-            elif shard.state is ShardState.UP:
+            self._miss_c.inc(shard=sid)
+            misses = self._misses[sid] = self._misses[sid] + 1
+            reason = "shard dead" if not answering else "router partitioned"
+            if misses == 1:
+                self.obs.tracer.instant(
+                    "shard:suspect", cat="cluster", track="cluster",
+                    beat=beat, shard=sid, reason=reason,
+                )
+            if shard.state is ShardState.UP:
                 shard.state = ShardState.SUSPECT
-            if verdict is LeaseState.DEAD:
+            if misses >= self.miss_threshold:
                 self.takeover(
-                    shard.shard_id,
-                    kind="crash" if not shard.alive else "stale",
+                    sid, kind="crash" if not shard.alive else "stale",
+                    reason=f"{misses} consecutive misses ({reason})",
                 )
 
     def _maybe_stale_takeover(self, shard: ClusterShard) -> None:
@@ -874,10 +864,9 @@ class ClusterRouter:
         plan.note_injection(
             CLUSTER_SITE, decision.kind,
             detail=f"takeover of live shard {shard.shard_id} at beat {self._beat}",
-            t=self._vclock, track="cluster", shard=shard.shard_id,
+            track="cluster", shard=shard.shard_id, beat=self._beat,
         )
-        shard.lease.declare_dead(self._vclock, "stale takeover (injected)")
-        self.takeover(shard.shard_id, kind="stale")
+        self.takeover(shard.shard_id, kind="stale", reason="stale takeover (injected)")
 
     # -- load balancing ----------------------------------------------------
     def steal_round(self) -> int:
@@ -937,7 +926,7 @@ class ClusterRouter:
             self.fault_plan.note_injection(
                 CLUSTER_SITE, FaultKind.SHARD_CRASH,
                 detail=f"shard {shard_id} killed",
-                t=self._vclock, track="cluster", shard=shard_id,
+                track="cluster", shard=shard_id,
             )
         shard.crash()
 
@@ -972,10 +961,8 @@ class ClusterRouter:
             self._retired.append(shard)
         self._set_up_gauge()
         shard.stop(drain=False)
-        if shard.lease is not None and shard.lease.alive:
-            shard.lease.complete(self._vclock)
 
-    def takeover(self, shard_id: int, kind: str = "crash") -> dict:
+    def takeover(self, shard_id: int, kind: str = "crash", reason: str = "") -> dict:
         """Take over a (declared-)dead shard; idempotent per incarnation.
 
         Returns a report: ``{"shard", "kind", "replayed", "relanded",
@@ -1001,19 +988,15 @@ class ClusterRouter:
         self._takeover_c.inc(kind=kind)
         span_id = self.obs.tracer.begin(
             f"takeover:shard:{shard_id}", cat="cluster", track="cluster",
-            shard=shard_id, kind=kind,
+            shard=shard_id, kind=kind, beat=self._beat, reason=reason,
         )
         # 1. fence/crash and join the shard's workers: the journal is
-        #    final after this, which is what makes step 3 race-free
+        #    final after this, which is what makes step 2 race-free
         if shard.alive:
             shard.fence()
         else:
             shard.crash()
-        # 2. settle the shard's own lease
-        if shard.lease is not None:
-            shard.lease.declare_dead(self._vclock, f"takeover ({kind})")
-            shard.lease.reclaim(self._vclock)
-        # 3. settle every admitted-but-unresolved request it held: the
+        # 2. settle every admitted-but-unresolved request it held: the
         #    ledger first, and only what never applied lands again
         with self._lock:
             orphans = [

@@ -8,15 +8,12 @@ wrapped around a :class:`~repro.serve.service.SpeculationService`. The
 router talks to shards only through this wrapper, which is what makes
 shard death meaningful: :meth:`ClusterShard.crash` kills everything
 *except* the journal, and :meth:`ClusterShard.fence` excommunicates a
-live shard the router wrongly declared dead (the lease-expiry
-self-fencing argument: by the time a takeover begins, the shard's lease
-term has lapsed, so a correct shard has already stopped committing).
+live shard the router wrongly declared dead: it stops committing before
+the router reads its journal.
 
-Each shard also carries a :class:`~repro.distrib.lease.RemoteWorldLease`
-granted by the router — the failure detector state — so shard death
-walks the same suspect → probe → declare-dead → reclaim machine remote
-worlds already use, fed by the same ``heartbeat``/``partition`` fault
-sites.
+:class:`ShardState` is the shard's only liveness state. The router's
+failure detector moves it between UP and SUSPECT by counting missed
+beats, and a takeover ends it in DEAD or FENCED.
 """
 
 from __future__ import annotations
@@ -49,7 +46,7 @@ class ClusterShard:
     Parameters
     ----------
     shard_id:
-        Small int id; also the heartbeat/partition fault key, so a
+        Small int id; also the heartbeat/cluster fault key, so a
         plan's verdicts about this shard are stable across runs.
     slots / workers / backend / policy:
         The underlying :class:`SpeculationService` sizing. ``policy``
@@ -112,8 +109,6 @@ class ClusterShard:
         )
         self.state = ShardState.UP
         self.incarnation = 0
-        #: router-granted failure-detector lease; set by the router
-        self.lease = None
         self._lock = threading.Lock()
 
     # -- introspection -----------------------------------------------------
@@ -134,7 +129,7 @@ class ClusterShard:
         transport (:class:`~repro.cluster.remote.RemoteShardClient`)
         overrides this with a real ping over its socket. The router's
         detector calls only this, which is what lets the two transports
-        share one suspect → probe → declare-dead machine.
+        share one miss counter.
         """
         return self.alive and self.state is not ShardState.FENCED
 
@@ -201,9 +196,8 @@ class ClusterShard:
 
         Same mechanics as :meth:`crash` — the shard stops processing and
         reporting — but the label records that the process was alive:
-        the router partitioned from it, its lease expired, and correct
-        self-fencing means it must not commit past that point even
-        though it never died.
+        the router lost sight of it and declared it dead, so it must not
+        commit past that point even though it never died.
 
         Like :meth:`crash` it joins the workers under the shard's lock,
         so every caller, first or not, returns to a final journal.

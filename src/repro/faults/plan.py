@@ -34,10 +34,12 @@ link       XFER_DROP, XFER_DUP, XFER_REORDER, XFER_CORRUPT, LINK_SLOW —
 partition  LINK_FLAP (the link is down for the first ``flap_s`` seconds
            of the window) — keyed ``(link_id, window_index)`` where the
            window index is ``floor(link_clock / partition_window_s)``
+           (the simulated link of ``benchmarks/netmodel``)
 remote     REMOTE_CRASH (the remote node dies partway through the shipped
            work) — keyed ``(node_id, attempt)`` (``benchmarks/netmodel``)
-heartbeat  HEARTBEAT_MISS (one lease heartbeat is lost in flight even
-           though the node is alive) — keyed ``(lease_id, beat_index)``
+heartbeat  HEARTBEAT_MISS (one heartbeat is lost in flight even though
+           the holder is alive) — keyed ``(holder_id, beat_index)``: a
+           shard id under the cluster router
 journal    TORN_RECORD, CRASH_BEFORE_SEAL, CRASH_AFTER_SEAL,
            PARTIAL_RELEASE — keyed ``(txn_seq,)`` (the commit journal);
            DOUBLE_RECOVERY — keyed ``(RECOVERY_KEY,)`` (the recovery
@@ -121,7 +123,7 @@ class FaultKind(str, enum.Enum):
     LINK_FLAP = "link-flap"
     #: remote node: crashes after ``remote_crash_fraction`` of the work
     REMOTE_CRASH = "remote-crash"
-    #: lease protocol: a heartbeat is lost even though the node is alive
+    #: failure detector: a heartbeat is lost even though the holder is alive
     HEARTBEAT_MISS = "heartbeat-miss"
     #: journal: the intent record is half-written, then the process dies
     TORN_RECORD = "torn-record"
@@ -487,3 +489,21 @@ class FaultPlan:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         on = {k.value: v for k, v in self.rates.items() if v > 0}
         return f"FaultPlan(seed={self.seed}, rates={on})"
+
+
+def heartbeat_lost(plan, holder: int, beat: int, t=None, track=None, **data) -> bool:
+    """Whether heartbeat ``beat`` of ``holder`` is lost in flight.
+
+    The ``heartbeat`` site, keyed ``(holder, beat)``. A lost beat is
+    noted on the plan's injection log, at ``t`` on ``track``, with
+    ``beat`` and ``data``.
+    """
+    if plan is None:
+        return False
+    lost = plan.decide(HEARTBEAT_SITE, holder, beat).kind is FaultKind.HEARTBEAT_MISS
+    if lost:
+        plan.note_injection(
+            HEARTBEAT_SITE, FaultKind.HEARTBEAT_MISS, detail=f"beat {beat}",
+            t=t, track=track, beat=beat, **data,
+        )
+    return lost

@@ -18,9 +18,9 @@ survival layer on top of :func:`repro.core.worlds.run_alternatives`:
   every hop in ``BlockOutcome.extras["degraded"]``.
 
 The ladder is local only. Remote execution is a shard host behind
-:class:`~repro.cluster.ClusterRouter`, whose lease and takeover re-land
-a dead host's work; a supervisor rung that reached one would be a
-second router.
+:class:`~repro.cluster.ClusterRouter`, whose failure detector and
+takeover re-land a dead host's work; a supervisor rung that reached one
+would be a second router.
 
 The supervisor is fault-plan aware only in that it threads the plan and
 an attempt counter through to the backends; the attempt number is part

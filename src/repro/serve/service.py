@@ -401,7 +401,7 @@ class SpeculationService:
         only thing a crash leaves behind; whatever it recorded as applied
         is durable, everything else is lost). A router then
         replays/re-lands from the journal.
-        Also models *fencing*: a shard whose lease expired must stop
+        Also models *fencing*: a shard the router declared dead must stop
         committing, which is exactly what suppressing resolution after
         the flag achieves.
         """

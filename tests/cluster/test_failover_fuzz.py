@@ -97,9 +97,7 @@ def test_detector_driven_kill_with_partitions(seed):
         partition_beats=2.0,
     )
     shards = [ClusterShard(i, slots=2, workers=2) for i in range(3)]
-    router = ClusterRouter(
-        shards, fault_plan=plan, miss_threshold=4, lease_term_s=100.0
-    ).start(detect=False)
+    router = ClusterRouter(shards, fault_plan=plan, miss_threshold=4).start(detect=False)
     try:
         tickets = [router.submit(f"t{i % 5}", alts(i)) for i in range(20)]
         victim = router.ring.route("t0")

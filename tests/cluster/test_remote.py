@@ -167,9 +167,7 @@ class TestLifecycle:
 class TestRemoteCluster:
     def test_remote_burst_commits_exactly_once(self, tmp_path):
         remotes = [make_remote(i, tmp_path) for i in range(2)]
-        router = ClusterRouter(
-            remotes, heartbeat_s=0.05, detect_interval_s=0.02
-        ).start()
+        router = ClusterRouter(remotes, detect_interval_s=0.02).start()
         try:
             tickets = [router.submit(f"t{i % 4}", alts(i)) for i in range(12)]
             results = [t.result(timeout=30) for t in tickets]
@@ -245,7 +243,7 @@ class TestRemoteCluster:
             for i in range(3)
         ]
         router = ClusterRouter(
-            remotes, heartbeat_s=0.05, miss_threshold=2, detect_interval_s=0.02
+            remotes, miss_threshold=2, detect_interval_s=0.02
         ).start()
         try:
             tickets = []
@@ -341,7 +339,7 @@ class TestRemoteCluster:
             for i in range(2)
         ]
         router = ClusterRouter(
-            remotes, heartbeat_s=0.05, miss_threshold=2, detect_interval_s=0.02,
+            remotes, miss_threshold=2, detect_interval_s=0.02,
             spare_factory=lambda: ClusterShard(100, slots=4, workers=4),
         ).start()
         try:

@@ -63,7 +63,7 @@ def test_detector_discovers_sigkilled_host(tmp_path):
     """The full path: a silent host found by real heartbeat pings alone."""
     remotes = make_cluster(tmp_path, seed=0)
     router = ClusterRouter(
-        remotes, heartbeat_s=0.05, miss_threshold=2, detect_interval_s=0.02
+        remotes, miss_threshold=2, detect_interval_s=0.02
     ).start()
     try:
         tickets = [router.submit(f"t{i % 5}", alts(i)) for i in range(12)]

@@ -9,7 +9,6 @@ import pytest
 from repro.cluster import ClusterRouter, ClusterShard, ShardState
 from repro.core.backend import normalize_alternatives
 from repro.core.outcome import AlternativeResult
-from repro.distrib.lease import LeaseState
 from repro.errors import (
     AdmissionRejected,
     ClusterError,
@@ -228,13 +227,15 @@ class TestCrashTakeover:
         assert second["stale"]
         assert second["replayed"] == second["relanded"] == 0
 
-    def test_takeover_hands_over_the_shard_lease(self):
+    def test_takeover_retires_the_shard(self):
         with make_router(2).start(detect=False) as router:
             victim = router.shard(0)
             router.kill_shard(0)
             router.takeover(0)
-            assert victim.lease.state is LeaseState.RECLAIMED
+            snap = router.snapshot()
             assert victim.state is ShardState.DEAD
+            assert 0 not in {s["shard"] for s in snap["members"]}
+            assert snap["retired"] == [0]
 
 
 class TestReplayIsOnePolicy:
@@ -542,26 +543,40 @@ def test_request_class_survives_admit_crash_and_restore_on_local_shards():
     assert other.committed and other.value == 3 and other.result.k == 3
 
 
+def heartbeat_misses(obs, shard_id):
+    return obs.registry.get("mw_cluster_heartbeat_misses_total").value(shard=shard_id)
+
+
 class TestHeartbeatDetection:
     def test_silent_crash_is_detected_and_taken_over(self):
-        with make_router(2, miss_threshold=3).start(detect=False) as router:
+        obs = Observability()
+        with make_router(2, miss_threshold=3, obs=obs).start(detect=False) as router:
             victim = router.shard(router.ring.route("tX"))
             victim.crash()  # dies without telling the router
-            for _ in range(4):
+            for beat in range(1, 4):
+                members = {s["shard"] for s in router.snapshot()["members"]}
+                assert victim.shard_id in members, f"declared at beat {beat - 1}"
                 router.heartbeat_round()
             members = {s["shard"] for s in router.snapshot()["members"]}
             assert victim.shard_id not in members
-            assert victim.lease.state is LeaseState.RECLAIMED
-            assert "declare-dead" in victim.lease.event_names
+            assert victim.state is ShardState.DEAD
+            assert heartbeat_misses(obs, victim.shard_id) == 3
+            (takeover,) = [
+                s for s in obs.tracer.spans if s.name.startswith("takeover:")
+            ]
+            assert takeover.attrs["kind"] == "crash"
+            assert takeover.attrs["beat"] == 3
+            assert takeover.attrs["reason"] == "3 consecutive misses (shard dead)"
 
     def test_healthy_shards_keep_renewing(self):
-        with make_router(2).start(detect=False) as router:
+        obs = Observability()
+        with make_router(2, obs=obs).start(detect=False) as router:
             for _ in range(10):
                 router.heartbeat_round()
             assert router.shards_up == 2
             for shard in (router.shard(0), router.shard(1)):
-                assert shard.lease.state is LeaseState.ACTIVE
-                assert shard.lease.beats_ok == 10
+                assert shard.state is ShardState.UP
+                assert heartbeat_misses(obs, shard.shard_id) == 0
 
     def test_background_detector_catches_a_kill(self):
         router = make_router(3, detect_interval_s=0.005).start()
@@ -614,9 +629,9 @@ class TestInjectedClusterFaults:
         shards = [ClusterShard(i, slots=1, workers=1, fault_plan=plan) for i in range(2)]
         # long miss threshold: the partition (4 beats) ends before
         # declaration (6 misses), so the shard must recover, not die
-        router = ClusterRouter(
-            shards, fault_plan=plan, miss_threshold=6, lease_term_s=10.0
-        ).start(detect=False)
+        router = ClusterRouter(shards, fault_plan=plan, miss_threshold=6).start(
+            detect=False
+        )
         try:
             suspected = False
             for _ in range(24):
@@ -629,21 +644,24 @@ class TestInjectedClusterFaults:
             assert suspected, "seed 11 should partition the router at least once"
             assert router.shards_up == 2  # everyone recovered
             for i in range(2):
-                assert router.shard(i).lease.alive
+                assert router.shard(i).up  # not declared: suspect at most
         finally:
             router.stop()
 
-    def test_detector_lease_log_of_a_seeded_run_is_pinned(self):
-        # captured on the tree before the beat moved onto the lease: a
-        # partition window probed in vain, a lost beat rescued, then the
-        # shard dies silently (beat 11) and is declared and reclaimed
+    def test_detector_log_of_a_seeded_run_is_pinned(self):
+        # the transitions the per-shard lease this detector replaced logged
+        # for this seed, by beat: a partition window declares shard 1 and
+        # later shard 0 (live: stale), two lost beats are rescued on shard
+        # 2, then it dies silently (before beat 11) and is taken over
         plan = FaultPlan(seed=8, rates={
             FaultKind.ROUTER_PARTITION: 0.4, FaultKind.HEARTBEAT_MISS: 0.3,
-            FaultKind.LINK_FLAP: 0.2,
         })
-        shards = [ClusterShard(i, slots=1, workers=1, fault_plan=plan) for i in range(3)]
-        router = ClusterRouter(shards, fault_plan=plan).start(detect=False)
-        lease = shards[2].lease
+        obs = Observability()
+        shards = [
+            ClusterShard(i, slots=1, workers=1, fault_plan=plan, obs=obs)
+            for i in range(3)
+        ]
+        router = ClusterRouter(shards, fault_plan=plan, obs=obs).start(detect=False)
         try:
             for beat in range(24):
                 if beat == 10:
@@ -651,23 +669,20 @@ class TestInjectedClusterFaults:
                 router.heartbeat_round()
         finally:
             router.stop()
-        assert [(round(e.at_s, 4), e.event, e.detail) for e in lease.events] == [
-            (0.0, "granted", "term=0.5s"),
-            (0.1, "suspect", "router partitioned"),
-            (0.1, "probe-fail", "router partitioned"),
-            (0.2, "probe-fail", "router partitioned"),
-            (0.3, "recovered", ""),
-            (0.3, "probe-ok", ""),
-            (0.8, "suspect", "beat lost in flight"),
-            (0.8, "recovered", ""),
-            (0.8, "probe-ok", ""),
-            (1.0, "suspect", "router partitioned"),
-            (1.0, "probe-fail", "router partitioned"),
-            (1.1, "probe-fail", "shard dead"),
-            (1.2, "probe-fail", "shard dead"),
-            (1.2, "declare-dead", "3 consecutive misses (shard dead)"),
-            (1.2, "reclaim-orphan", ""),
-        ]
+        log = {i: [] for i in range(3)}
+        for s in obs.tracer.spans:
+            if s.name == "fault:heartbeat-miss":
+                log[s.attrs["shard"]].append((s.attrs["beat"], "lost"))
+            elif s.name == "shard:suspect":
+                log[s.attrs["shard"]].append((s.attrs["beat"], "suspect"))
+            elif s.name.startswith("takeover:"):
+                log[s.attrs["shard"]].append((s.attrs["beat"], s.attrs["kind"]))
+        assert log == {
+            1: [(1, "suspect"), (3, "stale")],
+            0: [(8, "suspect"), (10, "stale")],
+            2: [(3, "lost"), (8, "lost"), (11, "suspect"), (13, "crash")],
+        }
+        assert [heartbeat_misses(obs, i) for i in range(3)] == [3, 3, 5]
         assert shards[2].state is ShardState.DEAD
 
     def test_crash_decision_is_deterministic(self):

@@ -4,11 +4,11 @@ leased-world loop (ship, beat, re-land locally on death)."""
 import pytest
 
 from repro.analysis.calibration import NetworkProfile
-from repro.distrib.lease import LeaseState, RemoteWorldLease, heartbeat_lost
 from repro.errors import NetworkError
-from repro.faults.plan import FaultKind, FaultPlan
+from repro.faults.plan import FaultKind, FaultPlan, heartbeat_lost
 
 from benchmarks.bench_robustness_network import run_leased
+from netmodel.lease import LeaseState, RemoteWorldLease
 from netmodel.netsim import SimulatedLink
 from netmodel.rfork import RemoteFork, RemoteNode
 

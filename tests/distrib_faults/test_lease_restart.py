@@ -13,10 +13,10 @@ import time
 import pytest
 
 from repro.cluster import ClusterRouter, ClusterShard
-from repro.distrib.lease import LeaseState, RemoteWorldLease
 from repro.errors import NetworkError
 from repro.journal import CommitJournal, MemoryJournalStorage
 
+from netmodel.lease import LeaseState, RemoteWorldLease
 from tests.jam import CrashJam
 
 

@@ -1,5 +1,7 @@
 """Ratchets for what ROADMAP's ledger table counts by hand."""
 
+import dataclasses
+import inspect
 import io
 import json
 import os
@@ -11,10 +13,11 @@ import textwrap
 import threading
 import tokenize
 
-from repro.cluster import ClusterRouter, ClusterShard
+from repro.cluster import ClusterRouter, ClusterShard, RemoteShardClient
 from repro.core.policy import EliminationPolicy
 from repro.core.worlds import run_alternatives
 from repro.journal import CommitJournal
+from repro.serve import AdaptiveSpeculationPolicy, SpeculationService
 from tests.journal.test_group import CountingStorage
 
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
@@ -22,9 +25,11 @@ SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
 #: ROADMAP's "locks / conditions in `serve/` + `cluster/`" row
 LOCKS_CEILING = 12
 #: ROADMAP's "`serve/` + `cluster/` lines" row (`wc -l`)
-LINES_CEILING = 4763
+LINES_CEILING = 4738
 #: ROADMAP's "`src/` lines" row (`git ls-files 'src/*.py' | xargs wc -l`)
-SRC_LINES_CEILING = 21865
+SRC_LINES_CEILING = 21601
+#: ROADMAP's "settable values on the serving path" row
+SETTABLE_VALUES_CEILING = 51
 #: ROADMAP's "`fsync`s per `cluster_remote` op" row
 APPENDS_PER_REQUEST_CEILING = 3
 #: ROADMAP's "durable appends made while the request holds its slots" row
@@ -67,6 +72,27 @@ def test_src_line_count_does_not_rise():
         f"{lines} lines in src/ (ceiling {SRC_LINES_CEILING}): remove what "
         "the change made unnecessary, or update ROADMAP's ledger row and "
         "this ceiling together"
+    )
+
+
+def test_the_serving_path_has_no_more_settable_values():
+    """Every constructor parameter of the router, both shard transports
+    and the service, and every field of the adaptive policy, is a value
+    a caller can set and a test must cover."""
+    settable = [
+        f"{cls.__name__}.{name}"
+        for cls in (ClusterRouter, ClusterShard, RemoteShardClient, SpeculationService)
+        for name in inspect.signature(cls.__init__).parameters
+        if name != "self"
+    ] + [
+        f"AdaptiveSpeculationPolicy.{f.name}"
+        for f in dataclasses.fields(AdaptiveSpeculationPolicy)
+    ]
+    assert len(settable) <= SETTABLE_VALUES_CEILING, (
+        f"{len(settable)} settable values on the serving path (ceiling "
+        f"{SETTABLE_VALUES_CEILING}): derive the new one from an existing "
+        f"one, or update ROADMAP's ledger row and this ceiling together — "
+        f"{settable}"
     )
 
 
@@ -209,7 +235,7 @@ def test_the_serving_and_fork_stack_loads_no_numpy():
 SIMULATION_MODULES_CEILING = 0
 _SIMULATION_MODULE = re.compile(
     r"repro\.(kernel|memory|ipc)(\..*)?"
-    r"|repro\.distrib\.(netsim|rfork|migration|netstore)"
+    r"|repro\.distrib\.(netsim|rfork|migration|netstore|lease)"
     r"|repro\.analysis\.(domain|experiment|granularity)"
 )
 

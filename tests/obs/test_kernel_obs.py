@@ -241,7 +241,7 @@ def test_link_transfer_spans_and_drop_correlation():
 
 
 def test_lease_lifecycle_span():
-    from repro.distrib.lease import RemoteWorldLease
+    from netmodel.lease import RemoteWorldLease
 
     obs = Observability()
     lease = RemoteWorldLease(lease_id=4, node_id=2, obs=obs)

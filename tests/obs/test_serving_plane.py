@@ -140,3 +140,41 @@ def test_a_component_moves_to_a_real_plane_and_never_back():
             component.bind_obs(obs)
         assert all(c.obs is first for c in components), obs
     assert not any(name.startswith("mw_serve_alt") for name in second.registry.names())
+
+
+def test_a_failover_and_its_cause_share_the_tracer_timebase():
+    """A seeded partition, the suspicion it raises and the takeover it
+    starts are drawn on the plane's real-time timeline: every fault and
+    cluster instant lies between the router's start and now, and each
+    declared shard's misses come no later than its takeover span."""
+    skew = [0.0]
+    obs = Observability(clock=lambda: time.perf_counter() + skew[0])
+    skew[0] = 100.0  # the plane has been up for 100 s when the router starts
+    plan = FaultPlan(seed=8, rates={FaultKind.ROUTER_PARTITION: 0.4})
+    shards = [ClusterShard(i, slots=1, workers=1, obs=obs) for i in range(3)]
+    started = obs.tracer.now()
+    router = ClusterRouter(shards, fault_plan=plan, obs=obs).start(detect=False)
+    try:
+        for _ in range(12):
+            router.heartbeat_round()
+    finally:
+        router.stop()
+    now = obs.tracer.now()
+
+    instants = [
+        s for s in obs.tracer.spans
+        if s.kind == "instant" and s.cat in ("fault", "cluster")
+    ]
+    assert instants
+    for s in instants:
+        assert started <= s.start <= now, (s.name, s.attrs, started, s.start, now)
+    takeovers = [s for s in obs.tracer.spans if s.name.startswith("takeover:shard:")]
+    assert [(t.attrs["shard"], t.attrs["beat"], t.attrs["kind"]) for t in takeovers] == [
+        (1, 3, "stale"), (0, 10, "stale"),
+    ]
+    for takeover in takeovers:
+        assert takeover.attrs["reason"] == "3 consecutive misses (router partitioned)"
+        misses = [s for s in instants if s.attrs.get("shard") == takeover.attrs["shard"]]
+        assert {s.name for s in misses} == {"fault:router-partition", "shard:suspect"}
+        assert all(s.attrs["beat"] <= takeover.attrs["beat"] for s in misses)
+        assert max(s.start for s in misses) <= takeover.start
