@@ -59,17 +59,87 @@ def object_size_sweep():
     return rows
 
 
-def test_reference_intensity_crossover(benchmark):
-    rows = benchmark.pedantic(reference_sweep, iterations=1, rounds=1)
+def _crossover():
+    return crossover_references(
+        AccessProfile(objects=200, object_bytes=1024, objects_written=40,
+                      references=0)
+    )
+
+
+def refs_text(rows):
     text = table(
         ["references", "page-based (ms)", "value-based (ms)", "winner"],
         rows, fmt="10.3f",
     )
-    base = AccessProfile(objects=200, object_bytes=1024, objects_written=40,
-                         references=0)
-    cross = crossover_references(base)
-    text += f"\n\ncrossover at ~{cross:,.0f} references"
-    report("ablation_granularity_refs", text)
+    return text + f"\n\ncrossover at ~{_crossover():,.0f} references"
+
+
+def objsize_text(rows):
+    return table(
+        ["object bytes", "page-based (ms)", "value-based (ms)", "winner"],
+        rows, fmt="10.3f",
+    )
+
+
+OBJECTS, OBJ_BYTES, WRITES, READS = 120, 512, 20, 30_000
+
+
+def measured_schemes():
+    """One speculative workload through BOTH executable substrates — the
+    paged COW heap and the value-granularity store — with their actual
+    instrumentation priced by the same cost constants."""
+    from repro.memory.frame import FramePool
+    from repro.memory.heap import PagedHeap
+    from repro.memory.valueworlds import VersionedStore
+
+    costs = GranularityCosts(page_size=2048)
+    base = {f"k{i}": bytes(OBJ_BYTES) for i in range(OBJECTS)}
+
+    # page-based: fork a paged heap, do the reads (free) and writes
+    pool = FramePool(costs.page_size)
+    heap = PagedHeap(pool=pool)
+    heap.update(base)
+    child = heap.fork()
+    for i in range(WRITES):
+        child.put(f"k{i}", bytes(OBJ_BYTES))
+    for i in range(READS):
+        child.get(f"k{i % OBJECTS}")
+    page_cost = (
+        pool.stats.pte_copies * costs.pte_copy_s
+        + pool.stats.pages_copied * costs.page_copy_s
+    )
+
+    # value-based: same accesses through a versioned store
+    store = VersionedStore(base)
+    world = store.root_world().fork()
+    for i in range(WRITES):
+        world.put(f"k{i}", bytes(OBJ_BYTES))
+    for i in range(READS):
+        world.get(f"k{i % OBJECTS}")
+    value_cost = (
+        store.stats.ref_checks * costs.ref_check_s
+        + store.stats.object_copies * costs.object_copy_fixed_s
+        + store.stats.bytes_copied * costs.object_copy_s_per_byte
+    )
+    return page_cost, value_cost, pool.stats, store.stats
+
+
+def measured_text(page_cost, value_cost, page_stats, value_stats):
+    return (
+        f"identical workload ({OBJECTS} objects x {OBJ_BYTES} B, "
+        f"{WRITES} writes, {READS} reads):\n"
+        f"  page-based : {page_cost * 1000:8.3f} ms "
+        f"({page_stats.pte_copies} PTEs, {page_stats.pages_copied} page copies)\n"
+        f"  value-based: {value_cost * 1000:8.3f} ms "
+        f"({value_stats.ref_checks} ref checks, "
+        f"{value_stats.object_copies} object copies)"
+    )
+
+
+def test_reference_intensity_crossover(benchmark):
+    rows = benchmark.pedantic(reference_sweep, iterations=1, rounds=1)
+    report("ablation_granularity_refs", refs_text(rows))
+    cross = _crossover()
 
     # fine-grained work prefers values, reference-heavy work prefers pages
     assert rows[0][3] == "value"
@@ -87,11 +157,7 @@ def test_reference_intensity_crossover(benchmark):
 
 def test_object_size_sweep(benchmark):
     rows = benchmark.pedantic(object_size_sweep, iterations=1, rounds=1)
-    text = table(
-        ["object bytes", "page-based (ms)", "value-based (ms)", "winner"],
-        rows, fmt="10.3f",
-    )
-    report("ablation_granularity_objsize", text)
+    report("ablation_granularity_objsize", objsize_text(rows))
     # at this reference intensity the page scheme wins across sizes
     # except possibly the tiniest objects; page overhead grows with state
     page_costs = [r[1] for r in rows]
@@ -100,60 +166,13 @@ def test_object_size_sweep(benchmark):
 
 
 def test_measured_schemes_on_identical_workload(benchmark):
-    """Not just the model: run one speculative workload through BOTH
-    executable substrates — the paged COW heap and the value-granularity
-    store — and price their actual instrumentation with the same cost
-    constants."""
-    from repro.memory.frame import FramePool
-    from repro.memory.heap import PagedHeap
-    from repro.memory.valueworlds import VersionedStore
-
-    OBJECTS, OBJ_BYTES, WRITES, READS = 120, 512, 20, 30_000
-    costs = GranularityCosts(page_size=2048)
-
-    def run():
-        base = {f"k{i}": bytes(OBJ_BYTES) for i in range(OBJECTS)}
-
-        # page-based: fork a paged heap, do the reads (free) and writes
-        pool = FramePool(costs.page_size)
-        heap = PagedHeap(pool=pool)
-        heap.update(base)
-        child = heap.fork()
-        for i in range(WRITES):
-            child.put(f"k{i}", bytes(OBJ_BYTES))
-        for i in range(READS):
-            child.get(f"k{i % OBJECTS}")
-        page_cost = (
-            pool.stats.pte_copies * costs.pte_copy_s
-            + pool.stats.pages_copied * costs.page_copy_s
-        )
-
-        # value-based: same accesses through a versioned store
-        store = VersionedStore(base)
-        world = store.root_world().fork()
-        for i in range(WRITES):
-            world.put(f"k{i}", bytes(OBJ_BYTES))
-        for i in range(READS):
-            world.get(f"k{i % OBJECTS}")
-        value_cost = (
-            store.stats.ref_checks * costs.ref_check_s
-            + store.stats.object_copies * costs.object_copy_fixed_s
-            + store.stats.bytes_copied * costs.object_copy_s_per_byte
-        )
-        return page_cost, value_cost, pool.stats, store.stats
-
+    """Not just the model: both executable substrates, priced."""
     page_cost, value_cost, page_stats, value_stats = benchmark.pedantic(
-        run, iterations=1, rounds=1
+        measured_schemes, iterations=1, rounds=1
     )
     report(
         "ablation_granularity_measured",
-        f"identical workload ({OBJECTS} objects x {OBJ_BYTES} B, "
-        f"{WRITES} writes, {READS} reads):\n"
-        f"  page-based : {page_cost * 1000:8.3f} ms "
-        f"({page_stats.pte_copies} PTEs, {page_stats.pages_copied} page copies)\n"
-        f"  value-based: {value_cost * 1000:8.3f} ms "
-        f"({value_stats.ref_checks} ref checks, "
-        f"{value_stats.object_copies} object copies)",
+        measured_text(page_cost, value_cost, page_stats, value_stats),
     )
     # reference-heavy workload: the per-reference software tax loses to
     # the MMU-backed page scheme (the paper's positioning)

@@ -75,17 +75,20 @@ def generate():
     return rows
 
 
-def test_guard_placement_ablation(benchmark):
-    rows = benchmark.pedantic(generate, iterations=1, rounds=1)
+def placement_text(rows):
     text = table(
         ["placement", "winner", "response (s)", "CPU consumed (s)", "waste frac"],
         rows,
     )
-    report(
-        "ablation_guard_placement",
-        text + f"\n\n({N_GOOD} viable + {N_DOOMED} doomed alternatives of "
-        f"{WORK_S} s each, 2 CPUs)",
+    return text + (
+        f"\n\n({N_GOOD} viable + {N_DOOMED} doomed alternatives of "
+        f"{WORK_S} s each, 2 CPUs)"
     )
+
+
+def test_guard_placement_ablation(benchmark):
+    rows = benchmark.pedantic(generate, iterations=1, rounds=1)
+    report("ablation_guard_placement", placement_text(rows))
     by = {r[0]: r for r in rows}
     # all placements select a viable alternative
     assert all(str(r[1]).startswith("good") for r in rows)

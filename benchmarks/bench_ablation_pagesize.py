@@ -71,18 +71,21 @@ def generate():
     return rows
 
 
-def test_page_size_ablation(benchmark):
-    rows = benchmark.pedantic(generate, iterations=1, rounds=1)
+def page_size_text(rows):
     text = table(
         ["page size", "PTEs copied", "setup (ms)", "pages copied",
          "KiB copied", "COW (ms)", "total ovh (ms)"],
         rows, fmt="8.2f",
     )
-    report(
-        "ablation_page_size",
-        text + f"\n\n(256 KiB state in {VALUES} values, child rewrites "
-        f"{WRITES}; copy throughput fixed at the 3B2's bytes/s)",
+    return text + (
+        f"\n\n(256 KiB state in {VALUES} values, child rewrites "
+        f"{WRITES}; copy throughput fixed at the 3B2's bytes/s)"
     )
+
+
+def test_page_size_ablation(benchmark):
+    rows = benchmark.pedantic(generate, iterations=1, rounds=1)
+    report("ablation_page_size", page_size_text(rows))
     by_size = {r[0]: r for r in rows}
     # setup falls with page size (fewer PTEs to copy at fork)
     setups = [r[2] for r in rows]

@@ -41,14 +41,17 @@ def generate():
     return rows
 
 
+def quantum_text(rows):
+    text = table(["quantum (s)", "winner", "response (s)"], rows)
+    return text + (
+        f"\n\n(costs {COSTS} on {CPUS} CPUs; the 1.0 s alternative "
+        "is dispatched last)"
+    )
+
+
 def test_quantum_ablation(benchmark):
     rows = benchmark.pedantic(generate, iterations=1, rounds=1)
-    text = table(["quantum (s)", "winner", "response (s)"], rows)
-    report(
-        "ablation_quantum",
-        text + f"\n\n(costs {COSTS} on {CPUS} CPUs; the 1.0 s alternative "
-        "is dispatched last)",
-    )
+    report("ablation_quantum", quantum_text(rows))
     by = {r[0]: r for r in rows}
     # fine quanta: processor sharing lets the cheap alternative win at
     # ~ (work to its completion across the pool) / CPUs = 2.0 s

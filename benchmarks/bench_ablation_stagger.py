@@ -63,18 +63,21 @@ def generate():
     return rows
 
 
-def test_stagger_frontier(benchmark):
-    rows = benchmark.pedantic(generate, iterations=1, rounds=1)
+def stagger_text(rows):
     text = table(
         ["stagger (s)", "healthy resp (s)", "healthy waste (s)",
          "faulty resp (s)", "faulty waste (s)"],
         rows,
     )
-    report(
-        "ablation_stagger",
-        text + "\n\n(primary 1.0 s + two 1.0 s spares; waste = CPU-seconds "
-        "burned by eliminated worlds)",
+    return text + (
+        "\n\n(primary 1.0 s + two 1.0 s spares; waste = CPU-seconds "
+        "burned by eliminated worlds)"
     )
+
+
+def test_stagger_frontier(benchmark):
+    rows = benchmark.pedantic(generate, iterations=1, rounds=1)
+    report("ablation_stagger", stagger_text(rows))
     by = {r[0]: r for r in rows}
 
     # healthy response is stagger-independent: the primary sets the pace

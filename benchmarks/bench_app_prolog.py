@@ -45,20 +45,23 @@ def generate():
     }
 
 
-def test_or_parallel_prolog(benchmark):
-    data = benchmark.pedantic(generate, iterations=1, rounds=1)
+def prolog_text(data):
     text = table(
         ["branch", "clause", "inferences", "finds proof"],
         data["branch_rows"], fmt="6.0f",
     )
-    text += (
+    return text + (
         f"\n\nsequential: {data['seq_answer']!r} in "
         f"{data['seq_virtual_s']:.4f} virtual s"
         f"\nOR-parallel: {data['par_answer']!r} in "
         f"{data['par_virtual_s']:.4f} virtual s (winner {data['winner']})"
         f"\nspeedup: {data['seq_virtual_s'] / data['par_virtual_s']:.1f}x"
     )
-    report("app_prolog_orparallel", text)
+
+
+def test_or_parallel_prolog(benchmark):
+    data = benchmark.pedantic(generate, iterations=1, rounds=1)
+    report("app_prolog_orparallel", prolog_text(data))
 
     assert data["seq_answer"] == data["par_answer"]
     # committed-choice pays ~the cheapest successful branch

@@ -81,13 +81,16 @@ def generate():
     return rows
 
 
-def test_recovery_block_response_times(benchmark):
-    rows = benchmark.pedantic(generate, iterations=1, rounds=1)
-    text = table(
+def recovery_text(rows):
+    return table(
         ["case", "seq winner", "seq virtual (s)", "par winner", "par virtual (s)"],
         rows, fmt="8.3f",
     )
-    report("app_recovery_blocks", text)
+
+
+def test_recovery_block_response_times(benchmark):
+    rows = benchmark.pedantic(generate, iterations=1, rounds=1)
+    report("app_recovery_blocks", recovery_text(rows))
 
     by = {r[0]: r for r in rows}
     healthy = by["healthy primary"]

@@ -37,13 +37,16 @@ def accuracy_sweep():
     return rows
 
 
-def test_accuracy_vs_numpy(benchmark):
-    rows = benchmark.pedantic(accuracy_sweep, iterations=1, rounds=1)
-    text = table(
+def accuracy_text(rows):
+    return table(
         ["degree", "failed", "max |Δroot| vs numpy", "time (ms)", "angle tries"],
         rows, fmt="10.2e",
     )
-    report("app_rootfinder_accuracy", text)
+
+
+def test_accuracy_vs_numpy(benchmark):
+    rows = benchmark.pedantic(accuracy_sweep, iterations=1, rounds=1)
+    report("app_rootfinder_accuracy", accuracy_text(rows))
     for degree, failed, error, _, _ in rows:
         assert not failed, f"degree {degree} failed"
         assert error < 1e-7, f"degree {degree}: error {error}"

@@ -25,19 +25,21 @@ def generate():
         (kind, *counts, names[int(np.argmin(counts))])
         for kind, counts in zip(kinds, rows)
     ]
-    domain = DomainAnalysis(rows)
-    return kinds, names, rows, matrix_rows, domain.summary()
+    return names, matrix_rows, DomainAnalysis(rows).summary()
+
+
+def domain_text(names, matrix_rows, summary):
+    text = table(["input class", *names, "winner"], matrix_rows, fmt="8.0f")
+    return text + "\n\ndomain summary (comparisons as cost):\n" + "\n".join(
+        f"  {k:>20}: {v:,.2f}" for k, v in summary.items()
+    )
 
 
 def test_sorting_domain_analysis(benchmark):
-    kinds, names, rows, matrix_rows, summary = benchmark.pedantic(
+    names, matrix_rows, summary = benchmark.pedantic(
         generate, iterations=1, rounds=1
     )
-    text = table(["input class", *names, "winner"], matrix_rows, fmt="8.0f")
-    text += "\n\ndomain summary (comparisons as cost):\n" + "\n".join(
-        f"  {k:>20}: {v:,.2f}" for k, v in summary.items()
-    )
-    report("app_sorting_domain", text)
+    report("app_sorting_domain", domain_text(names, matrix_rows, summary))
 
     # winners rotate — the unpredictability Scheme C feeds on
     winners = {r[-1] for r in matrix_rows}
@@ -74,4 +76,4 @@ def test_adversarial_input_race(benchmark):
 
 
 if __name__ == "__main__":
-    print(generate()[3])
+    print(generate()[1])

@@ -58,10 +58,13 @@ def render_timeline(kernel: Kernel) -> str:
     return "\n".join(str(e) for e in interesting)
 
 
+def timeline_text(kernel: Kernel, outcome) -> str:
+    return render_timeline(kernel) + "\n\nwinner: " + str(outcome.value)
+
+
 def test_figure1_timeline(benchmark):
     kernel, outcome = benchmark.pedantic(run_figure1, iterations=1, rounds=1)
-    text = render_timeline(kernel)
-    report("fig1_alternatives", text + "\n\nwinner: " + str(outcome.value))
+    report("fig1_alternatives", timeline_text(kernel, outcome))
 
     # diagram properties
     assert outcome.value == "method_2"

@@ -77,13 +77,14 @@ def generate() -> list[tuple[float, float, float]]:
     return [(rm, analytic[rm], measure_pi(rm)) for rm in R_MU_GRID]
 
 
+def figure3_text(rows):
+    text = table(["R_mu", "PI analytic", "PI measured"], rows)
+    return text + "\n\n(R_o = 0.5; paper Figure 3)"
+
+
 def test_figure3(benchmark):
     rows = benchmark.pedantic(generate, iterations=1, rounds=1)
-    text = table(
-        ["R_mu", "PI analytic", "PI measured"],
-        [(rm, a, m) for rm, a, m in rows],
-    )
-    report("fig3_pi_vs_rmu", text + "\n\n(R_o = 0.5; paper Figure 3)")
+    report("fig3_pi_vs_rmu", figure3_text(rows))
 
     for r_mu, analytic, measured in rows:
         # measured executions track the closed form

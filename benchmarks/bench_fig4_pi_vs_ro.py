@@ -27,13 +27,14 @@ def generate() -> list[tuple[float, float, float]]:
     return [(ro, analytic[ro], measure_pi(R_MU, ro)) for ro in R_O_GRID]
 
 
+def figure4_text(rows):
+    text = table(["R_o", "PI analytic", "PI measured"], rows)
+    return text + f"\n\n(R_mu = e = {R_MU:.4f}; paper Figure 4, log-log)"
+
+
 def test_figure4(benchmark):
     rows = benchmark.pedantic(generate, iterations=1, rounds=1)
-    text = table(
-        ["R_o", "PI analytic", "PI measured"],
-        [(ro, a, m) for ro, a, m in rows],
-    )
-    report("fig4_pi_vs_ro", text + f"\n\n(R_mu = e = {R_MU:.4f}; paper Figure 4, log-log)")
+    report("fig4_pi_vs_ro", figure4_text(rows))
 
     for _, analytic, measured in rows:
         assert measured == pytest.approx(analytic, rel=0.02)

@@ -66,18 +66,21 @@ def width_sweep():
     return rows
 
 
-def test_cow_defeats_state_explosion(benchmark):
-    rows = benchmark.pedantic(width_sweep, iterations=1, rounds=1)
+def cow_text(rows):
     text = table(
         ["alternatives", "state pages", "pages copied (COW)",
          "pages copied (naive)", "COW advantage"],
         rows, fmt="8.1f",
     )
-    report(
-        "motivation_cow",
-        text + f"\n\n({STATE_VALUES} values x {VALUE_BYTES} B state; each "
-        f"alternative rewrites {TOUCH} values)",
+    return text + (
+        f"\n\n({STATE_VALUES} values x {VALUE_BYTES} B state; each "
+        f"alternative rewrites {TOUCH} values)"
     )
+
+
+def test_cow_defeats_state_explosion(benchmark):
+    rows = benchmark.pedantic(width_sweep, iterations=1, rounds=1)
+    report("motivation_cow", cow_text(rows))
     for width, base_pages, copied, naive, advantage in rows:
         # COW copies scale with what alternatives WRITE, not state size
         assert copied <= width * (TOUCH + 3)

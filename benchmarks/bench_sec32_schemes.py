@@ -83,16 +83,19 @@ def generate():
     return rows, summary
 
 
-def test_schemes_comparison(benchmark):
-    rows, summary = benchmark.pedantic(generate, iterations=1, rounds=1)
+def schemes_text(rows, summary):
     text = table(
         ["input", "A (best fixed)", "B = C_mean", "C analytic", "C measured"],
         rows,
     )
-    text += "\n\ndomain summary:\n" + "\n".join(
+    return text + "\n\ndomain summary:\n" + "\n".join(
         f"  {k:>20}: {v:.4f}" for k, v in summary.items()
     )
-    report("sec32_schemes", text)
+
+
+def test_schemes_comparison(benchmark):
+    rows, summary = benchmark.pedantic(generate, iterations=1, rounds=1)
+    report("sec32_schemes", schemes_text(rows, summary))
 
     # Scheme C beats Scheme B on every input of this domain
     for _, _, b, c_analytic, c_measured in rows:

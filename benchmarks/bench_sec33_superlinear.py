@@ -46,18 +46,21 @@ def generate():
     return rows
 
 
-def test_superlinear_crossover(benchmark):
-    rows = benchmark.pedantic(generate, iterations=1, rounds=1)
+def superlinear_text(rows):
     text = table(
         ["slow/fast ratio", "PI analytic", "PI measured", f"> N={N}?"],
         rows,
     )
-    report(
-        "sec33_superlinear",
-        text + "\n\nPI measured against the sequential expectation C_mean on"
+    return text + (
+        "\n\nPI measured against the sequential expectation C_mean on"
         f" {N} virtual CPUs;\nPI > {N} is superlinear speedup from {N}"
-        " processors.",
+        " processors."
     )
+
+
+def test_superlinear_crossover(benchmark):
+    rows = benchmark.pedantic(generate, iterations=1, rounds=1)
+    report("sec33_superlinear", superlinear_text(rows))
 
     for ratio, analytic, measured, flag in rows:
         assert measured == pytest.approx(analytic, rel=0.02)

@@ -79,17 +79,20 @@ def real_fork_elimination():
     return results
 
 
-def test_simulated_elimination_matches_paper(benchmark):
-    rows, penalties = benchmark.pedantic(simulated_elimination, iterations=1, rounds=1)
+def simulated_text(rows):
     text = table(
         ["policy", "completion overhead (ms)", "parent penalty (ms)", "response (s)"],
         rows, fmt="9.3f",
     )
-    report(
-        "sec34_elimination_sim",
-        text + f"\n\n(AT&T 3B2/310 calibration, {N_SIBLINGS} eliminated "
-        "siblings; paper: ~40 ms sync, ~20 ms async)",
+    return text + (
+        f"\n\n(AT&T 3B2/310 calibration, {N_SIBLINGS} eliminated "
+        "siblings; paper: ~40 ms sync, ~20 ms async)"
     )
+
+
+def test_simulated_elimination_matches_paper(benchmark):
+    rows, penalties = benchmark.pedantic(simulated_elimination, iterations=1, rounds=1)
+    report("sec34_elimination_sim", simulated_text(rows))
     # the paper's numbers: parent pays ~40 ms when waiting, ~0 when not
     assert penalties[EliminationPolicy.SYNCHRONOUS] == pytest.approx(40.0, rel=0.05)
     assert penalties[EliminationPolicy.ASYNCHRONOUS] == pytest.approx(0.0, abs=1.0)

@@ -96,34 +96,42 @@ def real_fork_microbench(space_bytes: int = 320 * 1024, trials: int = 20):
     return min(times) * 1000, (sum(times) / len(times)) * 1000
 
 
+def calibration_text(rows, rate_rows):
+    return (
+        table(["machine", "page size", "pages", "fork (ms)"], rows, fmt="8.2f")
+        + "\n\n"
+        + table(["machine", "page size", "pages copied / s"], rate_rows, fmt="8.1f")
+    )
+
+
+def write_fraction_text(rows):
+    text = table(
+        ["write fraction", "values touched", "pages copied", "COW cost (ms)"],
+        rows, fmt="8.2f",
+    )
+    return text + (
+        "\n\n(AT&T 3B2/310 profile, 160 half-page values; paper [18] "
+        "observed fractions 0.2-0.5)"
+    )
+
+
 def test_calibrated_fork_times(benchmark):
     rows = benchmark.pedantic(simulated_fork_times, iterations=1, rounds=1)
-    text = table(["machine", "page size", "pages", "fork (ms)"], rows, fmt="8.2f")
     by_name = {r[0]: r[3] for r in rows}
     # the paper's measured values, by construction of the calibration
     assert by_name["AT&T 3B2/310"] == pytest.approx(31.0, rel=0.01)
     assert by_name["HP 9000/350"] == pytest.approx(12.0, rel=0.01)
 
     rate_rows = simulated_copy_rates()
-    text += "\n\n" + table(["machine", "page size", "pages copied / s"],
-                           rate_rows, fmt="8.1f")
     rates = {r[0]: r[2] for r in rate_rows}
     assert rates["AT&T 3B2/310"] == pytest.approx(326.0, rel=0.01)
     assert rates["HP 9000/350"] == pytest.approx(1034.0, rel=0.01)
-    report("sec34_fork_cow_calibration", text)
+    report("sec34_fork_cow_calibration", calibration_text(rows, rate_rows))
 
 
 def test_write_fraction_sweep(benchmark):
     rows = benchmark.pedantic(write_fraction_sweep, iterations=1, rounds=1)
-    text = table(
-        ["write fraction", "values touched", "pages copied", "COW cost (ms)"],
-        rows, fmt="8.2f",
-    )
-    report(
-        "sec34_write_fraction",
-        text + "\n\n(AT&T 3B2/310 profile, 160 half-page values; paper [18] "
-        "observed fractions 0.2-0.5)",
-    )
+    report("sec34_write_fraction", write_fraction_text(rows))
     # COW cost scales with the fraction actually written, from zero
     costs = [r[3] for r in rows]
     assert costs == sorted(costs)
