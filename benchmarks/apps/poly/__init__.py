@@ -6,23 +6,23 @@ numerical problem with knowledge about when each is likely to succeed.
 alternatives, each trying a different method first — "fastest first"
 scheduling.
 
-- :mod:`repro.apps.poly.polyalgorithm` — the framework.
-- :mod:`repro.apps.poly.scalar_solvers` — bisection/secant/Newton/Brent
+- :mod:`apps.poly.polyalgorithm` — the framework.
+- :mod:`apps.poly.scalar_solvers` — bisection/secant/Newton/Brent
   scalar root finders (method pool for the examples and benches).
-- :mod:`repro.apps.poly.rootfind` — the complex-polynomial Jenkins-Traub
+- :mod:`apps.poly.rootfind` — the complex-polynomial Jenkins-Traub
   zero finder whose random-angle degree of freedom the paper parallelizes
   (Table I).
 """
 
-from repro.apps.poly.polyalgorithm import Method, PolyAlgorithm, PolyResult
-from repro.apps.poly.scalar_solvers import (
+from apps.poly.polyalgorithm import Method, PolyAlgorithm, PolyResult
+from apps.poly.scalar_solvers import (
     bisection,
     brent,
     fixed_point,
     newton,
     secant,
 )
-from repro.apps.poly.linear_solvers import (
+from apps.poly.linear_solvers import (
     conjugate_gradient,
     direct_lu,
     gauss_seidel,

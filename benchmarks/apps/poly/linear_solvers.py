@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.poly.polyalgorithm import Method, PolyAlgorithm
-from repro.errors import ConvergenceError, SolverError
+from apps.poly.polyalgorithm import Method, PolyAlgorithm
+from apps.errors import ConvergenceError, SolverError
 
 _DEFAULT_TOL = 1e-10
 

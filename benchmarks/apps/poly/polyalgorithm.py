@@ -21,7 +21,7 @@ from typing import Any, Callable, Sequence
 from repro.core.alternative import Alternative, Guard
 from repro.core.outcome import BlockOutcome
 from repro.core.worlds import run_alternatives
-from repro.errors import SolverError
+from apps.errors import SolverError
 
 
 @dataclass

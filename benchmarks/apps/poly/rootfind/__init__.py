@@ -7,24 +7,24 @@ tried, based on numerical experience. A parallel version of this
 algorithm was created by making several choices for the starting value
 and executing them in parallel."
 
-- :mod:`repro.apps.poly.rootfind.polynomial` — dense complex polynomials
+- :mod:`apps.poly.rootfind.polynomial` — dense complex polynomials
   (Horner evaluation, synthetic division, Cauchy radius bound).
-- :mod:`repro.apps.poly.rootfind.jenkins_traub` — the three-stage
+- :mod:`apps.poly.rootfind.jenkins_traub` — the three-stage
   no-shift / fixed-shift / variable-shift iteration with the random
   starting-angle degree of freedom, deflation driver, and failure
   accounting.
-- :mod:`repro.apps.poly.rootfind.parallel` — the Multiple Worlds driver:
+- :mod:`apps.poly.rootfind.parallel` — the Multiple Worlds driver:
   several angle choices raced in parallel (Table I).
 """
 
-from repro.apps.poly.rootfind.polynomial import Polynomial
-from repro.apps.poly.rootfind.jenkins_traub import (
+from apps.poly.rootfind.polynomial import Polynomial
+from apps.poly.rootfind.jenkins_traub import (
     JTOptions,
     JTReport,
     find_one_zero,
     find_all_zeros,
 )
-from repro.apps.poly.rootfind.parallel import (
+from apps.poly.rootfind.parallel import (
     ParallelRootfinder,
     RootfinderRun,
     TableOneRow,

@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.apps.poly.rootfind.polynomial import Polynomial
-from repro.errors import ConvergenceError
+from apps.poly.rootfind.polynomial import Polynomial
+from apps.errors import ConvergenceError
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,7 @@ def find_one_zero(
 
     ``angle`` fixes the first starting angle in radians; otherwise angles
     come from ``rng`` (uniform) or from the published 49°+k·94° ladder.
-    Raises :class:`~repro.errors.ConvergenceError` when every angle try
+    Raises :class:`~apps.errors.ConvergenceError` when every angle try
     is exhausted.
     """
     if report is None:

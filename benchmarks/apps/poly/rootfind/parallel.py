@@ -19,12 +19,12 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.apps.poly.rootfind.jenkins_traub import JTOptions, find_all_zeros
-from repro.apps.poly.rootfind.polynomial import Polynomial
+from apps.poly.rootfind.jenkins_traub import JTOptions, find_all_zeros
+from apps.poly.rootfind.polynomial import Polynomial
 from repro.core.alternative import Alternative, Guard
 from repro.core.outcome import BlockOutcome
 from repro.core.worlds import run_alternatives
-from repro.errors import ConvergenceError
+from apps.errors import ConvergenceError
 
 
 @dataclass

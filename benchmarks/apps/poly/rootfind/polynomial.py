@@ -6,7 +6,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.errors import SolverError
+from apps.errors import SolverError
 
 
 class Polynomial:

@@ -4,7 +4,7 @@ Five classical methods with sharply different cost/robustness profiles —
 exactly the "performance differences between the alternatives, due to
 data dependencies or use of heuristic methods" the paper's section 4
 calls for. Each returns the root and raises
-:class:`~repro.errors.SolverError` / :class:`~repro.errors.ConvergenceError`
+:class:`~apps.errors.SolverError` / :class:`~apps.errors.ConvergenceError`
 on failure, so they can be wrapped directly as alternatives.
 """
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from repro.errors import ConvergenceError, SolverError
+from apps.errors import ConvergenceError, SolverError
 
 Fn = Callable[[float], float]
 _DEFAULT_TOL = 1e-12

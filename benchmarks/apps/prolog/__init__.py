@@ -7,21 +7,21 @@ position is that one solution is selected, so worlds copy and never merge
 ("What our method does is copy, and since we choose only one alternative,
 no merging is necessary").
 
-- :mod:`repro.apps.prolog.terms` — atoms, numbers, variables, structures.
-- :mod:`repro.apps.prolog.unify` — unification with substitutions.
-- :mod:`repro.apps.prolog.parser` — a small ISO-flavoured reader.
-- :mod:`repro.apps.prolog.database` — clauses and the fact/rule store.
-- :mod:`repro.apps.prolog.interpreter` — sequential SLD resolution with
+- :mod:`apps.prolog.terms` — atoms, numbers, variables, structures.
+- :mod:`apps.prolog.unify` — unification with substitutions.
+- :mod:`apps.prolog.parser` — a small ISO-flavoured reader.
+- :mod:`apps.prolog.database` — clauses and the fact/rule store.
+- :mod:`apps.prolog.interpreter` — sequential SLD resolution with
   backtracking, arithmetic and negation-as-failure builtins.
-- :mod:`repro.apps.prolog.orparallel` — clause-level alternatives raced
+- :mod:`apps.prolog.orparallel` — clause-level alternatives raced
   under Multiple Worlds.
 """
 
-from repro.apps.prolog.terms import Atom, Num, Struct, Var
-from repro.apps.prolog.parser import parse_program, parse_query, parse_term
-from repro.apps.prolog.database import Clause, Database
-from repro.apps.prolog.interpreter import Interpreter, Solution, SolveStats
-from repro.apps.prolog.orparallel import ORParallelEngine
+from apps.prolog.terms import Atom, Num, Struct, Var
+from apps.prolog.parser import parse_program, parse_query, parse_term
+from apps.prolog.database import Clause, Database
+from apps.prolog.interpreter import Interpreter, Solution, SolveStats
+from apps.prolog.orparallel import ORParallelEngine
 
 __all__ = [
     "Atom",

@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.apps.prolog.terms import Atom, Struct, Term, freshen
-from repro.errors import PrologError
+from apps.prolog.terms import Atom, Struct, Term, freshen
+from apps.errors import PrologError
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ class Database:
 
     @classmethod
     def from_source(cls, text: str) -> "Database":
-        from repro.apps.prolog.parser import parse_program
+        from apps.prolog.parser import parse_program
 
         return cls.from_clauses(parse_program(text))
 

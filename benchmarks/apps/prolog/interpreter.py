@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Union
 
-from repro.apps.prolog.database import Database
-from repro.apps.prolog.terms import Atom, Num, Struct, Term, Var, variables_in
-from repro.apps.prolog.unify import EMPTY_SUBST, Subst, resolve, unify, walk
-from repro.errors import PrologError
+from apps.prolog.database import Database
+from apps.prolog.terms import Atom, Num, Struct, Term, Var, variables_in
+from apps.prolog.unify import EMPTY_SUBST, Subst, resolve, unify, walk
+from apps.errors import PrologError
 
 Query = Union[str, tuple]
 
@@ -144,7 +144,7 @@ class Interpreter:
     # -- engine ------------------------------------------------------------------
     def _as_goals(self, query: Query) -> tuple:
         if isinstance(query, str):
-            from repro.apps.prolog.parser import parse_query
+            from apps.prolog.parser import parse_query
 
             return parse_query(query)
         return tuple(query)
@@ -296,7 +296,7 @@ class Interpreter:
         if name == "," and arity == 2:
             # a conjunction reached goal position (e.g. inside ';'):
             # flatten it back into the goal list
-            from repro.apps.prolog.parser import flatten_conjunction
+            from apps.prolog.parser import flatten_conjunction
 
             return iter([(flatten_conjunction(goal) + rest, subst, depth)])
 

@@ -22,14 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.apps.prolog.database import Database
-from repro.apps.prolog.interpreter import Interpreter, Solution, SolveStats
-from repro.apps.prolog.terms import Term, Var, variables_in
-from repro.apps.prolog.unify import EMPTY_SUBST, Subst, resolve, unify, walk
+from apps.prolog.database import Database
+from apps.prolog.interpreter import Interpreter, Solution, SolveStats
+from apps.prolog.terms import Term, Var, variables_in
+from apps.prolog.unify import EMPTY_SUBST, Subst, resolve, unify, walk
 from repro.core.alternative import Alternative
 from repro.core.outcome import BlockOutcome
 from repro.core.worlds import run_alternatives
-from repro.errors import PrologError
+from apps.errors import PrologError
 
 
 @dataclass
@@ -71,7 +71,7 @@ class ORParallelEngine:
 
     def _as_goals(self, query) -> tuple:
         if isinstance(query, str):
-            from repro.apps.prolog.parser import parse_query
+            from apps.prolog.parser import parse_query
 
             return parse_query(query)
         return tuple(query)

@@ -17,9 +17,9 @@ from __future__ import annotations
 import re
 from typing import Iterator
 
-from repro.apps.prolog.database import Clause
-from repro.apps.prolog.terms import Atom, NIL, Num, Struct, Term, Var, make_list
-from repro.errors import PrologSyntaxError
+from apps.prolog.database import Clause
+from apps.prolog.terms import Atom, NIL, Num, Struct, Term, Var, make_list
+from apps.errors import PrologSyntaxError
 
 _TOKEN_RE = re.compile(
     r"""

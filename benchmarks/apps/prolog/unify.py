@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Mapping, Optional
 
-from repro.apps.prolog.terms import Atom, Num, Struct, Term, Var
+from apps.prolog.terms import Atom, Num, Struct, Term, Var
 
 Subst = Mapping[Var, Term]
 

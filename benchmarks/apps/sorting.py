@@ -18,8 +18,8 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.apps.poly.polyalgorithm import Method, PolyAlgorithm
-from repro.errors import SolverError
+from apps.poly.polyalgorithm import Method, PolyAlgorithm
+from apps.errors import SolverError
 
 
 class _Counter:

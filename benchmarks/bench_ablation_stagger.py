@@ -10,7 +10,7 @@ the simulation kernel.
 import pytest
 
 from _harness import report, table
-from repro.apps.recovery import RecoveryBlock
+from apps.recovery import RecoveryBlock
 from repro.core import run_alternatives_sim
 
 PRIMARY_S = 1.0

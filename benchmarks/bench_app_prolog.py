@@ -12,8 +12,8 @@ speculative inferences).
 import pytest
 
 from _harness import report, table
-from repro.apps.prolog import Database, ORParallelEngine
-from repro.apps.prolog.programs import SKEWED_SEARCH
+from apps.prolog import Database, ORParallelEngine
+from apps.prolog.programs import SKEWED_SEARCH
 
 PER_INFERENCE_S = 1e-4
 

@@ -11,7 +11,7 @@ simulation kernel (deterministic virtual time).
 import pytest
 
 from _harness import report, table
-from repro.apps.recovery import RecoveryBlock
+from apps.recovery import RecoveryBlock
 
 PRIMARY_S = 1.0
 SPARE_S = 1.2

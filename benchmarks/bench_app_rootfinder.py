@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from _harness import report, table
-from repro.apps.poly.rootfind import Polynomial, find_all_zeros
-from repro.apps.poly.rootfind.parallel import default_table_polynomial
+from apps.poly.rootfind import Polynomial, find_all_zeros
+from apps.poly.rootfind.parallel import default_table_polynomial
 
 
 def _max_paired_error(zeros, reference) -> float:

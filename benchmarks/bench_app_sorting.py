@@ -12,7 +12,7 @@ import pytest
 
 from _harness import report, table
 from repro.analysis.domain import DomainAnalysis
-from repro.apps.sorting import domain_matrix, make_input, comparison_counts
+from apps.sorting import domain_matrix, make_input, comparison_counts
 from repro.core import Alternative, run_alternatives_sim
 
 N = 400

@@ -25,13 +25,14 @@ import sys
 
 from _harness import report, table
 from netmodel.checkpoint import CheckpointImage
+from netmodel.faults import REMOTE_SITE, NetFaultKind, NetFaultPlan
 from netmodel.lease import LeaseState, RemoteWorldLease
 from netmodel.netsim import SimulatedLink
 from netmodel.rfork import _RETRYABLE, RemoteFork, RemoteNode
 from repro.analysis.calibration import NetworkProfile
 from repro.distrib.retry import call_with_retries
 from repro.errors import RetriesExhausted
-from repro.faults.plan import REMOTE_SITE, FaultKind, FaultPlan, heartbeat_lost
+from repro.faults.plan import heartbeat_lost
 from repro.faults.supervisor import Supervisor
 
 #: A fast link so wall-clock stays bench-friendly; the virtual-time
@@ -49,7 +50,7 @@ def _task(state):
 
 
 def _make_rfork(rate, seed):
-    plan = FaultPlan(seed=seed, rates={FaultKind.XFER_DROP: rate})
+    plan = NetFaultPlan(seed=seed, rates={NetFaultKind.XFER_DROP: rate})
     link = SimulatedLink(LINK_PROFILE, fault_plan=plan, seed=seed)
     return RemoteFork(link=link)
 
@@ -133,7 +134,7 @@ def run_leased(fn, state, rfork, work_s=1.0):
         crash_at = None if crash_rel is None else t0 + crash_rel
         if crash_at is not None:
             plan.note_injection(
-                REMOTE_SITE, FaultKind.REMOTE_CRASH,
+                REMOTE_SITE, NetFaultKind.REMOTE_CRASH,
                 detail=f"node {lease.node_id} dies at t={crash_at:.6f}s",
                 t=crash_at, track=f"lease:{lease.lease_id}",
                 node=lease.node_id, lease=lease.lease_id,
@@ -182,7 +183,7 @@ def sweep_remote_crash(rates=RATES, seeds=SEEDS):
         done = relanded = 0
         beats_missed = 0
         for seed in seeds:
-            plan = FaultPlan(seed=seed, rates={FaultKind.REMOTE_CRASH: rate})
+            plan = NetFaultPlan(seed=seed, rates={NetFaultKind.REMOTE_CRASH: rate})
             link = SimulatedLink(LINK_PROFILE, fault_plan=plan, seed=seed)
             leased = run_leased(_task, {"x": 21}, RemoteFork(link=link))
             done += leased["value"] == 42

@@ -29,7 +29,7 @@ import math
 import pytest
 
 from _harness import report
-from repro.apps.poly.rootfind.parallel import (
+from apps.poly.rootfind.parallel import (
     ParallelRootfinder,
     default_table_polynomial,
     render_table_one,

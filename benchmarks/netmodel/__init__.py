@@ -7,6 +7,9 @@ behind :class:`repro.cluster.ClusterRouter`); this package is the cost
 model that regenerates the paper's figure, and the fault-injected link
 the network-robustness bench drives:
 
+- :mod:`netmodel.faults` — :class:`~netmodel.faults.NetFaultPlan`, the
+  fault plan with the model's ``link``, ``partition`` and ``remote``
+  sites, their kinds, and the errors the model raises;
 - :mod:`netmodel.netsim` — latency/bandwidth link models with transfer
   accounting and deterministic fault injection (drops, duplicates,
   reordering, corruption, flap/partition windows);

@@ -23,8 +23,9 @@ import zlib
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.errors import CheckpointError
 from repro.runtime.report_channel import ReportChannel, ReportLost
+
+from .faults import CheckpointError
 
 #: The wire format: magic + <QdI>(name_len, created_at, crc) + name +
 #: payload. The CRC32 covers the other header fields, the name and the
@@ -53,7 +54,7 @@ class CheckpointImage:
 
         ``fn`` must be picklable (an importable top-level function); the
         state must be a picklable dict. Raises
-        :class:`~repro.errors.CheckpointError` otherwise.
+        :class:`~netmodel.faults.CheckpointError` otherwise.
         """
         try:
             payload = pickle.dumps((fn, state), protocol=pickle.HIGHEST_PROTOCOL)
@@ -83,7 +84,7 @@ class CheckpointImage:
         Every malformation — bad magic, truncated header, a
         ``name_len`` pointing past the blob, a checksum mismatch from a
         flipped byte or a torn tail — raises
-        :class:`~repro.errors.CheckpointError` without touching the
+        :class:`~netmodel.faults.CheckpointError` without touching the
         (pickled, therefore dangerous) payload.
         """
         if not blob.startswith(_MAGIC):

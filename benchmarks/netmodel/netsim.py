@@ -6,7 +6,7 @@ really sleep for) the time to ship a byte payload — the substitution for
 the 1989 LAN the paper's rfork ran over (see DESIGN.md section 3).
 
 Unreliability is opt-in: hand the link a
-:class:`~repro.faults.plan.FaultPlan` and :meth:`transfer` /
+:class:`~netmodel.faults.NetFaultPlan` and :meth:`transfer` /
 :meth:`ship` start consulting the plan's ``link`` and ``partition``
 sites. Every fault decision is a pure function of
 ``(seed, link_id, transfer_seq, attempt)``, so a seeded link replays the
@@ -32,10 +32,11 @@ import zlib
 from dataclasses import dataclass, field
 
 from repro.analysis.calibration import NetworkProfile
-from repro.errors import LinkPartitioned, NetworkError, TransferDropped
-from repro.faults.plan import LINK_SITE, FaultKind
+from repro.errors import NetworkError
 from repro.obs import or_null
 from repro.util.rng import ReplayableRNG
+
+from .faults import LINK_SITE, LinkPartitioned, NetFaultKind, TransferDropped
 
 
 @dataclass(frozen=True)
@@ -144,7 +145,7 @@ class SimulatedLink:
             return FaultDecision()
         return self.fault_plan.decide(LINK_SITE, self.link_id, seq, attempt)
 
-    def _record_fault(self, seq: int, kind: FaultKind, detail: str = "") -> None:
+    def _record_fault(self, seq: int, kind: NetFaultKind, detail: str = "") -> None:
         self.fault_events.append(
             LinkFaultEvent(seq=seq, kind=kind.value, at_s=self.clock, detail=detail)
         )
@@ -169,11 +170,11 @@ class SimulatedLink:
     def _check_partition(self, seq: int) -> None:
         plan = self.fault_plan
         if plan is not None and plan.link_down(self.link_id, self.clock):
-            self._record_fault(seq, FaultKind.LINK_FLAP, f"at {self.clock:.6f}s")
+            self._record_fault(seq, NetFaultKind.LINK_FLAP, f"at {self.clock:.6f}s")
             self.ledger.append(
                 TransferRecord(
                     nbytes=0, seconds=0.0, started_at=self.clock,
-                    seq=seq, ok=False, fault=FaultKind.LINK_FLAP.value,
+                    seq=seq, ok=False, fault=NetFaultKind.LINK_FLAP.value,
                 )
             )
             self._xfer_c.inc(link=self.link_id, result="partitioned")
@@ -183,7 +184,7 @@ class SimulatedLink:
 
     def _one_transfer(
         self, nbytes: int, attempt: int, payload: bytes | None
-    ) -> tuple[int, float, "FaultKind | None"]:
+    ) -> tuple[int, float, "NetFaultKind | None"]:
         """Account one wire crossing; returns (seq, seconds, payload fault).
 
         Caller must hold the lock. Raises on drop/partition; payload-level
@@ -199,10 +200,10 @@ class SimulatedLink:
             seconds += self._rng.uniform(0.0, self.jitter * nominal)
         decision = self._decide(seq, attempt)
         kind = decision.kind
-        if kind is FaultKind.LINK_SLOW:
+        if kind is NetFaultKind.LINK_SLOW:
             seconds *= decision.param
             self._record_fault(seq, kind, f"x{decision.param:g}")
-        if kind is FaultKind.XFER_DROP:
+        if kind is NetFaultKind.XFER_DROP:
             # the sender pays the full send time before concluding the
             # payload is gone (a timeout, not an instant NACK)
             self._record_fault(seq, kind)
@@ -237,7 +238,7 @@ class SimulatedLink:
         )
         self._xfer_c.inc(link=self.link_id, result="ok")
         payload_fault = kind if kind in (
-            FaultKind.XFER_DUP, FaultKind.XFER_CORRUPT, FaultKind.XFER_REORDER
+            NetFaultKind.XFER_DUP, NetFaultKind.XFER_CORRUPT, NetFaultKind.XFER_REORDER
         ) else None
         return seq, seconds, payload_fault
 
@@ -257,8 +258,8 @@ class SimulatedLink:
         """Account (and optionally sleep) one transfer; returns seconds.
 
         With a fault plan attached this may raise
-        :class:`~repro.errors.TransferDropped` or
-        :class:`~repro.errors.LinkPartitioned`; payload-level faults
+        :class:`~netmodel.faults.TransferDropped` or
+        :class:`~netmodel.faults.LinkPartitioned`; payload-level faults
         (duplicate/corrupt/reorder) need :meth:`ship`.
         """
         with self._lock:
@@ -282,10 +283,10 @@ class SimulatedLink:
             seq, seconds, fault = self._one_transfer(len(payload), attempt, payload)
             delivered = payload
             copies = 1
-            if fault is FaultKind.XFER_CORRUPT:
+            if fault is NetFaultKind.XFER_CORRUPT:
                 delivered = corrupt_payload(payload)
                 self._record_fault(seq, fault)
-            elif fault is FaultKind.XFER_DUP:
+            elif fault is NetFaultKind.XFER_DUP:
                 copies = 2
                 self._record_fault(seq, fault)
                 # the duplicate crosses the wire too: charge it
@@ -299,9 +300,9 @@ class SimulatedLink:
                 )
                 self.clock += dup_seconds
                 seconds += dup_seconds
-            reordered = self._note_arrival(seq, fault is FaultKind.XFER_REORDER)
+            reordered = self._note_arrival(seq, fault is NetFaultKind.XFER_REORDER)
             if reordered:
-                self._record_fault(seq, FaultKind.XFER_REORDER)
+                self._record_fault(seq, NetFaultKind.XFER_REORDER)
         if self.real_sleep:  # pragma: no cover - timing-dependent
             time.sleep(seconds)
         return Delivery(
@@ -334,7 +335,7 @@ class SimulatedLink:
 
     @property
     def drops(self) -> int:
-        return sum(1 for r in self.ledger if r.fault == FaultKind.XFER_DROP.value)
+        return sum(1 for r in self.ledger if r.fault == NetFaultKind.XFER_DROP.value)
 
     @property
     def faults_injected(self) -> int:

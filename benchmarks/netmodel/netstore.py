@@ -22,9 +22,10 @@ import zlib
 from dataclasses import dataclass
 
 from repro.distrib.retry import RetryPolicy, call_with_retries
-from repro.errors import NetworkError, TransferCorrupted
+from repro.errors import NetworkError
 from repro.memory.store import SingleLevelStore
 
+from .faults import TransferCorrupted
 from .netsim import SimulatedLink
 
 

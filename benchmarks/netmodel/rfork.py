@@ -11,7 +11,7 @@ Two modes:
   simulated link, and restart the image in a forked child, returning both
   the task result and the measured/simulated breakdown.
 
-When the link carries a :class:`~repro.faults.plan.FaultPlan`,
+When the link carries a :class:`~netmodel.faults.NetFaultPlan`,
 ``execute`` becomes an at-least-once protocol:
 
 - dropped/partitioned transfers retry with exponential backoff and
@@ -37,15 +37,10 @@ from dataclasses import dataclass
 
 from repro.analysis.calibration import RFORK_LINK
 from repro.distrib.retry import RetryPolicy, RetryStats, call_with_retries
-from repro.errors import (
-    CheckpointError,
-    RemoteNodeDown,
-    RetriesExhausted,
-    TransferError,
-)
-from repro.faults.plan import REMOTE_SITE, FaultKind
+from repro.errors import RetriesExhausted, TransferError
 
 from .checkpoint import CheckpointImage
+from .faults import REMOTE_SITE, CheckpointError, NetFaultKind, RemoteNodeDown
 from .netsim import SimulatedLink
 
 #: Failures :meth:`RemoteFork.execute` treats as retryable: anything the
@@ -126,7 +121,7 @@ class RemoteFork:
         # CRC gate: a corrupt or torn image must never reach pickle.loads
         restored = CheckpointImage.from_bytes(delivery.payload)
         plan = self.link.fault_plan
-        if plan is not None and plan.decide(REMOTE_SITE, self.node_id, attempt).kind is FaultKind.REMOTE_CRASH:
+        if plan is not None and plan.decide(REMOTE_SITE, self.node_id, attempt).kind is NetFaultKind.REMOTE_CRASH:
             raise RemoteNodeDown(
                 f"node {self.node_id} crashed mid-restart (attempt {attempt})"
             )
@@ -260,6 +255,6 @@ class RemoteNode:
         if self.plan is None:
             return None
         decision = self.plan.decide(REMOTE_SITE, self.node_id, attempt)
-        if decision.kind is FaultKind.REMOTE_CRASH:
+        if decision.kind is NetFaultKind.REMOTE_CRASH:
             return work_s * decision.param
         return None

@@ -8,9 +8,15 @@ methods even try; Multiple Worlds races the method orderings so the
 problem never waits on a misjudged first choice.
 """
 
+import pathlib
+import sys
+
 import numpy as np
 
-from repro.apps.poly.linear_solvers import (
+# the paper's section-4 workloads live beside the benches that run them
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "benchmarks"))
+
+from apps.poly.linear_solvers import (
     is_diagonally_dominant,
     is_spd,
     is_symmetric,

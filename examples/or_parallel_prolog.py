@@ -8,7 +8,13 @@ grinds through the dead ends in order; the OR-parallel engine runs every
 clause of the top goal as its own world and commits the first proof.
 """
 
-from repro.apps.prolog import Database, Interpreter, ORParallelEngine
+import pathlib
+import sys
+
+# the paper's section-4 workloads live beside the benches that run them
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "benchmarks"))
+
+from apps.prolog import Database, Interpreter, ORParallelEngine
 
 PROGRAM = """
 % a graph: dense maze on the left, a short corridor on the right

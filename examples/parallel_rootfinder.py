@@ -8,14 +8,20 @@ Worlds buys the best angle's runtime. This reproduces the paper's section
 4.3 experiment and prints a Table I of our own.
 """
 
+import pathlib
+import sys
+
 import numpy as np
 
-from repro.apps.poly.rootfind import (
+# the paper's section-4 workloads live beside the benches that run them
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "benchmarks"))
+
+from apps.poly.rootfind import (
     ParallelRootfinder,
     Polynomial,
     find_all_zeros,
 )
-from repro.apps.poly.rootfind.parallel import (
+from apps.poly.rootfind.parallel import (
     default_table_polynomial,
     render_table_one,
 )

@@ -10,8 +10,13 @@ first — and commits whichever ordering finishes first.
 """
 
 import math
+import pathlib
+import sys
 
-from repro.apps.poly import Method, PolyAlgorithm, bisection, newton, secant
+# the paper's section-4 workloads live beside the benches that run them
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "benchmarks"))
+
+from apps.poly import Method, PolyAlgorithm, bisection, newton, secant
 
 
 def m_newton(ws):

@@ -13,10 +13,15 @@ trying a spare; the Multiple Worlds version races all three and commits
 the first acceptable answer, so a faulty primary costs nothing extra.
 """
 
+import pathlib
 import statistics
+import sys
 import time
 
-from repro.apps.recovery import RecoveryBlock, flaky
+# the paper's section-4 workloads live beside the benches that run them
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "benchmarks"))
+
+from apps.recovery import RecoveryBlock, flaky
 
 MEASUREMENTS = [10.1, 9.8, 10.3, 9.9, 30.0, 10.0, 10.2]  # one outlier
 TRUTH = 10.05

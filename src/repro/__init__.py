@@ -33,8 +33,6 @@ Packages:
   :mod:`repro.cluster`.
 - :mod:`repro.analysis` — the paper's PI/R_mu/R_o performance algebra and
   machine calibrations.
-- :mod:`repro.apps` — recovery blocks, OR-parallel Prolog, polyalgorithms
-  and the Jenkins-Traub parallel rootfinder.
 - :mod:`repro.faults` — deterministic fault injection (``FaultPlan``) and
   supervised execution (``Supervisor``: retry spares, watchdog
   escalation, backend degradation).

@@ -82,28 +82,12 @@ class BlockTimeout(WorldsError):
     """No alternative synchronized within the parent's TIMEOUT."""
 
 
-class CheckpointError(ReproError):
-    """Checkpoint/restart (rfork) failures."""
-
-
 class NetworkError(ReproError):
     """Simulated-network failures."""
 
 
 class TransferError(NetworkError):
     """Base class for per-transfer link failures (all retryable)."""
-
-
-class TransferDropped(TransferError):
-    """The payload was lost in flight; the sender times out waiting."""
-
-
-class LinkPartitioned(TransferError):
-    """The link is inside a deterministic flap/partition window."""
-
-
-class TransferCorrupted(TransferError):
-    """The receiver rejected a payload whose checksum did not match."""
 
 
 class RetriesExhausted(NetworkError):
@@ -116,10 +100,6 @@ class RetriesExhausted(NetworkError):
     def __init__(self, message: str, attempts: int = 0) -> None:
         super().__init__(message)
         self.attempts = attempts
-
-
-class RemoteNodeDown(NetworkError):
-    """The remote node crashed mid-operation (injected or declared)."""
 
 
 class JournalError(ReproError):
@@ -227,24 +207,3 @@ class ShardUnreachable(TransportError):
         super().__init__(message)
         self.sent = sent
 
-
-class PrologError(ReproError):
-    """Errors from the mini-Prolog engine."""
-
-
-class PrologSyntaxError(PrologError):
-    """Parse error in Prolog source text."""
-
-    def __init__(self, message: str, line: int | None = None, column: int | None = None) -> None:
-        loc = f" at line {line}, column {column}" if line is not None else ""
-        super().__init__(f"{message}{loc}")
-        self.line = line
-        self.column = column
-
-
-class SolverError(ReproError):
-    """Numerical solver failures (non-convergence, bad bracket, ...)."""
-
-
-class ConvergenceError(SolverError):
-    """An iterative numerical method failed to converge."""

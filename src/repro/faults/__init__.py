@@ -27,11 +27,8 @@ from repro.faults.plan import (
     HEARTBEAT_SITE,
     JOURNAL_SITE,
     KILL_SITE,
-    LINK_SITE,
     MESSAGE_SITE,
-    PARTITION_SITE,
     RECOVERY_KEY,
-    REMOTE_SITE,
     SERVE_SITE,
     SITE_KINDS,
     SNAPSHOT_SITE,
@@ -58,11 +55,8 @@ __all__ = [
     "HEARTBEAT_SITE",
     "JOURNAL_SITE",
     "KILL_SITE",
-    "LINK_SITE",
     "MESSAGE_SITE",
-    "PARTITION_SITE",
     "RECOVERY_KEY",
-    "REMOTE_SITE",
     "SERVE_SITE",
     "SITE_KINDS",
     "SNAPSHOT_SITE",

@@ -28,15 +28,6 @@ kill       KILL_FAIL (first signal to the child is lost; the backend must
 message    MSG_DROP, MSG_DELAY — keyed ``(msg_id,)`` (simulation kernel)
 compute    STALL (extra virtual seconds) — keyed ``(wid, op_number)``
            (simulation kernel)
-link       XFER_DROP, XFER_DUP, XFER_REORDER, XFER_CORRUPT, LINK_SLOW —
-           keyed ``(link_id, transfer_seq, attempt)`` (the simulated
-           network of ``benchmarks/netmodel``)
-partition  LINK_FLAP (the link is down for the first ``flap_s`` seconds
-           of the window) — keyed ``(link_id, window_index)`` where the
-           window index is ``floor(link_clock / partition_window_s)``
-           (the simulated link of ``benchmarks/netmodel``)
-remote     REMOTE_CRASH (the remote node dies partway through the shipped
-           work) — keyed ``(node_id, attempt)`` (``benchmarks/netmodel``)
 heartbeat  HEARTBEAT_MISS (one heartbeat is lost in flight even though
            the holder is alive) — keyed ``(holder_id, beat_index)``: a
            shard id under the cluster router
@@ -70,6 +61,11 @@ asyncio    SLOW_TASK (the task awaits ``slow_task_s`` extra before
            sibling feels) — keyed ``(block_id, index, attempt)`` (the
            asyncio backend)
 ========== ==================================================================
+
+A subclass may add sites of its own: it extends :attr:`FaultPlan.site_kinds`
+with them and :attr:`FaultPlan.magnitudes` with their kinds' knobs, and
+its plans accept those kinds as ``rates`` keys. The 1989 network model
+(``benchmarks/netmodel``) adds its link, partition and remote sites so.
 """
 
 from __future__ import annotations
@@ -108,21 +104,6 @@ class FaultKind(str, enum.Enum):
     MSG_DELAY = "msg-delay"
     #: simulation kernel: a costed op takes ``stall_s`` extra virtual time
     STALL = "stall"
-    #: simulated link: the payload is lost; the sender times out
-    XFER_DROP = "transfer-drop"
-    #: simulated link: the payload is delivered twice (at-least-once wire)
-    XFER_DUP = "transfer-duplicate"
-    #: simulated link: this delivery arrives after the next one
-    XFER_REORDER = "transfer-reorder"
-    #: simulated link: one payload byte is flipped in flight
-    XFER_CORRUPT = "transfer-corrupt"
-    #: simulated link: the transfer takes ``slow_factor``× nominal time
-    LINK_SLOW = "link-slow"
-    #: simulated link: a flap window — the link is down for ``flap_s``
-    #: seconds at the start of the decided window
-    LINK_FLAP = "link-flap"
-    #: remote node: crashes after ``remote_crash_fraction`` of the work
-    REMOTE_CRASH = "remote-crash"
     #: failure detector: a heartbeat is lost even though the holder is alive
     HEARTBEAT_MISS = "heartbeat-miss"
     #: journal: the intent record is half-written, then the process dies
@@ -198,9 +179,6 @@ SPAWN_SITE = "spawn"
 KILL_SITE = "kill"
 MESSAGE_SITE = "message"
 COMPUTE_SITE = "compute"
-LINK_SITE = "link"
-PARTITION_SITE = "partition"
-REMOTE_SITE = "remote"
 HEARTBEAT_SITE = "heartbeat"
 JOURNAL_SITE = "journal"
 SERVE_SITE = "serve"
@@ -232,15 +210,6 @@ SITE_KINDS: dict[str, tuple[FaultKind, ...]] = {
     KILL_SITE: (FaultKind.KILL_FAIL,),
     MESSAGE_SITE: (FaultKind.MSG_DROP, FaultKind.MSG_DELAY),
     COMPUTE_SITE: (FaultKind.STALL,),
-    LINK_SITE: (
-        FaultKind.XFER_DROP,
-        FaultKind.XFER_DUP,
-        FaultKind.XFER_REORDER,
-        FaultKind.XFER_CORRUPT,
-        FaultKind.LINK_SLOW,
-    ),
-    PARTITION_SITE: (FaultKind.LINK_FLAP,),
-    REMOTE_SITE: (FaultKind.REMOTE_CRASH,),
     HEARTBEAT_SITE: (FaultKind.HEARTBEAT_MISS,),
     JOURNAL_SITE: (
         FaultKind.TORN_RECORD,
@@ -274,7 +243,6 @@ SITE_KINDS: dict[str, tuple[FaultKind, ...]] = {
     ),
 }
 
-
 @dataclass(frozen=True)
 class FaultDecision:
     """The verdict for one (site, key): a kind (or None) plus a magnitude.
@@ -298,10 +266,11 @@ class FaultDecision:
 class FaultPlan:
     """A seeded, reproducible fault schedule.
 
-    ``rates`` maps :class:`FaultKind` to an independent firing probability
-    in ``[0, 1]``; kinds absent from the map never fire. At a site where
-    several kinds are enabled, each is trialled in :data:`SITE_KINDS`
-    order and the first that fires wins (at most one fault per site/key).
+    ``rates`` maps a kind of :attr:`site_kinds` to an independent firing
+    probability in ``[0, 1]``; kinds absent from the map never fire. At a
+    site where several kinds are enabled, each is trialled in
+    :attr:`site_kinds` order and the first that fires wins (at most one
+    fault per site/key).
 
     The magnitude knobs (``hang_s`` etc.) are plain attributes so benches
     can sweep them; they do not affect *which* faults fire.
@@ -313,10 +282,6 @@ class FaultPlan:
     slow_start_s: float = 0.1
     msg_delay_s: float = 0.05
     stall_s: float = 0.01
-    slow_factor: float = 4.0
-    partition_window_s: float = 1.0
-    flap_s: float = 0.25
-    remote_crash_fraction: float = 0.5
     burst_n: float = 3.0
     slow_tenant_s: float = 0.02
     shard_crash_fraction: float = 0.5
@@ -336,10 +301,33 @@ class FaultPlan:
     #: :data:`_MAX_INJECTION_LOG`.
     injections: list = field(default_factory=list, repr=False, compare=False)
 
+    #: The sites this plan decides, and the kinds trialled at each
+    site_kinds = SITE_KINDS
+    #: kind -> the attribute holding its magnitude; a kind absent here
+    #: carries none (0.0)
+    magnitudes = {
+        FaultKind.HANG: "hang_s",
+        FaultKind.SLOW_START: "slow_start_s",
+        FaultKind.MSG_DELAY: "msg_delay_s",
+        FaultKind.STALL: "stall_s",
+        FaultKind.REQUEST_BURST: "burst_n",
+        FaultKind.SLOW_TENANT: "slow_tenant_s",
+        FaultKind.SHARD_CRASH: "shard_crash_fraction",
+        FaultKind.ROUTER_PARTITION: "partition_beats",
+        FaultKind.SOCKET_STALL: "socket_stall_s",
+        FaultKind.HOST_SIGSTOP: "sigstop_s",
+        FaultKind.HOST_SIGKILL: "host_kill_fraction",
+        FaultKind.SLOW_TASK: "slow_task_s",
+        FaultKind.CANCEL_IGNORED: "cancel_ignore_s",
+        FaultKind.LOOP_STALL: "loop_stall_s",
+    }
+
     def __post_init__(self) -> None:
+        kinds = {kind for site in self.site_kinds.values() for kind in site}
         for kind, rate in self.rates.items():
-            if not isinstance(kind, FaultKind):
-                raise TypeError(f"rates key must be a FaultKind, got {kind!r}")
+            if not isinstance(kind, enum.Enum) or kind not in kinds:
+                names = " or ".join(sorted({type(k).__name__ for k in kinds}))
+                raise TypeError(f"rates key must be a {names}, got {kind!r}")
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"rate for {kind.value} must be in [0, 1], got {rate}")
 
@@ -353,43 +341,6 @@ class FaultPlan:
         entropy.extend(int(k) & 0xFFFFFFFF for k in key)
         return np.random.default_rng(entropy)
 
-    def _param_for(self, kind: FaultKind) -> float:
-        if kind is FaultKind.HANG:
-            return self.hang_s
-        if kind is FaultKind.SLOW_START:
-            return self.slow_start_s
-        if kind is FaultKind.MSG_DELAY:
-            return self.msg_delay_s
-        if kind is FaultKind.STALL:
-            return self.stall_s
-        if kind is FaultKind.LINK_SLOW:
-            return self.slow_factor
-        if kind is FaultKind.LINK_FLAP:
-            return self.flap_s
-        if kind is FaultKind.REMOTE_CRASH:
-            return self.remote_crash_fraction
-        if kind is FaultKind.REQUEST_BURST:
-            return self.burst_n
-        if kind is FaultKind.SLOW_TENANT:
-            return self.slow_tenant_s
-        if kind is FaultKind.SHARD_CRASH:
-            return self.shard_crash_fraction
-        if kind is FaultKind.ROUTER_PARTITION:
-            return self.partition_beats
-        if kind is FaultKind.SOCKET_STALL:
-            return self.socket_stall_s
-        if kind is FaultKind.HOST_SIGSTOP:
-            return self.sigstop_s
-        if kind is FaultKind.HOST_SIGKILL:
-            return self.host_kill_fraction
-        if kind is FaultKind.SLOW_TASK:
-            return self.slow_task_s
-        if kind is FaultKind.CANCEL_IGNORED:
-            return self.cancel_ignore_s
-        if kind is FaultKind.LOOP_STALL:
-            return self.loop_stall_s
-        return 0.0
-
     # -- the decision procedure -------------------------------------------
     def decide(self, site: str, *key: int) -> FaultDecision:
         """The fault (if any) firing at ``site`` for ``key``.
@@ -398,7 +349,7 @@ class FaultPlan:
         any process, yields the same decision.
         """
         try:
-            kinds = SITE_KINDS[site]
+            kinds = self.site_kinds[site]
         except KeyError:
             raise ValueError(f"unknown fault site {site!r}") from None
         if not any(self.rates.get(kind, 0.0) > 0.0 for kind in kinds):
@@ -408,7 +359,8 @@ class FaultPlan:
             draw = float(rng.uniform())  # one draw per kind, always, so
             # enabling an extra kind never reshuffles the draws of later ones
             if draw < self.rates.get(kind, 0.0):
-                return FaultDecision(kind, self._param_for(kind))
+                name = self.magnitudes.get(kind)
+                return FaultDecision(kind, getattr(self, name) if name else 0.0)
         return FaultDecision()
 
     # -- telemetry ---------------------------------------------------------
@@ -430,7 +382,7 @@ class FaultPlan:
         ``cat="fault"`` annotation instant at time ``t`` on ``track``,
         visibly linking cause to the retry/degradation effect around it.
         """
-        kind_label = kind.value if isinstance(kind, FaultKind) else str(kind)
+        kind_label = kind.value if isinstance(kind, enum.Enum) else str(kind)
         if len(self.injections) < _MAX_INJECTION_LOG:
             rec = {"site": site, "kind": kind_label, **data}
             if detail:
@@ -455,31 +407,10 @@ class FaultPlan:
                 out.append((index, attempt, self.decide(CHILD_SITE, block_id, index, attempt)))
         return out
 
-    def link_down(self, link_id: int, at_s: float) -> bool:
-        """Whether ``link_id`` is inside a flap window at link time ``at_s``.
-
-        Time is carved into ``partition_window_s`` buckets; a window where
-        LINK_FLAP fires takes the link down for its first ``flap_s``
-        seconds. Pure in ``(seed, link_id, window_index)``, so both ends
-        of a link — and both runs of a test — agree on the outage
-        schedule.
-        """
-        if self.rates.get(FaultKind.LINK_FLAP, 0.0) <= 0.0:
-            return False
-        window = int(at_s / self.partition_window_s)
-        if not self.decide(PARTITION_SITE, link_id, window):
-            return False
-        return (at_s - window * self.partition_window_s) < self.flap_s
-
     @classmethod
     def crashes(cls, seed: int = 0, rate: float = 0.3, **knobs) -> "FaultPlan":
         """A plan that only injects child crashes (the common bench case)."""
         return cls(seed=seed, rates={FaultKind.CRASH: rate}, **knobs)
-
-    @classmethod
-    def lossy(cls, seed: int = 0, rate: float = 0.3, **knobs) -> "FaultPlan":
-        """A plan that only drops transfers (the common network bench case)."""
-        return cls(seed=seed, rates={FaultKind.XFER_DROP: rate}, **knobs)
 
     @classmethod
     def quiet(cls) -> "FaultPlan":

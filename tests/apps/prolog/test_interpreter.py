@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.apps.prolog.database import Database
-from repro.apps.prolog.interpreter import Interpreter
-from repro.errors import PrologError
+from apps.prolog.database import Database
+from apps.prolog.interpreter import Interpreter
+from apps.errors import PrologError
 
 FAMILY = """
 parent(tom, bob).

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.apps.prolog.database import Database
-from repro.apps.prolog.interpreter import Interpreter
-from repro.apps.prolog.orparallel import ORParallelEngine
-from repro.errors import PrologError
+from apps.prolog.database import Database
+from apps.prolog.interpreter import Interpreter
+from apps.prolog.orparallel import ORParallelEngine
+from apps.errors import PrologError
 
 # a program where clause order punishes depth-first search: the FIRST
 # route predicate explores a big useless subtree before the answer, the

@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.apps.prolog.parser import (
+from apps.prolog.parser import (
     parse_program,
     parse_query,
     parse_term,
 )
-from repro.apps.prolog.terms import NIL, Atom, Num, Struct, Var, make_list
-from repro.errors import PrologSyntaxError
+from apps.prolog.terms import NIL, Atom, Num, Struct, Var, make_list
+from apps.errors import PrologSyntaxError
 
 
 class TestTerms:

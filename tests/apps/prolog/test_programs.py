@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.apps.prolog import Database, Interpreter, ORParallelEngine
-from repro.apps.prolog.programs import (
+from apps.prolog import Database, Interpreter, ORParallelEngine
+from apps.prolog.programs import (
     COLORING,
     FAMILY,
     LISTS_EXTRA,
@@ -40,7 +40,7 @@ class TestQueens:
 
     @staticmethod
     def _board(solution):
-        from repro.apps.prolog.terms import list_items
+        from apps.prolog.terms import list_items
 
         items, _ = list_items(solution.subst and solution.bindings["Qs"])
         return [t.value for t in items]

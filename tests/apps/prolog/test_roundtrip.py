@@ -3,8 +3,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.prolog.parser import parse_term
-from repro.apps.prolog.terms import NIL, Atom, Num, Struct, Var, make_list
+from apps.prolog.parser import parse_term
+from apps.prolog.terms import NIL, Atom, Num, Struct, Var, make_list
 
 atoms = st.sampled_from([Atom("a"), Atom("foo"), Atom("bar_baz")])
 nums = st.integers(min_value=-99, max_value=99).map(Num)

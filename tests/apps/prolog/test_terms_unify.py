@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.prolog.terms import (
+from apps.prolog.terms import (
     NIL,
     Atom,
     Num,
@@ -16,7 +16,7 @@ from repro.apps.prolog.terms import (
     term_size,
     variables_in,
 )
-from repro.apps.prolog.unify import EMPTY_SUBST, resolve, unify, walk
+from apps.prolog.unify import EMPTY_SUBST, resolve, unify, walk
 
 
 class TestTerms:

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.apps.poly.rootfind.jenkins_traub import (
+from apps.poly.rootfind.jenkins_traub import (
     JTOptions,
     find_all_zeros,
     find_one_zero,
 )
-from repro.apps.poly.rootfind.polynomial import Polynomial
+from apps.poly.rootfind.polynomial import Polynomial
 
 
 def _assert_zero_sets_match(zeros, expected, atol=1e-6):

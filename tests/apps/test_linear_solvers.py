@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.poly.linear_solvers import (
+from apps.poly.linear_solvers import (
     conjugate_gradient,
     direct_lu,
     gauss_seidel,
@@ -16,7 +16,7 @@ from repro.apps.poly.linear_solvers import (
     linear_polyalgorithm,
     residual,
 )
-from repro.errors import ConvergenceError, SolverError
+from apps.errors import ConvergenceError, SolverError
 
 
 def _dd_system(n=6, seed=0):

@@ -5,13 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from repro.apps.poly.rootfind.jenkins_traub import JTOptions
-from repro.apps.poly.rootfind.parallel import (
+from apps.poly.rootfind.jenkins_traub import JTOptions
+from apps.poly.rootfind.parallel import (
     ParallelRootfinder,
     default_table_polynomial,
     render_table_one,
 )
-from repro.apps.poly.rootfind.polynomial import Polynomial
+from apps.poly.rootfind.polynomial import Polynomial
 
 
 @pytest.fixture(scope="module")

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.apps.poly.polyalgorithm import Method, PolyAlgorithm
-from repro.apps.poly.scalar_solvers import bisection, newton, secant
-from repro.errors import ConvergenceError, SolverError
+from apps.poly.polyalgorithm import Method, PolyAlgorithm
+from apps.poly.scalar_solvers import bisection, newton, secant
+from apps.errors import ConvergenceError, SolverError
 
 
 def _problem(f, a=0.0, b=4.0, x0=3.0):

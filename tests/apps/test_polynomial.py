@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.poly.rootfind.polynomial import Polynomial
-from repro.errors import SolverError
+from apps.poly.rootfind.polynomial import Polynomial
+from apps.errors import SolverError
 
 
 class TestBasics:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.apps.recovery import RecoveryBlock, RecoveryResult, flaky
+from apps.recovery import RecoveryBlock, RecoveryResult, flaky
 from repro.errors import WorldsError
 
 

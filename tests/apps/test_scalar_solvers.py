@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.poly.scalar_solvers import bisection, brent, fixed_point, newton, secant
-from repro.errors import ConvergenceError, SolverError
+from apps.poly.scalar_solvers import bisection, brent, fixed_point, newton, secant
+from apps.errors import ConvergenceError, SolverError
 
 
 def f_cubic(x):

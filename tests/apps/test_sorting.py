@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.sorting import (
+from apps.sorting import (
     ALGORITHMS,
     INPUT_KINDS,
     comparison_counts,
@@ -12,7 +12,7 @@ from repro.apps.sorting import (
     make_input,
     sorting_polyalgorithm,
 )
-from repro.errors import SolverError
+from apps.errors import SolverError
 
 
 class TestAlgorithms:

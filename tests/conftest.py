@@ -1,10 +1,12 @@
 """Suite configuration.
 
-The paper's 1989 network model (``benchmarks/netmodel``: the simulated
-link, remote fork, network store, migration and checkpoint images) is
-tested here. It and the benches' ``_harness`` import as top-level
-modules, as they do when a bench runs, so ``benchmarks/`` goes on the
-path.
+Two bench-side packages are tested here: the paper's section-4
+workloads (``benchmarks/apps``: recovery blocks, OR-parallel Prolog, the
+polyalgorithms and the Jenkins-Traub rootfinder, sorting) and its 1989
+network model (``benchmarks/netmodel``: the simulated link, its fault
+plan, remote fork, network store, migration and checkpoint images).
+They and the benches' ``_harness`` import as top-level modules, as they
+do when a bench runs, so ``benchmarks/`` goes on the path.
 """
 
 import os

@@ -5,9 +5,10 @@ import os
 import pytest
 
 from repro.analysis.calibration import RFORK_LINK, NetworkProfile
-from repro.errors import CheckpointError, NetworkError
+from repro.errors import NetworkError
 from repro.kernel import Kernel
 
+from netmodel.faults import CheckpointError
 from netmodel.migration import migrate_process
 from netmodel.netsim import SimulatedLink
 from netmodel.rfork import RemoteFork

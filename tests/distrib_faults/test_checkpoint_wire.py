@@ -5,10 +5,9 @@ import struct
 
 import pytest
 
-from repro.errors import CheckpointError
-
 import netmodel.checkpoint as ckpt_mod
 from netmodel.checkpoint import CheckpointImage
+from netmodel.faults import CheckpointError
 
 
 def _task(state):

@@ -5,9 +5,10 @@ import pytest
 
 from repro.analysis.calibration import NetworkProfile
 from repro.errors import NetworkError
-from repro.faults.plan import FaultKind, FaultPlan, heartbeat_lost
+from repro.faults.plan import FaultKind, heartbeat_lost
 
 from benchmarks.bench_robustness_network import run_leased
+from netmodel.faults import NetFaultKind, NetFaultPlan
 from netmodel.lease import LeaseState, RemoteWorldLease
 from netmodel.netsim import SimulatedLink
 from netmodel.rfork import RemoteFork, RemoteNode
@@ -208,15 +209,15 @@ class TestTakeover:
 
 class TestFaultPlanHooks:
     def test_remote_node_crash_time(self):
-        plan = FaultPlan(
-            seed=0, rates={FaultKind.REMOTE_CRASH: 1.0}, remote_crash_fraction=0.25
+        plan = NetFaultPlan(
+            seed=0, rates={NetFaultKind.REMOTE_CRASH: 1.0}, remote_crash_fraction=0.25
         )
         node = RemoteNode(node_id=3, plan=plan)
         assert node.crash_time(work_s=2.0) == pytest.approx(0.5)
         assert RemoteNode(node_id=3, plan=None).crash_time(2.0) is None
 
     def test_heartbeat_loss_deterministic(self):
-        plan = FaultPlan(seed=5, rates={FaultKind.HEARTBEAT_MISS: 0.4})
+        plan = NetFaultPlan(seed=5, rates={FaultKind.HEARTBEAT_MISS: 0.4})
         a = [heartbeat_lost(plan, 1, b) for b in range(64)]
         b = [heartbeat_lost(plan, 1, b) for b in range(64)]
         assert a == b
@@ -224,7 +225,7 @@ class TestFaultPlanHooks:
 
 
 def make_rfork(rates, seed=0, **plan_knobs):
-    plan = FaultPlan(seed=seed, rates=rates, **plan_knobs)
+    plan = NetFaultPlan(seed=seed, rates=rates, **plan_knobs)
     link = SimulatedLink(FAST, fault_plan=plan, seed=seed)
     return RemoteFork(link=link, node_id=1)
 
@@ -244,7 +245,7 @@ class TestRunRemote:
         # acceptance: a killed remote world is detected by lease expiry
         # and the work re-lands locally with the correct value
         leased = run_leased(
-            _answer, {"x": 2}, make_rfork({FaultKind.REMOTE_CRASH: 1.0}), work_s=1.0,
+            _answer, {"x": 2}, make_rfork({NetFaultKind.REMOTE_CRASH: 1.0}), work_s=1.0,
         )
         assert leased["value"] == 42
         assert leased["relanded"]
@@ -255,7 +256,7 @@ class TestRunRemote:
         assert leased["reason"] == "lease-expired"
 
     def test_unreachable_node_relands(self):
-        rfork = make_rfork({FaultKind.XFER_DROP: 1.0})
+        rfork = make_rfork({NetFaultKind.XFER_DROP: 1.0})
         leased = run_leased(_answer, {"x": 2}, rfork)
         assert leased["value"] == 42
         assert leased["relanded"]
@@ -278,8 +279,8 @@ class TestRunRemote:
     def test_always_commits_under_mixed_faults(self, seed):
         rfork = make_rfork(
             {
-                FaultKind.XFER_DROP: 0.3,
-                FaultKind.REMOTE_CRASH: 0.3,
+                NetFaultKind.XFER_DROP: 0.3,
+                NetFaultKind.REMOTE_CRASH: 0.3,
                 FaultKind.HEARTBEAT_MISS: 0.2,
             },
             seed=seed,
@@ -292,8 +293,8 @@ class TestRunRemote:
         # beats rescued by probes, then the node dies and is declared
         rfork = make_rfork(
             {
-                FaultKind.REMOTE_CRASH: 0.4, FaultKind.HEARTBEAT_MISS: 0.3,
-                FaultKind.LINK_FLAP: 0.3, FaultKind.XFER_DROP: 0.1,
+                NetFaultKind.REMOTE_CRASH: 0.4, FaultKind.HEARTBEAT_MISS: 0.3,
+                NetFaultKind.LINK_FLAP: 0.3, NetFaultKind.XFER_DROP: 0.1,
             },
             seed=10,
         )
@@ -326,8 +327,8 @@ class TestRunRemote:
         def run(seed):
             rfork = make_rfork(
                 {
-                    FaultKind.XFER_DROP: 0.2,
-                    FaultKind.REMOTE_CRASH: 0.4,
+                    NetFaultKind.XFER_DROP: 0.2,
+                    NetFaultKind.REMOTE_CRASH: 0.4,
                     FaultKind.HEARTBEAT_MISS: 0.3,
                 },
                 seed=seed,

@@ -5,22 +5,21 @@ import threading
 import pytest
 
 from repro.analysis.calibration import NetworkProfile
-from repro.errors import LinkPartitioned, TransferDropped
-from repro.faults.plan import FaultKind, FaultPlan
 
+from netmodel.faults import LinkPartitioned, NetFaultKind, NetFaultPlan, TransferDropped
 from netmodel.netsim import SimulatedLink, corrupt_payload
 
 FAST = NetworkProfile("fast", latency_s=0.001, bandwidth_bytes_s=1e8)
 
 
 def make_link(rates, seed=0, **knobs):
-    plan = FaultPlan(seed=seed, rates=rates, **knobs)
+    plan = NetFaultPlan(seed=seed, rates=rates, **knobs)
     return SimulatedLink(FAST, fault_plan=plan, seed=seed)
 
 
 class TestFaultBehaviour:
     def test_drop_raises_and_charges_the_timeout(self):
-        link = make_link({FaultKind.XFER_DROP: 1.0})
+        link = make_link({NetFaultKind.XFER_DROP: 1.0})
         with pytest.raises(TransferDropped):
             link.transfer(1000)
         # the sender paid for discovering the loss
@@ -30,13 +29,13 @@ class TestFaultBehaviour:
         assert link.drops == 1
 
     def test_slow_multiplies_transfer_time(self):
-        slow = make_link({FaultKind.LINK_SLOW: 1.0}, slow_factor=5.0)
+        slow = make_link({NetFaultKind.LINK_SLOW: 1.0}, slow_factor=5.0)
         clean = SimulatedLink(FAST)
         assert slow.transfer(4096) == pytest.approx(5.0 * clean.transfer(4096))
         assert slow.fault_events[0].kind == "link-slow"
 
     def test_corrupt_ship_flips_exactly_one_byte(self):
-        link = make_link({FaultKind.XFER_CORRUPT: 1.0})
+        link = make_link({NetFaultKind.XFER_CORRUPT: 1.0})
         payload = b"all my worlds are belong to us" * 10
         delivery = link.ship(payload)
         assert delivery.corrupted
@@ -45,7 +44,7 @@ class TestFaultBehaviour:
         assert delivery.payload == corrupt_payload(payload)
 
     def test_duplicate_ship_charges_twice(self):
-        link = make_link({FaultKind.XFER_DUP: 1.0})
+        link = make_link({NetFaultKind.XFER_DUP: 1.0})
         payload = b"z" * 2048
         delivery = link.ship(payload)
         assert delivery.copies == 2
@@ -53,7 +52,7 @@ class TestFaultBehaviour:
         assert link.bytes_moved == 2 * len(payload)
 
     def test_reorder_swaps_arrival_order(self):
-        link = make_link({FaultKind.XFER_REORDER: 1.0})
+        link = make_link({NetFaultKind.XFER_REORDER: 1.0})
         first = link.ship(b"a" * 100)
         second = link.ship(b"b" * 100)
         assert first.reordered
@@ -62,7 +61,7 @@ class TestFaultBehaviour:
 
     def test_partition_window_blocks_then_heals(self):
         link = make_link(
-            {FaultKind.LINK_FLAP: 1.0}, partition_window_s=1.0, flap_s=0.25
+            {NetFaultKind.LINK_FLAP: 1.0}, partition_window_s=1.0, flap_s=0.25
         )
         with pytest.raises(LinkPartitioned):
             link.transfer(100)
@@ -71,7 +70,7 @@ class TestFaultBehaviour:
         assert link.transfer(100) > 0
 
     def test_faultless_plan_is_the_old_link(self):
-        link = SimulatedLink(FAST, fault_plan=FaultPlan.quiet())
+        link = SimulatedLink(FAST, fault_plan=NetFaultPlan.quiet())
         for _ in range(50):
             link.transfer(1000)
         assert link.fault_events == []
@@ -85,13 +84,13 @@ class TestDeterminism:
             FAST,
             jitter=0.5,
             seed=seed,
-            fault_plan=FaultPlan(
+            fault_plan=NetFaultPlan(
                 seed=seed,
                 rates={
-                    FaultKind.XFER_DROP: 0.2,
-                    FaultKind.XFER_DUP: 0.1,
-                    FaultKind.XFER_CORRUPT: 0.1,
-                    FaultKind.LINK_SLOW: 0.1,
+                    NetFaultKind.XFER_DROP: 0.2,
+                    NetFaultKind.XFER_DUP: 0.1,
+                    NetFaultKind.XFER_CORRUPT: 0.1,
+                    NetFaultKind.LINK_SLOW: 0.1,
                 },
             ),
         )

@@ -5,10 +5,10 @@ import pytest
 from repro.analysis.calibration import NetworkProfile
 from repro.distrib.retry import RetryPolicy
 from repro.errors import NetworkError
-from repro.faults.plan import FaultKind, FaultPlan
 from repro.kernel import Kernel
 from repro.kernel.process import ProcState
 
+from netmodel.faults import NetFaultKind, NetFaultPlan
 from netmodel.migration import migrate_process
 from netmodel.netsim import SimulatedLink
 
@@ -31,7 +31,7 @@ def park_server(kernel):
 
 
 def lossy_link(rate, seed=0):
-    plan = FaultPlan(seed=seed, rates={FaultKind.XFER_DROP: rate})
+    plan = NetFaultPlan(seed=seed, rates={NetFaultKind.XFER_DROP: rate})
     return SimulatedLink(FAST, fault_plan=plan, seed=seed)
 
 

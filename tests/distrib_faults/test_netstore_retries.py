@@ -4,9 +4,9 @@ import pytest
 
 from repro.analysis.calibration import NetworkProfile
 from repro.errors import RetriesExhausted
-from repro.faults.plan import FaultKind, FaultPlan
 from repro.memory.store import SingleLevelStore
 
+from netmodel.faults import NetFaultKind, NetFaultPlan
 from netmodel.netsim import SimulatedLink
 from netmodel.netstore import DemandPagedImage, NetworkStore
 
@@ -14,7 +14,7 @@ FAST = NetworkProfile("fast", latency_s=0.001, bandwidth_bytes_s=1e8)
 
 
 def make_netstore(rates, seed=0, page_size=256):
-    plan = FaultPlan(seed=seed, rates=rates)
+    plan = NetFaultPlan(seed=seed, rates=rates)
     link = SimulatedLink(FAST, fault_plan=plan, seed=seed)
     return NetworkStore(SingleLevelStore(page_size=page_size), link)
 
@@ -22,7 +22,7 @@ def make_netstore(rates, seed=0, page_size=256):
 class TestLossyWrites:
     @pytest.mark.parametrize("seed", range(8))
     def test_write_survives_thirty_percent_drop(self, seed):
-        ns = make_netstore({FaultKind.XFER_DROP: 0.3}, seed=seed)
+        ns = make_netstore({NetFaultKind.XFER_DROP: 0.3}, seed=seed)
         payload = bytes(range(256)) * 4
         seconds = ns.write_file("f", payload)
         assert ns.store.read_file("f") == payload
@@ -31,7 +31,7 @@ class TestLossyWrites:
         assert seconds >= ns.stats["backoff_s"]
 
     def test_duplicate_write_applies_once(self):
-        ns = make_netstore({FaultKind.XFER_DUP: 1.0})
+        ns = make_netstore({NetFaultKind.XFER_DUP: 1.0})
         ns.write_file("f", b"once")
         ns.write_file("f", b"once")  # identical content re-sent
         assert ns.store.read_file("f") == b"once"
@@ -39,14 +39,14 @@ class TestLossyWrites:
 
     def test_corrupt_delivery_rejected_and_retried(self):
         # corruption fires on the first attempt only for this seed/rate
-        ns = make_netstore({FaultKind.XFER_CORRUPT: 0.5}, seed=1)
+        ns = make_netstore({NetFaultKind.XFER_CORRUPT: 0.5}, seed=1)
         ns.write_file("f", b"precious" * 100)
         assert ns.store.read_file("f") == b"precious" * 100
         if ns.stats["corrupt_rejected"]:
             assert ns.stats["retries"] >= ns.stats["corrupt_rejected"]
 
     def test_total_corruption_exhausts(self):
-        ns = make_netstore({FaultKind.XFER_CORRUPT: 1.0})
+        ns = make_netstore({NetFaultKind.XFER_CORRUPT: 1.0})
         with pytest.raises(RetriesExhausted):
             ns.write_file("f", b"never lands" * 50)
         # the store was never poisoned with a corrupt payload
@@ -57,14 +57,14 @@ class TestLossyWrites:
 class TestLossyReads:
     @pytest.mark.parametrize("seed", range(8))
     def test_read_file_retries_to_success(self, seed):
-        ns = make_netstore({FaultKind.XFER_DROP: 0.3}, seed=seed)
+        ns = make_netstore({NetFaultKind.XFER_DROP: 0.3}, seed=seed)
         ns.store.write_file("f", b"stable bytes" * 64)  # server-side state
         data, seconds = ns.read_file("f")
         assert data == b"stable bytes" * 64
         assert seconds > 0
 
     def test_read_page_verified(self):
-        ns = make_netstore({FaultKind.XFER_DROP: 0.3}, seed=2, page_size=128)
+        ns = make_netstore({NetFaultKind.XFER_DROP: 0.3}, seed=2, page_size=128)
         blob = bytes(i % 251 for i in range(1024))
         ns.store.write_file("img", blob)
         for page in range(ns.pages_of("img")):
@@ -74,7 +74,7 @@ class TestLossyReads:
 
 class TestDemandPagingUnderFaults:
     def test_reader_correct_at_thirty_percent_loss(self):
-        ns = make_netstore({FaultKind.XFER_DROP: 0.3}, seed=4, page_size=128)
+        ns = make_netstore({NetFaultKind.XFER_DROP: 0.3}, seed=4, page_size=128)
         blob = bytes(i % 13 for i in range(4096))
         image, _ = DemandPagedImage.publish(ns, "img", blob)
         reader = image.reader()
@@ -85,7 +85,7 @@ class TestDemandPagingUnderFaults:
         assert acct.transfer_s > 0
 
     def test_stats_accumulate_across_operations(self):
-        ns = make_netstore({FaultKind.XFER_DROP: 0.5}, seed=6)
+        ns = make_netstore({NetFaultKind.XFER_DROP: 0.5}, seed=6)
         ns.write_file("a", b"x" * 500)
         ns.write_file("b", b"y" * 500)
         ns.read_file("a")
@@ -96,7 +96,7 @@ class TestDemandPagingUnderFaults:
 class TestDeterminism:
     def run_once(self, seed):
         ns = make_netstore(
-            {FaultKind.XFER_DROP: 0.3, FaultKind.XFER_CORRUPT: 0.2}, seed=seed
+            {NetFaultKind.XFER_DROP: 0.3, NetFaultKind.XFER_CORRUPT: 0.2}, seed=seed
         )
         times = [ns.write_file(f"f{i}", bytes([i]) * 400) for i in range(10)]
         return times, dict(ns.stats), ns.link.ledger

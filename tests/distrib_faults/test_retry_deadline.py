@@ -5,8 +5,9 @@ import time
 import pytest
 
 from repro.distrib.retry import RetryPolicy, call_with_retries
-from repro.errors import RetriesExhausted, TransferDropped
+from repro.errors import RetriesExhausted
 
+from netmodel.faults import TransferDropped
 from netmodel.netsim import NetworkProfile, SimulatedLink
 
 

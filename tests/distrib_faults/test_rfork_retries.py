@@ -5,8 +5,8 @@ import pytest
 from repro.analysis.calibration import NetworkProfile
 from repro.distrib.retry import RetryPolicy
 from repro.errors import RetriesExhausted
-from repro.faults.plan import FaultKind, FaultPlan
 
+from netmodel.faults import NetFaultKind, NetFaultPlan
 from netmodel.netsim import SimulatedLink
 from netmodel.rfork import RemoteFork
 
@@ -18,7 +18,7 @@ def _double(state):
 
 
 def make_rfork(rates, seed=0, **kwargs):
-    plan = FaultPlan(seed=seed, rates=rates)
+    plan = NetFaultPlan(seed=seed, rates=rates)
     link = SimulatedLink(FAST, fault_plan=plan, seed=seed)
     return RemoteFork(link=link, **kwargs)
 
@@ -29,7 +29,7 @@ class TestCommitUnderLoss:
         # acceptance: at a 30% transfer-failure rate, execute() commits
         # the correct result for every seed — via retries or fallback —
         # and the path taken is recorded in BlockOutcome.extras.
-        rfork = make_rfork({FaultKind.XFER_DROP: 0.3}, seed=seed)
+        rfork = make_rfork({NetFaultKind.XFER_DROP: 0.3}, seed=seed)
         outcome = rfork.execute_block(_double, {"x": 21}, name=f"s{seed}")
         assert outcome.winner is not None
         assert outcome.winner.value == 42
@@ -47,9 +47,9 @@ class TestCommitUnderLoss:
     def test_mixed_faults_still_commit(self, seed):
         rfork = make_rfork(
             {
-                FaultKind.XFER_DROP: 0.2,
-                FaultKind.XFER_CORRUPT: 0.2,
-                FaultKind.XFER_DUP: 0.1,
+                NetFaultKind.XFER_DROP: 0.2,
+                NetFaultKind.XFER_CORRUPT: 0.2,
+                NetFaultKind.XFER_DUP: 0.1,
             },
             seed=seed,
         )
@@ -60,7 +60,7 @@ class TestCommitUnderLoss:
     def test_corrupt_delivery_retried_never_unpickled(self):
         # every delivery corrupts; the CRC gate rejects them all and the
         # protocol exhausts, then falls back locally — no poisoned pickle
-        rfork = make_rfork({FaultKind.XFER_CORRUPT: 1.0}, seed=0)
+        rfork = make_rfork({NetFaultKind.XFER_CORRUPT: 1.0}, seed=0)
         result, _ = rfork.execute(_double, {"x": 3})
         assert result == 6
         assert rfork.last_report["fallback"] == "local"
@@ -69,7 +69,7 @@ class TestCommitUnderLoss:
 
 class TestIdempotency:
     def test_duplicate_delivery_applies_once(self):
-        rfork = make_rfork({FaultKind.XFER_DUP: 1.0}, seed=0)
+        rfork = make_rfork({NetFaultKind.XFER_DUP: 1.0}, seed=0)
         result, _ = rfork.execute(_double, {"x": 8})
         assert result == 16
         assert rfork.duplicates_suppressed >= 1
@@ -90,7 +90,7 @@ class TestIdempotency:
 
 class TestFallbackAndExhaustion:
     def test_dead_link_falls_back_local(self):
-        rfork = make_rfork({FaultKind.XFER_DROP: 1.0}, seed=0)
+        rfork = make_rfork({NetFaultKind.XFER_DROP: 1.0}, seed=0)
         outcome = rfork.execute_block(_double, {"x": 50})
         assert outcome.winner.value == 100
         assert outcome.extras["rfork"]["fallback"] == "local"
@@ -98,7 +98,7 @@ class TestFallbackAndExhaustion:
 
     def test_no_fallback_raises_retries_exhausted(self):
         rfork = make_rfork(
-            {FaultKind.XFER_DROP: 1.0}, seed=0, fallback_local=False,
+            {NetFaultKind.XFER_DROP: 1.0}, seed=0, fallback_local=False,
             retry=RetryPolicy(max_retries=2),
         )
         with pytest.raises(RetriesExhausted) as err:
@@ -109,7 +109,7 @@ class TestFallbackAndExhaustion:
         assert "error" in outcome.extras["rfork"]
 
     def test_remote_crash_site_retries_then_lands(self):
-        plan = FaultPlan(seed=3, rates={FaultKind.REMOTE_CRASH: 0.5})
+        plan = NetFaultPlan(seed=3, rates={NetFaultKind.REMOTE_CRASH: 0.5})
         link = SimulatedLink(FAST, fault_plan=plan, seed=3)
         rfork = RemoteFork(link=link, node_id=7)
         result, cost = rfork.execute(_double, {"x": 4})
@@ -121,7 +121,7 @@ class TestFallbackAndExhaustion:
 class TestDeterminism:
     def run_once(self, seed):
         rfork = make_rfork(
-            {FaultKind.XFER_DROP: 0.4, FaultKind.XFER_CORRUPT: 0.2}, seed=seed
+            {NetFaultKind.XFER_DROP: 0.4, NetFaultKind.XFER_CORRUPT: 0.2}, seed=seed
         )
         result, cost = rfork.execute(_double, {"x": 9}, name="det")
         report = dict(rfork.last_report)

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from repro.apps.recovery import RecoveryBlock
+from apps.recovery import RecoveryBlock
 from repro.core.alternative import Alternative
 from repro.core.policy import WatchdogPolicy
 from repro.errors import SpawnError

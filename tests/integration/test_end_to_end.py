@@ -8,8 +8,8 @@ and the distributed pipeline (checkpoint → link → restart → migrate).
 
 import pytest
 
-from repro.apps.prolog import Database, ORParallelEngine
-from repro.apps.recovery import RecoveryBlock
+from apps.prolog import Database, ORParallelEngine
+from apps.recovery import RecoveryBlock
 from repro.core import Alternative, EliminationPolicy
 from repro.devices.backing_store import BackingStoreDevice
 from repro.kernel import Kernel, TIMEOUT

@@ -1,5 +1,6 @@
 """Ratchets for what ROADMAP's ledger table counts by hand."""
 
+import ast
 import dataclasses
 import inspect
 import io
@@ -27,7 +28,7 @@ LOCKS_CEILING = 12
 #: ROADMAP's "`serve/` + `cluster/` lines" row (`wc -l`)
 LINES_CEILING = 4738
 #: ROADMAP's "`src/` lines" row (`git ls-files 'src/*.py' | xargs wc -l`)
-SRC_LINES_CEILING = 21601
+SRC_LINES_CEILING = 18372
 #: ROADMAP's "settable values on the serving path" row
 SETTABLE_VALUES_CEILING = 51
 #: ROADMAP's "`fsync`s per `cluster_remote` op" row
@@ -390,4 +391,41 @@ def test_a_result_reaches_the_cluster_only_through_its_ticket():
     assert not hooked, (
         f"on_resolve in {hooked}: subscribe to the ticket admit returns "
         "(ServeTicket.add_done_callback) instead of setting a hook"
+    )
+
+
+#: ROADMAP's "fault sites no `src/` module decides" row
+UNDECIDED_SITES_CEILING = 0
+
+
+def test_every_fault_site_is_decided_by_the_library():
+    """A site in ``SITE_KINDS`` is passed to a call by some ``src/``
+    module besides the plan: directly (``plan.decide(KILL_SITE, ...)``,
+    ``run.site_fault(CHILD_SITE, ...)``) or through a plan function that
+    decides it (``heartbeat_lost``). A site only a bench decides belongs
+    to a ``FaultPlan`` subclass beside that bench."""
+    from repro.faults import plan
+
+    constants = {name: getattr(plan, name) for name in dir(plan) if name.endswith("_SITE")}
+    plan_path = pathlib.Path(plan.__file__)
+    helpers = {
+        node.name: {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and n.id in constants}
+        for node in ast.parse(plan_path.read_text()).body
+        if isinstance(node, ast.FunctionDef)
+    }
+    decided = set()
+    for path in SRC.rglob("*.py"):
+        if path == plan_path:
+            continue
+        for call in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func.attr if isinstance(call.func, ast.Attribute) else getattr(call.func, "id", "")
+            decided |= helpers.get(func, set())
+            if call.args and isinstance(call.args[0], ast.Name) and call.args[0].id in constants:
+                decided.add(call.args[0].id)
+    undecided = sorted(set(plan.SITE_KINDS) - {constants[name] for name in decided})
+    assert len(undecided) <= UNDECIDED_SITES_CEILING, (
+        f"fault sites no src/ module decides (ceiling {UNDECIDED_SITES_CEILING}): "
+        f"{undecided} — move them to a FaultPlan subclass beside their only user"
     )

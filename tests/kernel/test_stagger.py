@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.apps.recovery import RecoveryBlock
+from apps.recovery import RecoveryBlock
 from repro.core import Alternative, run_alternatives_sim
 from repro.errors import WorldsError
 

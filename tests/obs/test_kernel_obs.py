@@ -114,7 +114,7 @@ def test_speculation_report_agrees_with_kernel_counters():
 
 # -- acceptance: traced Table I run loads as a Chrome trace ------------------
 def test_table_one_row_traced_chrome_trace(tmp_path):
-    from repro.apps.poly.rootfind.parallel import (
+    from apps.poly.rootfind.parallel import (
         ParallelRootfinder,
         default_table_polynomial,
     )
@@ -215,10 +215,11 @@ def test_journal_transaction_spans_and_counters():
 
 
 def test_link_transfer_spans_and_drop_correlation():
-    from netmodel.netsim import NetworkProfile, SimulatedLink, TransferDropped
+    from netmodel.faults import NetFaultPlan, TransferDropped
+    from netmodel.netsim import NetworkProfile, SimulatedLink
 
     obs = Observability()
-    plan = FaultPlan.lossy(seed=0, rate=1.0)
+    plan = NetFaultPlan.lossy(seed=0, rate=1.0)
     # the link wires plan -> obs itself when given both
     link = SimulatedLink(
         NetworkProfile("lan", 0.001, 1e6), fault_plan=plan, link_id=7, obs=obs

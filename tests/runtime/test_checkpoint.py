@@ -4,9 +4,8 @@ import os
 
 import pytest
 
-from repro.errors import CheckpointError
-
 from netmodel.checkpoint import CheckpointImage, capture_checkpoint, checkpoint_here
+from netmodel.faults import CheckpointError
 
 
 def _task(state):
