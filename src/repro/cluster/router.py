@@ -75,8 +75,8 @@ from repro.errors import (
     ShardUnreachable,
 )
 from repro.faults.plan import CLUSTER_SITE, FaultKind, heartbeat_lost
-from repro.journal import replay_block_win, request_fate
-from repro.journal.recovery import RecoveryReport, recover, settle_best_effort
+from repro.journal import replay_block_win, request_fate, settle
+from repro.journal.recovery import RecoveryReport, recover
 from repro.obs import or_null
 from repro.cluster.ring import HashRing
 from repro.cluster.shard import ClusterShard, ShardState
@@ -491,7 +491,7 @@ class ClusterRouter:
             for intent in journal.sealed_unapplied_intents("admit"):
                 rseq = intent["data"]["request"]
                 if rseq in pending:
-                    settle_best_effort(journal, intent["seq"], "superseded")
+                    settle(journal, intent["seq"], "superseded")
                     report.superseded.append(rseq)
                 else:
                     pending[rseq] = (journal, intent)
@@ -505,7 +505,7 @@ class ClusterRouter:
             # applied somewhere (possibly a takeover survivor): replay
             # the durable value, never re-run
             wsid, outcome = won
-            settle_best_effort(
+            settle(
                 journal, intent["seq"],
                 "recovered" if journals[wsid] is journal else "recovered-remote",
             )
@@ -526,11 +526,8 @@ class ClusterRouter:
             # if it landed away from home, the new shard sealed its own
             # admit; settle the old one so only one copy of the request
             # survives the *next* restart too
-            if (
-                journals.get(rec.shard_id) is not journal
-                and journal.status(intent["seq"]) == "sealed"
-            ):
-                settle_best_effort(journal, intent["seq"], "superseded")
+            if journals.get(rec.shard_id) is not journal:
+                settle(journal, intent["seq"], "superseded")
         note_restore(
             router.obs, "cluster", cat="cluster", track="cluster",
             shards=len(items), replayed=len(report.replayed),
@@ -658,8 +655,8 @@ class ClusterRouter:
                 if isinstance(exc, AdmissionRejected):
                     rejection = exc
                 if isinstance(exc, JournalCrash) or getattr(exc, "sent", False):
-                    # outcome unknown (the journal tore with the request
-                    # already queued, or the frame left unanswered): it
+                    # outcome unknown (the target's journal died under
+                    # its admit, or the frame left unanswered): it
                     # leaves only through the target's ledger. fence()
                     # also waits out a takeover another thread began
                     self.takeover(target.shard_id, kind="admit-unknown")

@@ -33,6 +33,7 @@ inner devices' real effects survive it.
 from repro.journal.gate import SourceGate
 from repro.journal.recovery import RecoveryReport, recover
 from repro.journal.wal import (
+    FATES,
     CommitJournal,
     FileJournalStorage,
     MemoryJournalStorage,
@@ -43,9 +44,11 @@ from repro.journal.wal import (
     record_block_win,
     replay_block_win,
     request_fate,
+    settle,
 )
 
 __all__ = [
+    "FATES",
     "CommitJournal",
     "FileJournalStorage",
     "MemoryJournalStorage",
@@ -59,4 +62,5 @@ __all__ = [
     "recover",
     "replay_block_win",
     "request_fate",
+    "settle",
 ]

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import JournalCrash
 from repro.faults.plan import JOURNAL_SITE, RECOVERY_KEY, FaultKind
 from repro.journal.wal import CommitJournal, QuarantineEntry
 
@@ -156,14 +155,3 @@ def _one_pass(
         journal.mark_applied(seq, recovered=True)
         report.rolled_forward.append(seq)
 
-
-def settle_best_effort(journal: CommitJournal, seq: int, status: str) -> None:
-    """Mark an ``admit`` applied, tolerating a dead (poisoned) journal — one
-    can die under any settle, even mid-restore, when a re-admission's
-    admit write tears it. Settling is pure bookkeeping: a refused write
-    leaves the admit sealed, which is exactly what the next restore
-    replays or deduplicates, so losing the settle loses nothing."""
-    try:
-        journal.mark_applied(seq, status=status)
-    except JournalCrash:
-        pass

@@ -81,7 +81,7 @@ import os
 import pickle
 import threading
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from operator import itemgetter
 from sys import intern
@@ -1249,9 +1249,27 @@ def replay_block_win(journal: CommitJournal, block_id: int) -> BlockOutcome | No
     return outcome
 
 
-#: ``admit`` settle statuses that close a ledger line because another
-#: journal (or incarnation) carries the request's answer.
-_HANDED_OFF = frozenset({"stolen", "superseded", "recovered", "recovered-remote"})
+#: Every fate a request's ``admit`` line can settle with, declared once:
+#: True for the request's answer, False for a line closed without one
+#: because another shard or incarnation carries the request.
+FATES = {
+    "committed": True, "failed": True, "shed": True, "cancelled": True,
+    "unrecoverable": True, "rejected": False, "stolen": False,
+    "superseded": False, "recovered": False, "recovered-remote": False,
+}
+
+
+def settle(journal: CommitJournal, seq: int, fate: str) -> None:
+    """The one ledger move for a request: ``admit`` txn ``seq`` goes
+    sealed → ``fate``. A line not sealed is left alone, and a dead
+    (poisoned) journal's refusal is swallowed: the admit left sealed is
+    what the next restore re-admits or dedupes. Raises
+    :class:`~repro.errors.JournalError` on a fate :data:`FATES` lacks."""
+    if fate not in FATES:
+        raise JournalError(f"{fate!r} is not a request fate: {', '.join(FATES)}")
+    if journal.status(seq) == "sealed":
+        with suppress(JournalCrash):
+            journal.mark_applied(seq, status=fate)
 
 
 class RequestFate(NamedTuple):
@@ -1264,7 +1282,8 @@ class RequestFate(NamedTuple):
     #: shard ids whose ``admit`` for it is sealed and unsettled: where a
     #: cold restart re-admits it from.
     sealed: tuple[int, ...] = ()
-    #: the final status an ``admit`` settled with (hand-offs aside).
+    #: the last answer an ``admit`` settled with (a :data:`FATES` entry
+    #: marked True; a line closed without one is skipped).
     settled: str | None = None
 
 
@@ -1286,6 +1305,6 @@ def request_fate(journals: Mapping[int, CommitJournal], seq: int) -> RequestFate
             sealed.append(sid)
         else:
             status = journal.find_applied("admit", request=seq)[1].get("status")
-            if status not in _HANDED_OFF:
-                settled = status or settled
+            if FATES.get(status):
+                settled = status
     return RequestFate(won, tuple(sealed), settled)

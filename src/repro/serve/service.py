@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import threading
 import time
 import zlib
@@ -54,14 +55,10 @@ from repro.errors import (
 )
 from repro.faults.plan import SERVE_SITE, FaultKind
 from repro.faults.supervisor import Supervisor
-from repro.journal.recovery import RecoveryReport, recover, settle_best_effort
+from repro.journal.recovery import RecoveryReport, recover
+from repro.journal.wal import settle
 from repro.obs import or_null
-from repro.serve.admission import (
-    AdmissionQueue,
-    ServeRequest,
-    next_seq,
-    raise_seq_floor,
-)
+from repro.serve.admission import AdmissionQueue, ServeRequest, raise_seq_floor
 from repro.serve.budget import WorldBudget
 from repro.serve.policy import AdaptiveSpeculationPolicy, SpeculationDecision
 from repro.serve.stats import AlternativeStats
@@ -78,11 +75,14 @@ SUPERVISOR_BACKOFF_S = 0.005
 class ServeResult:
     """What became of one submitted request.
 
-    ``status`` is one of ``committed`` (a winner was accepted),
-    ``failed`` (the block ran but no alternative won), ``shed`` (the
-    service discarded the request before/instead of running it) or
-    ``cancelled`` (service shutdown). ``outcome`` is the underlying
-    :class:`~repro.core.outcome.BlockOutcome` when the block ran.
+    ``status`` is an answer from :data:`repro.journal.FATES`:
+    ``committed``, ``failed`` (no alternative won, or the service failed
+    it), ``shed`` (discarded unrun) or ``cancelled`` (shutdown); a
+    restore settles ``unrecoverable`` in the journal alone. The table's
+    other fates close a line without an answer: ``rejected``,
+    ``stolen``, ``superseded``, ``recovered``, ``recovered-remote``.
+    ``outcome`` is the :class:`~repro.core.outcome.BlockOutcome` when
+    the block ran.
     """
 
     status: str
@@ -207,7 +207,7 @@ def rebuilt_requests(sealed, build_alternatives, dropped: list[int]):
         data = intent["data"]
         spec = data.get("spec")
         if build_alternatives is None or spec is None:
-            settle_best_effort(journal, intent["seq"], "unrecoverable")
+            settle(journal, intent["seq"], "unrecoverable")
             dropped.append(data["request"])
             continue
         yield journal, intent, ServeRequest.from_admit(
@@ -305,6 +305,8 @@ class SpeculationService:
         self._threads: list[threading.Thread] = []
         #: an admit write and its settle exclude each other
         self._admit_lock = threading.Lock()
+        #: burst shadows' ids: negative, so never a request's durable seq
+        self._shadow_ids = itertools.count(-1, -1)
         self._running = False
         self._crashed = False
         # the components this service built and the ones its caller built
@@ -380,12 +382,9 @@ class SpeculationService:
         retry_hint = max(0.005, 0.001 * len(drained))
         for request in drained:
             self.queue.shed_request(request, reason="shutdown")
-            self._resolve(
-                request,
-                ServeResult(
-                    status="cancelled", tenant=request.tenant, seq=request.seq,
-                    reason="service stopped", retry_after_s=retry_hint,
-                ),
+            self._end(
+                request, "cancelled", None,
+                reason="service stopped", retry_after_s=retry_hint,
             )
 
     def crash(self) -> None:
@@ -564,45 +563,50 @@ class SpeculationService:
         if self.on_resolve is not None:
             ticket.add_done_callback(functools.partial(self.on_resolve, request))
         request.submitted_at = time.monotonic()
+        # durable before visible: the admit is sealed before any worker
+        # can take the request, so nothing unsealed is ever queued
+        sealed = self._journal_admit(request)
         try:
             self.queue.offer(request)
         except AdmissionRejected:
-            self._count_status(request.tenant, "rejected")
+            self._requests_c.inc(tenant=request.tenant, status="rejected")
+            if sealed is not None:
+                settle(self.journal, sealed, "rejected")
             raise
-        self._journal_admit(request)
         self._maybe_burst(request)
         return ticket
 
-    def _journal_admit(self, request: ServeRequest) -> None:
-        """Seal an ``admit`` txn for ``request`` (journalled admission).
+    def _journal_admit(self, request: ServeRequest) -> int | None:
+        """Seal an ``admit`` txn for ``request`` (journalled admission)
+        and return its seq; None when none was written.
 
         The sealed intent is the durable ack: from this point a crash
         cannot lose the request — :meth:`restore` re-admits it. A
         re-landed request may already own a sealed admit here (from a
-        dead incarnation): reuse it, never duplicate. May raise
-        :class:`~repro.errors.JournalCrash` (injected journal faults),
-        exactly like any other journal write.
+        dead incarnation): reuse it, never duplicate, and never settle
+        it ``rejected``. May raise :class:`~repro.errors.JournalCrash`,
+        like any journal write; nothing is queued then.
         """
-        if not self.journal_admission or request.shadow:
-            return
+        if not self.journal_admission:
+            return None
         with self._admit_lock:
             rec = self.journal.find_sealed("admit", request=request.seq)
             # a *settled* admit (stolen, superseded, ...) is a closed
             # ledger line, not an ack: a request coming back needs its own
-            if rec is None or self.journal.status(rec["seq"]) != "sealed":
-                with self.journal.group():  # intent + seal: one append
-                    self.journal.seal(
-                        self.journal.begin("admit", **request.admit_data())
-                    )
-
-    def _settle_admit(self, request: ServeRequest, status: str) -> None:
-        """Mark the request's admit txn applied with its final status."""
-        if not self.journal_admission or request.shadow:
-            return
-        with self._admit_lock:
-            rec = self.journal.find_sealed("admit", request=request.seq)
             if rec is not None and self.journal.status(rec["seq"]) == "sealed":
-                settle_best_effort(self.journal, rec["seq"], status)
+                return None
+            with self.journal.group():  # intent + seal: one append
+                seq = self.journal.begin("admit", **request.admit_data())
+                self.journal.seal(seq)
+            return seq
+
+    def _settle_admit(self, request: ServeRequest, fate: str) -> None:
+        """Close the request's admit ledger line with ``fate``."""
+        if self.journal_admission:
+            with self._admit_lock:
+                rec = self.journal.find_sealed("admit", request=request.seq)
+                if rec is not None:
+                    settle(self.journal, rec["seq"], fate)
 
     def _maybe_burst(self, request: ServeRequest) -> None:
         """REQUEST_BURST: re-submit the request as a storm of shadows."""
@@ -621,7 +625,7 @@ class SpeculationService:
         )
         for _ in range(copies):
             shadow = dataclasses.replace(
-                request, seq=next_seq(), shadow=True, ticket=None
+                request, seq=next(self._shadow_ids), shadow=True, ticket=None
             )
             try:
                 self.queue.offer(shadow)
@@ -629,19 +633,24 @@ class SpeculationService:
                 break  # the storm hit the backpressure wall — working as intended
 
     # -- workers -----------------------------------------------------------
-    def _resolve(self, request: ServeRequest, result: ServeResult) -> None:
-        if request.shadow:
-            return
-        if self._crashed:
-            return  # a crashed shard reports nothing; the journal speaks
+    def _end(
+        self, request: ServeRequest, status: str, count: str | None, **fields: Any
+    ) -> None:
+        """The one way a request ends: counted in
+        ``mw_serve_requests_total`` as ``count`` (None: not counted), its
+        admit settled to ``status``, then its ticket resolved with a
+        :class:`ServeResult` of ``status`` and ``fields``."""
+        if count is not None:
+            self._requests_c.inc(tenant=request.tenant, status=count)
+        if request.shadow or self._crashed:
+            return  # a shadow is load; a crashed shard reports nothing
         # settle the admit ledger before acking: an acked result is
         # always at least as durable as what the journal says
-        self._settle_admit(request, result.status)
+        self._settle_admit(request, status)
         ticket, request.ticket = request.ticket, None
-        ticket._resolve(result)
-
-    def _count_status(self, tenant: str, status: str) -> None:
-        self._requests_c.inc(tenant=tenant, status=status)
+        ticket._resolve(ServeResult(
+            status=status, tenant=request.tenant, seq=request.seq, **fields
+        ))
 
     def _worker_loop(self) -> None:
         while True:
@@ -649,30 +658,20 @@ class SpeculationService:
             # stop() / crash() clear _running before queue.close()
             # wakes them all
             request, shed = self.queue.take()
-            for expired in shed:
-                self._resolve(
-                    expired,
-                    ServeResult(
-                        status="shed", tenant=expired.tenant, seq=expired.seq,
-                        reason="deadline expired in queue",
-                    ),
-                )
-                self._count_status(expired.tenant, "shed")
-            if request is None:
-                if not self._running:
-                    return
-                continue
-            try:
-                self._serve_one(request)
-            except Exception as exc:  # noqa: BLE001 - a worker never dies
-                self._resolve(
-                    request,
-                    ServeResult(
-                        status="failed", tenant=request.tenant, seq=request.seq,
-                        reason=f"internal error: {exc!r}",
-                    ),
-                )
-                self._count_status(request.tenant, "error")
+            self._work(request, shed)
+            if request is None and not self._running:
+                return
+
+    def _work(self, request: ServeRequest | None, shed: list[ServeRequest]) -> None:
+        """One worker step over what ``queue.take`` returned."""
+        for expired in shed:
+            self._end(expired, "shed", "shed", reason="deadline expired in queue")
+        if request is None:
+            return
+        try:
+            self._serve_one(request)
+        except Exception as exc:  # noqa: BLE001 - a worker never dies
+            self._end(request, "failed", "error", reason=f"internal error: {exc!r}")
 
     def _serve_one(self, request: ServeRequest) -> None:
         dispatched = time.monotonic()
@@ -701,14 +700,7 @@ class SpeculationService:
                 else ("capacity", "no budget capacity")
             )
             self.queue.shed_request(request, reason=shed_label)
-            self._resolve(
-                request,
-                ServeResult(
-                    status="shed", tenant=tenant, seq=request.seq,
-                    reason=reason, queue_wait_s=queue_wait,
-                ),
-            )
-            self._count_status(tenant, "shed")
+            self._end(request, "shed", "shed", reason=reason, queue_wait_s=queue_wait)
             return
         granted_at = time.monotonic()
         self._grant_h.observe(granted_at - dispatched)
@@ -792,24 +784,22 @@ class SpeculationService:
 
             latency = time.monotonic() - request.submitted_at
             status = "committed" if outcome.winner is not None else "failed"
-            result = ServeResult(
-                status=status, tenant=tenant, seq=request.seq, outcome=outcome,
-                reason="" if status == "committed" else "no alternative won",
-                k=decision.k, policy_reason=decision.reason,
-                backend=outcome.extras.get("backend", backend),
-                queue_wait_s=queue_wait, grant_wait_s=granted_at - dispatched,
-                latency_s=latency, preempted_slots=preempted, replayed=replayed,
-            )
+            ran_on = outcome.extras.get("backend", backend)
             tracer.end(
                 span_id,
                 disposition="committed" if status == "committed" else "aborted",
-                k=decision.k, policy=decision.reason, backend=result.backend,
+                k=decision.k, policy=decision.reason, backend=ran_on,
                 status=status,
             )
             if status == "committed":
                 self._latency_h.observe(latency)
-            self._count_status(tenant, status)
-            self._resolve(request, result)
+            self._end(
+                request, status, status, outcome=outcome,
+                reason="" if status == "committed" else "no alternative won",
+                k=decision.k, policy_reason=decision.reason, backend=ran_on,
+                queue_wait_s=queue_wait, grant_wait_s=granted_at - dispatched,
+                latency_s=latency, preempted_slots=preempted, replayed=replayed,
+            )
         finally:
             # an escaped exception settles the span aborted (a closed one
             # ignores this); the release is idempotent, the net under it

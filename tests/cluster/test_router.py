@@ -94,13 +94,13 @@ class _ResolvesBeforeAdmitReturns(ClusterShard):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.resolved = threading.Event()
-        resolve = self.service._resolve
+        end = self.service._end
 
-        def resolved(request, result):
-            resolve(request, result)
+        def ended(*args, **kwargs):
+            end(*args, **kwargs)
             self.resolved.set()
 
-        self.service._resolve = resolved
+        self.service._end = ended
 
     def admit(self, request):
         ticket = super().admit(request)

@@ -17,7 +17,7 @@ import tokenize
 from repro.cluster import ClusterRouter, ClusterShard, RemoteShardClient
 from repro.core.policy import EliminationPolicy
 from repro.core.worlds import run_alternatives
-from repro.journal import CommitJournal
+from repro.journal import CommitJournal, settle
 from repro.serve import AdaptiveSpeculationPolicy, SpeculationService
 from tests.journal.test_group import CountingStorage
 
@@ -26,9 +26,9 @@ SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
 #: ROADMAP's "locks / conditions in `serve/` + `cluster/`" row
 LOCKS_CEILING = 12
 #: ROADMAP's "`serve/` + `cluster/` lines" row (`wc -l`)
-LINES_CEILING = 4738
+LINES_CEILING = 4725
 #: ROADMAP's "`src/` lines" row (`git ls-files 'src/*.py' | xargs wc -l`)
-SRC_LINES_CEILING = 18372
+SRC_LINES_CEILING = 18370
 #: ROADMAP's "settable values on the serving path" row
 SETTABLE_VALUES_CEILING = 51
 #: ROADMAP's "`fsync`s per `cluster_remote` op" row
@@ -366,6 +366,33 @@ def test_the_serving_and_fork_stack_loads_no_telemetry_module_without_a_plane():
     assert not loaded, (
         f"serving one request and one fork block with no plane loaded {loaded}: "
         "import them only where a real plane is built"
+    )
+
+
+#: ROADMAP's "`mark_applied(..., status=)` calls outside `repro.journal.settle`" row
+FATE_WRITES_OUTSIDE_SETTLE_CEILING = 0
+
+
+def test_a_request_fate_is_written_only_by_settle():
+    """Every ``admit`` settle passes ``repro.journal.settle``, which holds
+    the fate to ``FATES`` and applies the ledger's one move, sealed ->
+    fate: no other ``mark_applied(`` call passes ``status=``."""
+    body, first = inspect.getsourcelines(settle)
+    allowed = {f"journal/wal.py:{n}" for n in range(first, first + len(body))}
+    found = [
+        f"{path.relative_to(SRC)}:{call.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for call in ast.walk(ast.parse(path.read_text()))
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Attribute)
+        and call.func.attr == "mark_applied"
+        and any(k.arg in ("status", None) for k in call.keywords)
+    ]
+    found = [site for site in found if site not in allowed]
+    assert len(found) <= FATE_WRITES_OUTSIDE_SETTLE_CEILING, (
+        f"mark_applied(status=) outside repro.journal.settle (ceiling "
+        f"{FATE_WRITES_OUTSIDE_SETTLE_CEILING}): settle the admit through "
+        f"it — {found}"
     )
 
 

@@ -34,12 +34,12 @@ WHO = {
     "deadline_s": ("`build`: now + the caller's relative deadline", "queue shed, grant timeout, block timeout"),
     "timeout": ("`submit` caller", "the block's run bound"),
     "cost": ("`submit` caller", "DRR dequeue price"),
-    "seq": ("`build` (`next_seq`), or the restore path", "journal block id, router table key, result"),
+    "seq": ("`build` (`next_seq`), the restore path, or `_maybe_burst` (a shadow's negative local id)", "journal block id, router table key, result"),
     "submitted_at": ("`admit`, on arrival at each service", "`queue_wait_s`, `latency_s`"),
     "shadow": ("`_maybe_burst`", "skips journal, ticket resolution and stealing"),
     "spec": ("`submit` caller", "`build_alternatives(spec)` at restore"),
     "request_class": ("`submit` caller", "`policy.decide(..., request_class=)`"),
-    "ticket": ("`SpeculationService.admit`, on arrival at each service; cleared by resolve", "`_resolve`"),
+    "ticket": ("`SpeculationService.admit`, on arrival at each service; cleared by `_end`", "`_end`"),
 }
 
 
