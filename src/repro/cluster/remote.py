@@ -12,7 +12,8 @@ real OS process boundary:
   as framed RPCs (:mod:`repro.cluster.wire`) whose op names are the
   surface's method names (:data:`SHARD_OPS`), plus ``ping``. Request
   handling is idempotent per token, so a client resend after a timeout
-  never double-executes an admit.
+  never double-executes an admit. Every reply and result push carries
+  the shard's load figures (``backlog``, ``slots_free``).
 - :class:`RemoteShardClient` — the parent-side proxy. It implements the
   same flat surface :class:`~repro.cluster.router.ClusterRouter` calls
   on a local ``ClusterShard`` (``state``/``up``/``alive``,
@@ -123,8 +124,9 @@ _WIRE_ERRORS: dict[str, Any] = {
 
 #: How long ``start()`` waits for a fresh host to report it is ready.
 CONNECT_TIMEOUT_S = 10.0
-#: How long one ping's backlog/slot figures answer the balancer.
-STATS_TTL_S = 0.02
+#: A heartbeat probes, it does not persist: one attempt, a short wait.
+HEARTBEAT_TIMEOUT_S = 0.25
+HEARTBEAT_POLICY = RetryPolicy(max_retries=0, deadline_s=HEARTBEAT_TIMEOUT_S)
 #: Every RPC's resend policy but the heartbeat's: bounded exponential
 #: backoff **with a total deadline** (``RetryPolicy.deadline_s``).
 RETRY_POLICY = RetryPolicy(
@@ -202,12 +204,19 @@ class _ShardHost:
         self._conn: socket.socket | None = None
         self._shutdown = False
 
+    def _figures(self) -> dict:
+        """The balancer's load figures, riding every frame the host sends."""
+        shard = self.shard
+        return {"backlog": shard.backlog(), "slots_free": shard.idle_slots()}
+
     def _push(self, result) -> None:
         """An admitted request's ticket callback, on the resolving thread."""
+        figures = self._figures()
         with self._send_lock:
             self._event_seq += 1
             event = self._outbox[self._event_seq] = {
                 "push": "resolve", "event": self._event_seq, "result": result,
+                **figures,
             }
             if self._conn is not None:
                 try:
@@ -217,14 +226,8 @@ class _ShardHost:
 
     # -- request handling --------------------------------------------------
     def _handle(self, op: str, args: dict) -> Any:
-        if op == "ping":
-            return {
-                "state": self.shard.state.value,
-                "backlog": self.shard.backlog(),
-                "slots_free": self.shard.idle_slots(),
-                "incarnation": self.shard.incarnation,
-                "pid": os.getpid(),
-            }
+        if op == "ping":  # the reply itself is the answer
+            return None
         if op not in SHARD_OPS:
             raise ClusterError(f"shard host: unknown RPC op {op!r}")
         value = getattr(self.shard, op)(**args)
@@ -238,8 +241,9 @@ class _ShardHost:
         return value
 
     def _respond(self, conn: socket.socket, call_id, body: dict) -> None:
+        figures = self._figures()
         with self._send_lock:
-            send_frame(conn, {"id": call_id, **body})
+            send_frame(conn, {"id": call_id, **body, **figures})
 
     def _serve_conn(self, conn: socket.socket) -> None:
         try:
@@ -459,7 +463,6 @@ class RemoteShardClient:
         backend: str = "thread",
         queue_depth: int | None = None,
         call_timeout_s: float = 1.0,
-        heartbeat_timeout_s: float = 0.25,
         breaker_threshold: int = 5,
         breaker_cooldown_s: float = 0.5,
         fault_plan=None,
@@ -478,9 +481,6 @@ class RemoteShardClient:
             "queue_depth": queue_depth,
         }
         self.call_timeout_s = call_timeout_s
-        self.heartbeat_timeout_s = heartbeat_timeout_s
-        #: heartbeats probe, they don't persist: one attempt, short wait
-        self._hb_policy = RetryPolicy(max_retries=0, deadline_s=heartbeat_timeout_s)
         self.fault_plan = fault_plan
         self.host_fault_plan = host_fault_plan
         self.obs = obs = or_null(obs)
@@ -490,8 +490,8 @@ class RemoteShardClient:
             threshold=breaker_threshold, cooldown_s=breaker_cooldown_s,
             on_transition=self._note_breaker,
         )
-        self._stats: dict = {}
-        self._stats_at = -1.0
+        #: (backlog, free slots) as of the host's last reply or push
+        self._load = (0, slots)
         self._proc: ChildProcess | None = None
         self._sock: socket.socket | None = None
         self._conn_lock = threading.Lock()
@@ -623,7 +623,7 @@ class RemoteShardClient:
             self.state = ShardState.FENCED
             try:
                 self._call(
-                    "fence", timeout=self.call_timeout_s, policy=self._hb_policy
+                    "fence", timeout=self.call_timeout_s, policy=HEARTBEAT_POLICY
                 )
             except (TransportError, ClusterError):
                 pass
@@ -676,30 +676,11 @@ class RemoteShardClient:
     def confirm_stolen(self, request: ServeRequest) -> None:
         self._call("confirm_stolen", request=request)
 
-    def _ping(self) -> dict | None:
-        """One short-timeout ping (None: no answer). Its failure feeds
-        the breaker; its answer also serves the balancer's figures."""
-        try:
-            stats = self._call(
-                "ping", policy=self._hb_policy, timeout=self.heartbeat_timeout_s
-            )
-        except (TransportError, ClusterError):
-            return None
-        self._stats, self._stats_at = stats, time.monotonic()
-        return stats
-
-    def _cached_stats(self) -> dict:
-        if time.monotonic() - self._stats_at > STATS_TTL_S and self._ping() is None:
-            # unreachable: report it saturated so no balancer picks it
-            self._stats = {"backlog": 0, "slots_free": 0}
-            self._stats_at = time.monotonic()
-        return self._stats
-
     def backlog(self) -> int:
-        return int(self._cached_stats().get("backlog", 0))
+        return self._load[0]
 
     def idle_slots(self) -> int:
-        return int(self._cached_stats().get("slots_free", 0))
+        return self._load[1]
 
     def snapshot(self) -> dict:
         return {
@@ -722,9 +703,14 @@ class RemoteShardClient:
         silent host opens it and subsequent beats fail fast until the
         half-open probe finds the host again.
         """
-        if self.state in (ShardState.DEAD, ShardState.FENCED):
+        dead = self.state in (ShardState.DEAD, ShardState.FENCED)
+        if dead or not self.process_alive():
             return False
-        return self.process_alive() and self._ping() is not None
+        try:
+            self._call("ping", policy=HEARTBEAT_POLICY, timeout=HEARTBEAT_TIMEOUT_S)
+        except (TransportError, ClusterError):
+            return False
+        return True
 
     @property
     def journal(self) -> CommitJournal:
@@ -806,6 +792,8 @@ class RemoteShardClient:
                 return
             if not isinstance(msg, dict):
                 continue
+            if "slots_free" in msg:
+                self._load = (msg["backlog"], msg["slots_free"])
             if msg.get("push") == "resolve":
                 self._dispatch_push(sock, msg)
                 continue

@@ -39,8 +39,8 @@ The failure detector beats every shard once per round and keeps one
 number per shard: its consecutive misses, counted in beats. Faults come
 from the ``heartbeat`` site (a beat lost in flight, which the probe
 that follows rescues) and the ``cluster`` site (shard-crash-mid-burst,
-partitioned router, stale takeover). ``miss_threshold`` misses in a row
-start a **takeover**:
+partitioned router, stale takeover). :data:`MISS_THRESHOLD` misses in
+a row start a **takeover**:
 
 1. the shard is fenced (if the process is actually alive — the
    false-positive case — it must stop committing, and fencing enforces
@@ -92,6 +92,11 @@ from repro.serve.service import (
 #: once per window whether the router loses sight of a shard, and the
 #: outage then covers the first ``partition_beats`` beats of it).
 PARTITION_WINDOW_BEATS = 8
+
+#: The failure detector: consecutive missed beats that declare a shard
+#: dead, and the real seconds between the background detector's rounds.
+MISS_THRESHOLD = 3
+DETECT_INTERVAL_S = 0.01
 
 #: Work stealing: the queue depth at which a shard becomes a victim, and
 #: the most requests one detector round moves off it.
@@ -199,12 +204,6 @@ class ClusterRouter:
     ----------
     shards:
         The :class:`ClusterShard` members (ids must be unique).
-    miss_threshold:
-        Consecutive missed beats that declare a shard dead.
-    detect_interval_s:
-        Real seconds between detector rounds when the background
-        detector is running. Tests may instead drive
-        :meth:`heartbeat_round` by hand.
     spill / steal:
         Enable the two load-balancing moves (stealing is paced by
         :data:`STEAL_MIN_BACKLOG` and :data:`STEAL_BATCH`).
@@ -218,8 +217,6 @@ class ClusterRouter:
     def __init__(
         self,
         shards: Sequence[ClusterShard],
-        miss_threshold: int = 3,
-        detect_interval_s: float = 0.01,
         spill: bool = True,
         steal: bool = True,
         fault_plan=None,
@@ -231,8 +228,6 @@ class ClusterRouter:
         ids = [s.shard_id for s in shards]
         if len(set(ids)) != len(ids):
             raise ClusterError(f"duplicate shard ids: {sorted(ids)}")
-        self.miss_threshold = miss_threshold
-        self.detect_interval_s = detect_interval_s
         self.spill = spill
         self.steal = steal
         self.fault_plan = fault_plan
@@ -371,7 +366,7 @@ class ClusterRouter:
         ``stop()``/``close()`` must never leak a dangling detector: a
         thread still pinging shards after shutdown keeps sockets (and
         whole shard-host processes) alive. The loop re-checks
-        ``_running`` every ``detect_interval_s``, so a healthy detector
+        ``_running`` every :data:`DETECT_INTERVAL_S`, so a healthy detector
         always exits well inside the timeout.
         """
         detector, self._detector = self._detector, None
@@ -766,7 +761,7 @@ class ClusterRouter:
                     self.steal_round()
             except Exception:  # noqa: BLE001 - the detector never dies
                 pass
-            time.sleep(self.detect_interval_s)
+            time.sleep(DETECT_INTERVAL_S)
 
     def _router_partitioned(self, shard_id: int, beat: int) -> bool:
         """ROUTER_PARTITION: beats the router loses to a partition window."""
@@ -796,7 +791,7 @@ class ClusterRouter:
         counts in ``mw_cluster_heartbeat_misses_total``, but the probe
         that follows finds the shard, so it arrives. An arriving beat
         resets the shard's miss count and clears suspicion; a missing
-        one adds a miss and suspects an UP shard, and ``miss_threshold``
+        one adds a miss and suspects an UP shard, and :data:`MISS_THRESHOLD`
         misses in a row start a takeover.
         """
         self._beat += 1
@@ -844,7 +839,7 @@ class ClusterRouter:
                 )
             if shard.state is ShardState.UP:
                 shard.state = ShardState.SUSPECT
-            if misses >= self.miss_threshold:
+            if misses >= MISS_THRESHOLD:
                 self.takeover(
                     sid, kind="crash" if not shard.alive else "stale",
                     reason=f"{misses} consecutive misses ({reason})",

@@ -7,11 +7,11 @@ true. A static service would have to pick one point on that curve;
 :class:`AdaptiveSpeculationPolicy` walks it at runtime, per request:
 
 - **K (how many)** — start from the slots the budget actually granted,
-  then shrink with measured pool load: at ``saturation`` the policy
+  then shrink with measured pool load: at :data:`SATURATION` the policy
   stops speculating entirely (K=1). The service passes *others'* load,
   ``(in_use − granted) / slots`` — at most 0.75 on 4 slots — so on a pool
-  under 10 slots the default 0.9 never fires. Win-rate statistics shrink
-  K further — once one alternative wins ``confident_win`` of the time,
+  under 10 slots 0.9 never fires. Win-rate statistics shrink
+  K further — once one alternative wins :data:`CONFIDENT_WIN` of the time,
   running its siblings is pure waste (ρ has left the profitable region,
   so stop paying R_o).
 - **which** — alternatives ranked by expected usefulness per second
@@ -47,6 +47,20 @@ from dataclasses import dataclass, field
 from repro.errors import ServeError
 from repro.serve.stats import AlternativeStats
 
+#: Others' share of the pool at and above which the policy stops
+#: speculating (K=1, sequential backend).
+SATURATION = 0.9
+#: Win EWMA above which the favourite runs alone even on an idle pool
+#: (its siblings would almost surely be wasted work).
+CONFIDENT_WIN = 0.9
+#: Multiplies the load-scaled stagger unit.
+STAGGER_SCALE = 1.0
+#: Ceiling on the unit stagger (one slow observation must not stall spares).
+MAX_STAGGER_S = 0.25
+#: Backend a wide decision runs on: the only substrate whose spawn cost
+#: justifies unbudgeted worlds.
+WIDE_BACKEND = "async"
+
 
 @dataclass
 class SpeculationDecision:
@@ -77,8 +91,9 @@ class SpeculationDecision:
 class FixedSpeculationPolicy:
     """The naive baseline: always spawn every alternative at once.
 
-    What every ``run_alternatives`` caller does today — and the control
-    arm the serve benchmark compares the adaptive policy against.
+    What a bare ``run_alternatives`` call does, as a policy: the
+    non-adaptive baseline a service can take in place of
+    :class:`AdaptiveSpeculationPolicy`.
     """
 
     backend: str | None = None
@@ -104,16 +119,6 @@ class AdaptiveSpeculationPolicy:
     ----------
     stats:
         The shared statistics store (created on demand).
-    saturation:
-        Pool-load fraction at and above which the policy stops
-        speculating (K=1, sequential backend).
-    confident_win:
-        Win EWMA above which the favourite runs alone even on an idle
-        pool (its siblings would almost surely be wasted work).
-    stagger_scale:
-        Multiplies the load-scaled stagger unit; 0 disables staggering.
-    max_stagger_s:
-        Ceiling on the unit stagger (one slow observation must not stall spares).
     max_k:
         Global clamp on K regardless of grant size; None leaves the
         grant as the only global bound.
@@ -122,30 +127,19 @@ class AdaptiveSpeculationPolicy:
         carrying that class. A cap *above* the grant is the wide-K
         opt-in: the class's worlds are cheap (I/O-bound coroutines), so
         K may exceed the granted slots — the decision comes back
-        ``wide=True`` on the ``wide_backend``. A cap below the grant is
+        ``wide=True`` on :data:`WIDE_BACKEND`. A cap below the grant is
         just a tighter clamp (e.g. CPU-bound classes that should never
         fan out). Classes absent from the map use ``max_k``.
-    wide_backend:
-        Backend a wide decision runs on (default ``async`` — the only
-        substrate whose spawn cost justifies unbudgeted worlds).
+
+    The thresholds are module constants: :data:`SATURATION`,
+    :data:`CONFIDENT_WIN`, :data:`STAGGER_SCALE`, :data:`MAX_STAGGER_S`.
     """
 
     stats: AlternativeStats = field(default_factory=AlternativeStats)
-    saturation: float = 0.9
-    confident_win: float = 0.9
-    stagger_scale: float = 1.0
-    max_stagger_s: float = 0.25
     max_k: int | None = None
     class_max_k: dict[str, int] = field(default_factory=dict)
-    wide_backend: str = "async"
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.saturation <= 1.0:
-            raise ServeError(f"saturation must be in (0, 1], got {self.saturation}")
-        if not 0.0 <= self.confident_win <= 1.0:
-            raise ServeError(
-                f"confident_win must be in [0, 1], got {self.confident_win}"
-            )
         if self.max_k is not None and self.max_k < 1:
             raise ServeError(f"max_k must be >= 1, got {self.max_k}")
         for cls, cap in self.class_max_k.items():
@@ -181,7 +175,7 @@ class AdaptiveSpeculationPolicy:
         k = max(1, min(n, cap))
         wide = k > max(1, granted)
         reason = "wide" if wide else "adaptive"
-        if load >= self.saturation and k > 1:
+        if load >= SATURATION and k > 1:
             # a saturated machine has no spare cycles for *any* kind of
             # speculation, cheap worlds included
             k, reason, wide = 1, "saturated", False
@@ -191,19 +185,19 @@ class AdaptiveSpeculationPolicy:
             k > 1
             and fav_rec is not None
             and fav_rec.attempts >= 3
-            and fav_rec.win_ewma >= self.confident_win
+            and fav_rec.win_ewma >= CONFIDENT_WIN
         ):
             k, reason, wide = 1, "confident", False
         order = ranked[:k]
         # an unseen favourite's latency EWMA is 0: nothing to wait out
-        unit = self.stagger_scale * load * self.stats.latency_ewma(favourite)
-        unit = min(max(unit, 0.0), self.max_stagger_s)
+        unit = STAGGER_SCALE * load * self.stats.latency_ewma(favourite)
+        unit = min(max(unit, 0.0), MAX_STAGGER_S)
         staggers = [i * unit for i in range(k)]
         backend = None
         if reason == "saturated":
             backend = "sequential"
         elif wide:
-            backend = self.wide_backend
+            backend = WIDE_BACKEND
         return SpeculationDecision(
             order=order, staggers=staggers, backend=backend, reason=reason,
             wide=wide,

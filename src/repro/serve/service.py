@@ -66,8 +66,9 @@ from repro.serve.stats import AlternativeStats
 #: Latency buckets suited to request serving (5 ms .. 10 s).
 LATENCY_BUCKETS = (0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0)
 
-#: The per-request :class:`Supervisor`'s pause before retry wave *n*
-#: (``SUPERVISOR_BACKOFF_S * n``).
+#: Extra retry waves the per-request :class:`Supervisor` may run, and
+#: its pause before wave *n* (``SUPERVISOR_BACKOFF_S * n``).
+SUPERVISOR_RETRIES = 1
 SUPERVISOR_BACKOFF_S = 0.005
 
 
@@ -240,8 +241,6 @@ class SpeculationService:
         How long a deadline-less request may wait for budget slots
         before it is shed for capacity (deadlined requests wait until
         their deadline instead).
-    supervisor_retries:
-        Extra retry waves the per-request :class:`Supervisor` may run.
     fault_plan / journal / obs:
         The robustness planes, threaded through every layer. ``journal``
         also accepts a plain filesystem path (a ``str``), opened as a
@@ -271,7 +270,6 @@ class SpeculationService:
         workers: int = 4,
         backend: str = "thread",
         grant_timeout_s: float = 5.0,
-        supervisor_retries: int = 1,
         fault_plan=None,
         journal=None,
         obs=None,
@@ -291,7 +289,6 @@ class SpeculationService:
         self.workers = workers
         self.backend = backend
         self.grant_timeout_s = grant_timeout_s
-        self.supervisor_retries = supervisor_retries
         self.fault_plan = fault_plan
         if isinstance(journal, str):
             # a filesystem path: the config form a shard-host child
@@ -748,7 +745,7 @@ class SpeculationService:
 
             # ---- run under a per-request supervisor -----------------------
             supervisor = Supervisor(
-                max_retries=self.supervisor_retries,
+                max_retries=SUPERVISOR_RETRIES,
                 backoff_s=SUPERVISOR_BACKOFF_S,
                 fault_plan=self.fault_plan,
                 block_id=request.seq,

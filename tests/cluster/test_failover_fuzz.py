@@ -15,6 +15,7 @@ import time
 import pytest
 
 from repro.cluster import ClusterRouter, ClusterShard
+from repro.cluster import router as router_module
 from repro.faults.plan import FaultKind, FaultPlan
 
 SEEDS = range(1, 1 + int(os.environ.get("CLUSTER_FUZZ_SEEDS", "6")))
@@ -86,7 +87,7 @@ def test_mid_burst_shard_kill_commits_exactly_once(seed):
 
 
 @pytest.mark.parametrize("seed", [2, 9])
-def test_detector_driven_kill_with_partitions(seed):
+def test_detector_driven_kill_with_partitions(seed, monkeypatch):
     """Crash + router partitions at once, detection via heartbeats only."""
     plan = FaultPlan(
         seed=seed,
@@ -97,7 +98,8 @@ def test_detector_driven_kill_with_partitions(seed):
         partition_beats=2.0,
     )
     shards = [ClusterShard(i, slots=2, workers=2) for i in range(3)]
-    router = ClusterRouter(shards, fault_plan=plan, miss_threshold=4).start(detect=False)
+    monkeypatch.setattr(router_module, "MISS_THRESHOLD", 4)
+    router = ClusterRouter(shards, fault_plan=plan).start(detect=False)
     try:
         tickets = [router.submit(f"t{i % 5}", alts(i)) for i in range(20)]
         victim = router.ring.route("t0")

@@ -167,7 +167,7 @@ class TestLifecycle:
 class TestRemoteCluster:
     def test_remote_burst_commits_exactly_once(self, tmp_path):
         remotes = [make_remote(i, tmp_path) for i in range(2)]
-        router = ClusterRouter(remotes, detect_interval_s=0.02).start()
+        router = ClusterRouter(remotes).start()
         try:
             tickets = [router.submit(f"t{i % 4}", alts(i)) for i in range(12)]
             results = [t.result(timeout=30) for t in tickets]
@@ -242,9 +242,7 @@ class TestRemoteCluster:
             )
             for i in range(3)
         ]
-        router = ClusterRouter(
-            remotes, miss_threshold=2, detect_interval_s=0.02
-        ).start()
+        router = ClusterRouter(remotes).start()
         try:
             tickets = []
             for i in range(18):
@@ -339,8 +337,7 @@ class TestRemoteCluster:
             for i in range(2)
         ]
         router = ClusterRouter(
-            remotes, miss_threshold=2, detect_interval_s=0.02,
-            spare_factory=lambda: ClusterShard(100, slots=4, workers=4),
+            remotes, spare_factory=lambda: ClusterShard(100, slots=4, workers=4),
         ).start()
         try:
             tickets = [
@@ -434,7 +431,7 @@ class TestBreaker:
 
     def test_sigstop_opens_breaker_and_cont_recovers(self, tmp_path):
         shard = make_remote(
-            0, tmp_path, call_timeout_s=0.2, heartbeat_timeout_s=0.2,
+            0, tmp_path, call_timeout_s=0.2,
             breaker_threshold=2, breaker_cooldown_s=0.3,
         )
         shard.start()
@@ -458,6 +455,32 @@ class TestBreaker:
             assert shard.breaker.state == "closed"
         finally:
             shard.stop()
+
+
+def test_a_submit_to_an_idle_remote_shard_makes_one_rpc(tmp_path, monkeypatch):
+    """A host's load figures ride its every reply and result push, so the
+    router's spill check reads them without a ping of its own, however
+    long the shard sat idle."""
+    remotes = [make_remote(i, tmp_path) for i in range(2)]
+    ops = []
+    call = RemoteShardClient._call
+
+    def counted(self, op, *args, **kwargs):
+        ops.append(op)
+        return call(self, op, *args, **kwargs)
+
+    router = ClusterRouter(remotes).start(detect=False)
+    try:
+        assert router.submit("t0", alts(1)).result(timeout=30).value == 7
+        home = remotes[router.ring.route("t0")]
+        assert (home.backlog(), home.idle_slots()) == (0, 2)
+        time.sleep(0.03)
+        monkeypatch.setattr(RemoteShardClient, "_call", counted)
+        assert router.submit("t0", alts(2)).result(timeout=30).value == 14
+        submitted = list(ops)
+    finally:
+        router.stop()
+    assert submitted == ["admit"]
 
 
 class TestTransportFaults:
@@ -569,9 +592,7 @@ class TestDetectorHygiene:
     """Satellite: stop()/close() must reap the detector thread."""
 
     def test_stop_joins_detector_thread(self, tmp_path):
-        router = ClusterRouter(
-            [ClusterShard(0, slots=2, workers=2)], detect_interval_s=0.01
-        ).start()
+        router = ClusterRouter([ClusterShard(0, slots=2, workers=2)]).start()
         assert any(
             t.name == "cluster-detector" for t in threading.enumerate()
         )
@@ -580,9 +601,7 @@ class TestDetectorHygiene:
         assert no_dangling_threads("cluster-detector")
 
     def test_close_is_stop(self):
-        router = ClusterRouter(
-            [ClusterShard(0, slots=2, workers=2)], detect_interval_s=0.01
-        ).start()
+        router = ClusterRouter([ClusterShard(0, slots=2, workers=2)]).start()
         router.close()
         assert router._detector is None
         assert no_dangling_threads("cluster-detector")
@@ -590,7 +609,7 @@ class TestDetectorHygiene:
 
     def test_stop_with_remote_members_leaves_no_threads(self, tmp_path):
         remotes = [make_remote(i, tmp_path) for i in range(2)]
-        router = ClusterRouter(remotes, detect_interval_s=0.02).start()
+        router = ClusterRouter(remotes).start()
         router.submit("t0", alts(1)).result(timeout=30)
         router.stop()
         assert no_dangling_threads("cluster-detector")

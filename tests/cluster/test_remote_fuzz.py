@@ -62,9 +62,7 @@ def test_sigkill_mid_burst_commits_exactly_once(seed, tmp_path):
 def test_detector_discovers_sigkilled_host(tmp_path):
     """The full path: a silent host found by real heartbeat pings alone."""
     remotes = make_cluster(tmp_path, seed=0)
-    router = ClusterRouter(
-        remotes, miss_threshold=2, detect_interval_s=0.02
-    ).start()
+    router = ClusterRouter(remotes).start()
     try:
         tickets = [router.submit(f"t{i % 5}", alts(i)) for i in range(12)]
         victim = router.ring.route("t0")

@@ -7,6 +7,7 @@ import time
 import pytest
 
 from repro.cluster import ClusterRouter, ClusterShard, ShardState
+from repro.cluster import router as router_module
 from repro.core.backend import normalize_alternatives
 from repro.core.outcome import AlternativeResult
 from repro.errors import (
@@ -550,7 +551,7 @@ def heartbeat_misses(obs, shard_id):
 class TestHeartbeatDetection:
     def test_silent_crash_is_detected_and_taken_over(self):
         obs = Observability()
-        with make_router(2, miss_threshold=3, obs=obs).start(detect=False) as router:
+        with make_router(2, obs=obs).start(detect=False) as router:
             victim = router.shard(router.ring.route("tX"))
             victim.crash()  # dies without telling the router
             for beat in range(1, 4):
@@ -579,7 +580,7 @@ class TestHeartbeatDetection:
                 assert heartbeat_misses(obs, shard.shard_id) == 0
 
     def test_background_detector_catches_a_kill(self):
-        router = make_router(3, detect_interval_s=0.005).start()
+        router = make_router(3).start()
         try:
             tickets = [router.submit(f"t{i}", value_alts(i)) for i in range(9)]
             victim = router.ring.route("t0")
@@ -623,15 +624,14 @@ class TestInjectedClusterFaults:
         finally:
             router.stop()
 
-    def test_router_partition_suspects_then_recovers(self):
+    def test_router_partition_suspects_then_recovers(self, monkeypatch):
         # find a seed+shard where a partition window fires
         plan = FaultPlan(seed=11, rates={FaultKind.ROUTER_PARTITION: 0.5})
         shards = [ClusterShard(i, slots=1, workers=1, fault_plan=plan) for i in range(2)]
         # long miss threshold: the partition (4 beats) ends before
         # declaration (6 misses), so the shard must recover, not die
-        router = ClusterRouter(shards, fault_plan=plan, miss_threshold=6).start(
-            detect=False
-        )
+        monkeypatch.setattr(router_module, "MISS_THRESHOLD", 6)
+        router = ClusterRouter(shards, fault_plan=plan).start(detect=False)
         try:
             suspected = False
             for _ in range(24):

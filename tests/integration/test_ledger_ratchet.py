@@ -26,11 +26,11 @@ SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
 #: ROADMAP's "locks / conditions in `serve/` + `cluster/`" row
 LOCKS_CEILING = 12
 #: ROADMAP's "`serve/` + `cluster/` lines" row (`wc -l`)
-LINES_CEILING = 4725
+LINES_CEILING = 4699
 #: ROADMAP's "`src/` lines" row (`git ls-files 'src/*.py' | xargs wc -l`)
-SRC_LINES_CEILING = 18370
+SRC_LINES_CEILING = 18344
 #: ROADMAP's "settable values on the serving path" row
-SETTABLE_VALUES_CEILING = 51
+SETTABLE_VALUES_CEILING = 42
 #: ROADMAP's "`fsync`s per `cluster_remote` op" row
 APPENDS_PER_REQUEST_CEILING = 3
 #: ROADMAP's "durable appends made while the request holds its slots" row

@@ -43,7 +43,7 @@ def test_submit_commits_and_carries_outcome():
 
 
 def test_all_failing_alternatives_report_failed():
-    with SpeculationService(WorldBudget(2), workers=1, supervisor_retries=0) as svc:
+    with SpeculationService(WorldBudget(2), workers=1) as svc:
         result = svc.submit("t", [failing]).result(timeout=10)
     assert result.status == "failed"
     assert result.outcome is not None
