@@ -306,6 +306,8 @@ class FileJournalStorage:
 
     def __init__(self, path: str) -> None:
         self.path = path
+        #: this storage has appended, so its file exists: no more lookups
+        self._exists = False
 
     @property
     def quarantine_path(self) -> str:
@@ -330,13 +332,14 @@ class FileJournalStorage:
             return b""
 
     def append(self, blob: bytes) -> None:
-        created = not os.path.exists(self.path)
+        created = not self._exists and not os.path.exists(self.path)
         with open(self.path, "ab") as fh:
             fh.write(blob)
             fh.flush()
             os.fsync(fh.fileno())
         if created:
             self._fsync_dir()
+        self._exists = True
 
     def truncate(self, size: int) -> None:
         if os.path.exists(self.path):

@@ -42,7 +42,7 @@ import threading
 import time
 import zlib
 from collections import deque
-from contextlib import nullcontext
+from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -300,8 +300,6 @@ class SpeculationService:
         self.on_resolve = on_resolve
         self.journal_admission = journal_admission and journal is not None
         self._threads: list[threading.Thread] = []
-        #: an admit write and its settle exclude each other
-        self._admit_lock = threading.Lock()
         #: burst shadows' ids: negative, so never a request's durable seq
         self._shadow_ids = itertools.count(-1, -1)
         self._running = False
@@ -586,24 +584,26 @@ class SpeculationService:
         """
         if not self.journal_admission:
             return None
-        with self._admit_lock:
-            rec = self.journal.find_sealed("admit", request=request.seq)
-            # a *settled* admit (stolen, superseded, ...) is a closed
-            # ledger line, not an ack: a request coming back needs its own
-            if rec is not None and self.journal.status(rec["seq"]) == "sealed":
-                return None
-            with self.journal.group():  # intent + seal: one append
-                seq = self.journal.begin("admit", **request.admit_data())
-                self.journal.seal(seq)
-            return seq
+        rec = self.journal.find_sealed("admit", request=request.seq)
+        # a *settled* admit (stolen, superseded, ...) is a closed
+        # ledger line, not an ack: a request coming back needs its own
+        if rec is not None and self.journal.status(rec["seq"]) == "sealed":
+            return None
+        with self.journal.group():  # intent + seal: one append
+            seq = self.journal.begin("admit", **request.admit_data())
+            self.journal.seal(seq)
+        return seq
 
     def _settle_admit(self, request: ServeRequest, fate: str) -> None:
-        """Close the request's admit ledger line with ``fate``."""
+        """Close the request's admit ledger line with ``fate``. No lock:
+        a line has one writer at a time — the admitting thread until
+        ``queue.offer``, then the one worker that took the request, or
+        the thread that stole it once ``queue.steal`` removed it — and
+        the journal's appends and lookup index are thread-safe."""
         if self.journal_admission:
-            with self._admit_lock:
-                rec = self.journal.find_sealed("admit", request=request.seq)
-                if rec is not None:
-                    settle(self.journal, rec["seq"], fate)
+            rec = self.journal.find_sealed("admit", request=request.seq)
+            if rec is not None:
+                settle(self.journal, rec["seq"], fate)
 
     def _maybe_burst(self, request: ServeRequest) -> None:
         """REQUEST_BURST: re-submit the request as a storm of shadows."""
@@ -631,12 +631,13 @@ class SpeculationService:
 
     # -- workers -----------------------------------------------------------
     def _end(
-        self, request: ServeRequest, status: str, count: str | None, **fields: Any
+        self, request: ServeRequest, status: str, count: str | None,
+        flush=None, **fields: Any,
     ) -> None:
-        """The one way a request ends: counted in
-        ``mw_serve_requests_total`` as ``count`` (None: not counted), its
-        admit settled to ``status``, then its ticket resolved with a
-        :class:`ServeResult` of ``status`` and ``fields``."""
+        """The one way a request ends: counted in ``mw_serve_requests_total``
+        as ``count`` (None: not counted), its admit settled to ``status``
+        (``flush`` closes the caller's open group: one append with the win),
+        then its ticket resolved with a :class:`ServeResult` of ``fields``."""
         if count is not None:
             self._requests_c.inc(tenant=request.tenant, status=count)
         if request.shadow or self._crashed:
@@ -644,6 +645,8 @@ class SpeculationService:
         # settle the admit ledger before acking: an acked result is
         # always at least as durable as what the journal says
         self._settle_admit(request, status)
+        if flush is not None:
+            flush()
         ticket, request.ticket = request.ticket, None
         ticket._resolve(ServeResult(
             status=status, tenant=request.tenant, seq=request.seq, **fields
@@ -752,51 +755,49 @@ class SpeculationService:
                 journal=journal,
                 obs=self.obs,
             )
-            remaining = None
+            limits = [] if request.timeout is None else [request.timeout]
             if request.deadline_s is not None:
-                remaining = max(0.001, request.deadline_s - time.monotonic())
-            if request.timeout is not None:
-                remaining = (
-                    request.timeout if remaining is None
-                    else min(remaining, request.timeout)
-                )
+                limits.append(max(0.001, request.deadline_s - time.monotonic()))
+            remaining = min(limits, default=None)
             # slots are held from grant to decision, and the win's durable
             # append waits for the release: the block's frames are queued
-            # in this group and flush as it closes, before any ack. Nothing
-            # can act on a queued record meanwhile — the service hands the
-            # backend no SourceGates, so no device effect depends on one
-            with journal.group() if journal is not None else nullcontext():
+            # in this group, ``_end`` queues the admit's settle beside them
+            # and closes it (one append) before the ack. Nothing can act on
+            # a queued record meanwhile — the service hands the backend no
+            # SourceGates, so no device effect depends on one
+            with ExitStack() as group:
+                group.enter_context(journal.group() if journal is not None else nullcontext())
                 outcome = supervisor.run(
                     wave, initial=request.initial, timeout=remaining, backend=backend,
                 )
                 preempted = reservation.preempted
                 reservation.release()
                 self._hold_h.observe(time.monotonic() - granted_at)
-            # wave positions back to the caller's alternative list
-            outcome.remap_indexes(decision.order)
-            replayed = bool(outcome.extras.get("journal_recovered"))
-            if not replayed:
-                launched = [names[i] for i in decision.order]
-                self.policy.observe(outcome, names, launched=launched)
+                # wave positions back to the caller's alternative list
+                outcome.remap_indexes(decision.order)
+                replayed = bool(outcome.extras.get("journal_recovered"))
+                if not replayed:
+                    launched = [names[i] for i in decision.order]
+                    self.policy.observe(outcome, names, launched=launched)
 
-            latency = time.monotonic() - request.submitted_at
-            status = "committed" if outcome.winner is not None else "failed"
-            ran_on = outcome.extras.get("backend", backend)
-            tracer.end(
-                span_id,
-                disposition="committed" if status == "committed" else "aborted",
-                k=decision.k, policy=decision.reason, backend=ran_on,
-                status=status,
-            )
-            if status == "committed":
-                self._latency_h.observe(latency)
-            self._end(
-                request, status, status, outcome=outcome,
-                reason="" if status == "committed" else "no alternative won",
-                k=decision.k, policy_reason=decision.reason, backend=ran_on,
-                queue_wait_s=queue_wait, grant_wait_s=granted_at - dispatched,
-                latency_s=latency, preempted_slots=preempted, replayed=replayed,
-            )
+                latency = time.monotonic() - request.submitted_at
+                status = "committed" if outcome.winner is not None else "failed"
+                ran_on = outcome.extras.get("backend", backend)
+                tracer.end(
+                    span_id,
+                    disposition="committed" if status == "committed" else "aborted",
+                    k=decision.k, policy=decision.reason, backend=ran_on,
+                    status=status,
+                )
+                if status == "committed":
+                    self._latency_h.observe(latency)
+                self._end(
+                    request, status, status, flush=group.close, outcome=outcome,
+                    reason="" if status == "committed" else "no alternative won",
+                    k=decision.k, policy_reason=decision.reason, backend=ran_on,
+                    queue_wait_s=queue_wait, grant_wait_s=granted_at - dispatched,
+                    latency_s=latency, preempted_slots=preempted, replayed=replayed,
+                )
         finally:
             # an escaped exception settles the span aborted (a closed one
             # ignores this); the release is idempotent, the net under it

@@ -40,11 +40,6 @@ class AltRecord:
     win_ewma: float = 0.0
     latency_ewma_s: float = 0.0
 
-    @property
-    def win_rate(self) -> float:
-        """Lifetime win fraction (EWMA is used for ranking instead)."""
-        return self.wins / self.attempts if self.attempts else 0.0
-
 
 class AlternativeStats:
     """Thread-safe EWMA statistics keyed by alternative name.

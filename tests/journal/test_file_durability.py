@@ -53,6 +53,26 @@ def test_parent_dir_fsynced_on_create(tmp_path, monkeypatch):
     assert spy.dir_syncs == 0, "appends to an existing file need no dir fsync"
 
 
+def test_only_an_append_that_may_create_the_file_looks_for_it(tmp_path, monkeypatch):
+    """Once a storage has appended, its file exists: later appends
+    neither stat the path nor fsync the directory."""
+    path = str(tmp_path / "j.wal")
+    storage = FileJournalStorage(path)
+    dir_syncs, looks = [], []
+    real_sync, real_exists = storage._fsync_dir, os.path.exists
+    monkeypatch.setattr(storage, "_fsync_dir", lambda: dir_syncs.append(1) or real_sync())
+    monkeypatch.setattr(os.path, "exists", lambda p: looks.append(p) or real_exists(p))
+    journal = CommitJournal(storage)  # the magic is the first append
+    assert (len(dir_syncs), len(looks)) == (1, 1)
+    _fill(journal)
+    assert (len(dir_syncs), len(looks)) == (1, 1)
+    # a second storage over the file looks once, and finds it
+    reopened = FileJournalStorage(path)
+    monkeypatch.setattr(reopened, "_fsync_dir", lambda: dir_syncs.append(1) or real_sync())
+    _fill(CommitJournal(reopened), n=2)
+    assert (len(dir_syncs), len(looks)) == (1, 2)
+
+
 def test_parent_dir_fsynced_on_replace(tmp_path, monkeypatch):
     storage = FileJournalStorage(str(tmp_path / "j.wal"))
     storage.append(b"old")

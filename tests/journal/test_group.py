@@ -17,6 +17,7 @@ from repro.journal import (
     record_block_win,
     recover,
 )
+from repro.journal.wal import MAGIC
 from repro.serve import SpeculationService, WorldBudget
 
 Winner = namedtuple("Winner", "index name value")
@@ -39,6 +40,11 @@ def one_append(journal, block, value):
     record_block_win(journal, block, 0, Winner(1, "fast", value))
 
 
+def records_in(blob):
+    """The records one ``storage.append`` carried."""
+    return CommitJournal(MemoryJournalStorage(MAGIC + blob)).records()
+
+
 class CountingStorage(MemoryJournalStorage):
     """Counts ``append`` calls (the magic's aside) and can look at the
     journal from inside one."""
@@ -46,6 +52,7 @@ class CountingStorage(MemoryJournalStorage):
     def __init__(self, data=b""):
         super().__init__(data)
         self.appends = 0
+        self.blobs = []
         self.during_append = None
 
     def append(self, blob):
@@ -53,6 +60,7 @@ class CountingStorage(MemoryJournalStorage):
             self.during_append()
         super().append(blob)
         self.appends += 1
+        self.blobs.append(blob)
 
 
 # -- (i) the same bytes -----------------------------------------------------
@@ -132,8 +140,8 @@ def test_a_crash_inside_a_group_leaves_what_the_separate_appends_leave(kind):
         assert report.rolled_forward and not quarantine
 
 
-# -- (iii) counted: three appends, six records ------------------------------
-def test_one_journalled_request_is_three_appends_carrying_six_records():
+# -- (iii) counted: two appends, six records --------------------------------
+def test_one_journalled_request_is_two_appends_carrying_six_records():
     storage = CountingStorage()
     journal = CommitJournal(storage)
     storage.appends = 0
@@ -141,10 +149,13 @@ def test_one_journalled_request_is_three_appends_carrying_six_records():
         WorldBudget(2), workers=1, journal=journal, journal_admission=True,
     ) as svc:
         assert svc.submit("t", [lambda ws: 7], spec={"n": 1}).result(10).value == 7
-    assert storage.appends == 3  # admit intent+seal | block win | admit settle
+    assert storage.appends == 2  # admit intent+seal | block win + admit settle
     assert [r["t"] for r in journal.records()] == [
         "intent", "seal", "intent", "seal", "applied", "applied",
     ]
+    admit, win = storage.blobs[-2:]
+    assert [r["t"] for r in records_in(admit)] == ["intent", "seal"]
+    assert [r["t"] for r in records_in(win)] == ["intent", "seal", "applied", "applied"]
 
 
 # -- (iv) nothing is known before its append returns ------------------------

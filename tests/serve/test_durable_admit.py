@@ -10,11 +10,17 @@ import pytest
 from repro.cluster import ClusterRouter, ClusterShard
 from repro.errors import JournalCrash, JournalError
 from repro.faults.plan import FaultKind, FaultPlan
-from repro.journal import CommitJournal, MemoryJournalStorage, request_fate
+from repro.journal import (
+    CommitJournal,
+    MemoryJournalStorage,
+    find_block_win,
+    request_fate,
+)
 from repro.serve import SpeculationService, WorldBudget
 from repro.serve.admission import next_seq
 
 from tests.jam import CrashJam
+from tests.journal.test_group import records_in
 
 
 def seven(ws):
@@ -197,3 +203,57 @@ def test_a_request_burst_draws_one_durable_seq():
         assert ticket.result(timeout=10).committed
     assert plan.injections and ticket.seq == before + 1
     assert after == before + 2
+
+
+class TearingStorage(MemoryJournalStorage):
+    """Tears the first append that carries a ``block`` record (half its
+    bytes land), and is dead from then on: the process died mid-write."""
+
+    def __init__(self):
+        super().__init__()
+        self.torn = None
+
+    def append(self, blob):
+        if self.torn is not None:
+            raise JournalCrash("the process is dead")
+        if b"block" in blob:
+            self.torn = blob
+            super().append(blob[: len(blob) // 2])
+            raise JournalCrash("torn append")
+        super().append(blob)
+
+
+def test_a_torn_win_and_settle_append_leaves_the_admit_sealed_for_restore():
+    """The block win and the admit's settle are one append: torn, it
+    leaves the admit sealed with no win, and restore re-admits it once."""
+    storage = TearingStorage()
+    svc = SpeculationService(
+        WorldBudget(1), workers=1, journal=CommitJournal(storage=storage),
+        journal_admission=True,
+    ).start()
+    try:
+        ticket = svc.submit("t", [seven], spec={})
+        ticket.result(timeout=10)
+    finally:
+        svc.crash()
+    assert [(r["t"], r.get("kind")) for r in records_in(storage.torn)] == [
+        ("intent", "block"), ("seal", None), ("applied", None), ("applied", None),
+    ]
+    journal = CommitJournal(storage=MemoryJournalStorage(storage.load()))
+    assert journal.quarantines and find_block_win(journal, ticket.seq) is None
+    (admit,) = journal.sealed_unapplied_intents("admit")
+    assert admit["data"]["request"] == ticket.seq
+    restored, report = SpeculationService.restore(
+        journal, WorldBudget(1), build_alternatives=lambda spec: [seven], workers=1,
+    )
+    try:
+        assert report.re_admitted == [ticket.seq]
+        assert report.tickets[ticket.seq].result(timeout=10).value == 7
+    finally:
+        restored.stop()
+    assert [i["data"]["block"] for i, _ in journal.applied_intents("block")] == [
+        ticket.seq
+    ]
+    assert journal.find_applied("admit", request=ticket.seq)[1] == {
+        "status": "committed"
+    }
