@@ -647,7 +647,6 @@ def run_remote_incarnation(
             sid,
             workdir=os.path.join(scratch, f"shard{sid}"),
             slots=2, workers=2, call_timeout_s=0.4,
-            breaker_threshold=2, breaker_cooldown_s=0.2,
         )
         for sid in range(shards)
     ]

@@ -32,7 +32,6 @@ frames, socket stalls, SIGSTOP'd and SIGKILL'd hosts, refused connects).
 """
 
 from repro.cluster.remote import (
-    CircuitBreaker,
     RemoteShardClient,
     host_fault_decision,
     shard_host_main,
@@ -49,7 +48,6 @@ from repro.cluster.shard import ClusterShard, ShardState
 from repro.cluster.wire import pack_frame, recv_frame, send_frame, unpack_frame
 
 __all__ = [
-    "CircuitBreaker",
     "ClusterResult",
     "ClusterRestartReport",
     "ClusterRouter",

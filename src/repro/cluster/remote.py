@@ -41,13 +41,11 @@ Reliability stack, bottom-up:
    for an ``admit`` an *unknown outcome* — the host may run the request
    whenever it next reads its socket — so the router fences the shard
    (SIGKILL) and reads its journal before the request goes elsewhere.
-3. **Circuit breaker** — consecutive transport failures open a
-   per-shard breaker (closed → open → half-open); while open, calls
-   fail fast with ``ShardUnreachable(sent=False)`` and heartbeats
-   report the shard silent: missed beats, which the router's detector
-   counts toward a takeover.
-4. **Failover** — once declared dead the host is SIGKILLed (if still
-   running) and its journal reopened **from the file** for the usual
+3. **Failover** — a silent host is noticed by the router alone: each
+   unanswered ping is a missed beat, and
+   :data:`~repro.cluster.router.MISS_THRESHOLD` misses in a row start a
+   takeover. The host is fenced by SIGKILL and reap, with no RPC
+   before it, and its journal reopened **from the file** for the usual
    replay-or-re-land takeover; with a ``spare_factory`` configured the
    router degrades remote → local, re-landing the orphans on an
    in-process spare (the rung above the local-only
@@ -95,7 +93,6 @@ from repro.serve.admission import ServeRequest
 from repro.serve.service import ServeTicket
 
 __all__ = [
-    "CircuitBreaker",
     "RemoteShardClient",
     "host_fault_decision",
     "shard_host_main",
@@ -103,7 +100,7 @@ __all__ = [
 
 #: Exceptions one RPC attempt may raise that the retry loop should
 #: absorb. ``ShardUnreachable`` is deliberately absent: it means the
-#: breaker opened (or retries already ran out) and must fail fast.
+#: shard is dead or the retries already ran out, so no resend can help.
 _RETRYABLE = (
     WireCorrupt,
     TransportTimeout,
@@ -143,7 +140,7 @@ _RPC_LATENCY_BUCKETS = (
 #: The shard surface that crosses the wire: ``ClusterShard``'s method
 #: names are ``RemoteShardClient``'s RPC op names are what ``_ShardHost``
 #: dispatches on.
-SHARD_OPS = ("admit", "steal_requests", "confirm_stolen", "fence", "stop")
+SHARD_OPS = ("admit", "steal_requests", "confirm_stolen", "stop")
 
 
 def host_fault_decision(
@@ -345,73 +342,8 @@ def shard_host_main(
 
 
 # ---------------------------------------------------------------------------
-# The parent side: circuit breaker + client
+# The parent side: the client
 # ---------------------------------------------------------------------------
-
-
-class CircuitBreaker:
-    """Per-shard closed → open → half-open breaker.
-
-    ``threshold`` consecutive transport failures open it; while open,
-    :meth:`allow` refuses instantly (no socket touched). After
-    ``cooldown_s`` one probe call is let through (half-open): success
-    closes the breaker, failure re-opens it for another cooldown.
-    """
-
-    def __init__(
-        self,
-        threshold: int = 5,
-        cooldown_s: float = 0.5,
-        clock=time.monotonic,
-        on_transition=None,
-    ) -> None:
-        self.threshold = threshold
-        self.cooldown_s = cooldown_s
-        self._clock = clock
-        self._on_transition = on_transition
-        self._lock = threading.Lock()
-        self.state = "closed"
-        self.failures = 0
-        self._opened_at = 0.0
-        self._probing = False
-
-    def _transition(self, to: str) -> None:
-        if self.state != to:
-            self.state = to
-            if self._on_transition is not None:
-                self._on_transition(to)
-
-    def allow(self) -> bool:
-        with self._lock:
-            if self.state == "closed":
-                return True
-            if self.state == "open":
-                if self._clock() - self._opened_at < self.cooldown_s:
-                    return False
-                self._transition("half-open")
-                self._probing = True
-                return True
-            # half-open: exactly one in-flight probe
-            if self._probing:
-                return False
-            self._probing = True
-            return True
-
-    def record_ok(self) -> None:
-        with self._lock:
-            self.failures = 0
-            self._probing = False
-            self._transition("closed")
-
-    def record_failure(self) -> None:
-        with self._lock:
-            self.failures += 1
-            self._probing = False
-            if self.state == "half-open" or (
-                self.state == "closed" and self.failures >= self.threshold
-            ):
-                self._opened_at = self._clock()
-                self._transition("open")
 
 
 class _Pending:
@@ -444,8 +376,6 @@ class RemoteShardClient:
     call_timeout_s:
         Per-attempt response timeout (resends follow
         :data:`RETRY_POLICY`).
-    breaker_threshold / breaker_cooldown_s:
-        Circuit-breaker tuning (consecutive transport failures → open).
     fault_plan:
         Client-side transport fault injection (TORN_FRAME /
         SOCKET_STALL / CONNECT_REFUSED per attempt).
@@ -463,8 +393,6 @@ class RemoteShardClient:
         backend: str = "thread",
         queue_depth: int | None = None,
         call_timeout_s: float = 1.0,
-        breaker_threshold: int = 5,
-        breaker_cooldown_s: float = 0.5,
         fault_plan=None,
         host_fault_plan=None,
         obs=None,
@@ -486,10 +414,6 @@ class RemoteShardClient:
         self.obs = obs = or_null(obs)
         self.state = ShardState.UP
         self.incarnation = 0
-        self.breaker = CircuitBreaker(
-            threshold=breaker_threshold, cooldown_s=breaker_cooldown_s,
-            on_transition=self._note_breaker,
-        )
         #: (backlog, free slots) as of the host's last reply or push
         self._load = (0, slots)
         self._proc: ChildProcess | None = None
@@ -516,16 +440,6 @@ class RemoteShardClient:
             "mw_transport_retries_total", "Shard RPC resends",
             labelnames=("shard", "op"),
         )
-        self._breaker_c = reg.counter(
-            "mw_transport_breaker_transitions_total",
-            "Circuit-breaker state transitions",
-            labelnames=("shard", "to"),
-        )
-        self._breaker_g = reg.gauge(
-            "mw_transport_breaker_open",
-            "1 while a shard's circuit breaker is open",
-            labelnames=("shard",),
-        )
         self._lat_h = reg.histogram(
             "mw_transport_rpc_latency_seconds",
             "Successful RPC round-trip latency",
@@ -535,10 +449,6 @@ class RemoteShardClient:
             obs.watch_fault_plan(fault_plan)
 
     # -- obs helpers -------------------------------------------------------
-    def _note_breaker(self, to: str) -> None:
-        self._breaker_c.inc(shard=self.shard_id, to=to)
-        self._breaker_g.set(1.0 if to == "open" else 0.0, shard=self.shard_id)
-
     def _count_rpc(self, op: str, status: str) -> None:
         self._rpc_c.inc(shard=self.shard_id, op=op, status=status)
 
@@ -614,20 +524,13 @@ class RemoteShardClient:
     def fence(self) -> None:
         """Excommunicate the host (false-positive death declaration).
 
-        Best-effort RPC tells a live host to self-fence (it stops
-        committing); the SIGKILL after it guarantees the journal file
-        is final either way — the takeover that called this is about to
-        replay it.
+        SIGKILL and reap: a killed process commits nothing more, so the
+        journal file is final once this returns — the takeover that
+        called this is about to replay it. A frozen host is not asked
+        first; nothing it could answer would make the file more final.
         """
-        if self.state not in (ShardState.DEAD, ShardState.FENCED):
+        if self.state is not ShardState.DEAD:
             self.state = ShardState.FENCED
-            try:
-                self._call(
-                    "fence", timeout=self.call_timeout_s, policy=HEARTBEAT_POLICY
-                )
-            except (TransportError, ClusterError):
-                pass
-        # every caller, first or not, returns only once the host is reaped
         self._terminate()
 
     def sigstop(self) -> None:
@@ -691,7 +594,6 @@ class RemoteShardClient:
             "slots_free": self.idle_slots(),
             "remote": True,
             "pid": self.pid,
-            "breaker": self.breaker.state,
         }
 
     def answers_heartbeat(self) -> bool:
@@ -699,9 +601,8 @@ class RemoteShardClient:
 
         A fenced shard never answers (it is excommunicated even if
         alive); a dead process never answers; otherwise the answer is
-        one short-timeout RPC — whose failure feeds the breaker, so a
-        silent host opens it and subsequent beats fail fast until the
-        half-open probe finds the host again.
+        one short-timeout RPC. A silent host keeps nothing here: the
+        router counts the miss, and the next beat pings afresh.
         """
         dead = self.state in (ShardState.DEAD, ShardState.FENCED)
         if dead or not self.process_alive():
@@ -825,12 +726,6 @@ class RemoteShardClient:
     ) -> Any:
         if self.state is ShardState.DEAD:
             raise ShardUnreachable(f"shard {self.shard_id} is dead")
-        if not self.breaker.allow():
-            self._count_rpc(op, "breaker-open")
-            raise ShardUnreachable(
-                f"shard {self.shard_id}: circuit breaker open "
-                f"({self.breaker.failures} consecutive transport failures)"
-            )
         policy = policy if policy is not None else RETRY_POLICY
         call_timeout = timeout if timeout is not None else self.call_timeout_s
         call_no = next(self._call_seq)
@@ -899,10 +794,8 @@ class RemoteShardClient:
                 if p.error is not None:
                     raise p.error
                 return p.response or {}
-            except _RETRYABLE as exc:
-                self.breaker.record_failure()
-                if isinstance(exc, (ConnectionError, WireCorrupt)):
-                    self._drop_conn(ConnectionResetError(str(exc)))
+            except (ConnectionError, WireCorrupt) as exc:
+                self._drop_conn(ConnectionResetError(str(exc)))
                 raise
 
         try:
@@ -915,7 +808,6 @@ class RemoteShardClient:
             raise ShardUnreachable(
                 f"shard {self.shard_id} {op}: {exc}", sent=sent
             ) from exc
-        self.breaker.record_ok()
         if stats.retries:
             self._retry_c.inc(stats.retries, shard=self.shard_id, op=op)
         self._lat_h.observe(time.monotonic() - started)

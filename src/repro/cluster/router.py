@@ -24,8 +24,8 @@ preference order (from the thief or spill target, if any), with the
 in-process spare as its last rung, once. What a target says is either
 
 - *no* (``AdmissionRejected``, ``ServiceStopped``) or *never reached*
-  (``ShardUnreachable`` with ``sent=False``: dead state, open breaker,
-  connects refused) — it cannot run the request: walk on; or
+  (``ShardUnreachable`` with ``sent=False``: dead state, connects
+  refused) — it cannot run the request: walk on; or
 - *outcome unknown* (``JournalCrash``, or ``ShardUnreachable`` once a
   frame may have left) — it may yet run it, so it is taken over first:
   fenced, its workers joined or its process killed (nothing it had only
@@ -808,8 +808,8 @@ class ClusterRouter:
             ):
                 continue
             # one real beat: local shards answer by state, remote shards
-            # by an actual ping RPC (whose failure also feeds their
-            # circuit breaker, so a silent host fails fast next beat)
+            # by an actual ping RPC; this miss count is a shard's only
+            # failure state
             answering = shard.answers_heartbeat()
             partitioned = self._router_partitioned(sid, beat)
             if answering and not partitioned:

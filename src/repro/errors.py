@@ -191,16 +191,15 @@ class TransportTimeout(TransportError):
 
 
 class ShardUnreachable(TransportError):
-    """A remote shard's transport gave up: the shard is dead, its
-    circuit breaker is open, or the retries ran out.
+    """A remote shard's transport gave up: the shard is dead, or the
+    retries ran out.
 
     ``sent`` is what the client knows about the frame. False: no attempt
-    got as far as writing it (dead state, open breaker, connect
-    refused), so the shard was never reached and the router walks on as
-    from a stopped service. True: a frame may have left, so the shard
-    may yet act on it — the outcome is unknown, and the router fences
-    the shard and reads its ledger before the request goes anywhere
-    else.
+    got as far as writing it (dead state, connects refused), so the
+    shard was never reached and the router walks on as from a stopped
+    service. True: a frame may have left, so the shard may yet act on
+    it — the outcome is unknown, and the router fences the shard and
+    reads its ledger before the request goes anywhere else.
     """
 
     def __init__(self, message: str = "", sent: bool = False) -> None:

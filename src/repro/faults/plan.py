@@ -151,7 +151,7 @@ class FaultKind(str, enum.Enum):
     #: timeout, so the caller times out and resends)
     SOCKET_STALL = "socket-stall"
     #: transport: the shard-host process is SIGSTOPped (alive but
-    #: frozen — heartbeats time out, the breaker opens) for
+    #: frozen — its heartbeats time out, each a missed beat) for
     #: ``sigstop_s`` seconds, then SIGCONTed
     HOST_SIGSTOP = "host-sigstop"
     #: transport: the shard-host process is killed with SIGKILL at

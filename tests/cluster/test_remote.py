@@ -14,14 +14,14 @@ import time
 import pytest
 
 from repro.cluster import (
-    CircuitBreaker,
     ClusterRouter,
     ClusterShard,
     RemoteShardClient,
     ShardState,
 )
+from repro.cluster.router import MISS_THRESHOLD
 from repro.distrib.retry import RetryStats
-from repro.errors import ShardUnreachable, WorldsError
+from repro.errors import ClusterError, ShardUnreachable, WorldsError
 from repro.faults.plan import TRANSPORT_SITE, FaultKind, FaultPlan
 from repro.serve import AdaptiveSpeculationPolicy, ServeRequest, admission
 
@@ -235,13 +235,7 @@ class TestRemoteCluster:
             router.stop()
 
     def test_sigkill_mid_burst_fails_over(self, tmp_path):
-        remotes = [
-            make_remote(
-                i, tmp_path, call_timeout_s=0.5,
-                breaker_threshold=2, breaker_cooldown_s=0.3,
-            )
-            for i in range(3)
-        ]
+        remotes = [make_remote(i, tmp_path, call_timeout_s=0.5) for i in range(3)]
         router = ClusterRouter(remotes).start()
         try:
             tickets = []
@@ -329,13 +323,7 @@ class TestRemoteCluster:
         assert result.result.k == 1, "request_class was lost on the way"
 
     def test_spare_degrades_remote_to_local(self, tmp_path):
-        remotes = [
-            make_remote(
-                i, tmp_path, call_timeout_s=0.3,
-                breaker_threshold=2, breaker_cooldown_s=0.2,
-            )
-            for i in range(2)
-        ]
+        remotes = [make_remote(i, tmp_path, call_timeout_s=0.3) for i in range(2)]
         router = ClusterRouter(
             remotes, spare_factory=lambda: ClusterShard(100, slots=4, workers=4),
         ).start()
@@ -405,54 +393,78 @@ def test_a_switch_mid_draw_hands_no_call_number_out_twice(tmp_path, monkeypatch)
     assert len(tokens) == 3 and len(set(tokens)) == 3, tokens
 
 
-class TestBreaker:
-    def test_unit_state_machine(self):
-        now = [0.0]
-        transitions = []
-        b = CircuitBreaker(
-            threshold=2, cooldown_s=1.0, clock=lambda: now[0],
-            on_transition=transitions.append,
-        )
-        assert b.allow() and b.state == "closed"
-        b.record_failure()
-        assert b.allow()  # one failure: still closed
-        b.record_failure()
-        assert b.state == "open" and not b.allow()
-        now[0] = 1.5  # past cooldown: exactly one probe allowed
-        assert b.allow() and b.state == "half-open"
-        assert not b.allow()
-        b.record_failure()  # probe failed: re-open
-        assert b.state == "open" and not b.allow()
-        now[0] = 3.0
-        assert b.allow()
-        b.record_ok()  # probe succeeded: closed again
-        assert b.state == "closed" and b.allow()
-        assert transitions == ["open", "half-open", "open", "half-open", "closed"]
+class TestBrownout:
+    """A silent host has one failure state, the router's miss count:
+    nothing on the client fails fast or keeps a count of its own."""
 
-    def test_sigstop_opens_breaker_and_cont_recovers(self, tmp_path):
-        shard = make_remote(
-            0, tmp_path, call_timeout_s=0.2,
-            breaker_threshold=2, breaker_cooldown_s=0.3,
-        )
+    def test_a_frozen_host_is_suspected_thawed_and_taken_over_by_beats(
+        self, tmp_path
+    ):
+        remotes = [make_remote(i, tmp_path) for i in range(2)]
+        router = ClusterRouter(remotes, spill=False, steal=False).start(detect=False)
+        try:
+            home = router.ring.route("t0")
+            frozen, survivor = remotes[home], remotes[1 - home]
+            router.heartbeat_round()
+            assert frozen.state is ShardState.UP
+
+            frozen.sigstop()
+            router.heartbeat_round()
+            assert frozen.state is ShardState.SUSPECT
+            assert survivor.state is ShardState.UP
+
+            frozen.sigcont()
+            router.heartbeat_round()
+            assert frozen.state is ShardState.UP
+
+            frozen.sigstop()
+            for _ in range(MISS_THRESHOLD):
+                assert home in {m["shard"] for m in router.snapshot()["members"]}
+                router.heartbeat_round()
+            snap = router.snapshot()
+            assert home not in {m["shard"] for m in snap["members"]}
+            assert home in snap["retired"]
+            assert not frozen.process_alive()
+            with pytest.raises(ChildProcessError):
+                os.waitpid(frozen.pid, os.WNOHANG)  # reaped, not a zombie
+
+            result = router.submit("t0", alts(3)).result(timeout=30)
+            assert result.committed and result.value == 21
+            assert result.shard_id == 1 - home
+            assert router.audit_applied()[result.seq] == 1
+        finally:
+            router.stop()
+
+
+class TestFence:
+    def test_fence_of_a_frozen_host_kills_it_without_an_rpc(self, tmp_path):
+        """SIGKILL and reap are the only fence. A frozen host answers no
+        RPC, so a fence that asked it first would wait out a whole
+        ``call_timeout_s`` on the detector thread."""
+        shard = make_remote(0, tmp_path)
         shard.start()
         try:
-            assert shard.answers_heartbeat()
+            pid = shard.pid
             shard.sigstop()
-            assert not shard.answers_heartbeat()
-            assert not shard.answers_heartbeat()
-            assert shard.breaker.state == "open"
-            # while open, beats fail fast (no socket wait)
-            t0 = time.monotonic()
-            assert not shard.answers_heartbeat()
-            assert time.monotonic() - t0 < 0.1
-            shard.sigcont()
-            time.sleep(0.35)  # past cooldown: half-open probe runs
-            recovered = any(
-                shard.answers_heartbeat() or time.sleep(0.1)
-                for _ in range(20)
-            )
-            assert recovered
-            assert shard.breaker.state == "closed"
+            started = time.monotonic()
+            shard.fence()
+            elapsed = time.monotonic() - started
+            assert shard.state is ShardState.FENCED
+            assert not shard.process_alive()
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+        finally:
+            shard.stop()
+        assert elapsed < shard.call_timeout_s / 4, elapsed
+
+    def test_a_fence_op_is_unknown_to_the_host(self, tmp_path):
+        shard = make_remote(0, tmp_path)
+        shard.start()
+        try:
+            with pytest.raises(ClusterError, match="unknown RPC op 'fence'"):
+                shard._call("fence")
+            assert shard.answers_heartbeat()
+            assert shard.state is ShardState.UP
         finally:
             shard.stop()
 
@@ -572,8 +584,8 @@ class TestTransportFaults:
         assert shard._tickets == {}
 
     def test_connect_refused_beats_fail_but_recover(self, tmp_path):
-        # seed 3 refuses beats 13-15, 20, 26, 28: bursts of failure that
-        # never reach the breaker threshold, so the shard stays usable
+        # seed 3 refuses beats 13-15, 20, 26, 28: each refused beat is a
+        # miss for the router to count, and the next beat lands again
         plan = FaultPlan(seed=3, rates={FaultKind.CONNECT_REFUSED: 0.3})
         shard = make_remote(0, tmp_path, fault_plan=plan)
         shard.start()
@@ -581,7 +593,6 @@ class TestTransportFaults:
             beats = [shard.answers_heartbeat() for _ in range(30)]
             assert sum(beats) >= 20, "most beats must land"
             assert not all(beats), "some beats must be refused"
-            assert shard.breaker.state == "closed"
         finally:
             shard.stop()
         refused = [r for r in plan.injections if r["kind"] == "connect-refused"]

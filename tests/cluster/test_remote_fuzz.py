@@ -44,7 +44,6 @@ def make_cluster(tmp_path, seed):
             sid,
             workdir=str(tmp_path / f"seed{seed}-shard{sid}"),
             slots=2, workers=2, call_timeout_s=0.4,
-            breaker_threshold=2, breaker_cooldown_s=0.2,
         )
         for sid in range(N_SHARDS)
     ]

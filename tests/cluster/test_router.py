@@ -350,7 +350,7 @@ class TestLandingMatrix:
     COLUMNS = [
         ("accepts", None, False, False, "landed"),
         ("answers-no", lambda: ServiceStopped("stopping"), False, False, "landed"),
-        ("never-reached", lambda: ShardUnreachable("breaker open"), False, False,
+        ("never-reached", lambda: ShardUnreachable("connect refused"), False, False,
          "landed"),
         ("journal-crash", lambda: JournalCrash("torn admit"), False, False, "landed"),
         ("journal-crash-after-win", lambda: JournalCrash("torn admit"), True, False,

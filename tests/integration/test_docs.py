@@ -70,18 +70,29 @@ def test_design_and_experiments_reference_real_benches():
         )
 
 
+def _registered_metrics(*trees: pathlib.Path) -> set[str]:
+    """Every ``mw_*`` name registered under ``trees``. An f-string name
+    (``f"mw_gate_{slug}"``) or a gauge ``prefix=`` is a family, named by
+    its prefix and a trailing ``_`` (``mw_gate_``, ``mw_mem_``)."""
+    names = set()
+    for tree in trees:
+        for path in tree.rglob("*.py"):
+            for prefix, f, name, brace in re.findall(
+                r'(prefix=)?(f?)"(mw_[a-z0-9_]*)(\{?)', path.read_text()
+            ):
+                family = prefix or (f and brace)
+                names.add(name.rstrip("_") + "_" if family else name)
+    return names
+
+
 def test_every_registered_metric_is_in_the_api_catalogue():
-    """A ``mw_*`` name in ``src/`` is documented in docs/API.md. An
-    f-string name (``f"mw_gate_{slug}"``) or a gauge ``prefix=`` is a
-    family, documented as ``mw_gate_{device}_*`` / ``mw_mem_*``."""
+    """A ``mw_*`` name in ``src/`` is documented in docs/API.md, and a
+    name docs/API.md lists is registered in ``src/`` or ``benchmarks/``.
+    A family is documented as ``mw_gate_{device}_*`` / ``mw_mem_*``."""
     root = pathlib.Path(__file__).resolve().parents[2]
     documented = set(re.findall(r"mw_[a-z0-9_]*", (root / "docs" / "API.md").read_text()))
-    missing = set()
-    for path in (root / "src" / "repro").rglob("*.py"):
-        for prefix, f, name, brace in re.findall(
-            r'(prefix=)?(f?)"(mw_[a-z0-9_]*)(\{?)', path.read_text()
-        ):
-            family = prefix or (f and brace)
-            if (name.rstrip("_") + "_" if family else name) not in documented:
-                missing.add(name)
+    in_src = _registered_metrics(root / "src" / "repro")
+    missing = in_src - documented
     assert not missing, f"metrics missing from docs/API.md: {sorted(missing)}"
+    stale = documented - in_src - _registered_metrics(root / "benchmarks")
+    assert not stale, f"docs/API.md lists unregistered metrics: {sorted(stale)}"
