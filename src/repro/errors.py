@@ -153,10 +153,6 @@ class AdmissionRejected(ServeError):
         self.retry_after_s = retry_after_s
 
 
-class QuotaExceeded(ServeError):
-    """A reservation asked for more worlds than the tenant's quota allows."""
-
-
 class ServiceStopped(ServeError):
     """The speculation service is not running (stopped or never started)."""
 

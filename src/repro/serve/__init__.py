@@ -18,7 +18,7 @@ to speculate, *how many* worlds to open, and *when* — the paper's
 Components (each usable standalone):
 
 - :class:`~repro.serve.budget.WorldBudget` — global world-slot pool,
-  per-tenant quotas, priority preemption of speculative slots;
+  priority preemption of speculative slots;
 - :class:`~repro.serve.admission.AdmissionQueue` — bounded depth with
   backpressure, deadline shedding, deficit-round-robin fairness;
 - :class:`~repro.serve.policy.AdaptiveSpeculationPolicy` — K ≤ N and
@@ -29,7 +29,7 @@ Components (each usable standalone):
   tying them to the supervisor, journal, fault and telemetry planes.
 """
 
-from repro.errors import AdmissionRejected, QuotaExceeded, ServeError, ServiceStopped
+from repro.errors import AdmissionRejected, ServeError, ServiceStopped
 from repro.serve.admission import (
     AdmissionQueue,
     ServeRequest,
@@ -57,7 +57,6 @@ __all__ = [
     "AltRecord",
     "AlternativeStats",
     "FixedSpeculationPolicy",
-    "QuotaExceeded",
     "Reservation",
     "RestartReport",
     "ServeError",

@@ -4,16 +4,17 @@ The queue between ``submit()`` and the worker pool is where the service
 refuses work it cannot serve well — the alternative is serving all of
 it badly. Three mechanisms:
 
-- **backpressure** — per-tenant and global depth bounds. A submit past
-  either bound raises :class:`~repro.errors.AdmissionRejected` with a
-  ``retry_after_s`` hint instead of growing an unbounded backlog;
+- **backpressure** — a global depth bound and :data:`TENANT_DEPTH` per
+  tenant. A submit past either bound raises
+  :class:`~repro.errors.AdmissionRejected` with a ``retry_after_s`` hint
+  instead of growing an unbounded backlog;
 - **deadline-aware shedding** — a request carries an optional absolute
   deadline. Dispatch discards requests whose deadline has already
   passed (running them would waste slots on an answer nobody is
   waiting for); the shed is reported through the request's ticket, so
   callers see ``shed`` rather than a silent timeout;
 - **deficit round-robin** — dispatch cycles tenants, each accumulating
-  ``quantum`` credit per visit and paying a request's ``cost`` to
+  :data:`QUANTUM` credit per visit and paying a request's ``cost`` to
   dequeue it. Tenants submitting many cheap requests and tenants
   submitting few expensive ones get the same long-run share, and a
   burst from one tenant cannot delay the others by more than one
@@ -27,6 +28,7 @@ blocks workers until a request (or shutdown) is available.
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 import time
 from collections import OrderedDict, deque
@@ -36,6 +38,12 @@ from typing import Any, Sequence
 from repro.core.backend import normalize_alternatives
 from repro.errors import AdmissionRejected, ServeError
 from repro.obs import NULL_OBS, or_null
+
+#: Most requests one tenant may have queued at once.
+TENANT_DEPTH = 16
+#: DRR credit a tenant earns per dispatch cycle: with unit request
+#: costs, one request per tenant per cycle.
+QUANTUM = 1.0
 
 
 class _SeqCounter:
@@ -176,7 +184,12 @@ class ServeRequest:
     ) -> "ServeRequest":
         """A validated request: alternatives normalised (raises
         :class:`~repro.errors.WorldsError` on a bad list), the *relative*
-        ``deadline_s`` made absolute, a fresh seq unless one is given."""
+        ``deadline_s`` made absolute, a fresh seq unless one is given.
+        A ``cost`` that is not finite and positive raises
+        :class:`~repro.errors.ServeError`: no deficit could ever pay it."""
+        cost = fields.get("cost", 1.0)
+        if not 0 < cost < math.inf:
+            raise ServeError(f"request cost must be finite and positive, got {cost}")
         return cls(
             tenant, normalize_alternatives(alternatives),
             deadline_s=None if deadline_s is None else time.monotonic() + deadline_s,
@@ -215,13 +228,8 @@ class AdmissionQueue:
     Parameters
     ----------
     depth:
-        Global bound on queued requests (backpressure past it).
-    tenant_depth:
-        Per-tenant bound; ``None`` disables the per-tenant check.
-    quantum:
-        DRR credit a tenant earns per dispatch cycle. With unit request
-        costs, ``quantum=1.0`` dispatches one request per tenant per
-        cycle.
+        Global bound on queued requests (backpressure past it; each
+        tenant is also bounded by :data:`TENANT_DEPTH`).
     obs:
         Optional :class:`~repro.obs.Observability` (the null plane when
         None); keeps ``mw_serve_queue_depth`` (gauge),
@@ -229,22 +237,10 @@ class AdmissionQueue:
         and ``mw_serve_shed_total{reason}`` live.
     """
 
-    def __init__(
-        self,
-        depth: int = 64,
-        tenant_depth: int | None = 16,
-        quantum: float = 1.0,
-        obs=None,
-    ) -> None:
+    def __init__(self, depth: int = 64, obs=None) -> None:
         if depth < 1:
             raise ServeError(f"queue depth must be positive, got {depth}")
-        if tenant_depth is not None and tenant_depth < 1:
-            raise ServeError(f"tenant_depth must be positive, got {tenant_depth}")
-        if quantum <= 0:
-            raise ServeError(f"quantum must be positive, got {quantum}")
         self.depth = depth
-        self.tenant_depth = tenant_depth
-        self.quantum = quantum
         self._cond = threading.Condition()
         #: per-tenant FIFO lanes, in round-robin visit order
         self._lanes: "OrderedDict[str, deque[ServeRequest]]" = OrderedDict()
@@ -299,16 +295,12 @@ class AdmissionQueue:
                     retry_after_s=self._retry_hint(),
                 )
             lane = self._lanes.get(request.tenant)
-            if (
-                self.tenant_depth is not None
-                and lane is not None
-                and len(lane) >= self.tenant_depth
-            ):
+            if lane is not None and len(lane) >= TENANT_DEPTH:
                 self.rejected += 1
                 self._reject_c.inc(tenant=request.tenant)
                 raise AdmissionRejected(
                     f"tenant {request.tenant!r} backlog full "
-                    f"({len(lane)}/{self.tenant_depth} requests)",
+                    f"({len(lane)}/{TENANT_DEPTH} requests)",
                     tenant=request.tenant,
                     retry_after_s=self._retry_hint(),
                 )
@@ -347,9 +339,16 @@ class AdmissionQueue:
                     self._depth_g.set(float(self._size))
                     return request, shed
                 if self._size > 0 and not shed:
-                    # every head costs more than one quantum: keep
-                    # scanning — deficits grow each pass, so this
-                    # terminates within max(cost)/quantum cycles
+                    # every head costs more than its lane's deficit: skip
+                    # to the scan in which the first can pay. Each empty
+                    # scan adds one quantum to every lane and leaves their
+                    # order as it was, so k-1 of them are one addition
+                    k = min(
+                        math.ceil((lane[0].cost - self._deficit[tenant]) / QUANTUM)
+                        for tenant, lane in self._lanes.items()
+                    )
+                    for tenant in self._lanes:
+                        self._deficit[tenant] += (k - 1) * QUANTUM
                     continue
                 if shed:
                     # deadline sheds are progress: report them before
@@ -384,7 +383,7 @@ class AdmissionQueue:
                 del self._lanes[tenant]
                 self._deficit.pop(tenant, None)
                 continue
-            self._deficit[tenant] = self._deficit.get(tenant, 0.0) + self.quantum
+            self._deficit[tenant] = self._deficit.get(tenant, 0.0) + QUANTUM
             if self._deficit[tenant] >= lane[0].cost:
                 request = lane.popleft()
                 self._deficit[tenant] -= request.cost

@@ -119,29 +119,23 @@ class AdaptiveSpeculationPolicy:
     ----------
     stats:
         The shared statistics store (created on demand).
-    max_k:
-        Global clamp on K regardless of grant size; None leaves the
-        grant as the only global bound.
     class_max_k:
-        Per-request-class K cap, overriding ``max_k`` for requests
+        Per-request-class K cap, in place of the grant for requests
         carrying that class. A cap *above* the grant is the wide-K
         opt-in: the class's worlds are cheap (I/O-bound coroutines), so
         K may exceed the granted slots — the decision comes back
         ``wide=True`` on :data:`WIDE_BACKEND`. A cap below the grant is
         just a tighter clamp (e.g. CPU-bound classes that should never
-        fan out). Classes absent from the map use ``max_k``.
+        fan out). Classes absent from the map are capped by the grant.
 
     The thresholds are module constants: :data:`SATURATION`,
     :data:`CONFIDENT_WIN`, :data:`STAGGER_SCALE`, :data:`MAX_STAGGER_S`.
     """
 
     stats: AlternativeStats = field(default_factory=AlternativeStats)
-    max_k: int | None = None
     class_max_k: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.max_k is not None and self.max_k < 1:
-            raise ServeError(f"max_k must be >= 1, got {self.max_k}")
         for cls, cap in self.class_max_k.items():
             if cap < 1:
                 raise ServeError(
@@ -166,12 +160,8 @@ class AdaptiveSpeculationPolicy:
         if n == 0:
             raise ServeError("cannot decide over zero alternatives")
         ranked = sorted(range(n), key=lambda i: -self.stats.score(names[i]))
-        class_cap = self.class_max_k.get(request_class)
-        cap = granted
-        if class_cap is not None:
-            cap = class_cap  # the class knows its worlds' cost better
-        elif self.max_k is not None:
-            cap = min(cap, self.max_k)
+        # a class knows its worlds' cost better than the grant does
+        cap = self.class_max_k.get(request_class, granted)
         k = max(1, min(n, cap))
         wide = k > max(1, granted)
         reason = "wide" if wide else "adaptive"

@@ -9,7 +9,7 @@ the stack doing its job:
 - the :class:`~repro.serve.admission.AdmissionQueue` bounds the backlog
   (backpressure), sheds expired requests, and round-robins tenants;
 - the :class:`~repro.serve.budget.WorldBudget` caps concurrent worlds
-  machine-wide and per tenant, preempting speculative worlds when a
+  machine-wide, preempting one speculative world when a
   higher-priority request needs its first slot;
 - the speculation policy (adaptive by default) picks K ≤ N
   alternatives, a stagger schedule, and possibly a degraded backend;

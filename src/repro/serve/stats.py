@@ -4,15 +4,14 @@ The adaptive policy's raw material: for every alternative name the
 service has ever run, how often does it win, and how long does it take?
 Both are tracked as exponentially-weighted moving averages so the
 policy adapts when a workload shifts (an alternative that used to win
-can fall out of favour within ``~1/alpha`` observations).
+can fall out of favour within ``~1/ALPHA`` observations).
 
 With an :class:`~repro.obs.Observability` bound (the null plane
 otherwise), every observation also lands in the metrics registry —
 ``mw_serve_alt_attempts_total{alt}``, ``mw_serve_alt_wins_total{alt}``
 and ``mw_serve_alt_latency_seconds{alt}`` (histogram) — so the numbers
 the policy is acting on are the same numbers an operator sees in a
-scrape, and :meth:`AlternativeStats.from_registry` can warm-start a
-fresh service from a previous run's snapshot.
+scrape.
 """
 
 from __future__ import annotations
@@ -23,10 +22,16 @@ from dataclasses import dataclass
 
 from repro.obs import NULL_OBS, or_null
 
+#: Weight of the newest observation in both EWMAs.
+ALPHA = 0.2
+#: The optimistic win prior of a never-seen alternative: it must be
+#: tried before it can be ranked (a pessimistic prior would lock in the
+#: incumbent forever).
+PRIOR_WIN = 0.5
 #: Most alternative names tracked at once. A tenant that names its
 #: alternatives per request would otherwise grow the table one record
 #: per name forever; past the cap the least recently observed name is
-#: dropped and ranks by ``prior_win`` again, exactly like a name never
+#: dropped and ranks by :data:`PRIOR_WIN` again, exactly like a name never
 #: seen.
 _MAX_TRACKED = 4096
 
@@ -42,19 +47,10 @@ class AltRecord:
 
 
 class AlternativeStats:
-    """Thread-safe EWMA statistics keyed by alternative name.
+    """Thread-safe EWMA statistics keyed by alternative name, weighted
+    by :data:`ALPHA`, with :data:`PRIOR_WIN` for the never seen."""
 
-    ``alpha`` weights the newest observation; ``prior_win`` is the
-    optimistic prior for never-seen alternatives (they must be tried
-    before they can be ranked — a pessimistic prior would lock in the
-    incumbent forever).
-    """
-
-    def __init__(self, alpha: float = 0.2, prior_win: float = 0.5, obs=None) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        self.alpha = alpha
-        self.prior_win = prior_win
+    def __init__(self, obs=None) -> None:
         self._lock = threading.Lock()
         # least recently observed first
         self._records: "collections.OrderedDict[str, AltRecord]" = (
@@ -87,7 +83,7 @@ class AlternativeStats:
             rec = self._records.get(name)
             if rec is None:
                 rec = self._records[name] = AltRecord(
-                    win_ewma=self.prior_win, latency_ewma_s=max(latency_s, 0.0)
+                    win_ewma=PRIOR_WIN, latency_ewma_s=max(latency_s, 0.0)
                 )
                 while len(self._records) > _MAX_TRACKED:
                     self._records.popitem(last=False)
@@ -95,9 +91,9 @@ class AlternativeStats:
                 self._records.move_to_end(name)
             rec.attempts += 1
             rec.wins += int(won)
-            rec.win_ewma += self.alpha * ((1.0 if won else 0.0) - rec.win_ewma)
+            rec.win_ewma += ALPHA * ((1.0 if won else 0.0) - rec.win_ewma)
             if latency_s >= 0.0:
-                rec.latency_ewma_s += self.alpha * (latency_s - rec.latency_ewma_s)
+                rec.latency_ewma_s += ALPHA * (latency_s - rec.latency_ewma_s)
         self._attempts_c.inc(alt=name)
         if won:
             self._wins_c.inc(alt=name)
@@ -147,7 +143,7 @@ class AlternativeStats:
 
     def win_ewma(self, name: str) -> float:
         rec = self.record(name)
-        return rec.win_ewma if rec is not None else self.prior_win
+        return rec.win_ewma if rec is not None else PRIOR_WIN
 
     def latency_ewma(self, name: str) -> float:
         rec = self.record(name)
@@ -156,13 +152,13 @@ class AlternativeStats:
     def score(self, name: str, latency_floor_s: float = 1e-6) -> float:
         """Expected usefulness per second: win EWMA over latency EWMA.
 
-        Unseen alternatives score ``prior_win / latency_floor_s`` — high
+        Unseen alternatives score ``PRIOR_WIN / latency_floor_s`` — high
         enough to get tried, which is deliberate (explore first, then
         exploit).
         """
         rec = self.record(name)
         if rec is None:
-            return self.prior_win / latency_floor_s
+            return PRIOR_WIN / latency_floor_s
         return rec.win_ewma / max(rec.latency_ewma_s, latency_floor_s)
 
     def known(self) -> list[str]:
@@ -180,33 +176,3 @@ class AlternativeStats:
                 }
                 for name, r in self._records.items()
             }
-
-    @classmethod
-    def from_registry(cls, registry, alpha: float = 0.2, prior_win: float = 0.5) -> "AlternativeStats":
-        """Warm-start from a registry that carries ``mw_serve_alt_*``.
-
-        Win EWMAs are seeded from lifetime ratios and latency EWMAs
-        from histogram means — coarse, but enough that a restarted
-        service does not rediscover its ranking from scratch.
-        """
-        from repro.obs.metrics import MetricError
-
-        stats = cls(alpha=alpha, prior_win=prior_win)
-        try:
-            attempts = registry.get("mw_serve_alt_attempts_total")
-            wins = registry.get("mw_serve_alt_wins_total")
-            latency = registry.get("mw_serve_alt_latency_seconds")
-        except MetricError:
-            return stats
-        for sample in attempts.samples():
-            name = sample["labels"].get("alt", "")
-            n = int(sample["value"])
-            if not name or n <= 0:
-                continue
-            w = int(wins.value(alt=name))
-            lat_n = latency.count(alt=name)
-            lat_mean = latency.sum(alt=name) / lat_n if lat_n else 0.0
-            stats._records[name] = AltRecord(
-                attempts=n, wins=w, win_ewma=w / n, latency_ewma_s=lat_mean,
-            )
-        return stats

@@ -33,7 +33,7 @@ def answer(ws):
 def test_every_admit_line_is_sealed_once_and_settled_once_with_its_tickets_fate():
     storage = CountingStorage()
     svc = SpeculationService(
-        WorldBudget(4), queue=AdmissionQueue(depth=4, tenant_depth=None),
+        WorldBudget(4), queue=AdmissionQueue(depth=4),
         workers=2, backend="sequential",
         journal=CommitJournal(storage=storage), journal_admission=True,
     ).start()

@@ -1,10 +1,10 @@
-"""WorldBudget: grants, quotas, preemption, accounting invariants."""
+"""WorldBudget: grants, preemption, accounting invariants."""
 
 import threading
 
 import pytest
 
-from repro.errors import QuotaExceeded, ServeError
+from repro.errors import ServeError
 from repro.obs import Observability
 from repro.serve import WorldBudget
 
@@ -23,13 +23,13 @@ def test_elastic_grant_shrinks_to_available():
     first = b.reserve("a", want=3)
     second = b.reserve("b", want=3)
     assert first.granted == 3
-    assert second.granted == 1  # only one slot left, min_slots=1 satisfied
+    assert second.granted == 1  # only one slot left: the first is enough
 
 
 def test_reserve_returns_none_when_no_min_available():
     b = WorldBudget(2)
-    b.reserve("a", want=2, min_slots=2)
-    assert b.reserve("b", want=1, preempt=False) is None
+    b.reserve("a", want=2)
+    assert b.reserve("b", want=1) is None  # equal priority: nothing to take
 
 
 def test_release_returns_slots_and_is_idempotent():
@@ -38,7 +38,6 @@ def test_release_returns_slots_and_is_idempotent():
     res.release()
     res.release()
     assert b.in_use == 0
-    assert b.tenant_in_use("a") == 0
 
 
 def test_partial_release():
@@ -59,65 +58,41 @@ def test_context_manager_releases():
     assert b.in_use == 0
 
 
-def test_quota_caps_tenant():
-    b = WorldBudget(8, default_quota=2)
-    res = b.reserve("a", want=5)
-    assert res.granted == 2
-    assert b.reserve("a", want=1, preempt=False) is None  # at quota
-    assert b.reserve("b", want=1).granted == 1  # other tenants unaffected
-
-
-def test_explicit_quota_overrides_default():
-    b = WorldBudget(8, default_quota=2)
-    b.set_quota("big", 6)
-    assert b.reserve("big", want=8).granted == 6
-
-
-def test_min_above_quota_raises():
-    b = WorldBudget(8, default_quota=2)
-    with pytest.raises(QuotaExceeded):
-        b.reserve("a", want=4, min_slots=3)
-
-
 def test_bad_arguments():
     with pytest.raises(ServeError):
         WorldBudget(0)
     b = WorldBudget(2)
     with pytest.raises(ServeError):
         b.reserve("a", want=0)
-    with pytest.raises(ServeError):
-        b.reserve("a", want=1, min_slots=2)
 
 
 def test_preemption_takes_speculative_from_lower_priority():
     b = WorldBudget(4)
-    taken = []
-    low = b.reserve("low", want=4, min_slots=1, priority=0,
-                    on_preempt=lambda n: taken.append(n))
+    low = b.reserve("low", want=4, priority=0)
     assert low.granted == 4
-    high = b.reserve("high", want=1, min_slots=1, priority=5)
-    assert high is not None and high.granted == 1
+    high = b.reserve("high", want=3, priority=5)
+    assert high is not None and high.granted == 1  # exactly one slot
     assert low.granted == 3
     assert low.preempted == 1
-    assert taken == [1]
     assert b.in_use == 4  # never above the pool
     assert b.preempted_slots == 1
 
 
 def test_preemption_never_takes_the_firm_minimum():
     b = WorldBudget(2)
-    low = b.reserve("low", want=2, min_slots=2, priority=0)
+    low = b.reserve("low", want=1, priority=0)
+    b.reserve("other", want=1, priority=0)
     assert low.speculative == 0
     # nothing speculative to claw back: the high-priority request waits
     assert b.reserve("high", want=1, priority=5) is None
-    assert low.granted == 2
+    assert low.granted == 1
 
 
 def test_preemption_lowest_priority_pays_first():
     b = WorldBudget(6)
-    mid = b.reserve("mid", want=3, min_slots=1, priority=2)
-    low = b.reserve("low", want=3, min_slots=1, priority=1)
-    high = b.reserve("high", want=1, min_slots=1, priority=9)
+    mid = b.reserve("mid", want=3, priority=2)
+    low = b.reserve("low", want=3, priority=1)
+    high = b.reserve("high", want=1, priority=9)
     assert high is not None
     assert low.preempted == 1  # the lower priority paid
     assert mid.preempted == 0
@@ -125,8 +100,26 @@ def test_preemption_lowest_priority_pays_first():
 
 def test_equal_priority_never_preempts():
     b = WorldBudget(2)
-    b.reserve("a", want=2, min_slots=1, priority=3)
+    b.reserve("a", want=2, priority=3)
     assert b.reserve("b", want=1, priority=3) is None
+
+
+def test_preemption_tie_goes_to_most_speculative_then_earliest():
+    b = WorldBudget(7)
+    first = b.reserve("a", want=2, priority=0)
+    most = b.reserve("b", want=3, priority=0)
+    last = b.reserve("c", want=2, priority=0)
+    assert b.reserve("d", want=1, priority=1).granted == 1
+    assert (first.preempted, most.preempted, last.preempted) == (0, 1, 0)
+    b.reserve("e", want=1, priority=1)  # now all three hold two: the earliest pays
+    assert (first.preempted, most.preempted, last.preempted) == (1, 1, 0)
+
+
+def test_a_tenant_holding_every_slot_never_preempts_itself():
+    b = WorldBudget(3)
+    low = b.reserve("a", want=3, priority=0)
+    assert b.reserve("a", want=1, priority=5) is None
+    assert low.granted == 3 and low.preempted == 0
 
 
 def test_high_watermark_tracks_peak():

@@ -11,7 +11,8 @@ from repro.serve import (
     FixedSpeculationPolicy,
 )
 from repro.serve import policy as policy_module
-from repro.serve.stats import _MAX_TRACKED
+from repro.serve import stats as stats_module
+from repro.serve.stats import _MAX_TRACKED, PRIOR_WIN
 
 
 def outcome(winner_name, winner_idx=0, losers=()):
@@ -29,8 +30,9 @@ def outcome(winner_name, winner_idx=0, losers=()):
 
 
 # -- stats ----------------------------------------------------------------
-def test_stats_track_wins_and_latency():
-    s = AlternativeStats(alpha=0.5)
+def test_stats_track_wins_and_latency(monkeypatch):
+    monkeypatch.setattr(stats_module, "ALPHA", 0.5)
+    s = AlternativeStats()
     s.observe("a", won=True, latency_s=0.1)
     s.observe("a", won=True, latency_s=0.2)
     s.observe("a", won=False, latency_s=0.3)
@@ -76,24 +78,12 @@ def test_stats_obs_metrics_mirror():
     assert obs.registry.get("mw_serve_alt_latency_seconds").count(alt="a") == 1
 
 
-def test_stats_warm_start_from_registry():
-    obs = Observability()
-    s = AlternativeStats(obs=obs)
-    for _ in range(4):
-        s.observe("a", won=True, latency_s=0.1)
-    s.observe("b", won=False, latency_s=0.2)
-    warmed = AlternativeStats.from_registry(obs.registry)
-    assert warmed.record("a").attempts == 4
-    assert warmed.record("a").win_ewma == 1.0
-    assert warmed.record("b").wins == 0
-    assert warmed.record("b").latency_ewma_s == pytest.approx(0.2)
-
-
-def test_stats_are_capped_with_least_recently_observed_eviction():
+def test_stats_are_capped_with_least_recently_observed_eviction(monkeypatch):
     # tenants that name alternatives per request must not grow the table
     # (or the process) forever; a name that keeps being observed stays
-    s = AlternativeStats(alpha=0.5)
-    reference = AlternativeStats(alpha=0.5)
+    monkeypatch.setattr(stats_module, "ALPHA", 0.5)
+    s = AlternativeStats()
+    reference = AlternativeStats()
     for i in range(50_000):
         s.observe(f"op{i}.pos", won=bool(i % 2), latency_s=0.01)
         if i % (_MAX_TRACKED // 2) == 0:
@@ -105,15 +95,10 @@ def test_stats_are_capped_with_least_recently_observed_eviction():
     assert s.record("steady") == reference.record("steady")
     # evicted == never seen: the optimistic prior, nothing else
     assert s.record("op0.pos") is None
-    assert s.win_ewma("op0.pos") == s.prior_win
+    assert s.win_ewma("op0.pos") == PRIOR_WIN
     assert s.score("op0.pos") == s.score("never-run")
     assert len(s.snapshot()) == _MAX_TRACKED
     assert not hasattr(s.record("steady"), "__dict__")  # slots
-
-
-def test_stats_bad_alpha():
-    with pytest.raises(ValueError):
-        AlternativeStats(alpha=0.0)
 
 
 # -- adaptive policy -------------------------------------------------------
@@ -212,12 +197,12 @@ def test_io_class_widens_past_grant_cpu_class_stays_clamped():
     assert cpu.backend is None
 
 
-def test_unclassed_request_uses_global_max_k():
-    p = AdaptiveSpeculationPolicy(max_k=3, class_max_k={"io": 16})
-    d = p.decide([f"a{i}" for i in range(8)], granted=5, load=0.0)
+def test_unclassed_request_is_capped_by_its_grant():
+    p = AdaptiveSpeculationPolicy(class_max_k={"io": 16})
+    d = p.decide([f"a{i}" for i in range(8)], granted=3, load=0.0)
     assert d.k == 3 and not d.wide
     unknown = p.decide(
-        [f"a{i}" for i in range(8)], granted=5, load=0.0, request_class="other"
+        [f"a{i}" for i in range(8)], granted=3, load=0.0, request_class="other"
     )
     assert unknown.k == 3 and not unknown.wide
 
@@ -259,8 +244,6 @@ def test_wide_backend_knob(monkeypatch):
 def test_bad_class_cap_rejected():
     with pytest.raises(ServeError):
         AdaptiveSpeculationPolicy(class_max_k={"io": 0})
-    with pytest.raises(ServeError):
-        AdaptiveSpeculationPolicy(max_k=0)
 
 
 # -- fixed policy ----------------------------------------------------------

@@ -58,7 +58,7 @@ def test_submit_requires_running_service():
 
 def test_backpressure_surfaces_at_submit():
     # one slot, tiny queue, slow work: the backlog fills
-    queue = AdmissionQueue(depth=2, tenant_depth=None)
+    queue = AdmissionQueue(depth=2)
     with SpeculationService(WorldBudget(1), queue=queue, workers=1) as svc:
         tickets = []
         rejected = 0
@@ -278,7 +278,7 @@ def test_shutdown_sheds_backlog_with_retry_hint():
     # shed as cancelled + retry_after_s — a router's cue to re-route —
     # under the distinct shutdown shed label
     obs = Observability()
-    queue = AdmissionQueue(depth=16, tenant_depth=None, obs=obs)
+    queue = AdmissionQueue(depth=16, obs=obs)
     svc = SpeculationService(WorldBudget(1), queue=queue, workers=1, obs=obs)
     svc.start()
     blocker = svc.submit("a", [slow])

@@ -17,6 +17,7 @@ CI's fuzz smoke runs ``SERVICE_MACHINE_EXAMPLES=1000``.
 """
 
 import collections
+import math
 import os
 import time
 
@@ -35,6 +36,7 @@ from repro.faults.plan import (
 )
 from repro.journal import CommitJournal, MemoryJournalStorage, find_block_win
 from repro.serve import AdmissionQueue, ServeRequest, SpeculationService, WorldBudget
+from repro.serve import admission
 from repro.serve.admission import raise_seq_floor
 
 EXAMPLES = int(os.environ.get("SERVICE_MACHINE_EXAMPLES", "60"))
@@ -44,6 +46,13 @@ DEPTH = 3
 TORN, BEFORE_SEAL, AFTER_SEAL = (
     FaultKind.TORN_RECORD, FaultKind.CRASH_BEFORE_SEAL, FaultKind.CRASH_AFTER_SEAL,
 )
+
+
+@pytest.fixture(autouse=True)
+def one_tenant_bounded_only_by_depth(monkeypatch):
+    """Every request is tenant "t", and a restored incarnation's depth
+    grows with what it re-admits: only the model's depth may refuse."""
+    monkeypatch.setattr(admission, "TENANT_DEPTH", math.inf)
 
 
 def build_alternatives(spec):
@@ -77,7 +86,7 @@ class SteppedService(SpeculationService):
 
 def incarnation(depth):
     return dict(
-        budget=WorldBudget(3), queue=AdmissionQueue(depth=depth, tenant_depth=None),
+        budget=WorldBudget(3), queue=AdmissionQueue(depth=depth),
         workers=1, backend="sequential",
     )
 
