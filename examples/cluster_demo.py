@@ -11,8 +11,8 @@ exactly-once commit guarantee when one of them dies. This demo:
    already applied in the dead shard's journal are *replayed* with
    their original value, the rest *re-land* on surviving shards under
    the same request seq;
-3. gracefully decommissions a second shard — its backlog re-routes
-   (``cancelled`` + ``retry_after_s``) instead of failing callers;
+3. gracefully decommissions a second shard — it serves the backlog it
+   accepted, then leaves the membership the way a dead shard does;
 4. audits every journal the cluster ever owned: each committed request
    applied exactly once, kills and all.
 
@@ -85,7 +85,7 @@ def main():
     for (status, how), n in sorted(settle(tickets).items()):
         print(f"   {n:3d} × {status} ({how})")
 
-    print("== 3. graceful decommission re-routes the backlog")
+    print("== 3. graceful decommission serves the backlog in place")
     survivor = next(s["shard"] for s in router.snapshot()["members"])
     tickets = burst(router, 9, "d")
     router.decommission(survivor)

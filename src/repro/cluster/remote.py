@@ -498,14 +498,14 @@ class RemoteShardClient:
         """Whether the host *process* is alive (FENCED still counts)."""
         return self.state is not ShardState.DEAD and self.process_alive()
 
-    def stop(self, drain: bool = True) -> None:
+    def stop(self) -> None:
         """Graceful decommission: RPC the host to drain, then reap it."""
         if self.state in (ShardState.DEAD, ShardState.FENCED):
             self._terminate()
             return
         self.state = ShardState.DRAINING
         try:
-            self._call("stop", drain=drain, timeout=max(self.call_timeout_s, 30.0))
+            self._call("stop", timeout=max(self.call_timeout_s, 30.0))
         except (TransportError, ClusterError):
             pass  # unreachable: the reap below is the stop
         else:

@@ -18,8 +18,8 @@ two or-parallel-style work-distribution moves on top:
 transaction applies in exactly one shard journal, and what keeps it so
 is that *a request leaves a shard it may have reached only through that
 shard's ledger*. Every way a request comes to rest — fresh submit,
-spill, steal, shutdown-shed re-route, takeover re-land, restore
-re-admit — is :meth:`ClusterRouter._land`: one walk of the tenant's
+spill, steal, takeover re-land, restore re-admit — is
+:meth:`ClusterRouter._land`: one walk of the tenant's
 preference order (from the thief or spill target, if any), with the
 in-process spare as its last rung, once. What a target says is either
 
@@ -51,6 +51,9 @@ a row start a **takeover**:
    otherwise *re-landed* — same path, **same request seq**, so the
    journal block id dedupes any duplicate — on a surviving shard.
 
+A takeover is also the one way out of the membership: a decommissioned
+shard first serves what it accepted, then leaves through it, so a host
+that dies mid-drain is settled from its journal like any other.
 Duplicate takeovers are suppressed because membership removal under the
 router lock is the single point of entry. :meth:`audit_applied`
 recomputes the per-seq applied count across every journal the cluster
@@ -59,6 +62,7 @@ ever owned so benches and fuzz tests can assert it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
 import time
@@ -109,10 +113,9 @@ class ClusterResult:
     """What became of one cluster request.
 
     ``failover`` records how the result was obtained: ``""`` (served in
-    place), ``"replayed"`` (recovered from a dead shard's journal),
-    ``"relanded"`` (re-run on a survivor) or ``"rerouted"`` (moved off a
-    draining shard). ``result`` is the underlying shard-level
-    :class:`~repro.serve.service.ServeResult` when one exists.
+    place), ``"replayed"`` (recovered from a dead shard's journal) or
+    ``"relanded"`` (re-run on a survivor). ``result`` is the underlying
+    shard-level :class:`~repro.serve.service.ServeResult` when one exists.
     """
 
     status: str
@@ -244,7 +247,7 @@ class ClusterRouter:
         self._retired: list[ClusterShard] = []
         #: the one per-request table: whoever pops a record resolves it
         self._inflight: dict[int, _Inflight] = {}
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         self._running = False
         self._beat = 0
         #: the failure detector: each member's consecutive missed beats
@@ -389,7 +392,7 @@ class ClusterRouter:
         for shard in list(self._shards.values()):
             if shard.alive:
                 shard.stop()
-        # anything still unresolved (e.g. re-route raced shutdown) fails
+        # what a timed-out drain or a host dead mid-drain left fails
         with self._lock:
             leftovers = list(self._inflight.values())
         for rec in leftovers:
@@ -559,9 +562,10 @@ class ClusterRouter:
         :class:`~repro.errors.WorldsError` on a bad alternative list,
         :class:`~repro.errors.AdmissionRejected` when every candidate
         shard refuses it (cluster-level backpressure, with the largest
-        ``retry_after_s`` hint seen) and
-        :class:`~repro.errors.NoSurvivingShard` when no shard is up —
-        with nothing left registered in every case.
+        ``retry_after_s`` hint seen),
+        :class:`~repro.errors.NoSurvivingShard` when no shard is up and
+        :class:`~repro.errors.ClusterError` when ``seq`` is already in
+        flight — with nothing left registered in every case.
 
         ``seq`` re-admits a request under its original cluster-unique
         seq (and hence journal block id). ``spec`` is the picklable
@@ -581,6 +585,8 @@ class ClusterRouter:
         """Register ``request`` and land it; unregister if landing raises."""
         rec = _Inflight(request, ClusterTicket(request.tenant, request.seq))
         with self._lock:
+            if request.seq in self._inflight:
+                raise ClusterError(f"request seq {request.seq} is already in flight")
             self._inflight[request.seq] = rec
         try:
             self._land(rec)
@@ -665,7 +671,9 @@ class ClusterRouter:
             if spilled_from is not None and target is prefer:
                 self._spill_c.inc(src=spilled_from.shard_id, dst=target.shard_id)
             # at rest first: a ticket already resolved settles right here
-            ticket.add_done_callback(self._on_shard_resolve)
+            ticket.add_done_callback(
+                functools.partial(self._on_shard_resolve, target.shard_id)
+            )
             return "landed"
         raise rejection or NoSurvivingShard(
             f"request {request.seq} (tenant {request.tenant!r}): every "
@@ -677,7 +685,7 @@ class ClusterRouter:
         prefer: ClusterShard | None = None, exclude=(),
     ) -> str:
         """:meth:`_land` for a request the cluster already accepted (a
-        steal, a shed re-route, a takeover re-land): ``landed`` /
+        steal or a takeover re-land): ``landed`` /
         ``replayed``, or ``failed`` — settled as such — when the walk
         ends with nobody taking it."""
         rec.attempts += 1
@@ -713,44 +721,36 @@ class ClusterRouter:
     # -- resolution --------------------------------------------------------
     def _settle(
         self, rec: _Inflight, status: str, reason: str,
-        result: ServeResult | None = None,
+        result: ServeResult | None = None, at=None,
     ) -> None:
-        """Resolve ``rec`` as ``status`` where it stands."""
+        """Resolve ``rec`` as ``status`` where it stands — if ``at`` is
+        given, only while it still stands on shard ``at``."""
         self._resolve(rec, ClusterResult(
             status=status, tenant=rec.request.tenant, seq=rec.request.seq,
             shard_id=rec.shard_id, failover=rec.failover,
             attempts=rec.attempts, reason=reason, result=result,
-        ))
+        ), at)
 
-    def _resolve(self, rec: _Inflight, result: ClusterResult) -> None:
+    def _resolve(self, rec: _Inflight, result: ClusterResult, at=None) -> None:
         """Take ``rec`` out of the table and resolve its ticket — once:
-        only the caller that finds it still registered resolves."""
+        only the caller that finds it still registered (on shard ``at``,
+        if given) resolves, and only after releasing the lock, so a
+        ticket callback never holds up another thread's submit."""
         with self._lock:
-            if self._inflight.pop(result.seq, None) is rec:
-                rec.ticket._resolve(result)
+            if self._inflight.get(result.seq) is not rec or (
+                at is not None and rec.shard_id != at
+            ):
+                return
+            del self._inflight[result.seq]
+        rec.ticket._resolve(result)
 
-    def _on_shard_resolve(self, result: ServeResult) -> None:
-        """A shard ticket's callback (on the shard's resolving thread)."""
+    def _on_shard_resolve(self, shard_id: int, result: ServeResult) -> None:
+        """A shard ticket's callback (on the shard's resolving thread):
+        it settles the request only while it still stands on that shard."""
         with self._lock:
             rec = self._inflight.get(result.seq)
-            if rec is None:
-                return  # already settled (takeover won the race) or foreign
-            reroutable = (
-                result.status == "cancelled"
-                and result.retry_after_s > 0
-                and self._running
-                and rec.attempts <= len(self._shards) + 1
-            )
-            if not reroutable:
-                # inside the lock, so no takeover sees it as an orphan
-                self._settle(rec, result.status, result.reason, result)
-                return
-        # a draining shard shed it with a retry hint: re-route rather
-        # than failing the caller (the shutdown-shed satellite payoff)
-        self._failover_c.inc(mode="rerouted")
-        self._reland(
-            rec, "re-route", rec.failover or "rerouted", exclude={rec.shard_id}
-        )
+        if rec is not None:  # None: a takeover settled it first, or foreign
+            self._settle(rec, result.status, result.reason, result, at=shard_id)
 
     # -- failure detection -------------------------------------------------
     def _detector_loop(self) -> None:
@@ -937,25 +937,20 @@ class ClusterRouter:
         return None
 
     def decommission(self, shard_id: int) -> None:
-        """Gracefully remove a shard; its queued work re-routes.
+        """Gracefully remove a shard: it keeps what it accepted.
 
-        The shard finishes in-flight requests but sheds its backlog:
-        shed requests resolve ``cancelled`` with a ``retry_after_s``
-        hint, which :meth:`_on_shard_resolve` turns into re-placement on
-        the surviving members — nobody's request fails just because its
-        shard left the cluster politely.
+        The shard drains — no walk lands on it and the detector skips
+        it while it serves its backlog — and then leaves through
+        :meth:`takeover`, the one exit from membership. Normally that
+        only retires it; if the host died mid-drain, the takeover
+        replays what already won and re-lands the rest.
         """
-        shard = self.shard(shard_id)
-        with self._lock:
-            if shard_id in self.ring:
-                self.ring.remove(shard_id)
-            self._shards.pop(shard_id, None)
-            self._retired.append(shard)
-        self._set_up_gauge()
-        shard.stop(drain=False)
+        self.shard(shard_id).stop()
+        self.takeover(shard_id, kind="decommission")
 
     def takeover(self, shard_id: int, kind: str = "crash", reason: str = "") -> dict:
-        """Take over a (declared-)dead shard; idempotent per incarnation.
+        """Take over a (declared-)dead or decommissioned shard; idempotent
+        per incarnation.
 
         Returns a report: ``{"shard", "kind", "replayed", "relanded",
         "failed", "stale"}``. A second call for the same shard — the
@@ -989,12 +984,15 @@ class ClusterRouter:
         else:
             shard.crash()
         # 2. settle every admitted-but-unresolved request it held: the
-        #    ledger first, and only what never applied lands again
+        #    ledger first, and only what never applied lands again —
+        #    claimed here, so the shard's late reports pass them by
         with self._lock:
             orphans = [
                 rec for rec in self._inflight.values()
                 if rec.shard_id == shard_id
             ]
+            for rec in orphans:
+                rec.shard_id = -1
         for rec in orphans:
             if self._replay_from(rec, shard):
                 report["replayed"] += 1

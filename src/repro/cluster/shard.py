@@ -13,7 +13,9 @@ the router reads its journal.
 
 :class:`ShardState` is the shard's only liveness state. The router's
 failure detector moves it between UP and SUSPECT by counting missed
-beats, and a takeover ends it in DEAD or FENCED.
+beats, and a takeover ends it in DEAD or FENCED. A decommission's
+:meth:`ClusterShard.stop` holds it DRAINING while it serves its backlog,
+then ends it DEAD (FENCED when the drain timed out).
 """
 
 from __future__ import annotations
@@ -164,19 +166,18 @@ class ClusterShard:
         self.service.start()
         return self
 
-    def stop(self, drain: bool = True) -> None:
-        """Graceful decommission: finish in-flight work, then die.
-
-        ``drain=True`` serves the whole backlog first; ``drain=False``
-        sheds it immediately (as ``cancelled`` + ``retry_after_s``) so a
-        router can re-land it on surviving shards without waiting.
-        """
+    def stop(self) -> None:
+        """Graceful decommission: serve the whole backlog, then die. A
+        drain that outlasts its join ends in a :meth:`fence`, not a shed:
+        the journal is final, and the rest stays sealed for the takeover."""
         with self._lock:
             if self.state in (ShardState.DEAD, ShardState.FENCED):
                 return
             self.state = ShardState.DRAINING
-        self.service.stop(drain=drain)
-        self.state = ShardState.DEAD
+        if self.service.drain():
+            self.state = ShardState.DEAD
+        else:
+            self.fence()
 
     def crash(self) -> None:
         """The shard process dies. Only the journal survives.

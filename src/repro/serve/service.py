@@ -99,11 +99,6 @@ class ServeResult:
     latency_s: float = 0.0
     preempted_slots: int = 0
     replayed: bool = False
-    #: Backpressure hint on ``cancelled``/``shed`` results: when > 0,
-    #: the request was refused for a transient reason (e.g. service
-    #: shutdown) and a router may re-route or retry after this many
-    #: seconds instead of failing the caller.
-    retry_after_s: float = 0.0
 
     @property
     def committed(self) -> bool:
@@ -347,40 +342,26 @@ class SpeculationService:
             self._threads.append(t)
         return self
 
-    def stop(self, timeout: float | None = 10.0, drain: bool = True) -> None:
-        """Stop accepting work, drain the queue, join the workers.
-
-        With ``drain=True`` (the default) workers finish the whole
-        backlog before exiting; with ``drain=False`` only in-flight
-        requests finish and the backlog is shed immediately — the fast
-        decommission a cluster router wants, since shed work re-routes
-        to surviving shards rather than waiting out this one's queue.
-
-        Requests still queued at shutdown are shed with the distinct
-        ``mw_serve_shed_total{reason="shutdown"}`` label and resolve as
-        ``cancelled`` carrying a ``retry_after_s`` hint — shutdown is a
-        *transient* refusal (the work was never attempted), so a cluster
-        router re-routes these to a surviving shard instead of failing
-        the caller.
-        """
-        if not self._running:
-            return
+    def drain(self, timeout: float | None = 10.0) -> bool:
+        """Stop accepting work, serve the whole backlog, join the workers;
+        False when a join timed out: the late workers stay for a
+        :meth:`crash` to join, and what they have not reached stays queued."""
         self._running = False
-        drained = self.queue.close(drain=not drain)
+        self.queue.close()
         for t in self._threads:
             t.join(timeout)
-        self._threads.clear()
-        drained += self.queue.drain()
-        # one worker-pass worth of waiting per drained request: the same
-        # crude-but-honest estimate the admission queue hints under
-        # backpressure
-        retry_hint = max(0.005, 0.001 * len(drained))
-        for request in drained:
+        self._threads = [t for t in self._threads if t.is_alive()]
+        return not self._threads
+
+    def stop(self, timeout: float | None = 10.0) -> None:
+        """:meth:`drain`, then shed what a timed-out drain left queued:
+        ``cancelled``, under ``mw_serve_shed_total{reason="shutdown"}``."""
+        if not self._running:
+            return
+        self.drain(timeout)
+        for request in self.queue.drain():
             self.queue.shed_request(request, reason="shutdown")
-            self._end(
-                request, "cancelled", None,
-                reason="service stopped", retry_after_s=retry_hint,
-            )
+            self._end(request, "cancelled", None, reason="service stopped")
 
     def crash(self) -> None:
         """Kill the service the way a dead shard dies: nothing graceful.

@@ -134,7 +134,7 @@ class TestLifecycle:
             assert len(stolen) == 2
             assert {r.seq for r in stolen}.isdisjoint(shard._tickets)
         finally:
-            shard.stop(drain=False)
+            shard.stop()
         assert shard._tickets == {}
         kept = [t for t in tickets if t.seq not in {r.seq for r in stolen}]
         assert all(t.done for t in kept)

@@ -1,6 +1,7 @@
 """The cluster router: placement, spill/steal, decommission, failover."""
 
 import dataclasses
+import functools
 import threading
 import time
 
@@ -20,9 +21,15 @@ from repro.errors import (
     WorldsError,
 )
 from repro.faults.plan import CLUSTER_SITE, FaultKind, FaultPlan
-from repro.journal import CommitJournal, MemoryJournalStorage, record_block_win
+from repro.journal import (
+    CommitJournal,
+    MemoryJournalStorage,
+    record_block_win,
+    request_fate,
+)
 from repro.obs import Observability
 from repro.serve import AdaptiveSpeculationPolicy
+from repro.serve.service import ServeResult
 
 from tests.jam import CrashJam
 
@@ -40,6 +47,34 @@ def slow_alt(duration_s=0.15):
         return "slow"
 
     return [slow]
+
+
+def gated_alt(gate):
+    """An alternative that holds its world slot until ``gate`` is set."""
+    def gated(ws):
+        gate.wait(10)
+        return "gated"
+
+    return [gated]
+
+
+def wait_until_draining(shard, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while shard.state is not ShardState.DRAINING and time.monotonic() < deadline:
+        time.sleep(0.001)
+
+
+def release_once_crashed(shard, gate):
+    """Set ``gate`` from a helper thread once ``shard``'s service has
+    crashed: crash() joins the workers, so a gated one must finish, and
+    only after the crash flag, so nothing it ends is reported."""
+    def release():
+        deadline = time.monotonic() + 5
+        while not shard.service._crashed and time.monotonic() < deadline:
+            time.sleep(0.001)
+        gate.set()
+
+    threading.Thread(target=release, daemon=True).start()
 
 
 def make_router(n=3, slots=2, workers=2, **kw):
@@ -160,10 +195,11 @@ class TestSpillAndSteal:
 
 
 class TestDecommission:
-    def test_decommission_reroutes_backlog(self):
+    def test_decommission_serves_backlog_in_place_then_retires(self):
         shards = [ClusterShard(i, slots=1, workers=1) for i in range(2)]
+        obs = Observability()
         router = ClusterRouter(
-            shards, steal=False, spill=False
+            shards, steal=False, spill=False, obs=obs
         ).start(detect=False)
         try:
             tenant = "sp"
@@ -172,15 +208,168 @@ class TestDecommission:
             queued = [router.submit(tenant, value_alts(i)) for i in range(3)]
             time.sleep(0.03)
             router.decommission(home)
-            results = [q.result(timeout=10) for q in queued]
-            # the backlog re-routed to the survivor instead of failing
-            assert all(r.committed for r in results)
-            assert all(r.failover == "rerouted" for r in results)
-            assert all(r.shard_id != home for r in results)
-            for b in blockers:
-                assert b.result(timeout=10).committed
+            # the drain served everything the shard accepted, in place,
+            # before it left the membership
+            assert all(t.done for t in blockers + queued)
+            results = [q.result(timeout=0) for q in queued]
+            assert [r.value for r in results] == [0, 1, 2]
+            assert all(r.committed and r.failover == "" for r in results)
+            assert all(r.shard_id == home for r in results)
+            assert all(b.result(timeout=0).committed for b in blockers)
+            snap = router.snapshot()
+            assert snap["retired"] == [home] and snap["inflight"] == 0
+            assert home not in {s["shard"] for s in snap["members"]}
+            takeovers = obs.registry.get("mw_cluster_takeovers_total")
+            assert takeovers.value(kind="decommission") == 1
+            after = router.submit(tenant, value_alts(9)).result(timeout=10)
+            assert after.committed and after.shard_id != home
         finally:
             router.stop()
+
+    def test_a_shard_that_dies_mid_drain_is_settled_by_its_takeover(self):
+        shards = [ClusterShard(i, slots=1, workers=1) for i in range(2)]
+        router = ClusterRouter(
+            shards, steal=False, spill=False
+        ).start(detect=False)
+        gate = threading.Event()
+        try:
+            tenant = "sp"
+            home = router.ring.route(tenant)
+            tickets = [router.submit(tenant, gated_alt(gate))]
+            tickets += [router.submit(tenant, value_alts(i)) for i in range(3)]
+            leaving = threading.Thread(target=router.decommission, args=(home,))
+            leaving.start()
+            wait_until_draining(shards[home])
+            release_once_crashed(shards[home], gate)
+            router.kill_shard(home)  # the shard dies mid-drain
+            leaving.join(10)
+            assert not leaving.is_alive()
+            results = [t.result(timeout=10) for t in tickets]
+            # a dead shard reports nothing: every answer came from the
+            # takeover, out of the journal or off a survivor
+            assert all(r.committed for r in results)
+            assert all(r.failover in ("replayed", "relanded") for r in results)
+            assert [r.value for r in results] == ["gated", 0, 1, 2]
+            audit = router.audit_applied()
+            assert all(audit.get(r.seq) == 1 for r in results)
+            assert router.snapshot()["retired"] == [home]
+        finally:
+            gate.set()
+            router.stop()
+
+    def test_a_drain_that_outlasts_its_join_ends_in_a_fence_the_takeover_settles(
+        self, monkeypatch
+    ):
+        # the running request outlasts the (shortened) worker join: the
+        # shard fences itself, which joins that worker, so its one win is
+        # in the journal before the takeover reads it; the backlog it
+        # never reached stays acked and commits on the survivor
+        shards = [ClusterShard(i, slots=1, workers=1) for i in range(2)]
+        router = ClusterRouter(
+            shards, steal=False, spill=False
+        ).start(detect=False)
+        gate = threading.Event()
+        try:
+            tenant = "sp"
+            home = router.ring.route(tenant)
+            service = shards[home].service
+            monkeypatch.setattr(
+                service, "drain", functools.partial(service.drain, timeout=0.05)
+            )
+            blocker = router.submit(tenant, gated_alt(gate))
+            queued = [router.submit(tenant, value_alts(i)) for i in range(3)]
+            release_once_crashed(shards[home], gate)
+            router.decommission(home)
+            assert shards[home].state is ShardState.FENCED
+            first = blocker.result(timeout=10)
+            assert first.committed and first.failover == "replayed"
+            results = [q.result(timeout=10) for q in queued]
+            assert [r.value for r in results] == [0, 1, 2]
+            assert all(r.committed and r.failover == "relanded" for r in results)
+            assert all(r.shard_id != home for r in results)
+            audit = router.audit_applied()
+            assert all(audit.get(r.seq) == 1 for r in [first, *results])
+            assert router.snapshot()["retired"] == [home]
+        finally:
+            gate.set()
+            router.stop()
+
+    def test_a_crash_at_any_append_of_a_decommission_loses_no_acked_request(self):
+        """Every journal's bytes after each append a decommission makes
+        are one whole-cluster crash: each acked request is then re-admitted,
+        replayed or already applied."""
+        tape, recording = [], threading.Lock()
+        storages = {}
+
+        class Recording(MemoryJournalStorage):
+            armed = False
+
+            def append(self, blob):
+                with recording:
+                    super().append(blob)
+                    if Recording.armed:
+                        tape.append({
+                            sid: storage.load() for sid, storage in storages.items()
+                        })
+
+        storages.update({i: Recording() for i in range(2)})
+        shards = [
+            ClusterShard(
+                i, slots=1, workers=1, journal_admission=True,
+                journal=CommitJournal(storage=storages[i]),
+            )
+            for i in range(2)
+        ]
+        router = ClusterRouter(shards, steal=False, spill=False).start(detect=False)
+        gate, started = threading.Event(), threading.Event()
+
+        def blocker(ws):
+            started.set()
+            gate.wait(10)
+            return "blocker"
+
+        try:
+            tenant = "t0"
+            home = router.ring.route(tenant)
+            acked = [router.submit(tenant, [blocker], spec={"v": "blocker"}).seq]
+            assert started.wait(10)
+            acked += [
+                router.submit(tenant, value_alts(i), spec={"v": i}).seq
+                for i in range(3)
+            ]
+            Recording.armed = True
+            leaving = threading.Thread(target=router.decommission, args=(home,))
+            leaving.start()
+            wait_until_draining(shards[home])
+            time.sleep(0.05)  # whatever the drain does before the blocker ends
+            gate.set()
+            leaving.join(10)
+            assert not leaving.is_alive()
+        finally:
+            gate.set()
+            router.stop()
+        Recording.armed = False
+        assert tape, "the decommission made no journal append"
+
+        lost = []
+        for point, images in enumerate(tape):
+            journals = {
+                sid: CommitJournal(storage=MemoryJournalStorage(blob))
+                for sid, blob in images.items()
+            }
+            restored, report = ClusterRouter.restore(
+                journals, build_alternatives=lambda spec: value_alts(spec["v"]),
+                shard_kwargs=dict(slots=1, workers=1), detect=False, steal=False,
+            )
+            restored.stop()
+            for seq in acked:
+                found = (
+                    seq in report.re_admitted or seq in report.replayed
+                    or request_fate(journals, seq).won is not None
+                )
+                if not found:
+                    lost.append((point, seq))
+        assert lost == [], f"acked requests lost at crash points: {lost}"
 
 
 class TestCrashTakeover:
@@ -365,10 +554,11 @@ class TestLandingMatrix:
          "failed"),
     ]
 
-    def _enter(self, entry, Router, probe, **kw):
+    def _enter(self, entry, Router, probe, gate, **kw):
         """Set ``entry`` up; returns ``(router, drive, other tickets)`` —
         ``drive()`` runs the watched landing and returns the watched
-        request's ticket (None when restore left it sealed)."""
+        request's ticket (None when restore left it sealed). The home
+        shard's slot, when held, is held until ``gate`` is set."""
         watched = value_alts(self.VALUE)
         if entry == "restore":
             journals = {i: CommitJournal() for i in range(3)}
@@ -395,7 +585,7 @@ class TestLandingMatrix:
             probe.armed = True
             return router, submit_watched, []
         # the home shard's one slot is held, and something waits behind it
-        others = [router.submit(self.TENANT, slow_alt(0.05))]
+        others = [router.submit(self.TENANT, gated_alt(gate))]
         deadline = time.monotonic() + 5
         while router.shard(home).idle_slots() and time.monotonic() < deadline:
             time.sleep(0.001)
@@ -409,9 +599,8 @@ class TestLandingMatrix:
         def drive():
             if entry == "steal":
                 router.steal_round()
-            elif entry == "shed":
-                router.decommission(home)
             else:
+                gate.set()  # crash() joins the workers
                 router.kill_shard(home)
                 router.takeover(home)
             return ticket
@@ -420,7 +609,7 @@ class TestLandingMatrix:
 
     @pytest.mark.parametrize("column", COLUMNS, ids=lambda c: c[0])
     @pytest.mark.parametrize(
-        "entry", ["fresh", "spill", "steal", "shed", "takeover", "restore"]
+        "entry", ["fresh", "spill", "steal", "takeover", "restore"]
     )
     def test_every_entry_comes_to_rest_through_the_one_path(self, entry, column):
         name, raises, win, everyone, expected = column
@@ -434,14 +623,16 @@ class TestLandingMatrix:
         kw = {}
         if name == "nobody-left-spare":
             kw["spare_factory"] = lambda: ClusterShard(self.SPARE, slots=1, workers=1)
-        router, drive, others = self._enter(entry, Probed, probe, **kw)
+        gate = threading.Event()
+        router, drive, others = self._enter(entry, Probed, probe, gate, **kw)
         try:
-            result = None
             try:
                 ticket = drive()
-                result = None if ticket is None else ticket.result(timeout=10)
             except (AdmissionRejected, NoSurvivingShard):
                 assert entry in ("fresh", "spill")  # the caller is told at once
+                ticket = None
+            gate.set()  # the watched landing is over: free the home shard
+            result = None if ticket is None else ticket.result(timeout=10)
             committed = result is not None and result.committed
             verdict = (
                 "failed" if not committed
@@ -469,6 +660,7 @@ class TestLandingMatrix:
             if name == "nobody-left-spare":
                 assert result.shard_id == self.SPARE
         finally:
+            gate.set()
             router.stop()
 
 
@@ -491,6 +683,62 @@ class TestRefusedSubmitLeavesNothingBehind:
             with pytest.raises(ClusterError, match="host-side"):
                 router.submit("t", value_alts(1))
             assert router.snapshot()["inflight"] == 0
+
+    def test_a_seq_already_in_flight_is_refused_and_the_first_still_resolves(self):
+        seq, gate = 10_000, threading.Event()
+        with make_router(2).start(detect=False) as router:
+            first = router.submit("t", gated_alt(gate), seq=seq)
+            refused = None
+            try:
+                router.submit("t", value_alts(2), seq=seq)
+            except ClusterError as exc:
+                refused = exc
+            gate.set()
+            assert first.result(timeout=3).committed
+            assert refused is not None and str(seq) in str(refused)
+            assert router.snapshot()["inflight"] == 0
+
+
+def test_a_report_from_a_shard_the_request_does_not_stand_on_settles_nothing():
+    # a takeover claims a request before it re-lands it: the old shard's
+    # late word must not settle it while it runs somewhere else
+    gate = threading.Event()
+    with make_router(2).start(detect=False) as router:
+        ticket = router.submit("t", gated_alt(gate))
+        home = router.ring.route("t")
+        late = ServeResult(status="failed", tenant="t", seq=ticket.seq, reason="late")
+        router._on_shard_resolve(1 - home, late)
+        assert not ticket.done
+        gate.set()
+        result = ticket.result(timeout=10)
+        assert result.committed and result.shard_id == home
+
+
+def test_a_ticket_callback_runs_outside_the_router_lock():
+    # a callback that waits on another thread's submit must not hold
+    # that submit up: the router resolves tickets after unlocking
+    gate, finished = threading.Event(), threading.Event()
+    seen = {}
+    with make_router(2).start(detect=False) as router:
+        ticket = router.submit("t0", gated_alt(gate))
+
+        def on_done(result):
+            helper = threading.Thread(
+                target=lambda: seen.setdefault(
+                    "ticket", router.submit("t1", value_alts(2))
+                ),
+            )
+            helper.start()
+            helper.join(2.0)
+            seen["blocked"] = helper.is_alive()
+            finished.set()
+
+        ticket.add_done_callback(on_done)
+        gate.set()
+        assert ticket.result(timeout=10).committed
+        assert finished.wait(10)
+        assert seen["blocked"] is False
+        assert seen["ticket"].result(timeout=10).committed
 
 
 def classed_alternatives(spec):

@@ -1,5 +1,6 @@
 """SpeculationService end-to-end: commits, budget, journal, preemption."""
 
+import threading
 import time
 
 import pytest
@@ -273,27 +274,31 @@ def test_naive_policy_holds_more_slots_than_adaptive():
     assert naive_budget.high_watermark == 4  # pegged at the pool limit
 
 
-def test_shutdown_sheds_backlog_with_retry_hint():
-    # one worker busy on slow work; the backlog at stop(drain=False) is
-    # shed as cancelled + retry_after_s — a router's cue to re-route —
-    # under the distinct shutdown shed label
+def test_stop_cancels_what_is_left_when_the_join_times_out():
+    # one worker held past the join timeout: what is still queued then
+    # resolves cancelled under the distinct shutdown shed label
     obs = Observability()
     queue = AdmissionQueue(depth=16, obs=obs)
     svc = SpeculationService(WorldBudget(1), queue=queue, workers=1, obs=obs)
     svc.start()
-    blocker = svc.submit("a", [slow])
+    gate, started = threading.Event(), threading.Event()
+
+    def held(ws):
+        started.set()
+        gate.wait(10)
+        return "held"
+
+    blocker = svc.submit("a", [held])
+    assert started.wait(10)
     backlog = [svc.submit("b", [fast]) for _ in range(4)]
-    time.sleep(0.005)
-    svc.stop(drain=False)
-    assert blocker.result(timeout=10).status in ("committed", "cancelled")
+    svc.stop(timeout=0.05)
+    gate.set()
+    assert blocker.result(timeout=10).committed
     shed = [t.result(timeout=10) for t in backlog]
-    cancelled = [r for r in shed if r.status == "cancelled"]
-    assert cancelled, "stop(drain=False) must shed the backlog"
-    for r in cancelled:
-        assert r.reason == "service stopped"
-        assert r.retry_after_s > 0
+    assert all(r.status == "cancelled" for r in shed)
+    assert all(r.reason == "service stopped" for r in shed)
     reg = obs.registry
-    assert reg.get("mw_serve_shed_total").value(reason="shutdown") == len(cancelled)
+    assert reg.get("mw_serve_shed_total").value(reason="shutdown") == 4
 
 
 def test_graceful_stop_still_drains_by_default():
