@@ -550,10 +550,8 @@ class ClusterRouter:
         priority: int = 0,
         deadline_s: float | None = None,
         timeout: float | None = None,
-        cost: float = 1.0,
         seq: int | None = None,
         spec: Any = None,
-        request_class: str = "",
     ) -> ClusterTicket:
         """Place one request on the tenant's (preferred live) shard.
 
@@ -577,8 +575,7 @@ class ClusterRouter:
             raise ServiceStopped("cluster is not running (call start())")
         return self._accept(ServeRequest.build(
             tenant, alternatives, initial=initial, priority=priority,
-            deadline_s=deadline_s, timeout=timeout, cost=cost, seq=seq,
-            spec=spec, request_class=request_class,
+            deadline_s=deadline_s, timeout=timeout, seq=seq, spec=spec,
         )).ticket
 
     def _accept(self, request: ServeRequest) -> _Inflight:

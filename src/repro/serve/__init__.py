@@ -20,7 +20,7 @@ Components (each usable standalone):
 - :class:`~repro.serve.budget.WorldBudget` — global world-slot pool,
   priority preemption of speculative slots;
 - :class:`~repro.serve.admission.AdmissionQueue` — bounded depth with
-  backpressure, deadline shedding, deficit-round-robin fairness;
+  backpressure, deadline shedding, round-robin fairness across tenants;
 - :class:`~repro.serve.policy.AdaptiveSpeculationPolicy` — K ≤ N and
   stagger schedules from live win-rate/latency statistics
   (:class:`~repro.serve.stats.AlternativeStats`), degrading to K=1

@@ -13,13 +13,9 @@ it badly. Three mechanisms:
   passed (running them would waste slots on an answer nobody is
   waiting for); the shed is reported through the request's ticket, so
   callers see ``shed`` rather than a silent timeout;
-- **deficit round-robin** — dispatch cycles tenants, each accumulating
-  :data:`QUANTUM` credit per visit and paying a request's ``cost`` to
-  dequeue it. Tenants submitting many cheap requests and tenants
-  submitting few expensive ones get the same long-run share, and a
-  burst from one tenant cannot delay the others by more than one
-  quantum per cycle (Shreedhar & Varghese's O(1) fairness, applied to
-  speculation requests instead of packets).
+- **round-robin dispatch** — dispatch visits the tenants' FIFO lanes
+  in turn, one request per visit, so a burst from one tenant delays
+  each other tenant by at most one request per cycle.
 
 The queue is thread-safe and wakeup-driven; :meth:`AdmissionQueue.take`
 blocks workers until a request (or shutdown) is available.
@@ -28,7 +24,6 @@ blocks workers until a request (or shutdown) is available.
 from __future__ import annotations
 
 import itertools
-import math
 import threading
 import time
 from collections import OrderedDict, deque
@@ -41,9 +36,6 @@ from repro.obs import NULL_OBS, or_null
 
 #: Most requests one tenant may have queued at once.
 TENANT_DEPTH = 16
-#: DRR credit a tenant earns per dispatch cycle: with unit request
-#: costs, one request per tenant per cycle.
-QUANTUM = 1.0
 
 
 class _SeqCounter:
@@ -109,8 +101,7 @@ def raise_seq_floor(journals) -> int:
 #: "life of a request" table is rendered from it.
 FIELD_LIFE = {
     "seq": "durable", "tenant": "durable", "priority": "durable",
-    "cost": "durable", "timeout": "durable", "spec": "durable",
-    "request_class": "durable",
+    "timeout": "durable", "spec": "durable",
     "alternatives": "wire", "initial": "wire", "deadline_s": "wire",
     "shadow": "wire",
     "submitted_at": "local", "ticket": "local",
@@ -136,9 +127,7 @@ class ServeRequest:
     ``alternatives`` are whatever :func:`repro.core.worlds.run_alternatives`
     accepts. ``deadline_s`` is *absolute* (``time.monotonic`` scale,
     which is system-wide on Linux, so it means the same instant in a
-    shard-host process); ``cost`` is the request's DRR weight (a request
-    expected to hold many slots for a long time should pay more than a
-    quick K=1 probe). ``seq`` is the service-unique id — also the
+    shard-host process). ``seq`` is the service-unique id — also the
     journal ``block_id``, so exactly-once commit is per-request.
     """
 
@@ -148,7 +137,6 @@ class ServeRequest:
     priority: int = 0
     deadline_s: float | None = None
     timeout: float | None = None
-    cost: float = 1.0
     seq: int = field(default_factory=next_seq)
     #: when the request reached the service now holding it (stamped by
     #: ``admit``, so queue wait and latency are that service's own).
@@ -158,11 +146,6 @@ class ServeRequest:
     #: is on (it rides the ``admit`` intent so a cold restart can
     #: re-admit the request).
     spec: Any = None
-    #: tenant-declared workload class (e.g. ``"io"``, ``"cpu"``);
-    #: consulted by class-aware speculation policies
-    #: (:attr:`~repro.serve.policy.AdaptiveSpeculationPolicy.class_max_k`)
-    #: to widen or tighten K per class. Empty string = unclassified.
-    request_class: str = ""
     #: the ticket of the service now holding the request: set by
     #: ``SpeculationService.admit``, cleared as it resolves.
     ticket: Any = None
@@ -184,12 +167,7 @@ class ServeRequest:
     ) -> "ServeRequest":
         """A validated request: alternatives normalised (raises
         :class:`~repro.errors.WorldsError` on a bad list), the *relative*
-        ``deadline_s`` made absolute, a fresh seq unless one is given.
-        A ``cost`` that is not finite and positive raises
-        :class:`~repro.errors.ServeError`: no deficit could ever pay it."""
-        cost = fields.get("cost", 1.0)
-        if not 0 < cost < math.inf:
-            raise ServeError(f"request cost must be finite and positive, got {cost}")
+        ``deadline_s`` made absolute, a fresh seq unless one is given."""
         return cls(
             tenant, normalize_alternatives(alternatives),
             deadline_s=None if deadline_s is None else time.monotonic() + deadline_s,
@@ -223,7 +201,7 @@ class ServeRequest:
 
 
 class AdmissionQueue:
-    """Bounded, deadline-aware, deficit-round-robin admission queue.
+    """Bounded, deadline-aware, round-robin admission queue.
 
     Parameters
     ----------
@@ -244,7 +222,6 @@ class AdmissionQueue:
         self._cond = threading.Condition()
         #: per-tenant FIFO lanes, in round-robin visit order
         self._lanes: "OrderedDict[str, deque[ServeRequest]]" = OrderedDict()
-        self._deficit: dict[str, float] = {}
         self._size = 0
         self._closed = False
         self.admitted = 0
@@ -307,7 +284,6 @@ class AdmissionQueue:
             if lane is None:
                 lane = deque()
                 self._lanes[request.tenant] = lane
-                self._deficit.setdefault(request.tenant, 0.0)
             lane.append(request)
             self._size += 1
             self.admitted += 1
@@ -316,14 +292,14 @@ class AdmissionQueue:
             self._cond.notify()
 
     def _retry_hint(self) -> float:
-        # crude but honest: a full queue drains one quantum per tenant
+        # crude but honest: a full queue drains one request per tenant
         # per cycle; hint one cycle's worth of waiting per queued request
         # ahead, floored so clients do not spin.
         return max(0.005, 0.001 * self._size)
 
     # -- dispatch side -----------------------------------------------------
     def take(self, timeout: float | None = None) -> tuple[ServeRequest | None, list[ServeRequest]]:
-        """Dequeue the next request by deficit round-robin.
+        """Dequeue the next request, visiting tenants round-robin.
 
         Returns ``(request, shed)`` where ``shed`` lists requests whose
         deadline expired while queued (already counted and removed —
@@ -334,22 +310,10 @@ class AdmissionQueue:
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
             while True:
-                request = self._pop_drr(shed)
+                request = self._pop_next(shed)
                 if request is not None or self._closed:
                     self._depth_g.set(float(self._size))
                     return request, shed
-                if self._size > 0 and not shed:
-                    # every head costs more than its lane's deficit: skip
-                    # to the scan in which the first can pay. Each empty
-                    # scan adds one quantum to every lane and leaves their
-                    # order as it was, so k-1 of them are one addition
-                    k = min(
-                        math.ceil((lane[0].cost - self._deficit[tenant]) / QUANTUM)
-                        for tenant, lane in self._lanes.items()
-                    )
-                    for tenant in self._lanes:
-                        self._deficit[tenant] += (k - 1) * QUANTUM
-                    continue
                 if shed:
                     # deadline sheds are progress: report them before
                     # blocking so tickets fail promptly
@@ -362,35 +326,22 @@ class AdmissionQueue:
                     if remaining <= 0 or not self._cond.wait(remaining):
                         return None, shed
 
-    def _pop_drr(self, shed: list[ServeRequest]) -> ServeRequest | None:
-        """One DRR scan: drop expired heads, pay costs from deficits."""
-        if self._size == 0:
-            return None
+    def _pop_next(self, shed: list[ServeRequest]) -> ServeRequest | None:
+        """The head of the next lane in turn; expired heads go to ``shed``."""
         now = time.monotonic()
-        # visit each lane at most once per scan
-        for _ in range(len(self._lanes)):
+        while self._lanes:
             tenant, lane = next(iter(self._lanes.items()))
             self._lanes.move_to_end(tenant)
-            # shed expired requests regardless of deficit — they cost
-            # nothing to discard and paying for them would be unfair
             while lane and lane[0].expired(now):
-                request = lane.popleft()
+                shed.append(lane.popleft())
                 self._size -= 1
                 self.shed += 1
                 self._shed_c.inc(reason="deadline")
-                shed.append(request)
+            request = lane.popleft() if lane else None
             if not lane:
                 del self._lanes[tenant]
-                self._deficit.pop(tenant, None)
-                continue
-            self._deficit[tenant] = self._deficit.get(tenant, 0.0) + QUANTUM
-            if self._deficit[tenant] >= lane[0].cost:
-                request = lane.popleft()
-                self._deficit[tenant] -= request.cost
+            if request is not None:
                 self._size -= 1
-                if not lane:
-                    del self._lanes[tenant]
-                    self._deficit.pop(tenant, None)
                 return request
         return None
 
@@ -423,7 +374,6 @@ class AdmissionQueue:
                     self._size -= 1
                     if not lane:
                         del self._lanes[tenant]
-                        self._deficit.pop(tenant, None)
                     break
                 if request is None:
                     break  # nothing stealable (only shadows queued)
@@ -456,7 +406,6 @@ class AdmissionQueue:
             for lane in self._lanes.values():
                 out.extend(lane)
             self._lanes.clear()
-            self._deficit.clear()
             self._size = 0
             self._depth_g.set(0.0)
             return out

@@ -27,13 +27,6 @@ true. A static service would have to pick one point on that curve;
 - **backend** — saturated K=1 requests degrade to the ``sequential``
   backend: no worlds, no spawn cost, exactly the paper's degenerate
   standby-spares execution.
-- **wide-K (per request class)** — the inverse degradation: a request
-  class whose worlds are I/O-bound (``class_max_k``) may speculate
-  *past* its budget grant on the near-zero-spawn-cost asyncio backend.
-  The paper's profitability frontier R_o → 0 as spawn cost vanishes,
-  so for these classes K is bounded by usefulness, not slots; the
-  decision carries ``wide=True`` so the service knows the extra worlds
-  are unbudgeted freebies rather than a policy outvoting the budget.
 
 The policy is deliberately stateless between calls — all adaptation
 lives in the shared :class:`~repro.serve.stats.AlternativeStats`, which
@@ -57,9 +50,6 @@ CONFIDENT_WIN = 0.9
 STAGGER_SCALE = 1.0
 #: Ceiling on the unit stagger (one slow observation must not stall spares).
 MAX_STAGGER_S = 0.25
-#: Backend a wide decision runs on: the only substrate whose spawn cost
-#: justifies unbudgeted worlds.
-WIDE_BACKEND = "async"
 
 
 @dataclass
@@ -69,18 +59,13 @@ class SpeculationDecision:
     ``order`` holds indexes into the caller's alternative list, ranked
     best-first and truncated to K; ``staggers`` are the matching start
     delays (``staggers[0]`` is always 0). ``backend`` may downgrade the
-    service default under saturation (or upgrade it to ``async`` in
-    wide-K mode). ``wide`` marks a K that deliberately exceeds the
-    budget grant — the extra worlds are unbudgeted cheap tasks, so the
-    service must neither clamp them to the grant nor preemption-gate
-    them.
+    service default under saturation.
     """
 
     order: list[int]
     staggers: list[float]
     backend: str | None = None
     reason: str = "adaptive"
-    wide: bool = False
 
     @property
     def k(self) -> int:
@@ -98,9 +83,7 @@ class FixedSpeculationPolicy:
 
     backend: str | None = None
 
-    def decide(
-        self, names, granted: int, load: float = 0.0, request_class=None,  # noqa: ARG002
-    ) -> SpeculationDecision:
+    def decide(self, names, granted: int, load: float = 0.0) -> SpeculationDecision:  # noqa: ARG002
         order = list(range(len(names)))
         return SpeculationDecision(
             order=order, staggers=[0.0] * len(order),
@@ -119,56 +102,28 @@ class AdaptiveSpeculationPolicy:
     ----------
     stats:
         The shared statistics store (created on demand).
-    class_max_k:
-        Per-request-class K cap, in place of the grant for requests
-        carrying that class. A cap *above* the grant is the wide-K
-        opt-in: the class's worlds are cheap (I/O-bound coroutines), so
-        K may exceed the granted slots — the decision comes back
-        ``wide=True`` on :data:`WIDE_BACKEND`. A cap below the grant is
-        just a tighter clamp (e.g. CPU-bound classes that should never
-        fan out). Classes absent from the map are capped by the grant.
 
     The thresholds are module constants: :data:`SATURATION`,
     :data:`CONFIDENT_WIN`, :data:`STAGGER_SCALE`, :data:`MAX_STAGGER_S`.
     """
 
     stats: AlternativeStats = field(default_factory=AlternativeStats)
-    class_max_k: dict[str, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        for cls, cap in self.class_max_k.items():
-            if cap < 1:
-                raise ServeError(
-                    f"class_max_k[{cls!r}] must be >= 1, got {cap}"
-                )
 
     # -- the decision ------------------------------------------------------
-    def decide(
-        self,
-        names,
-        granted: int,
-        load: float = 0.0,
-        request_class: str | None = None,
-    ) -> SpeculationDecision:
+    def decide(self, names, granted: int, load: float = 0.0) -> SpeculationDecision:
         """Shape one request: ``names`` are the alternatives' names (in
-        caller order), ``granted`` the slots the budget allotted,
-        ``load`` the share of the pool *others* hold, in ``[0, 1]``, and
-        ``request_class`` the tenant-declared workload class consulted
-        against ``class_max_k``.
+        caller order), ``granted`` the slots the budget allotted, and
+        ``load`` the share of the pool *others* hold, in ``[0, 1]``.
         """
         n = len(names)
         if n == 0:
             raise ServeError("cannot decide over zero alternatives")
         ranked = sorted(range(n), key=lambda i: -self.stats.score(names[i]))
-        # a class knows its worlds' cost better than the grant does
-        cap = self.class_max_k.get(request_class, granted)
-        k = max(1, min(n, cap))
-        wide = k > max(1, granted)
-        reason = "wide" if wide else "adaptive"
+        k = max(1, min(n, granted))
+        reason = "adaptive"
         if load >= SATURATION and k > 1:
-            # a saturated machine has no spare cycles for *any* kind of
-            # speculation, cheap worlds included
-            k, reason, wide = 1, "saturated", False
+            # a saturated machine has no spare cycles for speculation
+            k, reason = 1, "saturated"
         favourite = names[ranked[0]]
         fav_rec = self.stats.record(favourite)
         if (
@@ -177,20 +132,15 @@ class AdaptiveSpeculationPolicy:
             and fav_rec.attempts >= 3
             and fav_rec.win_ewma >= CONFIDENT_WIN
         ):
-            k, reason, wide = 1, "confident", False
+            k, reason = 1, "confident"
         order = ranked[:k]
         # an unseen favourite's latency EWMA is 0: nothing to wait out
         unit = STAGGER_SCALE * load * self.stats.latency_ewma(favourite)
         unit = min(max(unit, 0.0), MAX_STAGGER_S)
         staggers = [i * unit for i in range(k)]
-        backend = None
-        if reason == "saturated":
-            backend = "sequential"
-        elif wide:
-            backend = WIDE_BACKEND
+        backend = "sequential" if reason == "saturated" else None
         return SpeculationDecision(
             order=order, staggers=staggers, backend=backend, reason=reason,
-            wide=wide,
         )
 
     # -- the feedback loop -------------------------------------------------

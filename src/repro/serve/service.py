@@ -222,9 +222,8 @@ class SpeculationService:
         An :class:`AdmissionQueue`; defaults to one with bounds scaled
         to the budget (depth ``16×slots``).
     policy:
-        Any object with ``decide(names, granted, load=0.0,
-        request_class=None)`` and ``observe(outcome, names,
-        launched=None)``; defaults to an
+        Any object with ``decide(names, granted, load=0.0)`` and
+        ``observe(outcome, names, launched=None)``; defaults to an
         :class:`AdaptiveSpeculationPolicy` over fresh stats.
     workers:
         Dispatch threads. Each drives one request at a time; the worlds
@@ -501,10 +500,8 @@ class SpeculationService:
         priority: int = 0,
         deadline_s: float | None = None,
         timeout: float | None = None,
-        cost: float = 1.0,
         seq: int | None = None,
         spec: Any = None,
-        request_class: str = "",
     ) -> ServeTicket:
         """Queue one alternative block for ``tenant``; returns a ticket.
 
@@ -521,8 +518,7 @@ class SpeculationService:
         """
         return self.admit(ServeRequest.build(
             tenant, alternatives, initial=initial, priority=priority,
-            deadline_s=deadline_s, timeout=timeout, cost=cost, seq=seq,
-            spec=spec, request_class=request_class,
+            deadline_s=deadline_s, timeout=timeout, seq=seq, spec=spec,
         ))
 
     def admit(self, request: ServeRequest) -> ServeTicket:
@@ -707,12 +703,9 @@ class SpeculationService:
             others_load = max(0, self.budget.in_use - reservation.granted) / self.budget.slots
             decision = self.policy.decide(
                 names, granted=reservation.granted, load=others_load,
-                request_class=request.request_class,
             )
-            if decision.k > reservation.granted and not decision.wide:
+            if decision.k > reservation.granted:
                 # a policy may not outvote the budget: clamp to the grant
-                # (a wide decision is the sanctioned exception — its
-                # extra worlds are unbudgeted cheap tasks by contract)
                 decision = dataclasses.replace(
                     decision, order=decision.order[: reservation.granted],
                     staggers=decision.staggers[: reservation.granted],
@@ -721,9 +714,8 @@ class SpeculationService:
             wave = self._build_wave(alts, decision, reservation)
             backend = decision.backend or self.backend
 
-            # release slots the policy decided not to use (a wide K
-            # exceeds the grant; nothing is unused then)
-            unused = max(0, reservation.granted - decision.k)
+            # release slots the policy decided not to use
+            unused = reservation.granted - decision.k
             if unused > 0:
                 reservation.release(unused)
 
@@ -812,16 +804,14 @@ class SpeculationService:
         reservation at start time and fail fast if their slot was
         preempted away while they waited out their stagger — the
         cheapest faithful reading of "stop launching the worlds you
-        lost" that works inside an already-running block. Wide-K ranks
-        beyond the original grant never held a slot, so there is nothing
-        to preempt — they skip the gate.
+        lost" that works inside an already-running block.
         """
         wave = []
         for rank, idx in enumerate(decision.order):
             alt = alts[idx]
             stagger = decision.staggers[rank] if rank < len(decision.staggers) else 0.0
             fn = alt.fn
-            if rank > 0 and not (decision.wide and rank >= reservation.granted):
+            if rank > 0:
                 fn = _preemption_gate(fn, rank, reservation)
             wave.append(
                 dataclasses.replace(

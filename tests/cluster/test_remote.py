@@ -23,7 +23,8 @@ from repro.cluster.router import MISS_THRESHOLD
 from repro.distrib.retry import RetryStats
 from repro.errors import ClusterError, ShardUnreachable, WorldsError
 from repro.faults.plan import TRANSPORT_SITE, FaultKind, FaultPlan
-from repro.serve import AdaptiveSpeculationPolicy, ServeRequest, admission
+from repro.obs import Observability
+from repro.serve import ServeRequest, admission
 
 
 def val(ws, i=0):
@@ -289,38 +290,36 @@ class TestRemoteCluster:
         finally:
             router.stop()
 
-    def test_request_class_survives_sigkill_and_restore(self, tmp_path):
+    def test_priority_survives_sigkill_and_restore(self, tmp_path):
         """router -> host process -> sealed admit on disk -> SIGKILL ->
-        ``ClusterRouter.restore`` -> ``policy.decide(request_class="io")``
-        (a ``class_max_k`` cap of 1 is the observer)."""
+        ``ClusterRouter.restore`` -> the served request (its serve span's
+        ``priority`` is the observer)."""
         remote = make_remote(0, tmp_path, slots=3)
         router = ClusterRouter([remote]).start(detect=False)
         try:
             parked = [functools.partial(slow_val, i=i) for i in range(3)]
-            ticket = router.submit("t0", parked, spec={"i": 6}, request_class="io")
+            ticket = router.submit("t0", parked, priority=3, spec={"i": 6})
             remote.sigkill()  # mid-run: the admit is sealed, nothing applied
         finally:
             router.crash()
         (intent,) = remote.journal.sealed_unapplied_intents("admit")
         assert intent["data"]["request"] == ticket.seq
-        assert intent["data"]["request_class"] == "io"
+        assert intent["data"]["priority"] == 3
+        obs = Observability()
         restored, report = ClusterRouter.restore(
             {0: remote.journal},
             build_alternatives=lambda spec: [
                 functools.partial(val, i=spec["i"]) for _ in range(3)
             ],
-            shard_kwargs=dict(
-                slots=3, workers=1,
-                policy=AdaptiveSpeculationPolicy(class_max_k={"io": 1}),
-            ),
-            detect=False,
+            shard_kwargs=dict(slots=3, workers=1), obs=obs, detect=False,
         )
         try:
             result = report.tickets[ticket.seq].result(timeout=10)
         finally:
             restored.stop()
         assert result.committed and result.value == 42
-        assert result.result.k == 1, "request_class was lost on the way"
+        (span,) = [s for s in obs.tracer.spans if s.name == f"request:{ticket.seq}"]
+        assert span.attrs["priority"] == 3, "priority was lost on the way"
 
     def test_spare_degrades_remote_to_local(self, tmp_path):
         remotes = [make_remote(i, tmp_path, call_timeout_s=0.3) for i in range(2)]

@@ -164,7 +164,7 @@ def test_duplicate_sealed_admits_deduplicated_as_superseded():
         journal = CommitJournal(storage=storage)
         txn = journal.begin(
             "admit", request=5, tenant="dup", spec={"n": 5},
-            priority=0, cost=1.0, timeout=None,
+            priority=0, timeout=None,
         )
         journal.seal(txn)
 

@@ -28,7 +28,6 @@ from repro.journal import (
     request_fate,
 )
 from repro.obs import Observability
-from repro.serve import AdaptiveSpeculationPolicy
 from repro.serve.service import ServeResult
 
 from tests.jam import CrashJam
@@ -84,7 +83,8 @@ def make_router(n=3, slots=2, workers=2, **kw):
 
 class TestPlacement:
     def test_requests_route_by_ring_and_commit(self):
-        with make_router(3).start(detect=False) as router:
+        # spill off: it may move a request off a busy home (its own tests)
+        with make_router(3, spill=False).start(detect=False) as router:
             tickets = [
                 router.submit(f"tenant-{i % 5}", value_alts(i)) for i in range(15)
             ]
@@ -438,7 +438,7 @@ class TestReplayIsOnePolicy:
         if sealed_admit:
             journal.seal(journal.begin(
                 "admit", request=self.SEQ, tenant=self.TENANT, priority=0,
-                cost=1.0, timeout=None, spec={"n": 1}, request_class="",
+                timeout=None, spec={"n": 1},
             ))
         record_block_win(
             journal, self.SEQ, 0,
@@ -564,7 +564,7 @@ class TestLandingMatrix:
             journals = {i: CommitJournal() for i in range(3)}
             journals[0].seal(journals[0].begin(
                 "admit", request=self.SEQ, tenant=self.TENANT, priority=0,
-                cost=1.0, timeout=None, spec={"n": 1}, request_class="",
+                timeout=None, spec={"n": 1},
             ))
             probe.armed = True
             router, report = Router.restore(
@@ -741,7 +741,7 @@ def test_a_ticket_callback_runs_outside_the_router_lock():
         assert seen["ticket"].result(timeout=10).committed
 
 
-def classed_alternatives(spec):
+def named_alternatives(spec):
     def alt(ws):
         return spec["n"]
 
@@ -751,45 +751,47 @@ def classed_alternatives(spec):
     ]
 
 
-def test_request_class_survives_admit_crash_and_restore_on_local_shards():
-    """``request_class`` rides router -> shard -> sealed admit -> restore ->
-    ``policy.decide``: a ``class_max_k`` cap of 1 is the observer."""
-    def policy():
-        return AdaptiveSpeculationPolicy(class_max_k={"io": 1})
-
+def test_priority_survives_admit_crash_and_restore_on_local_shards():
+    """``priority`` rides router -> shard -> sealed admit -> restore ->
+    the served request: its serve span's ``priority`` is the observer."""
     storage = MemoryJournalStorage()
     journal = CommitJournal(storage=storage)
     shard = ClusterShard(
-        0, slots=3, workers=1, policy=policy(), journal=journal,
-        journal_admission=True,
+        0, slots=3, workers=1, journal=journal, journal_admission=True,
     )
     router = ClusterRouter([shard]).start(detect=False)
     try:
         # the one worker parks on the first; the second waits in the queue
         # (a jam world fails once its host has crashed: nothing applies)
         jam = CrashJam([shard.service])
-        classed = jam.submit(
-            router.submit, "t", worlds=3, spec={"n": 2}, request_class="io"
+        urgent = jam.submit(
+            router.submit, "t", worlds=3, spec={"n": 2}, priority=3
         )
         plain = jam.submit(router.submit, "t", worlds=3, spec={"n": 3})
         sealed = {
-            i["data"]["request"]: i["data"]["request_class"]
+            i["data"]["request"]: i["data"]["priority"]
             for i in journal.sealed_unapplied_intents("admit")
         }
-        assert sealed[classed.seq] == "io" and sealed[plain.seq] == ""
+        assert sealed[urgent.seq] == 3 and sealed[plain.seq] == 0
     finally:
         router.crash()
+    obs = Observability()
     restored, report = ClusterRouter.restore(
-        {0: CommitJournal(storage=storage)}, build_alternatives=classed_alternatives,
-        shard_kwargs=dict(slots=3, workers=1, policy=policy()), detect=False,
+        {0: CommitJournal(storage=storage)}, build_alternatives=named_alternatives,
+        shard_kwargs=dict(slots=3, workers=1), obs=obs, detect=False,
     )
     try:
-        io = report.tickets[classed.seq].result(timeout=10)
+        first = report.tickets[urgent.seq].result(timeout=10)
         other = report.tickets[plain.seq].result(timeout=10)
     finally:
         restored.stop()
-    assert io.committed and io.value == 2 and io.result.k == 1
-    assert other.committed and other.value == 3 and other.result.k == 3
+    assert first.committed and first.value == 2
+    assert other.committed and other.value == 3
+    priorities = {
+        s.name: s.attrs["priority"] for s in obs.tracer.spans if s.cat == "serve"
+    }
+    assert priorities[f"request:{urgent.seq}"] == 3
+    assert priorities[f"request:{plain.seq}"] == 0
 
 
 def heartbeat_misses(obs, shard_id):

@@ -14,7 +14,8 @@ import textwrap
 import threading
 import tokenize
 
-from repro.cluster import ClusterRouter, ClusterShard, RemoteShardClient
+from repro.cluster import ClusterRouter, ClusterShard, RemoteShardClient, remote
+from repro.core.alternative import Alternative
 from repro.core.policy import EliminationPolicy
 from repro.core.worlds import run_alternatives
 from repro.journal import CommitJournal, settle
@@ -34,17 +35,21 @@ LOCKS_CEILING = 10
 #: ROADMAP's "re-entrant locks in `serve/` + `cluster/`" row
 RLOCKS_CEILING = 0
 #: ROADMAP's "`serve/` + `cluster/` lines" row (`wc -l`)
-LINES_CEILING = 4403
+LINES_CEILING = 4289
 #: ROADMAP's "`src/` lines" row (`git ls-files 'src/*.py' | xargs wc -l`)
-SRC_LINES_CEILING = 18045
+SRC_LINES_CEILING = 17931
 #: ROADMAP's "settable values on the serving path" row
-SETTABLE_VALUES_CEILING = 48
+SETTABLE_VALUES_CEILING = 47
 #: ROADMAP's "`fsync`s per `cluster_remote` op" row
 APPENDS_PER_REQUEST_CEILING = 2
 #: ROADMAP's "durable appends made while the request holds its slots" row
 APPENDS_ON_HELD_SLOTS_CEILING = 0
 #: ROADMAP's "threads started per thread-backend block, warm pool" row
 THREAD_STARTS_PER_BLOCK_CEILING = 0
+#: ROADMAP's "journal bytes appended per journalled request" row
+JOURNAL_BYTES_PER_REQUEST_CEILING = 502
+#: ROADMAP's "admit RPC frame bytes per `cluster_remote`-shaped request" row
+ADMIT_FRAME_BYTES_CEILING = 742
 
 
 def _serve_and_cluster_lines_matching(pattern: str) -> list[str]:
@@ -165,6 +170,72 @@ def test_no_durable_append_is_made_while_the_request_holds_its_slots():
         f"{held} of {len(in_use)} durable appends ran on held slots "
         f"(ceiling {APPENDS_ON_HELD_SLOTS_CEILING}; slots in use at each: "
         f"{in_use}): write after reservation.release()"
+    )
+
+
+def test_a_journalled_request_appends_no_more_bytes():
+    """One request served single-threaded (the test takes the worker's
+    step itself) over an in-memory journal: the admit's intent + seal,
+    then the block win with the admit's settle."""
+    storage = CountingStorage()
+    svc = SpeculationService(
+        WorldBudget(2), workers=1, journal=CommitJournal(storage=storage),
+        journal_admission=True,
+    )
+    svc._running = True  # no workers
+    storage.blobs.clear()  # the magic is per journal, not per request
+    ticket = svc.submit("t0000abcd", [lambda ws: 1], spec={"n": 1}, seq=1)
+    svc._work(*svc.queue.take(timeout=0))
+    assert ticket.result(timeout=0).committed
+    appended = sum(len(blob) for blob in storage.blobs)
+    assert appended <= JOURNAL_BYTES_PER_REQUEST_CEILING, (
+        f"{appended} journal bytes for one journalled request (ceiling "
+        f"{JOURNAL_BYTES_PER_REQUEST_CEILING}): keep the admit record to the "
+        "fields a restore needs, or update ROADMAP's ledger row and this "
+        "ceiling together"
+    )
+
+
+def op_alt0(ws):
+    return 0
+
+
+def op_alt1(ws):
+    return 1
+
+
+def op_alt2(ws):
+    return 2
+
+
+def test_a_remote_admit_sends_one_frame_of_no_more_bytes(tmp_path, monkeypatch):
+    """A request shaped like ``cluster_remote``'s (a ``t%08x`` tenant,
+    three named module-level alternatives, the op's workspace) admitted
+    to a real shard host: one admit RPC, its frame no larger than before."""
+    sizes = []
+    pack_frame = remote.pack_frame
+
+    def packed(body):
+        frame = pack_frame(body)
+        if body.get("op") == "admit":
+            sizes.append(len(frame))
+        return frame
+
+    monkeypatch.setattr(remote, "pack_frame", packed)
+    alternatives = [
+        Alternative(fn, name=f"op1000.{pos}")
+        for pos, fn in enumerate((op_alt0, op_alt1, op_alt2))
+    ]
+    initial = {"op": 1000, "costs_ms": (4.0, 20.0, 20.0), "kernel_at": -1}
+    host = RemoteShardClient(0, workdir=str(tmp_path))
+    with ClusterRouter([host]).start(detect=False) as router:
+        ticket = router.submit("t0000abcd", alternatives, initial=initial, seq=1000)
+        assert ticket.result(10).committed
+    (size,) = sizes
+    assert size <= ADMIT_FRAME_BYTES_CEILING, (
+        f"{size}-byte admit frame (ceiling {ADMIT_FRAME_BYTES_CEILING}): keep "
+        "the wire record to the fields a shard host needs, or update "
+        "ROADMAP's ledger row and this ceiling together"
     )
 
 

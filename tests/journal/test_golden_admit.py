@@ -1,8 +1,10 @@
-"""The ``admit`` record is a disk contract: a journal written by the
+"""The ``admit`` record is a disk contract. A journal written by the
 commit before ``ServeRequest`` became the one request record
 (``golden_admit_pr21.wal``: one sealed, unapplied admit with every
-durable field set) restores with every field intact, and the same submit
-writes the same bytes today.
+durable field of its day set, ``cost`` and ``request_class`` among them)
+still restores with every field the record keeps today intact, and the
+same submit writes ``golden_admit_five_keys.wal`` byte for byte: the
+record without the two keys the request no longer has.
 """
 
 import pathlib
@@ -11,11 +13,12 @@ import threading
 from repro.journal import CommitJournal, MemoryJournalStorage
 from repro.serve import SpeculationService, WorldBudget
 
-GOLDEN = (pathlib.Path(__file__).parent / "golden_admit_pr21.wal").read_bytes()
+HERE = pathlib.Path(__file__).parent
+PARENT = (HERE / "golden_admit_pr21.wal").read_bytes()
+GOLDEN = (HERE / "golden_admit_five_keys.wal").read_bytes()
 
 SUBMIT = dict(
-    priority=3, cost=2.5, timeout=1.25, seq=4242,
-    spec={"n": 5, "who": "pr21"}, request_class="io",
+    priority=3, timeout=1.25, seq=4242, spec={"n": 5, "who": "pr21"},
     initial={"x": 1}, deadline_s=60.0,
 )
 
@@ -27,7 +30,7 @@ def test_parent_written_admit_restores_with_every_field():
         seen.append((request, result))
         resolved.set()
 
-    journal = CommitJournal(storage=MemoryJournalStorage(GOLDEN))
+    journal = CommitJournal(storage=MemoryJournalStorage(PARENT))
     svc, report = SpeculationService.restore(
         journal, WorldBudget(2), workers=1, on_resolve=on_resolve,
         build_alternatives=lambda spec: [lambda ws: spec["n"] * 2],
@@ -41,9 +44,9 @@ def test_parent_written_admit_restores_with_every_field():
     request, result = seen[0]
     assert result.committed
     assert (
-        request.seq, request.tenant, request.priority, request.cost,
-        request.timeout, request.spec, request.request_class,
-    ) == (4242, "golden", 3, 2.5, 1.25, {"n": 5, "who": "pr21"}, "io")
+        request.seq, request.tenant, request.priority, request.timeout,
+        request.spec,
+    ) == (4242, "golden", 3, 1.25, {"n": 5, "who": "pr21"})
     # not journalled, by decision: the rebuild starts from the spec
     assert request.initial is None and request.deadline_s is None
     # the re-admission reused the golden admit instead of writing another
@@ -51,7 +54,7 @@ def test_parent_written_admit_restores_with_every_field():
     assert journal.sealed_unapplied_intents("admit") == []
 
 
-def test_the_same_submit_writes_the_parents_bytes():
+def test_the_same_submit_writes_the_golden_bytes():
     storage = MemoryJournalStorage()
     svc = SpeculationService(
         WorldBudget(2), workers=1, journal=CommitJournal(storage=storage),

@@ -288,8 +288,8 @@ def _serve(journal, i):
     """One request's records, the cluster path's mix: admit intent+seal,
     block intent+seal+applied, admit applied."""
     txn = journal.begin(
-        "admit", request=i, tenant=f"t{i % 8:08x}", priority=0, cost=1.0,
-        timeout=None, spec=None, request_class=None,
+        "admit", request=i, tenant=f"t{i % 8:08x}", priority=0, timeout=None,
+        spec=None,
     )
     journal.seal(txn)
     record_block_win(journal, i, 0, _Winner(1, f"op{i}.1", (f"op{i}.1", i)))

@@ -1,15 +1,12 @@
-"""AdmissionQueue: backpressure, deadline shedding, DRR fairness."""
+"""AdmissionQueue: backpressure, deadline shedding, round-robin fairness."""
 
-import math
-import random
-import threading
 import time
 
 import pytest
 
 from repro.errors import AdmissionRejected, ServeError
 from repro.obs import Observability
-from repro.serve import AdmissionQueue, ServeRequest, SpeculationService
+from repro.serve import AdmissionQueue, ServeRequest
 from repro.serve import admission
 
 
@@ -60,32 +57,8 @@ def test_round_robin_across_tenants():
         q.offer(req("a"))
     q.offer(req("b"))
     order = [q.take(timeout=0.1)[0].tenant for _ in range(4)]
-    # b must not wait behind a's whole backlog
-    assert order.index("b") <= 1
-    assert sorted(order) == ["a", "a", "a", "b"]
-
-
-def test_drr_cost_weighting():
-    # an expensive request waits for deficit to accrue; cheap tenants
-    # keep flowing meanwhile
-    q = AdmissionQueue(depth=16)
-    q.offer(req("pricey", cost=3.0))
-    q.offer(req("cheap", cost=1.0))
-    q.offer(req("cheap", cost=1.0))
-    served = [q.take(timeout=0.2)[0].tenant for _ in range(3)]
-    assert served.count("cheap") == 2
-    assert served.count("pricey") == 1
-    # the expensive one was not dispatched first
-    assert served[0] == "cheap"
-    assert served == ["cheap", "cheap", "pricey"]
-
-
-def test_expensive_head_does_not_deadlock(monkeypatch):
-    monkeypatch.setattr(admission, "QUANTUM", 0.25)
-    q = AdmissionQueue(depth=4)
-    q.offer(req("a", cost=2.0))
-    request, _ = q.take(timeout=1.0)
-    assert request is not None and request.tenant == "a"
+    # b does not wait behind a's whole backlog: one request per visit
+    assert order == ["a", "b", "a", "a"]
 
 
 def test_expired_requests_are_shed_at_dispatch():
@@ -143,70 +116,3 @@ def test_obs_counters():
 def test_bad_arguments():
     with pytest.raises(ServeError):
         AdmissionQueue(depth=0)
-
-
-def _within(seconds, fn):
-    """``fn()`` on a daemon thread: a wedged queue fails the test instead
-    of hanging the run."""
-    box = {}
-
-    def run():
-        try:
-            box["value"] = fn()
-        except BaseException as exc:  # noqa: BLE001 - re-raised below
-            box["error"] = exc
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    thread.join(seconds)
-    assert not thread.is_alive(), f"still running after {seconds} s"
-    if "error" in box:
-        raise box["error"]
-    return box["value"]
-
-
-@pytest.mark.parametrize("cost", [math.inf, math.nan, 0.0, -1.0])
-def test_a_cost_no_deficit_can_pay_is_rejected_at_submit(cost):
-    # an infinite or nan head would be re-scanned forever under the
-    # queue's lock, wedging every later submit from any tenant
-    def scenario():
-        with SpeculationService(2, workers=1) as svc:
-            with pytest.raises(ServeError, match="cost"):
-                svc.submit("a", [lambda ws: 1], cost=cost)
-            return svc.submit("b", [lambda ws: 2]).result(timeout=2).value
-
-    assert _within(5, scenario) == 2
-
-
-def test_a_lone_costly_request_dispatches_at_once():
-    q = AdmissionQueue()
-    q.offer(req("a", cost=1e6))
-    started = time.monotonic()
-    got, _ = _within(5, lambda: q.take(timeout=5))
-    assert got is not None
-    assert time.monotonic() - started < 0.05
-
-
-#: the dispatch order below, as the queue took it when each take scanned
-#: one quantum at a time
-SEEDED_ORDER = [
-    3, 1, 0, 2, 7, 8, 10, 4, 16, 5, 18, 9, 26, 21, 32, 29, 33, 12, 39, 43,
-    47, 41, 22, 46, 45, 23, 51, 34, 60, 61, 63, 65, 73, 66, 74, 36, 42, 68,
-    70, 71, 54, 77, 55, 59, 64, 67, 78,
-]
-
-
-def test_mixed_costs_dispatch_in_the_order_of_one_quantum_per_scan():
-    rng = random.Random(43)
-    q = AdmissionQueue(depth=64)
-    order = []
-    for i in range(80):
-        if rng.random() < 0.6:
-            tenant = rng.choice("abcd")
-            cost = rng.uniform(0.05, 12.0)
-            q.offer(ServeRequest(tenant, [lambda ws: 1], cost=cost, spec=i))
-        else:
-            order.append(q.take(timeout=0)[0].spec)
-    while len(q):
-        order.append(q.take(timeout=0)[0].spec)
-    assert order == SEEDED_ORDER

@@ -175,75 +175,10 @@ def test_zero_alternatives_rejected():
         p.decide([], granted=1, load=0.0)
 
 
-# -- wide-K (per request class) --------------------------------------------
-def test_io_class_widens_past_grant_cpu_class_stays_clamped():
-    """The satellite contract: an I/O-bound tenant class speculates past
-    its budget grant on the async backend, while a CPU-bound class is
-    clamped tighter than the grant — same policy, same call, different
-    ``request_class``."""
-    p = AdaptiveSpeculationPolicy(
-        class_max_k={"io-probe": 16, "cpu-crunch": 2}
-    )
-    names = [f"alt{i}" for i in range(16)]
-    io = p.decide(names, granted=4, load=0.0, request_class="io-probe")
-    assert io.k == 16
-    assert io.wide is True
-    assert io.reason == "wide"
-    assert io.backend == "async"
-    cpu = p.decide(names, granted=4, load=0.0, request_class="cpu-crunch")
-    assert cpu.k == 2
-    assert cpu.wide is False
-    assert cpu.reason == "adaptive"
-    assert cpu.backend is None
-
-
-def test_unclassed_request_is_capped_by_its_grant():
-    p = AdaptiveSpeculationPolicy(class_max_k={"io": 16})
-    d = p.decide([f"a{i}" for i in range(8)], granted=3, load=0.0)
-    assert d.k == 3 and not d.wide
-    unknown = p.decide(
-        [f"a{i}" for i in range(8)], granted=3, load=0.0, request_class="other"
-    )
-    assert unknown.k == 3 and not unknown.wide
-
-
-def test_wide_k_bounded_by_alternative_count():
-    p = AdaptiveSpeculationPolicy(class_max_k={"io": 100})
-    d = p.decide(["a", "b", "c"], granted=1, load=0.0, request_class="io")
-    assert d.k == 3  # never more worlds than alternatives
-    assert d.wide
-
-
-def test_saturation_overrides_wide_k():
-    # a saturated machine has no spare cycles even for cheap worlds
-    p = AdaptiveSpeculationPolicy(class_max_k={"io": 16})
-    d = p.decide(
-        [f"a{i}" for i in range(16)], granted=4, load=0.95, request_class="io"
-    )
-    assert d.k == 1
-    assert d.reason == "saturated"
-    assert not d.wide
-    assert d.backend == "sequential"
-
-
-def test_confident_winner_overrides_wide_k():
-    p = AdaptiveSpeculationPolicy(class_max_k={"io": 16})
-    for _ in range(10):
-        p.observe(outcome("ace", 0, losers=[(1, "dud")]), ["ace", "dud"])
-    d = p.decide(["ace", "dud"], granted=2, load=0.0, request_class="io")
-    assert d.k == 1 and d.reason == "confident" and not d.wide
-
-
-def test_wide_backend_knob(monkeypatch):
-    monkeypatch.setattr(policy_module, "WIDE_BACKEND", "thread")
-    p = AdaptiveSpeculationPolicy(class_max_k={"io": 8})
-    d = p.decide([f"a{i}" for i in range(8)], granted=2, load=0.0, request_class="io")
-    assert d.wide and d.backend == "thread"
-
-
-def test_bad_class_cap_rejected():
-    with pytest.raises(ServeError):
-        AdaptiveSpeculationPolicy(class_max_k={"io": 0})
+def test_k_never_exceeds_the_alternative_count():
+    p = AdaptiveSpeculationPolicy()
+    d = p.decide(["a", "b", "c"], granted=100, load=0.0)
+    assert d.k == 3 and d.reason == "adaptive"
 
 
 # -- fixed policy ----------------------------------------------------------

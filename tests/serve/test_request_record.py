@@ -27,18 +27,16 @@ FIELDS = [f.name for f in dataclasses.fields(ServeRequest)]
 
 #: field -> (who writes it, who reads it): the prose columns of DESIGN's table
 WHO = {
-    "tenant": ("`submit` caller", "ring placement, DRR lane, budget share, fault keys, metrics"),
+    "tenant": ("`submit` caller", "ring placement, queue lane, budget share, fault keys, metrics"),
     "alternatives": ("`submit` caller, normalised by `build`", "`_serve_one` (the worlds)"),
     "initial": ("`submit` caller", "the block's workspace"),
     "priority": ("`submit` caller", "`WorldBudget.reserve_blocking` (preemption)"),
     "deadline_s": ("`build`: now + the caller's relative deadline", "queue shed, grant timeout, block timeout"),
     "timeout": ("`submit` caller", "the block's run bound"),
-    "cost": ("`submit` caller", "DRR dequeue price"),
     "seq": ("`build` (`next_seq`), the restore path, or `_maybe_burst` (a shadow's negative local id)", "journal block id, router table key, result"),
     "submitted_at": ("`admit`, on arrival at each service", "`queue_wait_s`, `latency_s`"),
     "shadow": ("`_maybe_burst`", "skips journal, ticket resolution and stealing"),
     "spec": ("`submit` caller", "`build_alternatives(spec)` at restore"),
-    "request_class": ("`submit` caller", "`policy.decide(..., request_class=)`"),
     "ticket": ("`SpeculationService.admit`, on arrival at each service; cleared by `_end`", "`_end`"),
 }
 
@@ -64,9 +62,9 @@ def populated() -> ServeRequest:
     """A request with no field left at its default."""
     return ServeRequest(
         tenant="tenant-x", alternatives=normalize_alternatives([alt_a, alt_b]),
-        initial={"k": 1}, priority=4, deadline_s=1e9, timeout=2.5, cost=3.0,
-        seq=77, submitted_at=-1.0, shadow=True, spec={"n": 9},
-        request_class="io", ticket=ServeTicket("tenant-x", 77),
+        initial={"k": 1}, priority=4, deadline_s=1e9, timeout=2.5, seq=77,
+        submitted_at=-1.0, shadow=True, spec={"n": 9},
+        ticket=ServeTicket("tenant-x", 77),
     )
 
 
@@ -97,7 +95,7 @@ def test_every_field_is_declared_exactly_once():
 
 def test_admit_record_keys_are_the_ones_on_disk_today():
     assert list(populated().admit_data()) == [
-        "request", "tenant", "priority", "cost", "timeout", "spec", "request_class",
+        "request", "tenant", "priority", "timeout", "spec",
     ]
 
 

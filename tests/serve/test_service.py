@@ -167,7 +167,7 @@ class TwoPhasePolicy:
     def __init__(self, stagger_s):
         self.stagger_s = stagger_s
 
-    def decide(self, names, granted, load=0.0, request_class=None):
+    def decide(self, names, granted, load=0.0):
         k = min(2, len(names), max(granted, 1))
         return SpeculationDecision(
             order=list(range(k)), staggers=[i * self.stagger_s for i in range(k)],
