@@ -32,7 +32,7 @@ correctness story checked continuously:
   never silently loses the ledger.
 
 Every alternative of request *n* returns the same deterministic value
-(:func:`expected_value`), so a replayed, stolen, or re-admitted request
+(:func:`expected_value`), so a replayed, re-landed or re-admitted request
 is byte-identical to its first incarnation by construction — any
 divergence the soak observes is a real correctness bug, not harness
 noise.
@@ -485,7 +485,6 @@ class _Soak:
             self._submit_one()
             if cfg.heartbeat_every and step % cfg.heartbeat_every == 0:
                 self.router.heartbeat_round()
-                self.router.steal_round()
         self._settle()
         if cfg.compact_every and (self.episode + 1) % cfg.compact_every == 0:
             self.cold_restart("compaction boundary", compact=True)
@@ -543,9 +542,8 @@ class _Soak:
                 pending[0].result(timeout=0.25)
                 stall_rounds = 0
             except ClusterError:
-                # not done yet: drive takeovers/steals and re-sweep
+                # not done yet: drive takeovers and re-sweep
                 self.router.heartbeat_round()
-                self.router.steal_round()
                 self._kill_poisoned_shards()
                 stall_rounds += 1
                 if stall_rounds >= 20:

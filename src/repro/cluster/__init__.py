@@ -10,13 +10,14 @@
   :class:`~repro.serve.budget.WorldBudget` and
   :class:`~repro.journal.CommitJournal`, wrapped so that crashing it
   kills everything *except* the journal;
-- :class:`ClusterRouter` — placement (with spill to idle shards and
-  work stealing off backlogged ones), failure detection by missed
-  beats per shard, and journal-replay failover: a dead shard's admitted
-  requests are replayed from its journal when their commit already
-  applied and re-landed on survivors — under the same request seq,
-  hence the same journal block id — when it did not. Every admitted request commits
-  exactly once; :meth:`ClusterRouter.audit_applied` proves it.
+- :class:`ClusterRouter` — placement (with spill to idle shards at
+  landing), failure detection by missed beats per shard, and
+  journal-replay failover, the one way a landed request moves: a dead
+  shard's admitted requests are replayed from its journal when their
+  commit already applied and re-landed on survivors — under the same
+  request seq, hence the same journal block id — when it did not.
+  Every admitted request commits exactly once;
+  :meth:`ClusterRouter.audit_applied` proves it.
 
 Shards need not share the router's process:
 :class:`~repro.cluster.remote.RemoteShardClient` runs one behind a

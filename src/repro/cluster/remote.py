@@ -18,13 +18,12 @@ real OS process boundary:
   same flat surface :class:`~repro.cluster.router.ClusterRouter` calls
   on a local ``ClusterShard`` (``state``/``up``/``alive``,
   ``backlog``/``idle_slots``/``load``, ``start``/``stop``/``crash``/
-  ``fence``, ``admit``/``steal_requests``/``confirm_stolen``), which
-  is what makes the router transport-polymorphic: local and remote
-  shards mix in one hash ring. ``admit`` pickles the router's
+  ``fence``, ``admit``), which is what makes the router
+  transport-polymorphic: local and remote shards mix in one hash ring.
+  ``admit`` pickles the router's
   :class:`~repro.serve.admission.ServeRequest` into the submit frame
   and returns a ticket the reader thread resolves from the host's
-  result push; a stolen request comes back as an identity-only
-  ``ServeRequest(tenant, (), seq=...)``.
+  result push.
 
 Reliability stack, bottom-up:
 
@@ -140,7 +139,7 @@ _RPC_LATENCY_BUCKETS = (
 #: The shard surface that crosses the wire: ``ClusterShard``'s method
 #: names are ``RemoteShardClient``'s RPC op names are what ``_ShardHost``
 #: dispatches on.
-SHARD_OPS = ("admit", "steal_requests", "confirm_stolen", "stop")
+SHARD_OPS = ("admit", "stop")
 
 
 def host_fault_decision(
@@ -231,8 +230,6 @@ class _ShardHost:
         if op == "admit":  # the result follows as a push
             value.add_done_callback(self._push)
             value = None
-        elif op == "steal_requests":  # only their identity goes back
-            value = [ServeRequest(r.tenant, (), seq=r.seq) for r in value]
         elif op == "stop":
             self._shutdown = True
         return value
@@ -569,15 +566,6 @@ class RemoteShardClient:
             self._tickets.pop(request.seq, None)
             raise
         return ticket
-
-    def steal_requests(self, max_n: int) -> list[ServeRequest]:
-        stolen = self._call("steal_requests", max_n=max_n)
-        for request in stolen:  # the host will never resolve these
-            self._tickets.pop(request.seq, None)
-        return stolen
-
-    def confirm_stolen(self, request: ServeRequest) -> None:
-        self._call("confirm_stolen", request=request)
 
     def backlog(self) -> int:
         return self._load[0]

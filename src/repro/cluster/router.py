@@ -1,26 +1,23 @@
-"""The cluster router: consistent-hash placement, spill/steal, failover.
+"""The cluster router: consistent-hash placement, spill, failover.
 
 :class:`ClusterRouter` is the traffic director over N shards, reached
 only through the flat shard surface — ``admit`` (it returns the
-request's ticket) / ``steal_requests`` / ``confirm_stolen`` plus
-lifecycle and load, the same names on :class:`~repro.cluster.shard.ClusterShard`
-and :class:`~repro.cluster.remote.RemoteShardClient`. Placement walks the
-:class:`~repro.cluster.ring.HashRing` preference order; load policy adds
-two or-parallel-style work-distribution moves on top:
-
-- **spill** — when a tenant's home shard has no free world slots and a
-  later preference has idle capacity, the request lands there instead
-  (counted ``mw_cluster_spills_total{src,dst}``);
-- **steal** — each detector round, an idle shard relieves the most
-  backlogged one of queued requests (``mw_cluster_steals_total``).
+request's ticket) plus lifecycle and load, the same names on
+:class:`~repro.cluster.shard.ClusterShard` and
+:class:`~repro.cluster.remote.RemoteShardClient`. Placement walks the
+:class:`~repro.cluster.ring.HashRing` preference order; one load move
+sits on top, at landing only: **spill** — when a tenant's home shard
+has no free world slots and a later preference has idle capacity, the
+request lands there instead (counted ``mw_cluster_spills_total{src,dst}``).
+Once landed, a request moves only through a takeover.
 
 **One landing path, one rule.** A request commits iff its ``block``
 transaction applies in exactly one shard journal, and what keeps it so
 is that *a request leaves a shard it may have reached only through that
 shard's ledger*. Every way a request comes to rest — fresh submit,
-spill, steal, takeover re-land, restore re-admit — is
+spill, takeover re-land, restore re-admit — is
 :meth:`ClusterRouter._land`: one walk of the tenant's
-preference order (from the thief or spill target, if any), with the
+preference order (from the spill target, if any), with the
 in-process spare as its last rung, once. What a target says is either
 
 - *no* (``AdmissionRejected``, ``ServiceStopped``) or *never reached*
@@ -101,11 +98,6 @@ PARTITION_WINDOW_BEATS = 8
 #: dead, and the real seconds between the background detector's rounds.
 MISS_THRESHOLD = 3
 DETECT_INTERVAL_S = 0.01
-
-#: Work stealing: the queue depth at which a shard becomes a victim, and
-#: the most requests one detector round moves off it.
-STEAL_MIN_BACKLOG = 2
-STEAL_BATCH = 2
 
 
 @dataclass(slots=True)
@@ -188,7 +180,7 @@ class ClusterRestartReport:
     replayed: list[int] = field(default_factory=list)
     #: sealed-but-unapplied requests re-admitted once, under original seq.
     re_admitted: list[int] = field(default_factory=list)
-    #: duplicate sealed admits (steal/re-land races) settled without a run.
+    #: duplicate sealed admits (re-land races) settled without a run.
     superseded: list[int] = field(default_factory=list)
     #: sealed requests with no rebuildable spec, settled ``unrecoverable``.
     dropped: list[int] = field(default_factory=list)
@@ -207,9 +199,8 @@ class ClusterRouter:
     ----------
     shards:
         The :class:`ClusterShard` members (ids must be unique).
-    spill / steal:
-        Enable the two load-balancing moves (stealing is paced by
-        :data:`STEAL_MIN_BACKLOG` and :data:`STEAL_BATCH`).
+    spill:
+        Enable spill, the one load-balancing move.
     fault_plan / obs:
         Shared robustness planes. The plan's ``cluster`` site drives
         shard-crash/partition/stale-takeover injection; ``obs`` gains
@@ -221,7 +212,6 @@ class ClusterRouter:
         self,
         shards: Sequence[ClusterShard],
         spill: bool = True,
-        steal: bool = True,
         fault_plan=None,
         obs=None,
         spare_factory=None,
@@ -232,7 +222,6 @@ class ClusterRouter:
         if len(set(ids)) != len(ids):
             raise ClusterError(f"duplicate shard ids: {sorted(ids)}")
         self.spill = spill
-        self.steal = steal
         self.fault_plan = fault_plan
         self.obs = obs = or_null(obs)
         #: zero-arg callable returning a fresh (unstarted) in-process
@@ -261,11 +250,6 @@ class ClusterRouter:
         self._spill_c = reg.counter(
             "mw_cluster_spills_total",
             "Requests spilled off a saturated home shard",
-            labelnames=("src", "dst"),
-        )
-        self._steal_c = reg.counter(
-            "mw_cluster_steals_total",
-            "Requests stolen from a backlogged shard by an idle one",
             labelnames=("src", "dst"),
         )
         self._takeover_c = reg.counter(
@@ -450,9 +434,9 @@ class ClusterRouter:
            not just its home shard's — is *replayed* from the durable
            value and its sealed admit settled, so a restarted home
            shard never re-runs it;
-        5. duplicate sealed admits for one seq (steal/re-land races cut
-           down mid-flight) are deduplicated: one re-admission, the
-           rest settled ``superseded``;
+        5. duplicate sealed admits for one seq (re-land races cut down
+           mid-flight) are deduplicated: one re-admission, the rest
+           settled ``superseded``;
         6. the surviving sealed admits are re-admitted once, under
            their original seqs, via normal placement.
 
@@ -593,15 +577,13 @@ class ClusterRouter:
             raise
         return rec
 
-    def _land(
-        self, rec: _Inflight, prefer: ClusterShard | None = None, exclude=()
-    ) -> str:
+    def _land(self, rec: _Inflight, exclude=()) -> str:
         """Bring ``rec`` to rest: the one landing path (module docstring).
 
         One walk of the live members in the tenant's ring order, minus
-        ``exclude``, with ``prefer`` — or the spill target, when the home
-        shard is saturated and a later preference sits idle — tried
-        first. Returns ``"landed"`` or ``"replayed"``; raises the last
+        ``exclude``, with the spill target — when the home shard is
+        saturated and a later preference sits idle — tried first.
+        Returns ``"landed"`` or ``"replayed"``; raises the last
         :class:`AdmissionRejected` seen, or :class:`NoSurvivingShard`,
         when nobody, the spare included, took it.
         """
@@ -616,8 +598,8 @@ class ClusterRouter:
                 and sid in self._shards
                 and self._shards[sid].up
             ]
-        spilled_from = None
-        if prefer is None and self.spill and order:
+        spilled_from = prefer = None
+        if self.spill and order:
             home = order[0]
             if home.idle_slots() == 0 and home.backlog() > 0:
                 prefer = next(
@@ -627,8 +609,8 @@ class ClusterRouter:
                 )
                 if prefer is not None:
                     spilled_from = home
-        if prefer is not None:
-            order.sort(key=lambda shard: shard is not prefer)  # stable
+                    order.remove(prefer)
+                    order.insert(0, prefer)
 
         def last_rung():
             # remote → local degradation, the cluster-level rung of fork →
@@ -665,7 +647,7 @@ class ClusterRouter:
             with self._lock:
                 rec.shard_id = target.shard_id
             self._req_c.inc(shard=target.shard_id)
-            if spilled_from is not None and target is prefer:
+            if target is prefer:
                 self._spill_c.inc(src=spilled_from.shard_id, dst=target.shard_id)
             # at rest first: a ticket already resolved settles right here
             ticket.add_done_callback(
@@ -677,23 +659,19 @@ class ClusterRouter:
             f"candidate shard is down ({len(self._shards)} members)"
         )
 
-    def _reland(
-        self, rec: _Inflight, what: str, failover: str,
-        prefer: ClusterShard | None = None, exclude=(),
-    ) -> str:
-        """:meth:`_land` for a request the cluster already accepted (a
-        steal or a takeover re-land): ``landed`` /
+    def _reland(self, rec: _Inflight, exclude=()) -> str:
+        """:meth:`_land` for a request a takeover claimed: ``landed`` /
         ``replayed``, or ``failed`` — settled as such — when the walk
         ends with nobody taking it."""
         rec.attempts += 1
-        rec.failover = failover
+        rec.failover = "relanded"
         # in transit: it is this thread's to land, not an orphan for a
         # takeover (one this very walk starts, or a concurrent one)
         rec.shard_id = -1
         try:
-            return self._land(rec, prefer, exclude)
+            return self._land(rec, exclude)
         except (AdmissionRejected, NoSurvivingShard) as exc:
-            self._settle(rec, "failed", f"{what} failed: {exc}")
+            self._settle(rec, "failed", f"re-land failed: {exc}")
             return "failed"
 
     def _replay_from(self, rec: _Inflight, shard: ClusterShard) -> bool:
@@ -754,8 +732,6 @@ class ClusterRouter:
         while self._running:
             try:
                 self.heartbeat_round()
-                if self.steal:
-                    self.steal_round()
             except Exception:  # noqa: BLE001 - the detector never dies
                 pass
             time.sleep(DETECT_INTERVAL_S)
@@ -857,56 +833,6 @@ class ClusterRouter:
         )
         self.takeover(shard.shard_id, kind="stale", reason="stale takeover (injected)")
 
-    # -- load balancing ----------------------------------------------------
-    def steal_round(self) -> int:
-        """Move up to :data:`STEAL_BATCH` requests from the most
-        backlogged shard to an idle one; returns how many moved."""
-        with self._lock:
-            ups = [s for s in self._shards.values() if s.state is ShardState.UP]
-        if len(ups) < 2:
-            return 0
-        busy = max(ups, key=lambda s: s.backlog())
-        if busy.backlog() < STEAL_MIN_BACKLOG:
-            return 0
-        idle = [
-            s for s in ups
-            if s is not busy and s.backlog() == 0 and s.idle_slots() > 0
-        ]
-        if not idle:
-            return 0
-        target = idle[0]
-        moved = 0
-        try:
-            stolen = busy.steal_requests(STEAL_BATCH)
-        except ShardUnreachable:
-            return 0  # busy shard went silent; the detector handles it
-        for request in stolen:
-            with self._lock:
-                rec = self._inflight.get(request.seq)
-            if rec is None:
-                continue  # resolved while being stolen; drop the copy
-            verdict = self._reland(
-                rec, "steal re-place", rec.failover, prefer=target
-            )
-            if verdict == "failed" or rec.shard_id == busy.shard_id:
-                continue  # nobody else took it: the source's admit stands
-            # at rest on another shard — its admit sealed there, or its
-            # win durable in that shard's journal: only now is the
-            # hand-off durable, so only now may the source close its
-            # ledger line (the reverse order would lose the request if
-            # the thief's admit write tore — no durable admit anywhere)
-            try:
-                busy.confirm_stolen(request)
-            except ShardUnreachable:
-                # the source went silent *after* the hand-off became
-                # durable: exactly-once still holds (only the new shard
-                # runs the block) and the source's unresolved admit is
-                # settled by its eventual takeover
-                pass
-            self._steal_c.inc(src=busy.shard_id, dst=rec.shard_id)
-            moved += 1
-        return moved
-
     # -- failover ----------------------------------------------------------
     def kill_shard(self, shard_id: int) -> None:
         """Crash a member shard (bench/test injection entry point)."""
@@ -994,7 +920,7 @@ class ClusterRouter:
             if self._replay_from(rec, shard):
                 report["replayed"] += 1
                 continue
-            verdict = self._reland(rec, "re-land", "relanded", exclude={shard_id})
+            verdict = self._reland(rec, exclude={shard_id})
             report["relanded" if verdict == "landed" else verdict] += 1
             if verdict != "replayed":
                 spare = self._spare

@@ -155,12 +155,6 @@ class ClusterShard:
     def admit(self, request) -> ServeTicket:
         return self.service.admit(request)
 
-    def steal_requests(self, max_n: int) -> list:
-        return self.service.steal_requests(max_n)
-
-    def confirm_stolen(self, request) -> None:
-        self.service.confirm_stolen(request)
-
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> "ClusterShard":
         self.service.start()

@@ -1254,10 +1254,12 @@ def replay_block_win(journal: CommitJournal, block_id: int) -> BlockOutcome | No
 
 #: Every fate a request's ``admit`` line can settle with, declared once:
 #: True for the request's answer, False for a line closed without one
-#: because another shard or incarnation carries the request.
+#: because another shard or incarnation carries the request. Older
+#: journals may hold lines settled ``stolen``; readers skip a status
+#: this table lacks, so such a line is closed and answers nothing.
 FATES = {
     "committed": True, "failed": True, "shed": True, "cancelled": True,
-    "unrecoverable": True, "rejected": False, "stolen": False,
+    "unrecoverable": True, "rejected": False,
     "superseded": False, "recovered": False, "recovered-remote": False,
 }
 

@@ -238,10 +238,11 @@ def _kill(pid: int, index: int, sig: int) -> bool:
 
 
 def _signal_children(
-    children: dict[int, tuple[int, Alternative, ReportChannel]],
+    children: dict[int, tuple[int, Alternative, ReportChannel, float]],
     send=_kill,
 ) -> tuple[float, list[dict]]:
-    """SIGKILL ``children`` (pid → (index, alt, channel)); return (elapsed, events).
+    """SIGKILL ``children`` (pid → (index, alt, channel, fork stamp)); return
+    (elapsed, events).
 
     The paper's immediate destruction: one SIGKILL each, then their
     channels closed. Nothing is awaited; the caller reaps with
@@ -251,13 +252,13 @@ def _signal_children(
     """
     t0 = time.perf_counter()
     events: list[dict] = []
-    for pid, (index, alt, _) in children.items():
+    for pid, (index, alt, _, _) in children.items():
         delivered = send(pid, index, signal.SIGKILL)
         events.append(
             {"index": index, "name": alt.name, "action": "sigkill" if delivered else "signal-lost",
              "at_s": time.perf_counter() - t0, "grace_s": 0.0}
         )
-    for _, _, channel in children.values():
+    for _, _, channel, _ in children.values():
         channel.close()
     return time.perf_counter() - t0, events
 
@@ -313,8 +314,9 @@ def run_alternatives_fork(
                 return False
         return _kill(pid, index, sig)
 
-    # pid -> (index, alt, channel) of every child not yet settled
-    pending: dict[int, tuple[int, Alternative, ReportChannel]] = {}
+    # pid -> (index, alt, channel, fork stamp) of every child not yet
+    # settled; a world's clock starts at its fork plus its stagger
+    pending: dict[int, tuple[int, Alternative, ReportChannel, float]] = {}
 
     def _abort_spawn() -> None:
         """Destroy children already forked when later spawning fails."""
@@ -333,6 +335,7 @@ def run_alternatives_fork(
                 detail=f"[Errno {errno.EAGAIN}] injected: resource temporarily unavailable",
             )
             child_fault = run.child_fault(index, alt)
+        t_fork = time.perf_counter()
         try:
             pid, channel = ReportChannel.fork()
         except OSError as exc:
@@ -341,11 +344,11 @@ def run_alternatives_fork(
         if pid == 0:
             # child: alt_spawn returned our index (1-based in the paper);
             # the older siblings' channels came along and are not ours
-            for _, _, sibling in pending.values():
+            for _, _, sibling, _ in pending.values():
                 sibling.close()
             _child_main(alt, run.base, channel, child_fault)
             os._exit(0)  # pragma: no cover - _child_main never returns
-        pending[pid] = (index, alt, channel)
+        pending[pid] = (index, alt, channel, t_fork)
     t_spawned = time.perf_counter()
     deadline = None if timeout is None else run.t_start + timeout
 
@@ -355,11 +358,11 @@ def run_alternatives_fork(
     term_at: dict[int, float] = {}   # pid -> when SIGTERM went out
     killed: set[int] = set()         # pid -> SIGKILL sent, awaiting EOF
     if watchdog is not None:
-        for pid, (index, alt, _) in pending.items():
+        for pid, (index, alt, _, _) in pending.items():
             soft_deadlines[pid] = t_spawned + watchdog.deadline_for(alt.start_delay)
 
     sel = selectors.DefaultSelector()
-    for pid, (_, _, channel) in pending.items():
+    for pid, (_, _, channel, _) in pending.items():
         sel.register(channel, selectors.EVENT_READ, pid)
 
     # children that reported or died, then the ones killed: reaped together
@@ -385,7 +388,7 @@ def run_alternatives_fork(
                 for pid in list(pending):
                     if pid in killed:
                         continue
-                    index, alt, _ = pending[pid]
+                    index, alt, _, _ = pending[pid]
                     if pid in term_at:
                         if now >= term_at[pid] + watchdog.term_grace_s:
                             delivered = _send_signal(pid, index, signal.SIGKILL)
@@ -431,7 +434,8 @@ def run_alternatives_fork(
                 pid = key.data
                 if pid not in pending:
                     continue
-                index, alt, channel = pending[pid]
+                index, alt, channel, t_fork = pending[pid]
+                elapsed_s = now - t_fork - alt.start_delay
                 try:
                     report = channel.recv()
                 except ReportLost as lost:
@@ -452,13 +456,13 @@ def run_alternatives_fork(
                         except Exception:
                             accepted = False
                     if accepted:
-                        won = (index, value, child_ws, now - t_spawned)
+                        won = (index, value, child_ws, elapsed_s)
                         _retire(pid, channel)
                         break
                     report = ("guard", "guard rejected result at sync")
                 run.reject(
                     index, str(report[1]), guard_failed=report[0] == "guard",
-                    elapsed_s=now - t_spawned,
+                    elapsed_s=elapsed_s,
                 )
                 _retire(pid, channel)
         # eliminate whatever still runs before the win is journalled: the
@@ -489,7 +493,7 @@ def run_alternatives_fork(
         leftover_error = (
             TIMEOUT_KILLED if run.timed_out and run.winner is None else ELIMINATED
         )
-        for index, _, _ in pending.values():
+        for index, _, _, _ in pending.values():
             run.reject(index, leftover_error, elapsed_s=cut_s)
         extras: dict[str, Any] = {
             "elimination_policy": elimination.value, "eliminated": len(pending),

@@ -121,8 +121,7 @@ class ServeRequest:
     — and passed as is from there on: through
     :meth:`SpeculationService.admit <repro.serve.service.SpeculationService.admit>`,
     pickled into the shard RPC's submit frame, and (its durable part)
-    into the ``admit`` record. An identity-only request (a steal
-    hand-back) is ``ServeRequest(tenant, (), seq=...)``.
+    into the ``admit`` record.
 
     ``alternatives`` are whatever :func:`repro.core.worlds.run_alternatives`
     accepts. ``deadline_s`` is *absolute* (``time.monotonic`` scale,
@@ -344,42 +343,6 @@ class AdmissionQueue:
                 self._size -= 1
                 return request
         return None
-
-    def steal(self, max_n: int) -> list[ServeRequest]:
-        """Remove up to ``max_n`` queued requests for another dispatcher.
-
-        The cluster router's work-stealing hook: an idle shard relieves
-        a backlogged one. Requests are taken from the *tail* of the
-        longest lanes (newest first), so the owning shard keeps FIFO
-        order for the work it retains, and the victims are the requests
-        that would have waited longest anyway. Shadow (fault-injected
-        burst) requests are never stolen — a retry storm should keep
-        hammering the shard it hit.
-        """
-        out: list[ServeRequest] = []
-        with self._cond:
-            while len(out) < max_n and self._size > 0:
-                request = None
-                for tenant in sorted(
-                    self._lanes, key=lambda t: len(self._lanes[t]), reverse=True
-                ):
-                    lane = self._lanes[tenant]
-                    for i in range(len(lane) - 1, -1, -1):
-                        if not lane[i].shadow:
-                            request = lane[i]
-                            del lane[i]
-                            break
-                    if request is None:
-                        continue
-                    self._size -= 1
-                    if not lane:
-                        del self._lanes[tenant]
-                    break
-                if request is None:
-                    break  # nothing stealable (only shadows queued)
-                out.append(request)
-            self._depth_g.set(float(self._size))
-        return out
 
     def shed_request(self, request: ServeRequest, reason: str) -> None:
         """Count a shed decided outside the queue (e.g. at dispatch)."""

@@ -204,21 +204,26 @@ class WorldBudget:
         priority: int = 0,
         timeout: float | None = None,
     ) -> Reservation | None:
-        """Like :meth:`reserve`, but wait up to ``timeout`` for capacity."""
+        """Like :meth:`reserve`, but wait up to ``timeout`` for capacity.
+
+        A release wakes one waiter per slot it freed, not every waiter."""
         if want < 1:
             raise ServeError(f"need want >= 1, got {want}")
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
-            while True:
-                res = self._try_reserve(tenant, want, priority)
-                if res is not None:
-                    return res
+            while (res := self._try_reserve(tenant, want, priority)) is None:
                 if deadline is None:
                     self._cond.wait()
                 else:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0 or not self._cond.wait(remaining):
-                        return None
+                        break
+            if self._in_use < self.slots:
+                # a release wakes one waiter per slot it freed, and a
+                # wait that timed out may have spent one of those
+                # wake-ups: hand it on while a slot is still free
+                self._cond.notify()
+            return res
 
     def _release(self, res: Reservation, n: int | None = None) -> None:
         with self._cond:
@@ -235,4 +240,4 @@ class WorldBudget:
                     self._holders.remove(res)
                 except ValueError:  # pragma: no cover - defensive
                     pass
-            self._cond.notify_all()
+            self._cond.notify(give)

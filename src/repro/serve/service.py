@@ -81,7 +81,7 @@ class ServeResult:
     it), ``shed`` (discarded unrun) or ``cancelled`` (shutdown); a
     restore settles ``unrecoverable`` in the journal alone. The table's
     other fates close a line without an answer: ``rejected``,
-    ``stolen``, ``superseded``, ``recovered``, ``recovered-remote``.
+    ``superseded``, ``recovered``, ``recovered-remote``.
     ``outcome`` is the :class:`~repro.core.outcome.BlockOutcome` when
     the block ran.
     """
@@ -388,32 +388,6 @@ class SpeculationService:
             t.join(10.0)
         self._threads.clear()
 
-    def steal_requests(self, max_n: int) -> list[ServeRequest]:
-        """Give up to ``max_n`` queued requests to another dispatcher.
-
-        The cluster work-stealing hook: this service will never resolve
-        the stolen requests' tickets — the stealing router re-places
-        them under the same ``seq``, which keeps the journal block id
-        and hence exactly-once intact.
-
-        The admit ledger line stays **sealed** here: the hand-off is
-        not durable until the thief journals its own admit, and marking
-        it now would leave the request with no durable record anywhere
-        if the thief's admit write tears. The router calls
-        :meth:`confirm_stolen` once the thief's admit is sealed; until
-        then a crash leaves (at worst) two sealed admits, which restore
-        deduplicates as superseded.
-        """
-        return self.queue.steal(max_n)
-
-    def confirm_stolen(self, request: ServeRequest) -> None:
-        """Close the admit ledger line of a durably stolen request.
-
-        Called by the router *after* the thief sealed its own admit: a
-        restart here must not re-run the stolen request.
-        """
-        self._settle_admit(request, "stolen")
-
     @classmethod
     def restore(
         cls,
@@ -562,7 +536,7 @@ class SpeculationService:
         if not self.journal_admission:
             return None
         rec = self.journal.find_sealed("admit", request=request.seq)
-        # a *settled* admit (stolen, superseded, ...) is a closed
+        # a *settled* admit (superseded, rejected, ...) is a closed
         # ledger line, not an ack: a request coming back needs its own
         if rec is not None and self.journal.status(rec["seq"]) == "sealed":
             return None
@@ -573,10 +547,10 @@ class SpeculationService:
 
     def _settle_admit(self, request: ServeRequest, fate: str) -> None:
         """Close the request's admit ledger line with ``fate``. No lock:
-        a line has one writer at a time — the admitting thread until
-        ``queue.offer``, then the one worker that took the request, or
-        the thread that stole it once ``queue.steal`` removed it — and
-        the journal's appends and lookup index are thread-safe."""
+        a line has two writers, one after the other — the admitting
+        thread until ``queue.offer``, then the one worker that took the
+        request — and the journal's appends and lookup index are
+        thread-safe."""
         if self.journal_admission:
             rec = self.journal.find_sealed("admit", request=request.seq)
             if rec is not None:

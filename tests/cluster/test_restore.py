@@ -2,7 +2,7 @@
 
 The nastiest restart shape: requests died mid-flight on several shards,
 some had already been taken over and committed on a *survivor* rather
-than their home shard, some admits were duplicated by steal/re-land
+than their home shard, some admits were duplicated by re-land
 races. Restore must cross-audit every journal — a durable block win
 anywhere means replay, never re-run — deduplicate sealed admits, and
 re-admit the rest under their original seqs.
@@ -158,7 +158,7 @@ def test_takeover_survivor_win_is_never_rerun_by_restarted_home():
 
 def test_duplicate_sealed_admits_deduplicated_as_superseded():
     storages = {sid: MemoryJournalStorage() for sid in range(2)}
-    # forge the post-crash shape a steal/re-land race leaves behind:
+    # forge the post-crash shape a re-land race leaves behind:
     # the same request sealed (unapplied) in two journals
     for sid, storage in storages.items():
         journal = CommitJournal(storage=storage)

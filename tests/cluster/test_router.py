@@ -1,4 +1,4 @@
-"""The cluster router: placement, spill/steal, decommission, failover."""
+"""The cluster router: placement, spill, decommission, failover."""
 
 import dataclasses
 import functools
@@ -155,10 +155,10 @@ def test_a_request_resolved_before_admit_returns_settles_on_its_shard():
     assert result.shard_id == 0
 
 
-class TestSpillAndSteal:
+class TestSpill:
     def test_saturated_home_spills_to_idle_shard(self):
         shards = [ClusterShard(i, slots=1, workers=1) for i in range(2)]
-        router = ClusterRouter(shards, steal=False).start(detect=False)
+        router = ClusterRouter(shards).start(detect=False)
         try:
             tenant = "sp"
             home = router.ring.route(tenant)
@@ -172,34 +172,13 @@ class TestSpillAndSteal:
         finally:
             router.stop()
 
-    def test_steal_round_moves_backlog_to_idle_shard(self):
-        shards = [ClusterShard(i, slots=1, workers=1) for i in range(2)]
-        router = ClusterRouter(
-            shards, steal=False, spill=False
-        ).start(detect=False)
-        try:
-            tenant = "sp"
-            home = router.ring.route(tenant)
-            blockers = [router.submit(tenant, slow_alt()) for _ in range(2)]
-            queued = [router.submit(tenant, value_alts(i)) for i in range(4)]
-            time.sleep(0.05)
-            moved = router.steal_round()
-            assert moved > 0
-            results = [q.result(timeout=10) for q in queued]
-            assert all(r.committed for r in results)
-            assert any(r.shard_id != home for r in results)
-            for b in blockers:
-                b.result(timeout=10)
-        finally:
-            router.stop()
-
 
 class TestDecommission:
     def test_decommission_serves_backlog_in_place_then_retires(self):
         shards = [ClusterShard(i, slots=1, workers=1) for i in range(2)]
         obs = Observability()
         router = ClusterRouter(
-            shards, steal=False, spill=False, obs=obs
+            shards, spill=False, obs=obs
         ).start(detect=False)
         try:
             tenant = "sp"
@@ -229,7 +208,7 @@ class TestDecommission:
     def test_a_shard_that_dies_mid_drain_is_settled_by_its_takeover(self):
         shards = [ClusterShard(i, slots=1, workers=1) for i in range(2)]
         router = ClusterRouter(
-            shards, steal=False, spill=False
+            shards, spill=False
         ).start(detect=False)
         gate = threading.Event()
         try:
@@ -266,7 +245,7 @@ class TestDecommission:
         # never reached stays acked and commits on the survivor
         shards = [ClusterShard(i, slots=1, workers=1) for i in range(2)]
         router = ClusterRouter(
-            shards, steal=False, spill=False
+            shards, spill=False
         ).start(detect=False)
         gate = threading.Event()
         try:
@@ -320,7 +299,7 @@ class TestDecommission:
             )
             for i in range(2)
         ]
-        router = ClusterRouter(shards, steal=False, spill=False).start(detect=False)
+        router = ClusterRouter(shards, spill=False).start(detect=False)
         gate, started = threading.Event(), threading.Event()
 
         def blocker(ws):
@@ -359,7 +338,7 @@ class TestDecommission:
             }
             restored, report = ClusterRouter.restore(
                 journals, build_alternatives=lambda spec: value_alts(spec["v"]),
-                shard_kwargs=dict(slots=1, workers=1), detect=False, steal=False,
+                shard_kwargs=dict(slots=1, workers=1), detect=False,
             )
             restored.stop()
             for seq in acked:
@@ -569,12 +548,12 @@ class TestLandingMatrix:
             probe.armed = True
             router, report = Router.restore(
                 journals, build_alternatives=lambda spec: watched,
-                shard_kwargs=dict(slots=1, workers=1), detect=False, steal=False,
+                shard_kwargs=dict(slots=1, workers=1), detect=False,
                 **kw,
             )
             return router, lambda: report.tickets.get(self.SEQ), []
         shards = [ClusterShard(i, slots=1, workers=1) for i in range(3)]
-        router = Router(shards, spill=entry == "spill", steal=False, **kw)
+        router = Router(shards, spill=entry == "spill", **kw)
         router.start(detect=False)
         home = router.ring.route(self.TENANT)
 
@@ -597,19 +576,16 @@ class TestLandingMatrix:
         probe.armed = True
 
         def drive():
-            if entry == "steal":
-                router.steal_round()
-            else:
-                gate.set()  # crash() joins the workers
-                router.kill_shard(home)
-                router.takeover(home)
+            gate.set()  # crash() joins the workers
+            router.kill_shard(home)
+            router.takeover(home)
             return ticket
 
         return router, drive, others
 
     @pytest.mark.parametrize("column", COLUMNS, ids=lambda c: c[0])
     @pytest.mark.parametrize(
-        "entry", ["fresh", "spill", "steal", "takeover", "restore"]
+        "entry", ["fresh", "spill", "takeover", "restore"]
     )
     def test_every_entry_comes_to_rest_through_the_one_path(self, entry, column):
         name, raises, win, everyone, expected = column

@@ -37,6 +37,10 @@ Two further paths every backend must agree on:
   killed worlds after the parent resumes; its ``elapsed_s`` and block
   span must end at the resume, not after that reap.
 
+- **a world's own time** — the concurrent runners (fork, thread, async)
+  time a world from its start: after its stagger, and including an
+  injected slow start.
+
 The fork backend forks up to five real processes per example, a few
 milliseconds a block; the ``max_examples`` below keep its share of this
 file to about a second.
@@ -436,6 +440,35 @@ def test_fork_elapsed_ends_at_parent_resume_not_after_the_reap(monkeypatch):
     (span,) = [s for s in obs.tracer.spans if s.cat == "alt-block"]
     assert span.attrs["elapsed_s"] == outcome.elapsed_s
     assert abs(span.duration - outcome.elapsed_s) < 1e-6
+
+
+#: the members of BACKENDS that start every world at once and time each
+#: from its own start
+CONCURRENT = tuple(b for b in BACKENDS if b in ("fork", "thread", "async"))
+
+
+@pytest.mark.parametrize("backend", CONCURRENT)
+def test_backends_agree_that_elapsed_s_is_a_worlds_own_time(backend):
+    """A world's ``elapsed_s`` starts when its world does: a SLOW_START
+    world reads at least its delay, and a staggered world's stagger is
+    not in it. Fork forks its children one after another, so it stamps
+    each at its own fork; timing all from after the last fork read an
+    early winner short."""
+    slow = 0.2
+    outcome = run_alternatives(
+        [make_alt(i, succeeds=True, value=i, mode="raise") for i in range(6)],
+        backend=backend,
+        fault_plan=FaultPlan(seed=0, rates={FaultKind.SLOW_START: 1.0}, slow_start_s=slow),
+    )
+    assert outcome.winner is not None and outcome.winner.elapsed_s >= slow
+
+    stagger = 0.3
+    outcome = run_alternatives(
+        [Alternative(lambda ws: "late", name="staggered", start_delay=stagger)],
+        backend=backend,
+    )
+    assert outcome.value == "late"
+    assert outcome.winner.elapsed_s < stagger / 2
 
 
 class _PlacementSpy(Guard):

@@ -35,11 +35,11 @@ LOCKS_CEILING = 10
 #: ROADMAP's "re-entrant locks in `serve/` + `cluster/`" row
 RLOCKS_CEILING = 0
 #: ROADMAP's "`serve/` + `cluster/` lines" row (`wc -l`)
-LINES_CEILING = 4289
+LINES_CEILING = 4140
 #: ROADMAP's "`src/` lines" row (`git ls-files 'src/*.py' | xargs wc -l`)
-SRC_LINES_CEILING = 17931
+SRC_LINES_CEILING = 17786
 #: ROADMAP's "settable values on the serving path" row
-SETTABLE_VALUES_CEILING = 47
+SETTABLE_VALUES_CEILING = 46
 #: ROADMAP's "`fsync`s per `cluster_remote` op" row
 APPENDS_PER_REQUEST_CEILING = 2
 #: ROADMAP's "durable appends made while the request holds its slots" row
@@ -508,8 +508,13 @@ def test_router_lands_through_one_ledger_question_and_one_shard_surface():
     )
     assert ".service." not in code, (
         "cluster/router.py reaches through shard.service: use the flat "
-        "shard surface (admit, which returns the ticket / steal_requests / "
-        "confirm_stolen)"
+        "shard surface (admit, which returns the ticket)"
+    )
+    from repro.cluster.remote import SHARD_OPS
+
+    assert SHARD_OPS == ("admit", "stop"), (
+        f"host RPC ops {SHARD_OPS}: a landed request moves only through a "
+        "takeover, so the host answers admit and stop (plus ping)"
     )
 
 

@@ -61,7 +61,7 @@ def serve(tmp_path, obs):
         )
         for sid in range(2)
     ] + [RemoteShardClient(2, workdir=str(tmp_path), slots=2, workers=2, obs=obs)]
-    router = ClusterRouter(shards, spill=False, steal=False, obs=obs).start(detect=False)
+    router = ClusterRouter(shards, spill=False, obs=obs).start(detect=False)
     try:
         # tenants picked so that every shard serves some of the requests
         homes = collections.defaultdict(list)

@@ -1,12 +1,11 @@
 """Race hunt for the admit ledger line, which no lock guards.
 
-A request's ``admit`` line has one writer at a time: the admitting
-thread until ``queue.offer`` (it settles ``rejected`` when the offer is
-refused), then the one worker that took the request, or the thread that
-stole it and calls ``confirm_stolen``. Here admitting threads, the
-service's workers and a stealing thread all write one journal at once,
-and after every round each request's line must have been sealed once
-and settled once, with the fate its ticket carries.
+A request's ``admit`` line has two writers, one after the other: the
+admitting thread until ``queue.offer`` (it settles ``rejected`` when the
+offer is refused), then the one worker that took the request. Here
+admitting threads and the service's two workers all write one journal
+at once, and after every round each request's line must have been
+sealed once and settled once, with the fate its ticket carries.
 
 CI's fuzz smoke runs ``ADMIT_RACE_ROUNDS=2000``.
 """
@@ -55,11 +54,10 @@ def test_every_admit_line_is_sealed_once_and_settled_once_with_its_tickets_fate(
 
 
 def run_round(svc):
-    """Admit, serve and steal one round of requests at once; returns
-    each request seq's fate as its caller learned it."""
+    """Admit and serve one round of requests at once; returns each
+    request seq's fate as its caller learned it."""
     fates, tickets = {}, {}
-    admitting = threading.Barrier(ADMITTERS + 1)
-    done = threading.Event()
+    admitting = threading.Barrier(ADMITTERS)
 
     def admit():
         admitting.wait(timeout=10)
@@ -70,30 +68,14 @@ def run_round(svc):
             except AdmissionRejected:
                 fates[request.seq] = "rejected"
 
-    def steal():
-        admitting.wait(timeout=10)
-        while True:
-            last = done.is_set()
-            for request in svc.steal_requests(2):
-                fates[request.seq] = "stolen"
-                svc.confirm_stolen(request)
-            if last:
-                return
-
     threads = [threading.Thread(target=admit) for _ in range(ADMITTERS)]
-    threads.append(threading.Thread(target=steal))
     for thread in threads:
         thread.start()
-    for thread in threads[:-1]:
+    for thread in threads:
         thread.join(timeout=30)
-    done.set()
-    threads[-1].join(timeout=30)
     assert not any(thread.is_alive() for thread in threads)
     for seq, ticket in tickets.items():
-        if fates.get(seq) == "stolen":
-            assert not ticket.done, f"stolen request {seq} resolved here"
-        else:
-            fates[seq] = ticket.result(timeout=10).status
+        fates[seq] = ticket.result(timeout=10).status
     return fates
 
 

@@ -161,7 +161,7 @@ def test_a_settle_to_a_fate_the_table_does_not_list_raises():
     finally:
         svc.crash()
     assert sorted(FATES) == sorted([
-        "committed", "failed", "shed", "cancelled", "rejected", "stolen",
+        "committed", "failed", "shed", "cancelled", "rejected",
         "superseded", "recovered", "recovered-remote", "unrecoverable",
     ])
 
@@ -172,7 +172,7 @@ def test_a_refusal_on_one_shard_is_not_the_answer_of_a_request_another_took():
         for sid in range(2)
     ]
     jam = CrashJam([shards[0].service])
-    router = ClusterRouter(shards, spill=False, steal=False).start(detect=False)
+    router = ClusterRouter(shards, spill=False).start(detect=False)
     try:
         tenant = next(t for t in (f"t{k}" for k in range(100)) if router.ring.route(t) == 0)
         jam.submit(router.submit, tenant, spec=None)  # parks shard 0's only worker

@@ -2,8 +2,8 @@
 against a model of per-tenant FIFO lanes visited round-robin.
 
 The rules are offer (live, already expired, or a shadow), a queued
-request's deadline passing, take, steal, close (with or without drain)
-and drain. The model:
+request's deadline passing, take, close (with or without drain) and
+drain. The model:
 
 - ``offer`` refuses a closed queue, then a full one (``depth``), then a
   full lane (:data:`~repro.serve.admission.TENANT_DEPTH`); otherwise the
@@ -13,13 +13,11 @@ and drain. The model:
   lane's expired heads, hands out the next head if one is left, and
   drops the lane once it is empty; it goes on to the next lane only
   when the visited one had nothing left to hand out;
-- ``steal`` takes the newest non-shadow request of the longest lane
-  (ties: visit order), one at a time, without moving the visit order;
 - ``close`` / ``drain`` hand back every queued request, lane by lane.
 
 After every step the queue's length, its counters and both bounds match
-the model, and every request left the queue at most once: taken,
-stolen, shed or drained. At teardown every accepted request has left or
+the model, and every request left the queue at most once: taken, shed
+or drained. At teardown every accepted request has left or
 is still queued.
 
 CI's fuzz smoke runs ``QUEUE_MACHINE_EXAMPLES=1000``.
@@ -63,7 +61,7 @@ class QueueMachine(RuleBasedStateMachine):
         self.requests: dict[int, ServeRequest] = {}
         self.expired: set[int] = set()
         self.accepted: set[int] = set()
-        #: seq -> how it left: taken, stolen, shed or drained
+        #: seq -> how it left: taken, shed or drained
         self.left: dict[int, str] = {}
         self.closed = False
         self.rejected = 0
@@ -147,29 +145,6 @@ class QueueMachine(RuleBasedStateMachine):
         self._leave(want_shed, "shed")
         if want is not None:
             self._leave([want], "taken")
-
-    @rule(max_n=st.integers(0, 4))
-    def steal(self, max_n):
-        want = []
-        while len(want) < max_n:
-            victim = None
-            for tenant in sorted(self.lanes, key=lambda t: len(self.lanes[t]), reverse=True):
-                lane = self.lanes[tenant]
-                for i in range(len(lane) - 1, -1, -1):
-                    if not self.requests[lane[i]].shadow:
-                        victim = lane.pop(i)
-                        break
-                if victim is not None:
-                    if not lane:
-                        del self.lanes[tenant]
-                    break
-            if victim is None:
-                break
-            want.append(victim)
-        got = self.q.steal(max_n)
-        assert [r.seq for r in got] == want
-        assert not any(r.shadow for r in got)
-        self._leave(want, "stolen")
 
     @rule(drain=st.booleans())
     def close(self, drain):

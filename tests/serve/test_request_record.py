@@ -35,7 +35,7 @@ WHO = {
     "timeout": ("`submit` caller", "the block's run bound"),
     "seq": ("`build` (`next_seq`), the restore path, or `_maybe_burst` (a shadow's negative local id)", "journal block id, router table key, result"),
     "submitted_at": ("`admit`, on arrival at each service", "`queue_wait_s`, `latency_s`"),
-    "shadow": ("`_maybe_burst`", "skips journal, ticket resolution and stealing"),
+    "shadow": ("`_maybe_burst`", "skips journal and ticket resolution"),
     "spec": ("`submit` caller", "`build_alternatives(spec)` at restore"),
     "ticket": ("`SpeculationService.admit`, on arrival at each service; cleared by `_end`", "`_end`"),
 }

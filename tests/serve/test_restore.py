@@ -11,7 +11,7 @@ them forever.
 import threading
 import time
 
-from repro.journal import CommitJournal, MemoryJournalStorage, find_block_win
+from repro.journal import CommitJournal, MemoryJournalStorage, find_block_win, settle
 from repro.serve import ServeRequest, SpeculationService, WorldBudget, admission
 
 from tests.jam import CrashJam
@@ -125,10 +125,11 @@ def test_crash_runs_nothing_it_had_only_queued():
 
 
 def test_a_request_coming_back_to_its_settled_admit_is_acked_again():
-    """``confirm_stolen`` closes the source's ledger line. If the request
-    then comes back (the thief died, the walk wrapped round), that
-    settled admit is not an ack: without a fresh sealed one the request
-    is durable nowhere, and the next crash loses it."""
+    """A cluster restore closes a home shard's ledger line ``superseded``
+    when the request's re-admission lands on another shard. If the
+    request then comes back (a takeover re-lands it here), that settled
+    admit is not an ack: without a fresh sealed one the request is
+    durable nowhere, and the next crash loses it."""
     journal = CommitJournal()
     svc = SpeculationService(
         WorldBudget(1), workers=1, journal=journal, journal_admission=True
@@ -149,8 +150,10 @@ def test_a_request_coming_back_to_its_settled_admit_is_acked_again():
         request = ServeRequest.build("t", build_alternatives({"n": 1}), spec={"n": 1})
         svc.admit(request)
         assert request.seq in sealed()
-        (stolen,) = svc.steal_requests(1)
-        svc.confirm_stolen(stolen)
+        # it leaves this shard, and its line here is closed
+        assert svc.queue.drain() == [request]
+        admit = journal.find_sealed("admit", request=request.seq)
+        settle(journal, admit["seq"], "superseded")
         assert request.seq not in sealed()
         svc.admit(request)
         assert request.seq in sealed()

@@ -4,8 +4,7 @@ hypothesis ``RuleBasedStateMachine`` against a dict model of the ledger.
 The machine is single-threaded: the service starts no workers, and a
 rule takes and serves a request itself (``SpeculationService._work``, a
 worker's one step). The rules are submit, worker step, deadline shed,
-steal and confirm, a journal fault at the next append, crash, and
-restore. After every step:
+a journal fault at the next append, crash, and restore. After every step:
 
 - every acked request has a sealed admit (settled or not), or an
   applied win;
@@ -96,8 +95,6 @@ class ServiceMachine(RuleBasedStateMachine):
         super().__init__()
         self.plan = ArmedPlan()
         self.storage = MemoryJournalStorage()
-        #: the other shard a stolen request lands on (its sealed admit)
-        self.thief = CommitJournal()
         self.depth = DEPTH
         self.svc = SteppedService(
             journal=CommitJournal(storage=self.storage, fault_plan=self.plan),
@@ -111,7 +108,6 @@ class ServiceMachine(RuleBasedStateMachine):
         self.queue: list[int] = []
         self.expired: set[int] = set()
         self.acked: set[int] = set()
-        self.handed: set[int] = set()
         self.tickets: dict = {}
         self.fault = None
         self.poisoned = False
@@ -202,20 +198,6 @@ class ServiceMachine(RuleBasedStateMachine):
         self.expired.add(head.seq)
         self._step()
 
-    @precondition(lambda self: not self.crashed and self.queue)
-    @rule()
-    def steal_and_confirm(self):
-        (request,) = self.svc.steal_requests(1)
-        seq = self.queue.pop()
-        assert request.seq == seq
-        # the thief seals its own admit first; only then may the source
-        # close its line
-        self.thief.seal(self.thief.begin("admit", **request.admit_data()))
-        self.svc.confirm_stolen(request)
-        self.handed.add(seq)
-        if not self.poisoned and self.admits.get(seq) == "sealed":
-            self.admits[seq] = "stolen"
-
     @precondition(lambda self: self.fault is None and not self.poisoned)
     @rule(kind=st.sampled_from([TORN, BEFORE_SEAL, AFTER_SEAL]))
     def journal_fault_at_the_next_append(self, kind):
@@ -253,9 +235,8 @@ class ServiceMachine(RuleBasedStateMachine):
     def every_acked_request_has_a_sealed_admit_or_an_applied_win(self):
         journal = self.svc.journal
         for seq in self.acked:
-            holder = self.thief if seq in self.handed else journal
             assert (
-                holder.find_sealed("admit", request=seq) is not None
+                journal.find_sealed("admit", request=seq) is not None
                 or find_block_win(journal, seq) is not None
             ), f"acked request {seq} is durable nowhere"
 
@@ -290,9 +271,6 @@ class ServiceMachine(RuleBasedStateMachine):
         assert {
             i["data"]["block"] for i, _ in self.svc.journal.applied_intents("block")
         } == self.wins
-        assert {
-            i["data"]["request"] for i in self.thief.sealed_unapplied_intents("admit")
-        } == self.handed
 
 
 ServiceMachine.TestCase.settings = settings(
