@@ -623,7 +623,7 @@ def run_remote_incarnation(
     drain, no goodbye, only its journal file survives — and a freeze is
     a literal ``SIGSTOP``: the host stays alive and silent while the
     burst goes on (a submit homed there times out, which makes the
-    router fence it before walking on), then gets its ``SIGCONT``. The
+    router crash it before walking on), then gets its ``SIGCONT``. The
     fault plan's ``transport`` site decides which hosts suffer what (one
     survivor always kept); every request must still commit its
     deterministic value, the cross-journal audit must show exactly

@@ -17,8 +17,8 @@ real OS process boundary:
 - :class:`RemoteShardClient` — the parent-side proxy. It implements the
   same flat surface :class:`~repro.cluster.router.ClusterRouter` calls
   on a local ``ClusterShard`` (``state``/``up``/``alive``,
-  ``backlog``/``idle_slots``/``load``, ``start``/``stop``/``crash``/
-  ``fence``, ``admit``), which is what makes the router
+  ``backlog``/``idle_slots``/``load``, ``start``/``stop``/``crash``,
+  ``admit``), which is what makes the router
   transport-polymorphic: local and remote shards mix in one hash ring.
   ``admit`` pickles the router's
   :class:`~repro.serve.admission.ServeRequest` into the submit frame
@@ -38,17 +38,14 @@ Reliability stack, bottom-up:
    ``sent=False`` when no attempt got as far as writing the frame (the
    shard was never reached) and ``sent=True`` when one may have left:
    for an ``admit`` an *unknown outcome* — the host may run the request
-   whenever it next reads its socket — so the router fences the shard
+   whenever it next reads its socket — so the router crashes the shard
    (SIGKILL) and reads its journal before the request goes elsewhere.
 3. **Failover** — a silent host is noticed by the router alone: each
    unanswered ping is a missed beat, and
    :data:`~repro.cluster.router.MISS_THRESHOLD` misses in a row start a
-   takeover. The host is fenced by SIGKILL and reap, with no RPC
+   takeover. The host is crashed by SIGKILL and reap, with no RPC
    before it, and its journal reopened **from the file** for the usual
-   replay-or-re-land takeover; with a ``spare_factory`` configured the
-   router degrades remote → local, re-landing the orphans on an
-   in-process spare (the rung above the local-only
-   :data:`repro.faults.supervisor.DEGRADES_TO`).
+   replay-or-re-land takeover.
 
 Fault injection rides :data:`~repro.faults.plan.TRANSPORT_SITE`:
 ``TORN_FRAME`` / ``SOCKET_STALL`` / ``CONNECT_REFUSED`` fire per RPC
@@ -368,7 +365,7 @@ class RemoteShardClient:
         fresh ``mw-shard-<id>-*`` temp dir). The journal file —
         ``shard-<id>.wal`` plus its ``.quarantine`` sidecar — is the
         shard's durable truth and survives any kill.
-    slots / workers / backend / queue_depth:
+    slots / workers:
         Shard sizing, forwarded to the child's ``ClusterShard``.
     call_timeout_s:
         Per-attempt response timeout (resends follow
@@ -387,8 +384,6 @@ class RemoteShardClient:
         workdir: str | None = None,
         slots: int = 2,
         workers: int = 4,
-        backend: str = "thread",
-        queue_depth: int | None = None,
         call_timeout_s: float = 1.0,
         fault_plan=None,
         host_fault_plan=None,
@@ -401,10 +396,7 @@ class RemoteShardClient:
         os.makedirs(self.workdir, exist_ok=True)
         self.journal_path = os.path.join(self.workdir, f"shard-{shard_id}.wal")
         self.sock_path = os.path.join(self.workdir, f"shard-{shard_id}.sock")
-        self._shard_kwargs = {
-            "slots": slots, "workers": workers, "backend": backend,
-            "queue_depth": queue_depth,
-        }
+        self._shard_kwargs = {"slots": slots, "workers": workers}
         self.call_timeout_s = call_timeout_s
         self.fault_plan = fault_plan
         self.host_fault_plan = host_fault_plan
@@ -488,16 +480,16 @@ class RemoteShardClient:
 
     @property
     def up(self) -> bool:
-        return self.state in (ShardState.UP, ShardState.SUSPECT)
+        return self.state is ShardState.UP
 
     @property
     def alive(self) -> bool:
-        """Whether the host *process* is alive (FENCED still counts)."""
+        """Whether the host *process* is alive."""
         return self.state is not ShardState.DEAD and self.process_alive()
 
     def stop(self) -> None:
         """Graceful decommission: RPC the host to drain, then reap it."""
-        if self.state in (ShardState.DEAD, ShardState.FENCED):
+        if self.state is ShardState.DEAD:
             self._terminate()
             return
         self.state = ShardState.DRAINING
@@ -512,22 +504,15 @@ class RemoteShardClient:
         self.state = ShardState.DEAD
 
     def crash(self) -> None:
-        """SIGKILL the host: kernel-grade death. Only the journal file
-        (plus its ``.quarantine`` sidecar) survives."""
-        if self.state is not ShardState.DEAD:
-            self.state = ShardState.DEAD
-        self._terminate()
+        """SIGKILL and reap the host: kernel-grade death. Only the journal
+        file (plus its ``.quarantine`` sidecar) survives.
 
-    def fence(self) -> None:
-        """Excommunicate the host (false-positive death declaration).
-
-        SIGKILL and reap: a killed process commits nothing more, so the
-        journal file is final once this returns — the takeover that
-        called this is about to replay it. A frozen host is not asked
-        first; nothing it could answer would make the file more final.
+        A killed process commits nothing more, so the journal file is
+        final once this returns — a takeover that called this is about
+        to replay it. A frozen host is not asked first; nothing it could
+        answer would make the file more final.
         """
-        if self.state is not ShardState.DEAD:
-            self.state = ShardState.FENCED
+        self.state = ShardState.DEAD
         self._terminate()
 
     def sigstop(self) -> None:
@@ -587,13 +572,11 @@ class RemoteShardClient:
     def answers_heartbeat(self) -> bool:
         """One failure-detector beat: a real ping over the socket.
 
-        A fenced shard never answers (it is excommunicated even if
-        alive); a dead process never answers; otherwise the answer is
+        A dead shard or process never answers; otherwise the answer is
         one short-timeout RPC. A silent host keeps nothing here: the
         router counts the miss, and the next beat pings afresh.
         """
-        dead = self.state in (ShardState.DEAD, ShardState.FENCED)
-        if dead or not self.process_alive():
+        if not self.alive:
             return False
         try:
             self._call("ping", policy=HEARTBEAT_POLICY, timeout=HEARTBEAT_TIMEOUT_S)

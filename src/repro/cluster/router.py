@@ -17,15 +17,15 @@ is that *a request leaves a shard it may have reached only through that
 shard's ledger*. Every way a request comes to rest — fresh submit,
 spill, takeover re-land, restore re-admit — is
 :meth:`ClusterRouter._land`: one walk of the tenant's
-preference order (from the spill target, if any), with the
-in-process spare as its last rung, once. What a target says is either
+preference order (from the spill target, if any). What a target says
+is either
 
 - *no* (``AdmissionRejected``, ``ServiceStopped``) or *never reached*
   (``ShardUnreachable`` with ``sent=False``: dead state, connects
   refused) — it cannot run the request: walk on; or
 - *outcome unknown* (``JournalCrash``, or ``ShardUnreachable`` once a
   frame may have left) — it may yet run it, so it is taken over first:
-  fenced, its workers joined or its process killed (nothing it had only
+  crashed, its workers joined or its process killed (nothing it had only
   queued ever runs), its journal final. A win found there is replayed,
   never re-run; only a final ledger without one lets the walk go on.
 
@@ -33,15 +33,16 @@ The walk ends ``landed``, ``replayed``, or in its last
 ``AdmissionRejected`` / ``NoSurvivingShard``.
 
 The failure detector beats every shard once per round and keeps one
-number per shard: its consecutive misses, counted in beats. Faults come
-from the ``heartbeat`` site (a beat lost in flight, which the probe
-that follows rescues) and the ``cluster`` site (shard-crash-mid-burst,
-partitioned router, stale takeover). :data:`MISS_THRESHOLD` misses in
-a row start a **takeover**:
+number per shard: its consecutive misses, counted in beats. A shard is
+suspected exactly while that count is above zero; the detector never
+writes a shard's state. Faults come from the ``heartbeat`` site (a
+beat lost in flight, which the probe that follows rescues) and the
+``cluster`` site (shard-crash-mid-burst, partitioned router, stale
+takeover). :data:`MISS_THRESHOLD` misses in a row start a **takeover**:
 
-1. the shard is fenced (if the process is actually alive — the
-   false-positive case — it must stop committing, and fencing enforces
-   it: SIGKILL for a host, a crash of the service for a local shard)
+1. the shard is crashed — if the process is actually alive (the
+   false-positive case) it must stop committing, and the crash enforces
+   it: SIGKILL for a host, a crash of the service for a local shard —
    and its worker threads are joined, so its journal is final;
 2. every admitted-but-unresolved request assigned to it follows the same
    rule: *replayed* from the journal if its ``block`` already applied,
@@ -60,7 +61,6 @@ ever owned so benches and fuzz tests can assert it.
 from __future__ import annotations
 
 import functools
-import itertools
 import threading
 import time
 from dataclasses import dataclass, field
@@ -214,7 +214,6 @@ class ClusterRouter:
         spill: bool = True,
         fault_plan=None,
         obs=None,
-        spare_factory=None,
     ) -> None:
         if not shards:
             raise ClusterError("a cluster needs at least one shard")
@@ -224,13 +223,6 @@ class ClusterRouter:
         self.spill = spill
         self.fault_plan = fault_plan
         self.obs = obs = or_null(obs)
-        #: zero-arg callable returning a fresh (unstarted) in-process
-        #: shard: when a landing finds *no* surviving candidate (e.g.
-        #: every remote shard unreachable), the router adopts one local
-        #: spare as the walk's last rung: remote degrades to local here,
-        #: above the local-only :data:`repro.faults.supervisor.DEGRADES_TO`
-        self.spare_factory = spare_factory
-        self._spare: ClusterShard | None = None
         self.ring = HashRing()
         self._shards: dict[int, ClusterShard] = {}
         self._retired: list[ClusterShard] = []
@@ -288,30 +280,10 @@ class ClusterRouter:
         self._set_up_gauge()
 
     def add_shard(self, shard: ClusterShard) -> None:
-        """Scale out (or rejoin after fencing, as a fresh incarnation)."""
+        """Scale out (or rejoin after a takeover, as a fresh incarnation)."""
         if shard.shard_id in self._shards:
             raise ClusterError(f"shard {shard.shard_id} is already a member")
         self._adopt(shard)
-
-    def _ensure_spare(self) -> ClusterShard | None:
-        """Adopt the in-process spare shard, once (see ``spare_factory``)."""
-        if self.spare_factory is None:
-            return None
-        with self._lock:
-            spare = self._spare
-        if spare is not None:
-            return spare if spare.alive else None
-        spare = self.spare_factory()
-        if spare is None:
-            return None
-        with self._lock:
-            if spare.shard_id in self._shards:
-                return self._shards[spare.shard_id]
-            self._spare = spare
-        spare.start()
-        self._adopt(spare)
-        self._takeover_c.inc(kind="spare-adopted")
-        return spare
 
     @property
     def shards_up(self) -> int:
@@ -328,7 +300,10 @@ class ClusterRouter:
             return {
                 "beat": self._beat,
                 "inflight": len(self._inflight),
-                "members": [s.snapshot() for s in self._shards.values()],
+                "members": [
+                    {**s.snapshot(), "misses": self._misses[s.shard_id]}
+                    for s in self._shards.values()
+                ],
                 "retired": [s.shard_id for s in self._retired],
             }
 
@@ -350,7 +325,7 @@ class ClusterRouter:
     def _join_detector(self, timeout: float = 5.0) -> None:
         """Reap the detector thread; raise if it refuses to die.
 
-        ``stop()``/``close()`` must never leak a dangling detector: a
+        ``stop()`` must never leak a dangling detector: a
         thread still pinging shards after shutdown keeps sockets (and
         whole shard-host processes) alive. The loop re-checks
         ``_running`` every :data:`DETECT_INTERVAL_S`, so a healthy detector
@@ -381,14 +356,6 @@ class ClusterRouter:
             leftovers = list(self._inflight.values())
         for rec in leftovers:
             self._settle(rec, "cancelled", "cluster stopped")
-
-    def close(self) -> None:
-        """Alias for :meth:`stop` — the resource-style spelling.
-
-        Guaranteed (like ``stop``) to leave no dangling detector
-        thread: both paths funnel through :meth:`_join_detector`.
-        """
-        self.stop()
 
     def crash(self) -> None:
         """Kill the whole cluster's process-state: the full-process death.
@@ -585,7 +552,7 @@ class ClusterRouter:
         saturated and a later preference sits idle — tried first.
         Returns ``"landed"`` or ``"replayed"``; raises the last
         :class:`AdmissionRejected` seen, or :class:`NoSurvivingShard`,
-        when nobody, the spare included, took it.
+        when nobody took it.
         """
         request = rec.request
         with self._lock:
@@ -612,19 +579,8 @@ class ClusterRouter:
                     order.remove(prefer)
                     order.insert(0, prefer)
 
-        def last_rung():
-            # remote → local degradation, the cluster-level rung of fork →
-            # thread → sequential: adopt the in-process spare, once,
-            # rather than fail the request
-            spare = self._ensure_spare()
-            if (
-                spare is not None and spare not in order
-                and spare.shard_id not in exclude
-            ):
-                yield spare
-
         rejection: AdmissionRejected | None = None
-        for target in itertools.chain(order, last_rung()):
+        for target in order:
             if not target.up:
                 continue  # taken over since the walk
             try:
@@ -637,10 +593,10 @@ class ClusterRouter:
                 if isinstance(exc, JournalCrash) or getattr(exc, "sent", False):
                     # outcome unknown (the target's journal died under
                     # its admit, or the frame left unanswered): it
-                    # leaves only through the target's ledger. fence()
+                    # leaves only through the target's ledger. crash()
                     # also waits out a takeover another thread began
                     self.takeover(target.shard_id, kind="admit-unknown")
-                    target.fence()
+                    target.crash()
                     if self._replay_from(rec, target):
                         return "replayed"
                 continue
@@ -763,9 +719,9 @@ class ClusterRouter:
         window hides it. One lost in flight (``heartbeat`` site) still
         counts in ``mw_cluster_heartbeat_misses_total``, but the probe
         that follows finds the shard, so it arrives. An arriving beat
-        resets the shard's miss count and clears suspicion; a missing
-        one adds a miss and suspects an UP shard, and :data:`MISS_THRESHOLD`
-        misses in a row start a takeover.
+        resets the shard's miss count, clearing suspicion; a missing one
+        adds a miss, and :data:`MISS_THRESHOLD` misses in a row start a
+        takeover.
         """
         self._beat += 1
         beat = self._beat
@@ -797,8 +753,6 @@ class ClusterRouter:
                         "shard:recovered", cat="cluster", track="cluster",
                         beat=beat, shard=sid,
                     )
-                if shard.state is ShardState.SUSPECT:
-                    shard.state = ShardState.UP
                 if not lost:
                     self._maybe_stale_takeover(shard)
                 continue
@@ -810,8 +764,6 @@ class ClusterRouter:
                     "shard:suspect", cat="cluster", track="cluster",
                     beat=beat, shard=sid, reason=reason,
                 )
-            if shard.state is ShardState.UP:
-                shard.state = ShardState.SUSPECT
             if misses >= MISS_THRESHOLD:
                 self.takeover(
                     sid, kind="crash" if not shard.alive else "stale",
@@ -900,12 +852,9 @@ class ClusterRouter:
             f"takeover:shard:{shard_id}", cat="cluster", track="cluster",
             shard=shard_id, kind=kind, beat=self._beat, reason=reason,
         )
-        # 1. fence/crash and join the shard's workers: the journal is
-        #    final after this, which is what makes step 2 race-free
-        if shard.alive:
-            shard.fence()
-        else:
-            shard.crash()
+        # 1. crash the shard and join its workers: the journal is final
+        #    after this, which is what makes step 2 race-free
+        shard.crash()
         # 2. settle every admitted-but-unresolved request it held: the
         #    ledger first, and only what never applied lands again —
         #    claimed here, so the shard's late reports pass them by
@@ -923,11 +872,8 @@ class ClusterRouter:
             verdict = self._reland(rec, exclude={shard_id})
             report["relanded" if verdict == "landed" else verdict] += 1
             if verdict != "replayed":
-                spare = self._spare
-                on_spare = spare is not None and rec.shard_id == spare.shard_id
                 self._failover_c.inc(
-                    mode="lost" if verdict == "failed"
-                    else "spare" if on_spare else "relanded",
+                    mode="lost" if verdict == "failed" else "relanded"
                 )
         self.obs.tracer.end(
             span_id, disposition="committed", replayed=report["replayed"],

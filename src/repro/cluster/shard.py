@@ -7,15 +7,14 @@ a :class:`~repro.serve.budget.WorldBudget` (its slots), an
 wrapped around a :class:`~repro.serve.service.SpeculationService`. The
 router talks to shards only through this wrapper, which is what makes
 shard death meaningful: :meth:`ClusterShard.crash` kills everything
-*except* the journal, and :meth:`ClusterShard.fence` excommunicates a
-live shard the router wrongly declared dead: it stops committing before
-the router reads its journal.
+*except* the journal, and it is the one way a shard ends — a death, or a
+takeover's kill of a live shard the router lost sight of, which must
+stop committing before the router reads its journal.
 
-:class:`ShardState` is the shard's only liveness state. The router's
-failure detector moves it between UP and SUSPECT by counting missed
-beats, and a takeover ends it in DEAD or FENCED. A decommission's
-:meth:`ClusterShard.stop` holds it DRAINING while it serves its backlog,
-then ends it DEAD (FENCED when the drain timed out).
+:class:`ShardState` is the shard's own lifecycle, and only the shard
+writes it: UP; DRAINING while a decommission's :meth:`ClusterShard.stop`
+serves its backlog; DEAD once it drained, or crashed. The router's
+failure detector keeps its suspicion to itself, as a miss count.
 """
 
 from __future__ import annotations
@@ -27,19 +26,15 @@ from repro.errors import ClusterError
 from repro.journal import CommitJournal, FileJournalStorage, MemoryJournalStorage
 from repro.serve.admission import AdmissionQueue
 from repro.serve.budget import WorldBudget
-from repro.serve.policy import AdaptiveSpeculationPolicy
 from repro.serve.service import ServeTicket, SpeculationService
-from repro.serve.stats import AlternativeStats
 
 
 class ShardState(str, enum.Enum):
-    """Where a shard is in its lifecycle, as the router sees it."""
+    """Where a shard is in its own lifecycle."""
 
     UP = "up"
-    SUSPECT = "suspect"      # missed heartbeats; probing
     DRAINING = "draining"    # graceful decommission in progress
-    DEAD = "dead"            # crashed (or declared dead); taken over
-    FENCED = "fenced"        # live but excommunicated (false positive)
+    DEAD = "dead"            # drained, crashed, or killed by a takeover
 
 
 class ClusterShard:
@@ -50,10 +45,8 @@ class ClusterShard:
     shard_id:
         Small int id; also the heartbeat/cluster fault key, so a
         plan's verdicts about this shard are stable across runs.
-    slots / workers / backend / policy:
-        The underlying :class:`SpeculationService` sizing. ``policy``
-        defaults to a fresh :class:`AdaptiveSpeculationPolicy` per
-        shard (stats are shard-local state and die with the shard).
+    slots / workers:
+        The underlying :class:`SpeculationService` sizing.
     journal:
         The shard's own :class:`CommitJournal` (default: in-memory
         storage). The one thing that survives :meth:`crash`. A plain
@@ -76,8 +69,6 @@ class ClusterShard:
         shard_id: int,
         slots: int = 2,
         workers: int = 4,
-        backend: str = "thread",
-        policy=None,
         journal: CommitJournal | str | None = None,
         queue_depth: int | None = None,
         fault_plan=None,
@@ -96,44 +87,39 @@ class ClusterShard:
         self.queue = AdmissionQueue(
             depth=queue_depth if queue_depth is not None else 16 * slots
         )
-        if policy is None:
-            policy = AdaptiveSpeculationPolicy(stats=AlternativeStats())
         self.service = SpeculationService(
             self.budget,
             queue=self.queue,
-            policy=policy,
             workers=workers,
-            backend=backend,
             fault_plan=fault_plan,
             journal=self.journal,
             obs=obs,
             journal_admission=journal_admission,
         )
         self.state = ShardState.UP
-        self.incarnation = 0
         self._lock = threading.Lock()
 
     # -- introspection -----------------------------------------------------
     @property
     def up(self) -> bool:
-        return self.state in (ShardState.UP, ShardState.SUSPECT)
+        return self.state is ShardState.UP
 
     @property
     def alive(self) -> bool:
-        """Whether the *process* is alive (a FENCED shard still is)."""
-        return self.state not in (ShardState.DEAD,)
+        """Whether the *process* is alive."""
+        return self.state is not ShardState.DEAD
 
     def answers_heartbeat(self) -> bool:
         """One failure-detector beat: would this shard answer right now?
 
         In-process shards answer by construction whenever the process
-        abstraction says they are alive and not fenced; the remote
+        abstraction says they are alive; the remote
         transport (:class:`~repro.cluster.remote.RemoteShardClient`)
         overrides this with a real ping over its socket. The router's
         detector calls only this, which is what lets the two transports
         share one miss counter.
         """
-        return self.alive and self.state is not ShardState.FENCED
+        return self.alive
 
     def backlog(self) -> int:
         return len(self.queue)
@@ -145,7 +131,6 @@ class ClusterShard:
         return {
             "shard": self.shard_id,
             "state": self.state.value,
-            "incarnation": self.incarnation,
             "backlog": self.backlog(),
             "slots_free": self.idle_slots(),
         }
@@ -162,42 +147,29 @@ class ClusterShard:
 
     def stop(self) -> None:
         """Graceful decommission: serve the whole backlog, then die. A
-        drain that outlasts its join ends in a :meth:`fence`, not a shed:
+        drain that outlasts its join ends in a :meth:`crash`, not a shed:
         the journal is final, and the rest stays sealed for the takeover."""
         with self._lock:
-            if self.state in (ShardState.DEAD, ShardState.FENCED):
+            if self.state is ShardState.DEAD:
                 return
             self.state = ShardState.DRAINING
         if self.service.drain():
             self.state = ShardState.DEAD
         else:
-            self.fence()
+            self.crash()
 
     def crash(self) -> None:
-        """The shard process dies. Only the journal survives.
+        """The shard process dies, or a takeover kills it. Only the
+        journal survives.
 
         Idempotent. In-flight requests settle their journal transactions
         (see :meth:`SpeculationService.crash`) but report nothing; the
         router recovers admitted work by replaying this shard's journal
-        and re-landing whatever never applied.
+        and re-landing whatever never applied. The workers are joined
+        under the shard's lock, so every caller, first or not, returns
+        to a final journal.
         """
         with self._lock:
             if self.state is not ShardState.DEAD:
                 self.state = ShardState.DEAD
-                self.service.crash()
-
-    def fence(self) -> None:
-        """Excommunicate a live shard (false-positive death declaration).
-
-        Same mechanics as :meth:`crash` — the shard stops processing and
-        reporting — but the label records that the process was alive:
-        the router lost sight of it and declared it dead, so it must not
-        commit past that point even though it never died.
-
-        Like :meth:`crash` it joins the workers under the shard's lock,
-        so every caller, first or not, returns to a final journal.
-        """
-        with self._lock:
-            if self.state not in (ShardState.DEAD, ShardState.FENCED):
-                self.state = ShardState.FENCED
                 self.service.crash()

@@ -194,7 +194,7 @@ class ShardUnreachable(TransportError):
     got as far as writing it (dead state, connects refused), so the
     shard was never reached and the router walks on as from a stopped
     service. True: a frame may have left, so the shard may yet act on
-    it — the outcome is unknown, and the router fences the shard and
+    it — the outcome is unknown, and the router crashes the shard and
     reads its ledger before the request goes anywhere else.
     """
 

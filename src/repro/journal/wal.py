@@ -1296,7 +1296,7 @@ def request_fate(journals: Mapping[int, CommitJournal], seq: int) -> RequestFate
     """Ask every journal in ``journals`` (by shard id) about request
     ``seq``: :func:`replay_block_win`'s question, across journals, plus
     where its admit stands. The journals must be final (their writers
-    joined, fenced or dead) for the answer to be."""
+    joined or dead) for the answer to be."""
     won, sealed, settled = None, [], None
     for sid, journal in journals.items():
         if won is None:

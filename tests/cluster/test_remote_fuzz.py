@@ -7,7 +7,7 @@ shard-host *processes* whose ``transport`` fault-plan site decides what
 happens to which host. A SIGKILLed host is a real ``kill -9`` — only its
 journal file survives — followed by takeover. A SIGSTOPped host stays
 alive and silent while the burst goes on (a submit homed there times out,
-which makes the router fence it before walking on) and is SIGCONTed when
+which makes the router crash it before walking on) and is SIGCONTed when
 its time is up. Every request must commit its value exactly once, and
 every host must be reaped once the router stops.
 ``REMOTE_FUZZ_SEEDS`` raises the seed count (CI's fuzz smoke runs 5);

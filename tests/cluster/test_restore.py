@@ -184,18 +184,19 @@ def test_duplicate_sealed_admits_deduplicated_as_superseded():
 
 
 def test_fenced_shards_sealed_work_recovers_at_restart():
-    """A fenced (false-positive-dead) shard's requests survive a cold
-    restart exactly like a crashed shard's: sealed admits re-admitted,
-    survivor wins replayed — fencing must not strand durable work."""
+    """A live shard killed by a takeover (a false-positive death) leaves
+    its requests to a cold restart exactly like a crashed shard's: sealed
+    admits re-admitted, survivor wins replayed — the kill must not strand
+    durable work."""
     storages = {sid: MemoryJournalStorage() for sid in range(3)}
     router = _cluster(storages)
     jammer = _jam(router)
     jam = [jammer.submit(router.submit, "jam", spec={"n": i}) for i in range(4)]
-    # excommunicate every shard that holds work (partition false positive)
+    # kill every live shard that holds work (partition false positive)
     with router._lock:
         holding = {router._inflight[t.seq].shard_id for t in jam}
     for sid in holding:
-        router._shards[sid].fence()
+        router._shards[sid].crash()
     router.crash()
 
     restored, report = ClusterRouter.restore(
@@ -206,7 +207,7 @@ def test_fenced_shards_sealed_work_recovers_at_restart():
         for t in jam:
             assert (
                 t.seq in report.results or t.seq in report.tickets
-            ), f"fenced shard stranded request {t.seq}"
+            ), f"killed shard stranded request {t.seq}"
             if t.seq in report.tickets:
                 assert report.tickets[t.seq].result(timeout=30).seq == t.seq
         for seq, count in restored.audit_applied().items():

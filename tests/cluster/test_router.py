@@ -236,11 +236,11 @@ class TestDecommission:
             gate.set()
             router.stop()
 
-    def test_a_drain_that_outlasts_its_join_ends_in_a_fence_the_takeover_settles(
+    def test_a_drain_that_outlasts_its_join_ends_in_a_crash_the_takeover_settles(
         self, monkeypatch
     ):
         # the running request outlasts the (shortened) worker join: the
-        # shard fences itself, which joins that worker, so its one win is
+        # shard crashes itself, which joins that worker, so its one win is
         # in the journal before the takeover reads it; the backlog it
         # never reached stays acked and commits on the survivor
         shards = [ClusterShard(i, slots=1, workers=1) for i in range(2)]
@@ -259,7 +259,7 @@ class TestDecommission:
             queued = [router.submit(tenant, value_alts(i)) for i in range(3)]
             release_once_crashed(shards[home], gate)
             router.decommission(home)
-            assert shards[home].state is ShardState.FENCED
+            assert shards[home].state is ShardState.DEAD
             first = blocker.result(timeout=10)
             assert first.committed and first.failover == "replayed"
             results = [q.result(timeout=10) for q in queued]
@@ -493,7 +493,6 @@ class _FirstTarget:
         def probed(request):
             if (
                 self.armed and request.seq == self.seq
-                and shard.shard_id != TestLandingMatrix.SPARE
                 and (self.first is None or self.everyone)
             ):
                 self.first = self.first or shard
@@ -512,7 +511,7 @@ class TestLandingMatrix:
     """Every way a request comes to rest x everything its first target
     can do with the admit: one landing path, one verdict vocabulary."""
 
-    SEQ, TENANT, VALUE, SPARE = 930_001, "t0", "the watched value", 100
+    SEQ, TENANT, VALUE = 930_001, "t0", "the watched value"
 
     #: (id, what the admit raises, a durable win first?, every member?, verdict)
     COLUMNS = [
@@ -527,13 +526,11 @@ class TestLandingMatrix:
          "landed"),
         ("unknown-after-win", lambda: ShardUnreachable("no answer", sent=True), True,
          False, "replayed"),
-        ("nobody-left-spare", lambda: AdmissionRejected("full", tenant="t0"), False,
-         True, "landed"),
         ("nobody-left", lambda: AdmissionRejected("full", tenant="t0"), False, True,
          "failed"),
     ]
 
-    def _enter(self, entry, Router, probe, gate, **kw):
+    def _enter(self, entry, Router, probe, gate):
         """Set ``entry`` up; returns ``(router, drive, other tickets)`` —
         ``drive()`` runs the watched landing and returns the watched
         request's ticket (None when restore left it sealed). The home
@@ -549,11 +546,10 @@ class TestLandingMatrix:
             router, report = Router.restore(
                 journals, build_alternatives=lambda spec: watched,
                 shard_kwargs=dict(slots=1, workers=1), detect=False,
-                **kw,
             )
             return router, lambda: report.tickets.get(self.SEQ), []
         shards = [ClusterShard(i, slots=1, workers=1) for i in range(3)]
-        router = Router(shards, spill=entry == "spill", **kw)
+        router = Router(shards, spill=entry == "spill")
         router.start(detect=False)
         home = router.ring.route(self.TENANT)
 
@@ -596,11 +592,8 @@ class TestLandingMatrix:
                 probe.install(shard)
                 super()._adopt(shard)
 
-        kw = {}
-        if name == "nobody-left-spare":
-            kw["spare_factory"] = lambda: ClusterShard(self.SPARE, slots=1, workers=1)
         gate = threading.Event()
-        router, drive, others = self._enter(entry, Probed, probe, gate, **kw)
+        router, drive, others = self._enter(entry, Probed, probe, gate)
         try:
             try:
                 ticket = drive()
@@ -624,17 +617,15 @@ class TestLandingMatrix:
             first = probe.first.shard_id
             home = router.ring.route(self.TENANT) if entry == "spill" else None
             assert first != home, "the spill target is tried first"
-            fenced = raises is not None and (
+            taken_over = raises is not None and (
                 isinstance(raises(), JournalCrash) or getattr(raises(), "sent", False)
             )
-            assert (first in snap["retired"]) == fenced
+            assert (first in snap["retired"]) == taken_over
             if committed:
                 assert result.value == self.VALUE
                 assert (result.shard_id == first) == (
                     name in ("accepts", "journal-crash-after-win", "unknown-after-win")
                 )
-            if name == "nobody-left-spare":
-                assert result.shard_id == self.SPARE
         finally:
             gate.set()
             router.stop()
@@ -837,7 +828,7 @@ class TestInjectedClusterFaults:
             takeovers = 0
             for _ in range(12):
                 if router.shards_up == 1:
-                    break  # a fenced shard runs none of its backlog on the
+                    break  # a killed live shard runs none of its backlog on the
                     # way down, so "all commit" needs somebody left to run it
                 before = router.shards_up
                 router.heartbeat_round()
@@ -862,15 +853,12 @@ class TestInjectedClusterFaults:
             suspected = False
             for _ in range(24):
                 router.heartbeat_round()
-                if any(
-                    s["state"] == "suspect"
-                    for s in router.snapshot()["members"]
-                ):
+                if any(s["misses"] for s in router.snapshot()["members"]):
                     suspected = True
             assert suspected, "seed 11 should partition the router at least once"
             assert router.shards_up == 2  # everyone recovered
             for i in range(2):
-                assert router.shard(i).up  # not declared: suspect at most
+                assert router.shard(i).state is ShardState.UP  # not declared
         finally:
             router.stop()
 

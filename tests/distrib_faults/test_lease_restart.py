@@ -116,8 +116,8 @@ class TestFencedOriginalRestart:
         assert lease.state is LeaseState.RECLAIMED
 
     def test_fenced_shard_never_resolves_after_restart_boundary(self):
-        """A fenced shard's service reports nothing; only the journal
-        speaks for it at the next restart."""
+        """A live shard a takeover killed reports nothing; only the
+        journal speaks for it at the next restart."""
         journal = CommitJournal(storage=MemoryJournalStorage())
         shard = ClusterShard(
             0, slots=1, workers=1, journal=journal, journal_admission=True
@@ -126,8 +126,8 @@ class TestFencedOriginalRestart:
         ticket = CrashJam([shard.service]).submit(
             shard.service.submit, "t", spec={"n": 1}
         )
-        shard.fence()
-        # the fenced process must not resolve the ticket...
+        shard.crash()
+        # the killed process must not resolve the ticket...
         assert not ticket.done
         # ...but the durable ack survives for the next restore
         sealed = journal.sealed_unapplied_intents("admit")

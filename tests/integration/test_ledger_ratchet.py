@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import functools
 import inspect
 import io
 import json
@@ -14,11 +15,18 @@ import textwrap
 import threading
 import tokenize
 
-from repro.cluster import ClusterRouter, ClusterShard, RemoteShardClient, remote
+from repro.cluster import (
+    ClusterRouter,
+    ClusterShard,
+    RemoteShardClient,
+    ShardState,
+    remote,
+    wire,
+)
 from repro.core.alternative import Alternative
 from repro.core.policy import EliminationPolicy
 from repro.core.worlds import run_alternatives
-from repro.journal import CommitJournal, settle
+from repro.journal import CommitJournal, FileJournalStorage, settle
 from repro.serve import (
     AdaptiveSpeculationPolicy,
     AdmissionQueue,
@@ -35,11 +43,13 @@ LOCKS_CEILING = 10
 #: ROADMAP's "re-entrant locks in `serve/` + `cluster/`" row
 RLOCKS_CEILING = 0
 #: ROADMAP's "`serve/` + `cluster/` lines" row (`wc -l`)
-LINES_CEILING = 4140
+LINES_CEILING = 4041
 #: ROADMAP's "`src/` lines" row (`git ls-files 'src/*.py' | xargs wc -l`)
-SRC_LINES_CEILING = 17786
+SRC_LINES_CEILING = 17687
 #: ROADMAP's "settable values on the serving path" row
-SETTABLE_VALUES_CEILING = 46
+SETTABLE_VALUES_CEILING = 41
+#: ROADMAP's "shard states" row
+SHARD_STATES = ("up", "draining", "dead")
 #: ROADMAP's "`fsync`s per `cluster_remote` op" row
 APPENDS_PER_REQUEST_CEILING = 2
 #: ROADMAP's "durable appends made while the request holds its slots" row
@@ -50,6 +60,12 @@ THREAD_STARTS_PER_BLOCK_CEILING = 0
 JOURNAL_BYTES_PER_REQUEST_CEILING = 502
 #: ROADMAP's "admit RPC frame bytes per `cluster_remote`-shaped request" row
 ADMIT_FRAME_BYTES_CEILING = 742
+#: ROADMAP's "through a real host, per request" row: durable appends,
+#: journal records, journal file bytes, and bytes the client receives
+HOST_APPENDS_PER_REQUEST_CEILING = 2
+HOST_RECORDS_PER_REQUEST_CEILING = 6
+HOST_JOURNAL_BYTES_PER_REQUEST_CEILING = 500
+HOST_RECEIVED_BYTES_PER_REQUEST_CEILING = 977
 
 
 def _serve_and_cluster_lines_matching(pattern: str) -> list[str]:
@@ -131,6 +147,13 @@ def test_the_serving_path_has_no_more_settable_values():
         f"one, or update ROADMAP's ledger row and this ceiling together — "
         f"{settable}"
     )
+
+
+def test_a_shard_has_only_its_own_lifecycle_states():
+    """The detector's suspicion is its miss count, and a takeover kills
+    a live shard with the same ``crash()`` as a dead one: neither leaves
+    a state of its own on the shard."""
+    assert tuple(s.value for s in ShardState) == SHARD_STATES
 
 
 def test_a_journalled_request_costs_at_most_two_durable_appends():
@@ -236,6 +259,75 @@ def test_a_remote_admit_sends_one_frame_of_no_more_bytes(tmp_path, monkeypatch):
         f"{size}-byte admit frame (ceiling {ADMIT_FRAME_BYTES_CEILING}): keep "
         "the wire record to the fields a shard host needs, or update "
         "ROADMAP's ledger row and this ceiling together"
+    )
+
+
+def host_value(ws, n):
+    return n
+
+
+def test_a_request_through_a_real_host_costs_no_more(tmp_path, monkeypatch):
+    """Eight sequential requests through one shard-host process. The
+    host is forked after the journal storage's ``append`` is wrapped, so
+    it inherits the wrapper, which counts each call as one byte in an
+    ``O_APPEND`` file. The client's received bytes are every frame its
+    reader takes: the admit replies and the result pushes."""
+    requests = 8
+    counter = tmp_path / "appends"
+    append = FileJournalStorage.append
+
+    def counted_append(storage, blob):
+        fd = os.open(counter, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        try:
+            os.write(fd, b"+")
+        finally:
+            os.close(fd)
+        append(storage, blob)
+
+    received = []
+    recv_exact = wire._recv_exact
+
+    def counted_recv(sock, n):
+        data = recv_exact(sock, n)
+        received.append(len(data))
+        return data
+
+    monkeypatch.setattr(FileJournalStorage, "append", counted_append)
+    monkeypatch.setattr(wire, "_recv_exact", counted_recv)
+    host = RemoteShardClient(0, workdir=str(tmp_path / "host"))
+    with ClusterRouter([host]).start(detect=False) as router:
+        appends_at_start = counter.stat().st_size
+        bytes_at_start = os.path.getsize(host.journal_path)
+        received.clear()
+        for n in range(requests):
+            ticket = router.submit(
+                "t%08x" % n, [functools.partial(host_value, n=n)],
+                spec={"n": 1}, seq=1000 + n,
+            )
+            assert ticket.result(10).committed
+        received_bytes = sum(received)
+    appends = counter.stat().st_size - appends_at_start
+    journal_bytes = os.path.getsize(host.journal_path) - bytes_at_start
+    records = len(CommitJournal(
+        storage=FileJournalStorage(host.journal_path)
+    ).records())
+    per_request = {
+        "appends": appends / requests,
+        "records": records / requests,
+        "journal bytes": journal_bytes / requests,
+        "received bytes": received_bytes / requests,
+    }
+    ceilings = {
+        "appends": HOST_APPENDS_PER_REQUEST_CEILING,
+        "records": HOST_RECORDS_PER_REQUEST_CEILING,
+        "journal bytes": HOST_JOURNAL_BYTES_PER_REQUEST_CEILING,
+        "received bytes": HOST_RECEIVED_BYTES_PER_REQUEST_CEILING,
+    }
+    over = {k: v for k, v in per_request.items() if v > ceilings[k]}
+    assert not over, (
+        f"per request through a real host: {per_request} (ceilings "
+        f"{ceilings}): keep a request's journal and wire cost, or update "
+        "ROADMAP's ledger row and these ceilings together"
     )
 
 

@@ -1,7 +1,7 @@
 """One shared way to jam a service's worker for the crash / restore tests.
 
 A jam world parks the worker that runs it until the service hosting it
-is crashed (or fenced), and then *fails* instead of returning. So the
+is crashed, and then *fails* instead of returning. So the
 request's admit stays sealed-but-unapplied — the state those tests are
 about — ``SpeculationService.crash()``'s join returns at once instead of
 sitting out a ``gate.wait(10)``, and the dead incarnation writes no late
@@ -18,7 +18,7 @@ GIVE_UP_S = 30.0
 
 
 class JamReleased(Exception):
-    """The service hosting this jam world was crashed or fenced."""
+    """The service hosting this jam world was crashed."""
 
 
 class CrashJam:
