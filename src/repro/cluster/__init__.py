@@ -10,8 +10,8 @@
   :class:`~repro.serve.budget.WorldBudget` and
   :class:`~repro.journal.CommitJournal`, wrapped so that crashing it
   kills everything *except* the journal;
-- :class:`ClusterRouter` — placement (with spill to idle shards at
-  landing), failure detection by missed beats per shard, and
+- :class:`ClusterRouter` — placement (on the member with the fewest of
+  its requests outstanding), failure detection by missed beats per shard, and
   journal-replay failover, the one way a landed request moves: a dead
   shard's admitted requests are replayed from its journal when their
   commit already applied and re-landed on survivors — under the same

@@ -12,13 +12,11 @@ real OS process boundary:
   as framed RPCs (:mod:`repro.cluster.wire`) whose op names are the
   surface's method names (:data:`SHARD_OPS`), plus ``ping``. Request
   handling is idempotent per token, so a client resend after a timeout
-  never double-executes an admit. Every reply and result push carries
-  the shard's load figures (``backlog``, ``slots_free``).
+  never double-executes an admit.
 - :class:`RemoteShardClient` — the parent-side proxy. It implements the
   same flat surface :class:`~repro.cluster.router.ClusterRouter` calls
   on a local ``ClusterShard`` (``state``/``up``/``alive``,
-  ``backlog``/``idle_slots``/``load``, ``start``/``stop``/``crash``,
-  ``admit``), which is what makes the router
+  ``start``/``stop``/``crash``, ``admit``), which is what makes the router
   transport-polymorphic: local and remote shards mix in one hash ring.
   ``admit`` pickles the router's
   :class:`~repro.serve.admission.ServeRequest` into the submit frame
@@ -197,19 +195,12 @@ class _ShardHost:
         self._conn: socket.socket | None = None
         self._shutdown = False
 
-    def _figures(self) -> dict:
-        """The balancer's load figures, riding every frame the host sends."""
-        shard = self.shard
-        return {"backlog": shard.backlog(), "slots_free": shard.idle_slots()}
-
     def _push(self, result) -> None:
         """An admitted request's ticket callback, on the resolving thread."""
-        figures = self._figures()
         with self._send_lock:
             self._event_seq += 1
             event = self._outbox[self._event_seq] = {
                 "push": "resolve", "event": self._event_seq, "result": result,
-                **figures,
             }
             if self._conn is not None:
                 try:
@@ -232,9 +223,8 @@ class _ShardHost:
         return value
 
     def _respond(self, conn: socket.socket, call_id, body: dict) -> None:
-        figures = self._figures()
         with self._send_lock:
-            send_frame(conn, {"id": call_id, **body, **figures})
+            send_frame(conn, {"id": call_id, **body})
 
     def _serve_conn(self, conn: socket.socket) -> None:
         try:
@@ -403,8 +393,6 @@ class RemoteShardClient:
         self.obs = obs = or_null(obs)
         self.state = ShardState.UP
         self.incarnation = 0
-        #: (backlog, free slots) as of the host's last reply or push
-        self._load = (0, slots)
         self._proc: ChildProcess | None = None
         self._sock: socket.socket | None = None
         self._conn_lock = threading.Lock()
@@ -552,19 +540,11 @@ class RemoteShardClient:
             raise
         return ticket
 
-    def backlog(self) -> int:
-        return self._load[0]
-
-    def idle_slots(self) -> int:
-        return self._load[1]
-
     def snapshot(self) -> dict:
         return {
             "shard": self.shard_id,
             "state": self.state.value,
             "incarnation": self.incarnation,
-            "backlog": self.backlog(),
-            "slots_free": self.idle_slots(),
             "remote": True,
             "pid": self.pid,
         }
@@ -664,8 +644,6 @@ class RemoteShardClient:
                 return
             if not isinstance(msg, dict):
                 continue
-            if "slots_free" in msg:
-                self._load = (msg["backlog"], msg["slots_free"])
             if msg.get("push") == "resolve":
                 self._dispatch_push(sock, msg)
                 continue

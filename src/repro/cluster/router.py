@@ -2,23 +2,25 @@
 
 :class:`ClusterRouter` is the traffic director over N shards, reached
 only through the flat shard surface — ``admit`` (it returns the
-request's ticket) plus lifecycle and load, the same names on
+request's ticket) plus lifecycle, the same names on
 :class:`~repro.cluster.shard.ClusterShard` and
 :class:`~repro.cluster.remote.RemoteShardClient`. Placement walks the
-:class:`~repro.cluster.ring.HashRing` preference order; one load move
-sits on top, at landing only: **spill** — when a tenant's home shard
-has no free world slots and a later preference has idle capacity, the
-request lands there instead (counted ``mw_cluster_spills_total{src,dst}``).
-Once landed, a request moves only through a takeover.
+live members in order of how many of this router's requests stand on
+each, fewest first: **spill**. The count is the router's own, kept
+beside its request table, so it is current at every landing and costs
+no RPC. The sort is stable over the
+:class:`~repro.cluster.ring.HashRing` preference order, so ties go to
+the ring and an idle cluster lands every tenant on its home. A landing
+off the home is counted ``mw_cluster_spills_total{src,dst}``. Once
+landed, a request moves only through a takeover.
 
 **One landing path, one rule.** A request commits iff its ``block``
 transaction applies in exactly one shard journal, and what keeps it so
 is that *a request leaves a shard it may have reached only through that
 shard's ledger*. Every way a request comes to rest — fresh submit,
-spill, takeover re-land, restore re-admit — is
-:meth:`ClusterRouter._land`: one walk of the tenant's
-preference order (from the spill target, if any). What a target says
-is either
+takeover re-land, restore re-admit — is :meth:`ClusterRouter._land`:
+one walk of the live members in that order. What a target says is
+either
 
 - *no* (``AdmissionRejected``, ``ServiceStopped``) or *never reached*
   (``ShardUnreachable`` with ``sent=False``: dead state, connects
@@ -60,6 +62,7 @@ ever owned so benches and fuzz tests can assert it.
 
 from __future__ import annotations
 
+import collections
 import functools
 import threading
 import time
@@ -200,7 +203,9 @@ class ClusterRouter:
     shards:
         The :class:`ClusterShard` members (ids must be unique).
     spill:
-        Enable spill, the one load-balancing move.
+        Land each request on the live member with the fewest of this
+        router's requests outstanding (ties in ring order). Tests set
+        False to pin every request to its ring order.
     fault_plan / obs:
         Shared robustness planes. The plan's ``cluster`` site drives
         shard-crash/partition/stale-takeover injection; ``obs`` gains
@@ -228,6 +233,8 @@ class ClusterRouter:
         self._retired: list[ClusterShard] = []
         #: the one per-request table: whoever pops a record resolves it
         self._inflight: dict[int, _Inflight] = {}
+        #: the table's records by the shard they stand on (-1: in transit)
+        self._outstanding: collections.Counter[int] = collections.Counter()
         self._lock = threading.Lock()
         self._running = False
         self._beat = 0
@@ -241,7 +248,7 @@ class ClusterRouter:
         )
         self._spill_c = reg.counter(
             "mw_cluster_spills_total",
-            "Requests spilled off a saturated home shard",
+            "Requests landed off their tenant's ring home",
             labelnames=("src", "dst"),
         )
         self._takeover_c = reg.counter(
@@ -301,7 +308,10 @@ class ClusterRouter:
                 "beat": self._beat,
                 "inflight": len(self._inflight),
                 "members": [
-                    {**s.snapshot(), "misses": self._misses[s.shard_id]}
+                    {
+                        **s.snapshot(), "misses": self._misses[s.shard_id],
+                        "outstanding": self._outstanding[s.shard_id],
+                    }
                     for s in self._shards.values()
                 ],
                 "retired": [s.shard_id for s in self._retired],
@@ -373,6 +383,7 @@ class ClusterRouter:
                 shard.crash()
         with self._lock:
             self._inflight.clear()
+            self._outstanding.clear()
 
     @classmethod
     def restore(
@@ -504,7 +515,8 @@ class ClusterRouter:
         seq: int | None = None,
         spec: Any = None,
     ) -> ClusterTicket:
-        """Place one request on the tenant's (preferred live) shard.
+        """Place one request on the live shard holding the fewest of this
+        router's requests (ties in the tenant's ring order).
 
         Builds the :class:`~repro.serve.admission.ServeRequest` (see its
         fields) that every layer below passes on as is. Raises
@@ -536,23 +548,43 @@ class ClusterRouter:
             if request.seq in self._inflight:
                 raise ClusterError(f"request seq {request.seq} is already in flight")
             self._inflight[request.seq] = rec
+            self._outstanding[rec.shard_id] += 1
         try:
             self._land(rec)
         except BaseException:
             with self._lock:
-                self._inflight.pop(request.seq, None)
+                self._unregister(rec)
             raise
         return rec
+
+    def _stand(self, rec: _Inflight, shard_id: int) -> None:
+        """Stand ``rec`` on ``shard_id`` (-1: in transit), keeping
+        ``_outstanding`` a count of the table by shard. The caller holds
+        the lock; a record no longer in the table counts nowhere."""
+        if self._inflight.get(rec.request.seq) is rec:
+            self._outstanding[rec.shard_id] -= 1
+            self._outstanding[shard_id] += 1
+        rec.shard_id = shard_id
+
+    def _unregister(self, rec: _Inflight) -> bool:
+        """Take ``rec`` out of the table, if it is still there (the caller
+        holds the lock); True when this call took it."""
+        if self._inflight.get(rec.request.seq) is not rec:
+            return False
+        del self._inflight[rec.request.seq]
+        self._outstanding[rec.shard_id] -= 1
+        return True
 
     def _land(self, rec: _Inflight, exclude=()) -> str:
         """Bring ``rec`` to rest: the one landing path (module docstring).
 
-        One walk of the live members in the tenant's ring order, minus
-        ``exclude``, with the spill target — when the home shard is
-        saturated and a later preference sits idle — tried first.
-        Returns ``"landed"`` or ``"replayed"``; raises the last
-        :class:`AdmissionRejected` seen, or :class:`NoSurvivingShard`,
-        when nobody took it.
+        One walk of the live members minus ``exclude``: with spill on,
+        fewest outstanding requests first, ties in the tenant's ring
+        order; with it off, ring order alone. A concurrent submit that
+        read the counts before this one lands costs balance, never
+        correctness. Returns ``"landed"`` or ``"replayed"``; raises the
+        last :class:`AdmissionRejected` seen, or
+        :class:`NoSurvivingShard`, when nobody took it.
         """
         request = rec.request
         with self._lock:
@@ -565,19 +597,9 @@ class ClusterRouter:
                 and sid in self._shards
                 and self._shards[sid].up
             ]
-        spilled_from = prefer = None
-        if self.spill and order:
-            home = order[0]
-            if home.idle_slots() == 0 and home.backlog() > 0:
-                prefer = next(
-                    (o for o in order[1:]
-                     if o.idle_slots() > 0 and o.backlog() == 0),
-                    None,
-                )
-                if prefer is not None:
-                    spilled_from = home
-                    order.remove(prefer)
-                    order.insert(0, prefer)
+            home = order[0].shard_id if order else -1
+            if self.spill:
+                order.sort(key=lambda s: self._outstanding[s.shard_id])
 
         rejection: AdmissionRejected | None = None
         for target in order:
@@ -601,10 +623,10 @@ class ClusterRouter:
                         return "replayed"
                 continue
             with self._lock:
-                rec.shard_id = target.shard_id
+                self._stand(rec, target.shard_id)
             self._req_c.inc(shard=target.shard_id)
-            if target is prefer:
-                self._spill_c.inc(src=spilled_from.shard_id, dst=target.shard_id)
+            if target.shard_id != home:
+                self._spill_c.inc(src=home, dst=target.shard_id)
             # at rest first: a ticket already resolved settles right here
             ticket.add_done_callback(
                 functools.partial(self._on_shard_resolve, target.shard_id)
@@ -621,9 +643,6 @@ class ClusterRouter:
         ends with nobody taking it."""
         rec.attempts += 1
         rec.failover = "relanded"
-        # in transit: it is this thread's to land, not an orphan for a
-        # takeover (one this very walk starts, or a concurrent one)
-        rec.shard_id = -1
         try:
             return self._land(rec, exclude)
         except (AdmissionRejected, NoSurvivingShard) as exc:
@@ -640,7 +659,8 @@ class ClusterRouter:
         outcome = replay_block_win(shard.journal, rec.request.seq)
         if outcome is None:
             return False
-        rec.shard_id = shard.shard_id
+        with self._lock:
+            self._stand(rec, shard.shard_id)
         rec.failover = "replayed"
         self._failover_c.inc(mode="replayed")
         self._resolve(rec, _replayed_result(
@@ -668,11 +688,8 @@ class ClusterRouter:
         if given) resolves, and only after releasing the lock, so a
         ticket callback never holds up another thread's submit."""
         with self._lock:
-            if self._inflight.get(result.seq) is not rec or (
-                at is not None and rec.shard_id != at
-            ):
+            if (at is not None and rec.shard_id != at) or not self._unregister(rec):
                 return
-            del self._inflight[result.seq]
         rec.ticket._resolve(result)
 
     def _on_shard_resolve(self, shard_id: int, result: ServeResult) -> None:
@@ -857,14 +874,15 @@ class ClusterRouter:
         shard.crash()
         # 2. settle every admitted-but-unresolved request it held: the
         #    ledger first, and only what never applied lands again —
-        #    claimed here, so the shard's late reports pass them by
+        #    claimed here (in transit, this thread's to land), so the
+        #    shard's late reports and a concurrent takeover pass them by
         with self._lock:
             orphans = [
                 rec for rec in self._inflight.values()
                 if rec.shard_id == shard_id
             ]
             for rec in orphans:
-                rec.shard_id = -1
+                self._stand(rec, -1)
         for rec in orphans:
             if self._replay_from(rec, shard):
                 report["replayed"] += 1

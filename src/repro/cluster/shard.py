@@ -121,19 +121,8 @@ class ClusterShard:
         """
         return self.alive
 
-    def backlog(self) -> int:
-        return len(self.queue)
-
-    def idle_slots(self) -> int:
-        return self.budget.free
-
     def snapshot(self) -> dict:
-        return {
-            "shard": self.shard_id,
-            "state": self.state.value,
-            "backlog": self.backlog(),
-            "slots_free": self.idle_slots(),
-        }
+        return {"shard": self.shard_id, "state": self.state.value}
 
     # -- the request surface (the router's; same names on a remote shard),
     # forwarded at call time so patching ``shard.service`` patches it ----

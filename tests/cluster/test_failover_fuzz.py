@@ -4,7 +4,9 @@ Each seed runs a burst against a 3-shard cluster, consults the fault
 plan's ``cluster`` site for which shard dies and when (mid-burst), kills
 it there, runs takeover, then audits every journal the cluster ever
 owned: a committed request's ``block`` transaction applied in exactly
-one journal — 0 would be a lost commit, ≥2 a double commit.
+one journal — 0 would be a lost commit, ≥2 a double commit. After each
+takeover and once every request settled, the router's per-shard
+outstanding counts must equal a recount of its request table.
 ``CLUSTER_FUZZ_SEEDS`` raises the seed count (CI's fuzz smoke runs 8);
 ``test_scale_smoke`` holds what a kill costs in throughput.
 """
@@ -17,6 +19,8 @@ import pytest
 from repro.cluster import ClusterRouter, ClusterShard
 from repro.cluster import router as router_module
 from repro.faults.plan import FaultKind, FaultPlan
+
+from tests.cluster.test_router import assert_counts_match_the_table
 
 SEEDS = range(1, 1 + int(os.environ.get("CLUSTER_FUZZ_SEEDS", "6")))
 
@@ -56,13 +60,16 @@ def test_mid_burst_shard_kill_commits_exactly_once(seed):
                 if i == at:
                     router.kill_shard(sid)
                     router.takeover(sid)
+                    assert_counts_match_the_table(router)
                     del kill_at[sid]
             tickets.append(router.submit(f"tenant-{i % 6}", alts(i)))
         for sid in kill_at:
             router.kill_shard(sid)
             router.takeover(sid)
+            assert_counts_match_the_table(router)
 
         results = [t.result(timeout=30) for t in tickets]
+        assert_counts_match_the_table(router)
         committed = [r for r in results if r.committed]
         # nothing may be lost: every admitted request settles committed
         # (failed would mean the re-land path dropped it on the floor —
@@ -110,8 +117,10 @@ def test_detector_driven_kill_with_partitions(seed, monkeypatch):
                 break
         members = {s["shard"] for s in router.snapshot()["members"]}
         assert victim not in members, "heartbeats must find the corpse"
+        assert_counts_match_the_table(router)
         results = [t.result(timeout=30) for t in tickets]
         assert all(r.committed for r in results)
+        assert_counts_match_the_table(router)
         audit = router.audit_applied()
         assert all(audit.get(r.seq, 0) == 1 for r in results)
     finally:

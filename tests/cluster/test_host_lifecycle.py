@@ -3,10 +3,16 @@
 Every round forks real host processes and drives each exit a host can
 take: a graceful stop, a crash, a ``kill -9`` and a restart, a freeze
 and a thaw. After every round the parent must hold no child and no
-descriptor it did not hold before the first one.
+descriptor it did not hold before the first one. The baseline is taken
+once earlier tests' leftovers are gone: their shard-client reader threads
+have exited and their unreachable objects are collected, so nothing of
+theirs opens or closes a descriptor during the rounds.
 """
 
+import gc
 import os
+import threading
+import time
 
 import pytest
 
@@ -16,8 +22,25 @@ from repro.errors import ClusterError
 ROUNDS = 10
 
 
-def _open_fds():
-    return len(os.listdir("/proc/self/fd"))
+def _open_fds() -> dict[int, str]:
+    """Each open descriptor and what it points at. The listing's own
+    descriptor is closed by the time each is checked, so it drops out."""
+    fds = {}
+    for name in os.listdir("/proc/self/fd"):
+        try:
+            fds[int(name)] = os.readlink(f"/proc/self/fd/{name}")
+        except OSError:
+            continue
+    return fds
+
+
+def _settle_earlier_tests(timeout_s=10.0):
+    """Wait out earlier tests' shard-client readers, then collect."""
+    deadline = time.monotonic() + timeout_s
+    for thread in threading.enumerate():
+        if thread.name.startswith("shard-client-") and thread.name.endswith("-reader"):
+            thread.join(max(0.0, deadline - time.monotonic()))
+    gc.collect()
 
 
 def _no_child_left():
@@ -28,6 +51,7 @@ def _no_child_left():
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
 def test_every_exit_leaves_no_child_and_no_descriptor(tmp_path):
     shard = RemoteShardClient(0, workdir=str(tmp_path), slots=1, workers=1)
+    _settle_earlier_tests()
     baseline = _open_fds()
     for _ in range(ROUNDS):
         shard.start()
@@ -52,7 +76,9 @@ def test_every_exit_leaves_no_child_and_no_descriptor(tmp_path):
         shard.stop()
 
         _no_child_left()
-        assert _open_fds() == baseline
+        opened = {fd: target for fd, target in _open_fds().items()
+                  if baseline.get(fd) != target}
+        assert not opened, f"descriptors a round left open: {opened}"
     assert shard.incarnation == 4 * ROUNDS - 1
 
 

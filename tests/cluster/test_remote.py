@@ -99,7 +99,6 @@ class TestLifecycle:
             assert shard.pid is not None and shard.pid != os.getpid()
             assert shard.answers_heartbeat()
             assert shard.state is ShardState.UP
-            assert shard.idle_slots() == 2
             snap = shard.snapshot()
             assert snap["remote"] is True and snap["pid"] == shard.pid
         finally:
@@ -219,10 +218,10 @@ class TestRemoteCluster:
             )
             first = router.submit(tenant, slow_alts(1))
             deadline = time.monotonic() + 10
-            while local.idle_slots() and time.monotonic() < deadline:
+            while local.budget.free and time.monotonic() < deadline:
                 time.sleep(0.001)
             second = router.submit(tenant, alts(2))
-            assert local.backlog() == 1
+            assert len(local.queue) == 1
             router.kill_shard(0)
             router.takeover(0)
             result = second.result(timeout=30)
@@ -464,9 +463,8 @@ class TestCrash:
 
 
 def test_a_submit_to_an_idle_remote_shard_makes_one_rpc(tmp_path, monkeypatch):
-    """A host's load figures ride its every reply and result push, so the
-    router's spill check reads them without a ping of its own, however
-    long the shard sat idle."""
+    """The router places by its own count of outstanding requests, so a
+    submit asks no host for its load, however long the shard sat idle."""
     remotes = [make_remote(i, tmp_path) for i in range(2)]
     ops = []
     call = RemoteShardClient._call
@@ -478,8 +476,8 @@ def test_a_submit_to_an_idle_remote_shard_makes_one_rpc(tmp_path, monkeypatch):
     router = ClusterRouter(remotes).start(detect=False)
     try:
         assert router.submit("t0", alts(1)).result(timeout=30).value == 7
-        home = remotes[router.ring.route("t0")]
-        assert (home.backlog(), home.idle_slots()) == (0, 2)
+        members = router.snapshot()["members"]
+        assert [m["outstanding"] for m in members] == [0, 0]
         time.sleep(0.03)
         monkeypatch.setattr(RemoteShardClient, "_call", counted)
         assert router.submit("t0", alts(2)).result(timeout=30).value == 14

@@ -2,8 +2,10 @@
 
 import dataclasses
 import functools
+import sys
 import threading
 import time
+from collections import Counter
 
 import pytest
 
@@ -48,9 +50,12 @@ def slow_alt(duration_s=0.15):
     return [slow]
 
 
-def gated_alt(gate):
-    """An alternative that holds its world slot until ``gate`` is set."""
+def gated_alt(gate, started=None):
+    """An alternative that holds its world slot until ``gate`` is set
+    (and sets ``started``, if given, once it holds it)."""
     def gated(ws):
+        if started is not None:
+            started.set()
         gate.wait(10)
         return "gated"
 
@@ -81,9 +86,18 @@ def make_router(n=3, slots=2, workers=2, **kw):
     return ClusterRouter(shards, **kw)
 
 
+def assert_counts_match_the_table(router):
+    """The router's per-shard outstanding counts are a recount of its
+    request table (-1: in transit), with no negative or stale entry."""
+    with router._lock:
+        counts = {sid: n for sid, n in router._outstanding.items() if n}
+        table = Counter(rec.shard_id for rec in router._inflight.values())
+    assert counts == dict(table)
+
+
 class TestPlacement:
     def test_requests_route_by_ring_and_commit(self):
-        # spill off: it may move a request off a busy home (its own tests)
+        # spill off: a home holding more outstanding requests is passed by
         with make_router(3, spill=False).start(detect=False) as router:
             tickets = [
                 router.submit(f"tenant-{i % 5}", value_alts(i)) for i in range(15)
@@ -156,21 +170,101 @@ def test_a_request_resolved_before_admit_returns_settles_on_its_shard():
 
 
 class TestSpill:
+    """A request lands on the member with the fewest of this router's
+    requests outstanding; ties keep the tenant's ring order."""
+
     def test_saturated_home_spills_to_idle_shard(self):
+        # the count is the router's own: no wait for the home to report
+        # its slot taken, and a landing off the home is counted
         shards = [ClusterShard(i, slots=1, workers=1) for i in range(2)]
-        router = ClusterRouter(shards).start(detect=False)
+        obs = Observability()
+        router = ClusterRouter(shards, obs=obs).start(detect=False)
+        gate = threading.Event()
         try:
             tenant = "sp"
             home = router.ring.route(tenant)
-            blockers = [router.submit(tenant, slow_alt()) for _ in range(3)]
-            time.sleep(0.05)  # let the blocker occupy home's only slot
+            held = router.submit(tenant, gated_alt(gate))
             spilled = router.submit(tenant, value_alts(42)).result(timeout=10)
             assert spilled.committed
             assert spilled.shard_id != home
-            for b in blockers:
-                assert b.result(timeout=10).committed
+            spills = obs.registry.get("mw_cluster_spills_total")
+            assert spills.value(src=home, dst=spilled.shard_id) == 1
+            gate.set()
+            assert held.result(timeout=10).shard_id == home
         finally:
+            gate.set()
             router.stop()
+
+    @pytest.mark.parametrize("n_shards", [2, 3])
+    def test_held_requests_of_one_tenant_spread_within_one(self, n_shards):
+        shards = [ClusterShard(i, slots=1, workers=1) for i in range(n_shards)]
+        router = ClusterRouter(shards).start(detect=False)
+        gate = threading.Event()
+        try:
+            tickets = [router.submit("one", gated_alt(gate)) for _ in range(7)]
+            with router._lock:
+                standing = Counter(rec.shard_id for rec in router._inflight.values())
+            outstanding = [standing[sid] for sid in range(n_shards)]
+            assert sum(outstanding) == 7
+            assert max(outstanding) - min(outstanding) <= 1, outstanding
+            members = router.snapshot()["members"]
+            assert [m["outstanding"] for m in members] == outstanding
+            assert_counts_match_the_table(router)
+            gate.set()
+            assert all(t.result(timeout=10).committed for t in tickets)
+            assert_counts_match_the_table(router)
+        finally:
+            gate.set()
+            router.stop()
+
+    def test_concurrent_landings_and_resolves_keep_the_counts_exact(self):
+        """More submitting threads than cores on a short switch interval,
+        then a takeover whose re-landings race the survivors' resolves:
+        the counts stay a recount of the table throughout."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        shards = [ClusterShard(i, slots=2, workers=2) for i in range(3)]
+        router = ClusterRouter(shards).start(detect=False)
+        gate = threading.Event()
+        tickets, appended = [], threading.Lock()
+
+        def submitter(n):  # 48 requests: a survivor's 32-deep queue takes its re-lands
+            for i in range(8):
+                ticket = router.submit(f"t{n}-{i % 3}", gated_alt(gate))
+                with appended:
+                    tickets.append(ticket)
+
+        try:
+            threads = [threading.Thread(target=submitter, args=(n,)) for n in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+                assert not thread.is_alive()
+            assert_counts_match_the_table(router)
+            release_once_crashed(shards[0], gate)
+            router.kill_shard(0)
+            router.takeover(0)
+            assert_counts_match_the_table(router)
+            results = [t.result(timeout=30) for t in tickets]
+            assert all(r.committed for r in results), [
+                (r.seq, r.status, r.reason) for r in results if not r.committed
+            ]
+            assert_counts_match_the_table(router)
+            assert router.snapshot()["inflight"] == 0
+        finally:
+            sys.setswitchinterval(interval)
+            gate.set()
+            router.stop()
+
+    def test_an_idle_cluster_lands_each_tenant_on_its_ring_home(self):
+        with make_router(3).start(detect=False) as router:
+            for i in range(12):
+                tenant = f"tenant-{i}"
+                result = router.submit(tenant, value_alts(i)).result(timeout=10)
+                assert result.committed
+                assert result.shard_id == router.ring.route(tenant)
+            assert all(m["outstanding"] == 0 for m in router.snapshot()["members"])
 
 
 class TestDecommission:
@@ -359,6 +453,7 @@ class TestCrashTakeover:
             router.kill_shard(victim)
             report = router.takeover(victim)
             assert not report["stale"]
+            assert_counts_match_the_table(router)
             results = [t.result(timeout=10) for t in tickets]
             assert all(r.committed for r in results)
             # failover work is marked
@@ -559,11 +654,11 @@ class TestLandingMatrix:
         if entry == "fresh":
             probe.armed = True
             return router, submit_watched, []
-        # the home shard's one slot is held, and something waits behind it
-        others = [router.submit(self.TENANT, gated_alt(gate))]
-        deadline = time.monotonic() + 5
-        while router.shard(home).idle_slots() and time.monotonic() < deadline:
-            time.sleep(0.001)
+        # the home shard's one slot is held; the bystander waits behind
+        # it, or, with spill on, stands on the next member in ring order
+        started = threading.Event()
+        others = [router.submit(self.TENANT, gated_alt(gate, started))]
+        assert started.wait(5)
         others.append(router.submit(self.TENANT, value_alts("bystander")))
         if entry == "spill":
             probe.armed = True
@@ -616,7 +711,7 @@ class TestLandingMatrix:
             assert snap["inflight"] == 0
             first = probe.first.shard_id
             home = router.ring.route(self.TENANT) if entry == "spill" else None
-            assert first != home, "the spill target is tried first"
+            assert first != home, "the member with the fewest outstanding is tried first"
             taken_over = raises is not None and (
                 isinstance(raises(), JournalCrash) or getattr(raises(), "sent", False)
             )

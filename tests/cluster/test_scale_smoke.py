@@ -61,7 +61,11 @@ def burst_rps(shards, n_requests, kill=None):
         wall_s = time.monotonic() - start
     finally:
         router.stop()
-    assert all(r.committed for r in results), [(r.status, r.reason) for r in results]
+    uncommitted = [(r.seq, r.status, r.reason) for r in results if not r.committed]
+    assert not uncommitted, (
+        f"{'kill' if kill else 'healthy'} burst, uncommitted (seq, status, "
+        f"reason): {uncommitted}"
+    )
     return n_requests / wall_s
 
 
@@ -91,4 +95,8 @@ def test_kill_holds_70pct_of_healthy_throughput(fleet, n_requests, kill, tmp_pat
         "healthy": lambda: burst_rps(fleet(4, tmp_path), n_requests),
         "kill": lambda: burst_rps(fleet(4, tmp_path), n_requests, kill=kill),
     })
-    assert rps["kill"] >= 0.70 * rps["healthy"], rps
+    ratio = rps["kill"] / rps["healthy"]
+    assert ratio >= 0.70, (
+        f"kill burst {rps['kill']:.1f} req/s vs healthy {rps['healthy']:.1f} "
+        f"req/s: ratio {ratio:.3f} < 0.70"
+    )

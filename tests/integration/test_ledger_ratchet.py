@@ -1,4 +1,8 @@
-"""Ratchets for what ROADMAP's ledger table counts by hand."""
+"""Ratchets for what ROADMAP's ledger table counts by hand.
+
+The measurements are plain functions, so ``python -m tests.ratchet_counts``
+prints the same counts the ceilings below hold them to.
+"""
 
 import ast
 import dataclasses
@@ -14,6 +18,7 @@ import sys
 import textwrap
 import threading
 import tokenize
+from unittest import mock
 
 from repro.cluster import (
     ClusterRouter,
@@ -43,9 +48,9 @@ LOCKS_CEILING = 10
 #: ROADMAP's "re-entrant locks in `serve/` + `cluster/`" row
 RLOCKS_CEILING = 0
 #: ROADMAP's "`serve/` + `cluster/` lines" row (`wc -l`)
-LINES_CEILING = 4041
+LINES_CEILING = 4026
 #: ROADMAP's "`src/` lines" row (`git ls-files 'src/*.py' | xargs wc -l`)
-SRC_LINES_CEILING = 17687
+SRC_LINES_CEILING = 17672
 #: ROADMAP's "settable values on the serving path" row
 SETTABLE_VALUES_CEILING = 41
 #: ROADMAP's "shard states" row
@@ -65,7 +70,7 @@ ADMIT_FRAME_BYTES_CEILING = 742
 HOST_APPENDS_PER_REQUEST_CEILING = 2
 HOST_RECORDS_PER_REQUEST_CEILING = 6
 HOST_JOURNAL_BYTES_PER_REQUEST_CEILING = 500
-HOST_RECEIVED_BYTES_PER_REQUEST_CEILING = 977
+HOST_RECEIVED_BYTES_PER_REQUEST_CEILING = 923
 
 
 def _serve_and_cluster_lines_matching(pattern: str) -> list[str]:
@@ -78,10 +83,24 @@ def _serve_and_cluster_lines_matching(pattern: str) -> list[str]:
     ]
 
 
-def test_serve_and_cluster_lock_count_does_not_rise():
-    built = _serve_and_cluster_lines_matching(
-        r"threading\.(Lock|RLock|Condition)\("
+def serve_and_cluster_locks() -> list[str]:
+    return _serve_and_cluster_lines_matching(r"threading\.(Lock|RLock|Condition)\(")
+
+
+def serve_and_cluster_lines() -> int:
+    return sum(
+        len(path.read_text().splitlines())
+        for package in ("serve", "cluster")
+        for path in (SRC / package).glob("*.py")
     )
+
+
+def src_lines() -> int:
+    return sum(len(path.read_text().splitlines()) for path in SRC.rglob("*.py"))
+
+
+def test_serve_and_cluster_lock_count_does_not_rise():
+    built = serve_and_cluster_locks()
     assert len(built) <= LOCKS_CEILING, (
         f"{len(built)} locks / conditions in serve/ + cluster/ (ceiling "
         f"{LOCKS_CEILING}): fold one away, or update ROADMAP's ledger row "
@@ -101,11 +120,7 @@ def test_serve_and_cluster_take_no_reentrant_lock():
 
 
 def test_serve_and_cluster_line_count_does_not_rise():
-    lines = sum(
-        len(path.read_text().splitlines())
-        for package in ("serve", "cluster")
-        for path in (SRC / package).glob("*.py")
-    )
+    lines = serve_and_cluster_lines()
     assert lines <= LINES_CEILING, (
         f"{lines} lines in serve/ + cluster/ (ceiling {LINES_CEILING}): "
         "remove what the change made unnecessary, or update ROADMAP's "
@@ -114,7 +129,7 @@ def test_serve_and_cluster_line_count_does_not_rise():
 
 
 def test_src_line_count_does_not_rise():
-    lines = sum(len(path.read_text().splitlines()) for path in SRC.rglob("*.py"))
+    lines = src_lines()
     assert lines <= SRC_LINES_CEILING, (
         f"{lines} lines in src/ (ceiling {SRC_LINES_CEILING}): remove what "
         "the change made unnecessary, or update ROADMAP's ledger row and "
@@ -122,12 +137,12 @@ def test_src_line_count_does_not_rise():
     )
 
 
-def test_the_serving_path_has_no_more_settable_values():
+def settable_values() -> list[str]:
     """Every constructor parameter of the router, both shard transports,
     the service, the budget, the queue and the win statistics, every
     parameter of the budget's grant, and every field of the adaptive
     policy, is a value a caller can set and a test must cover."""
-    settable = [
+    return [
         f"{fn.__qualname__}.{name}"
         for fn in (
             ClusterRouter.__init__, ClusterShard.__init__,
@@ -141,6 +156,10 @@ def test_the_serving_path_has_no_more_settable_values():
         f"AdaptiveSpeculationPolicy.{f.name}"
         for f in dataclasses.fields(AdaptiveSpeculationPolicy)
     ]
+
+
+def test_the_serving_path_has_no_more_settable_values():
+    settable = settable_values()
     assert len(settable) <= SETTABLE_VALUES_CEILING, (
         f"{len(settable)} settable values on the serving path (ceiling "
         f"{SETTABLE_VALUES_CEILING}): derive the new one from an existing "
@@ -231,10 +250,10 @@ def op_alt2(ws):
     return 2
 
 
-def test_a_remote_admit_sends_one_frame_of_no_more_bytes(tmp_path, monkeypatch):
+def admit_frame_sizes(workdir) -> list[int]:
     """A request shaped like ``cluster_remote``'s (a ``t%08x`` tenant,
     three named module-level alternatives, the op's workspace) admitted
-    to a real shard host: one admit RPC, its frame no larger than before."""
+    to a real shard host: the size of each admit frame it sent."""
     sizes = []
     pack_frame = remote.pack_frame
 
@@ -244,17 +263,22 @@ def test_a_remote_admit_sends_one_frame_of_no_more_bytes(tmp_path, monkeypatch):
             sizes.append(len(frame))
         return frame
 
-    monkeypatch.setattr(remote, "pack_frame", packed)
     alternatives = [
         Alternative(fn, name=f"op1000.{pos}")
         for pos, fn in enumerate((op_alt0, op_alt1, op_alt2))
     ]
     initial = {"op": 1000, "costs_ms": (4.0, 20.0, 20.0), "kernel_at": -1}
-    host = RemoteShardClient(0, workdir=str(tmp_path))
-    with ClusterRouter([host]).start(detect=False) as router:
-        ticket = router.submit("t0000abcd", alternatives, initial=initial, seq=1000)
-        assert ticket.result(10).committed
-    (size,) = sizes
+    host = RemoteShardClient(0, workdir=str(workdir))
+    with mock.patch.object(remote, "pack_frame", packed):
+        with ClusterRouter([host]).start(detect=False) as router:
+            ticket = router.submit("t0000abcd", alternatives, initial=initial, seq=1000)
+            assert ticket.result(10).committed
+    return sizes
+
+
+def test_a_remote_admit_sends_one_frame_of_no_more_bytes(tmp_path):
+    """One admit RPC, its frame no larger than before."""
+    (size,) = admit_frame_sizes(tmp_path)
     assert size <= ADMIT_FRAME_BYTES_CEILING, (
         f"{size}-byte admit frame (ceiling {ADMIT_FRAME_BYTES_CEILING}): keep "
         "the wire record to the fields a shard host needs, or update "
@@ -266,14 +290,15 @@ def host_value(ws, n):
     return n
 
 
-def test_a_request_through_a_real_host_costs_no_more(tmp_path, monkeypatch):
+def per_request_through_a_host(workdir) -> dict[str, float]:
     """Eight sequential requests through one shard-host process. The
     host is forked after the journal storage's ``append`` is wrapped, so
     it inherits the wrapper, which counts each call as one byte in an
     ``O_APPEND`` file. The client's received bytes are every frame its
     reader takes: the admit replies and the result pushes."""
+    workdir = pathlib.Path(workdir)
     requests = 8
-    counter = tmp_path / "appends"
+    counter = workdir / "appends"
     append = FileJournalStorage.append
 
     def counted_append(storage, blob):
@@ -292,31 +317,37 @@ def test_a_request_through_a_real_host_costs_no_more(tmp_path, monkeypatch):
         received.append(len(data))
         return data
 
-    monkeypatch.setattr(FileJournalStorage, "append", counted_append)
-    monkeypatch.setattr(wire, "_recv_exact", counted_recv)
-    host = RemoteShardClient(0, workdir=str(tmp_path / "host"))
-    with ClusterRouter([host]).start(detect=False) as router:
-        appends_at_start = counter.stat().st_size
-        bytes_at_start = os.path.getsize(host.journal_path)
-        received.clear()
-        for n in range(requests):
-            ticket = router.submit(
-                "t%08x" % n, [functools.partial(host_value, n=n)],
-                spec={"n": 1}, seq=1000 + n,
-            )
-            assert ticket.result(10).committed
-        received_bytes = sum(received)
+    host = RemoteShardClient(0, workdir=str(workdir / "host"))
+    with (
+        mock.patch.object(FileJournalStorage, "append", counted_append),
+        mock.patch.object(wire, "_recv_exact", counted_recv),
+    ):
+        with ClusterRouter([host]).start(detect=False) as router:
+            appends_at_start = counter.stat().st_size
+            bytes_at_start = os.path.getsize(host.journal_path)
+            received.clear()
+            for n in range(requests):
+                ticket = router.submit(
+                    "t%08x" % n, [functools.partial(host_value, n=n)],
+                    spec={"n": 1}, seq=1000 + n,
+                )
+                assert ticket.result(10).committed
+            received_bytes = sum(received)
     appends = counter.stat().st_size - appends_at_start
     journal_bytes = os.path.getsize(host.journal_path) - bytes_at_start
     records = len(CommitJournal(
         storage=FileJournalStorage(host.journal_path)
     ).records())
-    per_request = {
+    return {
         "appends": appends / requests,
         "records": records / requests,
         "journal bytes": journal_bytes / requests,
         "received bytes": received_bytes / requests,
     }
+
+
+def test_a_request_through_a_real_host_costs_no_more(tmp_path):
+    per_request = per_request_through_a_host(tmp_path)
     ceilings = {
         "appends": HOST_APPENDS_PER_REQUEST_CEILING,
         "records": HOST_RECORDS_PER_REQUEST_CEILING,
