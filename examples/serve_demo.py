@@ -11,9 +11,9 @@ on, given what the pool and the win-rate statistics look like right now.
 Two tenants hammer the same 4-slot budget with a 3-alternative lookup
 (one fast cache that usually hits, two slow fallbacks):
 
-- ``batch`` submits a big burst of low-priority requests;
-- ``interactive`` submits fewer, high-priority, deadlined requests —
-  and preempts speculative slots when the pool is full.
+- ``batch`` submits a big burst of requests with no deadline;
+- ``interactive`` submits fewer requests, each with a 250 ms deadline —
+  one still waiting for a slot when it passes is shed, not run late.
 
 Watch the ``k`` column: the service starts out speculating on all three
 alternatives, then the statistics converge on the cache and K drops to
@@ -51,7 +51,7 @@ def main():
     with SpeculationService(budget, workers=4) as svc:
         tickets = []
         # the batch tenant floods; interactive arrives mid-burst with
-        # priority 5 and a 250 ms deadline
+        # a 250 ms deadline
         for i in range(12):
             tickets.append(
                 ("batch", svc.submit(
@@ -61,7 +61,7 @@ def main():
             tickets.append(
                 ("interactive", svc.submit(
                     "interactive", ALTERNATIVES, initial={"key": f"i{i}"},
-                    priority=5, deadline_s=0.25,
+                    deadline_s=0.25,
                 )))
 
         print(f"{'tenant':>12}  {'status':>9}  {'k':>2}  {'reason':>9}  "

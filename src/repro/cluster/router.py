@@ -509,7 +509,6 @@ class ClusterRouter:
         tenant: str,
         alternatives: Sequence[Any],
         initial: dict | None = None,
-        priority: int = 0,
         deadline_s: float | None = None,
         timeout: float | None = None,
         seq: int | None = None,
@@ -537,8 +536,8 @@ class ClusterRouter:
         if not self._running:
             raise ServiceStopped("cluster is not running (call start())")
         return self._accept(ServeRequest.build(
-            tenant, alternatives, initial=initial, priority=priority,
-            deadline_s=deadline_s, timeout=timeout, seq=seq, spec=spec,
+            tenant, alternatives, initial=initial, deadline_s=deadline_s,
+            timeout=timeout, seq=seq, spec=spec,
         )).ticket
 
     def _accept(self, request: ServeRequest) -> _Inflight:
@@ -605,6 +604,7 @@ class ClusterRouter:
         for target in order:
             if not target.up:
                 continue  # taken over since the walk
+            ticket = None
             try:
                 ticket = target.admit(request)
             except (
@@ -612,18 +612,31 @@ class ClusterRouter:
             ) as exc:
                 if isinstance(exc, AdmissionRejected):
                     rejection = exc
-                if isinstance(exc, JournalCrash) or getattr(exc, "sent", False):
-                    # outcome unknown (the target's journal died under
-                    # its admit, or the frame left unanswered): it
-                    # leaves only through the target's ledger. crash()
-                    # also waits out a takeover another thread began
-                    self.takeover(target.shard_id, kind="admit-unknown")
-                    target.crash()
-                    if self._replay_from(rec, target):
-                        return "replayed"
-                continue
+                if not (isinstance(exc, JournalCrash) or getattr(exc, "sent", False)):
+                    continue
+                self.takeover(target.shard_id, kind="admit-unknown")
             with self._lock:
-                self._stand(rec, target.shard_id)
+                # a takeover pops the target before it claims its orphans,
+                # so one that popped it since the admit returned missed
+                # this request
+                stood = (
+                    ticket is not None
+                    and self._shards.get(target.shard_id) is target
+                )
+                if stood:
+                    self._stand(rec, target.shard_id)
+            if not stood:
+                # outcome unknown (the target's journal died under its
+                # admit, the frame left unanswered, or a takeover popped
+                # the target under it): it leaves only through the
+                # target's ledger. crash() also waits out a takeover
+                # another thread began
+                target.crash()
+                if self._replay_from(rec, target):
+                    return "replayed"
+                rec.attempts += 1
+                rec.failover = "relanded"
+                continue
             self._req_c.inc(shard=target.shard_id)
             if target.shard_id != home:
                 self._spill_c.inc(src=home, dst=target.shard_id)

@@ -17,8 +17,8 @@ to speculate, *how many* worlds to open, and *when* — the paper's
 
 Components (each usable standalone):
 
-- :class:`~repro.serve.budget.WorldBudget` — global world-slot pool,
-  priority preemption of speculative slots;
+- :class:`~repro.serve.budget.WorldBudget` — global world-slot pool
+  granting what is free, at least one slot, or making the asker wait;
 - :class:`~repro.serve.admission.AdmissionQueue` — bounded depth with
   backpressure, deadline shedding, round-robin fairness across tenants;
 - :class:`~repro.serve.policy.AdaptiveSpeculationPolicy` — K ≤ N and

@@ -100,8 +100,8 @@ def raise_seq_floor(journals) -> int:
 #: here fails ``tests/serve/test_request_record.py``, and DESIGN's
 #: "life of a request" table is rendered from it.
 FIELD_LIFE = {
-    "seq": "durable", "tenant": "durable", "priority": "durable",
-    "timeout": "durable", "spec": "durable",
+    "seq": "durable", "tenant": "durable", "timeout": "durable",
+    "spec": "durable",
     "alternatives": "wire", "initial": "wire", "deadline_s": "wire",
     "shadow": "wire",
     "submitted_at": "local", "ticket": "local",
@@ -133,7 +133,6 @@ class ServeRequest:
     tenant: str
     alternatives: Sequence[Any]
     initial: dict | None = None
-    priority: int = 0
     deadline_s: float | None = None
     timeout: float | None = None
     seq: int = field(default_factory=next_seq)

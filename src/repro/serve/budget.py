@@ -5,20 +5,11 @@ Figs. 3–4): every world beyond the first buys latency with wasted work,
 and once concurrent requests contend for the same processors the waste
 stops paying. :class:`WorldBudget` is the arbiter of that tradeoff at
 service scale. It holds a fixed pool of *world slots* — one slot is the
-right to run one speculative world — and grants them as
-:class:`Reservation` objects under one rule:
-
-- **elastic grants** — a reservation asks for ``want`` slots but only
-  *needs* one: the non-speculative world, which is the work. The
-  governor grants as much of ``want`` as is free; every slot above the
-  first is *speculative* and reclaimable;
-- **preemption** — when no slot is free, a request takes exactly one
-  speculative slot from the lowest-priority holder below it (ties: the
-  holder with the most speculative slots, then the earliest). A first
-  slot is never taken — committed work is never cancelled, exactly the
-  paper's rule that only not-yet-committed worlds are disposable — and
-  a tenant holding every slot never preempts itself. A victim sees the
-  loss in its ``granted`` and stops launching the worlds it lost.
+right to run one world — and grants them as :class:`Reservation`
+objects under one rule: a reservation asks for ``want`` slots but only
+*needs* one, the world that is the work, so the governor grants
+``min(want, free)`` slots, at least one; with none free the asker
+waits. Only the holder gives a grant back, by its own ``release``.
 
 All accounting is thread-safe; :meth:`WorldBudget.reserve_blocking`
 parks a worker until capacity frees up (or a deadline passes), which is
@@ -36,29 +27,19 @@ from repro.obs import NULL_OBS, or_null
 
 
 class Reservation:
-    """A tenant's grant of world slots (the first firm, the rest speculative).
+    """A tenant's grant of world slots.
 
-    ``granted`` is the current holding — it shrinks when speculative
-    slots are preempted or partially released; ``preempted`` counts the
-    slots lost to preemption. Release is idempotent.
+    ``granted`` is the current holding; it shrinks only when the holder
+    releases part of it. Release is idempotent.
     """
 
-    __slots__ = ("tenant", "priority", "granted", "preempted", "_budget", "_released")
+    __slots__ = ("tenant", "granted", "_budget", "_released")
 
-    def __init__(
-        self, budget: "WorldBudget", tenant: str, granted: int, priority: int
-    ) -> None:
+    def __init__(self, budget: "WorldBudget", tenant: str, granted: int) -> None:
         self._budget = budget
         self.tenant = tenant
         self.granted = granted
-        self.priority = priority
-        self.preempted = 0
         self._released = False
-
-    @property
-    def speculative(self) -> int:
-        """Slots above the first — the preemptible share."""
-        return max(0, self.granted - 1)
 
     def release(self, n: int | None = None) -> None:
         """Return ``n`` slots (default: all remaining) to the pool."""
@@ -71,14 +52,11 @@ class Reservation:
         self.release()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"Reservation(tenant={self.tenant!r}, granted={self.granted}, "
-            f"prio={self.priority})"
-        )
+        return f"Reservation(tenant={self.tenant!r}, granted={self.granted})"
 
 
 class WorldBudget:
-    """A fixed pool of world slots with priority preemption.
+    """A fixed pool of world slots.
 
     Parameters
     ----------
@@ -90,8 +68,7 @@ class WorldBudget:
         None). The governor keeps
         ``mw_serve_slots_in_use`` (gauge), ``mw_serve_slots_hwm``
         (high-watermark gauge — the acceptance check that the budget was
-        never exceeded) and ``mw_serve_preemptions_total{tenant}``
-        (slots clawed back, labelled by victim) live.
+        never exceeded) live.
     """
 
     def __init__(self, slots: int, obs=None) -> None:
@@ -100,9 +77,7 @@ class WorldBudget:
         self.slots = slots
         self._cond = threading.Condition()
         self._in_use = 0
-        self._holders: list[Reservation] = []
         self.high_watermark = 0
-        self.preempted_slots = 0
         self.obs = NULL_OBS
         self.bind_obs(obs)
 
@@ -117,11 +92,6 @@ class WorldBudget:
         )
         self._hwm_g = obs.registry.gauge(
             "mw_serve_slots_hwm", "High watermark of granted world slots"
-        )
-        self._preempt_c = obs.registry.counter(
-            "mw_serve_preemptions_total",
-            "Speculative slots preempted, by victim tenant",
-            labelnames=("tenant",),
         )
         self._in_use_g.set(float(self._in_use))
         self._hwm_g.set(float(self.high_watermark))
@@ -141,7 +111,6 @@ class WorldBudget:
                 "slots": self.slots,
                 "in_use": self._in_use,
                 "high_watermark": self.high_watermark,
-                "preempted_slots": self.preempted_slots,
             }
 
     # -- accounting (all under self._cond) ---------------------------------
@@ -160,49 +129,21 @@ class WorldBudget:
         self._in_use -= n
         self._in_use_g.set(float(self._in_use))
 
-    def _preempt_one(self, tenant: str, priority: int) -> bool:
-        """Take one speculative slot from the lowest-priority holder below
-        ``priority`` (ties: most speculative, then earliest); False when
-        there is none, or when ``tenant`` holds every slot."""
-        if all(r.tenant == tenant for r in self._holders):
-            return False
-        candidates = [
-            r for r in self._holders if r.priority < priority and r.speculative > 0
-        ]
-        if not candidates:
-            return False
-        victim = min(candidates, key=lambda r: (r.priority, -r.speculative))
-        victim.granted -= 1
-        victim.preempted += 1
-        self._give_back(1)
-        self.preempted_slots += 1
-        self._preempt_c.inc(1.0, tenant=victim.tenant)
-        return True
-
-    def _try_reserve(self, tenant: str, want: int, priority: int) -> Reservation | None:
+    def _try_reserve(self, tenant: str, want: int) -> Reservation | None:
         grant = min(want, self.free)
         if grant < 1:
-            if not self._preempt_one(tenant, priority):
-                return None
-            grant = 1
-        res = Reservation(self, tenant, grant, priority)
+            return None
         self._take(grant)
-        self._holders.append(res)
-        return res
+        return Reservation(self, tenant, grant)
 
     # -- the public grant API ----------------------------------------------
-    def reserve(self, tenant: str, want: int, priority: int = 0) -> Reservation | None:
-        """Grant between one and ``want`` slots now (preempting one
-        speculative slot of a lower priority if none is free), or
-        return ``None``."""
-        return self.reserve_blocking(tenant, want, priority, timeout=0)
+    def reserve(self, tenant: str, want: int) -> Reservation | None:
+        """Grant between one and ``want`` slots now, or return ``None``
+        when none is free."""
+        return self.reserve_blocking(tenant, want, timeout=0)
 
     def reserve_blocking(
-        self,
-        tenant: str,
-        want: int,
-        priority: int = 0,
-        timeout: float | None = None,
+        self, tenant: str, want: int, timeout: float | None = None
     ) -> Reservation | None:
         """Like :meth:`reserve`, but wait up to ``timeout`` for capacity.
 
@@ -211,7 +152,7 @@ class WorldBudget:
             raise ServeError(f"need want >= 1, got {want}")
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
-            while (res := self._try_reserve(tenant, want, priority)) is None:
+            while (res := self._try_reserve(tenant, want)) is None:
                 if deadline is None:
                     self._cond.wait()
                 else:
@@ -236,8 +177,4 @@ class WorldBudget:
             self._give_back(give)
             if res.granted <= 0:
                 res._released = True
-                try:
-                    self._holders.remove(res)
-                except ValueError:  # pragma: no cover - defensive
-                    pass
             self._cond.notify(give)

@@ -9,8 +9,8 @@ the stack doing its job:
 - the :class:`~repro.serve.admission.AdmissionQueue` bounds the backlog
   (backpressure), sheds expired requests, and round-robins tenants;
 - the :class:`~repro.serve.budget.WorldBudget` caps concurrent worlds
-  machine-wide, preempting one speculative world when a
-  higher-priority request needs its first slot;
+  machine-wide, granting each request what is free (at least one
+  slot) or making it wait;
 - the speculation policy (adaptive by default) picks K ≤ N
   alternatives, a stagger schedule, and possibly a degraded backend;
 - a per-request :class:`~repro.faults.supervisor.Supervisor` runs the
@@ -51,7 +51,6 @@ from repro.errors import (
     AdmissionRejected,
     ServeError,
     ServiceStopped,
-    WorldsError,
 )
 from repro.faults.plan import SERVE_SITE, FaultKind
 from repro.faults.supervisor import Supervisor
@@ -97,7 +96,6 @@ class ServeResult:
     queue_wait_s: float = 0.0
     grant_wait_s: float = 0.0  #: dispatch-to-grant: the wait on the budget
     latency_s: float = 0.0
-    preempted_slots: int = 0
     replayed: bool = False
 
     @property
@@ -471,7 +469,6 @@ class SpeculationService:
         tenant: str,
         alternatives: Sequence[Any],
         initial: dict | None = None,
-        priority: int = 0,
         deadline_s: float | None = None,
         timeout: float | None = None,
         seq: int | None = None,
@@ -491,8 +488,8 @@ class SpeculationService:
         :class:`~repro.errors.ServiceStopped` when not running.
         """
         return self.admit(ServeRequest.build(
-            tenant, alternatives, initial=initial, priority=priority,
-            deadline_s=deadline_s, timeout=timeout, seq=seq, spec=spec,
+            tenant, alternatives, initial=initial, deadline_s=deadline_s,
+            timeout=timeout, seq=seq, spec=spec,
         ))
 
     def admit(self, request: ServeRequest) -> ServeTicket:
@@ -640,9 +637,7 @@ class SpeculationService:
         reservation = None
         if grant_timeout > 0:
             reservation = self.budget.reserve_blocking(
-                tenant, want=len(alts),
-                priority=request.priority,
-                timeout=grant_timeout,
+                tenant, want=len(alts), timeout=grant_timeout,
             )
         if reservation is None:
             shed_label, reason = (
@@ -659,8 +654,7 @@ class SpeculationService:
         tracer = self.obs.tracer
         span_id = tracer.begin(
             f"request:{request.seq}", cat="serve", track=f"tenant:{tenant}",
-            tenant=tenant, seq=request.seq, priority=request.priority,
-            shadow=request.shadow,
+            tenant=tenant, seq=request.seq, shadow=request.shadow,
         )
         # a burst shadow is load, not a request: it takes queue and budget
         # capacity but writes nothing durable (its seq is not the router's)
@@ -685,7 +679,7 @@ class SpeculationService:
                     staggers=decision.staggers[: reservation.granted],
                 )
             self._k_h.observe(float(decision.k))
-            wave = self._build_wave(alts, decision, reservation)
+            wave = self._build_wave(alts, decision)
             backend = decision.backend or self.backend
 
             # release slots the policy decided not to use
@@ -717,7 +711,6 @@ class SpeculationService:
                 outcome = supervisor.run(
                     wave, initial=request.initial, timeout=remaining, backend=backend,
                 )
-                preempted = reservation.preempted
                 reservation.release()
                 self._hold_h.observe(time.monotonic() - granted_at)
                 # wave positions back to the caller's alternative list
@@ -743,7 +736,7 @@ class SpeculationService:
                     reason="" if status == "committed" else "no alternative won",
                     k=decision.k, policy_reason=decision.reason, backend=ran_on,
                     queue_wait_s=queue_wait, grant_wait_s=granted_at - dispatched,
-                    latency_s=latency, preempted_slots=preempted, replayed=replayed,
+                    latency_s=latency, replayed=replayed,
                 )
         finally:
             # an escaped exception settles the span aborted (a closed one
@@ -766,45 +759,14 @@ class SpeculationService:
         )
         time.sleep(fault.param)
 
-    def _build_wave(
-        self,
-        alts: list,
-        decision: SpeculationDecision,
-        reservation,
-    ) -> list:
-        """The K chosen alternatives, staggered and preemption-gated.
-
-        Rank 0 (the firm slot) runs unconditionally; ranks ≥ 1 check the
-        reservation at start time and fail fast if their slot was
-        preempted away while they waited out their stagger — the
-        cheapest faithful reading of "stop launching the worlds you
-        lost" that works inside an already-running block.
-        """
+    def _build_wave(self, alts: list, decision: SpeculationDecision) -> list:
+        """The K chosen alternatives, in decision order, each delayed by
+        its stagger."""
         wave = []
         for rank, idx in enumerate(decision.order):
             alt = alts[idx]
             stagger = decision.staggers[rank] if rank < len(decision.staggers) else 0.0
-            fn = alt.fn
-            if rank > 0:
-                fn = _preemption_gate(fn, rank, reservation)
             wave.append(
-                dataclasses.replace(
-                    alt, fn=fn, start_delay=alt.start_delay + stagger
-                )
+                dataclasses.replace(alt, start_delay=alt.start_delay + stagger)
             )
         return wave
-
-
-def _preemption_gate(fn, rank: int, reservation):
-    """Wrap an alternative body to honour slot preemption at start time."""
-
-    def gated(workspace):
-        if rank >= reservation.granted:
-            raise WorldsError(
-                f"world rank {rank} preempted before start "
-                f"({reservation.preempted} slots reclaimed)"
-            )
-        return fn(workspace)
-
-    gated.__name__ = getattr(fn, "__name__", "alternative")
-    return gated

@@ -23,8 +23,8 @@ from repro.cluster.router import MISS_THRESHOLD
 from repro.distrib.retry import RetryStats
 from repro.errors import ClusterError, ShardUnreachable, WorldsError
 from repro.faults.plan import TRANSPORT_SITE, FaultKind, FaultPlan
-from repro.obs import Observability
 from repro.serve import ServeRequest, admission
+from tests.cluster.test_router import timeouts_readmitted
 
 
 def val(ws, i=0):
@@ -286,36 +286,34 @@ class TestRemoteCluster:
         finally:
             router.stop()
 
-    def test_priority_survives_sigkill_and_restore(self, tmp_path):
+    def test_timeout_survives_sigkill_and_restore(self, tmp_path):
         """router -> host process -> sealed admit on disk -> SIGKILL ->
-        ``ClusterRouter.restore`` -> the served request (its serve span's
-        ``priority`` is the observer)."""
+        ``ClusterRouter.restore`` -> the re-admitted request."""
         remote = make_remote(0, tmp_path, slots=3)
         router = ClusterRouter([remote]).start(detect=False)
         try:
             parked = [functools.partial(slow_val, i=i) for i in range(3)]
-            ticket = router.submit("t0", parked, priority=3, spec={"i": 6})
+            ticket = router.submit("t0", parked, timeout=30.0, spec={"i": 6})
             remote.sigkill()  # mid-run: the admit is sealed, nothing applied
         finally:
             router.crash()
         (intent,) = remote.journal.sealed_unapplied_intents("admit")
         assert intent["data"]["request"] == ticket.seq
-        assert intent["data"]["priority"] == 3
-        obs = Observability()
-        restored, report = ClusterRouter.restore(
+        assert intent["data"]["timeout"] == 30.0
+        readmitted = {}
+        restored, report = timeouts_readmitted(readmitted).restore(
             {0: remote.journal},
             build_alternatives=lambda spec: [
                 functools.partial(val, i=spec["i"]) for _ in range(3)
             ],
-            shard_kwargs=dict(slots=3, workers=1), obs=obs, detect=False,
+            shard_kwargs=dict(slots=3, workers=1), detect=False,
         )
         try:
             result = report.tickets[ticket.seq].result(timeout=10)
         finally:
             restored.stop()
         assert result.committed and result.value == 42
-        (span,) = [s for s in obs.tracer.spans if s.name == f"request:{ticket.seq}"]
-        assert span.attrs["priority"] == 3, "priority was lost on the way"
+        assert readmitted == {ticket.seq: 30.0}, "timeout was lost on the way"
 
 
 class _YieldingClient(RemoteShardClient):

@@ -163,8 +163,7 @@ def test_duplicate_sealed_admits_deduplicated_as_superseded():
     for sid, storage in storages.items():
         journal = CommitJournal(storage=storage)
         txn = journal.begin(
-            "admit", request=5, tenant="dup", spec={"n": 5},
-            priority=0, timeout=None,
+            "admit", request=5, tenant="dup", spec={"n": 5}, timeout=None,
         )
         journal.seal(txn)
 

@@ -169,6 +169,41 @@ def test_a_request_resolved_before_admit_returns_settles_on_its_shard():
     assert result.shard_id == 0
 
 
+class _TakenOverAfterAdmit(ClusterShard):
+    """A shard whose ``admit`` succeeds and then, before it returns, is
+    taken over from another thread: the takeover claims its orphans
+    while the landing request is still in transit."""
+
+    router = None
+
+    def admit(self, request):
+        ticket = super().admit(request)
+        taker = threading.Thread(target=self.router.takeover, args=(self.shard_id,))
+        taker.start()
+        taker.join(10)
+        return ticket
+
+
+def test_a_takeover_between_admit_and_landing_strands_nothing():
+    """The landing stands a request only on a shard still in the
+    membership; one taken over under it is outcome unknown, so the
+    request is replayed from its journal or moves on (it stood on the
+    retired shard, its ticket never resolving)."""
+    shards = [_TakenOverAfterAdmit(0, slots=1, workers=1), ClusterShard(1)]
+    router = ClusterRouter(shards, spill=False).start(detect=False)
+    shards[0].router = router
+    try:
+        tenant = next(f"t{i}" for i in range(100) if router.ring.route(f"t{i}") == 0)
+        result = router.submit(tenant, value_alts(7)).result(timeout=3)
+        assert result.committed and result.value == 7
+        assert result.failover in ("relanded", "replayed")
+        assert router.snapshot()["inflight"] == 0
+        assert_counts_match_the_table(router)
+        assert router.audit_applied()[result.seq] == 1
+    finally:
+        router.stop()
+
+
 class TestSpill:
     """A request lands on the member with the fewest of this router's
     requests outstanding; ties keep the tenant's ring order."""
@@ -511,8 +546,8 @@ class TestReplayIsOnePolicy:
         journal = CommitJournal()
         if sealed_admit:
             journal.seal(journal.begin(
-                "admit", request=self.SEQ, tenant=self.TENANT, priority=0,
-                timeout=None, spec={"n": 1},
+                "admit", request=self.SEQ, tenant=self.TENANT, timeout=None,
+                spec={"n": 1},
             ))
         record_block_win(
             journal, self.SEQ, 0,
@@ -634,8 +669,8 @@ class TestLandingMatrix:
         if entry == "restore":
             journals = {i: CommitJournal() for i in range(3)}
             journals[0].seal(journals[0].begin(
-                "admit", request=self.SEQ, tenant=self.TENANT, priority=0,
-                timeout=None, spec={"n": 1},
+                "admit", request=self.SEQ, tenant=self.TENANT, timeout=None,
+                spec={"n": 1},
             ))
             probe.armed = True
             router, report = Router.restore(
@@ -813,9 +848,27 @@ def named_alternatives(spec):
     ]
 
 
-def test_priority_survives_admit_crash_and_restore_on_local_shards():
-    """``priority`` rides router -> shard -> sealed admit -> restore ->
-    the served request: its serve span's ``priority`` is the observer."""
+def timeouts_readmitted(seen):
+    """A router class whose shards note each admitted request's
+    ``timeout`` in ``seen`` (by seq)."""
+
+    class Watched(ClusterRouter):
+        def _adopt(self, shard):
+            admit = shard.service.admit
+
+            def watched(request):
+                seen[request.seq] = request.timeout
+                return admit(request)
+
+            shard.service.admit = watched
+            super()._adopt(shard)
+
+    return Watched
+
+
+def test_timeout_survives_admit_crash_and_restore_on_local_shards():
+    """``timeout`` rides router -> shard -> sealed admit -> restore ->
+    the re-admitted request."""
     storage = MemoryJournalStorage()
     journal = CommitJournal(storage=storage)
     shard = ClusterShard(
@@ -826,34 +879,30 @@ def test_priority_survives_admit_crash_and_restore_on_local_shards():
         # the one worker parks on the first; the second waits in the queue
         # (a jam world fails once its host has crashed: nothing applies)
         jam = CrashJam([shard.service])
-        urgent = jam.submit(
-            router.submit, "t", worlds=3, spec={"n": 2}, priority=3
+        bounded = jam.submit(
+            router.submit, "t", worlds=3, spec={"n": 2}, timeout=30.0
         )
         plain = jam.submit(router.submit, "t", worlds=3, spec={"n": 3})
         sealed = {
-            i["data"]["request"]: i["data"]["priority"]
+            i["data"]["request"]: i["data"]["timeout"]
             for i in journal.sealed_unapplied_intents("admit")
         }
-        assert sealed[urgent.seq] == 3 and sealed[plain.seq] == 0
+        assert sealed == {bounded.seq: 30.0, plain.seq: None}
     finally:
         router.crash()
-    obs = Observability()
-    restored, report = ClusterRouter.restore(
+    readmitted = {}
+    restored, report = timeouts_readmitted(readmitted).restore(
         {0: CommitJournal(storage=storage)}, build_alternatives=named_alternatives,
-        shard_kwargs=dict(slots=3, workers=1), obs=obs, detect=False,
+        shard_kwargs=dict(slots=3, workers=1), detect=False,
     )
     try:
-        first = report.tickets[urgent.seq].result(timeout=10)
+        first = report.tickets[bounded.seq].result(timeout=10)
         other = report.tickets[plain.seq].result(timeout=10)
     finally:
         restored.stop()
     assert first.committed and first.value == 2
     assert other.committed and other.value == 3
-    priorities = {
-        s.name: s.attrs["priority"] for s in obs.tracer.spans if s.cat == "serve"
-    }
-    assert priorities[f"request:{urgent.seq}"] == 3
-    assert priorities[f"request:{plain.seq}"] == 0
+    assert readmitted == {bounded.seq: 30.0, plain.seq: None}
 
 
 def heartbeat_misses(obs, shard_id):

@@ -2,9 +2,11 @@
 commit before ``ServeRequest`` became the one request record
 (``golden_admit_pr21.wal``: one sealed, unapplied admit with every
 durable field of its day set, ``cost`` and ``request_class`` among them)
-still restores with every field the record keeps today intact, and the
-same submit writes ``golden_admit_five_keys.wal`` byte for byte: the
-record without the two keys the request no longer has.
+still restores with every field the record keeps today intact, and so
+does ``golden_admit_five_keys.wal``, the same submit as written before
+requests lost ``priority``: an old record's ``priority`` key is ignored.
+The same submit today writes ``golden_admit_four_keys.wal`` byte for
+byte: ``request``, ``tenant``, ``timeout`` and ``spec``.
 
 ``golden_admit_stolen.wal`` was written by the last commit that had work
 stealing: one admit, for seq 4343, settled ``stolen``. No writer of that
@@ -27,24 +29,27 @@ from repro.serve import SpeculationService, WorldBudget
 
 HERE = pathlib.Path(__file__).parent
 PARENT = (HERE / "golden_admit_pr21.wal").read_bytes()
-GOLDEN = (HERE / "golden_admit_five_keys.wal").read_bytes()
+FIVE_KEYS = (HERE / "golden_admit_five_keys.wal").read_bytes()
+GOLDEN = (HERE / "golden_admit_four_keys.wal").read_bytes()
 STOLEN = (HERE / "golden_admit_stolen.wal").read_bytes()
 STOLEN_SEQ = 4343
 
 SUBMIT = dict(
-    priority=3, timeout=1.25, seq=4242, spec={"n": 5, "who": "pr21"},
+    timeout=1.25, seq=4242, spec={"n": 5, "who": "pr21"},
     initial={"x": 1}, deadline_s=60.0,
 )
 
 
-def test_parent_written_admit_restores_with_every_field():
+def _restore_one(data):
+    """Restore a service over the journal bytes ``data``; returns the
+    journal and the one re-admitted request with its result."""
     seen, resolved = [], threading.Event()
 
     def on_resolve(request, result):
         seen.append((request, result))
         resolved.set()
 
-    journal = CommitJournal(storage=MemoryJournalStorage(PARENT))
+    journal = CommitJournal(storage=MemoryJournalStorage(data))
     svc, report = SpeculationService.restore(
         journal, WorldBudget(2), workers=1, on_resolve=on_resolve,
         build_alternatives=lambda spec: [lambda ws: spec["n"] * 2],
@@ -55,17 +60,26 @@ def test_parent_written_admit_restores_with_every_field():
         assert resolved.wait(10)
     finally:
         svc.stop()
-    request, result = seen[0]
+    return journal, *seen[0]
+
+
+def test_parent_written_admit_restores_with_every_field():
+    journal, request, result = _restore_one(PARENT)
     assert result.committed
     assert (
-        request.seq, request.tenant, request.priority, request.timeout,
-        request.spec,
-    ) == (4242, "golden", 3, 1.25, {"n": 5, "who": "pr21"})
+        request.seq, request.tenant, request.timeout, request.spec,
+    ) == (4242, "golden", 1.25, {"n": 5, "who": "pr21"})
     # not journalled, by decision: the rebuild starts from the spec
     assert request.initial is None and request.deadline_s is None
     # the re-admission reused the golden admit instead of writing another
     assert len(journal.applied_intents("admit")) == 1
     assert journal.sealed_unapplied_intents("admit") == []
+
+
+def test_a_five_key_admit_restores_and_its_priority_is_ignored():
+    _, request, result = _restore_one(FIVE_KEYS)
+    assert result.committed and result.value == 10
+    assert request.seq == 4242 and not hasattr(request, "priority")
 
 
 def test_the_same_submit_writes_the_golden_bytes():
@@ -100,8 +114,8 @@ def test_a_line_settled_stolen_beside_the_win_replays_and_is_not_re_admitted():
     # the shard the request was handed to sealed its own admit and won
     taker = CommitJournal()
     taker.seal(taker.begin(
-        "admit", request=STOLEN_SEQ, tenant="golden", priority=0,
-        timeout=None, spec={"n": 3},
+        "admit", request=STOLEN_SEQ, tenant="golden", timeout=None,
+        spec={"n": 3},
     ))
     record_block_win(taker, STOLEN_SEQ, 0, AlternativeResult(
         index=0, name="alt", value=6, succeeded=True,

@@ -1,16 +1,15 @@
 """The world budget, explored by a hypothesis ``RuleBasedStateMachine``
 against a dict model of who holds which slots.
 
-The rules are a non-blocking reserve (tenant, want, priority), a partial
-release and a full release. The model grants what is free; with nothing
-free, it takes exactly one speculative slot from the lowest-priority
-holder below the asker (ties: most speculative slots, then the earliest
-holder), unless the asking tenant holds every slot. After every step:
+The rules are a non-blocking reserve (tenant, want), a partial release
+and a full release. The model grants ``min(want, free)`` and refuses
+when nothing is free. After every step:
 
 - ``in_use`` is the sum of the live grants and at most ``slots``;
 - every live reservation holds at least one slot;
 - ``high_watermark`` is at most ``slots``;
-- every reservation's ``granted`` and ``preempted`` match the model.
+- a reserve was refused iff nothing was free;
+- a holder's ``granted`` changed only by its own release.
 
 CI's fuzz smoke runs ``BUDGET_MACHINE_EXAMPLES=1000``.
 """
@@ -36,12 +35,9 @@ TENANTS = ("a", "b", "c")
 class Held:
     """The model's view of one live reservation."""
 
-    def __init__(self, res, tenant, priority, granted):
+    def __init__(self, res, granted):
         self.res = res
-        self.tenant = tenant
-        self.priority = priority
         self.granted = granted
-        self.preempted = 0
 
 
 class BudgetMachine(RuleBasedStateMachine):
@@ -50,6 +46,8 @@ class BudgetMachine(RuleBasedStateMachine):
         self.budget = None
         #: live reservations, in grant order
         self.held: list[Held] = []
+        #: (slots free before it, its grant) of the last step's reserve
+        self.last_reserve = None
 
     @initialize(slots=st.integers(1, 6))
     def build(self, slots):
@@ -60,39 +58,15 @@ class BudgetMachine(RuleBasedStateMachine):
     def _free(self):
         return self.slots - sum(h.granted for h in self.held)
 
-    def _victim(self, tenant, priority):
-        """The holder the model preempts for a grant with nothing free,
-        or None when the grant must be refused."""
-        if all(h.tenant == tenant for h in self.held):
-            return None  # a tenant never preempts itself off a full pool
-        below = [
-            (h.priority, -(h.granted - 1), order, h)
-            for order, h in enumerate(self.held)
-            if h.priority < priority and h.granted > 1
-        ]
-        return min(below, key=lambda t: t[:3])[3] if below else None
-
     # -- rules ----------------------------------------------------------------
-    @rule(
-        tenant=st.sampled_from(TENANTS),
-        want=st.integers(1, 6),
-        priority=st.integers(0, 3),
-    )
-    def reserve(self, tenant, want, priority):
+    @rule(tenant=st.sampled_from(TENANTS), want=st.integers(1, 6))
+    def reserve(self, tenant, want):
         free = self._free()
-        victim = None if free else self._victim(tenant, priority)
-        res = self.budget.reserve(tenant, want=want, priority=priority)
-        if free:
-            assert res is not None and res.granted == min(want, free)
-        elif victim is None:
-            assert res is None
-            return
-        else:
-            assert res is not None and res.granted == 1
-            assert victim.priority < priority and victim.granted > 1
-            victim.granted -= 1
-            victim.preempted += 1
-        self.held.append(Held(res, tenant, priority, res.granted))
+        res = self.budget.reserve(tenant, want=want)
+        self.last_reserve = (free, res)
+        if res is not None:
+            assert res.granted == min(want, free)
+            self.held.append(Held(res, res.granted))
 
     @precondition(lambda self: any(h.granted > 1 for h in self.held))
     @rule(pick=st.integers(0, 99), data=st.data())
@@ -102,6 +76,7 @@ class BudgetMachine(RuleBasedStateMachine):
         n = data.draw(st.integers(1, h.granted - 1))
         h.res.release(n)
         h.granted -= n
+        self.last_reserve = None
 
     @precondition(lambda self: self.held)
     @rule(pick=st.integers(0, 99))
@@ -109,6 +84,7 @@ class BudgetMachine(RuleBasedStateMachine):
         h = self.held.pop(pick % len(self.held))
         h.res.release()
         h.res.release()  # idempotent
+        self.last_reserve = None
 
     # -- invariants -------------------------------------------------------------
     @invariant()
@@ -120,10 +96,17 @@ class BudgetMachine(RuleBasedStateMachine):
         assert self.budget.high_watermark <= self.slots
 
     @invariant()
-    def every_live_reservation_holds_what_the_model_says(self):
+    def a_reserve_is_refused_iff_nothing_is_free(self):
+        if self.last_reserve is not None:
+            free, res = self.last_reserve
+            assert (res is None) == (free == 0)
+
+    @invariant()
+    def a_grant_changes_only_by_its_holders_release(self):
+        # the model moves ``granted`` in the release rules alone
         for h in self.held:
             assert h.res.granted >= 1
-            assert (h.res.granted, h.res.preempted) == (h.granted, h.preempted)
+            assert h.res.granted == h.granted
 
 
 BudgetMachine.TestCase.settings = settings(

@@ -30,7 +30,6 @@ WHO = {
     "tenant": ("`submit` caller", "ring placement, queue lane, budget share, fault keys, metrics"),
     "alternatives": ("`submit` caller, normalised by `build`", "`_serve_one` (the worlds)"),
     "initial": ("`submit` caller", "the block's workspace"),
-    "priority": ("`submit` caller", "`WorldBudget.reserve_blocking` (preemption)"),
     "deadline_s": ("`build`: now + the caller's relative deadline", "queue shed, grant timeout, block timeout"),
     "timeout": ("`submit` caller", "the block's run bound"),
     "seq": ("`build` (`next_seq`), the restore path, or `_maybe_burst` (a shadow's negative local id)", "journal block id, router table key, result"),
@@ -62,7 +61,7 @@ def populated() -> ServeRequest:
     """A request with no field left at its default."""
     return ServeRequest(
         tenant="tenant-x", alternatives=normalize_alternatives([alt_a, alt_b]),
-        initial={"k": 1}, priority=4, deadline_s=1e9, timeout=2.5, seq=77,
+        initial={"k": 1}, deadline_s=1e9, timeout=2.5, seq=77,
         submitted_at=-1.0, shadow=True, spec={"n": 9},
         ticket=ServeTicket("tenant-x", 77),
     )
@@ -95,7 +94,7 @@ def test_every_field_is_declared_exactly_once():
 
 def test_admit_record_keys_are_the_ones_on_disk_today():
     assert list(populated().admit_data()) == [
-        "request", "tenant", "priority", "timeout", "spec",
+        "request", "tenant", "timeout", "spec",
     ]
 
 

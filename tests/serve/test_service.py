@@ -1,4 +1,4 @@
-"""SpeculationService end-to-end: commits, budget, journal, preemption."""
+"""SpeculationService end-to-end: commits, budget, journal."""
 
 import threading
 import time
@@ -14,7 +14,6 @@ from repro.serve import (
     SpeculationService,
     WorldBudget,
 )
-from repro.serve.policy import SpeculationDecision
 
 
 def fast(ws):
@@ -160,46 +159,6 @@ def test_restarted_service_replays_journalled_wins():
     assert replayed.value == first.value
 
 
-class TwoPhasePolicy:
-    """Test double: K=2 with a long stagger on the spare, so preemption
-    has a deterministic window to land in."""
-
-    def __init__(self, stagger_s):
-        self.stagger_s = stagger_s
-
-    def decide(self, names, granted, load=0.0):
-        k = min(2, len(names), max(granted, 1))
-        return SpeculationDecision(
-            order=list(range(k)), staggers=[i * self.stagger_s for i in range(k)],
-        )
-
-    def observe(self, outcome, names=None, launched=None):
-        return None
-
-
-def test_priority_preempts_speculative_world():
-    def plodding(ws):
-        time.sleep(0.4)
-        return "plodding"
-
-    budget = WorldBudget(2)
-    policy = TwoPhasePolicy(stagger_s=0.25)
-    with SpeculationService(budget, policy=policy, workers=2) as svc:
-        low = svc.submit("low", [plodding, plodding], priority=0)
-        time.sleep(0.05)  # low holds both slots; its spare is still staggered
-        high = svc.submit("high", [fast], priority=5)
-        high_result = high.result(timeout=10)
-        low_result = low.result(timeout=10)
-    assert high_result.committed  # got a slot despite a full pool
-    assert low_result.committed  # its firm world still won
-    assert low_result.preempted_slots == 1
-    preempted_losers = [
-        l for l in low_result.outcome.losers if "preempted" in (l.error or "")
-    ]
-    assert len(preempted_losers) == 1
-    assert budget.high_watermark <= 2
-
-
 def test_a_resolving_request_holds_none_of_its_slots():
     # slots go back at the decision; the admit settle, the ticket and
     # the hook run on nobody's slots, so a resolved ticket means the
@@ -215,27 +174,6 @@ def test_a_resolving_request_holds_none_of_its_slots():
         for ticket in tickets:
             assert ticket.result(timeout=10).k == 3
     assert held_at_resolve == [0, 0, 0]
-
-
-def test_preemption_during_the_run_is_reported_after_the_early_release():
-    def plodding(ws):
-        time.sleep(0.4)
-        return "plodding"
-
-    budget = WorldBudget(2)
-    seen = {}
-    with SpeculationService(
-        budget, policy=TwoPhasePolicy(stagger_s=0.25), workers=2,
-        on_resolve=lambda request, result: seen.setdefault(
-            request.tenant, (budget.in_use, result.preempted_slots)
-        ),
-    ) as svc:
-        low = svc.submit("low", [plodding, plodding], priority=0)
-        time.sleep(0.05)  # low holds both slots; its spare is still staggered
-        svc.submit("high", [fast], priority=5).result(timeout=10)
-        assert low.result(timeout=10).preempted_slots == 1
-    # the count was read before the reservation was let go, not after
-    assert seen["low"] == (0, 1)
 
 
 def test_service_metrics_and_spans():
