@@ -63,8 +63,7 @@ def _grow_journal(storage, n_requests: int) -> None:
     journal = CommitJournal(storage=storage)
     for i in range(n_requests):
         txn = journal.begin(
-            "admit", request=i, tenant=f"t{i % 4}", spec={"n": i},
-            priority=0, cost=1.0, timeout=None,
+            "admit", request=i, tenant=f"t{i % 4}", spec={"n": i}, timeout=None
         )
         journal.seal(txn)
         record_block_win(journal, i, 0, _Winner(0, "fast", i * 7))

@@ -23,8 +23,7 @@ Components (each usable standalone):
   backpressure, deadline shedding, round-robin fairness across tenants;
 - :class:`~repro.serve.policy.AdaptiveSpeculationPolicy` — K ≤ N and
   stagger schedules from live win-rate/latency statistics
-  (:class:`~repro.serve.stats.AlternativeStats`), degrading to K=1
-  sequential execution under saturation;
+  (:class:`~repro.serve.stats.AlternativeStats`);
 - :class:`~repro.serve.service.SpeculationService` — the worker pool
   tying them to the supervisor, journal, fault and telemetry planes.
 """

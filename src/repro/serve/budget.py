@@ -13,13 +13,18 @@ waits. Only the holder gives a grant back, by its own ``release``.
 
 All accounting is thread-safe; :meth:`WorldBudget.reserve_blocking`
 parks a worker until capacity frees up (or a deadline passes), which is
-what turns the pool into backpressure upstream.
+what turns the pool into backpressure upstream. Parked waiters are
+served oldest first (paper §2: a freed processor goes to a block that
+waits for it): a release wakes only the head of the queue, a head that
+finds nothing free keeps its place, and an arrival still takes a free
+slot at once.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from typing import Any
 
 from repro.errors import ServeError
@@ -75,7 +80,9 @@ class WorldBudget:
         if slots < 1:
             raise ServeError(f"budget needs at least one slot, got {slots}")
         self.slots = slots
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
+        #: one wake-up per parked waiter, oldest first
+        self._waiters: deque[threading.Condition] = deque()
         self._in_use = 0
         self.high_watermark = 0
         self.obs = NULL_OBS
@@ -105,15 +112,20 @@ class WorldBudget:
     def free(self) -> int:
         return self.slots - self._in_use
 
+    @property
+    def waiting(self) -> int:
+        """Waiters parked in :meth:`reserve_blocking` right now."""
+        return len(self._waiters)
+
     def snapshot(self) -> dict:
-        with self._cond:
+        with self._lock:
             return {
                 "slots": self.slots,
                 "in_use": self._in_use,
                 "high_watermark": self.high_watermark,
             }
 
-    # -- accounting (all under self._cond) ---------------------------------
+    # -- accounting (all under self._lock) ---------------------------------
     def _take(self, n: int) -> None:
         self._in_use += n
         if self._in_use > self.slots:  # invariant, not a runtime state
@@ -147,27 +159,33 @@ class WorldBudget:
     ) -> Reservation | None:
         """Like :meth:`reserve`, but wait up to ``timeout`` for capacity.
 
-        A release wakes one waiter per slot it freed, not every waiter."""
+        An arrival takes a free slot at once; otherwise it parks at the
+        back of the queue, and a release wakes only the queue's head."""
         if want < 1:
             raise ServeError(f"need want >= 1, got {want}")
         deadline = None if timeout is None else time.monotonic() + timeout
-        with self._cond:
-            while (res := self._try_reserve(tenant, want)) is None:
-                if deadline is None:
-                    self._cond.wait()
-                else:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0 or not self._cond.wait(remaining):
-                        break
-            if self._in_use < self.slots:
-                # a release wakes one waiter per slot it freed, and a
-                # wait that timed out may have spent one of those
-                # wake-ups: hand it on while a slot is still free
-                self._cond.notify()
+        with self._lock:
+            res = self._try_reserve(tenant, want)
+            if res is not None or timeout == 0:
+                return res
+            wake = threading.Condition(self._lock)
+            self._waiters.append(wake)
+            try:
+                while res is None and (deadline is None or time.monotonic() < deadline):
+                    wake.wait(None if deadline is None else deadline - time.monotonic())
+                    if self._waiters[0] is wake:  # a head an arrival beat keeps its place
+                        res = self._try_reserve(tenant, want)
+            finally:
+                self._waiters.remove(wake)
+                self._wake_head()
             return res
 
+    def _wake_head(self) -> None:
+        if self._waiters and self._in_use < self.slots:
+            self._waiters[0].notify()
+
     def _release(self, res: Reservation, n: int | None = None) -> None:
-        with self._cond:
+        with self._lock:
             if res._released:
                 return
             give = res.granted if n is None else min(n, res.granted)
@@ -177,4 +195,4 @@ class WorldBudget:
             self._give_back(give)
             if res.granted <= 0:
                 res._released = True
-            self._cond.notify(give)
+            self._wake_head()

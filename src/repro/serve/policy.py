@@ -6,14 +6,11 @@ are cheap and processors idle, and *costs* once either stops being
 true. A static service would have to pick one point on that curve;
 :class:`AdaptiveSpeculationPolicy` walks it at runtime, per request:
 
-- **K (how many)** — start from the slots the budget actually granted,
-  then shrink with measured pool load: at :data:`SATURATION` the policy
-  stops speculating entirely (K=1). The service passes *others'* load,
-  ``(in_use − granted) / slots`` — at most 0.75 on 4 slots — so on a pool
-  under 10 slots 0.9 never fires. Win-rate statistics shrink
-  K further — once one alternative wins :data:`CONFIDENT_WIN` of the time,
-  running its siblings is pure waste (ρ has left the profitable region,
-  so stop paying R_o).
+- **K (how many)** — the slots the budget actually granted (a busy pool
+  grants one: the grant is the spare capacity ρ), shrunk by win-rate
+  statistics — once one alternative wins :data:`CONFIDENT_WIN` of the
+  time, running its siblings is pure waste (ρ has left the profitable
+  region, so stop paying R_o).
 - **which** — alternatives ranked by expected usefulness per second
   (win EWMA / latency EWMA, optimistic prior for the unseen), so the
   K worlds that do run are the ones most likely to commit quickly.
@@ -24,9 +21,6 @@ true. A static service would have to pick one point on that curve;
   its chance (minimum wasted work) — §4.1's stagger frontier driven by
   live statistics. A favourite never seen has no latency to wait out, so
   its spares launch at once: no granted slot idles on no evidence.
-- **backend** — saturated K=1 requests degrade to the ``sequential``
-  backend: no worlds, no spawn cost, exactly the paper's degenerate
-  standby-spares execution.
 
 The policy is deliberately stateless between calls — all adaptation
 lives in the shared :class:`~repro.serve.stats.AlternativeStats`, which
@@ -40,9 +34,6 @@ from dataclasses import dataclass, field
 from repro.errors import ServeError
 from repro.serve.stats import AlternativeStats
 
-#: Others' share of the pool at and above which the policy stops
-#: speculating (K=1, sequential backend).
-SATURATION = 0.9
 #: Win EWMA above which the favourite runs alone even on an idle pool
 #: (its siblings would almost surely be wasted work).
 CONFIDENT_WIN = 0.9
@@ -58,13 +49,11 @@ class SpeculationDecision:
 
     ``order`` holds indexes into the caller's alternative list, ranked
     best-first and truncated to K; ``staggers`` are the matching start
-    delays (``staggers[0]`` is always 0). ``backend`` may downgrade the
-    service default under saturation.
+    delays (``staggers[0]`` is always 0).
     """
 
     order: list[int]
     staggers: list[float]
-    backend: str | None = None
     reason: str = "adaptive"
 
     @property
@@ -81,13 +70,10 @@ class FixedSpeculationPolicy:
     :class:`AdaptiveSpeculationPolicy`.
     """
 
-    backend: str | None = None
-
     def decide(self, names, granted: int, load: float = 0.0) -> SpeculationDecision:  # noqa: ARG002
         order = list(range(len(names)))
         return SpeculationDecision(
-            order=order, staggers=[0.0] * len(order),
-            backend=self.backend, reason="fixed",
+            order=order, staggers=[0.0] * len(order), reason="fixed"
         )
 
     def observe(self, outcome, names=None, launched=None) -> None:  # noqa: ARG002 - baseline learns nothing
@@ -103,8 +89,8 @@ class AdaptiveSpeculationPolicy:
     stats:
         The shared statistics store (created on demand).
 
-    The thresholds are module constants: :data:`SATURATION`,
-    :data:`CONFIDENT_WIN`, :data:`STAGGER_SCALE`, :data:`MAX_STAGGER_S`.
+    The thresholds are module constants: :data:`CONFIDENT_WIN`,
+    :data:`STAGGER_SCALE`, :data:`MAX_STAGGER_S`.
     """
 
     stats: AlternativeStats = field(default_factory=AlternativeStats)
@@ -121,9 +107,6 @@ class AdaptiveSpeculationPolicy:
         ranked = sorted(range(n), key=lambda i: -self.stats.score(names[i]))
         k = max(1, min(n, granted))
         reason = "adaptive"
-        if load >= SATURATION and k > 1:
-            # a saturated machine has no spare cycles for speculation
-            k, reason = 1, "saturated"
         favourite = names[ranked[0]]
         fav_rec = self.stats.record(favourite)
         if (
@@ -138,10 +121,7 @@ class AdaptiveSpeculationPolicy:
         unit = STAGGER_SCALE * load * self.stats.latency_ewma(favourite)
         unit = min(max(unit, 0.0), MAX_STAGGER_S)
         staggers = [i * unit for i in range(k)]
-        backend = "sequential" if reason == "saturated" else None
-        return SpeculationDecision(
-            order=order, staggers=staggers, backend=backend, reason=reason,
-        )
+        return SpeculationDecision(order=order, staggers=staggers, reason=reason)
 
     # -- the feedback loop -------------------------------------------------
     def observe(self, outcome, names=None, launched=None) -> None:

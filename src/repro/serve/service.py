@@ -12,7 +12,7 @@ the stack doing its job:
   machine-wide, granting each request what is free (at least one
   slot) or making it wait;
 - the speculation policy (adaptive by default) picks K ≤ N
-  alternatives, a stagger schedule, and possibly a degraded backend;
+  alternatives and a stagger schedule;
 - a per-request :class:`~repro.faults.supervisor.Supervisor` runs the
   block with retry spares and the fork→thread→sequential fallback
   chain, so a worker surviving its request is the common case even
@@ -227,8 +227,8 @@ class SpeculationService:
         Dispatch threads. Each drives one request at a time; the worlds
         within a request are the backend's business, not the worker's.
     backend:
-        Default backend for admitted blocks (the policy may override,
-        and the per-request supervisor may degrade it further).
+        Backend for admitted blocks (the per-request supervisor may
+        degrade it).
     grant_timeout_s:
         How long a deadline-less request may wait for budget slots
         before it is shed for capacity (deadlined requests wait until
@@ -663,7 +663,7 @@ class SpeculationService:
             # ---- SLOW_TENANT fault: charge extra worker time --------------
             self._maybe_slow_tenant(request)
 
-            # ---- policy: K, order, staggers, backend ----------------------
+            # ---- policy: K, order, staggers -------------------------------
             # load as the policy sees it: the pool pressure from
             # *everyone else* — a request alone on an idle machine is
             # the paper's free-speculation regime even though its own
@@ -680,7 +680,6 @@ class SpeculationService:
                 )
             self._k_h.observe(float(decision.k))
             wave = self._build_wave(alts, decision)
-            backend = decision.backend or self.backend
 
             # release slots the policy decided not to use
             unused = reservation.granted - decision.k
@@ -709,7 +708,8 @@ class SpeculationService:
             with ExitStack() as group:
                 group.enter_context(journal.group() if journal is not None else nullcontext())
                 outcome = supervisor.run(
-                    wave, initial=request.initial, timeout=remaining, backend=backend,
+                    wave, initial=request.initial, timeout=remaining,
+                    backend=self.backend,
                 )
                 reservation.release()
                 self._hold_h.observe(time.monotonic() - granted_at)
@@ -722,7 +722,7 @@ class SpeculationService:
 
                 latency = time.monotonic() - request.submitted_at
                 status = "committed" if outcome.winner is not None else "failed"
-                ran_on = outcome.extras.get("backend", backend)
+                ran_on = outcome.extras.get("backend", self.backend)
                 tracer.end(
                     span_id,
                     disposition="committed" if status == "committed" else "aborted",

@@ -78,7 +78,12 @@ def test_every_exit_leaves_no_child_and_no_descriptor(tmp_path):
         _no_child_left()
         opened = {fd: target for fd, target in _open_fds().items()
                   if baseline.get(fd) != target}
-        assert not opened, f"descriptors a round left open: {opened}"
+        # the threads alive say whose socket or pipe an extra one is
+        assert not opened, (
+            f"descriptors a round left open: {opened}, before the rounds "
+            f"{ {fd: baseline.get(fd) for fd in opened} }; threads alive: "
+            f"{threading.enumerate()}"
+        )
     assert shard.incarnation == 4 * ROUNDS - 1
 
 

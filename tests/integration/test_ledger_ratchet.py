@@ -40,17 +40,18 @@ from repro.serve import (
     WorldBudget,
 )
 from tests.journal.test_group import CountingStorage
+from tests.serve.test_budget import release_in_turn
 
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
 
 #: ROADMAP's "locks / conditions in `serve/` + `cluster/`" row
-LOCKS_CEILING = 10
+LOCKS_CEILING = 11
 #: ROADMAP's "re-entrant locks in `serve/` + `cluster/`" row
 RLOCKS_CEILING = 0
 #: ROADMAP's "`serve/` + `cluster/` lines" row (`wc -l`)
-LINES_CEILING = 3937
+LINES_CEILING = 3934
 #: ROADMAP's "`src/` lines" row (`git ls-files 'src/*.py' | xargs wc -l`)
-SRC_LINES_CEILING = 17583
+SRC_LINES_CEILING = 17580
 #: ROADMAP's "settable values on the serving path" row
 SETTABLE_VALUES_CEILING = 40
 #: ROADMAP's "shard states" row
@@ -71,6 +72,8 @@ HOST_APPENDS_PER_REQUEST_CEILING = 2
 HOST_RECORDS_PER_REQUEST_CEILING = 6
 HOST_JOURNAL_BYTES_PER_REQUEST_CEILING = 487
 HOST_RECEIVED_BYTES_PER_REQUEST_CEILING = 903
+#: ROADMAP's "budget wake-ups that find nothing free" row
+BUDGET_WAITER_MISSES_CEILING = 0
 
 
 def _serve_and_cluster_lines_matching(pattern: str) -> list[str]:
@@ -359,6 +362,23 @@ def test_a_request_through_a_real_host_costs_no_more(tmp_path):
         f"per request through a real host: {per_request} (ceilings "
         f"{ceilings}): keep a request's journal and wire cost, or update "
         "ROADMAP's ledger row and these ceilings together"
+    )
+
+
+def budget_waiter_misses() -> int:
+    """A 4-slot pool, fully held; six ``want=3`` waiters parked in order;
+    then the holder and the waiters release in turn, with no arrivals.
+    The reservation attempts of parked waiters that find nothing free:
+    each is a wake-up spent on a waiter that cannot use it."""
+    return release_in_turn(waiters=6, slots=4, want=3).misses
+
+
+def test_a_budget_release_wakes_only_a_waiter_it_can_grant():
+    misses = budget_waiter_misses()
+    assert misses <= BUDGET_WAITER_MISSES_CEILING, (
+        f"{misses} parked waiters woke to find nothing free (ceiling "
+        f"{BUDGET_WAITER_MISSES_CEILING}): a release wakes the oldest "
+        "waiter alone, and a woken head keeps its place"
     )
 
 

@@ -7,9 +7,9 @@ Run from the repository root::
 The counts are what ``tests/integration/test_ledger_ratchet.py`` holds
 to its ceilings, measured by the same functions: per request through a
 real shard host (durable appends, journal records, journal bytes, bytes
-the client receives), the admit frame's bytes, the locks and lines of
-``serve/`` + ``cluster/``, the lines of ``src/`` and the settable values
-on the serving path.
+the client receives), the admit frame's bytes, the budget's wasted
+wake-ups, the locks and lines of ``serve/`` + ``cluster/``, the lines of
+``src/`` and the settable values on the serving path.
 """
 
 import json
@@ -28,6 +28,7 @@ def main() -> None:
         "journal_bytes": host["journal bytes"],
         "admit_frame_bytes": admit_frame_bytes,
         "received_bytes": host["received bytes"],
+        "budget_waiter_misses": ratchet.budget_waiter_misses(),
         "locks": len(ratchet.serve_and_cluster_locks()),
         "serve_cluster_lines": ratchet.serve_and_cluster_lines(),
         "src_lines": ratchet.src_lines(),

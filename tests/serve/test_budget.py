@@ -1,13 +1,17 @@
 """WorldBudget: grants, accounting invariants, wake-ups."""
 
+import collections
+import sys
 import threading
 import time
+import types
 
 import pytest
 
 from repro.errors import ServeError
 from repro.obs import Observability
 from repro.serve import WorldBudget
+from repro.serve import budget as budget_module
 
 
 def test_reserve_grants_want_when_free():
@@ -111,23 +115,28 @@ def test_obs_gauges_follow_accounting():
     assert obs.registry.get("mw_serve_slots_hwm").value() == 3.0
 
 
-# -- wake-ups: a release wakes one waiter per slot it freed -----------------
+# -- wake-ups: waiters are served oldest first, a release wakes the head ---
 
 
 class _CountingBudget(WorldBudget):
-    """Counts reservation attempts: each waiter's first, and every retry."""
+    """Records every reservation attempt under the budget's lock: the
+    tenants granted, in grant order, and the attempts of parked waiters
+    (each tenant's second attempt on) that found nothing free."""
 
-    attempts = 0
+    def __init__(self, slots):
+        super().__init__(slots)
+        self.tried = collections.Counter()
+        self.granted_to = []
+        self.misses = 0
 
-    def _try_reserve(self, *args):
-        self.attempts += 1
-        return super()._try_reserve(*args)
-
-
-def _parked(budget):
-    """Waiters parked on the budget's condition right now."""
-    with budget._cond:
-        return len(budget._cond._waiters)
+    def _try_reserve(self, tenant, want):
+        res = super()._try_reserve(tenant, want)
+        self.tried[tenant] += 1
+        if res is not None:
+            self.granted_to.append(tenant)
+        elif self.tried[tenant] > 1:
+            self.misses += 1
+        return res
 
 
 def _wait_until(predicate, timeout=10.0):
@@ -137,91 +146,130 @@ def _wait_until(predicate, timeout=10.0):
         time.sleep(0.001)
 
 
-def _waiters(budget, n, want, done, timeout=10.0):
-    """Start ``n`` threads that each reserve ``want`` slots, park until
-    ``done`` once granted, then release; returns (threads, grants)."""
-    grants = []
-
-    def wait_for_slots():
-        res = budget.reserve_blocking("w", want=want, timeout=timeout)
-        grants.append(res)
-        done.wait(timeout)
-        if res is not None:
-            res.release()
-
-    threads = [threading.Thread(target=wait_for_slots) for _ in range(n)]
-    for t in threads:
-        t.start()
-    return threads, grants
+def _park(budget, want, timeout=10.0):
+    """Park one thread in ``reserve_blocking`` as tenant ``w<n>``, ``n``
+    the waiters parked before it, and wait until it has parked; returns
+    (thread, the list its reservation lands in)."""
+    got = []
+    name = f"w{budget.waiting}"
+    parked = budget.waiting + 1
+    t = threading.Thread(
+        target=lambda: got.append(budget.reserve_blocking(name, want=want, timeout=timeout))
+    )
+    t.start()
+    _wait_until(lambda: budget.waiting == parked)
+    return t, got
 
 
-def _finish(threads, done, *held):
-    done.set()
-    for res in held:
-        res.release()
-    for t in threads:
+def release_in_turn(waiters=6, slots=4, want=3):
+    """A ``slots``-slot pool, fully held; ``waiters`` waiters of ``want``
+    slots each parked in order; then the holder and each waiter, in the
+    order they were granted, release, with no arrivals. Returns the
+    :class:`_CountingBudget` (``granted_to``, ``misses``)."""
+    budget = _CountingBudget(slots)
+    held = budget.reserve("holder", want=slots)
+    parked = [_park(budget, want) for _ in range(waiters)]
+    by_name = {f"w{i}": got for i, (_, got) in enumerate(parked)}
+    held.release()
+    for turn in range(1, waiters + 1):
+        _wait_until(
+            lambda: len(budget.granted_to) > turn and by_name[budget.granted_to[turn]]
+        )
+        by_name[budget.granted_to[turn]][0].release()
+    for t, _ in parked:
         t.join(timeout=10)
-    assert not any(t.is_alive() for t in threads)
+        assert not t.is_alive()
+    return budget
 
 
 def test_a_release_retries_at_most_one_waiter_per_slot_it_freed():
     b = _CountingBudget(4)
     held = b.reserve("holder", want=4)
-    done = threading.Event()
-    threads, grants = _waiters(b, 6, want=3, done=done)
-    try:
-        _wait_until(lambda: _parked(b) == 6)
-        before = b.attempts
-        held.release(3)
-        # one waiter takes the three slots; each other one woken retried
-        # and parked again
-        _wait_until(lambda: len(grants) == 1 and _parked(b) == 5)
-        assert grants[0].granted == 3
-        assert b.attempts - before <= 3
-    finally:
-        _finish(threads, done, held)
+    parked = [_park(b, want=3) for _ in range(6)]
+    before = b.tried.total()
+    held.release(3)
+    # only the head is woken: it takes the three slots, the rest stay parked
+    _wait_until(lambda: parked[0][1])
+    assert parked[0][1][0].granted == 3
+    assert b.waiting == 5
+    assert b.tried.total() - before == 1
+    held.release()
+    for t, got in parked:
+        _wait_until(lambda: got)
+        got[0].release()
+        t.join(timeout=10)
 
 
 def test_a_release_of_three_slots_grants_three_one_slot_waiters():
     b = WorldBudget(3)
     held = b.reserve("holder", want=3)
-    done = threading.Event()
-    threads, grants = _waiters(b, 3, want=1, done=done)
-    try:
-        _wait_until(lambda: _parked(b) == 3)
-        held.release()
-        _wait_until(lambda: len(grants) == 3)
-        assert all(res is not None and res.granted == 1 for res in grants)
-    finally:
-        _finish(threads, done)
+    parked = [_park(b, want=1) for _ in range(3)]
+    held.release()  # the head takes one and wakes the next head, in turn
+    for t, got in parked:
+        t.join(timeout=10)
+        assert got[0] is not None and got[0].granted == 1
+    assert b.waiting == 0 and b.free == 0
 
 
-class _TimesOutWhenWoken(threading.Condition):
-    """For one thread, a wait reports a timeout even when a notify woke
-    it: the race in which a timed-out wait spends a wake-up that a
-    release meant for another waiter."""
-
-    victim = None
-
-    def wait(self, timeout=None):
-        woken = super().wait(timeout)
-        return woken and threading.current_thread() is not self.victim
+def test_waiters_are_granted_in_the_order_they_parked():
+    b = release_in_turn()
+    assert b.granted_to == ["holder"] + [f"w{i}" for i in range(6)]
+    assert b.misses == 0
+    assert b.in_use == 0 and b.waiting == 0
 
 
-def test_a_woken_waiter_that_times_out_hands_the_wake_up_on():
-    b = WorldBudget(1)
-    b._cond = cond = _TimesOutWhenWoken()
+def test_a_woken_head_an_arrival_beats_is_still_granted_next():
+    b = _CountingBudget(1)
     held = b.reserve("holder", want=1)
-    done = threading.Event()
-    first, first_grant = _waiters(b, 1, want=1, done=done)
-    cond.victim = first[0]
-    _wait_until(lambda: _parked(b) == 1)
-    second, second_grant = _waiters(b, 1, want=1, done=done)
+    (head, head_got), (later, later_got) = _park(b, want=1), _park(b, want=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1.0)  # the woken head cannot run before the arrival
     try:
-        _wait_until(lambda: _parked(b) == 2)
-        held.release()  # one slot: one wake-up, and the first waiter spends it
-        _wait_until(lambda: len(first_grant) == 1 and len(second_grant) == 1, timeout=5)
-        assert first_grant == [None]
-        assert second_grant[0] is not None and second_grant[0].granted == 1
+        held.release()
+        arrival = b.reserve("arrival", want=1)
     finally:
-        _finish(first + second, done)
+        sys.setswitchinterval(interval)
+    assert arrival is not None
+    _wait_until(lambda: b.misses == 1)  # the head woke and found nothing
+    assert b.waiting == 2
+    arrival.release()
+    _wait_until(lambda: head_got)
+    assert b.granted_to == ["holder", "arrival", "w0"]
+    assert b.waiting == 1 and not later_got
+    head_got[0].release()
+    later.join(timeout=10)
+    head.join(timeout=10)
+    assert later_got[0].granted == 1 and b.granted_to[-1] == "w1"
+    later_got[0].release()
+
+
+def test_a_waiter_that_times_out_leaves_its_place_to_the_next():
+    b = WorldBudget(1)
+    held = b.reserve("holder", want=1)
+    (first, first_got), (second, second_got) = (
+        _park(b, want=1, timeout=0.5), _park(b, want=1),
+    )
+    first.join(timeout=10)
+    assert first_got == [None] and b.waiting == 1
+    held.release()  # the one wake-up goes to the head still parked
+    second.join(timeout=10)
+    assert second_got[0] is not None and second_got[0].granted == 1
+    second_got[0].release()
+
+
+def test_a_woken_head_past_its_deadline_still_takes_the_slot(monkeypatch):
+    """A release that wakes a head whose deadline has just passed is not
+    spent: the head takes the slot rather than leave it free."""
+    clock = [time.monotonic()]
+    monkeypatch.setattr(budget_module, "time", types.SimpleNamespace(monotonic=lambda: clock[0]))
+    b = WorldBudget(1)
+    held = b.reserve("holder", want=1)
+    (head, head_got), (later, later_got) = _park(b, want=1, timeout=5.0), _park(b, want=1)
+    clock[0] += 10.0  # both deadlines have passed by the head's clock
+    held.release()
+    head.join(timeout=10)
+    assert head_got[0] is not None and head_got[0].granted == 1
+    head_got[0].release()
+    later.join(timeout=10)
+    assert later_got[0] is not None
+    later_got[0].release()

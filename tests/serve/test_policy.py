@@ -107,7 +107,6 @@ def test_idle_pool_speculates_wide():
     d = p.decide(["a", "b", "c"], granted=3, load=0.0)
     assert d.k == 3
     assert d.staggers == [0.0, 0.0, 0.0]  # idle: launch everything at once
-    assert d.backend is None
     assert d.reason == "adaptive"
 
 
@@ -115,14 +114,6 @@ def test_k_capped_by_granted_slots():
     p = AdaptiveSpeculationPolicy()
     d = p.decide(["a", "b", "c", "d"], granted=2, load=0.0)
     assert d.k == 2
-
-
-def test_saturation_degrades_to_sequential_k1():
-    p = AdaptiveSpeculationPolicy()
-    d = p.decide(["a", "b", "c"], granted=3, load=0.95)
-    assert d.k == 1
-    assert d.reason == "saturated"
-    assert d.backend == "sequential"
 
 
 def test_confident_winner_runs_alone():
@@ -133,7 +124,6 @@ def test_confident_winner_runs_alone():
     assert d.k == 1
     assert d.reason == "confident"
     assert d.order == [0]
-    assert d.backend is None  # not saturated: stays on the default backend
 
 
 def test_ranking_prefers_winning_fast_alternative():
