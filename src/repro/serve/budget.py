@@ -13,11 +13,15 @@ waits. Only the holder gives a grant back, by its own ``release``.
 
 All accounting is thread-safe; :meth:`WorldBudget.reserve_blocking`
 parks a worker until capacity frees up (or a deadline passes), which is
-what turns the pool into backpressure upstream. Parked waiters are
-served oldest first (paper §2: a freed processor goes to a block that
-waits for it): a release wakes only the head of the queue, a head that
-finds nothing free keeps its place, and an arrival still takes a free
-slot at once.
+what turns the pool into backpressure upstream. An arrival takes a free
+slot at once; parked waiters are served oldest first (paper §2: a freed
+processor goes to a block that waits for it), and a head an arrival beat
+keeps its place. But a *lone* free slot goes to the newest waiter while
+the multi-slot grants out, with it, cover the head's want: the longest
+waiter waits for its gang rather than run one world (Scheme B). That is
+live: such a grant's release frees at least two slots and serves the
+head (a partial release shrinks the gang), so no waiter waits past the
+gang's return, save behind arrivals.
 """
 
 from __future__ import annotations
@@ -81,9 +85,11 @@ class WorldBudget:
             raise ServeError(f"budget needs at least one slot, got {slots}")
         self.slots = slots
         self._lock = threading.Lock()
-        #: one wake-up per parked waiter, oldest first
-        self._waiters: deque[threading.Condition] = deque()
+        #: (wake-up, want) of each parked waiter, oldest first
+        self._waiters: deque[tuple[threading.Condition, int]] = deque()
         self._in_use = 0
+        #: slots held in 1-slot grants; the rest of ``in_use`` is gangs
+        self._singles = 0
         self.high_watermark = 0
         self.obs = NULL_OBS
         self.bind_obs(obs)
@@ -117,17 +123,12 @@ class WorldBudget:
         """Waiters parked in :meth:`reserve_blocking` right now."""
         return len(self._waiters)
 
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {
-                "slots": self.slots,
-                "in_use": self._in_use,
-                "high_watermark": self.high_watermark,
-            }
-
     # -- accounting (all under self._lock) ---------------------------------
-    def _take(self, n: int) -> None:
-        self._in_use += n
+    def _try_reserve(self, tenant: str, want: int) -> Reservation | None:
+        grant = min(want, self.free)
+        if grant < 1:
+            return None
+        self._in_use += grant
         if self._in_use > self.slots:  # invariant, not a runtime state
             raise ServeError(
                 f"budget overcommitted: {self._in_use} > {self.slots} slots"
@@ -136,16 +137,7 @@ class WorldBudget:
             self.high_watermark = self._in_use
             self._hwm_g.set(float(self.high_watermark))
         self._in_use_g.set(float(self._in_use))
-
-    def _give_back(self, n: int) -> None:
-        self._in_use -= n
-        self._in_use_g.set(float(self._in_use))
-
-    def _try_reserve(self, tenant: str, want: int) -> Reservation | None:
-        grant = min(want, self.free)
-        if grant < 1:
-            return None
-        self._take(grant)
+        self._singles += grant == 1
         return Reservation(self, tenant, grant)
 
     # -- the public grant API ----------------------------------------------
@@ -160,7 +152,8 @@ class WorldBudget:
         """Like :meth:`reserve`, but wait up to ``timeout`` for capacity.
 
         An arrival takes a free slot at once; otherwise it parks at the
-        back of the queue, and a release wakes only the queue's head."""
+        back of the queue, and a release wakes the head, or the newest
+        waiter for a lone slot the head's gang will fill on its return."""
         if want < 1:
             raise ServeError(f"need want >= 1, got {want}")
         deadline = None if timeout is None else time.monotonic() + timeout
@@ -168,21 +161,29 @@ class WorldBudget:
             res = self._try_reserve(tenant, want)
             if res is not None or timeout == 0:
                 return res
-            wake = threading.Condition(self._lock)
-            self._waiters.append(wake)
+            me = (threading.Condition(self._lock), want)
+            self._waiters.append(me)
             try:
                 while res is None and (deadline is None or time.monotonic() < deadline):
-                    wake.wait(None if deadline is None else deadline - time.monotonic())
-                    if self._waiters[0] is wake:  # a head an arrival beat keeps its place
+                    me[0].wait(None if deadline is None else deadline - time.monotonic())
+                    if self._next() is me:  # a head an arrival beat keeps its place
                         res = self._try_reserve(tenant, want)
+                    else:  # the slot is another waiter's now
+                        self._wake_next()
             finally:
-                self._waiters.remove(wake)
-                self._wake_head()
+                self._waiters.remove(me)
+                self._wake_next()
             return res
 
-    def _wake_head(self) -> None:
+    def _next(self) -> tuple[threading.Condition, int]:
+        """The parked waiter a free slot goes to (see the module docstring)."""
+        if self.free == 1 and 1 < self._waiters[0][1] <= self._in_use - self._singles + 1:
+            return self._waiters[-1]
+        return self._waiters[0]
+
+    def _wake_next(self) -> None:
         if self._waiters and self._in_use < self.slots:
-            self._waiters[0].notify()
+            self._next()[0].notify()
 
     def _release(self, res: Reservation, n: int | None = None) -> None:
         with self._lock:
@@ -191,8 +192,10 @@ class WorldBudget:
             give = res.granted if n is None else min(n, res.granted)
             if give <= 0:
                 return
+            self._singles += (res.granted - give == 1) - (res.granted == 1)
             res.granted -= give
-            self._give_back(give)
+            self._in_use -= give
+            self._in_use_g.set(float(self._in_use))
             if res.granted <= 0:
                 res._released = True
-            self._wake_head()
+            self._wake_next()

@@ -17,6 +17,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 import tokenize
 from unittest import mock
 
@@ -32,6 +33,7 @@ from repro.core.alternative import Alternative
 from repro.core.policy import EliminationPolicy
 from repro.core.worlds import run_alternatives
 from repro.journal import CommitJournal, FileJournalStorage, settle
+from repro.runtime.report_channel import ReportChannel
 from repro.serve import (
     AdaptiveSpeculationPolicy,
     AdmissionQueue,
@@ -49,9 +51,9 @@ LOCKS_CEILING = 11
 #: ROADMAP's "re-entrant locks in `serve/` + `cluster/`" row
 RLOCKS_CEILING = 0
 #: ROADMAP's "`serve/` + `cluster/` lines" row (`wc -l`)
-LINES_CEILING = 3934
+LINES_CEILING = 3937
 #: ROADMAP's "`src/` lines" row (`git ls-files 'src/*.py' | xargs wc -l`)
-SRC_LINES_CEILING = 17580
+SRC_LINES_CEILING = 17583
 #: ROADMAP's "settable values on the serving path" row
 SETTABLE_VALUES_CEILING = 40
 #: ROADMAP's "shard states" row
@@ -74,6 +76,13 @@ HOST_JOURNAL_BYTES_PER_REQUEST_CEILING = 487
 HOST_RECEIVED_BYTES_PER_REQUEST_CEILING = 903
 #: ROADMAP's "budget wake-ups that find nothing free" row
 BUDGET_WAITER_MISSES_CEILING = 0
+#: ROADMAP's "lone slots granted to the head while its gang is out" row
+BUDGET_LONE_SLOTS_TO_THE_HEAD_CEILING = 0
+#: ROADMAP's "per fork block" row: forks, children reaped before the call
+#: returns (item 17 moves it), the winner's report bytes (item 8 moves it)
+FORKS_PER_BLOCK_CEILING = 3
+REAPED_ON_THE_CALLERS_PATH_CEILING = 3
+WINNER_REPORT_BYTES_CEILING = 262_591
 
 
 def _serve_and_cluster_lines_matching(pattern: str) -> list[str]:
@@ -379,6 +388,91 @@ def test_a_budget_release_wakes_only_a_waiter_it_can_grant():
         f"{misses} parked waiters woke to find nothing free (ceiling "
         f"{BUDGET_WAITER_MISSES_CEILING}): a release wakes the oldest "
         "waiter alone, and a woken head keeps its place"
+    )
+
+
+def budget_lone_slots_to_the_head() -> int:
+    """The same scenario: the lone slots granted to the oldest of two or
+    more waiters while the slots held in multi-slot grants, with that
+    slot, could fill its want. Each one runs the longest waiter as one
+    world (Scheme B) when its gang was coming back."""
+    return release_in_turn(waiters=6, slots=4, want=3).lone_slots_to_the_head
+
+
+def test_a_lone_slot_does_not_go_to_a_head_whose_gang_is_out():
+    lone = budget_lone_slots_to_the_head()
+    assert lone <= BUDGET_LONE_SLOTS_TO_THE_HEAD_CEILING, (
+        f"{lone} lone slots went to the longest waiter while its gang was "
+        f"out (ceiling {BUDGET_LONE_SLOTS_TO_THE_HEAD_CEILING}): a lone "
+        "free slot goes to the newest waiter then"
+    )
+
+
+def fork_pages(ws):
+    """Write 64 pages of 4 KiB into the workspace and return."""
+    ws["pages"] = [bytes([page]) * 4096 for page in range(64)]
+    return "pages"
+
+
+def fork_sleeper(ws):
+    time.sleep(30)
+
+
+def fork_block_counts() -> dict[str, int]:
+    """One fixed ``run_alternatives(backend="fork")`` block: one
+    alternative writes 64 pages and returns, two sleep until killed.
+    Counts the ``os.fork`` calls, the children ``os.waitpid`` reaps before
+    the call returns, and the bytes of the reports the parent reads (the
+    winner's alone: the sleepers are killed unread)."""
+    counts = {"forks": 0, "reaped": 0, "report bytes": 0}
+    forked = set()
+    fork, waitpid, recv = os.fork, os.waitpid, ReportChannel.recv
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forked.add(pid)
+            counts["forks"] += 1
+        return pid
+
+    def counted_waitpid(pid, options):
+        done = waitpid(pid, options)
+        counts["reaped"] += done[0] in forked
+        return done
+
+    def counted_recv(channel):
+        report = recv(channel)
+        counts["report bytes"] += os.fstat(channel.file_fd).st_size
+        return report
+
+    alternatives = [
+        Alternative(fork_pages, name="pages"),
+        Alternative(fork_sleeper, name="sleeper.1"),
+        Alternative(fork_sleeper, name="sleeper.2"),
+    ]
+    with (
+        mock.patch.object(os, "fork", counted_fork),
+        mock.patch.object(os, "waitpid", counted_waitpid),
+        mock.patch.object(ReportChannel, "recv", counted_recv),
+    ):
+        outcome = run_alternatives(alternatives, backend="fork")
+    assert outcome.value == "pages"
+    return counts
+
+
+def test_a_fork_block_costs_no_more_forks_reaps_or_report_bytes():
+    counts = fork_block_counts()
+    ceilings = {
+        "forks": FORKS_PER_BLOCK_CEILING,
+        "reaped": REAPED_ON_THE_CALLERS_PATH_CEILING,
+        "report bytes": WINNER_REPORT_BYTES_CEILING,
+    }
+    over = {k: v for k, v in counts.items() if v > ceilings[k]}
+    assert not over, (
+        f"one three-alternative fork block: {counts} (ceilings {ceilings}): "
+        "one fork per alternative, and no more reaps or report bytes on the "
+        "caller's path, or update ROADMAP's ledger row and these ceilings "
+        "together"
     )
 
 

@@ -77,9 +77,7 @@ def test_high_watermark_tracks_peak():
     r1.release()
     b.reserve("b", want=2)
     assert b.high_watermark == 3
-    snap = b.snapshot()
-    assert snap["high_watermark"] == 3
-    assert snap["in_use"] == 2
+    assert b.in_use == 2
 
 
 def test_reserve_blocking_waits_for_release():
@@ -115,25 +113,36 @@ def test_obs_gauges_follow_accounting():
     assert obs.registry.get("mw_serve_slots_hwm").value() == 3.0
 
 
-# -- wake-ups: waiters are served oldest first, a release wakes the head ---
+# -- wake-ups: a release wakes the oldest waiter, or the newest for a lone
+# -- slot the oldest's gang will fill on its return ---------------------------
 
 
 class _CountingBudget(WorldBudget):
     """Records every reservation attempt under the budget's lock: the
-    tenants granted, in grant order, and the attempts of parked waiters
-    (each tenant's second attempt on) that found nothing free."""
+    tenants granted, in grant order; the attempts of parked waiters (each
+    tenant's second attempt on) that found nothing free; and the lone
+    slots granted to the oldest of two or more parked waiters while the
+    slots held in multi-slot grants, with that slot, could fill its want.
+    Tenants are unique, and only parked waiters fail a first attempt."""
 
     def __init__(self, slots):
         super().__init__(slots)
         self.tried = collections.Counter()
         self.granted_to = []
         self.misses = 0
+        self.lone_slots_to_the_head = 0
+        self._live = []
 
     def _try_reserve(self, tenant, want):
+        parked = [t for t in self.tried if t not in self.granted_to]
+        gang = sum(r.granted for r in self._live if r.granted > 1)
+        lone = self.free == 1 and parked[:1] == [tenant] and len(parked) > 1
         res = super()._try_reserve(tenant, want)
         self.tried[tenant] += 1
         if res is not None:
             self.granted_to.append(tenant)
+            self._live.append(res)
+            self.lone_slots_to_the_head += lone and 1 < want <= gang + 1
         elif self.tried[tenant] > 1:
             self.misses += 1
         return res
@@ -161,17 +170,11 @@ def _park(budget, want, timeout=10.0):
     return t, got
 
 
-def release_in_turn(waiters=6, slots=4, want=3):
-    """A ``slots``-slot pool, fully held; ``waiters`` waiters of ``want``
-    slots each parked in order; then the holder and each waiter, in the
-    order they were granted, release, with no arrivals. Returns the
-    :class:`_CountingBudget` (``granted_to``, ``misses``)."""
-    budget = _CountingBudget(slots)
-    held = budget.reserve("holder", want=slots)
-    parked = [_park(budget, want) for _ in range(waiters)]
+def _release_in_grant_order(budget, parked):
+    """Release each parked waiter's grant in the order the waiters were
+    granted (after the one holder's), then join them."""
     by_name = {f"w{i}": got for i, (_, got) in enumerate(parked)}
-    held.release()
-    for turn in range(1, waiters + 1):
+    for turn in range(1, len(parked) + 1):
         _wait_until(
             lambda: len(budget.granted_to) > turn and by_name[budget.granted_to[turn]]
         )
@@ -179,6 +182,19 @@ def release_in_turn(waiters=6, slots=4, want=3):
     for t, _ in parked:
         t.join(timeout=10)
         assert not t.is_alive()
+
+
+def release_in_turn(waiters=6, slots=4, want=3):
+    """A ``slots``-slot pool, fully held; ``waiters`` waiters of ``want``
+    slots each parked in order; then the holder and each waiter, in the
+    order they were granted, release, with no arrivals. Returns the
+    :class:`_CountingBudget` (``granted_to``, ``misses``,
+    ``lone_slots_to_the_head``)."""
+    budget = _CountingBudget(slots)
+    held = budget.reserve("holder", want=slots)
+    parked = [_park(budget, want) for _ in range(waiters)]
+    held.release()
+    _release_in_grant_order(budget, parked)
     return budget
 
 
@@ -194,10 +210,7 @@ def test_a_release_retries_at_most_one_waiter_per_slot_it_freed():
     assert b.waiting == 5
     assert b.tried.total() - before == 1
     held.release()
-    for t, got in parked:
-        _wait_until(lambda: got)
-        got[0].release()
-        t.join(timeout=10)
+    _release_in_grant_order(b, parked)
 
 
 def test_a_release_of_three_slots_grants_three_one_slot_waiters():
@@ -211,11 +224,72 @@ def test_a_release_of_three_slots_grants_three_one_slot_waiters():
     assert b.waiting == 0 and b.free == 0
 
 
-def test_waiters_are_granted_in_the_order_they_parked():
+def test_waiters_are_granted_oldest_first_save_a_lone_slot():
+    """Each lone slot goes to the newest waiter while the head's gang is
+    out, and the head takes the gang when it comes back."""
     b = release_in_turn()
-    assert b.granted_to == ["holder"] + [f"w{i}" for i in range(6)]
-    assert b.misses == 0
+    assert b.granted_to == ["holder", "w0", "w5", "w1", "w4", "w2", "w3"]
+    assert b.misses == 0 and b.lone_slots_to_the_head == 0
     assert b.in_use == 0 and b.waiting == 0
+
+
+def _first_waiter_granted(holds, head_want):
+    """A pool of ``sum(holds)`` slots held by grants of ``holds`` slots;
+    ``w0`` wanting ``head_want`` and ``w1`` wanting one parked; then the
+    second grant is released. Returns (the first waiter granted, its grant)."""
+    b = _CountingBudget(sum(holds))
+    grants = [b.reserve(f"h{i}", want=n) for i, n in enumerate(holds)]
+    parked = [_park(b, want=head_want), _park(b, want=1)]
+    grants[1].release()
+    _wait_until(lambda: len(b.granted_to) > len(holds))
+    first = b.granted_to[len(holds)]
+    _, got = parked[int(first[1:])]
+    _wait_until(lambda: got)
+    granted = got[0].granted
+    for res in grants + [got[0]]:
+        res.release()
+    for t, got in parked:
+        t.join(timeout=10)
+        assert not t.is_alive()
+        got[0].release()
+    return first, granted
+
+
+@pytest.mark.parametrize(
+    "holds, head_want, first",
+    [
+        # the gang out (3) and the lone slot fill the head: the newest takes it
+        ((3, 1), 3, ("w1", 1)),
+        # a head that wants one slot takes it
+        ((3, 1), 1, ("w0", 1)),
+        # the gang out (2) and the lone slot cannot fill a head of 4
+        ((2, 1, 1), 4, ("w0", 1)),
+        # two free slots go to the head, never past it
+        ((2, 2), 3, ("w0", 2)),
+    ],
+)
+def test_a_lone_slot_passes_the_head_only_while_its_gang_is_out(holds, head_want, first):
+    assert _first_waiter_granted(holds, head_want) == first
+
+
+def test_a_gang_that_shrinks_to_one_slot_no_longer_holds_the_head_back():
+    b = _CountingBudget(4)
+    gang, single = b.reserve("gang", want=3), b.reserve("single", want=1)
+    parked = [_park(b, want=2), _park(b, want=1), _park(b, want=1)]
+    (head, head_got), (middle, middle_got), (newest, newest_got) = parked
+    gang.release(1)  # the gang is 2: with the lone slot, it fills the head
+    newest.join(timeout=10)
+    assert newest_got[0].granted == 1
+    gang.release(1)  # the gang is one slot now: the lone slot is the head's
+    head.join(timeout=10)
+    assert head_got[0].granted == 1
+    assert b.granted_to == ["gang", "single", "w2", "w0"]
+    for res in (gang, single, newest_got[0], head_got[0]):
+        res.release()
+    middle.join(timeout=10)
+    assert middle_got[0].granted == 1 and b.granted_to[-1] == "w1"
+    middle_got[0].release()
+    assert b.lone_slots_to_the_head == 0 and b.in_use == 0
 
 
 def test_a_woken_head_an_arrival_beats_is_still_granted_next():
@@ -241,6 +315,31 @@ def test_a_woken_head_an_arrival_beats_is_still_granted_next():
     head.join(timeout=10)
     assert later_got[0].granted == 1 and b.granted_to[-1] == "w1"
     later_got[0].release()
+
+
+def test_a_woken_head_an_arrival_leaves_a_lone_slot_wakes_the_newest():
+    """A release frees two slots and wakes the head; an arrival takes one
+    before the head runs. The lone slot left is the newest waiter's (the
+    head's gang is out), so the head wakes that waiter in its place."""
+    b = _CountingBudget(5)
+    gang, pair = b.reserve("gang", want=3), b.reserve("pair", want=2)
+    (head, head_got), (newest, newest_got) = _park(b, want=3), _park(b, want=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1.0)  # the woken head cannot run before the arrival
+    try:
+        pair.release()
+        arrival = b.reserve("arrival", want=1)
+    finally:
+        sys.setswitchinterval(interval)
+    assert arrival.granted == 1
+    newest.join(timeout=10)
+    assert newest_got[0] is not None and newest_got[0].granted == 1
+    assert not head_got and b.waiting == 1
+    for res in (gang, arrival, newest_got[0]):
+        res.release()
+    head.join(timeout=10)
+    assert head_got[0].granted == 3
+    head_got[0].release()
 
 
 def test_a_waiter_that_times_out_leaves_its_place_to_the_next():
@@ -273,3 +372,38 @@ def test_a_woken_head_past_its_deadline_still_takes_the_slot(monkeypatch):
     later.join(timeout=10)
     assert later_got[0] is not None
     later_got[0].release()
+
+
+def test_concurrent_grants_and_releases_keep_the_gang_count():
+    """Twelve threads reserve, shrink and release on a 4-slot pool with a
+    short switch interval: every waiter is granted, and the pool, its
+    queue and its count of 1-slot grants all end empty."""
+    b = WorldBudget(4)
+    failures = []
+
+    def worker(seed):
+        for i in range(150):
+            want = 1 + (seed + i) % 4
+            res = b.reserve_blocking(f"t{seed}", want=want, timeout=10)
+            if res is None:
+                failures.append((seed, i))
+                return
+            time.sleep(0)  # hold the grant while others contend
+            if res.granted > 1 and i % 3 == 0:
+                res.release(res.granted - 1)  # the policy's unused slots
+                time.sleep(0)
+            res.release()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(n,)) for n in range(12)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not failures
+    assert b.in_use == 0 and b.waiting == 0 and b._singles == 0

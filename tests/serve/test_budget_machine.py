@@ -2,19 +2,23 @@
 against a dict model of who holds which slots.
 
 The rules are a non-blocking reserve (tenant, want), a thread parked in
-``reserve_blocking`` when nothing is free, a partial release and a full
-release. The model grants ``min(want, free)`` and refuses when nothing
-is free; a release hands what it frees to the parked waiters oldest
-first, each head taking ``min(want, free)``. Each step waits until the
-woken threads have run. After every step:
+``reserve_blocking`` when nothing is free, a partial release, a full
+release, and a release of every holder in grant order, waiters granted
+on the way included. The model grants ``min(want, free)`` and refuses
+when nothing is free; a release hands what it frees to the parked
+waiters oldest first, each taking ``min(want, free)``, save that a lone
+free slot goes to the newest waiter while the slots held in multi-slot
+grants, with that slot, cover the head's want. Each step waits until
+the woken threads have run. After every step:
 
 - ``in_use`` is the sum of the live grants and at most ``slots``;
 - every live reservation holds at least one slot;
 - ``high_watermark`` is at most ``slots``;
 - a reserve was refused iff nothing was free;
 - a holder's ``granted`` changed only by its own release;
-- grants to parked waiters follow park order, each the model's grant;
-- no slot stays free while a waiter is parked.
+- grants to parked waiters follow the wake rule, each the model's grant;
+- no slot stays free while a waiter is parked;
+- once every holder has released, no waiter stays parked.
 
 CI's fuzz smoke runs ``BUDGET_MACHINE_EXAMPLES=1000``.
 """
@@ -23,7 +27,7 @@ import os
 import threading
 import time
 
-from hypothesis import settings
+from hypothesis import event, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -77,8 +81,8 @@ class BudgetMachine(RuleBasedStateMachine):
 
     def _settle(self):
         """Wait until every thread the model says has been granted has
-        returned, and check the grants: a prefix of park order, each the
-        model's ``min(want, free)``."""
+        returned, and check the grants: those waiters the wake rule
+        picked, each the model's ``min(want, free)``."""
         parked = {index for index, _ in self.queue}
         deadline = time.monotonic() + 10
         while len(self.returned) < self.parks - len(parked):
@@ -94,10 +98,18 @@ class BudgetMachine(RuleBasedStateMachine):
             assert h.res.granted == h.granted, (index, h.res.granted, h.granted)
         self.woken = []
 
+    def _next(self):
+        """The wake rule: the queue position a free slot goes to."""
+        gang = sum(h.granted for h in self.held if h.granted > 1)
+        if self._free() == 1 and len(self.queue) > 1 and 1 < self.queue[0][1] <= gang + 1:
+            event("a lone slot goes to the newest waiter")
+            return len(self.queue) - 1
+        return 0
+
     def _serve_the_queue(self):
-        """A release hands what it frees to the parked waiters, oldest first."""
+        """A release hands what it frees to the parked waiters by the wake rule."""
         while self.queue and self._free() > 0:
-            index, want = self.queue.pop(0)
+            index, want = self.queue.pop(self._next())
             self.woken.append((index, Held(None, min(want, self._free()))))
             self.held.append(self.woken[-1][1])
         self._settle()
@@ -157,8 +169,19 @@ class BudgetMachine(RuleBasedStateMachine):
         self.last_reserve = None
         self._serve_the_queue()
 
+    @precondition(lambda self: self.queue)
+    @rule()
+    def release_every_holder(self):
+        """Release the oldest grant, waiters granted on the way included,
+        until no one holds a slot."""
+        while self.held:
+            h = self.held.pop(0)
+            h.res.release()
+            self._serve_the_queue()
+        self.last_reserve = None
+
     def teardown(self):
-        # every release grants the head, whose grant the next pass releases
+        # every release grants a waiter, whose grant the next pass releases
         deadline = time.monotonic() + 10
         while any(t.is_alive() for t in self.threads) and time.monotonic() < deadline:
             for res in [h.res for h in self.held] + list(self.returned.values()):
@@ -185,6 +208,11 @@ class BudgetMachine(RuleBasedStateMachine):
     def no_slot_stays_free_while_a_waiter_is_parked(self):
         if self.budget is not None and self.budget.waiting:
             assert self.budget.free == 0
+
+    @invariant()
+    def no_waiter_stays_parked_once_every_holder_has_released(self):
+        if self.budget is not None and not self.held:
+            assert not self.queue and self.budget.waiting == 0
 
     @invariant()
     def a_grant_changes_only_by_its_holders_release(self):
